@@ -11,6 +11,7 @@
 use super::{AnonymizationAction, AnonymizeError, Anonymizer, GlobalRecoding, LocalSuppression};
 use crate::dictionary::MetadataDictionary;
 use crate::model::MicrodataDb;
+use crate::risk::MicrodataView;
 
 /// Recoding-first anonymizer with suppression fallback.
 #[derive(Debug, Clone, Default)]
@@ -38,16 +39,18 @@ impl Anonymizer for HybridAnonymizer {
         "hybrid-recode-then-suppress"
     }
 
-    fn anonymize_step(
+    fn anonymize_step_with(
         &self,
         db: &mut MicrodataDb,
         dict: &MetadataDictionary,
+        view: &MicrodataView,
         row: usize,
     ) -> Result<AnonymizationAction, AnonymizeError> {
-        match self.recoder.anonymize_step(db, dict, row)? {
+        match self.recoder.anonymize_step_with(db, dict, view, row)? {
             AnonymizationAction::Exhausted { .. } => {
-                // no roll-up available anywhere on this tuple: suppress
-                self.suppressor.anonymize_step(db, dict, row)
+                // no roll-up available anywhere on this tuple (the table,
+                // and so the view, is unchanged): suppress
+                self.suppressor.anonymize_step_with(db, dict, view, row)
             }
             action => Ok(action),
         }

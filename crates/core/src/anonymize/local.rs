@@ -15,6 +15,7 @@
 use super::{candidate_attrs, AnonymizationAction, AnonymizeError, Anonymizer, AttributeOrder};
 use crate::dictionary::MetadataDictionary;
 use crate::model::MicrodataDb;
+use crate::risk::MicrodataView;
 
 /// Local suppression anonymizer (Algorithm 7).
 #[derive(Debug, Clone, Copy, Default)]
@@ -35,13 +36,14 @@ impl Anonymizer for LocalSuppression {
         "local-suppression"
     }
 
-    fn anonymize_step(
+    fn anonymize_step_with(
         &self,
         db: &mut MicrodataDb,
-        dict: &MetadataDictionary,
+        _dict: &MetadataDictionary,
+        view: &MicrodataView,
         row: usize,
     ) -> Result<AnonymizationAction, AnonymizeError> {
-        let candidates = candidate_attrs(db, dict, row, self.attr_order)?;
+        let candidates = candidate_attrs(db, view, row, self.attr_order)?;
         let Some(attr) = candidates.into_iter().next() else {
             return Ok(AnonymizationAction::Exhausted { row });
         };

@@ -18,6 +18,7 @@
 use super::{candidate_attrs, AnonymizationAction, AnonymizeError, Anonymizer, AttributeOrder};
 use crate::dictionary::MetadataDictionary;
 use crate::model::MicrodataDb;
+use crate::risk::MicrodataView;
 use std::collections::HashMap;
 use vadalog::Value;
 
@@ -138,15 +139,16 @@ impl Anonymizer for GlobalRecoding {
         "global-recoding"
     }
 
-    fn anonymize_step(
+    fn anonymize_step_with(
         &self,
         db: &mut MicrodataDb,
-        dict: &MetadataDictionary,
+        _dict: &MetadataDictionary,
+        view: &MicrodataView,
         row: usize,
     ) -> Result<AnonymizationAction, AnonymizeError> {
         // Among the candidate attributes, use the first whose value can be
         // rolled up.
-        for attr in candidate_attrs(db, dict, row, self.attr_order)? {
+        for attr in candidate_attrs(db, view, row, self.attr_order)? {
             let from = db.value(row, &attr)?.clone();
             let Some(to) = self.hierarchy.roll_up(&from) else {
                 continue;

@@ -247,7 +247,8 @@ impl RiskMeasure for ClusterRisk<'_> {
             report.details[row].note = format!(
                 "cluster {c}: own risk {:.4}, cluster risk {combined:.4}",
                 report.risks[row]
-            );
+            )
+            .into();
             report.risks[row] = combined;
         }
         report.measure = format!("cluster({})", self.base.name());

@@ -115,6 +115,15 @@ pub fn codes_match(a: &[u32], am: u64, b: &[u32], bm: u64, sem: NullSemantics) -
     }
 }
 
+/// Bitmask of the positions where two coded rows hold different codes.
+#[inline]
+pub(crate) fn mismatch_bits(a: &[u32], b: &[u32]) -> u64 {
+    a.iter()
+        .zip(b)
+        .enumerate()
+        .fold(0, |m, (c, (x, y))| m | (u64::from(x != y) << c))
+}
+
 /// Even row-range split for `threads` workers over `n` rows.
 fn chunk_ranges(n: usize, threads: usize) -> Vec<(usize, usize)> {
     let t = threads.max(1).min(n.max(1));
@@ -337,12 +346,15 @@ fn exact_grouping(
     let t = effective_threads(n, threads, weights);
 
     // Aggregate. Full-width keys borrow the code slice directly (zero
-    // allocation); sub-projections build small `Vec<u32>` keys.
+    // allocation); sub-projections build small `Vec<u32>` keys. The
+    // full-width maps grow on demand: a table has far fewer distinct
+    // patterns than rows (229 among 12k in the regime-U survey), so a
+    // slot per row would be mostly empty.
     let mut count = vec![0usize; n];
     let mut weight_sum = vec![0.0f64; n];
     if full {
         let agg: HashMap<&[u32], (usize, f64)> = if t == 1 {
-            let mut agg: HashMap<&[u32], (usize, f64)> = HashMap::with_capacity(n.min(1 << 20));
+            let mut agg: HashMap<&[u32], (usize, f64)> = HashMap::new();
             for i in 0..n {
                 if skipped(i) {
                     continue;
@@ -380,7 +392,7 @@ fn exact_grouping(
             // Deterministic sequential merge in chunk order; integer
             // counts and gate-exact weight sums make the grouping of the
             // additions immaterial to the result bits.
-            let mut agg: HashMap<&[u32], (usize, f64)> = HashMap::with_capacity(n.min(1 << 20));
+            let mut agg: HashMap<&[u32], (usize, f64)> = HashMap::new();
             for slot in slots.into_iter().flatten() {
                 for (k, (c, s2)) in slot {
                     let e = agg.entry(k).or_insert((0, 0.0));
@@ -454,10 +466,17 @@ fn exact_grouping(
 /// Incrementally repair `stats` after row `row` changed a single cell:
 /// the columnar analogue of
 /// [`GroupStats::apply_row_change`](crate::maybe_match::GroupStats::apply_row_change),
-/// with the same flip-then-rescan shape and the same exactness caveat
-/// (gate on [`weights_exactly_summable`] for bit-identical warm ≡ cold).
-/// `codes`/`null_masks` must already hold the *new* contents;
-/// `old_codes`/`old_mask` are the row's previous coded contents.
+/// with the same exactness caveat (gate on [`weights_exactly_summable`]
+/// for bit-identical warm ≡ cold). `codes`/`null_masks` must already hold
+/// the *new* contents; `old_codes`/`old_mask` are the row's previous coded
+/// contents.
+///
+/// One pass does both halves: every other row whose match with the
+/// changed row flipped gains or loses its weight, and the changed row's
+/// own group is recounted. The recount adds weights in row order, the
+/// row's own weight at its own index, exactly as a cold pass would. Each
+/// row is compared once against the new contents; only the changed
+/// columns are compared again against the old.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_cell_change_codes(
     codes: &[u32],
@@ -470,20 +489,41 @@ pub fn apply_cell_change_codes(
     old_mask: u64,
     stats: &mut GroupStats,
 ) {
-    let n = null_masks.len();
     let w = |i: usize| weights.map(|w| w[i]).unwrap_or(1.0);
     let w_row = w(row);
     let new_codes = &codes[row * width..(row + 1) * width];
     let new_mask = null_masks[row];
-    for j in 0..n {
+    // the other columns kept their code and null bit
+    let changed = mismatch_bits(old_codes, new_codes);
+    let mut count = 0usize;
+    let mut sum = 0.0f64;
+    for (j, &om) in null_masks.iter().enumerate() {
         if j == row {
+            count += 1;
+            sum += w_row;
             continue;
         }
         let other = &codes[j * width..(j + 1) * width];
-        let om = null_masks[j];
-        let was = codes_match(old_codes, old_mask, other, om, sem);
-        let now = codes_match(new_codes, new_mask, other, om, sem);
-        if was == now {
+        let diff = mismatch_bits(other, new_codes);
+        let mut old_diff = diff & !changed;
+        let mut bits = changed;
+        while bits != 0 {
+            let c = bits.trailing_zeros() as usize;
+            old_diff |= u64::from(other[c] != old_codes[c]) << c;
+            bits &= bits - 1;
+        }
+        let (now, was) = match sem {
+            NullSemantics::Standard => (diff == 0, old_diff == 0),
+            NullSemantics::MaybeMatch => (
+                diff & !(new_mask | om) == 0,
+                old_diff & !(old_mask | om) == 0,
+            ),
+        };
+        if now {
+            count += 1;
+            sum += w(j);
+        }
+        if now == was {
             continue;
         }
         if now {
@@ -494,30 +534,15 @@ pub fn apply_cell_change_codes(
             stats.weight_sum[j] -= w_row;
         }
     }
-    // The changed row's own group may have been reshaped arbitrarily:
-    // recompute it from scratch.
-    let mut c = 0usize;
-    let mut s = 0.0f64;
-    for j in 0..n {
-        if codes_match(
-            new_codes,
-            new_mask,
-            &codes[j * width..(j + 1) * width],
-            null_masks[j],
-            sem,
-        ) {
-            c += 1;
-            s += w(j);
-        }
-    }
-    stats.count[row] = c;
-    stats.weight_sum[row] = s;
+    stats.count[row] = count;
+    stats.weight_sum[row] = sum;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::maybe_match::{group_stats, group_stats_on};
+    use proptest::prelude::*;
 
     /// Encode a row-major `Value` table into (codes, masks, width).
     fn encode(rows: &[Vec<Value>]) -> (Vec<u32>, Vec<u64>, usize) {
@@ -648,59 +673,90 @@ mod tests {
         assert_same(&seq, &par);
     }
 
-    #[test]
-    fn cell_patch_matches_cold_recompute() {
-        let mut rows = mixed_table();
-        let weights: Vec<f64> = vec![10.0, 20.0, 20.0, 30.0, 30.0, 5.0, 5.0];
-        let (mut codes, mut masks, width) = encode(&rows);
-        let all: Vec<usize> = (0..width).collect();
-        let mut dicts: Vec<ColumnDict> = (0..width).map(|_| ColumnDict::new()).collect();
-        for (i, r) in rows.iter().enumerate() {
-            for (c, v) in r.iter().enumerate() {
-                assert_eq!(dicts[c].intern(v), codes[i * width + c]);
-            }
-        }
+    /// Apply `steps` (row, column, new value) one cell at a time, repairing
+    /// the statistics after each, and check them against a cold regroup
+    /// and the row-based pass after every step, under both semantics.
+    fn check_patch_sequence(rows: &[Vec<Value>], weights: &[f64], steps: &[(usize, usize, Value)]) {
         for sem in [NullSemantics::MaybeMatch, NullSemantics::Standard] {
-            let mut stats = group_stats_codes(&codes, &masks, width, &all, Some(&weights), sem, 1);
-            // Suppress row 3's sector, then recode row 5's area.
-            for (row, col, v) in [(3usize, 1usize, Value::Null(9)), (5, 0, s("Torino"))] {
+            let mut rows = rows.to_vec();
+            let (mut codes, mut masks, width) = encode(&rows);
+            let all: Vec<usize> = (0..width).collect();
+            let mut dicts: Vec<ColumnDict> = (0..width).map(|_| ColumnDict::new()).collect();
+            for (i, r) in rows.iter().enumerate() {
+                for (c, v) in r.iter().enumerate() {
+                    assert_eq!(dicts[c].intern(v), codes[i * width + c]);
+                }
+            }
+            let mut stats = group_stats_codes(&codes, &masks, width, &all, Some(weights), sem, 1);
+            for (row, col, v) in steps {
+                let (row, col) = (*row, *col);
                 let old_codes: Vec<u32> = codes[row * width..(row + 1) * width].to_vec();
                 let old_mask = masks[row];
-                let code = dicts[col].intern(&v);
-                codes[row * width + col] = code;
+                codes[row * width + col] = dicts[col].intern(v);
                 if v.is_null() {
                     masks[row] |= 1 << col;
                 } else {
                     masks[row] &= !(1 << col);
                 }
-                rows[row][col] = v;
+                rows[row][col] = v.clone();
                 apply_cell_change_codes(
                     &codes,
                     &masks,
                     width,
-                    Some(&weights),
+                    Some(weights),
                     sem,
                     row,
                     &old_codes,
                     old_mask,
                     &mut stats,
                 );
-                let cold = group_stats_codes(&codes, &masks, width, &all, Some(&weights), sem, 1);
+                let cold = group_stats_codes(&codes, &masks, width, &all, Some(weights), sem, 1);
                 assert_same(&stats, &cold);
-                let rowv = group_stats(&rows, Some(&weights), sem);
-                assert_same(&stats, &rowv);
+                assert_same(&stats, &group_stats(&rows, Some(weights), sem));
             }
-            // restore for the next semantics round
-            rows = mixed_table();
-            let (c2, m2, _) = encode(&rows);
-            codes = c2;
-            masks = m2;
-            dicts = (0..width).map(|_| ColumnDict::new()).collect();
-            for r in &rows {
-                for (c, v) in r.iter().enumerate() {
-                    dicts[c].intern(v);
-                }
-            }
+        }
+    }
+
+    #[test]
+    fn cell_patch_matches_cold_recompute() {
+        // Suppress row 3's sector, then recode row 5's area.
+        check_patch_sequence(
+            &mixed_table(),
+            &[10.0, 20.0, 20.0, 30.0, 30.0, 5.0, 5.0],
+            &[(3, 1, Value::Null(9)), (5, 0, s("Torino"))],
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random suppression sequences on random tables with labelled
+        /// nulls and integer weights: the one-pass repair stays
+        /// bit-identical to a cold regroup after every step.
+        #[test]
+        fn random_suppressions_match_cold_recompute(
+            table in proptest::collection::vec(
+                proptest::collection::vec(
+                    prop_oneof![
+                        3 => (0i64..3).prop_map(Value::Int),
+                        1 => (0u64..4).prop_map(Value::Null),
+                    ],
+                    4,
+                ),
+                1..=20,
+            ),
+            width in 1usize..=4,
+            weights in proptest::collection::vec(1u32..10, 20),
+            picks in proptest::collection::vec((0usize..20, 0usize..4), 1..=12),
+        ) {
+            let rows: Vec<Vec<Value>> = table.iter().map(|r| r[..width].to_vec()).collect();
+            let weights: Vec<f64> = weights[..rows.len()].iter().map(|&w| f64::from(w)).collect();
+            let steps: Vec<(usize, usize, Value)> = picks
+                .iter()
+                .enumerate()
+                .map(|(k, &(r, c))| (r % rows.len(), c % width, Value::Null(100 + k as u64)))
+                .collect();
+            check_patch_sequence(&rows, &weights, &steps);
         }
     }
 

@@ -1113,8 +1113,11 @@ impl<'a> AnonymizationCycle<'a> {
                         }
                     }
                 }
+                // the step ranks from the live view, which `patch_view`
+                // keeps in sync with `work` after every action
                 let stepped = catch_unwind(AssertUnwindSafe(|| {
-                    self.anonymizer.anonymize_step(&mut work, dict, row)
+                    self.anonymizer
+                        .anonymize_step_with(&mut work, dict, view, row)
                 }));
                 let action = match stepped {
                     Ok(Ok(a)) => a,

@@ -127,38 +127,9 @@ impl fmt::Display for DecodeError {
     }
 }
 
-// --- CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) ---
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32 (IEEE) of `bytes`, as used by the journal frame headers.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
+/// CRC-32 (IEEE) of `bytes`, as used by the journal frame headers: the
+/// artifact codec's implementation, so every durable format shares one.
+pub use vadalog::backend::crc32;
 
 // --- encoding helpers ---
 

@@ -13,6 +13,9 @@ use std::collections::HashMap;
 use std::fmt;
 use vadalog::Value;
 
+/// Rows per storage block of a [`MicrodataDb`].
+const BLOCK_ROWS: usize = 1024;
+
 /// A schema-independent microdata table.
 #[derive(Debug, Clone)]
 pub struct MicrodataDb {
@@ -22,8 +25,13 @@ pub struct MicrodataDb {
     attributes: Vec<String>,
     /// Column name → position.
     attr_index: HashMap<String, usize>,
-    /// Row-major cell storage.
-    rows: Vec<Vec<Value>>,
+    /// Row-major cells in blocks of [`BLOCK_ROWS`] rows: one allocation
+    /// per block rather than one per row. The first block grows on demand
+    /// (small tables stay small); later ones are allocated whole, so
+    /// appending never moves more than one block's cells.
+    blocks: Vec<Vec<Value>>,
+    /// Number of rows (kept apart: a zero-width schema has no cells).
+    rows: usize,
     /// Labelled-null counter for suppression.
     next_null: u64,
 }
@@ -78,7 +86,8 @@ impl MicrodataDb {
             name: name.into(),
             attributes,
             attr_index,
-            rows: Vec::new(),
+            blocks: Vec::new(),
+            rows: 0,
             next_null: 0,
         })
     }
@@ -111,55 +120,72 @@ impl MicrodataDb {
                 }
             }
         }
-        self.rows.push(row);
-        Ok(self.rows.len() - 1)
+        if self.rows.is_multiple_of(BLOCK_ROWS) {
+            let whole = if self.blocks.is_empty() {
+                0
+            } else {
+                BLOCK_ROWS
+            };
+            self.blocks
+                .push(Vec::with_capacity(whole * self.attributes.len()));
+        }
+        if let Some(block) = self.blocks.last_mut() {
+            block.extend(row);
+        }
+        self.rows += 1;
+        Ok(self.rows - 1)
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows
     }
 
     /// Is the table empty?
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows == 0
+    }
+
+    /// The cells of row `idx`, which must be in range.
+    fn cells_of(&self, idx: usize) -> &[Value] {
+        let w = self.attributes.len();
+        let at = (idx % BLOCK_ROWS) * w;
+        &self.blocks[idx / BLOCK_ROWS][at..at + w]
     }
 
     /// Borrow a row.
     pub fn row(&self, idx: usize) -> Result<&[Value], ModelError> {
-        self.rows
-            .get(idx)
-            .map(|r| r.as_slice())
-            .ok_or(ModelError::RowOutOfBounds(idx))
+        if idx < self.rows {
+            Ok(self.cells_of(idx))
+        } else {
+            Err(ModelError::RowOutOfBounds(idx))
+        }
     }
 
     /// Iterate rows.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[Value]> {
-        self.rows.iter().map(|r| r.as_slice())
+        (0..self.rows).map(|i| self.cells_of(i))
     }
 
     /// Cell value by row index and attribute name.
     pub fn value(&self, row: usize, attr: &str) -> Result<&Value, ModelError> {
         let col = self.attr_position(attr)?;
-        self.rows
-            .get(row)
-            .map(|r| &r[col])
-            .ok_or(ModelError::RowOutOfBounds(row))
+        Ok(&self.row(row)?[col])
     }
 
     /// Overwrite a cell.
     pub fn set_value(&mut self, row: usize, attr: &str, v: Value) -> Result<(), ModelError> {
         let col = self.attr_position(attr)?;
-        let r = self
-            .rows
-            .get_mut(row)
-            .ok_or(ModelError::RowOutOfBounds(row))?;
+        if row >= self.rows {
+            return Err(ModelError::RowOutOfBounds(row));
+        }
         if let Value::Null(n) = &v {
             if *n >= self.next_null {
                 self.next_null = n + 1;
             }
         }
-        r[col] = v;
+        let at = (row % BLOCK_ROWS) * self.attributes.len() + col;
+        self.blocks[row / BLOCK_ROWS][at] = v;
         Ok(())
     }
 
@@ -195,8 +221,7 @@ impl MicrodataDb {
                 .filter_map(|a| self.attr_index.get(a).copied())
                 .collect()
         };
-        self.rows
-            .iter()
+        self.iter_rows()
             .map(|r| cols.iter().filter(|&&c| r[c].is_null()).count())
             .sum()
     }
@@ -206,7 +231,7 @@ impl MicrodataDb {
     /// selectively at the use site).
     pub fn column(&self, attr: &str) -> Result<Vec<&Value>, ModelError> {
         let col = self.attr_position(attr)?;
-        Ok(self.rows.iter().map(|r| &r[col]).collect())
+        Ok(self.iter_rows().map(|r| &r[col]).collect())
     }
 
     /// An indexed, borrowed projection of the listed attributes: column
@@ -229,8 +254,7 @@ impl MicrodataDb {
     /// Numeric view of a column (errors on the first non-numeric cell).
     pub fn numeric_column(&self, attr: &str) -> Result<Vec<f64>, ModelError> {
         let col = self.attr_position(attr)?;
-        self.rows
-            .iter()
+        self.iter_rows()
             .map(|r| {
                 r[col].as_f64().ok_or_else(|| {
                     ModelError::UnknownAttribute(format!(
@@ -270,12 +294,15 @@ impl<'a> Projection<'a> {
 
     /// Borrow the cell at `(row, col)` (col indexes the projection).
     pub fn value(&self, row: usize, col: usize) -> &'a Value {
-        &self.db.rows[row][self.cols[col]]
+        &self.db.cells_of(row)[self.cols[col]]
     }
 
     /// One projected row as cell references.
     pub fn row(&self, row: usize) -> Vec<&'a Value> {
-        self.cols.iter().map(|&c| &self.db.rows[row][c]).collect()
+        self.cols
+            .iter()
+            .map(|&c| &self.db.cells_of(row)[c])
+            .collect()
     }
 
     /// Iterate projected rows as cell references.
@@ -310,6 +337,47 @@ mod tests {
         assert_eq!(db.len(), 2);
         assert_eq!(db.value(0, "area").unwrap(), &Value::str("North"));
         assert_eq!(db.attr_position("w").unwrap(), 2);
+    }
+
+    #[test]
+    fn rows_span_storage_blocks() {
+        let n = 2 * BLOCK_ROWS + 5;
+        let mut db = MicrodataDb::new("t", ["i", "sq"]).unwrap();
+        for i in 0..n as i64 {
+            assert_eq!(
+                db.push_row(vec![Value::Int(i), Value::Int(i * i)]),
+                Ok(i as usize)
+            );
+        }
+        let last = BLOCK_ROWS as i64;
+        db.set_value(BLOCK_ROWS, "sq", Value::Null(7)).unwrap();
+        assert_eq!(
+            db.value(BLOCK_ROWS - 1, "sq").unwrap(),
+            &Value::Int((last - 1).pow(2))
+        );
+        assert!(db.value(BLOCK_ROWS, "sq").unwrap().is_null());
+        assert_eq!(
+            db.row(n - 1).unwrap(),
+            &[Value::Int(n as i64 - 1), Value::Int((n as i64 - 1).pow(2))]
+        );
+        assert!(matches!(db.row(n), Err(ModelError::RowOutOfBounds(_))));
+        assert!(db.set_value(n, "i", Value::Int(0)).is_err());
+        let copy = db.clone();
+        assert!(copy.iter_rows().eq(db.iter_rows()));
+        assert_eq!(copy.iter_rows().count(), n);
+        assert_eq!(db.null_cells(&[]), 1);
+        assert_eq!(db.nulls_minted(), 8);
+    }
+
+    #[test]
+    fn zero_width_tables_count_rows() {
+        let mut db = MicrodataDb::new("t", Vec::<String>::new()).unwrap();
+        for _ in 0..BLOCK_ROWS + 1 {
+            db.push_row(Vec::new()).unwrap();
+        }
+        assert_eq!(db.len(), BLOCK_ROWS + 1);
+        assert_eq!(db.row(BLOCK_ROWS).unwrap(), &[] as &[Value]);
+        assert_eq!(db.iter_rows().count(), BLOCK_ROWS + 1);
     }
 
     #[test]

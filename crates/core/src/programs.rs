@@ -617,6 +617,7 @@ pub fn run_declarative_cycle_with(
                     .collect()
             });
         let mut supp_facts = facts;
+        let mut picks: Vec<String> = Vec::with_capacity(risky.len());
         for &i in &risky {
             supp_facts.insert("anonymize", vec![Value::Int(i as i64)]);
             // routing: most selective non-null attribute of the row
@@ -630,13 +631,18 @@ pub fn run_declarative_cycle_with(
                 })
                 .map(|(a, _)| a.clone())
                 .expect("risky row has a non-null QI");
-            supp_facts.insert("suppressattr", vec![Value::Int(i as i64), Value::str(pick)]);
+            supp_facts.insert(
+                "suppressattr",
+                vec![Value::Int(i as i64), Value::str(&pick)],
+            );
+            picks.push(pick);
         }
         let result = Engine::new().run(&suppress_program, supp_facts)?;
 
         // read back the anonymized versions: for each flagged row, the
-        // chase derived a second `tuple` fact whose VSet carries the null
-        for &i in &risky {
+        // chase derived a second `tuple` fact whose picked attribute holds
+        // the fresh null (the original version may carry older nulls)
+        for (&i, pick) in risky.iter().zip(&picks) {
             let versions: Vec<Vec<Value>> = result
                 .db
                 .rows("tuple")
@@ -646,8 +652,11 @@ pub fn run_declarative_cycle_with(
             let nulled = versions.iter().find(|v| {
                 v[2].as_set()
                     .map(|s| {
-                        s.iter()
-                            .any(|p| p.as_tuple().map(|t| t[1].is_null()).unwrap_or(false))
+                        s.iter().any(|p| {
+                            p.as_tuple()
+                                .map(|t| t[0].as_str() == Some(pick.as_str()) && t[1].is_null())
+                                .unwrap_or(false)
+                        })
                     })
                     .unwrap_or(false)
             });

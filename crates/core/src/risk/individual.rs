@@ -109,7 +109,7 @@ impl IndividualRisk {
             details.push(TupleRiskDetail {
                 frequency: f,
                 weight_sum: wsum,
-                note: format!("p̂={p:.6}"),
+                note: format!("p̂={p:.6}").into(),
             });
         }
         RiskReport {

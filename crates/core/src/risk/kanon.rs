@@ -15,6 +15,7 @@ use super::{MicrodataView, RiskError, RiskMeasure, RiskReport, TupleRiskDetail};
 use crate::columnar::par_map_rows;
 use crate::maybe_match::GroupStats;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// k-anonymity threshold risk (Algorithm 4).
 #[derive(Debug, Clone, Copy)]
@@ -33,8 +34,8 @@ impl KAnonymity {
     /// path ([`RiskMeasure::evaluate`]) and the warm-start hook so both
     /// produce bit-identical output from identical statistics. Scoring is
     /// a pure per-row map, so it shards across `threads` workers; notes
-    /// are formatted once per distinct class size and cloned per row
-    /// (identical strings, a fraction of the allocations at scale).
+    /// are formatted once per distinct class size and shared by every row
+    /// of that size (one allocation per size, not per row).
     fn report(&self, threads: usize, stats: &GroupStats) -> RiskReport {
         let n = stats.count.len();
         let risks: Vec<f64> =
@@ -43,11 +44,11 @@ impl KAnonymity {
                 threads,
                 |i| if stats.count[i] < self.k { 1.0 } else { 0.0 },
             );
-        let mut notes: HashMap<usize, String> = HashMap::new();
+        let mut notes: HashMap<usize, Arc<str>> = HashMap::new();
         for &c in &stats.count {
             notes
                 .entry(c)
-                .or_insert_with(|| format!("class size {c} vs k={}", self.k));
+                .or_insert_with(|| format!("class size {c} vs k={}", self.k).into());
         }
         let details = par_map_rows(n, threads, |i| TupleRiskDetail {
             frequency: stats.count[i],

@@ -113,7 +113,8 @@ impl RiskMeasure for LDiversity {
                 note: format!(
                     "{d} distinct '{}' values vs l={}",
                     self.sensitive_attr, self.l
-                ),
+                )
+                .into(),
             });
         }
         Ok(RiskReport {

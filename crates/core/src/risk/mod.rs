@@ -42,6 +42,7 @@ use crate::dictionary::{Category, DictionaryError, MetadataDictionary};
 use crate::maybe_match::{GroupStats, NullSemantics};
 use crate::model::{MicrodataDb, ModelError};
 use std::fmt;
+use std::sync::Arc;
 use vadalog::Value;
 
 /// Errors building a view or evaluating risk.
@@ -292,12 +293,12 @@ impl MicrodataView {
         &self.dicts
     }
 
-    /// The flat row-major code matrix (spill/restore path).
+    /// The flat row-major code matrix.
     pub(crate) fn codes(&self) -> &[u32] {
         &self.codes
     }
 
-    /// Per-row null bitmasks (spill/restore path).
+    /// Per-row null bitmasks.
     pub(crate) fn null_masks(&self) -> &[u64] {
         &self.null_masks
     }
@@ -456,8 +457,9 @@ pub struct TupleRiskDetail {
     pub frequency: usize,
     /// Sum of sampling weights over the group (frequency if unweighted).
     pub weight_sum: f64,
-    /// Measure-specific annotation (e.g. MSU sizes for SUDA).
-    pub note: String,
+    /// Measure-specific annotation (e.g. MSU sizes for SUDA). Shared, so
+    /// rows with the same note hold one string between them.
+    pub note: Arc<str>,
 }
 
 /// The outcome of evaluating a risk measure over a view.

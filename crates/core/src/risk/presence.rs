@@ -67,7 +67,7 @@ impl RiskMeasure for PresenceRisk {
             details.push(TupleRiskDetail {
                 frequency: f,
                 weight_sum: wsum,
-                note: format!("ε={:.4}", PresenceRisk::epsilon(r)),
+                note: format!("ε={:.4}", PresenceRisk::epsilon(r)).into(),
             });
         }
         Ok(RiskReport {

@@ -52,7 +52,7 @@ impl ReIdentification {
         let details = par_map_rows(n, threads, |i| TupleRiskDetail {
             frequency: stats.count[i],
             weight_sum: stats.weight_sum[i],
-            note: String::new(),
+            note: Default::default(),
         });
         RiskReport {
             measure: self.name().to_string(),

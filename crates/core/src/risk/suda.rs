@@ -164,7 +164,7 @@ impl RiskMeasure for Suda {
             details.push(TupleRiskDetail {
                 frequency: set.masks.len(),
                 weight_sum: score,
-                note: format!("msu sizes {:?}", set.sizes()),
+                note: format!("msu sizes {:?}", set.sizes()).into(),
             });
         }
         Ok(RiskReport {

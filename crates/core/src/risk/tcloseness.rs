@@ -119,7 +119,8 @@ impl RiskMeasure for TCloseness {
                 note: format!(
                     "TV distance {distance:.4} vs t={:.2} on '{}'",
                     self.t, self.sensitive_attr
-                ),
+                )
+                .into(),
             });
         }
         Ok(RiskReport {

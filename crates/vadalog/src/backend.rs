@@ -475,7 +475,8 @@ const fn crc32_table() -> [u32; 256] {
 
 static CRC32_TABLE: [u32; 256] = crc32_table();
 
-/// CRC-32 (IEEE) of `bytes`, as used by the artifact frame headers.
+/// CRC-32 (IEEE) of `bytes`, as used by the artifact frame headers and
+/// by `vadasa-core`'s journal and snapshot frames.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {

@@ -8,11 +8,12 @@ use vadalog::Value;
 use vadasa_core::maybe_match::NullSemantics;
 use vadasa_core::prelude::*;
 use vadasa_core::programs::{
-    alg4_kanonymity, alg6_suda, run_control_program, run_risk_program, ALG3_REIDENTIFICATION,
-    ALG5_INDIVIDUAL_RISK,
+    alg4_kanonymity, alg6_suda, run_control_program, run_declarative_cycle, run_risk_program,
+    ALG3_REIDENTIFICATION, ALG5_INDIVIDUAL_RISK,
 };
 use vadasa_core::risk::RiskMeasure;
 use vadasa_datagen::fixtures::inflation_growth_fig1;
+use vadasa_datagen::generator::{generate, DatasetSpec, Regime};
 
 fn native_view() -> (MicrodataDb, MetadataDictionary, MicrodataView) {
     let (db, dict) = inflation_growth_fig1();
@@ -146,5 +147,23 @@ fn declarative_categorization_matches_native_on_figure4() {
     for (attr, cat) in &declarative {
         let native = dict.category("I&G", attr).unwrap();
         assert_eq!(native, Some(*cat), "attribute {attr}");
+    }
+}
+
+#[test]
+fn declarative_cycle_converges_when_flagged_rows_already_hold_nulls() {
+    // On these generated tables the second round flags rows that already
+    // carry a null. Their unsuppressed `tuple` version holds a null too,
+    // so reading back "the version with a null" dropped the new
+    // suppression and the loop spun to the iteration cap.
+    for rows in [100, 300, 400] {
+        let (db, dict) = generate(&DatasetSpec::new(rows, 4, Regime::U), 20210323);
+        let out = run_declarative_cycle(&db, &dict, 2, 50).unwrap();
+        let risky = (0..rows)
+            .filter(|&i| {
+                out.final_risks[i] > 0.5 && out.anonymized_rows[i].iter().any(|(_, v)| !v.is_null())
+            })
+            .count();
+        assert_eq!((out.iterations, risky), (2, 0), "{rows} rows");
     }
 }
