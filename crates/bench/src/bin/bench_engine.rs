@@ -21,13 +21,17 @@
 //!   single-respondent goal (the respondent's whole quasi-identifier
 //!   group, `closed_groups` attested) instead of scoring all rows — the
 //!   interactive "what is *this* respondent's risk?" query shape.
+//! - **suda** — Algorithm 2 tuple reification + Algorithm 6 SUDA (MSU
+//!   threshold 2) over 1,000 regime-U rows at the base seed: recursion
+//!   over attribute subsets, negation and aggregation, the engine's
+//!   per-binding costs (frames, head instantiation, inserts) at volume.
 //!
 //! Each workload runs its modes `runs` times; the output file gets one
 //! JSON object per line (medians in seconds plus speedup ratios), ready
 //! for `jq` and for the CI perf-smoke gates. With `--baseline PATH` the
-//! indexed tc64 median and the magic tc_goal median are compared against
-//! the committed baseline and the process exits non-zero on a >25%
-//! regression in either.
+//! indexed tc64 and suda medians and the magic tc_goal median are
+//! compared against the committed baseline and the process exits
+//! non-zero on a >25% regression in any of them.
 
 use std::io::Write;
 use vadalog::{
@@ -35,7 +39,9 @@ use vadalog::{
     Term,
 };
 use vadasa_bench::{read_baseline_median, time_it};
-use vadasa_core::programs::{microdata_to_facts, ALG2_TUPLE_REIFICATION, ALG5_INDIVIDUAL_RISK};
+use vadasa_core::programs::{
+    alg6_suda, microdata_to_facts, ALG2_TUPLE_REIFICATION, ALG5_INDIVIDUAL_RISK,
+};
 use vadasa_core::report::render_engine_profile;
 use vadasa_datagen::generator::{generate, DatasetSpec, Regime};
 
@@ -217,6 +223,8 @@ fn main() {
     // closure) for a noise-stable median the CI gate can hold at 25%
     let (tc_goal_components, tc_goal_cycle) = (8, 32);
     let risk_rows = if quick { 500 } else { 2_000 };
+    // identical in both modes: the suda gate compares against the baseline
+    let suda_rows = 1_000;
 
     // --- workload 1: 64-node non-linear transitive closure ---
     let tc_program = parse_program(&non_linear_tc(tc_nodes)).expect("tc program parses");
@@ -380,6 +388,44 @@ fn main() {
         )),
     };
 
+    // --- workload 4: declarative SUDA (Alg. 2 + Alg. 6) ---
+    let (db, dict) = generate(&DatasetSpec::new(suda_rows, 4, Regime::U), 20210323);
+    let suda_program = parse_program(&format!("{ALG2_TUPLE_REIFICATION}{}", alg6_suda(2)))
+        .expect("suda program parses");
+    let suda_facts = microdata_to_facts(&db, &dict).expect("microdata converts");
+    let suda_check = |r: &vadalog::ReasoningResult| {
+        assert_eq!(r.db.rows("riskOutput").len(), suda_rows, "one risk per row");
+    };
+    let suda = WorkloadResult {
+        name: "suda",
+        size: suda_rows,
+        reference_s: median_secs(
+            &suda_program,
+            &suda_facts,
+            JoinMode::Reference,
+            1,
+            runs,
+            suda_check,
+        ),
+        indexed_s: median_secs(
+            &suda_program,
+            &suda_facts,
+            JoinMode::Indexed,
+            1,
+            runs,
+            suda_check,
+        ),
+        indexed_mt_s: median_secs(
+            &suda_program,
+            &suda_facts,
+            JoinMode::Indexed,
+            4,
+            runs,
+            suda_check,
+        ),
+        magic_s: None,
+    };
+
     // --- report ---
     let mut file = match std::fs::File::create(&out_path) {
         Ok(f) => f,
@@ -391,9 +437,10 @@ fn main() {
     emit(&mut file, &tc, runs);
     emit(&mut file, &tc_goal, runs);
     emit(&mut file, &risk, runs);
+    emit(&mut file, &suda, runs);
 
     println!("engine bench — {runs} run(s) per mode, medians in seconds\n");
-    for w in [&tc, &tc_goal, &risk] {
+    for w in [&tc, &tc_goal, &risk, &suda] {
         let magic = match (w.magic_s, w.magic_speedup()) {
             (Some(s), Some(x)) => format!("   magic {s:.3}s ({x:.2}x vs indexed)"),
             _ => String::new(),
@@ -413,13 +460,15 @@ fn main() {
 
     if let Some(path) = baseline {
         let mut failed = false;
-        // The tc gate is absolute (a ~0.5s median is load-stable). The
-        // tc_goal magic gate normalizes by the same run's full-fixpoint
-        // median: a sub-100ms median moves with container load, but load
-        // moves both numbers together, so the gate holds the *relative*
-        // cost of goal-directed evaluation to within 25% of the baseline.
+        // The tc and suda gates are absolute (their medians are
+        // load-stable). The tc_goal magic gate normalizes by the same
+        // run's full-fixpoint median: a sub-100ms median moves with
+        // container load, but load moves both numbers together, so the
+        // gate holds the *relative* cost of goal-directed evaluation to
+        // within 25% of the baseline.
         for (bench, mode, current, normalize_by) in [
             ("engine.tc", "indexed", tc.indexed_s, None),
+            ("engine.suda", "indexed", suda.indexed_s, None),
             (
                 "engine.tc_goal",
                 "magic",

@@ -1,4 +1,6 @@
-//! Expression evaluation against a variable binding.
+//! Expression evaluation: expressions compiled against a rule's slot
+//! frame (`CExpr`), with [`eval_expr`] evaluating against a name-keyed
+//! [`Binding`] through the same evaluator.
 //!
 //! Evaluation distinguishes hard errors (type clashes, unknown functions)
 //! from *undefined* results (e.g. indexing a `VSet` with an absent key):
@@ -52,142 +54,209 @@ fn both_int(a: &Value, b: &Value) -> Option<(i64, i64)> {
     }
 }
 
-/// Evaluate `expr` under `binding`.
+/// Evaluate `expr` under `binding`: a thin adapter that compiles the
+/// expression against a frame holding the binding's values.
 pub fn eval_expr(expr: &Expr, binding: &Binding) -> Result<Value, EvalError> {
-    match expr {
-        Expr::Const(v) => Ok(v.clone()),
-        Expr::Var(name) => binding
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EvalError::Type(format!("unbound variable {name}"))),
-        Expr::Unary(op, inner) => {
-            let v = eval_expr(inner, binding)?;
-            match op {
-                UnOp::Neg => match v {
-                    Value::Int(i) => Ok(Value::Int(-i)),
-                    Value::Float(f) => Ok(Value::Float(-f)),
-                    other => Err(EvalError::Type(format!("cannot negate {other}"))),
-                },
-                UnOp::Not => match v {
-                    Value::Bool(b) => Ok(Value::Bool(!b)),
-                    other => Err(EvalError::Type(format!("cannot apply 'not' to {other}"))),
-                },
+    let mut frame: Vec<Option<Value>> = Vec::new();
+    let compiled = CExpr::compile(expr, &mut |name| {
+        frame.push(binding.get(name).cloned());
+        frame.len() - 1
+    });
+    compiled.eval(&frame)
+}
+
+/// An expression compiled against a rule's slot frame: variables are
+/// frame slots and builtin names are resolved to a [`Builtin`] once, at
+/// compile time, instead of by string match on every call.
+#[derive(Debug, Clone)]
+pub(crate) enum CExpr {
+    Const(Value),
+    /// A frame slot; the name is kept for the unbound-variable error.
+    Var(usize, Arc<str>),
+    Unary(UnOp, Box<CExpr>),
+    Binary(BinOp, Box<CExpr>, Box<CExpr>),
+    Case(Box<CExpr>, Box<CExpr>, Box<CExpr>),
+    Index(Box<CExpr>, Box<CExpr>),
+    Call(Builtin, Vec<CExpr>),
+    /// A call to a name no builtin answers to: its arguments still
+    /// evaluate first, then the call fails with a type error.
+    Unknown(Arc<str>, Vec<CExpr>),
+}
+
+impl CExpr {
+    /// Compile `expr`, resolving each variable occurrence to a slot with
+    /// `slot_of` (called in left-to-right order of occurrence).
+    pub(crate) fn compile(expr: &Expr, slot_of: &mut dyn FnMut(&str) -> usize) -> CExpr {
+        let mut sub = |e: &Expr| Box::new(CExpr::compile(e, slot_of));
+        match expr {
+            Expr::Const(v) => CExpr::Const(v.clone()),
+            Expr::Var(name) => CExpr::Var(slot_of(name), Arc::from(name.as_str())),
+            Expr::Unary(op, inner) => CExpr::Unary(*op, sub(inner)),
+            Expr::Binary(op, lhs, rhs) => {
+                let lhs = sub(lhs);
+                CExpr::Binary(*op, lhs, sub(rhs))
+            }
+            Expr::Case {
+                cond,
+                then,
+                otherwise,
+            } => {
+                let (cond, then) = (sub(cond), sub(then));
+                CExpr::Case(cond, then, sub(otherwise))
+            }
+            Expr::Index(base, key) => {
+                let base = sub(base);
+                CExpr::Index(base, sub(key))
+            }
+            Expr::Call(name, args) => {
+                let args = args.iter().map(|a| CExpr::compile(a, slot_of)).collect();
+                match Builtin::resolve(name) {
+                    Some(b) => CExpr::Call(b, args),
+                    None => CExpr::Unknown(Arc::from(name.as_str()), args),
+                }
             }
         }
-        Expr::Binary(op, lhs, rhs) => {
-            // short-circuit booleans
-            if matches!(op, BinOp::And | BinOp::Or) {
-                let l = eval_expr(lhs, binding)?;
-                let lb = match l {
-                    Value::Bool(b) => b,
-                    other => return Err(EvalError::Type(format!("'and'/'or' on {other}"))),
-                };
-                if *op == BinOp::And && !lb {
-                    return Ok(Value::Bool(false));
+    }
+
+    /// Evaluate against a frame: `frame[slot]` is the slot's value, `None`
+    /// while unbound.
+    pub(crate) fn eval(&self, frame: &[Option<Value>]) -> Result<Value, EvalError> {
+        match self {
+            CExpr::Const(v) => Ok(v.clone()),
+            CExpr::Var(slot, name) => frame
+                .get(*slot)
+                .and_then(Option::as_ref)
+                .cloned()
+                .ok_or_else(|| EvalError::Type(format!("unbound variable {name}"))),
+            CExpr::Unary(op, inner) => {
+                let v = inner.eval(frame)?;
+                match op {
+                    UnOp::Neg => match v {
+                        Value::Int(i) => Ok(Value::Int(-i)),
+                        Value::Float(f) => Ok(Value::Float(-f)),
+                        other => Err(EvalError::Type(format!("cannot negate {other}"))),
+                    },
+                    UnOp::Not => match v {
+                        Value::Bool(b) => Ok(Value::Bool(!b)),
+                        other => Err(EvalError::Type(format!("cannot apply 'not' to {other}"))),
+                    },
                 }
-                if *op == BinOp::Or && lb {
-                    return Ok(Value::Bool(true));
-                }
-                return eval_expr(rhs, binding);
             }
-            let a = eval_expr(lhs, binding)?;
-            let b = eval_expr(rhs, binding)?;
-            match op {
-                BinOp::Add => {
-                    if let Some((x, y)) = both_int(&a, &b) {
-                        Ok(Value::Int(x.wrapping_add(y)))
-                    } else {
-                        let (x, y) = num2(&a, &b, "+")?;
-                        Ok(Value::Float(x + y))
+            CExpr::Binary(op, lhs, rhs) => {
+                // short-circuit booleans
+                if matches!(op, BinOp::And | BinOp::Or) {
+                    let lb = match lhs.eval(frame)? {
+                        Value::Bool(b) => b,
+                        other => return Err(EvalError::Type(format!("'and'/'or' on {other}"))),
+                    };
+                    if *op == BinOp::And && !lb {
+                        return Ok(Value::Bool(false));
                     }
+                    if *op == BinOp::Or && lb {
+                        return Ok(Value::Bool(true));
+                    }
+                    return rhs.eval(frame);
                 }
-                BinOp::Sub => {
-                    if let Some((x, y)) = both_int(&a, &b) {
-                        Ok(Value::Int(x.wrapping_sub(y)))
-                    } else {
-                        let (x, y) = num2(&a, &b, "-")?;
-                        Ok(Value::Float(x - y))
-                    }
-                }
-                BinOp::Mul => {
-                    if let Some((x, y)) = both_int(&a, &b) {
-                        Ok(Value::Int(x.wrapping_mul(y)))
-                    } else {
-                        let (x, y) = num2(&a, &b, "*")?;
-                        Ok(Value::Float(x * y))
-                    }
-                }
-                BinOp::Div => {
-                    let (x, y) = num2(&a, &b, "/")?;
-                    if y == 0.0 {
-                        Err(EvalError::Undefined("division by zero".into()))
-                    } else {
-                        Ok(Value::Float(x / y))
-                    }
-                }
-                BinOp::Mod => {
-                    if let Some((x, y)) = both_int(&a, &b) {
-                        if y == 0 {
-                            Err(EvalError::Undefined("modulo by zero".into()))
-                        } else {
-                            Ok(Value::Int(x.rem_euclid(y)))
-                        }
-                    } else {
-                        Err(EvalError::Type("'%' expects integers".into()))
-                    }
-                }
-                BinOp::Eq => Ok(Value::Bool(a == b)),
-                BinOp::Ne => Ok(Value::Bool(a != b)),
-                BinOp::Lt => Ok(Value::Bool(a < b)),
-                BinOp::Le => Ok(Value::Bool(a <= b)),
-                BinOp::Gt => Ok(Value::Bool(a > b)),
-                BinOp::Ge => Ok(Value::Bool(a >= b)),
-                BinOp::In => match &b {
-                    Value::Set(s) => Ok(Value::Bool(s.contains(&a))),
-                    Value::Tuple(t) => Ok(Value::Bool(t.contains(&a))),
-                    other => Err(EvalError::Type(format!("'in' expects a set, got {other}"))),
-                },
-                BinOp::Subset => match (&a, &b) {
-                    (Value::Set(x), Value::Set(y)) => {
-                        Ok(Value::Bool(x.is_subset(y) && x.len() < y.len()))
-                    }
-                    _ => Err(EvalError::Type("'subset' expects two sets".into())),
-                },
-                BinOp::Union => match (&a, &b) {
-                    (Value::Set(x), Value::Set(y)) => {
-                        let mut s: BTreeSet<Value> = (**x).clone();
-                        s.extend(y.iter().cloned());
-                        Ok(Value::Set(Arc::new(s)))
-                    }
-                    _ => Err(EvalError::Type("'union' expects two sets".into())),
-                },
-                BinOp::And | BinOp::Or => unreachable!("handled above"),
+                let a = lhs.eval(frame)?;
+                let b = rhs.eval(frame)?;
+                binary(*op, a, b)
             }
-        }
-        Expr::Case {
-            cond,
-            then,
-            otherwise,
-        } => {
-            let c = eval_expr(cond, binding)?;
-            match c {
-                Value::Bool(true) => eval_expr(then, binding),
-                Value::Bool(false) => eval_expr(otherwise, binding),
+            CExpr::Case(cond, then, otherwise) => match cond.eval(frame)? {
+                Value::Bool(true) => then.eval(frame),
+                Value::Bool(false) => otherwise.eval(frame),
                 other => Err(EvalError::Type(format!("case condition is {other}"))),
+            },
+            CExpr::Index(base, key) => {
+                let b = base.eval(frame)?;
+                let k = key.eval(frame)?;
+                index_value(&b, &k)
+            }
+            CExpr::Call(builtin, args) => {
+                let vals = eval_args(args, frame)?;
+                call_builtin(*builtin, &vals)
+            }
+            CExpr::Unknown(name, args) => {
+                eval_args(args, frame)?;
+                Err(EvalError::Type(format!("unknown builtin '{name}'")))
             }
         }
-        Expr::Index(base, key) => {
-            let b = eval_expr(base, binding)?;
-            let k = eval_expr(key, binding)?;
-            index_value(&b, &k)
-        }
-        Expr::Call(name, args) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_expr(a, binding)?);
+    }
+}
+
+fn eval_args(args: &[CExpr], frame: &[Option<Value>]) -> Result<Vec<Value>, EvalError> {
+    args.iter().map(|a| a.eval(frame)).collect()
+}
+
+/// A non-short-circuiting binary operator applied to evaluated operands.
+fn binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
+    match op {
+        BinOp::Add => {
+            if let Some((x, y)) = both_int(&a, &b) {
+                Ok(Value::Int(x.wrapping_add(y)))
+            } else {
+                let (x, y) = num2(&a, &b, "+")?;
+                Ok(Value::Float(x + y))
             }
-            call_builtin(name, &vals)
         }
+        BinOp::Sub => {
+            if let Some((x, y)) = both_int(&a, &b) {
+                Ok(Value::Int(x.wrapping_sub(y)))
+            } else {
+                let (x, y) = num2(&a, &b, "-")?;
+                Ok(Value::Float(x - y))
+            }
+        }
+        BinOp::Mul => {
+            if let Some((x, y)) = both_int(&a, &b) {
+                Ok(Value::Int(x.wrapping_mul(y)))
+            } else {
+                let (x, y) = num2(&a, &b, "*")?;
+                Ok(Value::Float(x * y))
+            }
+        }
+        BinOp::Div => {
+            let (x, y) = num2(&a, &b, "/")?;
+            if y == 0.0 {
+                Err(EvalError::Undefined("division by zero".into()))
+            } else {
+                Ok(Value::Float(x / y))
+            }
+        }
+        BinOp::Mod => {
+            if let Some((x, y)) = both_int(&a, &b) {
+                if y == 0 {
+                    Err(EvalError::Undefined("modulo by zero".into()))
+                } else {
+                    Ok(Value::Int(x.rem_euclid(y)))
+                }
+            } else {
+                Err(EvalError::Type("'%' expects integers".into()))
+            }
+        }
+        BinOp::Eq => Ok(Value::Bool(a == b)),
+        BinOp::Ne => Ok(Value::Bool(a != b)),
+        BinOp::Lt => Ok(Value::Bool(a < b)),
+        BinOp::Le => Ok(Value::Bool(a <= b)),
+        BinOp::Gt => Ok(Value::Bool(a > b)),
+        BinOp::Ge => Ok(Value::Bool(a >= b)),
+        BinOp::In => match &b {
+            Value::Set(s) => Ok(Value::Bool(s.contains(&a))),
+            Value::Tuple(t) => Ok(Value::Bool(t.contains(&a))),
+            other => Err(EvalError::Type(format!("'in' expects a set, got {other}"))),
+        },
+        BinOp::Subset => match (&a, &b) {
+            (Value::Set(x), Value::Set(y)) => Ok(Value::Bool(x.is_subset(y) && x.len() < y.len())),
+            _ => Err(EvalError::Type("'subset' expects two sets".into())),
+        },
+        BinOp::Union => match (&a, &b) {
+            (Value::Set(x), Value::Set(y)) => {
+                let mut s: BTreeSet<Value> = (**x).clone();
+                s.extend(y.iter().cloned());
+                Ok(Value::Set(Arc::new(s)))
+            }
+            _ => Err(EvalError::Type("'union' expects two sets".into())),
+        },
+        BinOp::And | BinOp::Or => unreachable!("short-circuited by the caller"),
     }
 }
 
@@ -236,56 +305,95 @@ fn index_value(base: &Value, key: &Value) -> Result<Value, EvalError> {
     }
 }
 
+/// Declares the builtin functions: the enum and its name table.
+macro_rules! builtins {
+    ($($variant:ident => $name:literal),* $(,)?) => {
+        /// A builtin function, resolved from its name once at compile time.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Builtin {
+            $($variant),*
+        }
+
+        impl Builtin {
+            /// The builtin a call name refers to, if any.
+            pub(crate) fn resolve(name: &str) -> Option<Builtin> {
+                match name {
+                    $($name => Some(Builtin::$variant),)*
+                    _ => None,
+                }
+            }
+
+            /// The name programs call the builtin by.
+            pub(crate) fn name(self) -> &'static str {
+                match self {
+                    $(Builtin::$variant => $name),*
+                }
+            }
+        }
+    };
+}
+
+builtins! {
+    Size => "size", Pair => "pair", Tuple => "tuple", Set => "set", First => "first",
+    Second => "second", Nth => "nth", SetMinus => "setminus", Contains => "contains",
+    Keys => "keys", Values => "values", IsNull => "is_null", Min => "min", Max => "max",
+    Abs => "abs", Pow => "pow", Sqrt => "sqrt", Ln => "ln", Exp => "exp", Upper => "upper",
+    Lower => "lower", StartsWith => "starts_with", EndsWith => "ends_with",
+    ContainsStr => "contains_str", Substr => "substr", Concat => "concat", UnionOf => "union_of",
+}
+
 /// Dispatch a builtin function call.
-fn call_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
+fn call_builtin(builtin: Builtin, args: &[Value]) -> Result<Value, EvalError> {
+    let name = builtin.name();
     let arity_err = |n: usize| {
         Err(EvalError::Type(format!(
             "builtin '{name}' expects {n} argument(s), got {}",
             args.len()
         )))
     };
-    match name {
-        "size" => match args {
+    use Builtin::*;
+    match builtin {
+        Size => match args {
             [Value::Set(s)] => Ok(Value::Int(s.len() as i64)),
             [Value::Tuple(t)] => Ok(Value::Int(t.len() as i64)),
             [Value::Str(s)] => Ok(Value::Int(s.chars().count() as i64)),
             [_] => Err(EvalError::Type("size() expects a collection".into())),
             _ => arity_err(1),
         },
-        "pair" => match args {
+        Pair => match args {
             [a, b] => Ok(Value::pair(a.clone(), b.clone())),
             _ => arity_err(2),
         },
-        "tuple" => Ok(Value::Tuple(Arc::new(args.to_vec()))),
-        "set" => Ok(Value::set(args.iter().cloned())),
-        "first" => match args {
+        Tuple => Ok(Value::Tuple(Arc::new(args.to_vec()))),
+        Set => Ok(Value::set(args.iter().cloned())),
+        First => match args {
             [Value::Tuple(t)] if !t.is_empty() => Ok(t[0].clone()),
             [_] => Err(EvalError::Type("first() expects a non-empty tuple".into())),
             _ => arity_err(1),
         },
-        "second" => match args {
+        Second => match args {
             [Value::Tuple(t)] if t.len() >= 2 => Ok(t[1].clone()),
             [_] => Err(EvalError::Type("second() expects a pair".into())),
             _ => arity_err(1),
         },
-        "nth" => match args {
+        Nth => match args {
             [Value::Tuple(t), Value::Int(i)] if *i >= 0 && (*i as usize) < t.len() => {
                 Ok(t[*i as usize].clone())
             }
             [_, _] => Err(EvalError::Undefined("nth() out of range".into())),
             _ => arity_err(2),
         },
-        "setminus" => match args {
+        SetMinus => match args {
             [Value::Set(a), Value::Set(b)] => Ok(Value::set(a.difference(b).cloned())),
             [Value::Set(a), x] => Ok(Value::set(a.iter().filter(|v| *v != x).cloned())),
             _ => arity_err(2),
         },
-        "contains" => match args {
+        Contains => match args {
             [Value::Set(s), x] => Ok(Value::Bool(s.contains(x))),
             [Value::Tuple(t), x] => Ok(Value::Bool(t.contains(x))),
             _ => arity_err(2),
         },
-        "keys" => match args {
+        Keys => match args {
             // set of first components of a set of pairs
             [Value::Set(s)] => {
                 Ok(Value::set(s.iter().filter_map(|p| {
@@ -294,7 +402,7 @@ fn call_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
             }
             _ => arity_err(1),
         },
-        "values" => match args {
+        Values => match args {
             [Value::Set(s)] => {
                 Ok(Value::set(s.iter().filter_map(|p| {
                     p.as_tuple().and_then(|t| t.get(1).cloned())
@@ -302,32 +410,32 @@ fn call_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
             }
             _ => arity_err(1),
         },
-        "is_null" => match args {
+        IsNull => match args {
             [v] => Ok(Value::Bool(v.is_null())),
             _ => arity_err(1),
         },
-        "min" => match args {
+        Min => match args {
             [a, b] => Ok(if a <= b { a.clone() } else { b.clone() }),
             _ => arity_err(2),
         },
-        "max" => match args {
+        Max => match args {
             [a, b] => Ok(if a >= b { a.clone() } else { b.clone() }),
             _ => arity_err(2),
         },
-        "abs" => match args {
+        Abs => match args {
             [Value::Int(i)] => Ok(Value::Int(i.wrapping_abs())),
             [Value::Float(f)] => Ok(Value::Float(f.abs())),
             [_] => Err(EvalError::Type("abs() expects a number".into())),
             _ => arity_err(1),
         },
-        "pow" => match args {
+        Pow => match args {
             [a, b] => {
                 let (x, y) = num2(a, b, "pow")?;
                 Ok(Value::Float(x.powf(y)))
             }
             _ => arity_err(2),
         },
-        "sqrt" => match args {
+        Sqrt => match args {
             [a] => {
                 let x = a
                     .as_f64()
@@ -340,7 +448,7 @@ fn call_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
             }
             _ => arity_err(1),
         },
-        "ln" => match args {
+        Ln => match args {
             [a] => {
                 let x = a
                     .as_f64()
@@ -353,7 +461,7 @@ fn call_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
             }
             _ => arity_err(1),
         },
-        "exp" => match args {
+        Exp => match args {
             [a] => {
                 let x = a
                     .as_f64()
@@ -362,32 +470,32 @@ fn call_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
             }
             _ => arity_err(1),
         },
-        "upper" => match args {
+        Upper => match args {
             [Value::Str(s)] => Ok(Value::str(s.to_uppercase())),
             [_] => Err(EvalError::Type("upper() expects a string".into())),
             _ => arity_err(1),
         },
-        "lower" => match args {
+        Lower => match args {
             [Value::Str(s)] => Ok(Value::str(s.to_lowercase())),
             [_] => Err(EvalError::Type("lower() expects a string".into())),
             _ => arity_err(1),
         },
-        "starts_with" => match args {
+        StartsWith => match args {
             [Value::Str(s), Value::Str(p)] => Ok(Value::Bool(s.starts_with(p.as_ref()))),
             [_, _] => Err(EvalError::Type("starts_with() expects strings".into())),
             _ => arity_err(2),
         },
-        "ends_with" => match args {
+        EndsWith => match args {
             [Value::Str(s), Value::Str(p)] => Ok(Value::Bool(s.ends_with(p.as_ref()))),
             [_, _] => Err(EvalError::Type("ends_with() expects strings".into())),
             _ => arity_err(2),
         },
-        "contains_str" => match args {
+        ContainsStr => match args {
             [Value::Str(s), Value::Str(p)] => Ok(Value::Bool(s.contains(p.as_ref()))),
             [_, _] => Err(EvalError::Type("contains_str() expects strings".into())),
             _ => arity_err(2),
         },
-        "substr" => match args {
+        Substr => match args {
             [Value::Str(s), Value::Int(start), Value::Int(len)] => {
                 let chars: Vec<char> = s.chars().collect();
                 let start = (*start).max(0) as usize;
@@ -403,7 +511,7 @@ fn call_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
             )),
             _ => arity_err(3),
         },
-        "concat" => {
+        Concat => {
             let mut s = String::new();
             for a in args {
                 match a {
@@ -413,7 +521,7 @@ fn call_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
             }
             Ok(Value::str(s))
         }
-        "union_of" => {
+        UnionOf => {
             // n-ary set union
             let mut out: BTreeSet<Value> = BTreeSet::new();
             for a in args {
@@ -428,7 +536,6 @@ fn call_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
             }
             Ok(Value::Set(Arc::new(out)))
         }
-        other => Err(EvalError::Type(format!("unknown builtin '{other}'"))),
     }
 }
 

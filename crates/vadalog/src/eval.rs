@@ -11,24 +11,30 @@
 //! 2. Rules *with* aggregates run once per stratum pass: stratification
 //!    guarantees their inputs are complete. Monotonic contributor semantics
 //!    collapse multiple contributions of the same contributor to the
-//!    extremal one (paper §4.3).
+//!    extremal one (paper §4.3). A pass skips an aggregate rule whose body
+//!    relations are unchanged since it last ran.
 //! 3. EGDs are then enforced: bindings whose head terms differ either unify
 //!    a labelled null with the other term (the database is rewritten) or —
 //!    when both sides are distinct constants — produce a *violation* which
 //!    is collected for human inspection rather than failing hard.
 //!
 //! Steps repeat until the stratum is stable, then evaluation moves up.
+//!
+//! Rules run compiled to slots (see `compile.rs`): joins bind into a
+//! reusable frame, and a [`Binding`] is only built for tracing or a
+//! [`Router`].
 
-use crate::ast::{AggFunc, Atom, Expr, Fact, Head, Literal, Program, Rule, Term};
-use crate::builtins::{eval_expr, Binding, EvalError};
+use crate::ast::{AggFunc, Atom, Fact, Head, Literal, Program, Rule};
+use crate::builtins::{Binding, CExpr, EvalError};
+use crate::compile::{bound_pairs, CHead, CLit, CTerm, CompiledRule, Frame, HeadArg, HeadAtom};
 use crate::governor::{Budget, BudgetKind, CancelToken, Governor, StopReason, Termination};
-use crate::plan::{identity_plan, plan_rule, JoinPlan};
+use crate::plan::{self, ArgOp, JoinPlan, StepOp};
 use crate::profile::{EngineProfile, RoundProfile, StratumProfile};
 use crate::routing::Router;
-use crate::storage::{Database, Row};
+use crate::storage::{Database, Relation, Row};
 use crate::stratify::{check_safety, stratify, StratifyError};
-use crate::value::Value;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use crate::value::{NullId, Value};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -39,6 +45,64 @@ use vadasa_obs::{Collector, Obs};
 /// The rows are shared handles aliasing the stored rows, so building the
 /// delta costs one `Arc` bump per fact rather than a deep copy.
 pub(crate) type DeltaRows = HashMap<String, Vec<Row>>;
+
+/// Chase memo, per stratum: rule index → frontier values → the values of
+/// the rule's existential variables (in name order), minted as fresh
+/// nulls or adopted from an existing witness fact.
+type SkolemMemo = HashMap<usize, HashMap<Vec<Value>, Vec<Value>>>;
+
+/// A program rule together with its compiled form.
+#[derive(Clone, Copy)]
+struct RuleRef<'p> {
+    idx: usize,
+    rule: &'p Rule,
+    compiled: &'p CompiledRule,
+}
+
+/// The rules at `idxs`, paired with their compiled forms.
+fn rule_refs<'p>(
+    program: &'p Program,
+    compiled: &'p [CompiledRule],
+    idxs: &[usize],
+) -> Vec<RuleRef<'p>> {
+    idxs.iter()
+        .map(|&idx| RuleRef {
+            idx,
+            rule: &program.rules[idx],
+            compiled: &compiled[idx],
+        })
+        .collect()
+}
+
+/// One rule's firings in a round: each firing's frontier values (the
+/// head variables its body bound, in name order), back to back.
+#[derive(Debug, Default)]
+struct Firings {
+    values: Vec<Value>,
+    count: usize,
+    /// One binding per firing, materialized only when tracing or routing.
+    bindings: Vec<Binding>,
+    counters: JoinCounters,
+}
+
+/// A head fact awaiting insertion, with the index of its firing's traced
+/// binding when tracing.
+struct NewFact<'p> {
+    rule: usize,
+    pred: &'p str,
+    args: Vec<Value>,
+    trace: Option<usize>,
+}
+
+/// Append `row` to `pred`'s rows in a delta map.
+fn push_row(delta: &mut DeltaRows, pred: &str, row: Row) {
+    match delta.get_mut(pred) {
+        Some(rows) => rows.push(row),
+        None => {
+            delta.insert(pred.to_string(), vec![row]);
+        }
+    }
+}
 
 /// Join-execution counters accumulated while evaluating one rule.
 #[derive(Debug, Default, Clone, Copy)]
@@ -112,11 +176,14 @@ pub struct EngineConfig {
     pub cancel: Option<CancelToken>,
     /// Join evaluation strategy ([`JoinMode::Indexed`] by default).
     pub join_mode: JoinMode,
-    /// Worker threads for rule evaluation within a semi-naive round.
-    /// `0` or `1` means sequential. With `n > 1`, each round's rule joins
-    /// fan out over `min(n, rules)` scoped threads against the frozen
-    /// database; results are merged on the calling thread in rule order,
-    /// so derivations (including null minting) stay deterministic.
+    /// Worker threads for plain-rule joins within a semi-naive round.
+    /// `0` or `1` means sequential. With `n > 1`, each round's plain-rule
+    /// joins fan out over `min(n, rules)` scoped threads against the
+    /// frozen database; aggregate and EGD rules run on the calling thread.
+    /// Firings are merged on the calling thread in rule order, so a run
+    /// stores the same rows in the same order, and mints the same null
+    /// labels, at every thread count. Aggregates emit their groups in
+    /// first-seen order, so that also holds from one run to the next.
     pub threads: usize,
 }
 
@@ -295,6 +362,9 @@ pub struct TraceEntry {
     pub binding: Vec<(String, Value)>,
 }
 
+/// A traced firing's binding, variables in order of first occurrence.
+type TraceBinding = Vec<(String, Value)>;
+
 /// Statistics of a reasoning run.
 #[derive(Debug, Clone, Default)]
 pub struct EvalStats {
@@ -403,11 +473,15 @@ fn isolate_rule<T>(
 
 /// Human-readable rule name: the `@label` when present, `rule#i` otherwise.
 fn rule_label(program: &Program, idx: usize) -> String {
-    program
-        .rules
-        .get(idx)
-        .and_then(|r| r.label.clone())
-        .unwrap_or_else(|| format!("rule#{idx}"))
+    match program.rules.get(idx) {
+        Some(rule) => rule_label_of(rule, idx),
+        None => format!("rule#{idx}"),
+    }
+}
+
+/// [`rule_label`] of a rule at hand.
+fn rule_label_of(rule: &Rule, idx: usize) -> String {
+    rule.label.clone().unwrap_or_else(|| format!("rule#{idx}"))
 }
 
 /// Render a panic payload (typically a `&str` or `String`).
@@ -461,6 +535,7 @@ impl Engine {
             validate_aggregate_shape(rule, i)?;
         }
         let strat = stratify(program)?;
+        let compiled: Vec<CompiledRule> = program.rules.iter().map(CompiledRule::new).collect();
 
         for fact in &program.facts {
             db.insert_fact(fact.clone());
@@ -477,8 +552,7 @@ impl Engine {
         let mut termination = Termination::Fixpoint;
 
         for (stratum_idx, stratum) in strat.strata.iter().enumerate() {
-            let rules: Vec<(usize, &Rule)> =
-                stratum.iter().map(|&i| (i, &program.rules[i])).collect();
+            let rules = rule_refs(program, &compiled, stratum);
 
             profile.strata.push(StratumProfile {
                 stratum: stratum_idx,
@@ -653,6 +727,7 @@ impl Engine {
         let governor = Governor::new(self.config.budget, self.config.cancel.clone());
         let mut termination = Termination::Fixpoint;
         let mut strata_skipped = 0usize;
+        let compiled: Vec<CompiledRule> = program.rules.iter().map(CompiledRule::new).collect();
 
         // The accumulated delta: patch additions plus every fact derived in
         // lower strata so far.
@@ -663,13 +738,12 @@ impl Engine {
                 stratum: stratum_idx,
                 ..StratumProfile::default()
             });
-            let plain: Vec<(usize, &Rule)> = stratum
-                .iter()
-                .map(|&i| (i, &program.rules[i]))
-                .filter(|(_, r)| !r.has_aggregate() && matches!(r.head, Head::Atoms(_)))
+            let plain: Vec<RuleRef> = rule_refs(program, &compiled, stratum)
+                .into_iter()
+                .filter(|r| matches!(r.compiled.head, CHead::Plain { .. }))
                 .collect();
-            let touched = plain.iter().any(|(_, r)| {
-                r.body.iter().any(|l| match l {
+            let touched = plain.iter().any(|r| {
+                r.rule.body.iter().any(|l| match l {
                     Literal::Pos(a) => accumulated
                         .get(&a.pred)
                         .is_some_and(|rows| !rows.is_empty()),
@@ -684,7 +758,7 @@ impl Engine {
             let stratum_start = Instant::now();
             let facts_before = stats.facts_derived;
             profile.strata[stratum_idx].passes += 1;
-            let mut skolem: HashMap<(usize, Vec<Value>), HashMap<String, Value>> = HashMap::new();
+            let mut skolem = SkolemMemo::new();
             let stratum_seed = accumulated.clone();
             let mut derived: DeltaRows = HashMap::new();
             let end = self.fixpoint_plain(
@@ -739,10 +813,16 @@ impl Engine {
     /// Evaluate one stratum to stability (or an early governed stop):
     /// plain rules to a semi-naive fixpoint, then aggregate rules, then
     /// EGDs, repeating until a pass changes nothing.
+    ///
+    /// An aggregate rule is skipped on a pass when no relation its body
+    /// reads has changed since it last ran: its derivations are a function
+    /// of those relations' rows and their order, and all of them are
+    /// already stored. Relation generations make "changed" exact —
+    /// every insert, removal and EGD rewrite bumps one.
     #[allow(clippy::too_many_arguments)]
     fn run_stratum(
         &self,
-        rules: &[(usize, &Rule)],
+        rules: &[RuleRef],
         db: &mut Database,
         stats: &mut EvalStats,
         trace: &mut Vec<TraceEntry>,
@@ -753,25 +833,23 @@ impl Engine {
         governor: &Governor,
         nulls_base: u64,
     ) -> Result<StratumEnd, EngineError> {
-        let plain: Vec<(usize, &Rule)> = rules
-            .iter()
-            .filter(|(_, r)| !r.has_aggregate() && matches!(r.head, Head::Atoms(_)))
-            .copied()
-            .collect();
-        let agg: Vec<(usize, &Rule)> = rules
-            .iter()
-            .filter(|(_, r)| r.has_aggregate() && matches!(r.head, Head::Atoms(_)))
-            .copied()
-            .collect();
-        let egds: Vec<(usize, &Rule)> = rules
-            .iter()
-            .filter(|(_, r)| matches!(r.head, Head::Equality(_, _)))
-            .copied()
-            .collect();
+        let kind = |f: fn(&CHead) -> bool| -> Vec<RuleRef> {
+            rules
+                .iter()
+                .filter(|r| f(&r.compiled.head))
+                .copied()
+                .collect()
+        };
+        let plain = kind(|h| matches!(h, CHead::Plain { .. }));
+        let agg = kind(|h| matches!(h, CHead::Aggregate { .. }));
+        let egds = kind(|h| matches!(h, CHead::Equality(..)));
 
         // Chase memoization table, per stratum: (rule idx, frontier
         // binding) → invented nulls for the rule's existential vars.
-        let mut skolem: HashMap<(usize, Vec<Value>), HashMap<String, Value>> = HashMap::new();
+        let mut skolem = SkolemMemo::new();
+        // Per aggregate rule: the generations of its body relations when
+        // it last ran.
+        let mut agg_inputs: Vec<Option<Vec<Option<u64>>>> = vec![None; agg.len()];
 
         loop {
             profile.strata[stratum_idx].passes += 1;
@@ -795,31 +873,41 @@ impl Engine {
                 return Ok(StratumEnd::Stopped(t));
             }
 
-            // 2. aggregate rules, one pass
+            // 2. aggregate rules, one pass, skipping those whose inputs
+            // are unchanged
             let mut changed = false;
-            for &(idx, rule) in &agg {
-                changed |= isolate_rule(program, idx, || {
-                    self.apply_aggregate_rule(idx, rule, db, stats, trace, profile)
+            let agg_start = Instant::now();
+            for (&r, seen) in agg.iter().zip(&mut agg_inputs) {
+                let inputs: Vec<Option<u64>> = r
+                    .rule
+                    .body_preds()
+                    .iter()
+                    .map(|(pred, _)| db.generation(pred))
+                    .collect();
+                if seen.as_ref() == Some(&inputs) {
+                    profile.strata[stratum_idx].aggregate_skips += 1;
+                    continue;
+                }
+                *seen = Some(inputs);
+                changed |= isolate_rule(program, r.idx, || {
+                    self.apply_aggregate_rule(r, db, stats, trace, profile)
                 })?;
             }
+            profile.strata[stratum_idx].aggregate_ns += agg_start.elapsed().as_nanos() as u64;
 
             // 3. EGDs. Substitutions must also rewrite the skolem memo
             // table, otherwise plain rules would re-mint the replaced
             // null on the next pass and the stratum would never settle.
-            for &(idx, rule) in &egds {
-                let subs = isolate_rule(program, idx, || {
-                    self.apply_egd(idx, rule, db, stats, violations, profile)
+            for &r in &egds {
+                let subs = isolate_rule(program, r.idx, || {
+                    self.apply_egd(r, db, stats, violations, profile)
                 })?;
                 if !subs.is_empty() {
                     changed = true;
                     for (from, to) in &subs {
-                        for nulls in skolem.values_mut() {
-                            for v in nulls.values_mut() {
-                                if let Value::Null(n) = v {
-                                    if n == from {
-                                        *v = to.clone();
-                                    }
-                                }
+                        for v in skolem.values_mut().flat_map(|m| m.values_mut()).flatten() {
+                            if matches!(v, Value::Null(n) if n == from) {
+                                *v = to.clone();
                             }
                         }
                     }
@@ -869,9 +957,9 @@ impl Engine {
     #[allow(clippy::too_many_arguments)]
     fn fixpoint_plain(
         &self,
-        rules: &[(usize, &Rule)],
+        rules: &[RuleRef],
         db: &mut Database,
-        skolem: &mut HashMap<(usize, Vec<Value>), HashMap<String, Value>>,
+        skolem: &mut SkolemMemo,
         stats: &mut EvalStats,
         trace: &mut Vec<TraceEntry>,
         program: &Program,
@@ -908,29 +996,28 @@ impl Engine {
             // is frozen, which is what makes lock-free sharing sound.
             let plans: Vec<Vec<JoinPlan>> = rules
                 .iter()
-                .map(|&(_, rule)| self.round_plans(rule, db, delta.as_ref()))
+                .map(|r| self.round_plans(r.compiled, db, delta.as_ref()))
                 .collect();
             if self.config.join_mode == JoinMode::Indexed {
-                for (plan_set, &(_, rule)) in plans.iter().zip(rules) {
-                    for plan in plan_set {
-                        if plan.dead {
-                            // Semi-join prune: the plan reads an empty
-                            // relation and cannot bind; skip its index
-                            // builds here and its joins in phase 2.
-                            profile.planner_prunes += 1;
-                            continue;
-                        }
-                        if plan.reordered {
-                            profile.planner_reorders += 1;
-                        }
-                        for (pred, bound) in plan.index_needs(rule) {
-                            if db.relation(pred).is_some() {
-                                db.relation_mut(pred).ensure_index(bound);
-                            }
+                for plan in plans.iter().flatten() {
+                    if plan.dead {
+                        // Semi-join prune: the plan reads an empty
+                        // relation and cannot bind; skip its index
+                        // builds here and its joins in phase 2.
+                        profile.planner_prunes += 1;
+                        continue;
+                    }
+                    if plan.reordered {
+                        profile.planner_reorders += 1;
+                    }
+                    for (pred, bound) in plan.index_needs() {
+                        if db.relation(pred).is_some() {
+                            db.relation_mut(pred).ensure_index(bound);
                         }
                     }
                 }
             }
+            let planned = Instant::now();
 
             // Phase 2 — evaluate every rule's joins against the frozen
             // database, fanning out across scoped threads when configured.
@@ -938,32 +1025,33 @@ impl Engine {
                 profile.parallel_rounds += 1;
             }
             let mut results = self.evaluate_rules(rules, &plans, db, delta.as_ref(), program);
+            let joined = Instant::now();
 
             // Phase 3 — merge, strictly in rule order: route bindings,
             // instantiate heads (null minting stays sequential and
             // deterministic), then apply the buffered inserts. Errors
             // surface in rule order, exactly as sequential evaluation
             // would report them.
-            let mut new_facts: Vec<(usize, Fact, Binding)> = Vec::new();
-            for (slot, &(idx, rule)) in rules.iter().enumerate() {
+            let mut new_facts: Vec<NewFact> = Vec::new();
+            let mut traced: Vec<TraceBinding> = Vec::new();
+            for (slot, &r) in rules.iter().enumerate() {
                 // A `None` slot means a cancelled worker skipped the rule;
                 // the governor check at the next round start reports it.
                 let Some(result) = results[slot].take() else {
                     continue;
                 };
-                let (mut bindings, counters) = result?;
+                let mut firings = result?;
                 if let Some(router) = &self.config.router {
-                    router.order_bindings(rule, &mut bindings);
+                    router.order_bindings(r.rule, &mut firings.bindings);
+                    firings.rebuild_from_bindings(r)?;
                 }
-                let rp = &mut profile.rules[idx];
-                rp.join_candidates += counters.candidates;
-                rp.firings += bindings.len() as u64;
-                profile.index_probes += counters.probes;
-                profile.index_scans += counters.scans;
-                isolate_rule(program, idx, || {
-                    for b in &bindings {
-                        self.head_facts(idx, rule, b, db, skolem, &mut new_facts)?;
-                    }
+                let rp = &mut profile.rules[r.idx];
+                rp.join_candidates += firings.counters.candidates;
+                rp.firings += firings.count as u64;
+                profile.index_probes += firings.counters.probes;
+                profile.index_scans += firings.counters.scans;
+                isolate_rule(program, r.idx, || {
+                    self.instantiate(r, &firings, db, skolem, &mut new_facts, &mut traced);
                     Ok(())
                 })?;
             }
@@ -971,56 +1059,60 @@ impl Engine {
             let mut next_delta: DeltaRows = HashMap::new();
             let mut inserted = 0u64;
             let mut stopped: Option<Termination> = None;
-            for (idx, fact, binding) in new_facts {
-                let Fact { pred, args } = fact;
-                if let Some(row) = db.insert_shared(&pred, args) {
-                    inserted += 1;
-                    stats.facts_derived += 1;
-                    profile.rules[idx].facts_derived += 1;
-                    if stats.facts_derived > self.config.max_facts {
-                        return Err(EngineError::ResourceLimit {
-                            which: BudgetKind::Facts,
-                            stratum: stratum_idx,
-                            rule: Some(idx),
-                            facts_so_far: stats.facts_derived,
-                            iterations_so_far: stats.iterations,
-                            limit: self.config.max_facts,
-                        });
-                    }
-                    if self.config.trace {
-                        trace.push(TraceEntry {
-                            fact: Fact::new(pred.clone(), (*row).clone()),
-                            rule: rule_label(program, idx),
-                            binding: binding.into_iter().collect(),
-                        });
-                    }
-                    if let Some(sink) = derived.as_deref_mut() {
-                        sink.entry(pred.clone()).or_default().push(row.clone());
-                    }
-                    next_delta.entry(pred).or_default().push(row);
-                    // Soft facts budget: stop inserting mid-round so the
-                    // partial result stays close to the cap. The facts
-                    // already inserted are sound derivations and are kept.
-                    if governor.active() {
-                        if let Some(cap) = governor.budget().max_facts {
-                            if stats.facts_derived >= cap {
-                                stopped = Some(Termination::BudgetExceeded {
-                                    which: BudgetKind::Facts,
-                                    stratum: stratum_idx,
-                                    rule: Some(rule_label(program, idx)),
-                                });
-                                break;
-                            }
+            for fact in new_facts {
+                let Some(row) = db.insert_shared(fact.pred, fact.args) else {
+                    continue;
+                };
+                inserted += 1;
+                stats.facts_derived += 1;
+                profile.rules[fact.rule].facts_derived += 1;
+                if stats.facts_derived > self.config.max_facts {
+                    return Err(EngineError::ResourceLimit {
+                        which: BudgetKind::Facts,
+                        stratum: stratum_idx,
+                        rule: Some(fact.rule),
+                        facts_so_far: stats.facts_derived,
+                        iterations_so_far: stats.iterations,
+                        limit: self.config.max_facts,
+                    });
+                }
+                if let Some(t) = fact.trace {
+                    trace.push(TraceEntry {
+                        fact: Fact::new(fact.pred, (*row).clone()),
+                        rule: rule_label(program, fact.rule),
+                        binding: traced[t].clone(),
+                    });
+                }
+                if let Some(sink) = derived.as_deref_mut() {
+                    push_row(sink, fact.pred, row.clone());
+                }
+                push_row(&mut next_delta, fact.pred, row);
+                // Soft facts budget: stop inserting mid-round so the
+                // partial result stays close to the cap. The facts
+                // already inserted are sound derivations and are kept.
+                if governor.active() {
+                    if let Some(cap) = governor.budget().max_facts {
+                        if stats.facts_derived >= cap {
+                            stopped = Some(Termination::BudgetExceeded {
+                                which: BudgetKind::Facts,
+                                stratum: stratum_idx,
+                                rule: Some(rule_label(program, fact.rule)),
+                            });
+                            break;
                         }
                     }
                 }
             }
+            let merged = Instant::now();
 
             let s = &mut profile.strata[stratum_idx];
             s.rounds.push(RoundProfile {
                 round: s.rounds.len(),
                 delta: inserted,
                 dur_ns: round_start.elapsed().as_nanos() as u64,
+                plan_ns: (planned - round_start).as_nanos() as u64,
+                join_ns: (joined - planned).as_nanos() as u64,
+                merge_ns: (merged - joined).as_nanos() as u64,
             });
             if let Some(m) = &self.config.metrics {
                 m.set_gauge("engine.stratum", stratum_idx as f64);
@@ -1055,37 +1147,34 @@ impl Engine {
     /// positive body literal whose predicate actually received new rows
     /// (an empty delta can produce no bindings, so those passes are
     /// skipped outright).
-    fn round_plans(&self, rule: &Rule, db: &Database, delta: Option<&DeltaRows>) -> Vec<JoinPlan> {
-        let reference = self.config.join_mode == JoinMode::Reference;
+    fn round_plans(
+        &self,
+        rule: &CompiledRule,
+        db: &Database,
+        delta: Option<&DeltaRows>,
+    ) -> Vec<JoinPlan> {
+        let len = rule.body.len();
+        let plan_for = |focus: Option<usize>| match self.config.join_mode {
+            JoinMode::Reference => plan::identity_plan(rule, len, focus),
+            JoinMode::Indexed => plan::plan(rule, len, db, focus),
+        };
         match delta {
-            None => vec![if reference {
-                identity_plan(rule, None)
-            } else {
-                plan_rule(rule, db, None, 0)
-            }],
-            Some(d) => {
-                let mut plans = Vec::new();
-                for (i, lit) in rule.body.iter().enumerate() {
-                    let Literal::Pos(atom) = lit else { continue };
-                    let Some(rows) = d.get(&atom.pred) else {
-                        continue;
-                    };
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    plans.push(if reference {
-                        identity_plan(rule, Some(i))
-                    } else {
-                        plan_rule(rule, db, Some(i), rows.len())
-                    });
-                }
-                plans
-            }
+            None => vec![plan_for(None)],
+            Some(d) => rule
+                .body
+                .iter()
+                .enumerate()
+                .filter(|(_, lit)| match lit {
+                    CLit::Pos(atom) => d.get(&*atom.pred).is_some_and(|rows| !rows.is_empty()),
+                    _ => false,
+                })
+                .map(|(i, _)| plan_for(Some(i)))
+                .collect(),
         }
     }
 
     /// Evaluate every rule's joins for one round against a frozen
-    /// database. Returns one slot per rule: the rule's bindings and join
+    /// database. Returns one slot per rule: the rule's firings and join
     /// counters, the error it produced, or `None` when a cancellation
     /// made a worker skip it.
     ///
@@ -1095,27 +1184,23 @@ impl Engine {
     /// no synchronization beyond the scope join is needed — and because
     /// the caller merges slots in rule order, the derived fact sequence
     /// is identical to sequential evaluation.
-    #[allow(clippy::type_complexity)]
     fn evaluate_rules(
         &self,
-        rules: &[(usize, &Rule)],
+        rules: &[RuleRef],
         plans: &[Vec<JoinPlan>],
         db: &Database,
         delta: Option<&DeltaRows>,
         program: &Program,
-    ) -> Vec<Option<Result<(Vec<Binding>, JoinCounters), EngineError>>> {
+    ) -> Vec<Option<Result<Firings, EngineError>>> {
         let workers = self.config.threads.min(rules.len());
         if workers <= 1 {
             return rules
                 .iter()
-                .enumerate()
-                .map(|(slot, &(idx, rule))| {
-                    Some(self.eval_one_rule(program, idx, rule, &plans[slot], db, delta))
-                })
+                .zip(plans)
+                .map(|(&r, plans)| Some(self.eval_one_rule(program, r, plans, db, delta)))
                 .collect();
         }
-        let mut results: Vec<Option<Result<(Vec<Binding>, JoinCounters), EngineError>>> =
-            Vec::new();
+        let mut results: Vec<Option<Result<Firings, EngineError>>> = Vec::new();
         results.resize_with(rules.len(), || None);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
@@ -1128,10 +1213,9 @@ impl Engine {
                         if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
                             break;
                         }
-                        let (idx, rule) = rules[slot];
                         chunk.push((
                             slot,
-                            self.eval_one_rule(program, idx, rule, &plans[slot], db, delta),
+                            self.eval_one_rule(program, rules[slot], &plans[slot], db, delta),
                         ));
                         slot += workers;
                     }
@@ -1156,7 +1240,7 @@ impl Engine {
                             .find(|s| results[*s].is_none())
                         {
                             results[slot] = Some(Err(EngineError::Internal {
-                                rule: rule_label(program, rules[slot].0),
+                                rule: rule_label(program, rules[slot].idx),
                                 message,
                             }));
                         }
@@ -1167,646 +1251,343 @@ impl Engine {
         results
     }
 
-    /// All join passes of one rule for the round, isolated against panics
-    /// at the rule boundary (a faulty builtin cannot take down the round —
-    /// or, in parallel mode, its worker thread).
+    /// All join passes of one plain rule for the round, isolated against
+    /// panics at the rule boundary (a faulty builtin cannot take down the
+    /// round — or, in parallel mode, its worker thread). Every pass binds
+    /// into the same frame; a firing appends its frontier values to the
+    /// rule's buffer, plus a full binding only when tracing or routing.
     fn eval_one_rule(
         &self,
         program: &Program,
-        idx: usize,
-        rule: &Rule,
+        r: RuleRef,
         plans: &[JoinPlan],
         db: &Database,
         delta: Option<&DeltaRows>,
-    ) -> Result<(Vec<Binding>, JoinCounters), EngineError> {
-        isolate_rule(program, idx, || {
-            let mut counters = JoinCounters::default();
-            let mut bindings = Vec::new();
+    ) -> Result<Firings, EngineError> {
+        isolate_rule(program, r.idx, || {
+            let mut firings = Firings::default();
+            let CHead::Plain { frontier, .. } = &r.compiled.head else {
+                return Ok(firings);
+            };
+            let names = &r.compiled.names;
+            let materialize = self.config.trace || self.config.router.is_some();
+            let mut frame = r.compiled.frame();
             for plan in plans {
                 if plan.dead {
                     // Pruned in planning: an empty input relation makes
                     // this pass vacuous.
                     continue;
                 }
-                let mut binding = Binding::new();
-                self.join_step(
-                    rule,
-                    plan,
-                    0,
-                    db,
-                    delta,
-                    &mut binding,
-                    &mut bindings,
-                    idx,
-                    &mut counters,
-                )?;
+                let mut emit = |frame: &Frame| {
+                    for &s in frontier {
+                        let v = frame
+                            .get(s)
+                            .ok_or_else(|| unbound_head_var(r.idx, &names[s]))?;
+                        firings.values.push(v.clone());
+                    }
+                    firings.count += 1;
+                    if materialize {
+                        firings.bindings.push(frame.binding(names));
+                    }
+                    Ok(())
+                };
+                Join::new(plan, db, delta, r.idx, &mut firings.counters)
+                    .step(0, &mut frame, &mut emit)?;
             }
-            Ok((bindings, counters))
+            Ok(firings)
         })
     }
 
-    /// Recursive join over a plan's steps. A positive literal probes the
-    /// prebuilt hash index when the plan carries a bound mask (falling
-    /// back to a linear scan if the index is missing or stale), scans the
-    /// delta rows when it is the focused literal, and scans the relation
-    /// otherwise. Negation/condition/assignment steps behave as in the
-    /// classic nested-loop evaluator — the planner only ever schedules
-    /// them once their variables are bound.
-    #[allow(clippy::too_many_arguments)]
-    fn join_step(
+    /// Build one plain rule's head facts, firing by firing, minting nulls
+    /// for its existentials. Nulls are memoized on (rule, frontier values)
+    /// — the restricted chase's Skolem table — and a single-atom head
+    /// first looks for an existing witness fact to adopt.
+    fn instantiate<'p>(
         &self,
-        rule: &Rule,
-        plan: &JoinPlan,
-        step_idx: usize,
-        db: &Database,
-        delta: Option<&DeltaRows>,
-        binding: &mut Binding,
-        out: &mut Vec<Binding>,
-        rule_idx: usize,
-        counters: &mut JoinCounters,
-    ) -> Result<(), EngineError> {
-        let Some(step) = plan.steps.get(step_idx) else {
-            out.push(binding.clone());
-            return Ok(());
+        r: RuleRef<'p>,
+        firings: &Firings,
+        db: &mut Database,
+        skolem: &mut SkolemMemo,
+        out: &mut Vec<NewFact<'p>>,
+        traced: &mut Vec<TraceBinding>,
+    ) {
+        let CHead::Plain {
+            atoms,
+            frontier,
+            existentials,
+        } = &r.compiled.head
+        else {
+            return;
         };
-        match &rule.body[step.lit] {
-            Literal::Pos(atom) => {
-                if plan.focus == Some(step.lit) {
-                    let rows: &[Row] = delta
-                        .and_then(|d| d.get(&atom.pred))
-                        .map(|v| v.as_slice())
-                        .unwrap_or(&[]);
-                    for row in rows {
-                        if row.len() != atom.args.len() {
-                            continue;
-                        }
-                        counters.candidates += 1;
-                        if let Some(undo) = try_match(atom, row, binding) {
-                            self.join_step(
-                                rule,
-                                plan,
-                                step_idx + 1,
-                                db,
-                                delta,
-                                binding,
-                                out,
-                                rule_idx,
-                                counters,
-                            )?;
-                            undo_binding(binding, undo);
-                        }
-                    }
-                    return Ok(());
-                }
-                let Some(rel) = db.relation(&atom.pred) else {
-                    return Ok(());
-                };
-                // Assemble the probe key from the plan's static mask. Every
-                // masked position is bound by construction; a gap (possible
-                // only for rules the safety check would reject) downgrades
-                // to a scan instead of mis-probing.
-                let key: Option<Vec<Value>> = if step.bound.is_empty() {
-                    None
-                } else {
-                    step.bound
+        let memo = skolem.entry(r.idx).or_default();
+        for i in 0..firings.count {
+            let trace = self.config.trace.then(|| {
+                let b = &firings.bindings[i];
+                traced.push(
+                    r.compiled
+                        .names
                         .iter()
-                        .map(|&i| match &atom.args[i] {
-                            Term::Const(v) => Some(v.clone()),
-                            Term::Var(v) => binding.get(v).cloned(),
+                        .filter_map(|n| b.get(n).map(|v| (n.clone(), v.clone())))
+                        .collect(),
+                );
+                traced.len() - 1
+            });
+            let values = &firings.values[i * frontier.len()..(i + 1) * frontier.len()];
+            let emit = |nulls: &[Value], out: &mut Vec<NewFact<'p>>| {
+                for atom in atoms {
+                    let args = atom
+                        .args
+                        .iter()
+                        .map(|a| match a {
+                            HeadArg::Const(v) => v.clone(),
+                            HeadArg::Frontier(i) => values[*i].clone(),
+                            HeadArg::Null(j) => nulls[*j].clone(),
                         })
-                        .collect()
-                };
-                let postings = match &key {
-                    Some(k) => {
-                        counters.probes += 1;
-                        rel.probe(&step.bound, k)
-                    }
-                    None => None,
-                };
-                match postings {
-                    Some(hits) => {
-                        for &ri in hits {
-                            let row = rel.row(ri as usize);
-                            if row.len() != atom.args.len() {
-                                continue;
-                            }
-                            counters.candidates += 1;
-                            if let Some(undo) = try_match(atom, row, binding) {
-                                self.join_step(
-                                    rule,
-                                    plan,
-                                    step_idx + 1,
-                                    db,
-                                    delta,
-                                    binding,
-                                    out,
-                                    rule_idx,
-                                    counters,
-                                )?;
-                                undo_binding(binding, undo);
-                            }
-                        }
-                    }
-                    None => {
-                        counters.scans += 1;
-                        for row in rel.iter() {
-                            if row.len() != atom.args.len() {
-                                continue;
-                            }
-                            counters.candidates += 1;
-                            if let Some(undo) = try_match(atom, row, binding) {
-                                self.join_step(
-                                    rule,
-                                    plan,
-                                    step_idx + 1,
-                                    db,
-                                    delta,
-                                    binding,
-                                    out,
-                                    rule_idx,
-                                    counters,
-                                )?;
-                                undo_binding(binding, undo);
-                            }
-                        }
-                    }
+                        .collect();
+                    out.push(NewFact {
+                        rule: r.idx,
+                        pred: &atom.pred,
+                        args,
+                        trace,
+                    });
                 }
-                Ok(())
+            };
+            if *existentials == 0 {
+                emit(&[], out);
+                continue;
             }
-            Literal::Neg(atom) => {
-                let mut args: Vec<Value> = Vec::with_capacity(atom.args.len());
-                for t in &atom.args {
-                    match t {
-                        Term::Const(v) => args.push(v.clone()),
-                        Term::Var(v) => match binding.get(v) {
-                            Some(val) => args.push(val.clone()),
-                            // The safety check guarantees negated variables
-                            // are bound; should one slip through regardless,
-                            // the negation is undecidable for this binding
-                            // and the branch derives nothing.
-                            None => return Ok(()),
-                        },
-                    }
-                }
-                let present = db
-                    .relation(&atom.pred)
-                    .map(|r| r.contains(&args))
-                    .unwrap_or(false);
-                if !present {
-                    self.join_step(
-                        rule,
-                        plan,
-                        step_idx + 1,
-                        db,
-                        delta,
-                        binding,
-                        out,
-                        rule_idx,
-                        counters,
-                    )?;
-                }
-                Ok(())
+            if let Some(nulls) = memo.get(values) {
+                emit(nulls, out);
+                continue;
             }
-            Literal::Cond(expr) => {
-                match eval_expr(expr, binding) {
-                    Ok(v) if v.is_true() => {
-                        self.join_step(
-                            rule,
-                            plan,
-                            step_idx + 1,
-                            db,
-                            delta,
-                            binding,
-                            out,
-                            rule_idx,
-                            counters,
-                        )?;
-                    }
-                    Ok(_) => {}
-                    Err(EvalError::Undefined(_)) => {}
-                    Err(e) => {
-                        return Err(EngineError::Eval {
-                            rule: rule_idx,
-                            error: e,
-                        })
-                    }
-                }
-                Ok(())
-            }
-            Literal::Let { var, expr } => {
-                match eval_expr(expr, binding) {
-                    Ok(v) => {
-                        if let Some(existing) = binding.get(var) {
-                            // Let on a bound variable acts as equality filter.
-                            if *existing == v {
-                                self.join_step(
-                                    rule,
-                                    plan,
-                                    step_idx + 1,
-                                    db,
-                                    delta,
-                                    binding,
-                                    out,
-                                    rule_idx,
-                                    counters,
-                                )?;
-                            }
-                        } else {
-                            binding.insert(var.clone(), v);
-                            self.join_step(
-                                rule,
-                                plan,
-                                step_idx + 1,
-                                db,
-                                delta,
-                                binding,
-                                out,
-                                rule_idx,
-                                counters,
-                            )?;
-                            binding.remove(var);
-                        }
-                    }
-                    Err(EvalError::Undefined(_)) => {}
-                    Err(e) => {
-                        return Err(EngineError::Eval {
-                            rule: rule_idx,
-                            error: e,
-                        })
-                    }
-                }
-                Ok(())
-            }
-            Literal::Agg { .. } => {
-                // Aggregate rules never reach this path.
-                Err(EngineError::MalformedAggregateRule {
-                    rule: rule_idx,
-                    message: "aggregate literal in plain-rule evaluation".into(),
-                })
-            }
+            // Restricted-chase satisfaction check: if the database already
+            // contains a witness for this frontier (for single-atom
+            // heads), adopt its values instead of minting fresh nulls —
+            // this makes re-running a saturated database a no-op. Fresh
+            // nulls are minted in existential-variable name order.
+            let witness = match atoms.as_slice() {
+                [atom] => find_existential_witness(atom, values, *existentials, db),
+                _ => None,
+            };
+            let nulls =
+                witness.unwrap_or_else(|| (0..*existentials).map(|_| db.fresh_null()).collect());
+            emit(&nulls, out);
+            memo.insert(values.to_vec(), nulls);
         }
     }
 
-    /// Enumerate all body bindings of a rule against the current database
-    /// (no delta focus): plan, build the indexes the plan probes, join.
-    /// Used by the aggregate and EGD paths, which re-evaluate in full.
-    fn rule_bindings_full(
+    /// Join the first `len` body literals of a rule in full (no delta
+    /// focus) against the current database: plan, build the indexes the
+    /// plan probes, join. Used by the aggregate and EGD paths, which
+    /// re-evaluate in full.
+    fn join_full(
         &self,
-        rule: &Rule,
+        r: RuleRef,
+        len: usize,
         db: &mut Database,
-        rule_idx: usize,
         profile: &mut EngineProfile,
-    ) -> Result<Vec<Binding>, EngineError> {
-        let plan = if self.config.join_mode == JoinMode::Reference {
-            identity_plan(rule, None)
-        } else {
-            plan_rule(rule, db, None, 0)
+        emit: &mut dyn FnMut(&Frame) -> Result<(), EngineError>,
+    ) -> Result<(), EngineError> {
+        let plan = match self.config.join_mode {
+            JoinMode::Reference => plan::identity_plan(r.compiled, len, None),
+            JoinMode::Indexed => plan::plan(r.compiled, len, db, None),
         };
         if plan.dead {
             // Semi-join prune: some positive literal reads an empty
             // relation, so there are no bindings to enumerate.
             profile.planner_prunes += 1;
-            return Ok(Vec::new());
+            return Ok(());
         }
         if plan.reordered {
             profile.planner_reorders += 1;
         }
-        for (pred, bound) in plan.index_needs(rule) {
+        for (pred, bound) in plan.index_needs() {
             if db.relation(pred).is_some() {
                 db.relation_mut(pred).ensure_index(bound);
             }
         }
         let mut counters = JoinCounters::default();
-        let mut out = Vec::new();
-        let mut binding = Binding::new();
-        self.join_step(
-            rule,
-            &plan,
-            0,
-            db,
-            None,
-            &mut binding,
-            &mut out,
-            rule_idx,
-            &mut counters,
-        )?;
-        profile.rules[rule_idx].join_candidates += counters.candidates;
+        Join::new(&plan, db, None, r.idx, &mut counters).step(0, &mut r.compiled.frame(), emit)?;
+        profile.rules[r.idx].join_candidates += counters.candidates;
         profile.index_probes += counters.probes;
         profile.index_scans += counters.scans;
-        Ok(out)
-    }
-
-    /// Instantiate head atoms for a binding, minting nulls for existentials.
-    fn head_facts(
-        &self,
-        rule_idx: usize,
-        rule: &Rule,
-        binding: &Binding,
-        db: &mut Database,
-        skolem: &mut HashMap<(usize, Vec<Value>), HashMap<String, Value>>,
-        out: &mut Vec<(usize, Fact, Binding)>,
-    ) -> Result<(), EngineError> {
-        let Head::Atoms(atoms) = &rule.head else {
-            return Ok(());
-        };
-        let ex = rule.existential_vars();
-        let mut full_binding = binding.clone();
-        if !ex.is_empty() {
-            // frontier = universally quantified head variables, in a stable order
-            let mut frontier_vars: BTreeSet<&str> = BTreeSet::new();
-            for a in atoms {
-                for v in a.vars() {
-                    if !ex.contains(v) {
-                        frontier_vars.insert(v);
-                    }
-                }
-            }
-            let key: Vec<Value> = frontier_vars
-                .iter()
-                .map(|v| binding.get(*v).cloned().unwrap_or(Value::Bool(false)))
-                .collect();
-            use std::collections::hash_map::Entry;
-            let nulls = match skolem.entry((rule_idx, key)) {
-                Entry::Occupied(o) => o.into_mut(),
-                Entry::Vacant(slot) => {
-                    // Restricted-chase satisfaction check: if the database
-                    // already contains a witness for this frontier (for
-                    // single-atom heads), adopt its values instead of
-                    // minting fresh nulls — this makes re-running a
-                    // saturated database a no-op.
-                    let witness = if atoms.len() == 1 {
-                        find_existential_witness(&atoms[0], binding, &ex, db)
-                    } else {
-                        None
-                    };
-                    slot.insert(witness.unwrap_or_else(|| {
-                        ex.iter()
-                            .map(|v| (v.clone(), db.fresh_null()))
-                            .collect::<HashMap<_, _>>()
-                    }))
-                }
-            };
-            for (v, n) in nulls {
-                full_binding.insert(v.clone(), n.clone());
-            }
-        }
-        for atom in atoms {
-            let mut args: Vec<Value> = Vec::with_capacity(atom.args.len());
-            for t in &atom.args {
-                match t {
-                    Term::Const(v) => args.push(v.clone()),
-                    Term::Var(v) => match full_binding.get(v) {
-                        Some(val) => args.push(val.clone()),
-                        None => {
-                            return Err(EngineError::Unsafe {
-                                rule: rule_idx,
-                                message: format!(
-                                    "head variable {v} is neither bound by the body nor existential"
-                                ),
-                            })
-                        }
-                    },
-                }
-            }
-            out.push((
-                rule_idx,
-                Fact::new(atom.pred.clone(), args),
-                binding.clone(),
-            ));
-        }
         Ok(())
     }
 
     /// Evaluate one aggregate rule. Returns true if new facts were derived.
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// The join of the body before the first aggregate folds straight into
+    /// groups keyed by the group slots; groups, and contributions within a
+    /// group, keep first-seen order, so the rule emits deterministically.
+    /// A group's first binding is its representative for non-group
+    /// variables the rest of the body may read.
     fn apply_aggregate_rule(
         &self,
-        rule_idx: usize,
-        rule: &Rule,
+        r: RuleRef,
         db: &mut Database,
         stats: &mut EvalStats,
         trace: &mut Vec<TraceEntry>,
         profile: &mut EngineProfile,
     ) -> Result<bool, EngineError> {
-        let Some(first_agg) = rule
-            .body
-            .iter()
-            .position(|l| matches!(l, Literal::Agg { .. }))
+        let CHead::Aggregate {
+            prefix,
+            group,
+            atoms,
+        } = &r.compiled.head
         else {
-            // apply_aggregate_rule is only called for rules that carry an
-            // aggregate; a rule without one has nothing to do here.
             return Ok(false);
         };
-        let (prefix, suffix) = rule.body.split_at(first_agg);
-
-        // All bindings of the prefix.
-        let prefix_rule = Rule {
-            head: rule.head.clone(),
-            body: prefix.to_vec(),
-            label: rule.label.clone(),
-        };
-        let bindings = self.rule_bindings_full(&prefix_rule, db, rule_idx, profile)?;
-        profile.rules[rule_idx].firings += bindings.len() as u64;
-
-        // Group key: prefix-bound variables appearing in the head.
-        let Head::Atoms(atoms) = &rule.head else {
-            return Err(EngineError::MalformedAggregateRule {
-                rule: rule_idx,
-                message: "aggregates are not allowed in EGDs".into(),
-            });
-        };
-        let ex = rule.existential_vars();
-        let agg_vars: HashSet<&str> = suffix
+        let suffix = &r.compiled.body[*prefix..];
+        let aggs: Vec<(AggFunc, &CExpr, &[CExpr])> = suffix
             .iter()
             .filter_map(|l| match l {
-                Literal::Agg { var, .. } | Literal::Let { var, .. } => Some(var.as_str()),
-                _ => None,
-            })
-            .collect();
-        let mut group_vars: BTreeSet<String> = BTreeSet::new();
-        for a in atoms {
-            for v in a.vars() {
-                if !ex.contains(v) && !agg_vars.contains(v) {
-                    group_vars.insert(v.to_string());
-                }
-            }
-        }
-
-        // Aggregate states per group.
-        struct AggState {
-            // per aggregate literal: contributor → extremal contribution
-            per_agg: Vec<HashMap<Vec<Value>, Value>>,
-            rep_binding: Binding,
-        }
-        let aggs: Vec<(&String, &AggFunc, &Expr, &Vec<Expr>)> = suffix
-            .iter()
-            .filter_map(|l| match l {
-                Literal::Agg {
-                    var,
+                CLit::Agg {
                     func,
                     arg,
                     contributors,
-                } => Some((var, func, arg, contributors)),
+                    ..
+                } => Some((*func, arg, contributors.as_slice())),
                 _ => None,
             })
             .collect();
 
-        let mut groups: HashMap<Vec<Value>, AggState> = HashMap::new();
-        for b in &bindings {
-            let key: Vec<Value> = group_vars
-                .iter()
-                .map(|v| b.get(v).cloned().unwrap_or(Value::Bool(false)))
-                .collect();
-            let state = groups.entry(key).or_insert_with(|| AggState {
-                per_agg: vec![HashMap::new(); aggs.len()],
-                rep_binding: b.clone(),
-            });
-            for (ai, (_, func, arg, contributors)) in aggs.iter().enumerate() {
-                let contrib_key: Result<Vec<Value>, EvalError> =
-                    contributors.iter().map(|c| eval_expr(c, b)).collect();
-                let contrib_key = match contrib_key {
-                    Ok(k) => k,
-                    Err(EvalError::Undefined(_)) => continue,
-                    Err(e) => {
-                        return Err(EngineError::Eval {
-                            rule: rule_idx,
-                            error: e,
-                        })
-                    }
-                };
-                let contribution = match eval_expr(arg, b) {
-                    Ok(v) => v,
-                    Err(EvalError::Undefined(_)) => continue,
-                    Err(e) => {
-                        return Err(EngineError::Eval {
-                            rule: rule_idx,
-                            error: e,
-                        })
-                    }
-                };
-                let slot = state.per_agg[ai].entry(contrib_key);
-                use std::collections::hash_map::Entry;
-                match slot {
-                    Entry::Vacant(v) => {
-                        v.insert(contribution);
-                    }
-                    Entry::Occupied(mut o) => {
-                        let keep_new = match func {
-                            // monotone-increasing aggregates keep the max
-                            AggFunc::MSum | AggFunc::MCount | AggFunc::MProd | AggFunc::MMax => {
-                                contribution > *o.get()
-                            }
-                            AggFunc::MMin => contribution < *o.get(),
-                            // munion merges below; store a set union here
-                            AggFunc::MUnion => {
-                                let merged = merge_union(o.get(), &contribution);
-                                o.insert(merged);
-                                false
-                            }
-                        };
-                        if keep_new {
-                            o.insert(contribution);
+        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+        let mut groups: Vec<Group> = Vec::new();
+        let mut key: Vec<Value> = Vec::new();
+        let mut contributor: Vec<Value> = Vec::new();
+        // A fold error surfaces only once the join is through: a join
+        // error raised later in the enumeration takes precedence.
+        let mut fold_error: Option<EvalError> = None;
+        let mut firings = 0u64;
+        self.join_full(r, *prefix, db, profile, &mut |frame| {
+            firings += 1;
+            if fold_error.is_some() {
+                return Ok(());
+            }
+            key.clear();
+            key.extend(
+                group
+                    .iter()
+                    .map(|&s| frame.get(s).cloned().unwrap_or(Value::Bool(false))),
+            );
+            let g = match index.get(key.as_slice()) {
+                Some(&g) => g,
+                None => {
+                    index.insert(key.clone(), groups.len());
+                    groups.push(Group {
+                        key: key.clone(),
+                        rep: frame.values().to_vec(),
+                        per_agg: (0..aggs.len()).map(|_| Contributions::default()).collect(),
+                    });
+                    groups.len() - 1
+                }
+            };
+            'aggs: for (ai, (func, arg, contributors)) in aggs.iter().enumerate() {
+                contributor.clear();
+                for c in contributors.iter() {
+                    match c.eval(frame.values()) {
+                        Ok(v) => contributor.push(v),
+                        Err(EvalError::Undefined(_)) => continue 'aggs,
+                        Err(e) => {
+                            fold_error = Some(e);
+                            return Ok(());
                         }
                     }
                 }
+                match arg.eval(frame.values()) {
+                    Ok(v) => groups[g].per_agg[ai].add(*func, &contributor, v),
+                    Err(EvalError::Undefined(_)) => {}
+                    Err(e) => {
+                        fold_error = Some(e);
+                        return Ok(());
+                    }
+                }
             }
+            Ok(())
+        })?;
+        if let Some(error) = fold_error {
+            return Err(EngineError::Eval { rule: r.idx, error });
         }
+        profile.rules[r.idx].firings += firings;
 
         // Finalize groups: compute aggregate values, run the suffix
         // conditions/assignments, emit head facts.
-        let mut changed = false;
-        let mut to_insert: Vec<(Fact, Binding)> = Vec::new();
-        'group: for (key, state) in groups {
-            let mut b = Binding::new();
-            for (v, val) in group_vars.iter().zip(key.iter()) {
-                b.insert(v.clone(), val.clone());
+        let eval_error = |error| EngineError::Eval { rule: r.idx, error };
+        let mut to_insert: Vec<(&str, Vec<Value>, Option<TraceBinding>)> = Vec::new();
+        'group: for g in groups {
+            let mut frame = g.rep;
+            for (&s, v) in group.iter().zip(g.key) {
+                frame[s] = Some(v);
             }
-            // carry non-group prefix bindings from a representative so that
-            // suffix expressions may refer to them (deterministic only if
-            // they are functionally determined by the group key).
-            for (k, v) in &state.rep_binding {
-                b.entry(k.clone()).or_insert_with(|| v.clone());
-            }
-
-            let mut agg_iter = state.per_agg.into_iter();
-            for lit in suffix {
+            let mut per_agg = g.per_agg.into_iter();
+            for (offset, lit) in suffix.iter().enumerate() {
                 match lit {
-                    Literal::Agg { var, func, .. } => {
-                        // per_agg is built from the same suffix scan, so the
-                        // iterators stay aligned; a mismatch means the group
-                        // carries no state for this aggregate and is dropped.
-                        let Some(contributions) = agg_iter.next() else {
+                    CLit::Agg { slot, func, .. } => {
+                        let Some(contributions) = per_agg.next() else {
                             continue 'group;
                         };
-                        let value = finalize_aggregate(*func, contributions.values());
-                        b.insert(var.clone(), value);
+                        frame[*slot] = Some(finalize_aggregate(*func, contributions.values.iter()));
                     }
-                    Literal::Cond(expr) => match eval_expr(expr, &b) {
+                    CLit::Cond(expr) => match expr.eval(&frame) {
                         Ok(v) if v.is_true() => {}
                         Ok(_) | Err(EvalError::Undefined(_)) => continue 'group,
-                        Err(e) => {
-                            return Err(EngineError::Eval { rule: rule_idx, error: e })
-                        }
+                        Err(e) => return Err(eval_error(e)),
                     },
-                    Literal::Let { var, expr } => match eval_expr(expr, &b) {
-                        Ok(v) => {
-                            if let Some(existing) = b.get(var) {
-                                if *existing != v {
-                                    continue 'group;
-                                }
-                            } else {
-                                b.insert(var.clone(), v);
-                            }
-                        }
+                    CLit::Let { slot, expr } => match expr.eval(&frame) {
+                        Ok(v) => match &frame[*slot] {
+                            Some(existing) if *existing != v => continue 'group,
+                            Some(_) => {}
+                            None => frame[*slot] = Some(v),
+                        },
                         Err(EvalError::Undefined(_)) => continue 'group,
-                        Err(e) => {
-                            return Err(EngineError::Eval { rule: rule_idx, error: e })
-                        }
+                        Err(e) => return Err(eval_error(e)),
                     },
-                    other => {
+                    CLit::Pos(_) | CLit::Neg(_) => {
                         return Err(EngineError::MalformedAggregateRule {
-                            rule: rule_idx,
+                            rule: r.idx,
                             message: format!(
-                                "literal {other:?} after an aggregate; only conditions and assignments are allowed"
+                                "literal {:?} after an aggregate; only conditions and assignments are allowed",
+                                r.rule.body[prefix + offset]
                             ),
                         })
                     }
                 }
             }
             for atom in atoms {
-                let args: Result<Vec<Value>, EngineError> = atom
+                let args = atom
                     .args
                     .iter()
                     .map(|t| match t {
-                        Term::Const(v) => Ok(v.clone()),
-                        Term::Var(v) => b.get(v).cloned().ok_or_else(|| {
+                        CTerm::Const(v) => Ok(v.clone()),
+                        CTerm::Slot(s) => frame[*s].clone().ok_or_else(|| {
                             EngineError::MalformedAggregateRule {
-                                rule: rule_idx,
+                                rule: r.idx,
                                 message: format!(
-                                    "head variable {v} of an aggregate rule must be a group key or an aggregate result"
+                                    "head variable {} of an aggregate rule must be a group key or an aggregate result",
+                                    r.compiled.names[*s]
                                 ),
                             }
                         }),
                     })
-                    .collect();
-                to_insert.push((Fact::new(atom.pred.clone(), args?), b.clone()));
+                    .collect::<Result<Vec<Value>, EngineError>>()?;
+                let binding = self
+                    .config
+                    .trace
+                    .then(|| bound_pairs(&r.compiled.names, &frame).collect());
+                to_insert.push((&atom.pred, args, binding));
             }
         }
-        for (fact, b) in to_insert {
-            let Fact { pred, args } = fact;
-            if let Some(row) = db.insert_shared(&pred, args) {
+        let mut changed = false;
+        for (pred, args, binding) in to_insert {
+            if let Some(row) = db.insert_shared(pred, args) {
                 changed = true;
                 stats.facts_derived += 1;
-                profile.rules[rule_idx].facts_derived += 1;
-                if self.config.trace {
-                    let label = rule
-                        .label
-                        .clone()
-                        .unwrap_or_else(|| format!("rule#{rule_idx}"));
+                profile.rules[r.idx].facts_derived += 1;
+                if let Some(binding) = binding {
                     trace.push(TraceEntry {
                         fact: Fact::new(pred, (*row).clone()),
-                        rule: label,
-                        binding: b.into_iter().collect(),
+                        rule: rule_label_of(r.rule, r.idx),
+                        binding,
                     });
                 }
             }
@@ -1817,63 +1598,55 @@ impl Engine {
     /// Apply one EGD rule. Null/value bindings are unified by rewriting the
     /// database; constant clashes are collected as violations. Returns the
     /// substitutions performed, in order.
-    #[allow(clippy::too_many_arguments)]
     fn apply_egd(
         &self,
-        rule_idx: usize,
-        rule: &Rule,
+        r: RuleRef,
         db: &mut Database,
         stats: &mut EvalStats,
         violations: &mut Vec<EgdViolation>,
         profile: &mut EngineProfile,
-    ) -> Result<Vec<(crate::value::NullId, Value)>, EngineError> {
-        let Head::Equality(lt, rt) = &rule.head else {
+    ) -> Result<Vec<(NullId, Value)>, EngineError> {
+        let CHead::Equality(lt, rt) = &r.compiled.head else {
             return Ok(Vec::new());
         };
-        let mut subs: Vec<(crate::value::NullId, Value)> = Vec::new();
+        let mut subs: Vec<(NullId, Value)> = Vec::new();
         // Re-evaluate until no more unifications: each rewrite can expose
         // new bindings.
         loop {
-            let bindings = self.rule_bindings_full(rule, db, rule_idx, profile)?;
-            profile.rules[rule_idx].firings += bindings.len() as u64;
+            let mut sides: Vec<(Option<Value>, Option<Value>)> = Vec::new();
+            self.join_full(r, r.compiled.body.len(), db, profile, &mut |frame| {
+                sides.push((lt.value(frame.values()), rt.value(frame.values())));
+                Ok(())
+            })?;
+            profile.rules[r.idx].firings += sides.len() as u64;
             let mut did_unify = false;
-            for b in bindings {
-                let resolve = |t: &Term| -> Option<Value> {
-                    match t {
-                        Term::Const(v) => Some(v.clone()),
-                        Term::Var(v) => b.get(v).cloned(),
-                    }
-                };
+            for sides in sides {
                 // EGD safety guarantees both sides are bound; an unbound
                 // side (impossible for checked rules) contributes nothing.
-                let (Some(l), Some(r)) = (resolve(lt), resolve(rt)) else {
+                let (Some(l), Some(rv)) = sides else {
                     continue;
                 };
-                if l == r {
+                if l == rv {
                     continue;
                 }
-                match (&l, &r) {
-                    (Value::Null(n), other) => {
-                        db.substitute_null(*n, other);
-                        subs.push((*n, other.clone()));
+                let unify = match (&l, &rv) {
+                    (Value::Null(n), other) | (other, Value::Null(n)) => Some((*n, other.clone())),
+                    _ => None,
+                };
+                match unify {
+                    Some((n, other)) => {
+                        db.substitute_null(n, &other);
+                        subs.push((n, other));
                         stats.unifications += 1;
-                        profile.rules[rule_idx].unifications += 1;
+                        profile.rules[r.idx].unifications += 1;
                         did_unify = true;
                         break; // bindings are stale after a rewrite
                     }
-                    (other, Value::Null(n)) => {
-                        db.substitute_null(*n, other);
-                        subs.push((*n, other.clone()));
-                        stats.unifications += 1;
-                        profile.rules[rule_idx].unifications += 1;
-                        did_unify = true;
-                        break;
-                    }
-                    _ => {
+                    None => {
                         let viol = EgdViolation {
-                            rule_label: rule.label.clone(),
-                            left: l.clone(),
-                            right: r.clone(),
+                            rule_label: r.rule.label.clone(),
+                            left: l,
+                            right: rv,
                         };
                         if self.config.egd_policy == EgdPolicy::FailFast {
                             return Err(EngineError::EgdViolation(viol));
@@ -1892,24 +1665,301 @@ impl Engine {
     }
 }
 
+/// The error for a head variable neither bound by the body nor
+/// existential.
+fn unbound_head_var(rule: usize, var: &str) -> EngineError {
+    EngineError::Unsafe {
+        rule,
+        message: format!("head variable {var} is neither bound by the body nor existential"),
+    }
+}
+
+impl Firings {
+    /// Replace the frontier values by those of the (routed) bindings.
+    fn rebuild_from_bindings(&mut self, r: RuleRef) -> Result<(), EngineError> {
+        let CHead::Plain { frontier, .. } = &r.compiled.head else {
+            return Ok(());
+        };
+        self.values.clear();
+        for b in &self.bindings {
+            for &s in frontier {
+                let name = &r.compiled.names[s];
+                let v = b.get(name).ok_or_else(|| unbound_head_var(r.idx, name))?;
+                self.values.push(v.clone());
+            }
+        }
+        self.count = self.bindings.len();
+        Ok(())
+    }
+}
+
+/// One aggregation group: its key, its representative (first) binding's
+/// frame and one contribution table per aggregate literal.
+struct Group {
+    key: Vec<Value>,
+    rep: Vec<Option<Value>>,
+    per_agg: Vec<Contributions>,
+}
+
+/// Contributions to one aggregate within a group, one per contributor, in
+/// first-seen order. Monotonic semantics collapse repeated contributions
+/// of a contributor to the extremal one (`munion` merges them).
+#[derive(Default)]
+struct Contributions {
+    index: HashMap<Vec<Value>, usize>,
+    values: Vec<Value>,
+}
+
+impl Contributions {
+    fn add(&mut self, func: AggFunc, contributor: &[Value], contribution: Value) {
+        let Some(&i) = self.index.get(contributor) else {
+            self.index.insert(contributor.to_vec(), self.values.len());
+            self.values.push(contribution);
+            return;
+        };
+        let old = &mut self.values[i];
+        match func {
+            // monotone-increasing aggregates keep the max
+            AggFunc::MSum | AggFunc::MCount | AggFunc::MProd | AggFunc::MMax => {
+                if contribution > *old {
+                    *old = contribution;
+                }
+            }
+            AggFunc::MMin => {
+                if contribution < *old {
+                    *old = contribution;
+                }
+            }
+            AggFunc::MUnion => *old = merge_union(old, &contribution),
+        }
+    }
+}
+
+/// One execution of a join plan against a frozen database, binding into
+/// the caller's frame. Each positive step probes the prebuilt hash index
+/// when the plan carries a bound mask and the key is bound (falling back
+/// to a linear scan if the index is missing or stale), scans the delta
+/// rows when it is the focused literal, and scans the relation otherwise.
+/// Negation/condition/assignment steps run once their slots are bound —
+/// the planner schedules them so.
+struct Join<'a> {
+    plan: &'a JoinPlan,
+    /// Per step: the relation a positive or negated atom reads.
+    rels: Vec<Option<&'a Relation>>,
+    /// The focused literal's delta rows.
+    delta: &'a [Row],
+    rule_idx: usize,
+    counters: &'a mut JoinCounters,
+    /// Probe-key buffer, reused across probes.
+    key: Vec<Value>,
+}
+
+impl<'a> Join<'a> {
+    fn new(
+        plan: &'a JoinPlan,
+        db: &'a Database,
+        delta: Option<&'a DeltaRows>,
+        rule_idx: usize,
+        counters: &'a mut JoinCounters,
+    ) -> Self {
+        let mut focused: &[Row] = &[];
+        let rels = plan
+            .steps
+            .iter()
+            .map(|s| match &s.op {
+                StepOp::Match { pred, .. } if plan.focus == Some(s.lit) => {
+                    if let Some(rows) = delta.and_then(|d| d.get(&**pred)) {
+                        focused = rows;
+                    }
+                    None
+                }
+                StepOp::Match { pred, .. } | StepOp::Absent { pred, .. } => db.relation(pred),
+                _ => None,
+            })
+            .collect();
+        Join {
+            plan,
+            rels,
+            delta: focused,
+            rule_idx,
+            counters,
+            key: Vec::new(),
+        }
+    }
+
+    /// Run the plan from step `k` on, calling `emit` with the frame of
+    /// every complete binding.
+    fn step(
+        &mut self,
+        k: usize,
+        frame: &mut Frame,
+        emit: &mut dyn FnMut(&Frame) -> Result<(), EngineError>,
+    ) -> Result<(), EngineError> {
+        let steps = &self.plan.steps;
+        let Some(step) = steps.get(k) else {
+            return emit(frame);
+        };
+        match &step.op {
+            StepOp::Match {
+                arity,
+                key,
+                scan,
+                probe,
+                ..
+            } => {
+                if self.plan.focus == Some(step.lit) {
+                    let delta = self.delta;
+                    for row in delta {
+                        self.candidate(row, *arity, scan, k, frame, emit)?;
+                    }
+                    return Ok(());
+                }
+                let Some(rel) = self.rels[k] else {
+                    return Ok(());
+                };
+                // Assemble the probe key from the plan's static mask. A
+                // key slot unbound at run time (a variable repeated within
+                // the atom) downgrades to a scan instead of mis-probing.
+                let mut probe_key = std::mem::take(&mut self.key);
+                probe_key.clear();
+                for t in key {
+                    match t.value(frame.values()) {
+                        Some(v) => probe_key.push(v),
+                        None => break,
+                    }
+                }
+                let hits = if !key.is_empty() && probe_key.len() == key.len() {
+                    self.counters.probes += 1;
+                    rel.probe(&step.bound, &probe_key)
+                } else {
+                    None
+                };
+                self.key = probe_key;
+                match hits {
+                    Some(hits) => {
+                        for &ri in hits {
+                            self.candidate(rel.row(ri as usize), *arity, probe, k, frame, emit)?;
+                        }
+                    }
+                    None => {
+                        self.counters.scans += 1;
+                        for row in rel.iter() {
+                            self.candidate(row, *arity, scan, k, frame, emit)?;
+                        }
+                    }
+                }
+                Ok(())
+            }
+            StepOp::Absent { args, .. } => {
+                // The planner runs a negation once its slots are bound;
+                // should one be unbound regardless, the negation is
+                // undecidable for this binding and the branch derives
+                // nothing.
+                let Some(row) = args
+                    .iter()
+                    .map(|t| t.value(frame.values()))
+                    .collect::<Option<Vec<Value>>>()
+                else {
+                    return Ok(());
+                };
+                if !self.rels[k].is_some_and(|r| r.contains(&row)) {
+                    self.step(k + 1, frame, emit)?;
+                }
+                Ok(())
+            }
+            StepOp::Test(expr) => match expr.eval(frame.values()) {
+                Ok(v) if v.is_true() => self.step(k + 1, frame, emit),
+                Ok(_) | Err(EvalError::Undefined(_)) => Ok(()),
+                Err(error) => Err(EngineError::Eval {
+                    rule: self.rule_idx,
+                    error,
+                }),
+            },
+            StepOp::Assign { slot, expr, filter } => match expr.eval(frame.values()) {
+                // An assignment to a bound slot acts as an equality filter.
+                Ok(v) if *filter => match frame.get(*slot) == Some(&v) {
+                    true => self.step(k + 1, frame, emit),
+                    false => Ok(()),
+                },
+                Ok(v) => {
+                    let mark = frame.mark();
+                    frame.bind(*slot, v);
+                    self.step(k + 1, frame, emit)?;
+                    frame.undo(mark);
+                    Ok(())
+                }
+                Err(EvalError::Undefined(_)) => Ok(()),
+                Err(error) => Err(EngineError::Eval {
+                    rule: self.rule_idx,
+                    error,
+                }),
+            },
+            // Aggregate rules join only the body before their first
+            // aggregate; one reaching a join is malformed.
+            StepOp::Aggregate => Err(EngineError::MalformedAggregateRule {
+                rule: self.rule_idx,
+                message: "aggregate literal in plain-rule evaluation".into(),
+            }),
+        }
+    }
+
+    /// Try one candidate row for step `k`: apply its argument ops, run the
+    /// rest of the plan on a match, then unwind the slots it bound.
+    fn candidate(
+        &mut self,
+        row: &[Value],
+        arity: usize,
+        ops: &[(usize, ArgOp)],
+        k: usize,
+        frame: &mut Frame,
+        emit: &mut dyn FnMut(&Frame) -> Result<(), EngineError>,
+    ) -> Result<(), EngineError> {
+        if row.len() != arity {
+            return Ok(());
+        }
+        self.counters.candidates += 1;
+        let mark = frame.mark();
+        let mut matched = true;
+        for (i, op) in ops {
+            let v = &row[*i];
+            matched = match op {
+                ArgOp::Is(c) => c == v,
+                ArgOp::Eq(s) => frame.get(*s) == Some(v),
+                ArgOp::Bind(s) => {
+                    frame.bind(*s, v.clone());
+                    true
+                }
+            };
+            if !matched {
+                break;
+            }
+        }
+        if matched {
+            self.step(k + 1, frame, emit)?;
+        }
+        frame.undo(mark);
+        Ok(())
+    }
+}
+
 /// Restricted-chase satisfaction check: look for an existing fact of the
-/// head atom matching the binding on its universal positions; if found,
-/// read the existential variables' values off it (requiring consistency
-/// when an existential repeats). Returns the witness assignment.
+/// head atom matching the firing's frontier on its universal positions;
+/// if found, read the existential variables' values off it (requiring
+/// consistency when an existential repeats). Returns them in name order.
 fn find_existential_witness(
-    atom: &Atom,
-    binding: &Binding,
-    ex: &BTreeSet<String>,
+    atom: &HeadAtom,
+    frontier: &[Value],
+    existentials: usize,
     db: &mut Database,
-) -> Option<HashMap<String, Value>> {
+) -> Option<Vec<Value>> {
     db.relation(&atom.pred)?;
     let pattern: Vec<Option<Value>> = atom
         .args
         .iter()
-        .map(|t| match t {
-            Term::Const(v) => Some(v.clone()),
-            Term::Var(v) if ex.contains(v) => None,
-            Term::Var(v) => binding.get(v).cloned(),
+        .map(|a| match a {
+            HeadArg::Const(v) => Some(v.clone()),
+            HeadArg::Frontier(i) => Some(frontier[*i].clone()),
+            HeadArg::Null(_) => None,
         })
         .collect();
     let rel = db.relation_mut(&atom.pred);
@@ -1918,58 +1968,19 @@ fn find_existential_witness(
         if row.len() != atom.args.len() {
             continue;
         }
-        let mut witness: HashMap<String, Value> = HashMap::new();
-        for (t, v) in atom.args.iter().zip(row.iter()) {
-            if let Term::Var(name) = t {
-                if ex.contains(name) {
-                    match witness.get(name) {
-                        Some(existing) if existing != v => continue 'rows,
-                        Some(_) => {}
-                        None => {
-                            witness.insert(name.clone(), v.clone());
-                        }
-                    }
+        let mut witness: Vec<Option<Value>> = vec![None; existentials];
+        for (a, v) in atom.args.iter().zip(row.iter()) {
+            if let HeadArg::Null(j) = a {
+                match &witness[*j] {
+                    Some(existing) if existing != v => continue 'rows,
+                    Some(_) => {}
+                    None => witness[*j] = Some(v.clone()),
                 }
             }
         }
-        return Some(witness);
+        return witness.into_iter().collect();
     }
     None
-}
-
-/// Match a row against an atom's terms under `binding`; on success returns
-/// the list of variables newly bound (to undo afterwards).
-fn try_match(atom: &Atom, row: &[Value], binding: &mut Binding) -> Option<Vec<String>> {
-    let mut newly = Vec::new();
-    for (t, v) in atom.args.iter().zip(row.iter()) {
-        match t {
-            Term::Const(c) => {
-                if c != v {
-                    undo_binding(binding, newly);
-                    return None;
-                }
-            }
-            Term::Var(name) => match binding.get(name) {
-                Some(bound) => {
-                    if bound != v {
-                        undo_binding(binding, newly);
-                        return None;
-                    }
-                }
-                None => {
-                    binding.insert(name.clone(), v.clone());
-                    newly.push(name.clone());
-                }
-            },
-        }
-    }
-    Some(newly)
-}
-
-fn undo_binding(binding: &mut Binding, newly: Vec<String>) {
-    for name in newly {
-        binding.remove(&name);
-    }
 }
 
 /// Merge two values for `munion` contributor updates.
@@ -2079,6 +2090,7 @@ fn validate_aggregate_shape(rule: &Rule, idx: usize) -> Result<(), EngineError> 
 mod tests {
     use super::*;
     use crate::parser::parse_program;
+    use std::collections::HashSet;
 
     fn run(src: &str) -> ReasoningResult {
         let p = parse_program(src).unwrap();

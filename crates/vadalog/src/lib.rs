@@ -41,6 +41,7 @@
 pub mod ast;
 pub mod backend;
 pub mod builtins;
+mod compile;
 pub mod eval;
 pub mod governor;
 pub mod intern;

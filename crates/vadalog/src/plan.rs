@@ -24,10 +24,20 @@
 //! hash indexes ([`crate::storage::Relation::ensure_index`]) before the
 //! join — and, crucially, before fanning rule evaluation out to threads,
 //! after which all index access is read-only.
+//!
+//! Plans are made over rules compiled to slots (`compile.rs`), and the
+//! same static knowledge compiles each step for its place: every argument
+//! of a positive atom is a constant test, a test against a slot bound by
+//! an earlier step, or the binding of a free slot, and an assignment
+//! either binds its slot or filters on it. A row that comes from an index
+//! probe only binds: the probe already matched the bound positions.
 
-use crate::ast::{Literal, Rule, Term};
+use crate::ast::Rule;
+use crate::builtins::CExpr;
+use crate::compile::{CLit, CTerm, CompiledRule, Slot};
 use crate::storage::Database;
-use std::collections::BTreeSet;
+use crate::value::Value;
+use std::sync::Arc;
 
 /// One scheduled body literal.
 #[derive(Debug, Clone)]
@@ -39,6 +49,51 @@ pub struct PlanStep {
     /// by previous steps). Empty for non-positive literals and for the
     /// delta-focused literal (which scans the delta instead of probing).
     pub bound: Vec<usize>,
+    /// The literal compiled for this position in the plan.
+    pub(crate) op: StepOp,
+}
+
+/// How a join step tests or binds one argument of a candidate row.
+#[derive(Debug, Clone)]
+pub(crate) enum ArgOp {
+    /// The argument must equal a constant.
+    Is(Value),
+    /// The argument must equal a slot bound earlier.
+    Eq(Slot),
+    /// The argument binds a free slot.
+    Bind(Slot),
+}
+
+/// A body literal compiled for its place in a plan. The plan fixes which
+/// slots are bound before each step, so every argument of a positive atom
+/// is statically either tested or bound, and an assignment statically
+/// either binds or filters.
+#[derive(Debug, Clone)]
+pub(crate) enum StepOp {
+    /// Positive atom: match rows of `pred`.
+    Match {
+        pred: Arc<str>,
+        arity: usize,
+        /// Probe key terms, one per `bound` position.
+        key: Vec<CTerm>,
+        /// Argument ops for a scanned row, in argument order.
+        scan: Vec<(usize, ArgOp)>,
+        /// Argument ops for a probed row: the probe already matched the
+        /// `bound` positions, so only the free ones are left to bind.
+        probe: Vec<(usize, ArgOp)>,
+    },
+    /// Negated atom: the row built from `args` must be absent.
+    Absent { pred: Arc<str>, args: Vec<CTerm> },
+    /// Condition: must evaluate to true.
+    Test(Arc<CExpr>),
+    /// Assignment into `slot`; an equality filter when `slot` is bound.
+    Assign {
+        slot: Slot,
+        expr: Arc<CExpr>,
+        filter: bool,
+    },
+    /// An aggregate literal, which a join cannot evaluate.
+    Aggregate,
 }
 
 /// An execution order for one rule body.
@@ -62,38 +117,28 @@ pub struct JoinPlan {
 
 impl JoinPlan {
     /// (predicate, bound positions) pairs whose indexes the executor needs.
-    pub fn index_needs<'a>(
-        &'a self,
-        rule: &'a Rule,
-    ) -> impl Iterator<Item = (&'a str, &'a [usize])> {
-        self.steps.iter().filter_map(move |s| {
-            if Some(s.lit) == self.focus || s.bound.is_empty() {
-                return None;
+    pub fn index_needs(&self) -> impl Iterator<Item = (&str, &[usize])> {
+        self.steps.iter().filter_map(move |s| match &s.op {
+            StepOp::Match { pred, .. } if Some(s.lit) != self.focus && !s.bound.is_empty() => {
+                Some((&**pred, s.bound.as_slice()))
             }
-            match &rule.body[s.lit] {
-                Literal::Pos(a) => Some((a.pred.as_str(), s.bound.as_slice())),
-                _ => None,
-            }
+            _ => None,
         })
     }
 }
 
-/// The do-nothing plan: literals in source order, no probe masks. This is
-/// the execution order of the reference nested-loop evaluator
+/// The do-nothing plan over the first `len` literals of a compiled body:
+/// source order, no probe masks. This is the execution order of the
+/// reference nested-loop evaluator
 /// ([`JoinMode::Reference`](crate::eval::JoinMode)), kept as the
 /// correctness oracle the planned/indexed path is tested against.
-pub fn identity_plan(rule: &Rule, focus: Option<usize>) -> JoinPlan {
-    JoinPlan {
-        steps: (0..rule.body.len())
-            .map(|lit| PlanStep {
-                lit,
-                bound: Vec::new(),
-            })
-            .collect(),
+pub(crate) fn identity_plan(rule: &CompiledRule, len: usize, focus: Option<usize>) -> JoinPlan {
+    finish(
+        rule,
+        (0..len).map(|lit| (lit, Vec::new())).collect(),
         focus,
-        reordered: false,
-        dead: false,
-    }
+        false,
+    )
 }
 
 /// Estimated driving cost of scanning `pred` (relation cardinality).
@@ -101,21 +146,21 @@ fn relation_size(db: &Database, pred: &str) -> usize {
     db.relation(pred).map(|r| r.len()).unwrap_or(0)
 }
 
-/// Statically bound argument positions of a positive atom given the set of
-/// already-bound variables. A repeated variable's *first* occurrence binds
-/// it, so only subsequent occurrences (and pre-bound variables and
-/// constants) count as bound for index purposes.
-fn bound_positions(args: &[Term], bound_vars: &BTreeSet<&str>) -> Vec<usize> {
-    let mut seen_here: BTreeSet<&str> = BTreeSet::new();
+/// Statically bound argument positions of a positive atom given the
+/// already-bound slots. A repeated variable's *first* occurrence binds it,
+/// so only subsequent occurrences (and pre-bound variables and constants)
+/// count as bound for index purposes.
+fn bound_positions(args: &[CTerm], bound: &[bool]) -> Vec<usize> {
+    let mut seen_here: Vec<Slot> = Vec::new();
     let mut out = Vec::new();
     for (i, t) in args.iter().enumerate() {
         match t {
-            Term::Const(_) => out.push(i),
-            Term::Var(v) => {
-                if bound_vars.contains(v.as_str()) || seen_here.contains(v.as_str()) {
+            CTerm::Const(_) => out.push(i),
+            CTerm::Slot(s) => {
+                if bound[*s] || seen_here.contains(s) {
                     out.push(i);
                 } else {
-                    seen_here.insert(v);
+                    seen_here.push(*s);
                 }
             }
         }
@@ -127,80 +172,80 @@ fn bound_positions(args: &[Term], bound_vars: &BTreeSet<&str>) -> Vec<usize> {
 /// positive literal for semi-naive passes (`None` on the full pass).
 /// `delta_size` estimates the focused literal's cardinality.
 pub fn plan_rule(rule: &Rule, db: &Database, focus: Option<usize>, delta_size: usize) -> JoinPlan {
-    let body = &rule.body;
+    let _ = delta_size; // reserved for finer selectivity estimates
+    let rule = CompiledRule::new(rule);
+    plan(&rule, rule.body.len(), db, focus)
+}
+
+/// [`plan_rule`] over the first `len` literals of a compiled body.
+pub(crate) fn plan(
+    rule: &CompiledRule,
+    len: usize,
+    db: &Database,
+    focus: Option<usize>,
+) -> JoinPlan {
+    let body = &rule.body[..len];
     // A positive, non-focused literal over an empty relation makes the
     // whole join vacuous; mark the plan dead so the executor can skip it
     // without building indexes or scanning anything.
     let dead = body.iter().enumerate().any(|(i, lit)| match lit {
-        Literal::Pos(a) if Some(i) != focus => relation_size(db, &a.pred) == 0,
+        CLit::Pos(a) if Some(i) != focus => relation_size(db, &a.pred) == 0,
         _ => false,
     });
-    let mut placed = vec![false; body.len()];
-    let mut bound_vars: BTreeSet<&str> = BTreeSet::new();
-    let mut steps: Vec<PlanStep> = Vec::with_capacity(body.len());
+    let mut placed = vec![false; len];
+    let mut bound = vec![false; rule.names.len()];
+    let mut steps: Vec<(usize, Vec<usize>)> = Vec::with_capacity(len);
 
     // Schedule every non-positive literal whose requirements are met, in
-    // source order; repeat so `Let` chains resolve. Returns false if any
-    // literal is still blocked (callers retry after binding more vars).
-    fn place_ready<'r>(
-        body: &'r [Literal],
-        placed: &mut [bool],
-        bound_vars: &mut BTreeSet<&'r str>,
-        steps: &mut Vec<PlanStep>,
-    ) {
-        loop {
+    // source order; repeat so `Let` chains resolve.
+    let place_ready =
+        |placed: &mut [bool], bound: &mut [bool], steps: &mut Vec<(usize, Vec<usize>)>| loop {
             let mut progressed = false;
             for (i, lit) in body.iter().enumerate() {
-                if placed[i] || matches!(lit, Literal::Pos(_)) {
+                if placed[i] || matches!(lit, CLit::Pos(_)) {
                     continue;
                 }
-                let ready = lit
-                    .required_vars()
-                    .iter()
-                    .all(|v| bound_vars.contains(v.as_str()));
-                if ready {
+                if rule.needs[i].iter().all(|&s| bound[s]) {
                     placed[i] = true;
-                    if let Literal::Let { var, .. } = lit {
-                        bound_vars.insert(var.as_str());
+                    if let CLit::Let { slot, .. } = lit {
+                        bound[*slot] = true;
                     }
-                    steps.push(PlanStep {
-                        lit: i,
-                        bound: Vec::new(),
-                    });
+                    steps.push((i, Vec::new()));
                     progressed = true;
                 }
             }
             if !progressed {
                 return;
             }
+        };
+    let bind_atom = |bound: &mut [bool], args: &[CTerm]| {
+        for t in args {
+            if let CTerm::Slot(s) = t {
+                bound[*s] = true;
+            }
         }
-    }
+    };
 
     // The delta-focused literal anchors the join.
     if let Some(f) = focus {
         placed[f] = true;
-        if let Literal::Pos(a) = &body[f] {
-            for v in a.vars() {
-                bound_vars.insert(v);
-            }
+        if let CLit::Pos(a) = &body[f] {
+            bind_atom(&mut bound, &a.args);
         }
-        steps.push(PlanStep {
-            lit: f,
-            bound: Vec::new(),
-        });
-        place_ready(body, &mut placed, &mut bound_vars, &mut steps);
+        steps.push((f, Vec::new()));
+        place_ready(&mut placed, &mut bound, &mut steps);
     }
 
     loop {
-        place_ready(body, &mut placed, &mut bound_vars, &mut steps);
+        place_ready(&mut placed, &mut bound, &mut steps);
         // pick the best unplaced positive literal
         let mut best: Option<(usize, bool, usize, usize)> = None; // (lit, fully_bound, bound_count, size)
         for (i, lit) in body.iter().enumerate() {
             if placed[i] {
                 continue;
             }
-            let Literal::Pos(a) = lit else { continue };
-            let nbound = bound_positions(&a.args, &bound_vars).len();
+            let CLit::Pos(a) = lit else { continue };
+            let nbound = bound_positions(&a.args, &bound).len();
             let size = relation_size(db, &a.pred);
             // A literal with every position bound is a pure existence
             // check (a semi-join filter): it binds nothing new and either
@@ -221,30 +266,90 @@ pub fn plan_rule(rule: &Rule, db: &Database, focus: Option<usize>, delta_size: u
             }
         }
         let Some((i, _, _, _)) = best else { break };
-        let Literal::Pos(a) = &body[i] else { break };
-        let bound = bound_positions(&a.args, &bound_vars);
-        for v in a.vars() {
-            bound_vars.insert(v);
-        }
+        let CLit::Pos(a) = &body[i] else { break };
+        let positions = bound_positions(&a.args, &bound);
+        bind_atom(&mut bound, &a.args);
         placed[i] = true;
-        steps.push(PlanStep { lit: i, bound });
+        steps.push((i, positions));
     }
-    place_ready(body, &mut placed, &mut bound_vars, &mut steps);
+    place_ready(&mut placed, &mut bound, &mut steps);
 
     // Blocked leftovers (possible only for rules that would fail the
     // safety check): append in source order so execution degrades to the
     // source semantics instead of dropping literals.
     for (i, p) in placed.iter().enumerate() {
         if !p {
-            steps.push(PlanStep {
-                lit: i,
-                bound: Vec::new(),
-            });
+            steps.push((i, Vec::new()));
         }
     }
 
-    let reordered = steps.iter().enumerate().any(|(pos, s)| s.lit != pos);
-    let _ = delta_size; // reserved for finer selectivity estimates
+    finish(rule, steps, focus, dead)
+}
+
+/// Compile each scheduled literal for its place in the order: walking the
+/// steps in execution order fixes which slots are bound before each one.
+fn finish(
+    rule: &CompiledRule,
+    order: Vec<(usize, Vec<usize>)>,
+    focus: Option<usize>,
+    dead: bool,
+) -> JoinPlan {
+    let reordered = order.iter().enumerate().any(|(pos, (lit, _))| *lit != pos);
+    let mut bound = vec![false; rule.names.len()];
+    let steps = order
+        .into_iter()
+        .map(|(lit, positions)| {
+            let op = match &rule.body[lit] {
+                CLit::Pos(a) => {
+                    let mut scan = Vec::with_capacity(a.args.len());
+                    for (i, t) in a.args.iter().enumerate() {
+                        scan.push((
+                            i,
+                            match t {
+                                CTerm::Const(v) => ArgOp::Is(v.clone()),
+                                CTerm::Slot(s) if bound[*s] => ArgOp::Eq(*s),
+                                CTerm::Slot(s) => {
+                                    bound[*s] = true;
+                                    ArgOp::Bind(*s)
+                                }
+                            },
+                        ));
+                    }
+                    StepOp::Match {
+                        pred: a.pred.clone(),
+                        arity: a.args.len(),
+                        key: positions.iter().map(|&i| a.args[i].clone()).collect(),
+                        probe: scan
+                            .iter()
+                            .filter(|(i, _)| !positions.contains(i))
+                            .cloned()
+                            .collect(),
+                        scan,
+                    }
+                }
+                CLit::Neg(a) => StepOp::Absent {
+                    pred: a.pred.clone(),
+                    args: a.args.clone(),
+                },
+                CLit::Cond(e) => StepOp::Test(e.clone()),
+                CLit::Let { slot, expr } => {
+                    let filter = bound[*slot];
+                    bound[*slot] = true;
+                    StepOp::Assign {
+                        slot: *slot,
+                        expr: expr.clone(),
+                        filter,
+                    }
+                }
+                CLit::Agg { .. } => StepOp::Aggregate,
+            };
+            PlanStep {
+                lit,
+                bound: positions,
+                op,
+            }
+        })
+        .collect();
     JoinPlan {
         steps,
         focus,
@@ -354,7 +459,7 @@ mod tests {
         let db = db_with(&[("big", 100), ("small", 2)]);
         let plan = plan_rule(&rule, &db, None, 0);
         let needs: Vec<(String, Vec<usize>)> = plan
-            .index_needs(&rule)
+            .index_needs()
             .map(|(p, b)| (p.to_string(), b.to_vec()))
             .collect();
         assert_eq!(needs, vec![("big".to_string(), vec![1])]);

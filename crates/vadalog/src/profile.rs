@@ -2,10 +2,12 @@
 //! totals look like *from the inside*.
 //!
 //! Every reasoning run accumulates an [`EngineProfile`]: per-stratum
-//! spans, per-fixpoint-round delta sizes, and per-rule firing /
-//! derived-fact / join-candidate counts. Accumulation is always on — it
-//! is a handful of integer adds and two monotonic clock reads per round,
-//! which is noise next to the joins themselves — and the profile rides on
+//! spans, per-fixpoint-round delta sizes and phase times (plan, join,
+//! merge), per-stratum aggregate time and skipped aggregate passes, and
+//! per-rule firing / derived-fact / join-candidate counts. Accumulation
+//! is always on — it is a handful of integer adds and four monotonic
+//! clock reads per round, which is noise next to the joins themselves —
+//! and the profile rides on
 //! [`ReasoningResult`](crate::eval::ReasoningResult). When a
 //! [`Collector`](vadasa_obs::Collector) is attached to the engine config
 //! the profile is additionally replayed as telemetry events after the
@@ -37,7 +39,10 @@ pub struct RuleProfile {
 }
 
 /// One semi-naive fixpoint round inside a stratum.
-#[derive(Debug, Clone)]
+///
+/// The three phase times are disjoint parts of the round, so
+/// `plan_ns + join_ns + merge_ns <= dur_ns`.
+#[derive(Debug, Clone, Default)]
 pub struct RoundProfile {
     /// Round ordinal within the stratum (across outer passes).
     pub round: usize,
@@ -45,6 +50,14 @@ pub struct RoundProfile {
     pub delta: u64,
     /// Wall-clock nanoseconds spent in the round.
     pub dur_ns: u64,
+    /// Nanoseconds planning the round's joins and building the indexes
+    /// the plans probe.
+    pub plan_ns: u64,
+    /// Nanoseconds in the joins (across worker threads: their span).
+    pub join_ns: u64,
+    /// Nanoseconds instantiating heads (null minting included) and
+    /// inserting the derived facts.
+    pub merge_ns: u64,
 }
 
 /// One stratum of the evaluation.
@@ -60,6 +73,11 @@ pub struct StratumProfile {
     pub facts_derived: u64,
     /// Wall-clock nanoseconds spent in the stratum.
     pub dur_ns: u64,
+    /// Nanoseconds spent evaluating aggregate rules, across passes.
+    pub aggregate_ns: u64,
+    /// Aggregate-rule evaluations skipped because no relation the rule
+    /// reads changed since it last ran.
+    pub aggregate_skips: u64,
 }
 
 /// Execution profile of one reasoning run.
@@ -188,8 +206,8 @@ impl EngineProfile {
         }
         let _ = writeln!(
             out,
-            "{:>7}  {:>6}  {:>6}  {:>9}  {:>10}  largest rounds (delta@round)",
-            "stratum", "passes", "rounds", "facts", "time"
+            "{:>7}  {:>6}  {:>6}  {:>9}  {:>10}  {:>10}  {:>10}  {:>10}  {:>10}  {:>5}  largest rounds (delta@round)",
+            "stratum", "passes", "rounds", "facts", "time", "plan", "join", "merge", "aggregate", "skips"
         );
         for s in &self.strata {
             let mut top: Vec<&RoundProfile> = s.rounds.iter().filter(|r| r.delta > 0).collect();
@@ -199,14 +217,20 @@ impl EngineProfile {
                 .take(3)
                 .map(|r| format!("{}@{}", r.delta, r.round))
                 .collect();
+            let phase = |f: fn(&RoundProfile) -> u64| fmt_ns(s.rounds.iter().map(f).sum());
             let _ = writeln!(
                 out,
-                "{:>7}  {:>6}  {:>6}  {:>9}  {:>10}  {}",
+                "{:>7}  {:>6}  {:>6}  {:>9}  {:>10}  {:>10}  {:>10}  {:>10}  {:>10}  {:>5}  {}",
                 s.stratum,
                 s.passes,
                 s.rounds.len(),
                 s.facts_derived,
                 fmt_ns(s.dur_ns),
+                phase(|r| r.plan_ns),
+                phase(|r| r.join_ns),
+                phase(|r| r.merge_ns),
+                fmt_ns(s.aggregate_ns),
+                s.aggregate_skips,
                 top.join(" ")
             );
         }
@@ -262,7 +286,14 @@ impl EngineProfile {
                     stratum_id,
                     r_start,
                     r_dur,
-                    fields!["stratum" => s.stratum, "round" => r.round, "delta" => r.delta],
+                    fields![
+                        "stratum" => s.stratum,
+                        "round" => r.round,
+                        "delta" => r.delta,
+                        "plan_ns" => r.plan_ns,
+                        "join_ns" => r.join_ns,
+                        "merge_ns" => r.merge_ns
+                    ],
                 );
                 round_cursor = round_cursor.saturating_add(r.dur_ns);
             }
@@ -276,7 +307,9 @@ impl EngineProfile {
                     "stratum" => s.stratum,
                     "passes" => s.passes,
                     "rounds" => s.rounds.len(),
-                    "facts" => s.facts_derived
+                    "facts" => s.facts_derived,
+                    "aggregate_ns" => s.aggregate_ns,
+                    "aggregate_skips" => s.aggregate_skips
                 ],
             );
             run_cursor = run_cursor.saturating_add(s.dur_ns);
@@ -399,13 +432,22 @@ mod tests {
                 round: 0,
                 delta: 3,
                 dur_ns: 1500,
+                ..RoundProfile::default()
             }],
             facts_derived: 3,
             dur_ns: 2000,
+            ..StratumProfile::default()
         });
         profile.facts_derived = 3;
+        profile.strata[0].rounds[0].join_ns = 700;
+        profile.strata[0].aggregate_skips = 4;
         let text = profile.render_table();
         assert!(text.contains("rule#0 → b"));
+        assert!(text.contains("700 ns"), "join phase missing: {text}");
+        assert!(
+            text.contains("     4  3@0"),
+            "aggregate skips missing: {text}"
+        );
         assert!(text.contains("3@0"), "largest round missing: {text}");
         assert!(text.contains("2.000 µs"), "stratum time missing: {text}");
     }

@@ -12,38 +12,36 @@
 
 use crate::ast::Fact;
 use crate::value::{NullId, Value};
-use std::borrow::Borrow;
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::{Entry, RandomState};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// A stored tuple (shared so index buckets and deltas stay cheap).
 pub type Row = Arc<Vec<Value>>;
 
-/// Dedup key wrapping a shared row so membership can be probed with a
-/// borrowed `&[Value]` — no allocation on the contains/insert path.
-#[derive(Debug, Clone)]
-struct RowKey(Row);
+/// Hasher for keys that already are hashes: passes a `u64` through. The
+/// hashes are SipHash under the relation's random keys, so the map keeps
+/// the default hasher's protection against crafted collisions.
+#[derive(Debug, Default, Clone, Copy)]
+struct Prehashed(u64);
 
-impl Borrow<[Value]> for RowKey {
-    fn borrow(&self) -> &[Value] {
-        self.0.as_slice()
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
     }
 }
 
-impl Hash for RowKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Must agree with the `[Value]` slice hash used for borrowed probes.
-        <[Value] as Hash>::hash(self.0.as_slice(), state)
-    }
-}
-
-impl PartialEq for RowKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.as_slice() == other.0.as_slice()
-    }
-}
-impl Eq for RowKey {}
+/// Map keyed by a row hash computed once by the relation.
+type ByHash<V> = HashMap<u64, V, BuildHasherDefault<Prehashed>>;
 
 /// Secondary hash index over a fixed set of bound positions.
 #[derive(Debug, Default, Clone)]
@@ -56,12 +54,20 @@ struct Index {
 
 /// One relation: a deduplicated, insertion-ordered set of rows plus
 /// prebuilt secondary indexes keyed by a set of bound positions.
+///
+/// Deduplication hashes each row once: the hash keys `dedup`, which holds
+/// the first row stored under it, and rows whose hash collides with a
+/// different stored row go to `collisions`.
 #[derive(Debug, Default, Clone)]
 pub struct Relation {
     rows: Vec<Row>,
-    dedup: HashSet<RowKey>,
+    hasher: RandomState,
+    dedup: ByHash<Row>,
+    collisions: ByHash<Vec<Row>>,
     /// bound-position set → incremental index over those positions.
     indexes: HashMap<Vec<usize>, Index>,
+    /// Bumped by every mutation of the row set.
+    generation: u64,
 }
 
 impl Relation {
@@ -75,26 +81,68 @@ impl Relation {
         self.rows.is_empty()
     }
 
+    /// Mutation counter: changes whenever a row is inserted, removed or
+    /// rewritten. Equal generations of the same relation within a run
+    /// mean an unchanged row set, in an unchanged order.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Insert a row; returns `true` if it was new. Duplicate rows are
     /// rejected with a borrowed membership probe — no allocation.
     pub fn insert(&mut self, row: Vec<Value>) -> bool {
-        self.insert_shared(Arc::new(row)).is_some()
+        self.insert_vec(row).is_some()
     }
 
     /// Insert a shared row; returns the stored handle if it was new so
     /// callers (the semi-naive delta) can alias it instead of cloning.
     pub fn insert_shared(&mut self, row: Row) -> Option<Row> {
-        if self.dedup.contains(row.as_slice()) {
+        let hash = self.hasher.hash_one(row.as_slice());
+        if self.find(hash, &row) {
             return None;
         }
-        self.dedup.insert(RowKey(row.clone()));
-        self.rows.push(row.clone());
+        self.store(hash, row.clone());
         Some(row)
+    }
+
+    /// Insert an owned row, sharing it only once it is known to be new.
+    fn insert_vec(&mut self, row: Vec<Value>) -> Option<Row> {
+        let hash = self.hasher.hash_one(row.as_slice());
+        if self.find(hash, &row) {
+            return None;
+        }
+        let row = Arc::new(row);
+        self.store(hash, row.clone());
+        Some(row)
+    }
+
+    /// Is `row`, whose hash is `hash`, stored?
+    fn find(&self, hash: u64, row: &[Value]) -> bool {
+        match self.dedup.get(&hash) {
+            None => false,
+            Some(first) if first.as_slice() == row => true,
+            Some(_) => self
+                .collisions
+                .get(&hash)
+                .is_some_and(|rows| rows.iter().any(|r| r.as_slice() == row)),
+        }
+    }
+
+    /// Store a row known to be new.
+    fn store(&mut self, hash: u64, row: Row) {
+        match self.dedup.entry(hash) {
+            Entry::Vacant(e) => {
+                e.insert(row.clone());
+            }
+            Entry::Occupied(_) => self.collisions.entry(hash).or_default().push(row.clone()),
+        }
+        self.rows.push(row);
+        self.generation += 1;
     }
 
     /// Does the relation contain this exact row? Borrow-only.
     pub fn contains(&self, row: &[Value]) -> bool {
-        self.dedup.contains(row)
+        self.find(self.hasher.hash_one(row), row)
     }
 
     /// Iterate all rows in insertion order.
@@ -165,7 +213,9 @@ impl Relation {
     pub fn replace_rows(&mut self, new_rows: Vec<Vec<Value>>) {
         self.rows.clear();
         self.dedup.clear();
+        self.collisions.clear();
         self.indexes.clear();
+        self.generation += 1;
         for r in new_rows {
             self.insert(r);
         }
@@ -176,11 +226,35 @@ impl Relation {
     /// hold positional row ids) and will be rebuilt lazily on the next
     /// `ensure_index`.
     pub fn remove(&mut self, row: &[Value]) -> bool {
-        if !self.dedup.remove(row) {
-            return false;
+        let hash = self.hasher.hash_one(row);
+        let extra = self.collisions.get_mut(&hash);
+        match self.dedup.get_mut(&hash) {
+            None => return false,
+            Some(first) if first.as_slice() == row => match extra {
+                Some(extra) => {
+                    *first = extra.remove(0);
+                    if extra.is_empty() {
+                        self.collisions.remove(&hash);
+                    }
+                }
+                None => {
+                    self.dedup.remove(&hash);
+                }
+            },
+            Some(_) => {
+                let Some(extra) = extra else { return false };
+                let Some(at) = extra.iter().position(|r| r.as_slice() == row) else {
+                    return false;
+                };
+                extra.remove(at);
+                if extra.is_empty() {
+                    self.collisions.remove(&hash);
+                }
+            }
         }
         self.rows.retain(|r| r.as_slice() != row);
         self.indexes.clear();
+        self.generation += 1;
         true
     }
 
@@ -249,12 +323,12 @@ impl Database {
         }
         let pred = pred.as_ref();
         match self.relations.get_mut(pred) {
-            Some(rel) => rel.insert_shared(Arc::new(row)),
+            Some(rel) => rel.insert_vec(row),
             None => self
                 .relations
                 .entry(pred.to_string())
                 .or_default()
-                .insert_shared(Arc::new(row)),
+                .insert_vec(row),
         }
     }
 
@@ -289,6 +363,12 @@ impl Database {
     /// Access a relation (empty relation if absent).
     pub fn relation(&self, pred: &str) -> Option<&Relation> {
         self.relations.get(pred)
+    }
+
+    /// The [generation](Relation::generation) of a relation, `None` while
+    /// it does not exist.
+    pub fn generation(&self, pred: &str) -> Option<u64> {
+        self.relations.get(pred).map(Relation::generation)
     }
 
     /// Mutable access, creating the relation if needed.
@@ -447,6 +527,47 @@ mod tests {
         assert_eq!(rel.probe(&[0], &[Value::Int(2)]).unwrap(), &[1u32]);
         // missing key in a fresh index: empty postings, not a scan
         assert!(rel.probe(&[0], &[Value::Int(9)]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn generation_counts_every_mutation() {
+        let mut db = Database::new();
+        assert_eq!(db.generation("p"), None);
+        db.insert("p", vec![Value::Null(1), Value::Int(9)]);
+        let after_insert = db.generation("p").unwrap();
+        assert!(!db.insert("p", vec![Value::Null(1), Value::Int(9)]));
+        assert_eq!(
+            db.generation("p"),
+            Some(after_insert),
+            "a duplicate is no mutation"
+        );
+        db.relation_mut("p").ensure_index(&[1]);
+        assert_eq!(
+            db.generation("p"),
+            Some(after_insert),
+            "indexing is no mutation"
+        );
+        // an EGD rewrite that keeps the size must still be seen
+        db.substitute_null(1, &Value::Int(5));
+        let after_rewrite = db.generation("p").unwrap();
+        assert!(after_rewrite > after_insert);
+        assert!(db.remove("p", &[Value::Int(5), Value::Int(9)]));
+        assert!(db.generation("p").unwrap() > after_rewrite);
+    }
+
+    #[test]
+    fn removal_keeps_membership_and_order_consistent() {
+        let mut rel = Relation::default();
+        for i in 0..5 {
+            rel.insert(vec![Value::Int(i)]);
+        }
+        assert!(rel.remove(&[Value::Int(2)]));
+        assert!(!rel.remove(&[Value::Int(2)]));
+        assert!(!rel.contains(&[Value::Int(2)]));
+        assert!(rel.contains(&[Value::Int(3)]));
+        assert!(rel.insert(vec![Value::Int(2)]));
+        let order: Vec<Value> = rel.iter().map(|r| r[0].clone()).collect();
+        assert_eq!(order, [0, 1, 3, 4, 2].map(Value::Int));
     }
 
     #[test]

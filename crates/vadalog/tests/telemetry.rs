@@ -222,3 +222,58 @@ fn json_lines_round_trip() {
     }
     assert!(saw_round_span, "expected at least one engine.round span");
 }
+
+/// The round phases are disjoint parts of the round, a round that
+/// derived facts spent time joining, and an aggregate rule whose inputs
+/// did not change since its last evaluation is skipped — all reported in
+/// the profile and on the replayed spans.
+#[test]
+fn round_phases_and_aggregate_skips_are_profiled() {
+    let recorder = Arc::new(Recorder::new());
+    let r = run_with_collector(
+        "edge(1, 2). edge(2, 3). edge(3, 4). edge(4, 5).\n\
+         path(X, Y) :- edge(X, Y).\n\
+         path(X, Z) :- edge(X, Y), path(Y, Z).\n\
+         reach(X, C) :- path(X, Y), C = mcount(<Y>).",
+        recorder.clone(),
+    );
+    assert_eq!(r.db.rows("reach").len(), 4);
+    let rounds: Vec<&vadalog::RoundProfile> =
+        r.profile.strata.iter().flat_map(|s| &s.rounds).collect();
+    assert!(!rounds.is_empty());
+    for round in &rounds {
+        assert!(
+            round.plan_ns + round.join_ns + round.merge_ns <= round.dur_ns,
+            "phases exceed their round: {round:?}"
+        );
+        if round.delta > 0 {
+            assert!(round.join_ns > 0, "a deriving round spent no time joining");
+        }
+    }
+    let skips: u64 = r.profile.strata.iter().map(|s| s.aggregate_skips).sum();
+    assert!(skips >= 1, "the settled aggregate should be skipped once");
+    assert!(r.profile.strata.iter().any(|s| s.aggregate_ns > 0));
+
+    let field = |e: &vadalog::obs::Event, name: &str| {
+        e.fields
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.clone())
+            .unwrap_or_else(|| panic!("{} lacks field {name}", e.name))
+    };
+    for e in recorder.events_named("engine.round") {
+        for name in ["plan_ns", "join_ns", "merge_ns"] {
+            field(&e, name);
+        }
+    }
+    let span_skips: u64 = recorder
+        .events_named("engine.stratum")
+        .iter()
+        .map(|e| match field(e, "aggregate_skips") {
+            vadalog::obs::FieldValue::UInt(n) => n,
+            other => panic!("aggregate_skips is {other:?}"),
+        })
+        .sum();
+    assert_eq!(span_skips, skips);
+    assert!(r.profile.render_table().contains("aggregate"));
+}
