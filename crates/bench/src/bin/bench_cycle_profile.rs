@@ -1,6 +1,6 @@
 //! Cycle benchmark: cold-start vs warm-start medians for a multi-iteration
-//! anonymization run, plus the telemetry event stream of one profiled
-//! warm run, all written to `BENCH_cycle.json`.
+//! anonymization run, written to `BENCH_cycle.json`, plus the telemetry
+//! event stream of one profiled warm run, written beside it.
 //!
 //! Usage: `bench_cycle_profile [--quick] [--out PATH] [--baseline PATH] [--obs-gate]`
 //!
@@ -18,12 +18,15 @@
 //! iteration count, termination) before any number is reported — a
 //! benchmark over divergent semantics would be meaningless.
 //!
-//! The output file holds one JSON object per line: the `cycle.*`
+//! The output file holds one JSON object per line, bench records only:
+//! the `cycle.e2e` median lines ready for `jq` and for the CI
+//! `cycle-perf-smoke` gate, then the sections below. The `cycle.*`
 //! telemetry spans of the profiled run (including the `cycle.warm.*`
-//! counters), then `cycle.e2e` median lines ready for `jq` and for the
-//! CI `cycle-perf-smoke` gate. With `--baseline PATH` the warm median is
-//! compared against the committed baseline and the process exits non-zero
-//! on a >25% regression.
+//! counters) go to a sibling file named after `--out` with its extension
+//! replaced by `telemetry.jsonl` (`BENCH_cycle.json` →
+//! `BENCH_cycle.telemetry.jsonl`), which is not committed. With
+//! `--baseline PATH` the warm median is compared against the committed
+//! baseline and the process exits non-zero on a >25% regression.
 //!
 //! Two journal sections ride along (the `cycle.e2e` numbers themselves
 //! stay unjournaled so the baseline gate is undisturbed):
@@ -60,7 +63,7 @@
 //! near-free.
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use vadalog::StorageEngine;
 use vadasa_bench::{read_baseline_median, time_it};
@@ -450,10 +453,14 @@ fn main() {
     let obs_off_s = obs_mins[0];
 
     // --- one profiled warm run feeds the telemetry stream ---
-    let sink = match JsonLinesWriter::create(&out_path) {
+    let telemetry_path = Path::new(&out_path).with_extension("telemetry.jsonl");
+    let sink = match JsonLinesWriter::create(&telemetry_path) {
         Ok(w) => Arc::new(w),
         Err(e) => {
-            eprintln!("cannot create output file '{out_path}': {e}");
+            eprintln!(
+                "cannot create telemetry file '{}': {e}",
+                telemetry_path.display()
+            );
             std::process::exit(1);
         }
     };
@@ -463,12 +470,11 @@ fn main() {
         .expect("profiled run evaluates");
     sink.flush().expect("flush telemetry");
 
-    // --- append the e2e median lines the CI gate parses ---
-    let append = std::fs::OpenOptions::new().append(true).open(&out_path);
-    let mut file = match append {
+    // --- the e2e median lines the CI gate parses ---
+    let mut file = match std::fs::File::create(&out_path) {
         Ok(f) => f,
         Err(e) => {
-            eprintln!("cannot append bench lines to '{out_path}': {e}");
+            eprintln!("cannot create output file '{out_path}': {e}");
             std::process::exit(1);
         }
     };
@@ -570,7 +576,10 @@ fn main() {
         );
     }
     print!("{}", render_profile(&profiled.profile));
-    println!("\ntelemetry stream + cycle.e2e medians written to {out_path}");
+    println!(
+        "\ncycle.e2e medians written to {out_path}, telemetry stream to {}",
+        telemetry_path.display()
+    );
 
     if obs_gate {
         for (mode, secs) in OBS_MODES.iter().zip(&obs_mins).skip(1) {

@@ -367,7 +367,7 @@ impl OutOfCoreView {
     /// access to the full matrix (maybe-match grouping with nulls,
     /// per-cell patching).
     pub fn materialize(&self, risk_threads: usize) -> io::Result<MicrodataView> {
-        Ok(MicrodataView::from_parts(
+        MicrodataView::from_parts(
             self.qi_names.clone(),
             self.dicts.clone(),
             self.store.to_vec()?,
@@ -375,7 +375,8 @@ impl OutOfCoreView {
             self.weights.clone(),
             self.semantics,
             risk_threads,
-        ))
+        )
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 
     /// Equivalence-class statistics over the paged matrix.
@@ -555,7 +556,7 @@ pub fn load_view(
     if !r.done() {
         return Err(corrupt("trailing bytes after view".into()));
     }
-    Ok(MicrodataView::from_parts(
+    MicrodataView::from_parts(
         qi_names,
         dicts,
         codes,
@@ -563,7 +564,8 @@ pub fn load_view(
         weights,
         semantics,
         risk_threads,
-    ))
+    )
+    .map_err(|e| corrupt(e.to_string()))
 }
 
 // --- the cycle's warm-statistics artifact ------------------------------
@@ -674,6 +676,7 @@ mod tests {
                 NullSemantics::Standard
             },
         )
+        .unwrap()
     }
 
     fn tmp(tag: &str) -> PathBuf {
@@ -791,6 +794,43 @@ mod tests {
             load_view(&store, "absent", None, 1),
             Err(StorageError::Missing { .. })
         ));
+    }
+
+    #[test]
+    fn view_artifact_roundtrip_rebuilds_an_equal_index() {
+        let bits =
+            |g: &GroupStats| -> Vec<u64> { g.weight_sum.iter().map(|f| f.to_bits()).collect() };
+        let fresh = sample_view(300, 4, true);
+        let mut patched = fresh.clone();
+        for (k, row) in [3usize, 17, 17, 250].into_iter().enumerate() {
+            patched.patch_cell(row, k % 4, &Value::Null(900 + k as u64), None);
+        }
+        patched.patch_recode(1, &Value::Int(2), &Value::Int(5), None);
+        for view in [&fresh, &patched] {
+            let mut store = MemBackend::new();
+            spill_view(view, &mut store, "view.idx", 3).unwrap();
+            let back = load_view(&store, "view.idx", Some(3), 1).unwrap();
+            back.patterns()
+                .assert_consistent(back.codes(), back.null_masks());
+            assert_eq!(
+                back.patterns().canonical_ids(),
+                view.patterns().canonical_ids(),
+                "the restored index partitions the rows the same way"
+            );
+            for sem in [NullSemantics::MaybeMatch, NullSemantics::Standard] {
+                let a = view.group_stats_with(view.weights.as_deref(), sem);
+                let b = back.group_stats_with(back.weights.as_deref(), sem);
+                assert_eq!(a.count, b.count);
+                assert_eq!(bits(&a), bits(&b));
+            }
+        }
+        // a view that was never patched restores its very ids
+        let mut store = MemBackend::new();
+        spill_view(&fresh, &mut store, "view.idx", 3).unwrap();
+        let back = load_view(&store, "view.idx", Some(3), 1).unwrap();
+        let ids =
+            |v: &MicrodataView| -> Vec<u32> { (0..v.len()).map(|r| v.pattern_of(r)).collect() };
+        assert_eq!(ids(&back), ids(&fresh));
     }
 
     #[test]

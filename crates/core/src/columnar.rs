@@ -1,37 +1,42 @@
-//! Columnar quasi-identifier storage and partitioned group statistics.
+//! Columnar quasi-identifier storage and pattern-level group statistics.
 //!
 //! The row-based [`group_stats`](crate::maybe_match::group_stats) pass
 //! clones and hashes `Value`s per cell, which caps the cycle at tens of
 //! thousands of rows. This module stores the projected quasi-identifier
 //! table *columnarly*: every column gets a [`ColumnDict`] interning each
 //! distinct `Value` once, rows become flat `u32` code slices, and labelled
-//! nulls are additionally tracked in a per-row bitmask. Group formation
-//! then runs over integer codes — no `Value` clones, no deep hashing —
-//! and, because equivalence classes are disjoint by construction, the
-//! regrouping and per-row scoring passes shard across a
-//! [`std::thread::scope`] pool with a deterministic sequential merge (the
-//! same discipline the engine uses for parallel rule evaluation).
+//! nulls are additionally tracked in a per-row bitmask. A [`PatternIndex`]
+//! gives every distinct coded row a dense id, so group formation works on
+//! the table's distinct *patterns* rather than its rows (the benchmark's
+//! 100k-row scale table holds 22,141 of them, the 12k-row regime-U survey
+//! 229). Rows are touched twice: one array-indexed pass adds counts and
+//! weights per group, and one fill pass copies each row's totals out.
 //!
 //! # Determinism
 //!
-//! Counts are integers and therefore exact regardless of evaluation
-//! order. Weight sums are `f64` additions, whose bit pattern depends on
-//! association order, so the parallel path is only taken when
-//! [`weights_exactly_summable`] holds (every weight an integer-valued
-//! `f64` below `2^53`, where addition is exact and order-free). Under
-//! that gate the result is bit-identical at *any* thread count; without
-//! it the kernel silently falls back to the sequential order. The
-//! maybe-match null phases iterate masks in sorted order (`BTreeMap`),
-//! never in hash order, so repeated runs are byte-stable even for
-//! non-summable weights.
+//! Counts are integers and therefore exact. Weight sums are `f64`
+//! additions, whose bit pattern depends on association order, so the
+//! kernel adds every weight in the order of the row-level pass it
+//! replaced: a group's own rows in row order, then its maybe-matching
+//! nulled rows mask by mask (masks ascending), in row order within a
+//! mask. Every addition runs on one thread; only the fill pass, which
+//! adds nothing, shards across [`std::thread::scope`] workers. The result
+//! is therefore bit-identical for any weights and any thread count, and
+//! pattern ids, which depend on the patch history, never reach an output.
 
-use crate::maybe_match::{weights_exactly_summable, GroupStats, NullSemantics};
-use std::collections::{BTreeMap, HashMap};
+use crate::maybe_match::{GroupStats, NullSemantics};
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::BuildHasher;
+use vadalog::storage::ByHash;
 use vadalog::Value;
 
 /// Rows below this count are never sharded: thread spawn overhead
 /// dominates the work.
 const MIN_ROWS_PER_THREAD: usize = 4096;
+
+/// "No id": ends a hash chain, marks an unmapped pattern.
+const NONE: u32 = u32::MAX;
 
 /// Per-column dictionary interning each distinct cell `Value` once.
 ///
@@ -139,17 +144,6 @@ fn chunk_ranges(n: usize, threads: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// How many shards to actually use for `n` rows, honouring the
-/// summability gate (parallel weight sums must be exact to stay
-/// bit-identical to the sequential order).
-fn effective_threads(n: usize, threads: usize, weights: Option<&[f64]>) -> usize {
-    if threads <= 1 || n < 2 * MIN_ROWS_PER_THREAD || !weights_exactly_summable(weights) {
-        1
-    } else {
-        threads.min(n / MIN_ROWS_PER_THREAD).max(1)
-    }
-}
-
 /// Map rows `0..n` through `f` into a fresh `Vec`, sharding across
 /// `threads` scoped workers. Chunks are written into pre-allocated slots
 /// and concatenated in chunk order, so the output is identical to the
@@ -185,20 +179,390 @@ where
     out
 }
 
+/// Dense ids chained by a keyed hash, deduplicating the way
+/// [`vadalog::Relation`] does: `heads` maps a hash to the newest id stored
+/// under it and `next[id]` to the next older one, so ids whose hashes
+/// collide share a chain and every lookup hashes its key once.
+#[derive(Debug, Clone, Default)]
+struct HashChains {
+    heads: ByHash<u32>,
+    next: Vec<u32>,
+}
+
+impl HashChains {
+    /// The first id chained under `hash` for which `is_key` holds.
+    fn find(&self, hash: u64, mut is_key: impl FnMut(u32) -> bool) -> Option<u32> {
+        let mut id = self.heads.get(&hash).copied().unwrap_or(NONE);
+        while id != NONE {
+            if is_key(id) {
+                return Some(id);
+            }
+            id = self.next[id as usize];
+        }
+        None
+    }
+
+    /// Chain the next dense id under `hash` and return it.
+    fn push(&mut self, hash: u64) -> u32 {
+        let id = self.next.len() as u32;
+        let older = self.heads.insert(hash, id).unwrap_or(NONE);
+        self.next.push(older);
+        id
+    }
+
+    /// Take `id` out of the chain of `hash`; the id itself stays allocated.
+    fn unlink(&mut self, hash: u64, id: u32) {
+        let Some(&head) = self.heads.get(&hash) else {
+            return;
+        };
+        let after = self.next[id as usize];
+        if head == id {
+            if after == NONE {
+                self.heads.remove(&hash);
+            } else {
+                self.heads.insert(hash, after);
+            }
+        } else {
+            let mut cur = head;
+            while cur != NONE && self.next[cur as usize] != id {
+                cur = self.next[cur as usize];
+            }
+            if cur != NONE {
+                self.next[cur as usize] = after;
+            }
+        }
+        self.next[id as usize] = NONE;
+    }
+}
+
+/// Where a pattern's codes can be read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Home {
+    /// In the code matrix, at a row that holds the pattern.
+    Row(u32),
+    /// In [`PatternIndex::kept`], from this offset.
+    Kept(u32),
+}
+
+/// The distinct coded rows of a view, each with a dense id.
+///
+/// Ids are assigned in first-appearance order when the index is built,
+/// and patches that create a new pattern append the next id. Storage is
+/// one `u32` per row (its pattern id) plus a few words per pattern; the
+/// index never copies the code matrix. A pattern's codes are read at a
+/// representative row that holds it, and copied aside (into `kept`) only
+/// when that row is patched away while other rows still hold the pattern.
+/// A pattern whose last row leaves is retired: it keeps its id with zero
+/// rows and drops out of the lookup, so re-entering its codes mints a new
+/// id.
+#[derive(Debug, Clone, Default)]
+pub struct PatternIndex {
+    width: usize,
+    /// Pattern id of every row.
+    row_pattern: Vec<u32>,
+    /// Rows holding each pattern (zero once retired).
+    rows: Vec<u32>,
+    /// Null bitmask of each pattern.
+    masks: Vec<u64>,
+    /// Where each pattern's codes live.
+    homes: Vec<Home>,
+    /// Live patterns chained by the hash of their codes.
+    chains: HashChains,
+    hasher: RandomState,
+    /// Codes of patterns whose representative row was patched away.
+    kept: Vec<u32>,
+}
+
+impl PatternIndex {
+    /// Index the rows of a row-major code matrix of stride `width`
+    /// (at most `u32::MAX` rows).
+    pub fn build(codes: &[u32], null_masks: &[u64], width: usize) -> Self {
+        let mut index = PatternIndex {
+            width,
+            row_pattern: Vec::with_capacity(null_masks.len()),
+            ..PatternIndex::default()
+        };
+        for (row, &mask) in null_masks.iter().enumerate() {
+            let p = index.enter(codes, row, mask);
+            index.row_pattern.push(p);
+        }
+        index
+    }
+
+    /// Number of pattern ids handed out, retired ones included.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The pattern id of `row`.
+    pub(crate) fn pattern_of(&self, row: usize) -> u32 {
+        self.row_pattern[row]
+    }
+
+    /// How many rows hold pattern `p` (zero once it is retired).
+    pub(crate) fn rows_of(&self, p: u32) -> usize {
+        self.rows[p as usize] as usize
+    }
+
+    /// The null bitmask of pattern `p`.
+    pub(crate) fn mask_of(&self, p: u32) -> u64 {
+        self.masks[p as usize]
+    }
+
+    /// The codes of live pattern `p`; `codes` is the matrix the index
+    /// describes.
+    pub(crate) fn codes_of<'a>(&'a self, codes: &'a [u32], p: u32) -> &'a [u32] {
+        let w = self.width;
+        match self.homes[p as usize] {
+            Home::Row(r) => &codes[r as usize * w..(r as usize + 1) * w],
+            Home::Kept(at) => &self.kept[at as usize..at as usize + w],
+        }
+    }
+
+    /// Approximate retained heap bytes.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        let per_pattern = std::mem::size_of::<u32>() * 2
+            + std::mem::size_of::<u64>() * 3
+            + std::mem::size_of::<Home>();
+        self.row_pattern.len() * std::mem::size_of::<u32>()
+            + self.rows.len() * per_pattern
+            + self.kept.len() * std::mem::size_of::<u32>()
+    }
+
+    /// Count `row` into the pattern of its codes, creating the pattern if
+    /// no live one matches. Returns its id.
+    fn enter(&mut self, codes: &[u32], row: usize, mask: u64) -> u32 {
+        let key = &codes[row * self.width..(row + 1) * self.width];
+        let hash = self.hasher.hash_one(key);
+        let found = self.chains.find(hash, |p| {
+            self.masks[p as usize] == mask && self.codes_of(codes, p) == key
+        });
+        let p = match found {
+            Some(p) => p,
+            None => {
+                let p = self.chains.push(hash);
+                self.rows.push(0);
+                self.masks.push(mask);
+                self.homes.push(Home::Row(row as u32));
+                p
+            }
+        };
+        self.rows[p as usize] += 1;
+        p
+    }
+
+    /// Move `row` to the pattern of its current codes after a patch, in
+    /// O(width). `old_codes`/`old_mask` are what the row held before; the
+    /// matrix and masks already hold the new contents.
+    pub(crate) fn relocate(
+        &mut self,
+        codes: &[u32],
+        null_masks: &[u64],
+        row: usize,
+        old_codes: &[u32],
+        old_mask: u64,
+    ) {
+        let w = self.width;
+        if null_masks[row] == old_mask && codes[row * w..(row + 1) * w] == *old_codes {
+            return;
+        }
+        let old = self.row_pattern[row];
+        let o = old as usize;
+        self.rows[o] -= 1;
+        if self.rows[o] == 0 {
+            self.chains.unlink(self.hasher.hash_one(old_codes), old);
+        } else if self.homes[o] == Home::Row(row as u32) {
+            self.homes[o] = Home::Kept(self.kept.len() as u32);
+            self.kept.extend_from_slice(old_codes);
+        }
+        self.row_pattern[row] = self.enter(codes, row, null_masks[row]);
+    }
+}
+
+/// Copy the codes at `positions` of `src` into the front of `buf`.
+#[inline]
+fn gather<'b>(src: &[u32], positions: &[usize], buf: &'b mut [u32; 64]) -> &'b [u32] {
+    for (slot, &c) in buf.iter_mut().zip(positions) {
+        *slot = src[c];
+    }
+    &buf[..positions.len()]
+}
+
+/// The live patterns grouped by their codes at the projected positions.
+struct Groups {
+    /// Group of each pattern id (`NONE` for retired patterns).
+    of_pattern: Vec<u32>,
+    /// A pattern of each group, to read its codes at.
+    rep: Vec<u32>,
+    /// Each group's null bitmask on the projected positions.
+    mask: Vec<u64>,
+}
+
+impl Groups {
+    fn of(codes: &[u32], patterns: &PatternIndex, positions: &[usize], pos_bits: u64) -> Groups {
+        let full =
+            positions.len() == patterns.width && positions.iter().enumerate().all(|(i, &p)| i == p);
+        let mut groups = Groups {
+            of_pattern: vec![NONE; patterns.len()],
+            rep: Vec::new(),
+            mask: Vec::new(),
+        };
+        let mut chains = HashChains::default();
+        let (mut buf, mut other) = ([0u32; 64], [0u32; 64]);
+        for p in 0..patterns.len() as u32 {
+            if patterns.rows_of(p) == 0 {
+                continue;
+            }
+            // At full width every live pattern is a group of its own.
+            let g = if full {
+                groups.rep.len() as u32
+            } else {
+                let key = gather(patterns.codes_of(codes, p), positions, &mut buf);
+                let hash = patterns.hasher.hash_one(key);
+                let rep = &groups.rep;
+                let found = chains.find(hash, |g| {
+                    gather(
+                        patterns.codes_of(codes, rep[g as usize]),
+                        positions,
+                        &mut other,
+                    ) == key
+                });
+                match found {
+                    Some(g) => g,
+                    None => chains.push(hash),
+                }
+            };
+            if g as usize == groups.rep.len() {
+                groups.rep.push(p);
+                groups.mask.push(patterns.mask_of(p) & pos_bits);
+            }
+            groups.of_pattern[p as usize] = g;
+        }
+        groups
+    }
+
+    fn len(&self) -> usize {
+        self.rep.len()
+    }
+}
+
+/// Offsets-and-values adjacency lists: the items of list `i` are
+/// `items[start[i]..start[i + 1]]`.
+#[derive(Default)]
+struct Lists {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Lists {
+    /// Lists `0..len` from `(list, item)` pairs; items keep pair order.
+    fn from_pairs(len: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> Lists {
+        let mut start = vec![0u32; len + 1];
+        for (l, _) in pairs.clone() {
+            start[l as usize + 1] += 1;
+        }
+        for i in 0..len {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut items = vec![0u32; start[len] as usize];
+        for (l, item) in pairs {
+            items[fill[l as usize] as usize] = item;
+            fill[l as usize] += 1;
+        }
+        Lists { start, items }
+    }
+
+    fn get(&self, i: usize) -> &[u32] {
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+/// Which complete groups each nulled group maybe-matches, through
+/// *keys*: a key is one (mask, codes at the mask's constant positions)
+/// combination of the nulled groups, and every nulled group under a key
+/// matches exactly the same complete groups.
+struct NullLinks {
+    /// Key of each group (nulled groups only).
+    key_of: Vec<u32>,
+    /// Complete groups matching each key.
+    groups_of_key: Lists,
+    /// Keys each complete group matches.
+    keys_of_group: Lists,
+    keys: usize,
+}
+
+impl NullLinks {
+    fn of(codes: &[u32], patterns: &PatternIndex, positions: &[usize], groups: &Groups) -> Self {
+        let mut masks: Vec<u64> = groups.mask.iter().copied().filter(|&m| m != 0).collect();
+        masks.sort_unstable();
+        masks.dedup();
+        let mut key_of = vec![NONE; groups.len()];
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let mut keys = 0u32;
+        let (mut buf, mut other) = ([0u32; 64], [0u32; 64]);
+        let group_codes = |g: usize| patterns.codes_of(codes, groups.rep[g]);
+        for mask in masks {
+            let const_cols: Vec<usize> = positions
+                .iter()
+                .copied()
+                .filter(|&c| mask & (1 << c) == 0)
+                .collect();
+            // Index this mask's nulled groups on their constant positions.
+            let mut chains = HashChains::default();
+            let mut key_group: Vec<usize> = Vec::new();
+            for g in (0..groups.len()).filter(|&g| groups.mask[g] == mask) {
+                let key = gather(group_codes(g), &const_cols, &mut buf);
+                let hash = patterns.hasher.hash_one(key);
+                let found = chains.find(hash, |k| {
+                    gather(group_codes(key_group[k as usize]), &const_cols, &mut other) == key
+                });
+                let k = found.unwrap_or_else(|| {
+                    key_group.push(g);
+                    chains.push(hash)
+                });
+                key_of[g] = keys + k;
+            }
+            // Probe it with every complete group.
+            for g in (0..groups.len()).filter(|&g| groups.mask[g] == 0) {
+                let key = gather(group_codes(g), &const_cols, &mut buf);
+                let hash = patterns.hasher.hash_one(key);
+                let found = chains.find(hash, |k| {
+                    gather(group_codes(key_group[k as usize]), &const_cols, &mut other) == key
+                });
+                if let Some(k) = found {
+                    pairs.push((keys + k, g as u32));
+                }
+            }
+            keys += key_group.len() as u32;
+        }
+        NullLinks {
+            key_of,
+            groups_of_key: Lists::from_pairs(keys as usize, pairs.iter().copied()),
+            keys_of_group: Lists::from_pairs(groups.len(), pairs.iter().map(|&(k, g)| (g, k))),
+            keys: keys as usize,
+        }
+    }
+}
+
 /// Group statistics over a coded table restricted to the listed column
 /// `positions`, the columnar equivalent of
 /// [`group_stats_on`](crate::maybe_match::group_stats_on) (pass all
 /// positions for the full [`group_stats`](crate::maybe_match::group_stats)
-/// semantics). `codes` is row-major with stride `width`;
-/// `null_masks[i] & (1 << c)` says row `i` is null in column `c`.
+/// semantics). `codes` is row-major with the index's stride;
+/// `null_masks[i] & (1 << c)` says row `i` is null in column `c`, and
+/// `patterns` indexes exactly these rows.
 ///
-/// Produces exactly the per-row counts and weight sums of the row-based
-/// pass; see the module docs for when the sharded path engages and why
-/// it is bit-identical.
+/// The work is per pattern, not per row: patterns are grouped by their
+/// projected codes, one pass over the rows adds counts and weights per
+/// group, maybe-match pairs nulled groups with the complete groups they
+/// match, and a fill pass hands every row its group's totals. Only
+/// nulled *rows* (few, in practice) are handled one by one. Weights are
+/// added in the order of the row-level pass; see the module docs.
 pub fn group_stats_codes(
     codes: &[u32],
     null_masks: &[u64],
-    width: usize,
+    patterns: &PatternIndex,
     positions: &[usize],
     weights: Option<&[f64]>,
     sem: NullSemantics,
@@ -220,87 +584,83 @@ pub fn group_stats_codes(
             weight_sum: vec![total; n],
         };
     }
-
+    let width = patterns.width;
     let pos_bits: u64 = positions.iter().fold(0u64, |m, &p| m | (1 << p));
-    let full = positions.len() == width && positions.iter().enumerate().all(|(i, &p)| i == p);
+    let groups = Groups::of(codes, patterns, positions, pos_bits);
+    let group = |row: usize| groups.of_pattern[patterns.pattern_of(row) as usize] as usize;
 
-    // Under standard semantics — or maybe-match with no null in any
-    // projected cell — matching is exact code equality, a single
-    // shardable hash-grouping pass.
-    let no_nulls = null_masks.iter().all(|&m| m & pos_bits == 0);
-    if sem == NullSemantics::Standard || no_nulls {
-        return exact_grouping(codes, width, positions, full, None, n, weights, threads);
+    // Under standard semantics, or with no projected null, matching is
+    // code equality: the groups are the classes.
+    let maybe = sem == NullSemantics::MaybeMatch && groups.mask.iter().any(|&m| m != 0);
+    let mut g_count = vec![0usize; groups.len()];
+    let mut g_sum = vec![0.0f64; groups.len()];
+    if !maybe {
+        for (row, &p) in patterns.row_pattern.iter().enumerate() {
+            let g = groups.of_pattern[p as usize] as usize;
+            g_count[g] += 1;
+            g_sum[g] += w(row);
+        }
+        return GroupStats {
+            count: par_map_rows(n, threads, |row| g_count[group(row)]),
+            weight_sum: par_map_rows(n, threads, |row| g_sum[group(row)]),
+        };
     }
 
     // --- maybe-match with nulls present ---
-    let nulled: Vec<usize> = (0..n).filter(|&i| null_masks[i] & pos_bits != 0).collect();
-
-    // Exact grouping of the complete rows (rows with no projected null).
-    let skip_mask = pos_bits;
-    let mut stats = exact_grouping(
-        codes,
-        width,
-        positions,
-        full,
-        Some((null_masks, skip_mask)),
-        n,
-        weights,
-        threads,
-    );
-
-    // Group nulled rows by their projected null mask; masks iterate in
-    // sorted order so the accumulation order never depends on hash seeds.
-    let mut by_mask: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    let links = NullLinks::of(codes, patterns, positions, &groups);
+    // One pass in row order: complete rows add to their group and to
+    // every key they match (a nulled row's matches, in row order);
+    // nulled rows are collected.
+    let mut k_count = vec![0usize; links.keys];
+    let mut k_sum = vec![0.0f64; links.keys];
+    let mut nulled: Vec<usize> = Vec::new();
+    for (row, &p) in patterns.row_pattern.iter().enumerate() {
+        let g = groups.of_pattern[p as usize] as usize;
+        if groups.mask[g] != 0 {
+            nulled.push(row);
+            continue;
+        }
+        let wr = w(row);
+        g_count[g] += 1;
+        g_sum[g] += wr;
+        for &k in links.keys_of_group.get(g) {
+            k_count[k as usize] += 1;
+            k_sum[k as usize] += wr;
+        }
+    }
+    // Complete groups gain their maybe-matching nulled rows, masks
+    // ascending, row order within a mask (the sort is stable).
+    nulled.sort_by_key(|&i| groups.mask[group(i)]);
     for &i in &nulled {
-        by_mask.entry(null_masks[i] & pos_bits).or_default().push(i);
-    }
-
-    for (mask, members) in &by_mask {
-        let const_cols: Vec<usize> = positions
-            .iter()
-            .copied()
-            .filter(|&c| mask & (1 << c) == 0)
-            .collect();
-        // Index the complete rows on the mask's constant positions.
-        let mut index: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
-        for i in 0..n {
-            if null_masks[i] & pos_bits != 0 {
-                continue;
-            }
-            let key: Vec<u32> = const_cols.iter().map(|&c| codes[i * width + c]).collect();
-            index.entry(key).or_default().push(i);
-        }
-        for &i in members {
-            let key: Vec<u32> = const_cols.iter().map(|&c| codes[i * width + c]).collect();
-            if let Some(bucket) = index.get(&key) {
-                // Nulled row i matches every complete row in the bucket,
-                // and vice versa (maybe-match is symmetric).
-                stats.count[i] += bucket.len();
-                for &j in bucket {
-                    stats.weight_sum[i] += w(j);
-                    stats.count[j] += 1;
-                    stats.weight_sum[j] += w(i);
-                }
-            }
+        for &g in links.groups_of_key.get(links.key_of[group(i)] as usize) {
+            g_count[g as usize] += 1;
+            g_sum[g as usize] += w(i);
         }
     }
+    let mut count = par_map_rows(n, threads, |row| g_count[group(row)]);
+    let mut weight_sum = par_map_rows(n, threads, |row| g_sum[group(row)]);
 
-    // Nulled-vs-nulled (including self): pairwise over the null-carrying
-    // rows, mirroring the row-based pass increment for increment.
+    // Nulled rows: their complete matches, then nulled-vs-nulled
+    // (including self) pairwise in row order.
+    nulled.sort_unstable();
+    for &i in &nulled {
+        let k = links.key_of[group(i)] as usize;
+        count[i] = k_count[k];
+        weight_sum[i] = k_sum[k];
+    }
     for (a_pos, &i) in nulled.iter().enumerate() {
-        stats.count[i] += 1; // self
-        stats.weight_sum[i] += w(i);
+        count[i] += 1; // self
+        weight_sum[i] += w(i);
         for &j in nulled.iter().skip(a_pos + 1) {
             if projected_maybe_match(codes, null_masks, width, positions, pos_bits, i, j) {
-                stats.count[i] += 1;
-                stats.weight_sum[i] += w(j);
-                stats.count[j] += 1;
-                stats.weight_sum[j] += w(i);
+                count[i] += 1;
+                weight_sum[i] += w(j);
+                count[j] += 1;
+                weight_sum[j] += w(i);
             }
         }
     }
-
-    stats
+    GroupStats { count, weight_sum }
 }
 
 /// Maybe-match between rows `i` and `j` on the projected positions.
@@ -320,153 +680,11 @@ fn projected_maybe_match(
         .all(|&c| (union >> c) & 1 == 1 || codes[i * width + c] == codes[j * width + c])
 }
 
-/// One exact hash-grouping pass over the coded table. `skip` optionally
-/// excludes rows whose null mask intersects the given bits (their slots
-/// stay zero for the caller's null phases). Shards when profitable and
-/// exact; merges shard subtotals in chunk order.
-#[allow(clippy::too_many_arguments)]
-fn exact_grouping(
-    codes: &[u32],
-    width: usize,
-    positions: &[usize],
-    full: bool,
-    skip: Option<(&[u64], u64)>,
-    n: usize,
-    weights: Option<&[f64]>,
-    threads: usize,
-) -> GroupStats {
-    let w = |i: usize| weights.map(|w| w[i]).unwrap_or(1.0);
-    let skipped = |i: usize| match skip {
-        Some((masks, bits)) => masks[i] & bits != 0,
-        None => false,
-    };
-    let key_of =
-        |i: usize| -> Vec<u32> { positions.iter().map(|&p| codes[i * width + p]).collect() };
-
-    let t = effective_threads(n, threads, weights);
-
-    // Aggregate. Full-width keys borrow the code slice directly (zero
-    // allocation); sub-projections build small `Vec<u32>` keys. The
-    // full-width maps grow on demand: a table has far fewer distinct
-    // patterns than rows (229 among 12k in the regime-U survey), so a
-    // slot per row would be mostly empty.
-    let mut count = vec![0usize; n];
-    let mut weight_sum = vec![0.0f64; n];
-    if full {
-        let agg: HashMap<&[u32], (usize, f64)> = if t == 1 {
-            let mut agg: HashMap<&[u32], (usize, f64)> = HashMap::new();
-            for i in 0..n {
-                if skipped(i) {
-                    continue;
-                }
-                let e = agg
-                    .entry(&codes[i * width..(i + 1) * width])
-                    .or_insert((0, 0.0));
-                e.0 += 1;
-                e.1 += w(i);
-            }
-            agg
-        } else {
-            let ranges = chunk_ranges(n, t);
-            type ShardAgg<'a> = Option<HashMap<&'a [u32], (usize, f64)>>;
-            let mut slots: Vec<ShardAgg<'_>> = Vec::new();
-            slots.resize_with(ranges.len(), || None);
-            std::thread::scope(|s| {
-                for (slot, &(lo, hi)) in slots.iter_mut().zip(ranges.iter()) {
-                    s.spawn(move || {
-                        let mut local: HashMap<&[u32], (usize, f64)> = HashMap::new();
-                        for i in lo..hi {
-                            if skipped(i) {
-                                continue;
-                            }
-                            let e = local
-                                .entry(&codes[i * width..(i + 1) * width])
-                                .or_insert((0, 0.0));
-                            e.0 += 1;
-                            e.1 += w(i);
-                        }
-                        *slot = Some(local);
-                    });
-                }
-            });
-            // Deterministic sequential merge in chunk order; integer
-            // counts and gate-exact weight sums make the grouping of the
-            // additions immaterial to the result bits.
-            let mut agg: HashMap<&[u32], (usize, f64)> = HashMap::new();
-            for slot in slots.into_iter().flatten() {
-                for (k, (c, s2)) in slot {
-                    let e = agg.entry(k).or_insert((0, 0.0));
-                    e.0 += c;
-                    e.1 += s2;
-                }
-            }
-            agg
-        };
-        // Fill phase: read-only lookups into disjoint output chunks.
-        if t == 1 {
-            for i in 0..n {
-                if skipped(i) {
-                    continue;
-                }
-                if let Some(&(c, s2)) = agg.get(&codes[i * width..(i + 1) * width]) {
-                    count[i] = c;
-                    weight_sum[i] = s2;
-                }
-            }
-            return GroupStats { count, weight_sum };
-        }
-        let ranges = chunk_ranges(n, t);
-        std::thread::scope(|s| {
-            let mut crem: &mut [usize] = &mut count;
-            let mut wrem: &mut [f64] = &mut weight_sum;
-            for &(lo, hi) in &ranges {
-                let (chead, ctail) = crem.split_at_mut(hi - lo);
-                let (whead, wtail) = wrem.split_at_mut(hi - lo);
-                crem = ctail;
-                wrem = wtail;
-                let agg = &agg;
-                s.spawn(move || {
-                    for i in lo..hi {
-                        if skipped(i) {
-                            continue;
-                        }
-                        if let Some(&(c, s2)) = agg.get(&codes[i * width..(i + 1) * width]) {
-                            chead[i - lo] = c;
-                            whead[i - lo] = s2;
-                        }
-                    }
-                });
-            }
-        });
-    } else {
-        // Sub-projection path (SUDA's subset sweeps): small tables,
-        // sequential is fine.
-        let mut agg: HashMap<Vec<u32>, (usize, f64)> = HashMap::with_capacity(n);
-        for i in 0..n {
-            if skipped(i) {
-                continue;
-            }
-            let e = agg.entry(key_of(i)).or_insert((0, 0.0));
-            e.0 += 1;
-            e.1 += w(i);
-        }
-        for i in 0..n {
-            if skipped(i) {
-                continue;
-            }
-            if let Some(&(c, s2)) = agg.get(&key_of(i)) {
-                count[i] = c;
-                weight_sum[i] = s2;
-            }
-        }
-    }
-    GroupStats { count, weight_sum }
-}
-
 /// Incrementally repair `stats` after row `row` changed a single cell:
 /// the columnar analogue of
 /// [`GroupStats::apply_row_change`](crate::maybe_match::GroupStats::apply_row_change),
-/// with the same exactness caveat (gate on [`weights_exactly_summable`]
+/// with the same exactness caveat (gate on
+/// [`weights_exactly_summable`](crate::maybe_match::weights_exactly_summable)
 /// for bit-identical warm ≡ cold). `codes`/`null_masks` must already hold
 /// the *new* contents; `old_codes`/`old_mask` are the row's previous coded
 /// contents.
@@ -538,6 +756,152 @@ pub fn apply_cell_change_codes(
     stats.weight_sum[row] = sum;
 }
 
+/// The row-level kernel the pattern kernel replaced, kept as the test
+/// oracle: exact grouping of the complete rows by hashing every row's
+/// projected codes, then per null mask (ascending) an index of the
+/// complete rows on the mask's constant positions, then nulled rows
+/// pairwise. Its addition order defines the bits [`group_stats_codes`]
+/// must reproduce.
+#[cfg(test)]
+pub(crate) fn group_stats_oracle(
+    codes: &[u32],
+    null_masks: &[u64],
+    width: usize,
+    positions: &[usize],
+    weights: Option<&[f64]>,
+    sem: NullSemantics,
+) -> GroupStats {
+    use std::collections::BTreeMap;
+    let n = null_masks.len();
+    let w = |i: usize| weights.map(|w| w[i]).unwrap_or(1.0);
+    if positions.is_empty() {
+        let total: f64 = (0..n).map(w).sum();
+        return GroupStats {
+            count: vec![n; n],
+            weight_sum: vec![total; n],
+        };
+    }
+    let pos_bits: u64 = positions.iter().fold(0u64, |m, &p| m | (1 << p));
+    let key_of = |i: usize, cols: &[usize]| -> Vec<u32> {
+        cols.iter().map(|&c| codes[i * width + c]).collect()
+    };
+    let maybe = sem == NullSemantics::MaybeMatch;
+    let is_nulled = |i: usize| maybe && null_masks[i] & pos_bits != 0;
+    let mut count = vec![0usize; n];
+    let mut weight_sum = vec![0.0f64; n];
+    let mut agg: HashMap<Vec<u32>, (usize, f64)> = HashMap::new();
+    for i in (0..n).filter(|&i| !is_nulled(i)) {
+        let e = agg.entry(key_of(i, positions)).or_insert((0, 0.0));
+        e.0 += 1;
+        e.1 += w(i);
+    }
+    for i in (0..n).filter(|&i| !is_nulled(i)) {
+        (count[i], weight_sum[i]) = agg[&key_of(i, positions)];
+    }
+    let nulled: Vec<usize> = (0..n).filter(|&i| is_nulled(i)).collect();
+    let mut by_mask: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    for &i in &nulled {
+        by_mask.entry(null_masks[i] & pos_bits).or_default().push(i);
+    }
+    for (mask, members) in &by_mask {
+        let const_cols: Vec<usize> = positions
+            .iter()
+            .copied()
+            .filter(|&c| mask & (1 << c) == 0)
+            .collect();
+        let mut index: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
+        for i in (0..n).filter(|&i| null_masks[i] & pos_bits == 0) {
+            index.entry(key_of(i, &const_cols)).or_default().push(i);
+        }
+        for &i in members {
+            if let Some(bucket) = index.get(&key_of(i, &const_cols)) {
+                count[i] += bucket.len();
+                for &j in bucket {
+                    weight_sum[i] += w(j);
+                    count[j] += 1;
+                    weight_sum[j] += w(i);
+                }
+            }
+        }
+    }
+    for (a_pos, &i) in nulled.iter().enumerate() {
+        count[i] += 1;
+        weight_sum[i] += w(i);
+        for &j in nulled.iter().skip(a_pos + 1) {
+            if projected_maybe_match(codes, null_masks, width, positions, pos_bits, i, j) {
+                count[i] += 1;
+                weight_sum[i] += w(j);
+                count[j] += 1;
+                weight_sum[j] += w(i);
+            }
+        }
+    }
+    GroupStats { count, weight_sum }
+}
+
+#[cfg(test)]
+impl PatternIndex {
+    /// Pattern ids renumbered by first appearance in row order: equal for
+    /// two indexes that partition the rows the same way.
+    pub(crate) fn canonical_ids(&self) -> Vec<u32> {
+        let mut rank = vec![NONE; self.len()];
+        let mut next = 0u32;
+        self.row_pattern
+            .iter()
+            .map(|&p| {
+                if rank[p as usize] == NONE {
+                    rank[p as usize] = next;
+                    next += 1;
+                }
+                rank[p as usize]
+            })
+            .collect()
+    }
+
+    /// Panic unless the index describes `codes`/`null_masks` exactly:
+    /// every row's pattern holds its codes and mask, row counts add up,
+    /// the hash chains hold the live patterns and nothing else, every
+    /// live pattern is found by its codes, and the partition equals a
+    /// fresh build's.
+    pub(crate) fn assert_consistent(&self, codes: &[u32], null_masks: &[u64]) {
+        let w = self.width;
+        assert_eq!(self.row_pattern.len(), null_masks.len());
+        let mut held = vec![0u32; self.len()];
+        for (row, &p) in self.row_pattern.iter().enumerate() {
+            assert_eq!(
+                self.codes_of(codes, p),
+                &codes[row * w..(row + 1) * w],
+                "row {row}"
+            );
+            assert_eq!(self.mask_of(p), null_masks[row], "row {row}");
+            held[p as usize] += 1;
+        }
+        assert_eq!(held, self.rows, "row counts");
+        let mut chained: Vec<u32> = Vec::new();
+        for &head in self.chains.heads.values() {
+            let mut p = head;
+            while p != NONE {
+                chained.push(p);
+                p = self.chains.next[p as usize];
+            }
+        }
+        chained.sort_unstable();
+        let live: Vec<u32> = (0..self.len() as u32)
+            .filter(|&p| self.rows_of(p) > 0)
+            .collect();
+        assert_eq!(chained, live, "the chains hold exactly the live patterns");
+        for p in (0..self.len() as u32).filter(|&p| self.rows_of(p) > 0) {
+            let key = self.codes_of(codes, p);
+            let found = self.chains.find(self.hasher.hash_one(key), |q| {
+                self.rows_of(q) > 0 && self.codes_of(codes, q) == key
+            });
+            assert_eq!(found, Some(p), "pattern {p} lost from the lookup");
+        }
+        let fresh = PatternIndex::build(codes, null_masks, w);
+        assert_eq!(self.canonical_ids(), fresh.row_pattern, "partition");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,7 +950,27 @@ mod tests {
 
     fn assert_same(a: &GroupStats, b: &GroupStats) {
         assert_eq!(a.count, b.count, "counts diverged");
-        assert_eq!(a.weight_sum, b.weight_sum, "weight sums diverged");
+        let bits =
+            |g: &GroupStats| -> Vec<u64> { g.weight_sum.iter().map(|f| f.to_bits()).collect() };
+        assert_eq!(bits(a), bits(b), "weight sums diverged");
+    }
+
+    /// The pattern kernel over a freshly built index, checked bit for bit
+    /// against the row-level oracle before it is returned.
+    fn kernel(
+        codes: &[u32],
+        masks: &[u64],
+        width: usize,
+        positions: &[usize],
+        weights: Option<&[f64]>,
+        sem: NullSemantics,
+        threads: usize,
+    ) -> GroupStats {
+        let index = PatternIndex::build(codes, masks, width);
+        let fast = group_stats_codes(codes, masks, &index, positions, weights, sem, threads);
+        let oracle = group_stats_oracle(codes, masks, width, positions, weights, sem);
+        assert_same(&fast, &oracle);
+        fast
     }
 
     #[test]
@@ -597,7 +981,7 @@ mod tests {
         let weights: Vec<f64> = (0..rows.len()).map(|i| (i as f64 + 1.0) * 2.0).collect();
         for sem in [NullSemantics::MaybeMatch, NullSemantics::Standard] {
             for w in [None, Some(weights.as_slice())] {
-                let colv = group_stats_codes(&codes, &masks, width, &all, w, sem, 1);
+                let colv = kernel(&codes, &masks, width, &all, w, sem, 1);
                 let rowv = group_stats(&rows, w, sem);
                 assert_same(&colv, &rowv);
             }
@@ -611,8 +995,7 @@ mod tests {
         let weights: Vec<f64> = vec![10.0, 20.0, 20.0, 30.0, 30.0, 5.0, 5.0];
         for positions in [vec![0], vec![1, 3], vec![0, 2, 3], vec![2]] {
             for sem in [NullSemantics::MaybeMatch, NullSemantics::Standard] {
-                let colv =
-                    group_stats_codes(&codes, &masks, width, &positions, Some(&weights), sem, 1);
+                let colv = kernel(&codes, &masks, width, &positions, Some(&weights), sem, 1);
                 let rowv = group_stats_on(&rows, &positions, Some(&weights), sem);
                 assert_same(&colv, &rowv);
             }
@@ -621,8 +1004,8 @@ mod tests {
 
     #[test]
     fn sharded_equals_sequential_bitwise() {
-        // Large enough to clear the per-thread row floor; integer weights
-        // keep the parallel sums exact.
+        // Large enough to clear the per-thread row floor, so the fill
+        // pass shards; the additions stay on one thread.
         let n = 3 * MIN_ROWS_PER_THREAD;
         let rows: Vec<Vec<Value>> = (0..n)
             .map(|i| {
@@ -637,40 +1020,40 @@ mod tests {
         let (codes, masks, width) = encode(&rows);
         let all: Vec<usize> = (0..width).collect();
         for sem in [NullSemantics::MaybeMatch, NullSemantics::Standard] {
-            let seq = group_stats_codes(&codes, &masks, width, &all, Some(&weights), sem, 1);
-            let par = group_stats_codes(&codes, &masks, width, &all, Some(&weights), sem, 4);
-            assert_same(&seq, &par);
-            let rowv = group_stats(&rows, Some(&weights), sem);
-            assert_same(&par, &rowv);
+            for positions in [&all[..], &[1][..]] {
+                let seq = kernel(&codes, &masks, width, positions, Some(&weights), sem, 1);
+                let par = kernel(&codes, &masks, width, positions, Some(&weights), sem, 4);
+                assert_same(&seq, &par);
+            }
+            let par = kernel(&codes, &masks, width, &all, Some(&weights), sem, 4);
+            assert_same(&par, &group_stats(&rows, Some(&weights), sem));
         }
     }
 
     #[test]
     fn non_summable_weights_fall_back_to_sequential() {
+        // Fractional weights are not exactly summable: the thread count
+        // must still not change a bit, nulls and sub-projections included.
         let n = 3 * MIN_ROWS_PER_THREAD;
-        let rows: Vec<Vec<Value>> = (0..n).map(|i| vec![Value::Int((i % 11) as i64)]).collect();
-        let weights: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64 * 0.25).collect();
+        let rows: Vec<Vec<Value>> = (0..n)
+            .map(|i| {
+                let a = if i % 89 == 0 {
+                    Value::Null(i as u64)
+                } else {
+                    Value::Int((i % 11) as i64)
+                };
+                vec![a, Value::Int((i % 5) as i64)]
+            })
+            .collect();
+        let weights: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64 * 0.1).collect();
         let (codes, masks, width) = encode(&rows);
-        let seq = group_stats_codes(
-            &codes,
-            &masks,
-            width,
-            &[0],
-            Some(&weights),
-            NullSemantics::MaybeMatch,
-            1,
-        );
-        let par = group_stats_codes(
-            &codes,
-            &masks,
-            width,
-            &[0],
-            Some(&weights),
-            NullSemantics::MaybeMatch,
-            8,
-        );
-        // The gate forces both through the same sequential order.
-        assert_same(&seq, &par);
+        for sem in [NullSemantics::MaybeMatch, NullSemantics::Standard] {
+            for positions in [&[0][..], &[0, 1][..]] {
+                let seq = kernel(&codes, &masks, width, positions, Some(&weights), sem, 1);
+                let par = kernel(&codes, &masks, width, positions, Some(&weights), sem, 8);
+                assert_same(&seq, &par);
+            }
+        }
     }
 
     /// Apply `steps` (row, column, new value) one cell at a time, repairing
@@ -687,7 +1070,8 @@ mod tests {
                     assert_eq!(dicts[c].intern(v), codes[i * width + c]);
                 }
             }
-            let mut stats = group_stats_codes(&codes, &masks, width, &all, Some(weights), sem, 1);
+            let mut index = PatternIndex::build(&codes, &masks, width);
+            let mut stats = group_stats_codes(&codes, &masks, &index, &all, Some(weights), sem, 1);
             for (row, col, v) in steps {
                 let (row, col) = (*row, *col);
                 let old_codes: Vec<u32> = codes[row * width..(row + 1) * width].to_vec();
@@ -699,6 +1083,8 @@ mod tests {
                     masks[row] &= !(1 << col);
                 }
                 rows[row][col] = v.clone();
+                index.relocate(&codes, &masks, row, &old_codes, old_mask);
+                index.assert_consistent(&codes, &masks);
                 apply_cell_change_codes(
                     &codes,
                     &masks,
@@ -710,7 +1096,11 @@ mod tests {
                     old_mask,
                     &mut stats,
                 );
-                let cold = group_stats_codes(&codes, &masks, width, &all, Some(weights), sem, 1);
+                let cold = group_stats_codes(&codes, &masks, &index, &all, Some(weights), sem, 1);
+                assert_same(
+                    &cold,
+                    &group_stats_oracle(&codes, &masks, width, &all, Some(weights), sem),
+                );
                 assert_same(&stats, &cold);
                 assert_same(&stats, &group_stats(&rows, Some(weights), sem));
             }
@@ -761,6 +1151,32 @@ mod tests {
     }
 
     #[test]
+    fn hash_chains_share_a_hash_and_unlink_anywhere() {
+        // Colliding hashes (one chain) are the case real SipHash keys
+        // almost never produce, so drive it directly.
+        let mut chains = HashChains::default();
+        let ids: Vec<u32> = (0..4).map(|_| chains.push(7)).collect();
+        let other = chains.push(9);
+        assert_eq!(ids, vec![0, 1, 2, 3]);
+        let all = |c: &HashChains| -> Vec<u32> {
+            (0..5)
+                .filter(|&i| c.find(7, |id| id == i).is_some())
+                .collect()
+        };
+        assert_eq!(all(&chains), vec![0, 1, 2, 3]);
+        chains.unlink(7, 2); // middle
+        assert_eq!(all(&chains), vec![0, 1, 3]);
+        chains.unlink(7, 3); // head: the newest id
+        assert_eq!(all(&chains), vec![0, 1]);
+        chains.unlink(7, 0); // tail
+        assert_eq!(all(&chains), vec![1]);
+        chains.unlink(7, 1); // last one empties the chain
+        assert!(all(&chains).is_empty());
+        assert!(!chains.heads.contains_key(&7));
+        assert_eq!(chains.find(9, |id| id == other), Some(other));
+    }
+
+    #[test]
     fn par_map_rows_preserves_order() {
         let n = 3 * MIN_ROWS_PER_THREAD;
         let seq = par_map_rows(n, 1, |i| i * 3);
@@ -785,10 +1201,10 @@ mod tests {
 
     #[test]
     fn empty_and_zero_width_inputs() {
-        let gs = group_stats_codes(&[], &[], 0, &[], None, NullSemantics::MaybeMatch, 4);
+        let gs = kernel(&[], &[], 0, &[], None, NullSemantics::MaybeMatch, 4);
         assert!(gs.count.is_empty());
         // zero projected columns over 3 rows: one universal group
-        let gs = group_stats_codes(&[], &[0, 0, 0], 0, &[], None, NullSemantics::Standard, 1);
+        let gs = kernel(&[], &[0, 0, 0], 0, &[], None, NullSemantics::Standard, 1);
         assert_eq!(gs.count, vec![3, 3, 3]);
         assert_eq!(gs.weight_sum, vec![3.0, 3.0, 3.0]);
     }

@@ -597,15 +597,15 @@ fn retained_bytes(view: &MicrodataView, stats: &GroupStats) -> u64 {
 }
 
 /// Group the heuristic-ordered risky rows into exact equivalence classes
-/// (keyed by their coded QI row — equal codes ⇔ equal cells) and keep the
+/// (keyed by the view's pattern id — equal ids ⇔ equal cells) and keep the
 /// first `classes` classes, class-major: all rows of the first class, then
 /// all rows of the second, … Rows of unselected classes are left for later
 /// iterations. Returns the selected rows and the class count.
 fn select_batch(risky: &[usize], view: &MicrodataView, classes: usize) -> (Vec<usize>, usize) {
     let mut members: Vec<Vec<usize>> = Vec::new();
-    let mut index: HashMap<Vec<u32>, usize> = HashMap::new();
+    let mut index: HashMap<u32, usize> = HashMap::new();
     for &row in risky {
-        let key = view.row_codes(row).to_vec();
+        let key = view.pattern_of(row);
         match index.get(&key) {
             Some(&i) => members[i].push(row),
             None => {

@@ -92,7 +92,7 @@ mod tests {
     fn view(rows: Vec<Vec<Value>>) -> MicrodataView {
         let w = rows.first().map_or(0, |r| r.len());
         let names = (0..w).map(|i| format!("q{i}")).collect();
-        MicrodataView::from_rows(names, rows, None, NullSemantics::Standard)
+        MicrodataView::from_rows(names, rows, None, NullSemantics::Standard).unwrap()
     }
 
     #[test]

@@ -14,7 +14,6 @@
 use super::{MicrodataView, RiskError, RiskMeasure, RiskReport, TupleRiskDetail};
 use crate::columnar::par_map_rows;
 use crate::maybe_match::GroupStats;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// k-anonymity threshold risk (Algorithm 4).
@@ -35,7 +34,8 @@ impl KAnonymity {
     /// produce bit-identical output from identical statistics. Scoring is
     /// a pure per-row map, so it shards across `threads` workers; notes
     /// are formatted once per distinct class size and shared by every row
-    /// of that size (one allocation per size, not per row).
+    /// of that size (one allocation per size, not per row), found by
+    /// indexing a table by class size rather than hashing it.
     fn report(&self, threads: usize, stats: &GroupStats) -> RiskReport {
         let n = stats.count.len();
         let risks: Vec<f64> =
@@ -44,16 +44,26 @@ impl KAnonymity {
                 threads,
                 |i| if stats.count[i] < self.k { 1.0 } else { 0.0 },
             );
-        let mut notes: HashMap<usize, Arc<str>> = HashMap::new();
+        let note = |c: usize| -> Arc<str> { format!("class size {c} vs k={}", self.k).into() };
+        // A class holds at most `n` rows; statistics restored from disk
+        // that claim more get a note of their own instead of a huge table.
+        let largest = stats.count.iter().copied().max().unwrap_or(0).min(n);
+        let mut notes: Vec<Option<Arc<str>>> = vec![None; largest + 1];
         for &c in &stats.count {
-            notes
-                .entry(c)
-                .or_insert_with(|| format!("class size {c} vs k={}", self.k).into());
+            if let Some(slot) = notes.get_mut(c) {
+                slot.get_or_insert_with(|| note(c));
+            }
         }
-        let details = par_map_rows(n, threads, |i| TupleRiskDetail {
-            frequency: stats.count[i],
-            weight_sum: stats.weight_sum[i],
-            note: notes[&stats.count[i]].clone(),
+        let details = par_map_rows(n, threads, |i| {
+            let c = stats.count[i];
+            TupleRiskDetail {
+                frequency: c,
+                weight_sum: stats.weight_sum[i],
+                note: notes
+                    .get(c)
+                    .and_then(Clone::clone)
+                    .unwrap_or_else(|| note(c)),
+            }
         });
         RiskReport {
             measure: self.name().to_string(),
@@ -153,6 +163,26 @@ mod tests {
         assert_eq!(after.risks[0], 0.0);
         // and the suppressed row enlarged the others' classes too
         assert_eq!(after.details[1].frequency, 3);
+    }
+
+    #[test]
+    fn notes_are_shared_per_class_size_and_survive_impossible_sizes() {
+        let k = KAnonymity::new(2);
+        let stats = GroupStats {
+            count: vec![1, 3, 3, usize::MAX],
+            weight_sum: vec![1.0, 3.0, 3.0, 9.0],
+        };
+        let report = k.report(1, &stats);
+        assert!(Arc::ptr_eq(
+            &report.details[1].note,
+            &report.details[2].note
+        ));
+        assert_eq!(&*report.details[0].note, "class size 1 vs k=2");
+        assert_eq!(
+            &*report.details[3].note,
+            format!("class size {} vs k=2", usize::MAX)
+        );
+        assert_eq!(report.risks, vec![1.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //! Since the million-row rework the view stores its quasi-identifier
 //! cells *columnarly* (per-column [`ColumnDict`]s, flat `u32` codes and a
 //! per-row null bitmask — see [`crate::columnar`]) instead of
-//! `Vec<Vec<Value>>`, so group formation and per-row scoring never clone
-//! a `Value` and can shard across `risk_threads` scoped workers.
+//! `Vec<Vec<Value>>`, and indexes its distinct coded rows
+//! ([`PatternIndex`]), so group formation works per distinct pattern,
+//! never clones a `Value`, and per-row scoring can shard across
+//! `risk_threads` scoped workers.
 
 mod individual;
 mod kanon;
@@ -37,7 +39,9 @@ pub use reident::ReIdentification;
 pub use suda::{dis_scores, minimal_sample_uniques, MsuSet, Suda};
 pub use tcloseness::TCloseness;
 
-use crate::columnar::{apply_cell_change_codes, codes_match, group_stats_codes, ColumnDict};
+use crate::columnar::{
+    apply_cell_change_codes, codes_match, group_stats_codes, ColumnDict, PatternIndex,
+};
 use crate::dictionary::{Category, DictionaryError, MetadataDictionary};
 use crate::maybe_match::{GroupStats, NullSemantics};
 use crate::model::{MicrodataDb, ModelError};
@@ -86,8 +90,10 @@ impl From<ModelError> for RiskError {
 /// Storage is columnar: `dicts[c]` interns every distinct `Value` of
 /// column `c`, `codes` holds the row-major `u32` codes (stride =
 /// [`width`](Self::width)), and `null_masks[r]` has bit `c` set when row
-/// `r` is a labelled null in column `c`. Cells are reached through
-/// [`value`](Self::value) / [`patch_cell`](Self::patch_cell); the
+/// `r` is a labelled null in column `c`, so a view has at most 64
+/// columns. `patterns` gives every distinct coded row a dense id and is
+/// kept in step by [`patch_cell`](Self::patch_cell). Cells are reached
+/// through [`value`](Self::value) / [`patch_cell`](Self::patch_cell); the
 /// row-major `Vec<Vec<Value>>` of earlier versions is gone from the hot
 /// path (use [`to_rows`](Self::to_rows) where owned rows are genuinely
 /// needed).
@@ -101,12 +107,14 @@ pub struct MicrodataView {
     codes: Vec<u32>,
     /// Per-row bitmask of null columns.
     null_masks: Vec<u64>,
+    /// The distinct coded rows and each row's pattern id.
+    patterns: PatternIndex,
     /// Sampling weights, if a weight column is categorized.
     pub weights: Option<Vec<f64>>,
     /// Null semantics used to form equivalence groups.
     pub semantics: NullSemantics,
-    /// Worker threads for group formation and per-row scoring (1 =
-    /// sequential; sharding only engages when exact, see
+    /// Worker threads for the per-row passes of group formation and
+    /// scoring (1 = sequential; the output is the same for any count, see
     /// [`crate::columnar`]).
     pub risk_threads: usize,
 }
@@ -144,31 +152,10 @@ impl MicrodataView {
                 db.name
             )));
         }
-        if qi_names.len() > 64 {
-            return Err(RiskError::View(format!(
-                "{} quasi-identifiers exceed the 64-column null-bitmask limit",
-                qi_names.len()
-            )));
-        }
         let cols: Vec<usize> = qi_names
             .iter()
             .map(|q| db.attr_position(q))
             .collect::<Result<_, _>>()?;
-        let width = cols.len();
-        let mut dicts: Vec<ColumnDict> = (0..width).map(|_| ColumnDict::new()).collect();
-        let mut codes: Vec<u32> = Vec::with_capacity(db.len() * width);
-        let mut null_masks: Vec<u64> = Vec::with_capacity(db.len());
-        for r in db.iter_rows() {
-            let mut mask = 0u64;
-            for (k, &c) in cols.iter().enumerate() {
-                let v = &r[c];
-                if v.is_null() {
-                    mask |= 1 << k;
-                }
-                codes.push(dicts[k].intern(v));
-            }
-            null_masks.push(mask);
-        }
         let weights = match dict
             .attrs_with_category(&db.name, Category::Weight)?
             .first()
@@ -176,49 +163,73 @@ impl MicrodataView {
             Some(w) => Some(db.numeric_column(w)?),
             None => None,
         };
-        Ok(MicrodataView {
-            qi_names,
-            dicts,
-            codes,
-            null_masks,
-            weights,
-            semantics,
-            risk_threads: 1,
+        Self::assemble(qi_names, weights, semantics, 1, |width| {
+            Ok(encode_rows(
+                width,
+                db.len(),
+                db.iter_rows().map(|r| cols.iter().map(move |&c| &r[c])),
+            ))
         })
     }
 
     /// Build a view directly from owned rows (row-major, one `Value` per
-    /// quasi-identifier). `rows` must all have `qi_names.len()` cells.
+    /// quasi-identifier). Every row must have `qi_names.len()` cells, and
+    /// there may be at most 64 quasi-identifiers.
     pub fn from_rows(
         qi_names: Vec<String>,
         rows: Vec<Vec<Value>>,
         weights: Option<Vec<f64>>,
         semantics: NullSemantics,
-    ) -> Self {
-        let width = qi_names.len();
-        let mut dicts: Vec<ColumnDict> = (0..width).map(|_| ColumnDict::new()).collect();
-        let mut codes: Vec<u32> = Vec::with_capacity(rows.len() * width);
-        let mut null_masks: Vec<u64> = Vec::with_capacity(rows.len());
-        for r in &rows {
-            debug_assert_eq!(r.len(), width, "row arity must match qi_names");
-            let mut mask = 0u64;
-            for (k, v) in r.iter().enumerate() {
-                if v.is_null() {
-                    mask |= 1 << k;
-                }
-                codes.push(dicts[k].intern(v));
+    ) -> Result<Self, RiskError> {
+        Self::assemble(qi_names, weights, semantics, 1, |width| {
+            if let Some(r) = rows.iter().position(|r| r.len() != width) {
+                return Err(RiskError::View(format!(
+                    "row {r} has {} cells for {width} quasi-identifiers",
+                    rows[r].len()
+                )));
             }
-            null_masks.push(mask);
+            Ok(encode_rows(
+                width,
+                rows.len(),
+                rows.iter().map(|r| r.iter()),
+            ))
+        })
+    }
+
+    /// The one constructor: refuse more columns than the null bitmask
+    /// holds, let `encode` produce the coded columns, refuse more rows
+    /// than `u32` ids reach, and index their distinct patterns.
+    fn assemble(
+        qi_names: Vec<String>,
+        weights: Option<Vec<f64>>,
+        semantics: NullSemantics,
+        risk_threads: usize,
+        encode: impl FnOnce(usize) -> Result<Encoded, RiskError>,
+    ) -> Result<Self, RiskError> {
+        let width = qi_names.len();
+        if width > 64 {
+            return Err(RiskError::View(format!(
+                "{width} quasi-identifiers exceed the 64-column null-bitmask limit"
+            )));
         }
-        MicrodataView {
+        let (dicts, codes, null_masks) = encode(width)?;
+        if u32::try_from(null_masks.len()).is_err() {
+            return Err(RiskError::View(format!(
+                "{} rows exceed the pattern index's u32 row ids",
+                null_masks.len()
+            )));
+        }
+        let patterns = PatternIndex::build(&codes, &null_masks, width);
+        Ok(MicrodataView {
             qi_names,
             dicts,
             codes,
             null_masks,
+            patterns,
             weights,
             semantics,
-            risk_threads: 1,
-        }
+            risk_threads,
+        })
     }
 
     /// Number of tuples.
@@ -303,11 +314,24 @@ impl MicrodataView {
         &self.null_masks
     }
 
+    /// The pattern id of `row`: rows share an id exactly when they hold
+    /// the same codes. Ids depend on the patch history and must not
+    /// reach an output.
+    pub(crate) fn pattern_of(&self, row: usize) -> u32 {
+        self.patterns.pattern_of(row)
+    }
+
+    /// The distinct-pattern index (tests).
+    #[cfg(test)]
+    pub(crate) fn patterns(&self) -> &PatternIndex {
+        &self.patterns
+    }
+
     /// Reassemble a view from its constituent parts. Used by the
     /// out-of-core store ([`crate::colstore`]) when materializing a
-    /// spilled view; callers are responsible for internal consistency
-    /// (codes length = rows × width, masks length = rows, codes within
-    /// their column dictionaries).
+    /// spilled view. Refuses more than 64 columns and a code matrix or
+    /// mask list that does not fit the column count; callers vouch for
+    /// the rest (codes within their column dictionaries).
     pub(crate) fn from_parts(
         qi_names: Vec<String>,
         dicts: Vec<ColumnDict>,
@@ -316,16 +340,18 @@ impl MicrodataView {
         weights: Option<Vec<f64>>,
         semantics: NullSemantics,
         risk_threads: usize,
-    ) -> Self {
-        MicrodataView {
-            qi_names,
-            dicts,
-            codes,
-            null_masks,
-            weights,
-            semantics,
-            risk_threads,
-        }
+    ) -> Result<Self, RiskError> {
+        Self::assemble(qi_names, weights, semantics, risk_threads, |width| {
+            if dicts.len() != width || codes.len() != null_masks.len() * width {
+                return Err(RiskError::View(format!(
+                    "{} dictionaries and {} codes do not fit {} rows of {width} columns",
+                    dicts.len(),
+                    codes.len(),
+                    null_masks.len()
+                )));
+            }
+            Ok((dicts, codes, null_masks))
+        })
     }
 
     /// Group statistics with explicit weights and semantics (threads from
@@ -335,7 +361,7 @@ impl MicrodataView {
         group_stats_codes(
             &self.codes,
             &self.null_masks,
-            self.width(),
+            &self.patterns,
             &all,
             weights,
             sem,
@@ -354,7 +380,7 @@ impl MicrodataView {
         group_stats_codes(
             &self.codes,
             &self.null_masks,
-            self.width(),
+            &self.patterns,
             positions,
             weights,
             sem,
@@ -362,9 +388,9 @@ impl MicrodataView {
         )
     }
 
-    /// Overwrite the cell at `(row, col)` and, when `stats` is given,
-    /// incrementally repair the group statistics (columnar
-    /// flip-then-rescan, same exactness caveat as
+    /// Overwrite the cell at `(row, col)`, move the row to its new
+    /// pattern, and, when `stats` is given, incrementally repair the group
+    /// statistics (columnar flip-then-rescan, same exactness caveat as
     /// [`GroupStats::apply_row_change`]).
     pub fn patch_cell(
         &mut self,
@@ -385,6 +411,8 @@ impl MicrodataView {
         } else {
             self.null_masks[row] &= !(1 << col);
         }
+        self.patterns
+            .relocate(&self.codes, &self.null_masks, row, old_codes, old_mask);
         if let Some(stats) = stats {
             apply_cell_change_codes(
                 &self.codes,
@@ -433,9 +461,11 @@ impl MicrodataView {
             .sum()
     }
 
-    /// Approximate retained heap bytes of the columnar storage.
+    /// Approximate retained heap bytes of the columnar storage and its
+    /// pattern index.
     pub fn retained_bytes(&self) -> usize {
-        self.codes.len() * std::mem::size_of::<u32>()
+        self.patterns.retained_bytes()
+            + self.codes.len() * std::mem::size_of::<u32>()
             + self.null_masks.len() * std::mem::size_of::<u64>()
             + self
                 .dicts
@@ -448,6 +478,31 @@ impl MicrodataView {
                 .map(|w| w.len() * std::mem::size_of::<f64>())
                 .unwrap_or(0)
     }
+}
+
+/// Coded columns: per-column dictionaries, the row-major code matrix and
+/// the per-row null bitmasks.
+type Encoded = (Vec<ColumnDict>, Vec<u32>, Vec<u64>);
+
+/// Dictionary-encode `len` rows of exactly `width ≤ 64` cells each.
+fn encode_rows<'a, R>(width: usize, len: usize, rows: impl Iterator<Item = R>) -> Encoded
+where
+    R: Iterator<Item = &'a Value>,
+{
+    let mut dicts: Vec<ColumnDict> = (0..width).map(|_| ColumnDict::new()).collect();
+    let mut codes: Vec<u32> = Vec::with_capacity(len * width);
+    let mut null_masks: Vec<u64> = Vec::with_capacity(len);
+    for cells in rows {
+        let mut mask = 0u64;
+        for (k, v) in cells.enumerate() {
+            if v.is_null() {
+                mask |= 1 << k;
+            }
+            codes.push(dicts[k].intern(v));
+        }
+        null_masks.push(mask);
+    }
+    (dicts, codes, null_masks)
 }
 
 /// Per-tuple diagnostic detail accompanying a risk score.
@@ -583,6 +638,7 @@ pub(crate) mod test_support {
             weights,
             NullSemantics::MaybeMatch,
         )
+        .unwrap()
     }
 }
 
@@ -703,6 +759,78 @@ mod tests {
     }
 
     #[test]
+    fn more_than_64_columns_is_refused() {
+        // Column 64's null bit would wrap onto column 0.
+        let names: Vec<String> = (0..65).map(|i| format!("q{i}")).collect();
+        let mut row = vec![Value::str("a"); 65];
+        row[64] = Value::Null(0);
+        let err =
+            MicrodataView::from_rows(names.clone(), vec![row], None, NullSemantics::MaybeMatch)
+                .unwrap_err();
+        assert!(err.to_string().contains("65 quasi-identifiers"), "{err}");
+        // 64 columns still fit, with the last column's null on bit 63
+        let mut row = vec![Value::str("a"); 64];
+        row[63] = Value::Null(0);
+        let v = MicrodataView::from_rows(
+            names[..64].to_vec(),
+            vec![row],
+            None,
+            NullSemantics::MaybeMatch,
+        )
+        .unwrap();
+        assert_eq!(v.null_mask(0), 1 << 63);
+        // a short row is refused rather than misaligning the code matrix
+        let short = MicrodataView::from_rows(
+            names[..2].to_vec(),
+            vec![vec![Value::str("a")]],
+            None,
+            NullSemantics::MaybeMatch,
+        );
+        assert!(short.is_err());
+    }
+
+    #[test]
+    fn index_follows_patches_out_of_and_back_into_patterns() {
+        let mut v = view_of(
+            vec![vec!["a", "x"], vec!["a", "x"], vec!["b", "y"]],
+            Some(vec![1.5, 2.25, 4.0]),
+        );
+        let ax = v.pattern_of(0);
+        assert_eq!(v.pattern_of(1), ax);
+        let by = v.pattern_of(2);
+        // row 0, the representative of (a, x), leaves while row 1 stays
+        v.patch_cell(0, 0, &Value::str("b"), None);
+        assert_eq!(v.pattern_of(1), ax);
+        assert_eq!(v.patterns().rows_of(ax), 1);
+        assert_eq!(v.patterns().codes_of(v.codes(), ax), v.row_codes(1));
+        v.patterns().assert_consistent(v.codes(), v.null_masks());
+        // row 2 empties (b, y), then row 0 re-enters those codes
+        v.patch_cell(2, 1, &Value::str("x"), None);
+        assert_eq!(v.patterns().rows_of(by), 0);
+        assert_eq!(
+            v.pattern_of(2),
+            v.pattern_of(0),
+            "both rows now hold (b, x)"
+        );
+        v.patch_cell(0, 1, &Value::str("y"), None);
+        assert_ne!(v.pattern_of(0), by, "a retired id is never reused");
+        v.patterns().assert_consistent(v.codes(), v.null_masks());
+        // a recode moves every row of (b, x) and (a, x) at once
+        v.patch_recode(1, &Value::str("x"), &Value::Null(7), None);
+        v.patterns().assert_consistent(v.codes(), v.null_masks());
+        let all: Vec<usize> = (0..v.width()).collect();
+        let oracle = crate::columnar::group_stats_oracle(
+            v.codes(),
+            v.null_masks(),
+            v.width(),
+            &all,
+            v.weights.as_deref(),
+            v.semantics,
+        );
+        assert_eq!(v.group_stats(), oracle);
+    }
+
+    #[test]
     fn to_rows_roundtrips_through_from_rows() {
         let rows = vec![
             vec![Value::str("a"), Value::Null(3)],
@@ -713,9 +841,145 @@ mod tests {
             rows.clone(),
             None,
             NullSemantics::Standard,
-        );
+        )
+        .unwrap();
         assert_eq!(v.to_rows(), rows);
         assert_eq!(v.null_cell_count(), 1);
         assert!(v.retained_bytes() > 0);
+    }
+
+    /// Bitwise stats comparison (`==` on `f64` would accept `0.0 == -0.0`).
+    fn assert_bitwise(a: &GroupStats, b: &GroupStats, what: &str) {
+        assert_eq!(a.count, b.count, "{what}: counts");
+        let bits =
+            |g: &GroupStats| -> Vec<u64> { g.weight_sum.iter().map(|f| f.to_bits()).collect() };
+        assert_eq!(bits(a), bits(b), "{what}: weight bits");
+    }
+
+    /// Check the view's pattern kernel, full width and on `positions`,
+    /// under both semantics and the given weights, against the row-level
+    /// oracle (bit for bit, at 1 and 4 threads) and against the
+    /// `Value`-row pass of [`crate::maybe_match`] (bit for bit under
+    /// integer weights, whose sums are exact in any order).
+    fn check_view(view: &mut MicrodataView, positions: &[usize], weights: &[f64], exact: bool) {
+        use crate::columnar::group_stats_oracle;
+        use crate::maybe_match::{group_stats, group_stats_on};
+        view.patterns()
+            .assert_consistent(view.codes(), view.null_masks());
+        let rows = view.to_rows();
+        let all: Vec<usize> = (0..view.width()).collect();
+        for sem in [NullSemantics::MaybeMatch, NullSemantics::Standard] {
+            for ws in [None, Some(weights)] {
+                for cols in [&all[..], positions] {
+                    let oracle = group_stats_oracle(
+                        view.codes(),
+                        view.null_masks(),
+                        view.width(),
+                        cols,
+                        ws,
+                        sem,
+                    );
+                    for threads in [1, 4] {
+                        view.risk_threads = threads;
+                        let fast = view.group_stats_on(cols, ws, sem);
+                        assert_bitwise(&fast, &oracle, "pattern kernel vs oracle");
+                    }
+                    let by_rows = if cols.len() == all.len() {
+                        group_stats(&rows, ws, sem)
+                    } else {
+                        group_stats_on(&rows, cols, ws, sem)
+                    };
+                    if exact || ws.is_none() {
+                        assert_bitwise(&oracle, &by_rows, "oracle vs value rows");
+                    } else {
+                        assert_eq!(oracle.count, by_rows.count);
+                        for (a, b) in oracle.weight_sum.iter().zip(&by_rows.weight_sum) {
+                            assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
+                        }
+                    }
+                }
+            }
+        }
+        view.risk_threads = 1;
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The pattern kernel equals the oracles on random tables with
+        /// labelled nulls, before and after every step of a patch
+        /// sequence: a home row leaving a populated pattern and coming
+        /// back, a retired pattern being re-entered, then random cell
+        /// patches (fresh nulls, and constants drawn from the table's own
+        /// small domain) and recodes.
+        #[test]
+        fn pattern_kernel_matches_oracles_through_patches(
+            table in proptest::collection::vec(
+                proptest::collection::vec(
+                    prop_oneof![
+                        4 => (0i64..3).prop_map(Value::Int),
+                        1 => (0u64..4).prop_map(Value::Null),
+                    ],
+                    4,
+                ),
+                1..=24,
+            ),
+            width in 1usize..=4,
+            weights in proptest::collection::vec(1u32..40, 24),
+            fractional in proptest::bool::ANY,
+            positions in proptest::collection::btree_set(0usize..4, 0..=4),
+            steps in proptest::collection::vec((0usize..24, 0usize..4, 0i64..5, 0i64..3), 0..=10),
+        ) {
+            let rows: Vec<Vec<Value>> = table.iter().map(|r| r[..width].to_vec()).collect();
+            let weights: Vec<f64> = weights[..rows.len()]
+                .iter()
+                .map(|&w| if fractional { f64::from(w) * 0.1 } else { f64::from(w) })
+                .collect();
+            let positions: Vec<usize> = positions.into_iter().filter(|&c| c < width).collect();
+            let mut view = MicrodataView::from_rows(
+                (0..width).map(|c| format!("q{c}")).collect(),
+                rows.clone(),
+                Some(weights.clone()),
+                NullSemantics::MaybeMatch,
+            )
+            .unwrap();
+            check_view(&mut view, &positions, &weights, !fractional);
+            // Every case first moves a row out of its pattern and back:
+            // the first row of a pattern others share (its home leaves a
+            // populated pattern), and a row alone in its pattern (the
+            // pattern retires, and writing the cell back re-enters it
+            // under a new id).
+            let size = |v: &MicrodataView, r: usize| v.patterns().rows_of(v.pattern_of(r));
+            let shared = (0..rows.len()).find(|&r| {
+                size(&view, r) > 1 && (0..r).all(|q| view.pattern_of(q) != view.pattern_of(r))
+            });
+            let alone = (0..rows.len()).find(|&r| size(&view, r) == 1);
+            for (k, row) in [shared, alone].into_iter().flatten().enumerate() {
+                let (before, cell) = (view.pattern_of(row), view.value(row, 0).clone());
+                let held = size(&view, row);
+                view.patch_cell(row, 0, &Value::Null(90 + k as u64), None);
+                prop_assert_eq!(view.patterns().rows_of(before), held - 1);
+                check_view(&mut view, &positions, &weights, !fractional);
+                view.patch_cell(row, 0, &cell, None);
+                prop_assert_eq!(view.pattern_of(row) == before, held > 1);
+                check_view(&mut view, &positions, &weights, !fractional);
+            }
+            for (k, &(row, col, pick, to)) in steps.iter().enumerate() {
+                let (row, col) = (row % rows.len(), col % width);
+                match pick {
+                    // suppress with a fresh labelled null
+                    0 => view.patch_cell(row, col, &Value::Null(100 + k as u64), None),
+                    // recode one constant of the column everywhere
+                    1 => {
+                        view.patch_recode(col, &Value::Int(to), &Value::Int((to + 1) % 3), None);
+                    }
+                    // write a constant from the table's domain
+                    _ => view.patch_cell(row, col, &Value::Int(to), None),
+                }
+                check_view(&mut view, &positions, &weights, !fractional);
+            }
+        }
     }
 }

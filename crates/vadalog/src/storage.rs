@@ -21,10 +21,11 @@ use std::sync::Arc;
 pub type Row = Arc<Vec<Value>>;
 
 /// Hasher for keys that already are hashes: passes a `u64` through. The
-/// hashes are SipHash under the relation's random keys, so the map keeps
-/// the default hasher's protection against crafted collisions.
+/// hashes are SipHash under the owner's random keys (a `RandomState`), so
+/// the map keeps the default hasher's protection against crafted
+/// collisions.
 #[derive(Debug, Default, Clone, Copy)]
-struct Prehashed(u64);
+pub struct Prehashed(u64);
 
 impl Hasher for Prehashed {
     fn finish(&self) -> u64 {
@@ -40,8 +41,8 @@ impl Hasher for Prehashed {
     }
 }
 
-/// Map keyed by a row hash computed once by the relation.
-type ByHash<V> = HashMap<u64, V, BuildHasherDefault<Prehashed>>;
+/// Map keyed by a row hash computed once by its owner.
+pub type ByHash<V> = HashMap<u64, V, BuildHasherDefault<Prehashed>>;
 
 /// Secondary hash index over a fixed set of bound positions.
 #[derive(Debug, Default, Clone)]

@@ -69,11 +69,12 @@ proptest! {
             rows.clone(),
             None,
             NullSemantics::MaybeMatch,
-        );
+        )
+        .unwrap();
         let mut after_rows = rows.clone();
         after_rows[target][col] = Value::Null(99);
         let view_after =
-            MicrodataView::from_rows(qi_names, after_rows, None, NullSemantics::MaybeMatch);
+            MicrodataView::from_rows(qi_names, after_rows, None, NullSemantics::MaybeMatch).unwrap();
 
         let before = KAnonymity::new(2).evaluate(&view_before).unwrap();
         let after = KAnonymity::new(2).evaluate(&view_after).unwrap();
@@ -96,7 +97,8 @@ proptest! {
             rows.clone(),
             None,
             NullSemantics::Standard,
-        );
+        )
+        .unwrap();
         let msus = minimal_sample_uniques(&view, None);
         for (row, set) in msus.iter().enumerate() {
             for &mask in &set.masks {
@@ -123,7 +125,8 @@ proptest! {
             rows.clone(),
             None,
             NullSemantics::Standard,
-        );
+        )
+        .unwrap();
         let stats = group_stats(&rows, None, NullSemantics::Standard);
         let msus = minimal_sample_uniques(&view, None);
         for (i, &c) in stats.count.iter().enumerate() {
@@ -238,7 +241,8 @@ proptest! {
             rows,
             Some(weights.clone()),
             NullSemantics::MaybeMatch,
-        );
+        )
+        .unwrap();
         let report = PresenceRisk.evaluate(&view).unwrap();
         let total: f64 = weights.iter().sum();
         for (r, w) in report.risks.iter().zip(weights.iter()) {
