@@ -331,18 +331,11 @@ fn main() {
     // statistics from disk instead of regrouping cold.
     let file_dir = file_dir.expect("a file-backed journal was kept");
     let file_bytes = std::fs::read(file_dir.join(JOURNAL_FILE)).expect("read file journal");
-    let mut cursor = record::MAGIC.len();
-    let mut storage_cut = None;
-    while cursor < file_bytes.len() {
-        let Ok((rec, next)) = record::decode_frame(&file_bytes, cursor) else {
-            break;
-        };
-        if matches!(rec, record::JournalRecord::Snapshot { .. }) {
-            storage_cut = Some(next);
-        }
-        cursor = next;
-    }
-    let storage_cut = storage_cut.expect("file-backed journal has a snapshot");
+    let storage_cut = record::records(&file_bytes)
+        .filter(|(rec, _)| matches!(rec, record::JournalRecord::Snapshot { .. }))
+        .last()
+        .map(|(_, end)| end)
+        .expect("file-backed journal has a snapshot");
     let mut storage_resume: Vec<(&str, f64, u64)> = Vec::new();
     for (mode, keep_artifact) in [("resume-warm-disk", true), ("resume-cold", false)] {
         let mut times: Vec<f64> = Vec::with_capacity(runs);

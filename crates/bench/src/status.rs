@@ -3,7 +3,7 @@
 //!
 //! [`read_status`] decodes the write-ahead journal without replaying or
 //! truncating anything: it scans frames with the same total decoder
-//! recovery uses ([`vadasa_core::journal::record::decode_frame`]) and
+//! recovery uses ([`vadasa_core::journal::record::records`]) and
 //! folds them into a [`JobStatus`] — run identity from `Begin`, committed
 //! totals from the last `Commit`, the newest snapshot horizon, the
 //! rows-at-risk trajectory from `Progress` samples (fitted into a
@@ -14,7 +14,7 @@
 
 use std::path::{Path, PathBuf};
 use vadasa_core::colstore::{self, WARM_STATS_ARTIFACT};
-use vadasa_core::journal::record::{decode_frame, JournalRecord, MAGIC};
+use vadasa_core::journal::record::{records, JournalRecord, MAGIC};
 use vadasa_core::journal::JOURNAL_FILE;
 use vadasa_core::obs::json::Json;
 use vadasa_core::progress::{self, ProgressEstimate};
@@ -489,10 +489,7 @@ pub fn read_status(dir: &Path) -> Result<JobStatus, StatusError> {
     };
 
     let mut offset = MAGIC.len();
-    while offset < bytes.len() {
-        let Ok((rec, next)) = decode_frame(&bytes, offset) else {
-            break;
-        };
+    for (rec, next) in records(&bytes) {
         status.records += 1;
         match rec {
             JournalRecord::Begin {

@@ -3,34 +3,38 @@
 //! A checkpoint freezes everything the cycle needs to restart from an
 //! iteration boundary: the working table (schema, rows, labelled-null
 //! counter), the exhausted-tuple set, the running counters and the
-//! [`WarmCycleProfile`]. Snapshots are written *atomically* — encode to
-//! `<name>.tmp`, fsync, rename over the final name — so a crash mid-write
-//! leaves either the previous snapshot or a temp file recovery ignores,
-//! never a half-written snapshot under the final name. The payload is
-//! CRC-guarded like a journal record; a corrupt snapshot is detected and
-//! skipped, falling back to an older snapshot or full replay from the
-//! original table.
+//! [`WarmCycleProfile`]. A snapshot file is one [`vadalog::frame`] header
+//! (magic [`SNAPSHOT_MAGIC`], [`SNAPSHOT_VERSION`], the run fingerprint)
+//! and one CRC frame, written with [`write_atomic`] — so a crash mid-write
+//! leaves either the previous snapshot or nothing under the final name.
+//! A corrupt, foreign or unreadable snapshot is refused with a
+//! [`StorageError`], and recovery falls back to an older snapshot or to
+//! full replay from the original table.
 
 use crate::cycle::WarmCycleProfile;
-use crate::journal::io::{IoMode, OpenSink};
-use crate::journal::record::{crc32, DecodeError};
 use crate::model::MicrodataDb;
-use std::collections::BTreeSet;
-use std::fmt;
+use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::path::Path;
+use vadalog::backend::{write_atomic, DurableIo, FileIo, FileKind, StorageError};
+use vadalog::frame::wire::{put_str, put_u32, put_u64, put_value};
+use vadalog::frame::{self, DecodeError};
 use vadalog::Value;
 
-/// File magic identifying a Vada-SA cycle snapshot, version 2.
+/// File magic identifying a Vada-SA cycle snapshot on the shared header.
 ///
-/// Version 2 stores the table **column-wise with per-column value
+/// The table is stored **column-wise with per-column value
 /// dictionaries**: each column writes its distinct values once (first
 /// appearance order) followed by one `u32` code per row. Survey microdata
 /// repeats values heavily, so snapshots shrink roughly by the average
-/// equivalence-class size compared to the row-major version 1 layout.
-/// Version 1 files fail with [`SnapshotError::BadMagic`] and recovery
-/// falls back to journal replay, which is always available.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"VADASAS2";
+/// equivalence-class size compared to a row-major layout. Snapshots of
+/// earlier layouts (`VADASAS1`, `VADASAS2`) fail with
+/// [`StorageError::BadMagic`] and recovery falls back to journal replay,
+/// which is always available.
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"VADASAS3";
+
+/// Payload layout version written into the snapshot header.
+pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// A frozen cycle state at an iteration boundary.
 #[derive(Debug, Clone)]
@@ -57,125 +61,11 @@ pub struct Checkpoint {
     pub warm: WarmCycleProfile,
 }
 
-/// Why a snapshot file could not be loaded.
-#[derive(Debug)]
-pub enum SnapshotError {
-    /// Reading the file failed.
-    Io(io::Error),
-    /// The payload is torn, checksummed wrong, or structurally invalid.
-    Corrupt(DecodeError),
-    /// The file does not start with [`SNAPSHOT_MAGIC`].
-    BadMagic,
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Io(e) => write!(f, "snapshot i/o error: {e}"),
-            SnapshotError::Corrupt(e) => write!(f, "snapshot corrupt: {e}"),
-            SnapshotError::BadMagic => write!(f, "not a vadasa snapshot file"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-impl From<io::Error> for SnapshotError {
-    fn from(e: io::Error) -> Self {
-        SnapshotError::Io(e)
-    }
-}
-
-// --- encoding (shares the little-endian primitives of the journal) ---
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(DecodeError::Truncated);
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn string(&mut self) -> Result<String, DecodeError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
-    }
-
-    fn value(&mut self) -> Result<Value, DecodeError> {
-        match self.take(1)?[0] {
-            0 => Ok(Value::Bool(self.take(1)?[0] != 0)),
-            1 => Ok(Value::Int(self.u64()? as i64)),
-            2 => Ok(Value::Float(f64::from_bits(self.u64()?))),
-            3 => Ok(Value::str(self.string()?)),
-            4 => Ok(Value::Null(self.u64()?)),
-            5 => {
-                let n = self.u32()? as usize;
-                if n > self.bytes.len().saturating_sub(self.pos) {
-                    return Err(DecodeError::Truncated);
-                }
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(self.value()?);
-                }
-                Ok(Value::set(items))
-            }
-            6 => {
-                let n = self.u32()? as usize;
-                if n > self.bytes.len().saturating_sub(self.pos) {
-                    return Err(DecodeError::Truncated);
-                }
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(self.value()?);
-                }
-                Ok(Value::Tuple(std::sync::Arc::new(items)))
-            }
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
-}
-
 impl Checkpoint {
-    /// Encode the checkpoint as a complete snapshot file image:
-    /// magic, payload length, payload CRC, payload.
+    /// Encode the checkpoint as a complete snapshot file image.
     pub fn encode(&self) -> Vec<u8> {
         let mut p = Vec::with_capacity(4096);
         put_u64(&mut p, self.iterations);
-        put_u64(&mut p, self.fingerprint);
         put_u64(&mut p, self.next_null);
         put_u64(&mut p, self.nulls_injected);
         put_u64(&mut p, self.recodings);
@@ -206,9 +96,7 @@ impl Checkpoint {
         // u32 code per row (codes in first-appearance order)
         let width = attrs.len();
         let mut dicts: Vec<Vec<&Value>> = vec![Vec::new(); width];
-        let mut lookups: Vec<std::collections::HashMap<&Value, u32>> = (0..width)
-            .map(|_| std::collections::HashMap::new())
-            .collect();
+        let mut lookups: Vec<HashMap<&Value, u32>> = (0..width).map(|_| HashMap::new()).collect();
         let mut codes: Vec<Vec<u32>> = vec![Vec::with_capacity(self.db.len()); width];
         for row in self.db.iter_rows() {
             for (c, v) in row.iter().enumerate() {
@@ -223,126 +111,98 @@ impl Checkpoint {
         for c in 0..width {
             put_u32(&mut p, dicts[c].len() as u32);
             for v in &dicts[c] {
-                crate::journal::record::put_value(&mut p, v);
+                put_value(&mut p, v);
             }
             for code in &codes[c] {
                 put_u32(&mut p, *code);
             }
         }
-        let mut out = Vec::with_capacity(p.len() + 16);
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        put_u32(&mut out, p.len() as u32);
-        put_u32(&mut out, crc32(&p));
-        out.extend_from_slice(&p);
-        out
+        frame::encode(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, self.fingerprint, &p)
     }
 
-    /// Decode a snapshot file image produced by [`encode`](Self::encode).
-    /// Total: every malformation maps to [`SnapshotError`], never a panic.
-    pub fn decode(bytes: &[u8]) -> Result<Checkpoint, SnapshotError> {
-        if bytes.len() < SNAPSHOT_MAGIC.len() + 8 {
-            return Err(SnapshotError::Corrupt(DecodeError::Truncated));
-        }
-        if &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let mut c = Cursor {
+    /// Decode a snapshot file image produced by [`encode`](Self::encode),
+    /// refusing one whose fingerprint is not `expected` (when given).
+    /// Total: every malformation maps to a [`StorageError`] named
+    /// `name`, never a panic.
+    pub fn decode(
+        name: &str,
+        bytes: &[u8],
+        expected: Option<u64>,
+    ) -> Result<Checkpoint, StorageError> {
+        frame::decode(
+            name,
+            SNAPSHOT_MAGIC,
+            SNAPSHOT_VERSION,
+            expected,
             bytes,
-            pos: SNAPSHOT_MAGIC.len(),
-        };
-        let len = c.u32().map_err(SnapshotError::Corrupt)? as usize;
-        let crc = c.u32().map_err(SnapshotError::Corrupt)?;
-        let payload = c.take(len).map_err(SnapshotError::Corrupt)?;
-        if crc32(payload) != crc {
-            return Err(SnapshotError::Corrupt(DecodeError::BadChecksum));
-        }
-        let mut c = Cursor {
-            bytes: payload,
-            pos: 0,
-        };
-        let de = SnapshotError::Corrupt;
-        let iterations = c.u64().map_err(de)?;
-        let fingerprint = c.u64().map_err(de)?;
-        let next_null = c.u64().map_err(de)?;
-        let nulls_injected = c.u64().map_err(de)?;
-        let recodings = c.u64().map_err(de)?;
-        let initial_risky = c.u64().map_err(de)?;
-        let warm = WarmCycleProfile {
-            warm_evals: c.u64().map_err(de)?,
-            cold_evals: c.u64().map_err(de)?,
-            patched_facts: c.u64().map_err(de)?,
-            strata_skipped: c.u64().map_err(de)?,
-            fallback_to_cold: c.u64().map_err(de)?,
-            reused_index_bytes: c.u64().map_err(de)?,
-            // run-local storage counters are not part of the snapshot
-            // format: they describe this process, not the journal
-            ..WarmCycleProfile::default()
-        };
-        let n_exhausted = c.u32().map_err(de)? as usize;
-        if n_exhausted > payload.len() {
-            return Err(SnapshotError::Corrupt(DecodeError::Truncated));
-        }
-        let mut exhausted = BTreeSet::new();
-        for _ in 0..n_exhausted {
-            exhausted.insert(c.u64().map_err(de)? as usize);
-        }
-        let name = c.string().map_err(de)?;
-        let n_attrs = c.u32().map_err(de)? as usize;
-        if n_attrs > payload.len() {
-            return Err(SnapshotError::Corrupt(DecodeError::Truncated));
-        }
-        let mut attrs = Vec::with_capacity(n_attrs);
-        for _ in 0..n_attrs {
-            attrs.push(c.string().map_err(de)?);
-        }
-        // a duplicate attribute in a checksummed payload means the file
-        // was written by something else entirely — treat as corrupt
-        let mut db = MicrodataDb::new(name, attrs)
-            .map_err(|_| SnapshotError::Corrupt(DecodeError::Truncated))?;
-        let n_rows = c.u32().map_err(de)? as usize;
-        if n_rows > payload.len() {
-            return Err(SnapshotError::Corrupt(DecodeError::Truncated));
-        }
-        let width = db.attributes().len();
-        let mut columns: Vec<Vec<Value>> = Vec::with_capacity(width);
-        for _ in 0..width {
-            let dict_len = c.u32().map_err(de)? as usize;
-            if dict_len > payload.len() {
-                return Err(SnapshotError::Corrupt(DecodeError::Truncated));
-            }
-            let mut dict = Vec::with_capacity(dict_len);
-            for _ in 0..dict_len {
-                dict.push(c.value().map_err(de)?);
-            }
-            let mut col = Vec::with_capacity(n_rows);
-            for _ in 0..n_rows {
-                let code = c.u32().map_err(de)? as usize;
-                // a code past the dictionary means the payload was not
-                // written by this encoder — corrupt, never a panic
-                let v = dict
-                    .get(code)
-                    .ok_or(SnapshotError::Corrupt(DecodeError::BadTag(0xC0)))?;
-                col.push(v.clone());
-            }
-            columns.push(col);
-        }
-        for r in 0..n_rows {
-            let row: Vec<Value> = columns.iter().map(|col| col[r].clone()).collect();
-            db.push_row(row)
-                .map_err(|_| SnapshotError::Corrupt(DecodeError::Truncated))?;
-        }
-        db.reserve_nulls(next_null);
-        Ok(Checkpoint {
-            iterations,
-            fingerprint,
-            db,
-            next_null,
-            exhausted,
-            nulls_injected,
-            recodings,
-            initial_risky,
-            warm,
-        })
+            |c, header| {
+                let iterations = c.u64()?;
+                let next_null = c.u64()?;
+                let nulls_injected = c.u64()?;
+                let recodings = c.u64()?;
+                let initial_risky = c.u64()?;
+                let warm = WarmCycleProfile {
+                    warm_evals: c.u64()?,
+                    cold_evals: c.u64()?,
+                    patched_facts: c.u64()?,
+                    strata_skipped: c.u64()?,
+                    fallback_to_cold: c.u64()?,
+                    reused_index_bytes: c.u64()?,
+                    // run-local storage counters are not part of the
+                    // snapshot format: they describe this process, not
+                    // the journal
+                    ..WarmCycleProfile::default()
+                };
+                let mut exhausted = BTreeSet::new();
+                for _ in 0..c.count()? {
+                    exhausted.insert(c.u64()? as usize);
+                }
+                let name = c.string()?;
+                let mut attrs = Vec::new();
+                for _ in 0..c.count()? {
+                    attrs.push(c.string()?);
+                }
+                // a duplicate attribute in a checksummed payload means the
+                // file was written by something else entirely
+                let mut db = MicrodataDb::new(name, attrs)
+                    .map_err(|_| DecodeError::Invalid("duplicate attribute"))?;
+                let n_rows = c.count()?;
+                let width = db.attributes().len();
+                let mut columns: Vec<Vec<Value>> = Vec::with_capacity(width);
+                for _ in 0..width {
+                    let mut dict = Vec::new();
+                    for _ in 0..c.count()? {
+                        dict.push(c.value()?);
+                    }
+                    let mut col = Vec::with_capacity(n_rows);
+                    for _ in 0..n_rows {
+                        let code = c.u32()? as usize;
+                        let v = dict
+                            .get(code)
+                            .ok_or(DecodeError::Invalid("code outside its column dictionary"))?;
+                        col.push(v.clone());
+                    }
+                    columns.push(col);
+                }
+                for r in 0..n_rows {
+                    let row: Vec<Value> = columns.iter().map(|col| col[r].clone()).collect();
+                    db.push_row(row)
+                        .map_err(|_| DecodeError::Invalid("row does not fit the schema"))?;
+                }
+                db.reserve_nulls(next_null);
+                Ok(Checkpoint {
+                    iterations,
+                    fingerprint: header.fingerprint,
+                    db,
+                    next_null,
+                    exhausted,
+                    nulls_injected,
+                    recodings,
+                    initial_risky,
+                    warm,
+                })
+            },
+        )
     }
 
     /// File name a snapshot at this iteration boundary is stored under.
@@ -350,31 +210,32 @@ impl Checkpoint {
         format!("snapshot-{iterations}.vsnap")
     }
 
-    /// Write the snapshot atomically into `dir` through the supplied I/O
-    /// factory: encode → write `<name>.tmp` → fsync → rename. Returns
-    /// the final file name and the encoded size in bytes.
-    pub fn write_atomic(&self, dir: &Path, open: &OpenSink<'_>) -> io::Result<(String, u64)> {
+    /// Write the snapshot atomically into `dir` through `io`. Returns the
+    /// file name and the encoded size in bytes.
+    pub fn write(&self, io: &dyn DurableIo, dir: &Path) -> io::Result<(String, u64)> {
         let name = Self::file_name(self.iterations);
-        let final_path = dir.join(&name);
-        let tmp_path = dir.join(format!("{name}.tmp"));
         let bytes = self.encode();
-        {
-            let mut sink = open(&tmp_path, IoMode::Snapshot)?;
-            sink.append(&bytes)?;
-            sink.sync()?;
-        }
-        std::fs::rename(&tmp_path, &final_path)?;
-        // Make the rename itself durable: without a directory fsync the
-        // snapshot's dirent may not survive a crash even though its
-        // contents were synced above.
-        crate::journal::io::fsync_dir(dir)?;
+        write_atomic(io, FileKind::Snapshot, dir, &name, &bytes)?;
         Ok((name, bytes.len() as u64))
     }
 
-    /// Load and validate a snapshot file.
-    pub fn read(path: &Path) -> Result<Checkpoint, SnapshotError> {
-        let bytes = std::fs::read(path)?;
-        Checkpoint::decode(&bytes)
+    /// Load and validate a snapshot file of any run.
+    pub fn read(path: &Path) -> Result<Checkpoint, StorageError> {
+        Self::read_with(&FileIo, path, None)
+    }
+
+    /// Load a snapshot through `io`, refusing one whose fingerprint is
+    /// not `expected` (when given) — what recovery uses.
+    pub fn read_with(
+        io: &dyn DurableIo,
+        path: &Path,
+        expected: Option<u64>,
+    ) -> Result<Checkpoint, StorageError> {
+        let name = path.display().to_string();
+        let bytes = io
+            .read(path, FileKind::Snapshot)
+            .map_err(|e| StorageError::io(format!("read snapshot {name}"), e))?;
+        Checkpoint::decode(&name, &bytes, expected)
     }
 }
 
@@ -413,7 +274,7 @@ mod tests {
     #[test]
     fn checkpoint_roundtrips() {
         let cp = sample();
-        let back = Checkpoint::decode(&cp.encode()).unwrap();
+        let back = Checkpoint::decode("t", &cp.encode(), Some(cp.fingerprint)).unwrap();
         assert_eq!(back.iterations, cp.iterations);
         assert_eq!(back.fingerprint, cp.fingerprint);
         assert_eq!(back.exhausted, cp.exhausted);
@@ -429,26 +290,33 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_detected_not_panicking() {
+    fn foreign_fingerprints_are_refused_by_the_decoder() {
         let bytes = sample().encode();
-        for k in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[k] ^= 0x5A;
-            assert!(Checkpoint::decode(&bad).is_err(), "flip at byte {k}");
-        }
-        for k in 0..bytes.len() {
-            assert!(Checkpoint::decode(&bytes[..k]).is_err(), "prefix {k}");
-        }
+        assert!(matches!(
+            Checkpoint::decode("t", &bytes, Some(0xABCE)),
+            Err(StorageError::Fingerprint {
+                expected: 0xABCE,
+                found: 0xABCD,
+                ..
+            })
+        ));
+        assert!(Checkpoint::decode("t", &bytes, None).is_ok());
     }
 
     #[test]
-    fn version1_snapshots_are_rejected() {
-        let mut bytes = sample().encode();
-        bytes[..8].copy_from_slice(b"VADASAS1");
-        assert!(matches!(
-            Checkpoint::decode(&bytes),
-            Err(SnapshotError::BadMagic)
-        ));
+    fn older_snapshot_magics_are_refused() {
+        let mut v1 = sample().encode();
+        v1[..8].copy_from_slice(b"VADASAS1");
+        // a real version-2 snapshot, written before snapshots moved onto
+        // the shared header
+        let v2 = include_bytes!("../../../tests/golden/durable/snapshot-1.v2.vsnap");
+        assert_eq!(&v2[..8], b"VADASAS2");
+        for bytes in [&v1[..], &v2[..]] {
+            assert!(matches!(
+                Checkpoint::decode("t", bytes, None),
+                Err(StorageError::BadMagic { .. })
+            ));
+        }
     }
 
     #[test]
@@ -456,8 +324,8 @@ mod tests {
         // hand-craft a payload whose single column declares a one-entry
         // dictionary but references code 5
         let mut p = Vec::new();
-        for _ in 0..12 {
-            put_u64(&mut p, 0); // six counters + six warm-profile fields
+        for _ in 0..11 {
+            put_u64(&mut p, 0); // five counters + six warm-profile fields
         }
         put_u32(&mut p, 0); // exhausted: empty
         put_str(&mut p, "t");
@@ -465,16 +333,12 @@ mod tests {
         put_str(&mut p, "a");
         put_u32(&mut p, 1); // one row
         put_u32(&mut p, 1); // dictionary of one value
-        crate::journal::record::put_value(&mut p, &Value::Int(7));
+        put_value(&mut p, &Value::Int(7));
         put_u32(&mut p, 5); // code out of range
-        let mut out = Vec::new();
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        put_u32(&mut out, p.len() as u32);
-        put_u32(&mut out, crc32(&p));
-        out.extend_from_slice(&p);
+        let out = frame::encode(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 0, &p);
         assert!(matches!(
-            Checkpoint::decode(&out),
-            Err(SnapshotError::Corrupt(_))
+            Checkpoint::decode("t", &out, None),
+            Err(StorageError::Corrupt { .. })
         ));
     }
 
@@ -498,7 +362,7 @@ mod tests {
         // row-major would pay ~23 bytes per row for the string; the
         // dictionary pays it once plus 4 bytes of code per row
         assert!(cp.encode().len() < 500 * 8);
-        let back = Checkpoint::decode(&cp.encode()).unwrap();
+        let back = Checkpoint::decode("t", &cp.encode(), None).unwrap();
         assert_eq!(back.db.len(), 500);
         assert_eq!(
             *back.db.value(499, "Area").unwrap(),
@@ -511,10 +375,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("vadasa-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let cp = sample();
-        let open = |p: &Path, _m: IoMode| -> io::Result<Box<dyn crate::journal::io::JournalIo>> {
-            Ok(Box::new(crate::journal::io::FileJournalIo::create(p)?))
-        };
-        let (name, bytes) = cp.write_atomic(&dir, &open).unwrap();
+        let (name, bytes) = cp.write(&FileIo, &dir).unwrap();
         assert_eq!(name, "snapshot-7.vsnap");
         assert!(bytes > 0);
         assert!(!dir.join("snapshot-7.vsnap.tmp").exists());

@@ -33,7 +33,8 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use vadalog::backend::{self, wire, StorageBackend, StorageError};
+use vadalog::backend::{StorageBackend, StorageError, ARTIFACT_MAGIC};
+use vadalog::frame::{self, wire, DecodeError};
 
 /// Target codes per page (~256 KiB). The actual page holds the nearest
 /// whole number of rows so a row never straddles a page boundary.
@@ -470,7 +471,7 @@ pub fn spill_view(
         NullSemantics::Standard => 0,
         NullSemantics::MaybeMatch => 1,
     });
-    let framed = backend::encode_artifact(VIEW_ARTIFACT_VERSION, fingerprint, &payload);
+    let framed = frame::encode(ARTIFACT_MAGIC, VIEW_ARTIFACT_VERSION, fingerprint, &payload);
     store.put(name, &framed)?;
     Ok(framed.len())
 }
@@ -487,75 +488,72 @@ pub fn load_view(
     let bytes = store.get(name)?.ok_or_else(|| StorageError::Missing {
         artifact: name.to_string(),
     })?;
-    let (_, _, payload) =
-        backend::decode_artifact(name, VIEW_ARTIFACT_VERSION, expected_fingerprint, &bytes)?;
-    let corrupt = |reason: String| StorageError::Corrupt {
-        artifact: name.to_string(),
-        reason,
-    };
-    let mut r = wire::Reader::new(&payload);
-    let width = r.u32().map_err(&corrupt)? as usize;
+    frame::decode(
+        name,
+        ARTIFACT_MAGIC,
+        VIEW_ARTIFACT_VERSION,
+        expected_fingerprint,
+        &bytes,
+        |r, _| decode_view(r, risk_threads),
+    )
+}
+
+fn decode_view(
+    r: &mut wire::Reader<'_>,
+    risk_threads: usize,
+) -> Result<MicrodataView, DecodeError> {
+    let width = r.count()?;
     if width > 64 {
-        return Err(corrupt(format!(
-            "width {width} exceeds the 64-column limit"
-        )));
+        return Err(DecodeError::Invalid("width exceeds the 64-column limit"));
     }
     let mut qi_names = Vec::with_capacity(width);
     for _ in 0..width {
-        qi_names.push(r.string().map_err(&corrupt)?);
+        qi_names.push(r.string()?);
     }
     let mut dicts = Vec::with_capacity(width);
     for _ in 0..width {
-        let nvals = r.u32().map_err(&corrupt)? as usize;
-        if nvals > r.remaining() {
-            return Err(corrupt("dictionary size exceeds payload".into()));
-        }
+        let nvals = r.count()?;
         let mut dict = ColumnDict::new();
         for _ in 0..nvals {
-            let v = r.value().map_err(&corrupt)?;
-            dict.intern(&v);
+            dict.intern(&r.value()?);
         }
         if dict.len() != nvals {
-            return Err(corrupt("duplicate value in column dictionary".into()));
+            return Err(DecodeError::Invalid("duplicate value in column dictionary"));
         }
         dicts.push(dict);
     }
-    let rows = r.u32().map_err(&corrupt)? as usize;
+    let rows = r.u32()? as usize;
     if rows.saturating_mul(width.max(1)) > r.remaining() {
-        return Err(corrupt("row count exceeds payload".into()));
+        return Err(DecodeError::Truncated);
     }
     let mut null_masks = Vec::with_capacity(rows);
     for _ in 0..rows {
-        null_masks.push(r.u64().map_err(&corrupt)?);
+        null_masks.push(r.u64()?);
     }
     let mut codes = Vec::with_capacity(rows * width);
-    for _ in 0..rows * width {
-        codes.push(r.u32().map_err(&corrupt)?);
-    }
-    for (i, &c) in codes.iter().enumerate() {
-        if c as usize >= dicts[i % width.max(1)].len() {
-            return Err(corrupt(format!("code {c} outside its column dictionary")));
+    for i in 0..rows * width {
+        let c = r.u32()?;
+        if c as usize >= dicts[i % width].len() {
+            return Err(DecodeError::Invalid("code outside its column dictionary"));
         }
+        codes.push(c);
     }
-    let weights = match r.u8().map_err(&corrupt)? {
+    let weights = match r.u8()? {
         0 => None,
         1 => {
             let mut ws = Vec::with_capacity(rows);
             for _ in 0..rows {
-                ws.push(f64::from_bits(r.u64().map_err(&corrupt)?));
+                ws.push(f64::from_bits(r.u64()?));
             }
             Some(ws)
         }
-        t => return Err(corrupt(format!("unknown weights tag {t}"))),
+        t => return Err(DecodeError::BadTag(t)),
     };
-    let semantics = match r.u8().map_err(&corrupt)? {
+    let semantics = match r.u8()? {
         0 => NullSemantics::Standard,
         1 => NullSemantics::MaybeMatch,
-        t => return Err(corrupt(format!("unknown semantics tag {t}"))),
+        t => return Err(DecodeError::BadTag(t)),
     };
-    if !r.done() {
-        return Err(corrupt("trailing bytes after view".into()));
-    }
     MicrodataView::from_parts(
         qi_names,
         dicts,
@@ -565,7 +563,7 @@ pub fn load_view(
         semantics,
         risk_threads,
     )
-    .map_err(|e| corrupt(e.to_string()))
+    .map_err(|_| DecodeError::Invalid("view parts do not fit together"))
 }
 
 // --- the cycle's warm-statistics artifact ------------------------------
@@ -596,7 +594,7 @@ pub fn encode_warm_stats(iterations: u64, fingerprint: u64, stats: &GroupStats) 
     for &s in &stats.weight_sum {
         wire::put_u64(&mut payload, s.to_bits());
     }
-    backend::encode_artifact(WARM_STATS_VERSION, fingerprint, &payload)
+    frame::encode(ARTIFACT_MAGIC, WARM_STATS_VERSION, fingerprint, &payload)
 }
 
 /// Decode a persisted warm-statistics artifact. Total; structured errors
@@ -605,35 +603,33 @@ pub fn decode_warm_stats(
     bytes: &[u8],
     expected_fingerprint: Option<u64>,
 ) -> Result<WarmStats, StorageError> {
-    let artifact = WARM_STATS_ARTIFACT;
-    let (_, fingerprint, payload) =
-        backend::decode_artifact(artifact, WARM_STATS_VERSION, expected_fingerprint, bytes)?;
-    let corrupt = |reason: String| StorageError::Corrupt {
-        artifact: artifact.to_string(),
-        reason,
-    };
-    let mut r = wire::Reader::new(&payload);
-    let iterations = r.u64().map_err(&corrupt)?;
-    let n = r.u32().map_err(&corrupt)? as usize;
-    if n.saturating_mul(16) > r.remaining() {
-        return Err(corrupt("stats length exceeds payload".into()));
-    }
-    let mut count = Vec::with_capacity(n);
-    for _ in 0..n {
-        count.push(r.u64().map_err(&corrupt)? as usize);
-    }
-    let mut weight_sum = Vec::with_capacity(n);
-    for _ in 0..n {
-        weight_sum.push(f64::from_bits(r.u64().map_err(&corrupt)?));
-    }
-    if !r.done() {
-        return Err(corrupt("trailing bytes after stats".into()));
-    }
-    Ok(WarmStats {
-        iterations,
-        fingerprint,
-        stats: GroupStats { count, weight_sum },
-    })
+    frame::decode(
+        WARM_STATS_ARTIFACT,
+        ARTIFACT_MAGIC,
+        WARM_STATS_VERSION,
+        expected_fingerprint,
+        bytes,
+        |r, header| {
+            let iterations = r.u64()?;
+            let n = r.u32()? as usize;
+            if n.saturating_mul(16) > r.remaining() {
+                return Err(DecodeError::Truncated);
+            }
+            let mut count = Vec::with_capacity(n);
+            for _ in 0..n {
+                count.push(r.u64()? as usize);
+            }
+            let mut weight_sum = Vec::with_capacity(n);
+            for _ in 0..n {
+                weight_sum.push(f64::from_bits(r.u64()?));
+            }
+            Ok(WarmStats {
+                iterations,
+                fingerprint: header.fingerprint,
+                stats: GroupStats { count, weight_sum },
+            })
+        },
+    )
 }
 
 #[cfg(test)]
@@ -834,38 +830,7 @@ mod tests {
     }
 
     #[test]
-    fn hostile_view_artifacts_never_panic() {
-        let mut store = MemBackend::new();
-        let view = sample_view(40, 3, false);
-        spill_view(&view, &mut store, "v", 5).unwrap();
-        let good = store.get("v").unwrap().unwrap();
-        for k in 0..good.len() {
-            assert!(
-                load_view_from_bytes(&good[..k]).is_err(),
-                "truncation at {k} must error"
-            );
-        }
-        for k in 0..good.len() {
-            let mut bad = good.clone();
-            bad[k] ^= 0xFF;
-            let _ = load_view_from_bytes(&bad); // must not panic (may even decode if CRC collides — it cannot — but the call itself is the assertion)
-        }
-    }
-
-    fn load_view_from_bytes(bytes: &[u8]) -> Result<MicrodataView, StorageError> {
-        let mut store = MemBackend::new();
-        if !bytes.is_empty() {
-            store.put("x", bytes).unwrap();
-            load_view(&store, "x", None, 1)
-        } else {
-            Err(StorageError::Missing {
-                artifact: "x".into(),
-            })
-        }
-    }
-
-    #[test]
-    fn warm_stats_roundtrip_and_hostile_bytes() {
+    fn warm_stats_roundtrip_and_fingerprint_check() {
         let stats = GroupStats {
             count: vec![3, 3, 1, 3],
             weight_sum: vec![6.0, 6.0, 2.5, 6.0],
@@ -882,11 +847,5 @@ mod tests {
             decode_warm_stats(&framed, Some(0xABCE)),
             Err(StorageError::Fingerprint { .. })
         ));
-        for k in 0..framed.len() {
-            assert!(decode_warm_stats(&framed[..k], None).is_err());
-            let mut bad = framed.clone();
-            bad[k] ^= 0x55;
-            let _ = decode_warm_stats(&bad, Some(0xABCD)); // total, never panics
-        }
     }
 }

@@ -35,7 +35,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vadalog::backend::{ArtifactIo, FileBackend, StorageBackend, StorageEngine};
+use vadalog::backend::{FileBackend, StorageBackend, StorageEngine};
 use vadalog::CancelToken;
 use vadasa_obs::metrics::MetricsRegistry;
 use vadasa_obs::{fields, next_span_id, Collector, Obs};
@@ -103,26 +103,16 @@ pub enum BatchStrategy {
 /// future version, stale iteration count — is discarded and the first
 /// evaluation regroups from the recovered table, converging to the
 /// bit-identical result.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct StorageOptions {
-    /// Which storage engine backs persisted warm artifacts.
+    /// Which storage engine backs persisted warm artifacts. The file
+    /// engine keeps them in the journal's directory, behind the
+    /// journal's [`io`](crate::journal::JournalConfig::io).
     pub engine: StorageEngine,
-    /// Artifact byte-I/O override for fault injection (see
-    /// [`crate::faults::faulty_artifact_io`]); `None` uses real files.
-    /// Ignored under the in-memory engine.
-    pub artifact_io: Option<Arc<dyn ArtifactIo>>,
-}
-
-impl fmt::Debug for StorageOptions {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StorageOptions")
-            .field("engine", &self.engine)
-            .field(
-                "artifact_io",
-                &self.artifact_io.as_ref().map(|_| "<injected>"),
-            )
-            .finish()
-    }
+    /// Keeps struct literals ending in `..StorageOptions::default()`, so
+    /// a new field does not break them.
+    #[doc(hidden)]
+    pub _non_exhaustive: (),
 }
 
 /// Cycle configuration.
@@ -810,11 +800,7 @@ impl<'a> AnonymizationCycle<'a> {
         let mut artifact_store: Option<FileBackend> = None;
         if self.config.storage.engine == StorageEngine::File {
             if let Some(jcfg) = &self.config.journal {
-                let opened = match &self.config.storage.artifact_io {
-                    Some(io) => FileBackend::with_io(&jcfg.dir, Arc::clone(io)),
-                    None => FileBackend::create(&jcfg.dir),
-                };
-                match opened {
+                match FileBackend::with_io(&jcfg.dir, Arc::clone(&jcfg.io)) {
                     Ok(b) => artifact_store = Some(b),
                     Err(_) => profile.warm.persist_errors += 1,
                 }

@@ -5,7 +5,9 @@
 //! [`FaultPlan`] can make them panic at a chosen call ordinal, flip a
 //! [`CancelToken`] mid-run, or pair with budget/deadline configuration —
 //! always at the *same* point for the same seed, so a failing scenario
-//! reproduces exactly.
+//! reproduces exactly. [`faulty_io`] does the same for the durable files
+//! (journal, snapshots, warm artifacts): one [`IoFault`] aimed at the
+//! [`FileKind`]s it names.
 //!
 //! The harness lives in the library (not the test tree) so integration
 //! tests, benches and downstream consumers can all drive the same
@@ -14,8 +16,6 @@
 
 use crate::anonymize::{AnonymizationAction, AnonymizeError, Anonymizer};
 use crate::dictionary::MetadataDictionary;
-use crate::journal::io::{FileJournalIo, IoMode, JournalIo};
-use crate::journal::IoFactory;
 use crate::model::MicrodataDb;
 use crate::risk::{MicrodataView, RiskError, RiskMeasure, RiskReport};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -24,7 +24,7 @@ use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use vadalog::backend::{ArtifactIo, RealArtifactIo};
+use vadalog::backend::{DurableIo, FileIo, FileKind, Sink};
 use vadalog::CancelToken;
 
 /// One injectable fault.
@@ -230,152 +230,230 @@ impl Anonymizer for FaultyAnonymizer<'_> {
     }
 }
 
-/// One injectable journal-I/O fault, applied by [`FaultyJournalIo`] at a
-/// chosen operation ordinal. Ordinals count `append` calls (for write
-/// faults) or `sync` calls (for sync faults) across the whole run,
-/// 1-based, journal and snapshot streams together.
+/// One injectable I/O fault, applied by [`faulty_io`] to the file kinds
+/// it names. Write-side ordinals are 1-based and count only the appends
+/// (or syncs, or bytes) on those kinds, across every file the injector
+/// opens — including across the retry attempts of a job that reuses it.
+/// Read-side faults hit every read of those kinds.
+///
+/// The matrix contract (`tests/durable_matrix.rs`): every one of these,
+/// injected anywhere, ends in a structured error or a documented
+/// fallback with the reference outcome — never a panic, never silent
+/// divergence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalFault {
+pub enum IoFault {
     /// The `n`-th append persists only the first `k` bytes of its buffer
     /// and then errors — a torn write, the canonical crash shape.
-    ShortWriteThenError {
-        /// Which append call tears, counting from 1.
+    TornWrite {
+        /// Which append tears, counting from 1.
         at_append: usize,
         /// How many bytes of that buffer still land on disk.
         keep_bytes: usize,
     },
     /// The `n`-th append fails outright, persisting nothing.
     WriteError {
-        /// Which append call fails, counting from 1.
+        /// Which append fails, counting from 1.
         at_append: usize,
     },
     /// The `n`-th fsync fails (data may or may not be durable — the
     /// recovery contract must hold either way).
     SyncError {
-        /// Which sync call fails, counting from 1.
+        /// Which sync fails, counting from 1.
         at_sync: usize,
     },
-    /// Every append from the `n`-th on fails with `ENOSPC`-like errors,
-    /// as a full disk does.
+    /// Every append from the `n`-th on fails with `ENOSPC`, as a full
+    /// disk does.
     FullDisk {
-        /// First failing append call, counting from 1.
+        /// First failing append, counting from 1.
         from_append: usize,
     },
     /// Every byte up to the `k`-th is persisted normally; at the `k`-th
-    /// byte the process "crashes": the write stops there and every later
-    /// operation fails. Sweeping `k` over a reference journal's length
-    /// yields a kill point at every record boundary and mid-record.
+    /// the process "crashes": the write stops there and every later
+    /// append and sync fails. Sweeping `k` over a reference file's length
+    /// gives a kill point at every byte.
     CrashAfterBytes {
-        /// Total journal bytes persisted before the crash.
+        /// Total bytes persisted before the crash.
         bytes: usize,
     },
-    /// The first `failing` appends fail transiently (persisting
-    /// nothing); every later append succeeds. Because the factory's
-    /// ordinal counter is shared across every sink it opens — including
-    /// across *retry attempts* that reuse the same factory — this models
-    /// a fault that heals by the time a supervisor retries the job: the
-    /// canonical transient-then-ok shape the server's retry/backoff path
-    /// must absorb.
+    /// The first `failing` appends fail transiently (persisting nothing);
+    /// every later one succeeds — a fault that heals by the time a
+    /// supervisor retries the job.
     TransientAppends {
         /// How many leading appends fail, counting from 1.
         failing: usize,
     },
+    /// Reads succeed but return a corrupt page: the byte at
+    /// `flip_byte % len` comes back bit-flipped.
+    CorruptOnRead {
+        /// Which byte of the file is flipped (wrapped into range).
+        flip_byte: usize,
+    },
+    /// Every read is denied (`EACCES`) — the reopen-denied shape a
+    /// permissions change or a stale NFS handle produces.
+    ReopenDenied,
+    /// Reads return an alien file: the first eight bytes are replaced.
+    AlienMagic,
+    /// Reads return the header's format version as `u32::MAX`, as a file
+    /// written by a much newer build would carry.
+    FutureVersion,
 }
 
-impl fmt::Display for JournalFault {
+impl fmt::Display for IoFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JournalFault::ShortWriteThenError {
+            IoFault::TornWrite {
                 at_append,
                 keep_bytes,
-            } => write!(
-                f,
-                "short write at append #{at_append} (keeps {keep_bytes}B)"
-            ),
-            JournalFault::WriteError { at_append } => {
-                write!(f, "write error at append #{at_append}")
-            }
-            JournalFault::SyncError { at_sync } => write!(f, "fsync failure at sync #{at_sync}"),
-            JournalFault::FullDisk { from_append } => {
-                write!(f, "disk full from append #{from_append}")
-            }
-            JournalFault::CrashAfterBytes { bytes } => write!(f, "crash after {bytes} bytes"),
-            JournalFault::TransientAppends { failing } => {
+            } => write!(f, "torn write at append #{at_append} (keeps {keep_bytes}B)"),
+            IoFault::WriteError { at_append } => write!(f, "write error at append #{at_append}"),
+            IoFault::SyncError { at_sync } => write!(f, "fsync failure at sync #{at_sync}"),
+            IoFault::FullDisk { from_append } => write!(f, "disk full from append #{from_append}"),
+            IoFault::CrashAfterBytes { bytes } => write!(f, "crash after {bytes} bytes"),
+            IoFault::TransientAppends { failing } => {
                 write!(f, "first {failing} append(s) fail transiently")
             }
+            IoFault::CorruptOnRead { flip_byte } => {
+                write!(f, "corrupt page: byte {flip_byte} flipped on read")
+            }
+            IoFault::ReopenDenied => write!(f, "reopen denied"),
+            IoFault::AlienMagic => write!(f, "alien magic on read"),
+            IoFault::FutureVersion => write!(f, "future format version on read"),
         }
     }
 }
 
-/// Shared fault state so one [`JournalFault`] spans every sink a run
-/// opens (the journal file and each snapshot temp file).
-struct JournalFaultState {
-    fault: JournalFault,
+/// The kinds a journal fault hits: the journal and its snapshots, so
+/// warm artifacts beside them stay healthy.
+pub const JOURNAL_KINDS: &[FileKind] = &[FileKind::Journal, FileKind::Snapshot];
+
+/// One fault's aim and counters, shared by every sink the injector opens.
+#[derive(Debug)]
+struct FaultState {
+    fault: IoFault,
+    kinds: Vec<FileKind>,
     appends: AtomicUsize,
     syncs: AtomicUsize,
     bytes: AtomicUsize,
 }
 
-/// A [`JournalIo`] wrapper that injects the planned fault and otherwise
-/// delegates to a real file sink.
-pub struct FaultyJournalIo {
-    inner: FileJournalIo,
-    state: Arc<JournalFaultState>,
+/// A [`DurableIo`] injecting one [`IoFault`] into the file kinds it
+/// names and doing real file I/O everywhere else.
+#[derive(Debug)]
+struct FaultyIo(Arc<FaultState>);
+
+/// Build a [`DurableIo`] injecting `fault` into every file of `kinds`,
+/// for [`JournalConfig::io`](crate::journal::JournalConfig::io) or
+/// [`FileBackend::with_io`](vadalog::backend::FileBackend::with_io).
+pub fn faulty_io(fault: IoFault, kinds: &[FileKind]) -> Arc<dyn DurableIo> {
+    Arc::new(FaultyIo(Arc::new(FaultState {
+        fault,
+        kinds: kinds.to_vec(),
+        appends: AtomicUsize::new(0),
+        syncs: AtomicUsize::new(0),
+        bytes: AtomicUsize::new(0),
+    })))
 }
 
-impl JournalIo for FaultyJournalIo {
+impl DurableIo for FaultyIo {
+    fn open(&self, path: &Path, kind: FileKind) -> io::Result<Box<dyn Sink>> {
+        let inner = FileIo.open(path, kind)?;
+        if !self.0.kinds.contains(&kind) {
+            return Ok(inner);
+        }
+        Ok(Box::new(FaultySink {
+            inner,
+            state: Arc::clone(&self.0),
+        }))
+    }
+
+    fn read(&self, path: &Path, kind: FileKind) -> io::Result<Vec<u8>> {
+        if !self.0.kinds.contains(&kind) {
+            return FileIo.read(path, kind);
+        }
+        if self.0.fault == IoFault::ReopenDenied {
+            return Err(io::Error::new(
+                io::ErrorKind::PermissionDenied,
+                "injected reopen denial",
+            ));
+        }
+        let mut bytes = FileIo.read(path, kind)?;
+        match self.0.fault {
+            IoFault::CorruptOnRead { flip_byte } if !bytes.is_empty() => {
+                let i = flip_byte % bytes.len();
+                bytes[i] ^= 0x40;
+            }
+            IoFault::AlienMagic => {
+                for (b, alien) in bytes.iter_mut().zip(b"NOTAVADA") {
+                    *b = *alien;
+                }
+            }
+            IoFault::FutureVersion if bytes.len() >= 12 => {
+                bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+            }
+            _ => {}
+        }
+        Ok(bytes)
+    }
+}
+
+/// A real sink with the planned write-side fault in front of it.
+struct FaultySink {
+    inner: Box<dyn Sink>,
+    state: Arc<FaultState>,
+}
+
+impl FaultySink {
+    /// Persist a prefix of `buf` (really, synced) and report the tear.
+    fn tear(&mut self, buf: &[u8], keep: usize, why: &str) -> io::Result<()> {
+        self.inner.append(&buf[..keep.min(buf.len())])?;
+        let _ = self.inner.sync();
+        Err(io::Error::other(why.to_string()))
+    }
+}
+
+impl Sink for FaultySink {
     fn append(&mut self, buf: &[u8]) -> io::Result<()> {
         let call = self.state.appends.fetch_add(1, Ordering::Relaxed) + 1;
         match self.state.fault {
-            JournalFault::ShortWriteThenError {
+            IoFault::TornWrite {
                 at_append,
                 keep_bytes,
-            } if call == at_append => {
-                let keep = keep_bytes.min(buf.len());
-                self.inner.append(&buf[..keep])?;
-                let _ = self.inner.sync(); // the torn prefix really lands
-                Err(io::Error::other("injected short write"))
-            }
-            JournalFault::WriteError { at_append } if call == at_append => {
+            } if call == at_append => self.tear(buf, keep_bytes, "injected torn write"),
+            IoFault::WriteError { at_append } if call == at_append => {
                 Err(io::Error::other("injected write error"))
             }
-            JournalFault::TransientAppends { failing } if call <= failing => Err(io::Error::new(
+            IoFault::TransientAppends { failing } if call <= failing => Err(io::Error::new(
                 io::ErrorKind::Interrupted,
                 "injected transient append failure",
             )),
-            JournalFault::FullDisk { from_append } if call >= from_append => Err(io::Error::new(
+            IoFault::FullDisk { from_append } if call >= from_append => Err(io::Error::new(
                 io::ErrorKind::StorageFull,
                 "injected disk full",
             )),
-            JournalFault::CrashAfterBytes { bytes } => {
+            IoFault::CrashAfterBytes { bytes } => {
                 let written = self.state.bytes.load(Ordering::Relaxed);
                 if written >= bytes {
                     return Err(io::Error::other("injected crash"));
                 }
                 let keep = (bytes - written).min(buf.len());
-                self.inner.append(&buf[..keep])?;
-                let _ = self.inner.sync();
                 self.state.bytes.fetch_add(keep, Ordering::Relaxed);
                 if keep < buf.len() {
-                    Err(io::Error::other("injected crash"))
+                    self.tear(buf, keep, "injected crash")
                 } else {
-                    Ok(())
+                    self.inner.append(buf)
                 }
             }
-            _ => {
-                self.state.bytes.fetch_add(buf.len(), Ordering::Relaxed);
-                self.inner.append(buf)
-            }
+            _ => self.inner.append(buf),
         }
     }
 
     fn sync(&mut self) -> io::Result<()> {
         let call = self.state.syncs.fetch_add(1, Ordering::Relaxed) + 1;
         match self.state.fault {
-            JournalFault::SyncError { at_sync } if call == at_sync => {
+            IoFault::SyncError { at_sync } if call == at_sync => {
                 Err(io::Error::other("injected fsync failure"))
             }
-            JournalFault::CrashAfterBytes { bytes }
+            IoFault::CrashAfterBytes { bytes }
                 if self.state.bytes.load(Ordering::Relaxed) >= bytes =>
             {
                 Err(io::Error::other("injected crash"))
@@ -383,225 +461,6 @@ impl JournalIo for FaultyJournalIo {
             _ => self.inner.sync(),
         }
     }
-}
-
-/// Build a [`JournalConfig::io_factory`](crate::journal::JournalConfig)
-/// that injects `fault` into every sink the run opens. Ordinals are
-/// counted across all sinks, so one plan covers journal appends and
-/// snapshot writes alike.
-pub fn faulty_io_factory(fault: JournalFault) -> IoFactory {
-    let state = Arc::new(JournalFaultState {
-        fault,
-        appends: AtomicUsize::new(0),
-        syncs: AtomicUsize::new(0),
-        bytes: AtomicUsize::new(0),
-    });
-    Arc::new(move |path: &Path, mode: IoMode| {
-        let inner = match mode {
-            IoMode::Journal => FileJournalIo::append_create(path)?,
-            IoMode::Snapshot => FileJournalIo::create(path)?,
-        };
-        Ok(Box::new(FaultyJournalIo {
-            inner,
-            state: state.clone(),
-        }) as Box<dyn JournalIo>)
-    })
-}
-
-/// One injectable artifact-storage fault, applied by the [`ArtifactIo`]
-/// built with [`faulty_artifact_io`] and slotted under a
-/// [`FileBackend`](vadalog::backend::FileBackend). Write ordinals are
-/// 1-based and shared across every artifact the backend touches, so one
-/// plan covers a whole run's persistence traffic.
-///
-/// The matrix contract (see `tests/storage_matrix.rs`): every one of
-/// these, injected at any point, must surface as a **structured
-/// [`StorageError`](vadalog::backend::StorageError)** or a **documented
-/// cold fallback** — never a panic, never silent divergence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageFault {
-    /// The `n`-th write persists only the first `k` bytes of its buffer
-    /// and then errors — a torn artifact write. The atomic-replace
-    /// protocol (tmp + rename) must keep the previous artifact visible.
-    TornWrite {
-        /// Which write call tears, counting from 1.
-        at_write: usize,
-        /// How many bytes of that buffer still land on disk.
-        keep_bytes: usize,
-    },
-    /// Every write from the `n`-th on fails with an `ENOSPC`-like error.
-    FullDisk {
-        /// First failing write call, counting from 1.
-        from_write: usize,
-    },
-    /// Every byte up to the `k`-th (cumulative across writes) persists;
-    /// then the process "crashes" — the write stops and all later writes
-    /// fail. Sweeping `k` over a reference artifact's length gives a
-    /// kill point at every byte.
-    CrashAfterBytes {
-        /// Total artifact bytes persisted before the crash.
-        bytes: usize,
-    },
-    /// Reads succeed but return a corrupt page: the byte at
-    /// `flip_byte % len` comes back bit-flipped.
-    CorruptOnRead {
-        /// Which byte of the artifact is flipped (wrapped into range).
-        flip_byte: usize,
-    },
-    /// Every read is denied (`EACCES`-like) — the reopen-denied shape a
-    /// permissions change or stale NFS handle produces.
-    ReopenDenied,
-    /// Reads return an alien file: the artifact magic is replaced.
-    AlienMagic,
-    /// Reads return the artifact with its format version bumped to
-    /// `u32::MAX`, as a file written by a much newer build would carry.
-    FutureVersion,
-}
-
-impl fmt::Display for StorageFault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StorageFault::TornWrite {
-                at_write,
-                keep_bytes,
-            } => write!(f, "torn write at write #{at_write} (keeps {keep_bytes}B)"),
-            StorageFault::FullDisk { from_write } => {
-                write!(f, "disk full from write #{from_write}")
-            }
-            StorageFault::CrashAfterBytes { bytes } => {
-                write!(f, "crash after {bytes} artifact bytes")
-            }
-            StorageFault::CorruptOnRead { flip_byte } => {
-                write!(f, "corrupt page: byte {flip_byte} flipped on read")
-            }
-            StorageFault::ReopenDenied => write!(f, "artifact reopen denied"),
-            StorageFault::AlienMagic => write!(f, "alien magic on read"),
-            StorageFault::FutureVersion => write!(f, "future format version on read"),
-        }
-    }
-}
-
-impl StorageFault {
-    /// The canonical storage fault matrix: one representative of every
-    /// fault family, with fixed early ordinals so each fault actually
-    /// fires on small workloads. Tests extend this with swept ordinals
-    /// (`CrashAfterBytes` over a reference artifact's length).
-    pub fn matrix() -> Vec<StorageFault> {
-        vec![
-            StorageFault::TornWrite {
-                at_write: 1,
-                keep_bytes: 7,
-            },
-            StorageFault::TornWrite {
-                at_write: 2,
-                keep_bytes: 0,
-            },
-            StorageFault::FullDisk { from_write: 1 },
-            StorageFault::FullDisk { from_write: 2 },
-            StorageFault::CrashAfterBytes { bytes: 0 },
-            StorageFault::CrashAfterBytes { bytes: 13 },
-            StorageFault::CorruptOnRead { flip_byte: 3 },
-            StorageFault::CorruptOnRead { flip_byte: 40 },
-            StorageFault::ReopenDenied,
-            StorageFault::AlienMagic,
-            StorageFault::FutureVersion,
-        ]
-    }
-}
-
-/// Shared fault state so one [`StorageFault`]'s ordinals span every
-/// artifact a backend touches.
-struct StorageFaultState {
-    fault: StorageFault,
-    writes: AtomicUsize,
-    bytes: AtomicUsize,
-}
-
-/// An [`ArtifactIo`] that injects the planned [`StorageFault`] and
-/// otherwise performs real file I/O.
-pub struct FaultyArtifactIo {
-    inner: RealArtifactIo,
-    state: Arc<StorageFaultState>,
-}
-
-impl ArtifactIo for FaultyArtifactIo {
-    fn write(&self, path: &Path, buf: &[u8]) -> io::Result<()> {
-        let call = self.state.writes.fetch_add(1, Ordering::Relaxed) + 1;
-        match self.state.fault {
-            StorageFault::TornWrite {
-                at_write,
-                keep_bytes,
-            } if call == at_write => {
-                let keep = keep_bytes.min(buf.len());
-                self.inner.write(path, &buf[..keep])?;
-                Err(io::Error::other("injected torn artifact write"))
-            }
-            StorageFault::FullDisk { from_write } if call >= from_write => Err(io::Error::new(
-                io::ErrorKind::StorageFull,
-                "injected disk full",
-            )),
-            StorageFault::CrashAfterBytes { bytes } => {
-                let written = self.state.bytes.load(Ordering::Relaxed);
-                if written >= bytes {
-                    return Err(io::Error::other("injected crash"));
-                }
-                let keep = (bytes - written).min(buf.len());
-                self.inner.write(path, &buf[..keep])?;
-                self.state.bytes.fetch_add(keep, Ordering::Relaxed);
-                if keep < buf.len() {
-                    Err(io::Error::other("injected crash"))
-                } else {
-                    Ok(())
-                }
-            }
-            _ => self.inner.write(path, buf),
-        }
-    }
-
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        match self.state.fault {
-            StorageFault::ReopenDenied => Err(io::Error::new(
-                io::ErrorKind::PermissionDenied,
-                "injected reopen denial",
-            )),
-            StorageFault::CorruptOnRead { flip_byte } => {
-                let mut bytes = self.inner.read(path)?;
-                if !bytes.is_empty() {
-                    let i = flip_byte % bytes.len();
-                    bytes[i] ^= 0x40;
-                }
-                Ok(bytes)
-            }
-            StorageFault::AlienMagic => {
-                let mut bytes = self.inner.read(path)?;
-                for (i, b) in bytes.iter_mut().take(8).enumerate() {
-                    *b = b"NOTAVADA"[i];
-                }
-                Ok(bytes)
-            }
-            StorageFault::FutureVersion => {
-                let mut bytes = self.inner.read(path)?;
-                if bytes.len() >= 12 {
-                    bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-                }
-                Ok(bytes)
-            }
-            _ => self.inner.read(path),
-        }
-    }
-}
-
-/// Build an [`ArtifactIo`] injecting `fault`, for
-/// [`FileBackend::with_io`](vadalog::backend::FileBackend::with_io).
-pub fn faulty_artifact_io(fault: StorageFault) -> Arc<dyn ArtifactIo> {
-    Arc::new(FaultyArtifactIo {
-        inner: RealArtifactIo,
-        state: Arc::new(StorageFaultState {
-            fault,
-            writes: AtomicUsize::new(0),
-            bytes: AtomicUsize::new(0),
-        }),
-    })
 }
 
 /// Server-level fault injection: what a *job* submitted to the
@@ -626,8 +485,8 @@ pub struct ServerFault {
     /// evaluation (1-based) — the in-cycle plug-in-panic path, handled
     /// by the cycle's own isolation per its fallback policy.
     pub risk_panic_at_eval: Option<usize>,
-    /// Arm a [`JournalFault::TransientAppends`] I/O factory: the first
-    /// `n` journal appends fail, later ones succeed. With the default
+    /// Arm an [`IoFault::TransientAppends`] injector on the journal and
+    /// its snapshots: the first `n` appends fail, later ones succeed. With the default
     /// fail-fast I/O policy the first attempt dies with a transient
     /// journal error and the retry converges — the retry/backoff path.
     pub transient_appends: Option<usize>,
@@ -709,17 +568,44 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("vadasa-transient-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let factory = faulty_io_factory(JournalFault::TransientAppends { failing: 2 });
+        let io = faulty_io(IoFault::TransientAppends { failing: 2 }, JOURNAL_KINDS);
+        // An artifact is not aimed at: its append neither fails nor counts.
+        let mut art = io.open(&dir.join("x.vart"), FileKind::Artifact).unwrap();
+        art.append(b"a").unwrap();
         // First sink: both appends fail (ordinals 1 and 2)...
-        let mut a = factory(&dir.join("a.wal"), IoMode::Journal).unwrap();
+        let mut a = io.open(&dir.join("a.wal"), FileKind::Journal).unwrap();
         assert!(a.append(b"x").is_err());
         assert!(a.append(b"y").is_err());
-        // ...and a *new* sink from the same factory — a retry attempt —
+        // ...and a *new* sink from the same injector — a retry attempt —
         // continues the shared count, so its appends succeed.
-        let mut b = factory(&dir.join("b.wal"), IoMode::Journal).unwrap();
+        let mut b = io.open(&dir.join("b.wal"), FileKind::Journal).unwrap();
         b.append(b"z").unwrap();
         b.sync().unwrap();
         assert_eq!(std::fs::read(dir.join("b.wal")).unwrap(), b"z");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_faults_hit_only_their_kinds() {
+        let dir = std::env::temp_dir().join(format!("vadasa-readfault-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("f");
+        std::fs::write(&path, b"VADASAW1\x01\0\0\0rest").unwrap();
+        let read = |fault, kind| faulty_io(fault, &[FileKind::Artifact]).read(&path, kind);
+        assert_eq!(
+            read(IoFault::ReopenDenied, FileKind::Artifact)
+                .unwrap_err()
+                .kind(),
+            io::ErrorKind::PermissionDenied
+        );
+        assert!(read(IoFault::ReopenDenied, FileKind::Snapshot).is_ok());
+        let alien = read(IoFault::AlienMagic, FileKind::Artifact).unwrap();
+        assert_eq!(&alien[..8], b"NOTAVADA");
+        let future = read(IoFault::FutureVersion, FileKind::Artifact).unwrap();
+        assert_eq!(&future[8..12], &u32::MAX.to_le_bytes());
+        let flipped = read(IoFault::CorruptOnRead { flip_byte: 1 }, FileKind::Artifact).unwrap();
+        assert_eq!(flipped[1], b'A' ^ 0x40);
         std::fs::remove_dir_all(&dir).ok();
     }
 

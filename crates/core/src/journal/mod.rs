@@ -14,7 +14,6 @@
 //! iteration boundaries are exactly the points where no intra-iteration
 //! state is live.
 
-pub mod io;
 pub mod record;
 
 use crate::checkpoint::Checkpoint;
@@ -22,13 +21,14 @@ use crate::cycle::CycleConfig;
 use crate::dictionary::MetadataDictionary;
 use crate::explain::{AuditLog, Decision};
 use crate::model::MicrodataDb;
-use io::{FileJournalIo, IoMode, JournalIo};
 use record::{JournalRecord, MAGIC};
 use std::collections::HashSet;
 use std::fmt;
 use std::io as stdio;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
+use vadalog::backend::{fsync_dir, DurableIo, FileIo, FileKind, Sink};
+use vadalog::frame::Fnv1a;
 
 /// Name of the write-ahead journal file inside the journal directory.
 pub const JOURNAL_FILE: &str = "journal.wal";
@@ -60,17 +60,13 @@ pub enum IoErrorPolicy {
     Disable,
 }
 
-/// Factory for the byte sinks the journal writes through. Production
-/// leaves it `None` (plain files); the fault harness injects failing
-/// implementations per [`IoMode`].
-pub type IoFactory = Arc<dyn Fn(&Path, IoMode) -> stdio::Result<Box<dyn JournalIo>> + Send + Sync>;
-
 /// Journal configuration, carried on
 /// [`CycleConfig::journal`](crate::cycle::CycleConfig::journal).
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct JournalConfig {
-    /// Directory holding `journal.wal` and `snapshot-*.vsnap` files.
-    /// Created if missing.
+    /// Directory holding `journal.wal`, `snapshot-*.vsnap` files and,
+    /// under the file storage engine, the run's warm artifacts. Created
+    /// if missing.
     pub dir: PathBuf,
     /// Durability policy.
     pub sync: SyncPolicy,
@@ -80,51 +76,28 @@ pub struct JournalConfig {
     pub snapshot_every: Option<u32>,
     /// Reaction to journal I/O failure.
     pub on_io_error: IoErrorPolicy,
-    /// Byte-sink factory override for fault injection.
-    pub io_factory: Option<IoFactory>,
+    /// The I/O every read and write in `dir` goes through — journal,
+    /// snapshots and warm artifacts. The fault harness swaps in
+    /// [`crate::faults::faulty_io`].
+    pub io: Arc<dyn DurableIo>,
 }
 
 impl JournalConfig {
     /// Journal into `dir` with default policies: fsync every record,
-    /// snapshot every 16 iterations, fail on I/O errors.
+    /// snapshot every 16 iterations, fail on I/O errors, real files.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         JournalConfig {
             dir: dir.into(),
             sync: SyncPolicy::EveryRecord,
             snapshot_every: Some(16),
             on_io_error: IoErrorPolicy::Fail,
-            io_factory: None,
+            io: Arc::new(FileIo),
         }
     }
 
     /// Path of the journal file.
     pub fn journal_path(&self) -> PathBuf {
         self.dir.join(JOURNAL_FILE)
-    }
-
-    fn open(&self, path: &Path, mode: IoMode) -> stdio::Result<Box<dyn JournalIo>> {
-        match &self.io_factory {
-            Some(f) => f(path, mode),
-            None => match mode {
-                IoMode::Journal => Ok(Box::new(FileJournalIo::append_create(path)?)),
-                IoMode::Snapshot => Ok(Box::new(FileJournalIo::create(path)?)),
-            },
-        }
-    }
-}
-
-impl fmt::Debug for JournalConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JournalConfig")
-            .field("dir", &self.dir)
-            .field("sync", &self.sync)
-            .field("snapshot_every", &self.snapshot_every)
-            .field("on_io_error", &self.on_io_error)
-            .field(
-                "io_factory",
-                &self.io_factory.as_ref().map(|_| "<injected>"),
-            )
-            .finish()
     }
 }
 
@@ -221,7 +194,7 @@ pub struct JournalProfile {
 pub struct JournalWriter {
     cfg: JournalConfig,
     /// `None` once journaling was disabled by an absorbed I/O error.
-    io: Option<Box<dyn JournalIo>>,
+    io: Option<Box<dyn Sink>>,
     unsynced: u32,
     /// Fingerprint of the run, stamped into snapshots.
     fingerprint: u64,
@@ -270,7 +243,8 @@ impl JournalWriter {
         }
         let path = cfg.journal_path();
         let io = cfg
-            .open(&path, IoMode::Journal)
+            .io
+            .open(&path, FileKind::Journal)
             .map_err(|e| JournalError::Io {
                 context: "reopening journal for append".to_string(),
                 source: e,
@@ -301,7 +275,7 @@ impl JournalWriter {
             fingerprint,
             profile: JournalProfile::default(),
         };
-        let mut io = match cfg.open(&path, IoMode::Journal) {
+        let mut io = match cfg.io.open(&path, FileKind::Journal) {
             Ok(io) => io,
             Err(e) => return writer.absorb(e, "opening journal"),
         };
@@ -321,7 +295,7 @@ impl JournalWriter {
         // The file contents are durable; now make the *dirent* durable
         // too, or a crash can leave a fully-synced journal that simply
         // does not exist under its name.
-        if let Err(e) = io::fsync_dir(&cfg.dir) {
+        if let Err(e) = fsync_dir(&cfg.dir) {
             return writer.absorb(e, "fsyncing journal directory");
         }
         writer.profile.dir_fsyncs = 1;
@@ -421,12 +395,11 @@ impl JournalWriter {
         if self.io.is_none() {
             return Ok(());
         }
-        let open = |p: &Path, m: IoMode| self.cfg.open(p, m);
-        match cp.write_atomic(&self.cfg.dir, &open) {
+        match cp.write(self.cfg.io.as_ref(), &self.cfg.dir) {
             Ok((file, bytes)) => {
                 self.profile.snapshots_written += 1;
                 self.profile.snapshot_bytes += bytes;
-                self.profile.dir_fsyncs += 1; // write_atomic fsynced the dir
+                self.profile.dir_fsyncs += 1; // the atomic write fsynced the dir
 
                 self.append(&JournalRecord::Snapshot {
                     iterations: cp.iterations,
@@ -446,30 +419,6 @@ impl JournalWriter {
 
 // --- fingerprinting -------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-    fn str(&mut self, s: &str) {
-        self.bytes(&(s.len() as u64).to_le_bytes());
-        self.bytes(s.as_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-}
-
 /// Fingerprint of everything the cycle's trajectory depends on: table
 /// content, dictionary roles, result-affecting configuration, and plug-in
 /// names. Governor knobs (`max_iterations`, `deadline`), `fallback`,
@@ -487,7 +436,7 @@ pub fn fingerprint(
     risk_name: &str,
     anonymizer_name: &str,
 ) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     h.str("vadasa-journal-v1");
     h.str(&db.name);
     h.u64(db.attributes().len() as u64);
@@ -499,7 +448,7 @@ pub fn fingerprint(
     for row in db.iter_rows() {
         for v in row {
             cell.clear();
-            record::put_value(&mut cell, v);
+            vadalog::frame::wire::put_value(&mut cell, v);
             h.bytes(&cell);
         }
     }
@@ -527,7 +476,7 @@ pub fn fingerprint(
     }
     h.str(risk_name);
     h.str(anonymizer_name);
-    h.0
+    h.finish()
 }
 
 // --- recovery -------------------------------------------------------------
@@ -569,7 +518,7 @@ pub fn recover(
     expected_fingerprint: u64,
 ) -> Result<Recovery, JournalError> {
     let path = cfg.journal_path();
-    let bytes = match std::fs::read(&path) {
+    let bytes = match cfg.io.read(&path, FileKind::Journal) {
         Ok(b) => b,
         Err(e) if e.kind() == stdio::ErrorKind::NotFound => {
             return Err(JournalError::Missing(path));
@@ -601,19 +550,10 @@ pub fn recover(
         ));
     }
 
-    // Scan frames until the first tear. Offsets are tracked so the
-    // journal can be truncated exactly at the last committed boundary.
-    let mut records: Vec<(JournalRecord, usize)> = Vec::new();
-    let mut offset = MAGIC.len();
-    while offset < bytes.len() {
-        match record::decode_frame(&bytes, offset) {
-            Ok((rec, next)) => {
-                records.push((rec, next));
-                offset = next;
-            }
-            Err(_) => break, // torn tail: everything from `offset` is dropped
-        }
-    }
+    // Scan frames until the first tear (everything after it is dropped).
+    // Offsets are kept so the journal can be truncated exactly at the
+    // last committed boundary.
+    let records: Vec<(JournalRecord, usize)> = record::records(&bytes).collect();
 
     // The first record must be a Begin that matches this run.
     let Some((
@@ -695,14 +635,15 @@ pub fn recover(
     let mut base_exhausted: HashSet<usize> = HashSet::new();
     snapshots.sort_by_key(|s| std::cmp::Reverse(s.0));
     for (iters, file) in &snapshots {
-        match Checkpoint::read(&cfg.dir.join(file)) {
-            Ok(cp) if cp.fingerprint == expected_fingerprint && cp.iterations == *iters => {
+        let path = cfg.dir.join(file);
+        match Checkpoint::read_with(cfg.io.as_ref(), &path, Some(expected_fingerprint)) {
+            Ok(cp) if cp.iterations == *iters => {
                 base_iter = cp.iterations;
                 base_exhausted = cp.exhausted.iter().copied().collect();
                 db = cp.db;
                 break;
             }
-            _ => continue, // corrupt / mismatched snapshot: try an older one
+            _ => continue, // unreadable / corrupt / foreign snapshot: try an older one
         }
     }
 

@@ -7,17 +7,22 @@
 //! [payload length: u32 LE] [CRC-32 (IEEE) of payload: u32 LE] [payload]
 //! ```
 //!
-//! and each payload is a tag byte plus the record's fields in a fixed
-//! little-endian layout (see [`JournalRecord::encode`]). The decoder is
-//! **total**: every length is bounds-checked against the remaining bytes
-//! and every tag is matched exhaustively, so arbitrary byte soup decodes
-//! to a structured [`DecodeError`], never a panic. Recovery treats the
-//! first undecodable frame as the torn tail of a crashed writer and
-//! truncates there.
+//! and each payload is a tag byte plus the record's fields in the shared
+//! little-endian [`wire`] layout (see [`JournalRecord::encode`]). Frames
+//! and values come from the one durable codec, [`vadalog::frame`], whose
+//! decoder is **total**: arbitrary byte soup decodes to a structured
+//! [`DecodeError`], never a panic. Recovery treats the first undecodable
+//! frame as the torn tail of a crashed writer and truncates there.
+//!
+//! Unlike snapshots and artifacts, the journal has no version or
+//! fingerprint header: it is appended to record by record, so both ride
+//! in its first record, [`JournalRecord::Begin`].
 
 use crate::anonymize::AnonymizationAction;
-use std::fmt;
-use vadalog::Value;
+use vadalog::frame::wire::{self, put_str, put_u32, put_u64, put_value};
+use vadalog::frame::{put_frame, read_frame};
+
+pub use vadalog::frame::DecodeError;
 
 /// File magic identifying a Vada-SA action journal, version 1 framing.
 pub const MAGIC: &[u8; 8] = b"VADASAJ1";
@@ -103,91 +108,6 @@ pub enum JournalRecord {
     },
 }
 
-/// Why a frame or payload could not be decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// Fewer bytes remained than the frame header or a field required.
-    Truncated,
-    /// The payload CRC did not match the frame header.
-    BadChecksum,
-    /// An unknown record, action or value tag was read.
-    BadTag(u8),
-    /// A string field was not valid UTF-8.
-    BadUtf8,
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecodeError::Truncated => write!(f, "record truncated"),
-            DecodeError::BadChecksum => write!(f, "checksum mismatch"),
-            DecodeError::BadTag(t) => write!(f, "unknown tag {t:#04x}"),
-            DecodeError::BadUtf8 => write!(f, "string field is not UTF-8"),
-        }
-    }
-}
-
-/// CRC-32 (IEEE) of `bytes`, as used by the journal frame headers: the
-/// artifact codec's implementation, so every durable format shares one.
-pub use vadalog::backend::crc32;
-
-// --- encoding helpers ---
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Append the binary encoding of one [`Value`] to `out`. Public within
-/// the journal module family because the run fingerprint hashes cell
-/// values through the same encoding.
-pub(crate) fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Bool(b) => {
-            out.push(0);
-            out.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            out.push(1);
-            put_u64(out, *i as u64);
-        }
-        Value::Float(f) => {
-            out.push(2);
-            put_u64(out, f.to_bits());
-        }
-        Value::Str(s) => {
-            out.push(3);
-            put_str(out, s);
-        }
-        Value::Null(n) => {
-            out.push(4);
-            put_u64(out, *n);
-        }
-        Value::Set(items) => {
-            out.push(5);
-            put_u32(out, items.len() as u32);
-            for item in items.iter() {
-                put_value(out, item);
-            }
-        }
-        Value::Tuple(items) => {
-            out.push(6);
-            put_u32(out, items.len() as u32);
-            for item in items.iter() {
-                put_value(out, item);
-            }
-        }
-    }
-}
-
 fn put_action(out: &mut Vec<u8>, action: &AnonymizationAction) {
     match action {
         AnonymizationAction::Suppress {
@@ -219,107 +139,23 @@ fn put_action(out: &mut Vec<u8>, action: &AnonymizationAction) {
     }
 }
 
-// --- decoding helpers: a bounds-checked cursor over a byte slice ---
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(DecodeError::Truncated);
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn string(&mut self) -> Result<String, DecodeError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
-    }
-
-    fn value(&mut self) -> Result<Value, DecodeError> {
-        match self.u8()? {
-            0 => Ok(Value::Bool(self.u8()? != 0)),
-            1 => Ok(Value::Int(self.u64()? as i64)),
-            2 => Ok(Value::Float(f64::from_bits(self.u64()?))),
-            3 => Ok(Value::str(self.string()?)),
-            4 => Ok(Value::Null(self.u64()?)),
-            5 => {
-                let n = self.u32()? as usize;
-                // each element is at least 2 bytes; reject absurd counts
-                // before allocating
-                if n > self.bytes.len().saturating_sub(self.pos) {
-                    return Err(DecodeError::Truncated);
-                }
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(self.value()?);
-                }
-                Ok(Value::set(items))
-            }
-            6 => {
-                let n = self.u32()? as usize;
-                if n > self.bytes.len().saturating_sub(self.pos) {
-                    return Err(DecodeError::Truncated);
-                }
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(self.value()?);
-                }
-                Ok(Value::Tuple(std::sync::Arc::new(items)))
-            }
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
-
-    fn action(&mut self) -> Result<AnonymizationAction, DecodeError> {
-        match self.u8()? {
-            0 => Ok(AnonymizationAction::Suppress {
-                row: self.u64()? as usize,
-                attr: self.string()?,
-                previous: self.value()?,
-            }),
-            1 => Ok(AnonymizationAction::Recode {
-                attr: self.string()?,
-                from: self.value()?,
-                to: self.value()?,
-                rows_affected: self.u64()? as usize,
-            }),
-            2 => Ok(AnonymizationAction::Exhausted {
-                row: self.u64()? as usize,
-            }),
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
+fn read_action(r: &mut wire::Reader<'_>) -> Result<AnonymizationAction, DecodeError> {
+    match r.u8()? {
+        0 => Ok(AnonymizationAction::Suppress {
+            row: r.u64()? as usize,
+            attr: r.string()?,
+            previous: r.value()?,
+        }),
+        1 => Ok(AnonymizationAction::Recode {
+            attr: r.string()?,
+            from: r.value()?,
+            to: r.value()?,
+            rows_affected: r.u64()? as usize,
+        }),
+        2 => Ok(AnonymizationAction::Exhausted {
+            row: r.u64()? as usize,
+        }),
+        t => Err(DecodeError::BadTag(t)),
     }
 }
 
@@ -393,17 +229,15 @@ impl JournalRecord {
                 put_u64(&mut payload, *rows_at_risk);
             }
         }
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
+        let mut frame = Vec::with_capacity(payload.len() + vadalog::frame::FRAME_OVERHEAD);
+        put_frame(&mut frame, &payload);
         frame
     }
 
     /// Decode one payload (the bytes *after* the frame header, whose CRC
     /// has already been verified).
     fn decode_payload(payload: &[u8]) -> Result<JournalRecord, DecodeError> {
-        let mut c = Cursor::new(payload);
+        let mut c = wire::Reader::new(payload);
         let rec = match c.u8()? {
             0 => JournalRecord::Begin {
                 version: c.u32()?,
@@ -417,7 +251,7 @@ impl JournalRecord {
                 row: c.u64()?,
                 risk_bits: c.u64()?,
                 measure: c.string()?,
-                action: c.action()?,
+                action: read_action(&mut c)?,
             },
             2 => JournalRecord::Commit {
                 iterations: c.u64()?,
@@ -445,7 +279,7 @@ impl JournalRecord {
         if !c.done() {
             // trailing bytes inside a checksummed payload: not something a
             // torn write produces, but reject it as corrupt all the same
-            return Err(DecodeError::Truncated);
+            return Err(DecodeError::Invalid("trailing bytes after the record"));
         }
         Ok(rec)
     }
@@ -455,42 +289,36 @@ impl JournalRecord {
 /// record and the offset just past it, or the error that makes
 /// `offset` the truncation point.
 pub fn decode_frame(bytes: &[u8], offset: usize) -> Result<(JournalRecord, usize), DecodeError> {
-    let mut c = Cursor::new(&bytes[offset.min(bytes.len())..]);
-    let len = c.u32()? as usize;
-    let crc = c.u32()?;
-    let payload = c.take(len)?;
-    if crc32(payload) != crc {
-        return Err(DecodeError::BadChecksum);
-    }
-    let rec = JournalRecord::decode_payload(payload)?;
-    Ok((rec, offset + 8 + len))
+    let (payload, next) = read_frame(bytes, offset)?;
+    Ok((JournalRecord::decode_payload(payload)?, next))
 }
 
-/// Scan a journal byte buffer (starting after the magic) and return the
-/// end offset of every well-formed frame, in order. Scanning stops at the
-/// first torn or corrupt frame. Exposed so the crash-matrix tests can
-/// enumerate every record boundary as a kill point.
-pub fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
-    let mut out = Vec::new();
+/// Walk a journal buffer's frames from just past the magic: each record
+/// with the offset just past it, stopping at the first torn or corrupt
+/// frame. Callers check the magic themselves.
+pub fn records(bytes: &[u8]) -> impl Iterator<Item = (JournalRecord, usize)> + '_ {
     let mut offset = MAGIC.len();
-    if bytes.len() < offset || &bytes[..offset] != MAGIC {
-        return out;
+    std::iter::from_fn(move || {
+        let (rec, next) = decode_frame(bytes, offset).ok()?;
+        offset = next;
+        Some((rec, next))
+    })
+}
+
+/// The end offset of every well-formed frame of a journal buffer, in
+/// order; empty when the magic is wrong. Exposed so the crash-matrix
+/// tests can enumerate every record boundary as a kill point.
+pub fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
+    if !bytes.starts_with(MAGIC) {
+        return Vec::new();
     }
-    while offset < bytes.len() {
-        match decode_frame(bytes, offset) {
-            Ok((_, next)) => {
-                out.push(next);
-                offset = next;
-            }
-            Err(_) => break,
-        }
-    }
-    out
+    records(bytes).map(|(_, end)| end).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vadalog::Value;
 
     fn samples() -> Vec<JournalRecord> {
         vec![
@@ -560,82 +388,6 @@ mod tests {
             let (back, next) = decode_frame(&frame, 0).unwrap();
             assert_eq!(back, rec);
             assert_eq!(next, frame.len());
-        }
-    }
-
-    #[test]
-    fn every_value_kind_roundtrips() {
-        let values = vec![
-            Value::Bool(true),
-            Value::Int(-42),
-            Value::Float(2.5),
-            Value::Float(f64::NAN),
-            Value::str("héllo ⊥ world"),
-            Value::Null(9),
-            Value::set([Value::Int(1), Value::str("x")]),
-            Value::pair(Value::Int(1), Value::Null(2)),
-        ];
-        for v in values {
-            let rec = JournalRecord::Action {
-                iteration: 0,
-                row: 0,
-                risk_bits: 0,
-                measure: "m".into(),
-                action: AnonymizationAction::Suppress {
-                    row: 0,
-                    attr: "a".into(),
-                    previous: v.clone(),
-                },
-            };
-            let (back, _) = decode_frame(&rec.encode(), 0).unwrap();
-            let JournalRecord::Action {
-                action: AnonymizationAction::Suppress { previous, .. },
-                ..
-            } = back
-            else {
-                panic!("wrong record kind");
-            };
-            // bit-identical for floats: compare via total order
-            assert_eq!(previous.cmp(&v), std::cmp::Ordering::Equal);
-        }
-    }
-
-    #[test]
-    fn crc_matches_known_vector() {
-        // the classic IEEE test vector
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn truncation_and_corruption_are_errors_not_panics() {
-        let frame = samples()[1].encode();
-        // every prefix fails cleanly
-        for k in 0..frame.len() {
-            assert!(decode_frame(&frame[..k], 0).is_err(), "prefix {k}");
-        }
-        // every single-byte flip is caught by the CRC (or the header)
-        for k in 0..frame.len() {
-            let mut bad = frame.clone();
-            bad[k] ^= 0xFF;
-            assert!(decode_frame(&bad, 0).is_err(), "flip at {k}");
-        }
-    }
-
-    #[test]
-    fn byte_soup_never_panics() {
-        let mut x = 0x12345678u64;
-        for len in 0..200usize {
-            let soup: Vec<u8> = (0..len)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    x as u8
-                })
-                .collect();
-            let _ = decode_frame(&soup, 0);
-            let _ = frame_boundaries(&soup);
         }
     }
 

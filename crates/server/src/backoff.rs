@@ -94,12 +94,7 @@ impl RetryPolicy {
 
 /// FNV-1a of a job id — the per-job jitter seed.
 pub fn jitter_seed(job_id: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in job_id.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    vadalog::frame::fnv1a(job_id.as_bytes())
 }
 
 #[cfg(test)]

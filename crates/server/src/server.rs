@@ -40,18 +40,18 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use vadalog::backend::{write_atomic, DurableIo, FileIo, FileKind};
 use vadalog::{Budget, CancelToken, StorageEngine};
 use vadasa_core::cycle::{AnonymizationCycle, CycleError, CycleOutcome, CycleTermination};
-use vadasa_core::faults::{faulty_io_factory, FaultyRisk, JournalFault};
+use vadasa_core::faults::{faulty_io, FaultyRisk, IoFault, JOURNAL_KINDS};
 use vadasa_core::io::write_csv;
-use vadasa_core::journal::{IoFactory, JournalConfig};
+use vadasa_core::journal::JournalConfig;
 use vadasa_core::obs::metrics::MetricsRegistry;
 use vadasa_core::prelude::{LocalSuppression, RiskMeasure};
 
 use crate::backoff::{classify, jitter_seed, FaultClass, RetryPolicy};
 use crate::spec::{
-    has_journal, write_file_durable, JobSpec, Marker, MarkerSummary, SpecError, MANIFEST_FILE,
-    RELEASED_FILE,
+    has_journal, JobSpec, Marker, MarkerSummary, SpecError, MANIFEST_FILE, RELEASED_FILE,
 };
 
 /// Server configuration.
@@ -267,7 +267,7 @@ struct JobEntry {
     cancel: CancelToken,
     cancel_requested: bool,
     metrics: Arc<MetricsRegistry>,
-    io_factory: Option<IoFactory>,
+    io: Option<Arc<dyn DurableIo>>,
     not_before: Option<Instant>,
     error: Option<String>,
     summary: Option<MarkerSummary>,
@@ -413,10 +413,10 @@ impl JobServer {
             )));
         }
         let rows = spec.row_count();
-        let io_factory = spec
+        let io = spec
             .fault
             .transient_appends
-            .map(|n| faulty_io_factory(JournalFault::TransientAppends { failing: n }));
+            .map(|n| faulty_io(IoFault::TransientAppends { failing: n }, JOURNAL_KINDS));
         {
             let mut st = self.shared.lock();
             if !st.accepting {
@@ -463,7 +463,7 @@ impl JobServer {
                     cancel: CancelToken::new(),
                     cancel_requested: false,
                     metrics: Arc::new(MetricsRegistry::new()),
-                    io_factory,
+                    io,
                     not_before: None,
                     error: None,
                     summary: None,
@@ -473,8 +473,16 @@ impl JobServer {
         // Durable admission: directory + manifest before the job becomes
         // runnable.
         let dir = self.shared.job_dir(id);
-        let persisted = std::fs::create_dir_all(&dir)
-            .and_then(|()| write_file_durable(&dir, MANIFEST_FILE, &spec.to_manifest_json()));
+        let manifest = spec.to_manifest_json();
+        let persisted = std::fs::create_dir_all(&dir).and_then(|()| {
+            write_atomic(
+                &FileIo,
+                FileKind::Artifact,
+                &dir,
+                MANIFEST_FILE,
+                manifest.as_bytes(),
+            )
+        });
         let mut st = self.shared.lock();
         if let Err(e) = persisted {
             st.jobs.remove(id);
@@ -727,7 +735,7 @@ fn recover_fleet(
             cancel: CancelToken::new(),
             cancel_requested: false,
             metrics: Arc::new(MetricsRegistry::new()),
-            io_factory: None,
+            io: None,
             not_before: None,
             error: None,
             summary: None,
@@ -880,7 +888,7 @@ fn run_one(shared: &Shared, id: &str) {
                     entry.spec.clone(),
                     entry.cancel.clone(),
                     Arc::clone(&entry.metrics),
-                    entry.io_factory.clone(),
+                    entry.io.clone(),
                     entry.attempts,
                 ))
             }
@@ -889,7 +897,7 @@ fn run_one(shared: &Shared, id: &str) {
         shared.refresh_gauges(&st);
         claimed
     };
-    let Some((spec, cancel, metrics, io_factory, attempts)) = claimed else {
+    let Some((spec, cancel, metrics, io, attempts)) = claimed else {
         let mut st = shared.lock();
         st.active = st.active.saturating_sub(1);
         shared.refresh_gauges(&st);
@@ -911,14 +919,7 @@ fn run_one(shared: &Shared, id: &str) {
                     // Contained by the surrounding catch_unwind.
                     panic!("injected worker panic (attempt {attempts})"); // gate-allow: injected fault
                 }
-                execute(
-                    &spec,
-                    &dir,
-                    &cancel,
-                    &metrics,
-                    &io_factory,
-                    default_deadline,
-                )
+                execute(&spec, &dir, &cancel, &metrics, &io, default_deadline)
             }));
             match caught {
                 Ok(r) => r,
@@ -949,7 +950,7 @@ fn execute(
     dir: &Path,
     cancel: &CancelToken,
     metrics: &Arc<MetricsRegistry>,
-    io_factory: &Option<IoFactory>,
+    io: &Option<Arc<dyn DurableIo>>,
     default_deadline: Option<Duration>,
 ) -> Result<CycleOutcome, JobFailure> {
     let db = spec.table().map_err(JobFailure::Spec)?;
@@ -963,7 +964,9 @@ fn execute(
     let mut jcfg = JournalConfig::new(dir);
     jcfg.sync = spec.sync;
     jcfg.snapshot_every = spec.snapshot_every;
-    jcfg.io_factory = io_factory.clone();
+    if let Some(io) = io {
+        jcfg.io = Arc::clone(io);
+    }
     config.journal = Some(jcfg);
     let resume = has_journal(dir);
     let run = |risk: &dyn RiskMeasure| {
@@ -1017,8 +1020,15 @@ fn transition(shared: &Shared, id: &str, dir: &Path, result: Result<CycleOutcome
             };
             // released.csv first, marker second: a crash in between
             // resumes the journal and re-releases identically.
-            match write_file_durable(dir, RELEASED_FILE, &write_csv(&outcome.db))
-                .and_then(|()| marker.write(dir))
+            let released = write_csv(&outcome.db);
+            match write_atomic(
+                &FileIo,
+                FileKind::Artifact,
+                dir,
+                RELEASED_FILE,
+                released.as_bytes(),
+            )
+            .and_then(|()| marker.write(dir))
             {
                 Ok(()) => Ok((JobState::Done, None, Some(summary))),
                 Err(e) => Err(JobFailure::Persist(e)),

@@ -17,13 +17,13 @@
 
 use std::path::Path;
 use std::time::Duration;
+use vadalog::backend::{write_atomic, FileIo, FileKind};
 use vadalog::StorageEngine;
 use vadasa_core::categorize::{Categorizer, ExperienceBase};
 use vadasa_core::cycle::{BatchStrategy, CycleConfig, StepGranularity, StorageOptions, TupleOrder};
 use vadasa_core::dictionary::{Category, MetadataDictionary};
 use vadasa_core::faults::ServerFault;
 use vadasa_core::io::{read_csv, write_csv};
-use vadasa_core::journal::io::fsync_dir;
 use vadasa_core::journal::{SyncPolicy, JOURNAL_FILE};
 use vadasa_core::maybe_match::NullSemantics;
 use vadasa_core::model::MicrodataDb;
@@ -266,7 +266,7 @@ impl JobSpec {
             deadline: self.deadline,
             storage: StorageOptions {
                 engine: self.storage,
-                artifact_io: None,
+                ..StorageOptions::default()
             },
             ..CycleConfig::default()
         }
@@ -468,20 +468,6 @@ impl JobSpec {
     }
 }
 
-// --- durable per-job files -------------------------------------------------
-
-/// Write `contents` into `dir/name` atomically (temp + rename) and fsync
-/// the directory, so a crash leaves either the old file or the new one —
-/// never a torn hybrid, never a missing dirent.
-pub fn write_file_durable(dir: &Path, name: &str, contents: &str) -> std::io::Result<()> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    std::fs::write(&tmp, contents)?;
-    let f = std::fs::File::open(&tmp)?;
-    f.sync_all()?;
-    std::fs::rename(&tmp, dir.join(name))?;
-    fsync_dir(dir)
-}
-
 /// Summary persisted in a `done` marker — the numbers a client polls
 /// for after the fact, without re-reading the journal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -584,7 +570,13 @@ impl Marker {
 
     /// Write this marker durably into `dir`.
     pub fn write(&self, dir: &Path) -> std::io::Result<()> {
-        write_file_durable(dir, MARKER_FILE, &self.to_json())
+        write_atomic(
+            &FileIo,
+            FileKind::Artifact,
+            dir,
+            MARKER_FILE,
+            self.to_json().as_bytes(),
+        )
     }
 
     /// Read the marker from `dir`, `Ok(None)` when absent.

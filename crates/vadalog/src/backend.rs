@@ -1,4 +1,5 @@
-//! Pluggable storage backends for durable engine state.
+//! Pluggable storage backends for durable engine state, and the one
+//! fault-injectable I/O layer every durable file goes through.
 //!
 //! Everything the engine keeps in RAM — EDB relations, saturated
 //! databases, interned strings, prebuilt hash indexes — can be frozen
@@ -11,40 +12,31 @@
 //!   map; nothing survives the process. This is the existing in-memory
 //!   behaviour, made explicit.
 //! - [`FileBackend`] — one file per artifact under a directory, written
-//!   atomically (`<name>.vart.tmp` → fsync → rename → directory fsync),
-//!   so a crash mid-write leaves either the old artifact or none, never
-//!   a torn one.
+//!   with [`write_atomic`], so a crash mid-write leaves either the old
+//!   artifact or none, never a torn one.
 //!
-//! ## Artifact framing (corruption is an error, never a panic)
+//! Every artifact is one [`frame`](crate::frame) header (magic
+//! [`ARTIFACT_MAGIC`], format version, fingerprint) followed by one CRC
+//! frame. Persisted artifacts are strictly *caches* — every consumer has
+//! a documented cold path that rebuilds the same state from primary
+//! inputs, so any load failure degrades to a cold start with identical
+//! results (DESIGN.md §10).
 //!
-//! Every artifact is framed like the action journal and the `VADASAS2`
-//! snapshots:
-//!
-//! ```text
-//! [magic "VADASAW1"] [format version: u32 LE] [fingerprint: u64 LE]
-//! [payload length: u32 LE] [CRC-32 (IEEE) of payload: u32 LE] [payload]
-//! ```
-//!
-//! [`decode_artifact`] is **total**: truncation, bit flips, alien magic,
-//! future versions and fingerprint mismatches all decode to a structured
-//! [`StorageError`], never a panic. Persisted artifacts are strictly
-//! *caches* — every consumer has a documented cold path that rebuilds
-//! the same state from primary inputs, so any load failure degrades to
-//! a cold start with identical results (the fallback-soundness argument
-//! of DESIGN.md §15).
-//!
-//! File I/O goes through the [`ArtifactIo`] trait so the fault harness
-//! (`vadasa-core`'s `faults::StorageFault`) can inject torn writes, full
-//! disks, corrupt pages and reopen denials without touching a real
-//! disk's error paths.
+//! File bytes move through the [`DurableIo`] trait: the action journal,
+//! the cycle's snapshots and these artifacts alike. Each call names its
+//! [`FileKind`], so `vadasa-core`'s `faults::faulty_io` can tear writes,
+//! fill disks, fail fsyncs and corrupt or deny reads of one kind of file
+//! without touching a real disk's error paths.
 
-use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// FNV-1a of `bytes` (the shared [`crate::frame::fnv1a`]).
+pub use crate::frame::fnv1a;
 
 /// File magic identifying a Vada-SA storage artifact, framing version 1.
 pub const ARTIFACT_MAGIC: &[u8; 8] = b"VADASAW1";
@@ -207,39 +199,103 @@ impl StorageError {
     }
 }
 
-/// The byte-level file operations a [`FileBackend`] performs, abstracted
-/// so fault plans can fail them deterministically. `write` must create
-/// (truncating) the file, write all bytes and fsync; a *torn* write is
-/// modelled by persisting a prefix and then erroring — exactly what a
-/// crashing kernel produces.
-pub trait ArtifactIo: Send + Sync {
-    /// Write `bytes` to `path` durably (create + write_all + fsync).
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Read the whole file at `path`.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+/// Which durable file an I/O call touches. Real I/O uses it only to
+/// pick the open mode; a fault injector uses it to aim.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FileKind {
+    /// The write-ahead journal: appended to, created if missing.
+    Journal,
+    /// A cycle snapshot, written whole under a temp name and renamed.
+    Snapshot,
+    /// A storage artifact or any other file written whole under a temp
+    /// name and renamed (the job server's manifests, markers and
+    /// releases).
+    Artifact,
 }
 
-/// The production [`ArtifactIo`]: plain `std::fs` with an fsync.
+/// An append-only byte sink with explicit durability points. `append`
+/// writes the whole buffer or errors; a torn write is a prefix followed
+/// by an error, which is what a crashing kernel produces.
+pub trait Sink: Send {
+    /// Append `buf` at the end of the file.
+    fn append(&mut self, buf: &[u8]) -> io::Result<()>;
+    /// Make everything appended so far durable (fsync).
+    fn sync(&mut self) -> io::Result<()>;
+}
+
+impl Sink for File {
+    fn append(&mut self, buf: &[u8]) -> io::Result<()> {
+        self.write_all(buf)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.sync_all()
+    }
+}
+
+/// The file operations behind every durable file: open a sink, read a
+/// whole file. Renames, truncation and directory fsyncs stay real calls.
+pub trait DurableIo: fmt::Debug + Send + Sync {
+    /// Open a sink on `path`: a [`FileKind::Journal`] is appended to and
+    /// created if missing; any other kind is created or truncated.
+    fn open(&self, path: &Path, kind: FileKind) -> io::Result<Box<dyn Sink>>;
+    /// Read the whole file at `path`.
+    fn read(&self, path: &Path, kind: FileKind) -> io::Result<Vec<u8>>;
+}
+
+/// The production [`DurableIo`]: plain `std::fs`.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct RealArtifactIo;
+pub struct FileIo;
 
-impl ArtifactIo for RealArtifactIo {
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut f = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        f.write_all(bytes)?;
-        f.sync_all()
+impl DurableIo for FileIo {
+    fn open(&self, path: &Path, kind: FileKind) -> io::Result<Box<dyn Sink>> {
+        let mut options = OpenOptions::new();
+        match kind {
+            FileKind::Journal => options.create(true).append(true),
+            FileKind::Snapshot | FileKind::Artifact => {
+                options.create(true).write(true).truncate(true)
+            }
+        };
+        Ok(Box::new(options.open(path)?))
     }
 
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let mut f = File::open(path)?;
-        let mut buf = Vec::new();
-        f.read_to_end(&mut buf)?;
-        Ok(buf)
+    fn read(&self, path: &Path, _kind: FileKind) -> io::Result<Vec<u8>> {
+        std::fs::read(path)
     }
+}
+
+/// Fsync a *directory*, making entries created or renamed in it durable.
+/// File-content fsyncs alone do not guarantee the dirent survives a crash
+/// on filesystems with deferred directory durability (ext4
+/// `data=ordered`, xfs).
+pub fn fsync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
+/// Replace `dir/name` atomically with `bytes`: write `<name>.tmp`
+/// through `io`, fsync it, rename it over `name`, fsync `dir`. A crash
+/// leaves the previous file or the new one under `name`, never a torn
+/// one, and a failed write or rename removes the temp file.
+pub fn write_atomic(
+    io: &dyn DurableIo,
+    kind: FileKind,
+    dir: &Path,
+    name: &str,
+    bytes: &[u8],
+) -> io::Result<()> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    let written = io
+        .open(&tmp, kind)
+        .and_then(|mut sink| {
+            sink.append(bytes)?;
+            sink.sync()
+        })
+        .and_then(|()| std::fs::rename(&tmp, dir.join(name)));
+    if let Err(e) = written {
+        std::fs::remove_file(&tmp).ok();
+        return Err(e);
+    }
+    fsync_dir(dir)
 }
 
 /// A named-artifact store: the one contract every engine implements.
@@ -346,41 +402,29 @@ impl StorageBackend for MemBackend {
     }
 }
 
-/// The file engine: `<dir>/<name>.vart`, atomically replaced via
-/// `<name>.vart.tmp` + rename + directory fsync.
+/// The file engine: `<dir>/<name>.vart`, replaced with [`write_atomic`].
+#[derive(Debug)]
 pub struct FileBackend {
     dir: PathBuf,
-    io: Arc<dyn ArtifactIo>,
-}
-
-impl fmt::Debug for FileBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FileBackend")
-            .field("dir", &self.dir)
-            .finish_non_exhaustive()
-    }
+    io: Arc<dyn DurableIo>,
 }
 
 impl FileBackend {
     /// Open (creating if missing) the artifact directory with real I/O.
     pub fn create(dir: impl Into<PathBuf>) -> Result<Self, StorageError> {
-        Self::with_io(dir, Arc::new(RealArtifactIo))
+        Self::with_io(dir, Arc::new(FileIo))
     }
 
-    /// Open with an injected [`ArtifactIo`] (the fault harness).
-    pub fn with_io(dir: impl Into<PathBuf>, io: Arc<dyn ArtifactIo>) -> Result<Self, StorageError> {
+    /// Open with an injected [`DurableIo`] (the fault harness).
+    pub fn with_io(dir: impl Into<PathBuf>, io: Arc<dyn DurableIo>) -> Result<Self, StorageError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)
             .map_err(|e| StorageError::io(format!("create dir {}", dir.display()), e))?;
         Ok(FileBackend { dir, io })
     }
 
-    fn path_of(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.{ARTIFACT_EXT}"))
-    }
-
-    fn fsync_dir(&self) -> io::Result<()> {
-        File::open(&self.dir)?.sync_all()
+    fn file_of(name: &str) -> String {
+        format!("{name}.{ARTIFACT_EXT}")
     }
 }
 
@@ -395,28 +439,20 @@ impl StorageBackend for FileBackend {
 
     fn put(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
         check_name(name)?;
-        let tmp = self.dir.join(format!("{name}.{ARTIFACT_EXT}.tmp"));
-        let path = self.path_of(name);
-        if let Err(e) = self.io.write(&tmp, bytes) {
-            // best effort: don't leave a torn temp file behind
-            std::fs::remove_file(&tmp).ok();
-            return Err(StorageError::io(format!("write {}", tmp.display()), e));
-        }
-        std::fs::rename(&tmp, &path).map_err(|e| {
-            std::fs::remove_file(&tmp).ok();
-            StorageError::io(format!("rename into {}", path.display()), e)
-        })?;
-        // Make the rename durable: file-content fsyncs alone do not
-        // guarantee the dirent survives a crash.
-        self.fsync_dir()
-            .map_err(|e| StorageError::io(format!("fsync dir {}", self.dir.display()), e))?;
-        Ok(())
+        write_atomic(
+            self.io.as_ref(),
+            FileKind::Artifact,
+            &self.dir,
+            &Self::file_of(name),
+            bytes,
+        )
+        .map_err(|e| StorageError::io(format!("write artifact '{name}'"), e))
     }
 
     fn get(&self, name: &str) -> Result<Option<Vec<u8>>, StorageError> {
         check_name(name)?;
-        let path = self.path_of(name);
-        match self.io.read(&path) {
+        let path = self.dir.join(Self::file_of(name));
+        match self.io.read(&path, FileKind::Artifact) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(StorageError::io(format!("read {}", path.display()), e)),
@@ -425,7 +461,7 @@ impl StorageBackend for FileBackend {
 
     fn delete(&mut self, name: &str) -> Result<bool, StorageError> {
         check_name(name)?;
-        match std::fs::remove_file(self.path_of(name)) {
+        match std::fs::remove_file(self.dir.join(Self::file_of(name))) {
             Ok(()) => Ok(true),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
             Err(e) => Err(StorageError::io(format!("delete artifact '{name}'"), e)),
@@ -448,288 +484,6 @@ impl StorageBackend for FileBackend {
         }
         out.sort();
         Ok(out)
-    }
-}
-
-// --- CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) ---
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32 (IEEE) of `bytes`, as used by the artifact frame headers and
-/// by `vadasa-core`'s journal and snapshot frames.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-/// FNV-1a over `bytes` — the fingerprint hash tying artifacts to the
-/// inputs they were derived from.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-/// Frame `payload` as one artifact: magic, version, fingerprint, length,
-/// CRC, payload.
-pub fn encode_artifact(version: u32, fingerprint: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 28);
-    out.extend_from_slice(ARTIFACT_MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&fingerprint.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Validate and unframe one artifact. Total: every malformation —
-/// truncation, alien magic, future version, checksum mismatch, trailing
-/// garbage, fingerprint mismatch — returns a structured
-/// [`StorageError`], never a panic.
-///
-/// `expected_fingerprint = None` skips the fingerprint check (callers
-/// that want to *inspect* an artifact, e.g. status tooling). The header
-/// fingerprint is returned alongside the version and payload either way.
-pub fn decode_artifact(
-    artifact: &str,
-    supported_version: u32,
-    expected_fingerprint: Option<u64>,
-    bytes: &[u8],
-) -> Result<(u32, u64, Vec<u8>), StorageError> {
-    let corrupt = |reason: &str| StorageError::Corrupt {
-        artifact: artifact.to_string(),
-        reason: reason.to_string(),
-    };
-    if bytes.len() < ARTIFACT_MAGIC.len() || &bytes[..ARTIFACT_MAGIC.len()] != ARTIFACT_MAGIC {
-        return Err(StorageError::BadMagic {
-            artifact: artifact.to_string(),
-        });
-    }
-    let rest = &bytes[ARTIFACT_MAGIC.len()..];
-    if rest.len() < 20 {
-        return Err(corrupt("header truncated"));
-    }
-    let version = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-    if version > supported_version {
-        return Err(StorageError::FutureVersion {
-            artifact: artifact.to_string(),
-            found: version,
-            supported: supported_version,
-        });
-    }
-    let fingerprint = u64::from_le_bytes([
-        rest[4], rest[5], rest[6], rest[7], rest[8], rest[9], rest[10], rest[11],
-    ]);
-    let len = u32::from_le_bytes([rest[12], rest[13], rest[14], rest[15]]) as usize;
-    let crc = u32::from_le_bytes([rest[16], rest[17], rest[18], rest[19]]);
-    let payload = &rest[20..];
-    if payload.len() < len {
-        return Err(corrupt("payload truncated"));
-    }
-    if payload.len() > len {
-        return Err(corrupt("trailing bytes after payload"));
-    }
-    if crc32(payload) != crc {
-        return Err(corrupt("checksum mismatch"));
-    }
-    if let Some(expected) = expected_fingerprint {
-        if expected != fingerprint {
-            return Err(StorageError::Fingerprint {
-                artifact: artifact.to_string(),
-                expected,
-                found: fingerprint,
-            });
-        }
-    }
-    Ok((version, fingerprint, payload.to_vec()))
-}
-
-/// Bounds-checked binary wire codec shared by every artifact payload:
-/// little-endian integers, length-prefixed strings, tagged [`Value`]s
-/// (the journal's value encoding). Reading is total — out-of-range
-/// lengths and unknown tags come back as `Err(String)` for the caller
-/// to wrap into [`StorageError::Corrupt`].
-pub mod wire {
-    use super::Value;
-    use std::sync::Arc;
-
-    /// Append a `u32` (little-endian).
-    pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `u64` (little-endian).
-    pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a length-prefixed UTF-8 string.
-    pub fn put_str(out: &mut Vec<u8>, s: &str) {
-        put_u32(out, s.len() as u32);
-        out.extend_from_slice(s.as_bytes());
-    }
-
-    /// Append one tagged [`Value`].
-    pub fn put_value(out: &mut Vec<u8>, v: &Value) {
-        match v {
-            Value::Bool(b) => {
-                out.push(0);
-                out.push(u8::from(*b));
-            }
-            Value::Int(i) => {
-                out.push(1);
-                put_u64(out, *i as u64);
-            }
-            Value::Float(f) => {
-                out.push(2);
-                put_u64(out, f.to_bits());
-            }
-            Value::Str(s) => {
-                out.push(3);
-                put_str(out, s);
-            }
-            Value::Null(n) => {
-                out.push(4);
-                put_u64(out, *n);
-            }
-            Value::Set(items) => {
-                out.push(5);
-                put_u32(out, items.len() as u32);
-                for item in items.iter() {
-                    put_value(out, item);
-                }
-            }
-            Value::Tuple(items) => {
-                out.push(6);
-                put_u32(out, items.len() as u32);
-                for item in items.iter() {
-                    put_value(out, item);
-                }
-            }
-        }
-    }
-
-    /// A bounds-checked cursor over a payload.
-    pub struct Reader<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        /// Start reading at the front of `bytes`.
-        pub fn new(bytes: &'a [u8]) -> Self {
-            Reader { bytes, pos: 0 }
-        }
-
-        /// Take `n` raw bytes.
-        pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-            let end = self.pos.checked_add(n).ok_or("length overflow")?;
-            if end > self.bytes.len() {
-                return Err(format!("truncated: wanted {n} bytes at {}", self.pos));
-            }
-            let s = &self.bytes[self.pos..end];
-            self.pos = end;
-            Ok(s)
-        }
-
-        /// One byte.
-        pub fn u8(&mut self) -> Result<u8, String> {
-            Ok(self.take(1)?[0])
-        }
-
-        /// Little-endian `u32`.
-        pub fn u32(&mut self) -> Result<u32, String> {
-            let b = self.take(4)?;
-            Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        }
-
-        /// Little-endian `u64`.
-        pub fn u64(&mut self) -> Result<u64, String> {
-            let b = self.take(8)?;
-            Ok(u64::from_le_bytes([
-                b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-            ]))
-        }
-
-        /// Length-prefixed UTF-8 string.
-        pub fn string(&mut self) -> Result<String, String> {
-            let len = self.u32()? as usize;
-            let bytes = self.take(len)?;
-            String::from_utf8(bytes.to_vec()).map_err(|_| "string is not UTF-8".to_string())
-        }
-
-        /// One tagged [`Value`]. Strings are routed through the interner
-        /// (`Value::str`), so decoding an artifact repopulates the
-        /// process-global intern table as a side effect.
-        pub fn value(&mut self) -> Result<Value, String> {
-            match self.u8()? {
-                0 => Ok(Value::Bool(self.u8()? != 0)),
-                1 => Ok(Value::Int(self.u64()? as i64)),
-                2 => Ok(Value::Float(f64::from_bits(self.u64()?))),
-                3 => Ok(Value::str(self.string()?)),
-                4 => Ok(Value::Null(self.u64()?)),
-                5 => {
-                    let n = self.u32()? as usize;
-                    if n > self.remaining() {
-                        return Err("set length exceeds payload".into());
-                    }
-                    let mut items = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        items.push(self.value()?);
-                    }
-                    Ok(Value::set(items))
-                }
-                6 => {
-                    let n = self.u32()? as usize;
-                    if n > self.remaining() {
-                        return Err("tuple length exceeds payload".into());
-                    }
-                    let mut items = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        items.push(self.value()?);
-                    }
-                    Ok(Value::Tuple(Arc::new(items)))
-                }
-                t => Err(format!("unknown value tag {t:#04x}")),
-            }
-        }
-
-        /// Bytes left to read.
-        pub fn remaining(&self) -> usize {
-            self.bytes.len() - self.pos
-        }
-
-        /// Has everything been consumed?
-        pub fn done(&self) -> bool {
-            self.pos == self.bytes.len()
-        }
     }
 }
 
@@ -812,85 +566,73 @@ mod tests {
     }
 
     #[test]
-    fn artifact_roundtrip_and_fingerprint_check() {
-        let framed = encode_artifact(3, 0xDEAD_F00D, b"payload!");
-        let (v, fp, payload) = decode_artifact("t", 3, Some(0xDEAD_F00D), &framed).unwrap();
-        assert_eq!((v, fp), (3, 0xDEAD_F00D));
-        assert_eq!(payload, b"payload!");
-        // wrong fingerprint is structured
-        assert!(matches!(
-            decode_artifact("t", 3, Some(1), &framed),
-            Err(StorageError::Fingerprint { expected: 1, .. })
-        ));
-        // future version is structured
-        assert!(matches!(
-            decode_artifact("t", 2, None, &framed),
-            Err(StorageError::FutureVersion {
-                found: 3,
-                supported: 2,
-                ..
-            })
-        ));
+    fn file_io_appends_to_journals_and_truncates_other_kinds() {
+        let dir = tmp_dir("fileio");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("f");
+        for (kind, expect) in [
+            (FileKind::Journal, &b"hello world"[..]),
+            (FileKind::Snapshot, &b"world"[..]),
+        ] {
+            let mut sink = FileIo.open(&path, FileKind::Journal).unwrap();
+            sink.append(b"hello ").unwrap();
+            sink.sync().unwrap();
+            drop(sink);
+            let mut sink = FileIo.open(&path, kind).unwrap();
+            sink.append(b"world").unwrap();
+            sink.sync().unwrap();
+            drop(sink);
+            assert_eq!(FileIo.read(&path, kind).unwrap(), expect);
+            std::fs::remove_file(&path).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn hostile_artifact_bytes_never_panic() {
-        let framed = encode_artifact(1, 7, b"some payload bytes");
-        // every prefix truncation fails cleanly
-        for k in 0..framed.len() {
-            assert!(
-                decode_artifact("t", 1, Some(7), &framed[..k]).is_err(),
-                "prefix {k}"
-            );
+    fn fsync_dir_accepts_directories_and_rejects_missing_paths() {
+        let dir = tmp_dir("fsyncdir");
+        std::fs::create_dir_all(&dir).unwrap();
+        fsync_dir(&dir).unwrap();
+        assert!(fsync_dir(&dir.join("no-such-subdir")).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Fails every sync, after the bytes were appended.
+    #[derive(Debug)]
+    struct FailingSync;
+
+    impl DurableIo for FailingSync {
+        fn open(&self, path: &Path, kind: FileKind) -> io::Result<Box<dyn Sink>> {
+            struct S(Box<dyn Sink>);
+            impl Sink for S {
+                fn append(&mut self, buf: &[u8]) -> io::Result<()> {
+                    self.0.append(buf)
+                }
+                fn sync(&mut self) -> io::Result<()> {
+                    Err(io::Error::other("sync refused"))
+                }
+            }
+            Ok(Box::new(S(FileIo.open(path, kind)?)))
         }
-        // every single-byte flip is caught
-        for k in 0..framed.len() {
-            let mut bad = framed.clone();
-            bad[k] ^= 0xFF;
-            assert!(decode_artifact("t", 1, Some(7), &bad).is_err(), "flip {k}");
-        }
-        // byte soup
-        let mut x = 0x2545_F491_4F6C_DD1Du64;
-        for len in 0..256usize {
-            let soup: Vec<u8> = (0..len)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    x as u8
-                })
-                .collect();
-            let _ = decode_artifact("t", 1, None, &soup);
+
+        fn read(&self, path: &Path, kind: FileKind) -> io::Result<Vec<u8>> {
+            FileIo.read(path, kind)
         }
     }
 
     #[test]
-    fn wire_values_roundtrip() {
-        let values = vec![
-            Value::Bool(true),
-            Value::Int(-42),
-            Value::Float(2.5),
-            Value::Float(f64::NAN),
-            Value::str("héllo ⊥ artifact"),
-            Value::Null(9),
-            Value::set([Value::Int(1), Value::str("x")]),
-            Value::pair(Value::Int(1), Value::Null(2)),
-        ];
-        let mut buf = Vec::new();
-        for v in &values {
-            wire::put_value(&mut buf, v);
-        }
-        let mut r = wire::Reader::new(&buf);
-        for v in &values {
-            let back = r.value().unwrap();
-            assert_eq!(back.cmp(v), std::cmp::Ordering::Equal);
-        }
-        assert!(r.done());
-    }
-
-    #[test]
-    fn crc_matches_known_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn write_atomic_replaces_whole_files_and_cleans_up_on_failure() {
+        let dir = tmp_dir("atomic");
+        std::fs::create_dir_all(&dir).unwrap();
+        write_atomic(&FileIo, FileKind::Artifact, &dir, "f", b"first").unwrap();
+        write_atomic(&FileIo, FileKind::Artifact, &dir, "f", b"second").unwrap();
+        assert_eq!(std::fs::read(dir.join("f")).unwrap(), b"second");
+        assert!(write_atomic(&FailingSync, FileKind::Artifact, &dir, "f", b"third").is_err());
+        assert_eq!(std::fs::read(dir.join("f")).unwrap(), b"second");
+        assert!(
+            !dir.join("f.tmp").exists(),
+            "a failed write left its temp file"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -49,12 +49,7 @@ pub struct InternStats {
 
 /// FNV-1a — cheap, stable shard selector (not the map's hasher).
 fn shard_of(s: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    (h as usize) & (NSHARDS - 1)
+    (crate::frame::fnv1a(s.as_bytes()) as usize) & (NSHARDS - 1)
 }
 
 /// Recover the guard even if a panicking thread poisoned the lock: the

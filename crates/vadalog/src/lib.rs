@@ -43,6 +43,7 @@ pub mod backend;
 pub mod builtins;
 mod compile;
 pub mod eval;
+pub mod frame;
 pub mod governor;
 pub mod intern;
 pub mod magic;
@@ -64,8 +65,8 @@ pub use vadasa_obs as obs;
 
 pub use ast::{AggFunc, Atom, Expr, Fact, Head, Literal, Program, Rule, Term};
 pub use backend::{
-    open as open_storage, ArtifactIo, FileBackend, MemBackend, StorageBackend, StorageEngine,
-    StorageError,
+    open as open_storage, DurableIo, FileBackend, FileIo, FileKind, MemBackend, StorageBackend,
+    StorageEngine, StorageError,
 };
 pub use builtins::{eval_expr, Binding, EvalError};
 pub use eval::{

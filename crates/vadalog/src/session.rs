@@ -32,8 +32,9 @@
 //! returned [`PatchOutcome`]; `DESIGN.md` §9 documents the rule.
 
 use crate::ast::{Head, Literal, Program};
-use crate::backend::{self, wire, StorageBackend, StorageError};
+use crate::backend::{StorageBackend, StorageError, ARTIFACT_MAGIC};
 use crate::eval::{DeltaRows, Engine, EngineError, EvalStats, ReasoningResult, TraceEntry};
+use crate::frame::{self, wire, DecodeError};
 use crate::governor::Termination;
 use crate::profile::EngineProfile;
 use crate::storage::Database;
@@ -54,7 +55,7 @@ pub const WARM_SESSION_VERSION: u32 = 1;
 /// [`EngineSession::load_warm`] refuses on mismatch with a structured
 /// [`StorageError::Fingerprint`].
 pub fn program_fingerprint(program: &Program) -> u64 {
-    backend::fnv1a(crate::printer::print_program(program).as_bytes())
+    frame::fnv1a(crate::printer::print_program(program).as_bytes())
 }
 
 /// A batch of input-fact changes applied to a session.
@@ -256,7 +257,8 @@ impl EngineSession {
         }
         encode_database(&mut payload, &self.edb);
         encode_database(&mut payload, &self.db);
-        let framed = backend::encode_artifact(
+        let framed = frame::encode(
+            ARTIFACT_MAGIC,
             WARM_SESSION_VERSION,
             program_fingerprint(&self.program),
             &payload,
@@ -288,23 +290,19 @@ impl EngineSession {
             artifact: artifact.to_string(),
         })?;
         let expected = program_fingerprint(&program);
-        let (_, _, payload) =
-            backend::decode_artifact(artifact, WARM_SESSION_VERSION, Some(expected), &bytes)?;
-        let corrupt = |reason: String| StorageError::Corrupt {
-            artifact: artifact.to_string(),
-            reason,
-        };
-        let mut r = wire::Reader::new(&payload);
-        let nstrings = r.u32().map_err(&corrupt)? as usize;
-        for _ in 0..nstrings {
-            let s = r.string().map_err(&corrupt)?;
-            crate::intern::intern(&s);
-        }
-        let (edb, edb_recipes) = decode_database(&mut r).map_err(&corrupt)?;
-        let (db, db_recipes) = decode_database(&mut r).map_err(&corrupt)?;
-        if !r.done() {
-            return Err(corrupt("trailing bytes after databases".into()));
-        }
+        let ((edb, edb_recipes), (db, db_recipes)) = frame::decode(
+            artifact,
+            ARTIFACT_MAGIC,
+            WARM_SESSION_VERSION,
+            Some(expected),
+            &bytes,
+            |r, _| {
+                for _ in 0..r.u32()? {
+                    crate::intern::intern(&r.string()?);
+                }
+                Ok((decode_database(r)?, decode_database(r)?))
+            },
+        )?;
         let strat = stratify(&program).map_err(|e| StorageError::Backend {
             reason: format!("restored program does not stratify: {e}"),
         })?;
@@ -616,47 +614,32 @@ fn encode_database(out: &mut Vec<u8>, db: &Database) {
     }
 }
 
-/// Total inverse of [`encode_database`]: every malformation returns
-/// `Err(reason)`. Index recipes are returned separately so the caller can
-/// replay them through `ensure_index` after the rows are in place.
+/// Total inverse of [`encode_database`]. Index recipes are returned
+/// separately so the caller can replay them through `ensure_index` after
+/// the rows are in place.
 #[allow(clippy::type_complexity)]
 fn decode_database(
     r: &mut wire::Reader<'_>,
-) -> Result<(Database, Vec<(String, Vec<Vec<usize>>)>), String> {
+) -> Result<(Database, Vec<(String, Vec<Vec<usize>>)>), DecodeError> {
     let nulls = r.u64()?;
-    let nrels = r.u32()? as usize;
-    if nrels > r.remaining() {
-        return Err("relation count exceeds payload".into());
-    }
+    let nrels = r.count()?;
     let mut db = Database::new();
     let mut recipes = Vec::new();
     for _ in 0..nrels {
         let name = r.string()?;
-        let nrows = r.u32()? as usize;
-        if nrows > r.remaining() {
-            return Err("row count exceeds payload".into());
-        }
+        let nrows = r.count()?;
         for _ in 0..nrows {
-            let arity = r.u32()? as usize;
-            if arity > r.remaining() {
-                return Err("row arity exceeds payload".into());
-            }
+            let arity = r.count()?;
             let mut row = Vec::with_capacity(arity);
             for _ in 0..arity {
                 row.push(r.value()?);
             }
             db.insert(&name, row);
         }
-        let nidx = r.u32()? as usize;
-        if nidx > r.remaining() {
-            return Err("index count exceeds payload".into());
-        }
+        let nidx = r.count()?;
         let mut bounds = Vec::with_capacity(nidx);
         for _ in 0..nidx {
-            let blen = r.u32()? as usize;
-            if blen > r.remaining() {
-                return Err("index width exceeds payload".into());
-            }
+            let blen = r.count()?;
             let mut bound = Vec::with_capacity(blen);
             for _ in 0..blen {
                 bound.push(r.u32()? as usize);
