@@ -1205,8 +1205,8 @@ impl<'a> AnonymizationCycle<'a> {
                     let cp = Checkpoint {
                         iterations: iterations as u64,
                         fingerprint: w.run_fingerprint(),
+                        cells: Checkpoint::changes(db, &work),
                         next_null: work.nulls_minted(),
-                        db: work.clone(),
                         exhausted: exhausted.iter().copied().collect(),
                         nulls_injected: nulls_injected as u64,
                         recodings: recodings as u64,

@@ -4,7 +4,8 @@
 //! The cycle appends one checksummed record per committed
 //! [`AnonymizationAction`](crate::anonymize::AnonymizationAction) and one
 //! `Commit` marker per finished iteration; every `snapshot_every`
-//! iterations the full working state is frozen into an atomically
+//! iterations the working state — the cells that differ from the input,
+//! the counters and the exhausted set — is frozen into an atomically
 //! renamed snapshot file (see [`crate::checkpoint`]). After a crash,
 //! [`recover`] scans the journal, truncates at the first torn or corrupt
 //! record, replays the surviving committed actions onto the newest valid
@@ -70,7 +71,7 @@ pub struct JournalConfig {
     pub dir: PathBuf,
     /// Durability policy.
     pub sync: SyncPolicy,
-    /// Snapshot the full working state every `n` completed iterations
+    /// Snapshot the working state every `n` completed iterations
     /// (`None` disables snapshots; recovery then replays from the
     /// original table).
     pub snapshot_every: Option<u32>,
@@ -628,24 +629,28 @@ pub fn recover(
     }
     profile.truncated_bytes = (bytes.len() - keep_offset) as u64;
 
-    // Newest structurally valid snapshot wins; older ones and finally
-    // the original table are the fallbacks.
-    let mut base_iter: u64 = 0;
-    let mut db = original.clone();
-    let mut base_exhausted: HashSet<usize> = HashSet::new();
+    // Newest valid snapshot wins; older ones and finally the original
+    // table are the fallbacks. A snapshot is read only under the name
+    // its writer gives it, so a hostile journal cannot point recovery at
+    // a file outside the journal directory.
     snapshots.sort_by_key(|s| std::cmp::Reverse(s.0));
-    for (iters, file) in &snapshots {
-        let path = cfg.dir.join(file);
-        match Checkpoint::read_with(cfg.io.as_ref(), &path, Some(expected_fingerprint)) {
-            Ok(cp) if cp.iterations == *iters => {
-                base_iter = cp.iterations;
-                base_exhausted = cp.exhausted.iter().copied().collect();
-                db = cp.db;
-                break;
-            }
-            _ => continue, // unreadable / corrupt / foreign snapshot: try an older one
-        }
-    }
+    let restored = snapshots
+        .iter()
+        .filter(|(iters, file)| *file == Checkpoint::file_name(*iters))
+        .find_map(|(iters, file)| {
+            // an unreadable, corrupt or foreign snapshot, or one whose
+            // cells do not fit the table: try an older one
+            let path = cfg.dir.join(file);
+            let cp = Checkpoint::read_with(cfg.io.as_ref(), &path, Some(expected_fingerprint))
+                .ok()
+                .filter(|cp| cp.iterations == *iters)?;
+            let db = cp.apply(original).ok()?;
+            Some((cp, db))
+        });
+    let (base_iter, base_exhausted, mut db) = match restored {
+        Some((cp, db)) => (cp.iterations, cp.exhausted.into_iter().collect(), db),
+        None => (0, HashSet::new(), original.clone()),
+    };
 
     // Replay committed actions. Actions at or past the snapshot's
     // iteration mutate the table; *all* committed actions rebuild the

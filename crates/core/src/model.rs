@@ -176,8 +176,16 @@ impl MicrodataDb {
     /// Overwrite a cell.
     pub fn set_value(&mut self, row: usize, attr: &str, v: Value) -> Result<(), ModelError> {
         let col = self.attr_position(attr)?;
+        self.set_cell(row, col, v)
+    }
+
+    /// Overwrite the cell at `row` and column position `col`.
+    pub fn set_cell(&mut self, row: usize, col: usize, v: Value) -> Result<(), ModelError> {
         if row >= self.rows {
             return Err(ModelError::RowOutOfBounds(row));
+        }
+        if col >= self.attributes.len() {
+            return Err(ModelError::UnknownAttribute(format!("#{col}")));
         }
         if let Value::Null(n) = &v {
             if *n >= self.next_null {

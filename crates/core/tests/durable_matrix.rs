@@ -4,9 +4,9 @@
 //! be bit-identical to a run that was never interrupted, or fail with a
 //! structured error: never a panic, never a silent divergence.
 //!
-//! 1. **Golden bytes** — the Fig. 5 run's journal and warm artifact match
-//!    the committed `tests/golden/durable/` files byte for byte, and a
-//!    snapshot written before the shared header is refused.
+//! 1. **Golden bytes** — the Fig. 5 run's journal, warm artifact and
+//!    snapshots match the committed `tests/golden/durable/` files byte for
+//!    byte, and snapshots of the older layouts are refused.
 //! 2. **Kill-point sweeps** — truncate a finished run's journal at every
 //!    frame boundary and midpoint and resume (with snapshots, warm/cold
 //!    cross resume, warm artifacts restored from disk); crash the writer
@@ -17,9 +17,10 @@
 //!    the journal and fall back to the reference on snapshots and
 //!    artifacts.
 //! 4. **Hostile files** — alien bytes, wrong versions, fingerprint
-//!    mismatches, corrupt or missing snapshots and artifacts, and two
-//!    mutation properties: one through resume, one through every kind's
-//!    decoder.
+//!    mismatches, snapshot records naming files outside the journal
+//!    directory, corrupt or missing snapshots and artifacts, snapshots
+//!    whose cells do not fit the table, and two mutation properties: one
+//!    through resume, one through every kind's decoder.
 //!
 //! CI runs the suite at 1 and 4 test threads, each at
 //! `VADASA_RISK_THREADS=1` and `4`.
@@ -294,8 +295,9 @@ fn temp_files(dir: &Path) -> Vec<String> {
 fn fig5_journal_and_warm_artifact_match_the_goldens() {
     // The run the goldens were recorded from: Fig. 5, one tuple per
     // iteration, file engine, a snapshot every iteration. Pins the
-    // journal layout the benchmark walks, the wire value encoding and
-    // the run fingerprint (which hashes cells through it).
+    // journal layout the benchmark walks, the wire value encoding, the
+    // run fingerprint (which hashes cells through it) and the snapshot
+    // layout: each snapshot holds only the cells the run has changed.
     let dir = fresh_dir("golden");
     let config = CycleConfig {
         storage: file_engine(),
@@ -304,7 +306,12 @@ fn fig5_journal_and_warm_artifact_match_the_goldens() {
     Case::fig5()
         .run(&config, snapshot_every(Some(1), &dir))
         .expect("journaled run");
-    for name in [JOURNAL_FILE, WARM_FILE] {
+    for name in [
+        JOURNAL_FILE,
+        WARM_FILE,
+        "snapshot-1.vsnap",
+        "snapshot-2.vsnap",
+    ] {
         let want = fs::read(golden(name)).expect("golden file");
         let got = fs::read(dir.join(name)).expect("durable file");
         assert!(
@@ -317,28 +324,39 @@ fn fig5_journal_and_warm_artifact_match_the_goldens() {
 
 #[test]
 fn version2_snapshots_are_refused_and_resume_replays_the_journal() {
-    // A VADASAS2 snapshot, written before snapshots moved onto the shared
-    // header, beside the golden journal that references it.
-    let dir = dir_with_journal("v2", &fs::read(golden(JOURNAL_FILE)).expect("golden"));
-    fs::copy(golden("snapshot-1.v2.vsnap"), dir.join("snapshot-1.vsnap")).expect("copy");
-    assert!(matches!(
-        Checkpoint::read(&dir.join("snapshot-1.vsnap")),
-        Err(StorageError::BadMagic { .. })
-    ));
+    // Snapshots of older layouts beside the golden journal that
+    // references them: a VADASAS2 one, written before snapshots moved
+    // onto the shared header, and a VADASAS3 one, which held the whole
+    // table.
     let case = Case::fig5();
     let config = CycleConfig {
         storage: file_engine(),
         ..fig5_config()
     };
-    let resumed = case
-        .resume(&config, JournalConfig::new(&dir))
-        .expect("resume past a refused snapshot");
-    assert_eq!(transcript(&resumed), case.reference(&config));
-    assert!(
-        resumed.profile.journal.replayed_actions > 0,
-        "the refused snapshot must fall back to replay"
-    );
-    let _ = fs::remove_dir_all(&dir);
+    let reference = case.reference(&config);
+    for old in ["snapshot-1.v2.vsnap", "snapshot-1.v3.vsnap"] {
+        let dir = dir_with_journal(
+            "old-snapshot",
+            &fs::read(golden(JOURNAL_FILE)).expect("golden"),
+        );
+        fs::copy(golden(old), dir.join("snapshot-1.vsnap")).expect("copy");
+        assert!(
+            matches!(
+                Checkpoint::read(&dir.join("snapshot-1.vsnap")),
+                Err(StorageError::BadMagic { .. })
+            ),
+            "{old} was not refused"
+        );
+        let resumed = case
+            .resume(&config, JournalConfig::new(&dir))
+            .expect("resume past a refused snapshot");
+        assert_eq!(transcript(&resumed), reference, "{old}");
+        assert!(
+            resumed.profile.journal.replayed_actions > 0,
+            "{old}: the refused snapshot must fall back to replay"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 // --- 2. kill-point sweeps ----------------------------------------------------
@@ -847,6 +865,37 @@ fn hostile_journals_are_structured_errors_never_panics() {
     assert!(matches!(e, JournalError::Mismatch(_)), "{e}");
     let _ = fs::remove_dir_all(&dir);
 
+    // Snapshot records that name a valid snapshot outside the journal
+    // directory, by absolute path or through `..`: recovery never reads
+    // it there, and resume replays every committed action.
+    let outside = fresh_dir("hostile-outside");
+    case.run(&config, snapshot_every(Some(1), &outside))
+        .expect("seed journal with snapshots");
+    assert!(Checkpoint::read(&outside.join("snapshot-1.vsnap")).is_ok());
+    let journal = fs::read(outside.join(JOURNAL_FILE)).expect("journal");
+    let every_action = committed_actions(&journal);
+    assert!(every_action > 0);
+    let sibling = outside
+        .file_name()
+        .expect("name")
+        .to_string_lossy()
+        .into_owned();
+    let absolute = rename_snapshots(&journal, |f| outside.join(f).display().to_string());
+    let relative = rename_snapshots(&journal, |f| format!("../{sibling}/{f}"));
+    for planted in [absolute, relative] {
+        let dir = dir_with_journal("hostile-planted", &planted);
+        let resumed = case
+            .resume(&config, JournalConfig::new(&dir))
+            .expect("resume past a planted snapshot");
+        assert_eq!(transcript(&resumed), reference);
+        assert_eq!(
+            resumed.profile.journal.replayed_actions, every_action,
+            "a snapshot outside the journal directory was read"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+    let _ = fs::remove_dir_all(&outside);
+
     // A real journal resumed under a different configuration or table.
     let dir = fresh_dir("hostile-fingerprint");
     case.run(&config, JournalConfig::new(&dir))
@@ -885,6 +934,96 @@ fn hostile_journals_are_structured_errors_never_panics() {
     );
     assert!(matches!(e, JournalError::AlreadyExists(_)), "{e}");
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// `journal` with each `Snapshot` record's file name passed through
+/// `rename`.
+fn rename_snapshots(journal: &[u8], rename: impl Fn(&str) -> String) -> Vec<u8> {
+    let mut out = MAGIC.to_vec();
+    for (rec, _) in record::records(journal) {
+        let rec = match rec {
+            JournalRecord::Snapshot { iterations, file } => JournalRecord::Snapshot {
+                iterations,
+                file: rename(&file),
+            },
+            other => other,
+        };
+        out.extend_from_slice(&rec.encode());
+    }
+    out
+}
+
+/// Actions of `journal`'s committed iterations: what a resume with no
+/// usable snapshot replays.
+fn committed_actions(journal: &[u8]) -> u64 {
+    let records: Vec<JournalRecord> = record::records(journal).map(|(r, _)| r).collect();
+    let committed = records
+        .iter()
+        .filter_map(|r| match r {
+            JournalRecord::Commit { iterations, .. } => Some(*iterations),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0);
+    records
+        .iter()
+        .filter(|r| matches!(r, JournalRecord::Action { iteration, .. } if *iteration < committed))
+        .count() as u64
+}
+
+#[test]
+fn hostile_snapshot_cells_are_corrupt_and_recovery_falls_back() {
+    // The newest snapshot passes the frame and the fingerprint, but its
+    // cells lie outside the table or out of ascending order: it is
+    // `Corrupt`, and recovery falls back to the older snapshot.
+    let case = Case::fig5();
+    let config = fig5_config();
+    let reference = case.reference(&config);
+    let ref_dir = fresh_dir("cells-ref");
+    case.run(&config, snapshot_every(Some(1), &ref_dir))
+        .expect("journaled run");
+    let journal = fs::read(ref_dir.join(JOURNAL_FILE)).expect("journal");
+    let newest = (1..)
+        .map(Checkpoint::file_name)
+        .take_while(|f| ref_dir.join(f).exists())
+        .last()
+        .expect("the run wrote snapshots");
+    let valid = Checkpoint::read(&ref_dir.join(&newest)).expect("valid snapshot");
+
+    let (rows, width) = (case.db.len() as u32, case.db.attributes().len() as u32);
+    let null = Value::Null(0);
+    for cells in [
+        vec![(rows, 0, null.clone())],                    // row past the end
+        vec![(0, width, null.clone())],                   // column past the end
+        vec![(1, 1, null.clone()), (0, 1, null.clone())], // rows descending
+        vec![(0, 2, null.clone()), (0, 1, null.clone())], // columns descending
+        vec![(0, 1, null.clone()), (0, 1, null.clone())], // one cell twice
+    ] {
+        let bytes = Checkpoint {
+            cells: cells.clone(),
+            ..valid.clone()
+        }
+        .encode();
+        let refused = Checkpoint::decode("s", &bytes, Some(valid.fingerprint))
+            .and_then(|cp| cp.apply(&case.db));
+        assert!(
+            matches!(refused, Err(StorageError::Corrupt { .. })),
+            "{cells:?} was accepted"
+        );
+        let dir = dir_with_journal("hostile-cells", &journal);
+        copy_files(&ref_dir, &dir, &[".vsnap"]);
+        fs::write(dir.join(&newest), &bytes).expect("plant");
+        let resumed = case
+            .resume(&config, JournalConfig::new(&dir))
+            .expect("resume past a corrupt snapshot");
+        assert_eq!(transcript(&resumed), reference, "{cells:?}");
+        assert!(
+            resumed.profile.journal.replayed_actions > 0,
+            "{cells:?}: recovery did not fall back"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+    let _ = fs::remove_dir_all(&ref_dir);
 }
 
 #[test]
@@ -1042,14 +1181,15 @@ fn sample_view() -> MicrodataView {
 /// A mid-run checkpoint of the Fig. 5 table: one labelled null, one
 /// exhausted row.
 fn sample_checkpoint(fingerprint: u64) -> Checkpoint {
-    let mut db = Case::fig5().db;
+    let input = Case::fig5().db;
+    let mut db = input.clone();
     let null = db.fresh_null();
     db.set_value(0, "Sector", null).expect("cell");
     Checkpoint {
         iterations: 1,
         fingerprint,
+        cells: Checkpoint::changes(&input, &db),
         next_null: db.nulls_minted(),
-        db,
         exhausted: [3usize].into_iter().collect(),
         nulls_injected: 1,
         recodings: 0,
