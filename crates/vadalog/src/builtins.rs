@@ -7,9 +7,16 @@
 //! the evaluator treats an undefined expression in a rule body as a failed
 //! match — the candidate binding is silently discarded, mirroring SQL-style
 //! three-valued filtering — while hard errors abort the reasoning task.
+//!
+//! The evaluator borrows: a constant or a slot evaluates to a reference
+//! into the compiled expression or the frame, and only values an operator
+//! or builtin computes are owned ([`Cow`]). Operators and builtins take
+//! their operands by reference, and a call with one or two arguments
+//! evaluates them into a stack array.
 
 use crate::ast::{BinOp, Expr, UnOp};
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -54,6 +61,19 @@ fn both_int(a: &Value, b: &Value) -> Option<(i64, i64)> {
     }
 }
 
+/// The error for a builtin argument of the wrong kind.
+fn kind_error(builtin: Builtin, expected: &str, got: &Value) -> EvalError {
+    EvalError::Type(format!(
+        "{}() expects {expected}, got {got}",
+        builtin.name()
+    ))
+}
+
+/// The error `union` raises unless both operands are sets.
+fn union_error() -> EvalError {
+    EvalError::Type("'union' expects two sets".into())
+}
+
 /// Evaluate `expr` under `binding`: a thin adapter that compiles the
 /// expression against a frame holding the binding's values.
 pub fn eval_expr(expr: &Expr, binding: &Binding) -> Result<Value, EvalError> {
@@ -62,7 +82,7 @@ pub fn eval_expr(expr: &Expr, binding: &Binding) -> Result<Value, EvalError> {
         frame.push(binding.get(name).cloned());
         frame.len() - 1
     });
-    compiled.eval(&frame)
+    compiled.eval(&frame).map(Cow::into_owned)
 }
 
 /// An expression compiled against a rule's slot frame: variables are
@@ -81,6 +101,11 @@ pub(crate) enum CExpr {
     /// A call to a name no builtin answers to: its arguments still
     /// evaluate first, then the call fails with a type error.
     Unknown(Arc<str>, Vec<CExpr>),
+    /// `x in keys(s)`: scans the pairs of `s` for one keyed by `x`
+    /// instead of building the key set.
+    InKeys(Box<CExpr>, Box<CExpr>),
+    /// `s union {x}`: copies `s` once and inserts `x`.
+    UnionWith(Box<CExpr>, Box<CExpr>),
 }
 
 impl CExpr {
@@ -92,10 +117,20 @@ impl CExpr {
             Expr::Const(v) => CExpr::Const(v.clone()),
             Expr::Var(name) => CExpr::Var(slot_of(name), Arc::from(name.as_str())),
             Expr::Unary(op, inner) => CExpr::Unary(*op, sub(inner)),
-            Expr::Binary(op, lhs, rhs) => {
-                let lhs = sub(lhs);
-                CExpr::Binary(*op, lhs, sub(rhs))
-            }
+            Expr::Binary(op, lhs, rhs) => match (op, &**rhs) {
+                (BinOp::In, Expr::Call(name, args)) if name == "keys" && args.len() == 1 => {
+                    let lhs = sub(lhs);
+                    CExpr::InKeys(lhs, sub(&args[0]))
+                }
+                (BinOp::Union, Expr::Call(name, args)) if name == "set" && args.len() == 1 => {
+                    let lhs = sub(lhs);
+                    CExpr::UnionWith(lhs, sub(&args[0]))
+                }
+                _ => {
+                    let lhs = sub(lhs);
+                    CExpr::Binary(*op, lhs, sub(rhs))
+                }
+            },
             Expr::Case {
                 cond,
                 then,
@@ -119,8 +154,111 @@ impl CExpr {
     }
 
     /// Evaluate against a frame: `frame[slot]` is the slot's value, `None`
-    /// while unbound.
-    pub(crate) fn eval(&self, frame: &[Option<Value>]) -> Result<Value, EvalError> {
+    /// while unbound. Constants and slot values come back borrowed.
+    pub(crate) fn eval<'a>(
+        &'a self,
+        frame: &'a [Option<Value>],
+    ) -> Result<Cow<'a, Value>, EvalError> {
+        let owned = match self {
+            CExpr::Const(v) => return Ok(Cow::Borrowed(v)),
+            CExpr::Var(slot, name) => {
+                return match frame.get(*slot) {
+                    Some(Some(v)) => Ok(Cow::Borrowed(v)),
+                    _ => Err(EvalError::Type(format!("unbound variable {name}"))),
+                }
+            }
+            CExpr::Unary(op, inner) => unary(*op, &*inner.eval(frame)?)?,
+            CExpr::Binary(op, lhs, rhs) => {
+                // short-circuit booleans
+                if matches!(op, BinOp::And | BinOp::Or) {
+                    let lb = match &*lhs.eval(frame)? {
+                        Value::Bool(b) => *b,
+                        other => return Err(EvalError::Type(format!("'and'/'or' on {other}"))),
+                    };
+                    return match (op, lb) {
+                        (BinOp::And, false) => Ok(Cow::Owned(Value::Bool(false))),
+                        (BinOp::Or, true) => Ok(Cow::Owned(Value::Bool(true))),
+                        _ => rhs.eval(frame),
+                    };
+                }
+                let a = lhs.eval(frame)?;
+                binary(*op, &a, &*rhs.eval(frame)?)?
+            }
+            CExpr::Case(cond, then, otherwise) => {
+                return match &*cond.eval(frame)? {
+                    Value::Bool(true) => then.eval(frame),
+                    Value::Bool(false) => otherwise.eval(frame),
+                    other => Err(EvalError::Type(format!("case condition is {other}"))),
+                }
+            }
+            CExpr::Index(base, key) => {
+                let b = base.eval(frame)?;
+                index_value(&b, &*key.eval(frame)?)?
+            }
+            CExpr::Call(builtin, args) => match args.as_slice() {
+                [a] => call_builtin(*builtin, &[&*a.eval(frame)?])?,
+                [a, b] => {
+                    let a = a.eval(frame)?;
+                    call_builtin(*builtin, &[&*a, &*b.eval(frame)?])?
+                }
+                args => {
+                    let vals = args
+                        .iter()
+                        .map(|a| a.eval(frame))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    let refs: Vec<&Value> = vals.iter().map(|v| &**v).collect();
+                    call_builtin(*builtin, &refs)?
+                }
+            },
+            CExpr::Unknown(name, args) => {
+                for a in args {
+                    a.eval(frame)?;
+                }
+                return Err(unknown_builtin(name));
+            }
+            CExpr::InKeys(x, s) => {
+                let x = x.eval(frame)?;
+                match &*s.eval(frame)? {
+                    Value::Set(pairs) => Value::Bool(
+                        pairs
+                            .iter()
+                            .any(|p| p.as_tuple().and_then(<[Value]>::first) == Some(&*x)),
+                    ),
+                    other => return Err(kind_error(Builtin::Keys, "a set of pairs", other)),
+                }
+            }
+            CExpr::UnionWith(s, x) => {
+                let s = s.eval(frame)?;
+                let x = x.eval(frame)?.into_owned();
+                match &*s {
+                    Value::Set(set) => {
+                        let mut out = BTreeSet::clone(set);
+                        out.insert(x);
+                        Value::Set(Arc::new(out))
+                    }
+                    _ => return Err(union_error()),
+                }
+            }
+        };
+        Ok(Cow::Owned(owned))
+    }
+
+    /// A clone-based evaluator, the oracle the borrowing one is tested
+    /// against: every operand is cloned, every call's arguments are
+    /// collected into a vector, and the fused nodes run as the expressions
+    /// they replace (`keys` then `in`; a set literal then `union`). It
+    /// calls the same operator and builtin functions, so it checks
+    /// evaluation order, borrowing and the fused nodes, not the operators
+    /// themselves.
+    #[cfg(test)]
+    pub(crate) fn eval_oracle(&self, frame: &[Option<Value>]) -> Result<Value, EvalError> {
+        let call = |builtin, vals: &[Value]| {
+            let refs: Vec<&Value> = vals.iter().collect();
+            call_builtin(builtin, &refs)
+        };
+        let eval_args = |args: &[CExpr]| -> Result<Vec<Value>, EvalError> {
+            args.iter().map(|a| a.eval_oracle(frame)).collect()
+        };
         match self {
             CExpr::Const(v) => Ok(v.clone()),
             CExpr::Var(slot, name) => frame
@@ -128,24 +266,11 @@ impl CExpr {
                 .and_then(Option::as_ref)
                 .cloned()
                 .ok_or_else(|| EvalError::Type(format!("unbound variable {name}"))),
-            CExpr::Unary(op, inner) => {
-                let v = inner.eval(frame)?;
-                match op {
-                    UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(EvalError::Type(format!("cannot negate {other}"))),
-                    },
-                    UnOp::Not => match v {
-                        Value::Bool(b) => Ok(Value::Bool(!b)),
-                        other => Err(EvalError::Type(format!("cannot apply 'not' to {other}"))),
-                    },
-                }
-            }
+            CExpr::Unary(op, inner) => unary(*op, &inner.eval_oracle(frame)?),
             CExpr::Binary(op, lhs, rhs) => {
                 // short-circuit booleans
                 if matches!(op, BinOp::And | BinOp::Or) {
-                    let lb = match lhs.eval(frame)? {
+                    let lb = match lhs.eval_oracle(frame)? {
                         Value::Bool(b) => b,
                         other => return Err(EvalError::Type(format!("'and'/'or' on {other}"))),
                     };
@@ -155,67 +280,85 @@ impl CExpr {
                     if *op == BinOp::Or && lb {
                         return Ok(Value::Bool(true));
                     }
-                    return rhs.eval(frame);
+                    return rhs.eval_oracle(frame);
                 }
-                let a = lhs.eval(frame)?;
-                let b = rhs.eval(frame)?;
-                binary(*op, a, b)
+                let a = lhs.eval_oracle(frame)?;
+                let b = rhs.eval_oracle(frame)?;
+                binary(*op, &a, &b)
             }
-            CExpr::Case(cond, then, otherwise) => match cond.eval(frame)? {
-                Value::Bool(true) => then.eval(frame),
-                Value::Bool(false) => otherwise.eval(frame),
+            CExpr::Case(cond, then, otherwise) => match cond.eval_oracle(frame)? {
+                Value::Bool(true) => then.eval_oracle(frame),
+                Value::Bool(false) => otherwise.eval_oracle(frame),
                 other => Err(EvalError::Type(format!("case condition is {other}"))),
             },
             CExpr::Index(base, key) => {
-                let b = base.eval(frame)?;
-                let k = key.eval(frame)?;
+                let b = base.eval_oracle(frame)?;
+                let k = key.eval_oracle(frame)?;
                 index_value(&b, &k)
             }
-            CExpr::Call(builtin, args) => {
-                let vals = eval_args(args, frame)?;
-                call_builtin(*builtin, &vals)
-            }
+            CExpr::Call(builtin, args) => call(*builtin, &eval_args(args)?),
             CExpr::Unknown(name, args) => {
-                eval_args(args, frame)?;
-                Err(EvalError::Type(format!("unknown builtin '{name}'")))
+                eval_args(args)?;
+                Err(unknown_builtin(name))
+            }
+            CExpr::InKeys(x, s) => {
+                let a = x.eval_oracle(frame)?;
+                let keys = call(Builtin::Keys, &[s.eval_oracle(frame)?])?;
+                binary(BinOp::In, &a, &keys)
+            }
+            CExpr::UnionWith(s, x) => {
+                let a = s.eval_oracle(frame)?;
+                let b = call(Builtin::Set, &[x.eval_oracle(frame)?])?;
+                binary(BinOp::Union, &a, &b)
             }
         }
     }
 }
 
-fn eval_args(args: &[CExpr], frame: &[Option<Value>]) -> Result<Vec<Value>, EvalError> {
-    args.iter().map(|a| a.eval(frame)).collect()
+fn unknown_builtin(name: &str) -> EvalError {
+    EvalError::Type(format!("unknown builtin '{name}'"))
+}
+
+/// A unary operator applied to an evaluated operand.
+fn unary(op: UnOp, v: &Value) -> Result<Value, EvalError> {
+    match (op, v) {
+        (UnOp::Neg, Value::Int(i)) => Ok(Value::Int(i.wrapping_neg())),
+        (UnOp::Neg, Value::Float(f)) => Ok(Value::Float(-f)),
+        (UnOp::Neg, other) => Err(EvalError::Type(format!("cannot negate {other}"))),
+        (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
+        (UnOp::Not, other) => Err(EvalError::Type(format!("cannot apply 'not' to {other}"))),
+    }
 }
 
 /// A non-short-circuiting binary operator applied to evaluated operands.
-fn binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
+fn binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, EvalError> {
     match op {
         BinOp::Add => {
-            if let Some((x, y)) = both_int(&a, &b) {
+            if let Some((x, y)) = both_int(a, b) {
                 Ok(Value::Int(x.wrapping_add(y)))
             } else {
-                let (x, y) = num2(&a, &b, "+")?;
+                let (x, y) = num2(a, b, "+")?;
                 Ok(Value::Float(x + y))
             }
         }
         BinOp::Sub => {
-            if let Some((x, y)) = both_int(&a, &b) {
+            if let Some((x, y)) = both_int(a, b) {
                 Ok(Value::Int(x.wrapping_sub(y)))
             } else {
-                let (x, y) = num2(&a, &b, "-")?;
+                let (x, y) = num2(a, b, "-")?;
                 Ok(Value::Float(x - y))
             }
         }
         BinOp::Mul => {
-            if let Some((x, y)) = both_int(&a, &b) {
+            if let Some((x, y)) = both_int(a, b) {
                 Ok(Value::Int(x.wrapping_mul(y)))
             } else {
-                let (x, y) = num2(&a, &b, "*")?;
+                let (x, y) = num2(a, b, "*")?;
                 Ok(Value::Float(x * y))
             }
         }
         BinOp::Div => {
-            let (x, y) = num2(&a, &b, "/")?;
+            let (x, y) = num2(a, b, "/")?;
             if y == 0.0 {
                 Err(EvalError::Undefined("division by zero".into()))
             } else {
@@ -223,7 +366,7 @@ fn binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
             }
         }
         BinOp::Mod => {
-            if let Some((x, y)) = both_int(&a, &b) {
+            if let Some((x, y)) = both_int(a, b) {
                 if y == 0 {
                     Err(EvalError::Undefined("modulo by zero".into()))
                 } else {
@@ -239,22 +382,24 @@ fn binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
         BinOp::Le => Ok(Value::Bool(a <= b)),
         BinOp::Gt => Ok(Value::Bool(a > b)),
         BinOp::Ge => Ok(Value::Bool(a >= b)),
-        BinOp::In => match &b {
-            Value::Set(s) => Ok(Value::Bool(s.contains(&a))),
-            Value::Tuple(t) => Ok(Value::Bool(t.contains(&a))),
-            other => Err(EvalError::Type(format!("'in' expects a set, got {other}"))),
+        BinOp::In => match b {
+            Value::Set(s) => Ok(Value::Bool(s.contains(a))),
+            Value::Tuple(t) => Ok(Value::Bool(t.contains(a))),
+            other => Err(EvalError::Type(format!(
+                "'in' expects a set or a tuple, got {other}"
+            ))),
         },
-        BinOp::Subset => match (&a, &b) {
+        BinOp::Subset => match (a, b) {
             (Value::Set(x), Value::Set(y)) => Ok(Value::Bool(x.is_subset(y) && x.len() < y.len())),
             _ => Err(EvalError::Type("'subset' expects two sets".into())),
         },
-        BinOp::Union => match (&a, &b) {
+        BinOp::Union => match (a, b) {
             (Value::Set(x), Value::Set(y)) => {
                 let mut s: BTreeSet<Value> = (**x).clone();
                 s.extend(y.iter().cloned());
                 Ok(Value::Set(Arc::new(s)))
             }
-            _ => Err(EvalError::Type("'union' expects two sets".into())),
+            _ => Err(union_error()),
         },
         BinOp::And | BinOp::Or => unreachable!("short-circuited by the caller"),
     }
@@ -342,8 +487,9 @@ builtins! {
     ContainsStr => "contains_str", Substr => "substr", Concat => "concat", UnionOf => "union_of",
 }
 
-/// Dispatch a builtin function call.
-fn call_builtin(builtin: Builtin, args: &[Value]) -> Result<Value, EvalError> {
+/// Dispatch a builtin function call. A wrong argument count is an arity
+/// error; an argument of the wrong kind is a type error naming the kind.
+fn call_builtin(builtin: Builtin, args: &[&Value]) -> Result<Value, EvalError> {
     let name = builtin.name();
     let arity_err = |n: usize| {
         Err(EvalError::Type(format!(
@@ -361,11 +507,13 @@ fn call_builtin(builtin: Builtin, args: &[Value]) -> Result<Value, EvalError> {
             _ => arity_err(1),
         },
         Pair => match args {
-            [a, b] => Ok(Value::pair(a.clone(), b.clone())),
+            [a, b] => Ok(Value::pair(Value::clone(a), Value::clone(b))),
             _ => arity_err(2),
         },
-        Tuple => Ok(Value::Tuple(Arc::new(args.to_vec()))),
-        Set => Ok(Value::set(args.iter().cloned())),
+        Tuple => Ok(Value::Tuple(Arc::new(
+            args.iter().copied().cloned().collect(),
+        ))),
+        Set => Ok(Value::set(args.iter().copied().cloned())),
         First => match args {
             [Value::Tuple(t)] if !t.is_empty() => Ok(t[0].clone()),
             [_] => Err(EvalError::Type("first() expects a non-empty tuple".into())),
@@ -385,12 +533,14 @@ fn call_builtin(builtin: Builtin, args: &[Value]) -> Result<Value, EvalError> {
         },
         SetMinus => match args {
             [Value::Set(a), Value::Set(b)] => Ok(Value::set(a.difference(b).cloned())),
-            [Value::Set(a), x] => Ok(Value::set(a.iter().filter(|v| *v != x).cloned())),
+            [Value::Set(a), x] => Ok(Value::set(a.iter().filter(|v| v != x).cloned())),
+            [other, _] => Err(kind_error(builtin, "a set", other)),
             _ => arity_err(2),
         },
         Contains => match args {
-            [Value::Set(s), x] => Ok(Value::Bool(s.contains(x))),
-            [Value::Tuple(t), x] => Ok(Value::Bool(t.contains(x))),
+            [Value::Set(s), x] => Ok(Value::Bool(s.contains(*x))),
+            [Value::Tuple(t), x] => Ok(Value::Bool(t.contains(*x))),
+            [other, _] => Err(kind_error(builtin, "a set or a tuple", other)),
             _ => arity_err(2),
         },
         Keys => match args {
@@ -400,6 +550,7 @@ fn call_builtin(builtin: Builtin, args: &[Value]) -> Result<Value, EvalError> {
                     p.as_tuple().and_then(|t| t.first().cloned())
                 })))
             }
+            [other] => Err(kind_error(builtin, "a set of pairs", other)),
             _ => arity_err(1),
         },
         Values => match args {
@@ -408,6 +559,7 @@ fn call_builtin(builtin: Builtin, args: &[Value]) -> Result<Value, EvalError> {
                     p.as_tuple().and_then(|t| t.get(1).cloned())
                 })))
             }
+            [other] => Err(kind_error(builtin, "a set of pairs", other)),
             _ => arity_err(1),
         },
         IsNull => match args {
@@ -415,11 +567,11 @@ fn call_builtin(builtin: Builtin, args: &[Value]) -> Result<Value, EvalError> {
             _ => arity_err(1),
         },
         Min => match args {
-            [a, b] => Ok(if a <= b { a.clone() } else { b.clone() }),
+            [a, b] => Ok(Value::clone(if a <= b { a } else { b })),
             _ => arity_err(2),
         },
         Max => match args {
-            [a, b] => Ok(if a >= b { a.clone() } else { b.clone() }),
+            [a, b] => Ok(Value::clone(if a >= b { a } else { b })),
             _ => arity_err(2),
         },
         Abs => match args {
@@ -542,6 +694,9 @@ fn call_builtin(builtin: Builtin, args: &[Value]) -> Result<Value, EvalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::Rng;
 
     fn b(pairs: &[(&str, Value)]) -> Binding {
         pairs
@@ -564,6 +719,9 @@ mod tests {
             Box::new(Expr::val(0.5f64)),
         );
         assert_eq!(eval_expr(&e, &Binding::new()).unwrap(), Value::Float(2.5));
+        // integer negation wraps like the other operators, in every build
+        let e = Expr::Unary(UnOp::Neg, Box::new(Expr::val(i64::MIN)));
+        assert_eq!(eval_expr(&e, &Binding::new()), Ok(Value::Int(i64::MIN)));
     }
 
     #[test]
@@ -771,5 +929,311 @@ mod tests {
             )),
         );
         assert_eq!(eval_expr(&e, &Binding::new()).unwrap(), Value::Bool(false));
+    }
+
+    fn call(name: &str, args: Vec<Expr>) -> Expr {
+        Expr::Call(name.into(), args)
+    }
+
+    fn type_error(e: &Expr) -> String {
+        match eval_expr(e, &Binding::new()) {
+            Err(EvalError::Type(m)) => m,
+            other => panic!("{e:?} should be a type error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn set_builtins_name_the_expected_kind() {
+        let five = || Expr::val(5i64);
+        for (e, want) in [
+            (
+                call("keys", vec![five()]),
+                "keys() expects a set of pairs, got 5",
+            ),
+            (
+                call("values", vec![five()]),
+                "values() expects a set of pairs, got 5",
+            ),
+            (
+                call("contains", vec![five(), five()]),
+                "contains() expects a set or a tuple, got 5",
+            ),
+            (
+                call("setminus", vec![five(), five()]),
+                "setminus() expects a set, got 5",
+            ),
+            (
+                Expr::Binary(BinOp::In, Box::new(five()), Box::new(five())),
+                "'in' expects a set or a tuple, got 5",
+            ),
+        ] {
+            assert_eq!(type_error(&e), want);
+        }
+    }
+
+    #[test]
+    fn set_builtins_keep_the_arity_error_for_a_wrong_count() {
+        let set = || Expr::Const(Value::set([Value::Int(1)]));
+        for (e, want) in [
+            (
+                call("keys", vec![]),
+                "builtin 'keys' expects 1 argument(s), got 0",
+            ),
+            (
+                call("values", vec![set(), set()]),
+                "builtin 'values' expects 1 argument(s), got 2",
+            ),
+            (
+                call("contains", vec![set()]),
+                "builtin 'contains' expects 2 argument(s), got 1",
+            ),
+            (
+                call("setminus", vec![set(), set(), set()]),
+                "builtin 'setminus' expects 2 argument(s), got 3",
+            ),
+        ] {
+            assert_eq!(type_error(&e), want);
+        }
+    }
+
+    #[test]
+    fn fused_in_keys_raises_the_error_of_keys_alone() {
+        let in_keys = Expr::Binary(
+            BinOp::In,
+            Box::new(Expr::val(1i64)),
+            Box::new(call("keys", vec![Expr::val(5i64)])),
+        );
+        let mut slot_of = |_: &str| 0;
+        assert!(matches!(
+            CExpr::compile(&in_keys, &mut slot_of),
+            CExpr::InKeys(..)
+        ));
+        assert_eq!(
+            eval_expr(&in_keys, &Binding::new()),
+            eval_expr(&call("keys", vec![Expr::val(5i64)]), &Binding::new())
+        );
+    }
+
+    #[test]
+    fn fused_nodes_match_their_unfused_meaning() {
+        let vset = Value::set([
+            Value::pair(Value::str("a"), Value::Int(1)),
+            Value::pair(Value::str("b"), Value::Int(2)),
+        ]);
+        let binding = b(&[("V", vset), ("S", Value::set([Value::str("a")]))]);
+        let in_keys = |key: &str| {
+            Expr::Binary(
+                BinOp::In,
+                Box::new(Expr::Const(Value::str(key))),
+                Box::new(call("keys", vec![Expr::var("V")])),
+            )
+        };
+        assert_eq!(eval_expr(&in_keys("b"), &binding), Ok(Value::Bool(true)));
+        assert_eq!(eval_expr(&in_keys("z"), &binding), Ok(Value::Bool(false)));
+        let union = |lhs: Expr| {
+            Expr::Binary(
+                BinOp::Union,
+                Box::new(lhs),
+                Box::new(call("set", vec![Expr::Const(Value::str("b"))])),
+            )
+        };
+        let mut slot_of = |_: &str| 0;
+        assert!(matches!(
+            CExpr::compile(&union(Expr::var("S")), &mut slot_of),
+            CExpr::UnionWith(..)
+        ));
+        let both = Value::set([Value::str("a"), Value::str("b")]);
+        assert_eq!(
+            eval_expr(&union(Expr::var("S")), &binding),
+            Ok(both.clone())
+        );
+        // a computed left side
+        let owned = call(
+            "setminus",
+            vec![Expr::var("S"), Expr::Const(Value::str("z"))],
+        );
+        assert_eq!(eval_expr(&union(owned), &binding), Ok(both));
+        assert_eq!(
+            eval_expr(&union(Expr::val(3i64)), &binding),
+            Err(EvalError::Type("'union' expects two sets".into()))
+        );
+    }
+
+    /// Variable names the random expressions use; `U` is never bound.
+    const NAMES: [&str; 5] = ["A", "S", "V", "X", "U"];
+
+    fn slot_of(name: &str) -> usize {
+        NAMES
+            .iter()
+            .position(|n| *n == name)
+            .unwrap_or(NAMES.len() - 1)
+    }
+
+    fn pick<T: Clone>(rng: &mut StdRng, items: &[T]) -> T {
+        items[rng.gen_range(0..items.len())].clone()
+    }
+
+    fn scalar(rng: &mut StdRng) -> Value {
+        match rng.gen_range(0..5u32) {
+            0 => Value::Int(rng.gen_range(-2..4i64)),
+            1 => Value::Float(pick(rng, &[0.0, 1.0, -1.5, 2.5])),
+            2 => Value::str(pick(rng, &["a", "b", "c"])),
+            3 => Value::Null(rng.gen_range(1..3u64)),
+            _ => Value::Bool(rng.gen_bool(0.5)),
+        }
+    }
+
+    /// Ints, floats, strings, labelled nulls, booleans, tuples and sets
+    /// of pairs keyed by `a`/`b`/`c` (and now and then a plain set).
+    fn value(rng: &mut StdRng) -> Value {
+        match rng.gen_range(0..8u32) {
+            0..=3 => scalar(rng),
+            4 => Value::Tuple(Arc::new(
+                (0..rng.gen_range(0..3)).map(|_| scalar(rng)).collect(),
+            )),
+            5 => Value::set((0..rng.gen_range(0..3)).map(|_| scalar(rng))),
+            _ => Value::set((0..rng.gen_range(0..4)).map(|_| {
+                let key = Value::str(pick(rng, &["a", "b", "c"]));
+                Value::pair(key, scalar(rng))
+            })),
+        }
+    }
+
+    struct ArbFrame;
+
+    impl Strategy for ArbFrame {
+        type Value = Vec<Option<Value>>;
+        fn generate(&self, rng: &mut StdRng) -> Vec<Option<Value>> {
+            NAMES
+                .iter()
+                .map(|n| (*n != "U" && rng.gen_bool(0.9)).then(|| value(rng)))
+                .collect()
+        }
+    }
+
+    struct ArbExpr(u32);
+
+    const OPS: [BinOp; 16] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Mod,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::In,
+        BinOp::Subset,
+        BinOp::Union,
+    ];
+
+    /// Builtin names, each called with zero to four arguments whatever
+    /// its arity (four takes the evaluator's vector path), plus a name no
+    /// builtin answers to.
+    const CALLS: [&str; 14] = [
+        "keys",
+        "values",
+        "contains",
+        "setminus",
+        "size",
+        "set",
+        "tuple",
+        "pair",
+        "first",
+        "min",
+        "abs",
+        "union_of",
+        "substr",
+        "frobnicate",
+    ];
+
+    fn expr(rng: &mut StdRng, depth: u32) -> Expr {
+        let var = |rng: &mut StdRng| Expr::var(pick(rng, &NAMES));
+        let leaf = |rng: &mut StdRng| match rng.gen_bool(0.5) {
+            true => var(rng),
+            false => Expr::Const(value(rng)),
+        };
+        if depth == 0 {
+            return leaf(rng);
+        }
+        let sub = |rng: &mut StdRng| Box::new(expr(rng, depth - 1));
+        match rng.gen_range(0..12u32) {
+            0 => leaf(rng),
+            1 => Expr::Unary(pick(rng, &[UnOp::Neg, UnOp::Not]), sub(rng)),
+            2 | 3 => {
+                let op = pick(rng, &OPS);
+                let lhs = sub(rng);
+                Expr::Binary(op, lhs, sub(rng))
+            }
+            // `and`/`or` whose right side errors unless short-circuited
+            4 => {
+                let op = pick(rng, &[BinOp::And, BinOp::Or]);
+                let lhs = sub(rng);
+                let rhs = match rng.gen_bool(0.5) {
+                    true => Box::new(call("frobnicate", vec![])),
+                    false => Box::new(Expr::var("U")),
+                };
+                Expr::Binary(op, lhs, rhs)
+            }
+            5 => {
+                let (cond, then) = (sub(rng), sub(rng));
+                Expr::Case {
+                    cond,
+                    then,
+                    otherwise: sub(rng),
+                }
+            }
+            6 => Expr::Index(Box::new(var(rng)), sub(rng)),
+            7 => {
+                let name = pick(rng, &CALLS);
+                let args = (0..rng.gen_range(0..5))
+                    .map(|_| expr(rng, depth - 1))
+                    .collect();
+                call(name, args)
+            }
+            8 => {
+                let args = (0..rng.gen_range(0..3))
+                    .map(|_| expr(rng, depth - 1))
+                    .collect();
+                call("set", args)
+            }
+            9 => {
+                let x = sub(rng);
+                let keys = call("keys", vec![expr(rng, depth - 1)]);
+                Expr::Binary(BinOp::In, x, Box::new(keys))
+            }
+            10 => {
+                let s = sub(rng);
+                let one = call("set", vec![expr(rng, depth - 1)]);
+                Expr::Binary(BinOp::Union, s, Box::new(one))
+            }
+            _ => Expr::Index(Box::new(Expr::var("V")), Box::new(Expr::var("S"))),
+        }
+    }
+
+    impl Strategy for ArbExpr {
+        type Value = Expr;
+        fn generate(&self, rng: &mut StdRng) -> Expr {
+            expr(rng, self.0)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        #[test]
+        fn borrowing_evaluator_matches_the_clone_oracle(e in ArbExpr(4), frame in ArbFrame) {
+            let compiled = CExpr::compile(&e, &mut slot_of);
+            let got = compiled.eval(&frame).map(Cow::into_owned);
+            let want = compiled.eval_oracle(&frame);
+            // Debug output tells `Int(1)` from `Float(1.0)`, which `==`
+            // does not.
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{:?} over {:?}", e, frame);
+        }
     }
 }

@@ -34,6 +34,7 @@ use crate::routing::Router;
 use crate::storage::{Database, Relation, Row};
 use crate::stratify::{check_safety, stratify, StratifyError};
 use crate::value::{NullId, Value};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -83,6 +84,9 @@ struct Firings {
     /// One binding per firing, materialized only when tracing or routing.
     bindings: Vec<Binding>,
     counters: JoinCounters,
+    /// Nanoseconds the rule's join passes took, on whichever thread ran
+    /// them.
+    join_ns: u64,
 }
 
 /// A head fact awaiting insertion, with the index of its firing's traced
@@ -1047,6 +1051,7 @@ impl Engine {
                 }
                 let rp = &mut profile.rules[r.idx];
                 rp.join_candidates += firings.counters.candidates;
+                rp.join_ns += firings.join_ns;
                 rp.firings += firings.count as u64;
                 profile.index_probes += firings.counters.probes;
                 profile.index_scans += firings.counters.scans;
@@ -1265,6 +1270,7 @@ impl Engine {
         delta: Option<&DeltaRows>,
     ) -> Result<Firings, EngineError> {
         isolate_rule(program, r.idx, || {
+            let start = Instant::now();
             let mut firings = Firings::default();
             let CHead::Plain { frontier, .. } = &r.compiled.head else {
                 return Ok(firings);
@@ -1294,6 +1300,7 @@ impl Engine {
                 Join::new(plan, db, delta, r.idx, &mut firings.counters)
                     .step(0, &mut frame, &mut emit)?;
             }
+            firings.join_ns = start.elapsed().as_nanos() as u64;
             Ok(firings)
         })
     }
@@ -1407,8 +1414,11 @@ impl Engine {
             }
         }
         let mut counters = JoinCounters::default();
+        let start = Instant::now();
         Join::new(&plan, db, None, r.idx, &mut counters).step(0, &mut r.compiled.frame(), emit)?;
-        profile.rules[r.idx].join_candidates += counters.candidates;
+        let rp = &mut profile.rules[r.idx];
+        rp.join_ns += start.elapsed().as_nanos() as u64;
+        rp.join_candidates += counters.candidates;
         profile.index_probes += counters.probes;
         profile.index_scans += counters.scans;
         Ok(())
@@ -1486,7 +1496,7 @@ impl Engine {
                 contributor.clear();
                 for c in contributors.iter() {
                     match c.eval(frame.values()) {
-                        Ok(v) => contributor.push(v),
+                        Ok(v) => contributor.push(v.into_owned()),
                         Err(EvalError::Undefined(_)) => continue 'aggs,
                         Err(e) => {
                             fold_error = Some(e);
@@ -1535,9 +1545,9 @@ impl Engine {
                     },
                     CLit::Let { slot, expr } => match expr.eval(&frame) {
                         Ok(v) => match &frame[*slot] {
-                            Some(existing) if *existing != v => continue 'group,
+                            Some(existing) if *existing != *v => continue 'group,
                             Some(_) => {}
-                            None => frame[*slot] = Some(v),
+                            None => frame[*slot] = Some(v.into_owned()),
                         },
                         Err(EvalError::Undefined(_)) => continue 'group,
                         Err(e) => return Err(eval_error(e)),
@@ -1711,23 +1721,23 @@ struct Contributions {
 }
 
 impl Contributions {
-    fn add(&mut self, func: AggFunc, contributor: &[Value], contribution: Value) {
+    fn add(&mut self, func: AggFunc, contributor: &[Value], contribution: Cow<'_, Value>) {
         let Some(&i) = self.index.get(contributor) else {
             self.index.insert(contributor.to_vec(), self.values.len());
-            self.values.push(contribution);
+            self.values.push(contribution.into_owned());
             return;
         };
         let old = &mut self.values[i];
         match func {
             // monotone-increasing aggregates keep the max
             AggFunc::MSum | AggFunc::MCount | AggFunc::MProd | AggFunc::MMax => {
-                if contribution > *old {
-                    *old = contribution;
+                if *contribution > *old {
+                    *old = contribution.into_owned();
                 }
             }
             AggFunc::MMin => {
-                if contribution < *old {
-                    *old = contribution;
+                if *contribution < *old {
+                    *old = contribution.into_owned();
                 }
             }
             AggFunc::MUnion => *old = merge_union(old, &contribution),
@@ -1750,7 +1760,7 @@ struct Join<'a> {
     delta: &'a [Row],
     rule_idx: usize,
     counters: &'a mut JoinCounters,
-    /// Probe-key buffer, reused across probes.
+    /// Probe-key and negation-row buffer, reused across lookups.
     key: Vec<Value>,
 }
 
@@ -1855,14 +1865,18 @@ impl<'a> Join<'a> {
                 // should one be unbound regardless, the negation is
                 // undecidable for this binding and the branch derives
                 // nothing.
-                let Some(row) = args
-                    .iter()
-                    .map(|t| t.value(frame.values()))
-                    .collect::<Option<Vec<Value>>>()
-                else {
-                    return Ok(());
-                };
-                if !self.rels[k].is_some_and(|r| r.contains(&row)) {
+                let mut row = std::mem::take(&mut self.key);
+                row.clear();
+                for t in args {
+                    match t.value(frame.values()) {
+                        Some(v) => row.push(v),
+                        None => break,
+                    }
+                }
+                let absent =
+                    row.len() == args.len() && !self.rels[k].is_some_and(|r| r.contains(&row));
+                self.key = row;
+                if absent {
                     self.step(k + 1, frame, emit)?;
                 }
                 Ok(())
@@ -1877,13 +1891,13 @@ impl<'a> Join<'a> {
             },
             StepOp::Assign { slot, expr, filter } => match expr.eval(frame.values()) {
                 // An assignment to a bound slot acts as an equality filter.
-                Ok(v) if *filter => match frame.get(*slot) == Some(&v) {
+                Ok(v) if *filter => match frame.get(*slot) == Some(&*v) {
                     true => self.step(k + 1, frame, emit),
                     false => Ok(()),
                 },
                 Ok(v) => {
                     let mark = frame.mark();
-                    frame.bind(*slot, v);
+                    frame.bind(*slot, v.into_owned());
                     self.step(k + 1, frame, emit)?;
                     frame.undo(mark);
                     Ok(())

@@ -4,10 +4,10 @@
 //! Every reasoning run accumulates an [`EngineProfile`]: per-stratum
 //! spans, per-fixpoint-round delta sizes and phase times (plan, join,
 //! merge), per-stratum aggregate time and skipped aggregate passes, and
-//! per-rule firing / derived-fact / join-candidate counts. Accumulation
-//! is always on — it is a handful of integer adds and four monotonic
-//! clock reads per round, which is noise next to the joins themselves —
-//! and the profile rides on
+//! per-rule firing / derived-fact / join-candidate counts and join time.
+//! Accumulation is always on — a handful of integer adds, four monotonic
+//! clock reads per round and two per rule per round, which is noise next
+//! to the joins themselves — and the profile rides on
 //! [`ReasoningResult`](crate::eval::ReasoningResult). When a
 //! [`Collector`](vadasa_obs::Collector) is attached to the engine config
 //! the profile is additionally replayed as telemetry events after the
@@ -34,6 +34,10 @@ pub struct RuleProfile {
     /// Candidate rows examined while joining the body (the engine's raw
     /// join effort; the ratio to `firings` shows join selectivity).
     pub join_candidates: u64,
+    /// Nanoseconds in the rule's join passes, summed over rounds. A
+    /// threaded round times each rule on its worker; an aggregate or EGD
+    /// rule times its full join, aggregate folding included.
+    pub join_ns: u64,
     /// Null unifications performed (EGD rules only).
     pub unifications: u64,
 }
@@ -243,17 +247,18 @@ impl EngineProfile {
             .max(4);
         let _ = writeln!(
             out,
-            "{:<name_w$}  {:>9}  {:>9}  {:>11}  {:>6}",
-            "rule", "firings", "facts", "join-cands", "unif."
+            "{:<name_w$}  {:>9}  {:>9}  {:>11}  {:>10}  {:>6}",
+            "rule", "firings", "facts", "join-cands", "join", "unif."
         );
         for r in &self.rules {
             let _ = writeln!(
                 out,
-                "{:<name_w$}  {:>9}  {:>9}  {:>11}  {:>6}",
+                "{:<name_w$}  {:>9}  {:>9}  {:>11}  {:>10}  {:>6}",
                 format!("{} → {}", r.name, r.head),
                 r.firings,
                 r.facts_derived,
                 r.join_candidates,
+                fmt_ns(r.join_ns),
                 r.unifications
             );
         }
@@ -328,6 +333,11 @@ impl EngineProfile {
             obs.counter(
                 "engine.rule.join_candidates",
                 r.join_candidates,
+                fields!["rule" => r.rule, "name" => r.name.as_str()],
+            );
+            obs.counter(
+                "engine.rule.join_ns",
+                r.join_ns,
                 fields!["rule" => r.rule, "name" => r.name.as_str()],
             );
             if r.unifications > 0 {
@@ -441,8 +451,10 @@ mod tests {
         profile.facts_derived = 3;
         profile.strata[0].rounds[0].join_ns = 700;
         profile.strata[0].aggregate_skips = 4;
+        profile.rules[0].join_ns = 1234;
         let text = profile.render_table();
         assert!(text.contains("rule#0 → b"));
+        assert!(text.contains("1.234 µs"), "rule join time missing: {text}");
         assert!(text.contains("700 ns"), "join phase missing: {text}");
         assert!(
             text.contains("     4  3@0"),
@@ -475,11 +487,13 @@ mod tests {
         let mut profile = EngineProfile::for_program(&p);
         profile.rules[0].firings = 4;
         profile.rules[0].facts_derived = 2;
+        profile.rules[0].join_ns = 9;
         profile.facts_derived = 2;
         profile.total_ns = 10;
         let rec = vadasa_obs::Recorder::new();
         profile.emit(&Obs::new(Some(&rec)));
         assert_eq!(rec.counter_total("engine.rule.firings"), 4);
+        assert_eq!(rec.counter_total("engine.rule.join_ns"), 9);
         assert_eq!(rec.counter_total("engine.facts_derived"), 2);
         assert_eq!(rec.events_named("engine.run").len(), 1);
     }
