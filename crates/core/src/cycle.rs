@@ -1366,9 +1366,12 @@ impl<'a> AnonymizationCycle<'a> {
     /// `evaluate_tuple` rechecks (and, warm-started, the *next iteration's*
     /// risk evaluation) see the current state — this is the patch that
     /// replaces rebuilding the whole [`MicrodataView`]. When `stats` is
-    /// supplied the maintained group statistics are repaired row by row
-    /// (each change must be applied against the state the statistics
-    /// currently describe). Returns the number of view rows patched.
+    /// supplied the maintained group statistics follow: a suppression
+    /// repairs them for its one cell (against the state they currently
+    /// describe), a recode replaces them with one regroup — it rewrites a
+    /// whole value class, and a per-cell repair would cost O(class · rows).
+    /// Both are bit-identical to a cold regroup under the exact-summability
+    /// gate the warm path holds. Returns the number of view rows patched.
     fn patch_view(
         &self,
         view: &mut MicrodataView,
@@ -1387,10 +1390,14 @@ impl<'a> AnonymizationCycle<'a> {
                 0
             }
             AnonymizationAction::Recode { attr, from, to, .. } => {
-                match view.qi_names.iter().position(|q| q == attr) {
-                    Some(col) => view.patch_recode(col, from, to, stats).len() as u64,
-                    None => 0,
+                let Some(col) = view.qi_names.iter().position(|q| q == attr) else {
+                    return 0;
+                };
+                let patched = view.patch_recode(col, from, to).len() as u64;
+                if let Some(stats) = stats.filter(|_| patched > 0) {
+                    *stats = view.group_stats();
                 }
+                patched
             }
             AnonymizationAction::Exhausted { .. } => 0,
         }

@@ -163,7 +163,7 @@ impl MicrodataView {
             Some(w) => Some(db.numeric_column(w)?),
             None => None,
         };
-        Self::assemble(qi_names, weights, semantics, 1, |width| {
+        Self::assemble(qi_names, weights, semantics, |width| {
             Ok(encode_rows(
                 width,
                 db.len(),
@@ -181,7 +181,7 @@ impl MicrodataView {
         weights: Option<Vec<f64>>,
         semantics: NullSemantics,
     ) -> Result<Self, RiskError> {
-        Self::assemble(qi_names, weights, semantics, 1, |width| {
+        Self::assemble(qi_names, weights, semantics, |width| {
             if let Some(r) = rows.iter().position(|r| r.len() != width) {
                 return Err(RiskError::View(format!(
                     "row {r} has {} cells for {width} quasi-identifiers",
@@ -203,7 +203,6 @@ impl MicrodataView {
         qi_names: Vec<String>,
         weights: Option<Vec<f64>>,
         semantics: NullSemantics,
-        risk_threads: usize,
         encode: impl FnOnce(usize) -> Result<Encoded, RiskError>,
     ) -> Result<Self, RiskError> {
         let width = qi_names.len();
@@ -228,7 +227,7 @@ impl MicrodataView {
             patterns,
             weights,
             semantics,
-            risk_threads,
+            risk_threads: 1,
         })
     }
 
@@ -299,11 +298,6 @@ impl MicrodataView {
         self.group_stats_with(self.weights.as_deref(), self.semantics)
     }
 
-    /// Column dictionaries in column order (spill/restore path).
-    pub(crate) fn dicts(&self) -> &[ColumnDict] {
-        &self.dicts
-    }
-
     /// The flat row-major code matrix.
     pub(crate) fn codes(&self) -> &[u32] {
         &self.codes
@@ -325,33 +319,6 @@ impl MicrodataView {
     #[cfg(test)]
     pub(crate) fn patterns(&self) -> &PatternIndex {
         &self.patterns
-    }
-
-    /// Reassemble a view from its constituent parts. Used by the
-    /// out-of-core store ([`crate::colstore`]) when materializing a
-    /// spilled view. Refuses more than 64 columns and a code matrix or
-    /// mask list that does not fit the column count; callers vouch for
-    /// the rest (codes within their column dictionaries).
-    pub(crate) fn from_parts(
-        qi_names: Vec<String>,
-        dicts: Vec<ColumnDict>,
-        codes: Vec<u32>,
-        null_masks: Vec<u64>,
-        weights: Option<Vec<f64>>,
-        semantics: NullSemantics,
-        risk_threads: usize,
-    ) -> Result<Self, RiskError> {
-        Self::assemble(qi_names, weights, semantics, risk_threads, |width| {
-            if dicts.len() != width || codes.len() != null_masks.len() * width {
-                return Err(RiskError::View(format!(
-                    "{} dictionaries and {} codes do not fit {} rows of {width} columns",
-                    dicts.len(),
-                    codes.len(),
-                    null_masks.len()
-                )));
-            }
-            Ok((dicts, codes, null_masks))
-        })
     }
 
     /// Group statistics with explicit weights and semantics (threads from
@@ -428,17 +395,11 @@ impl MicrodataView {
         }
     }
 
-    /// Rewrite every cell of column `col` equal to `from` into `to`,
-    /// repairing `stats` row by row when given (mirrors the sequential
-    /// per-row patch order of the cycle's recode path). Returns the
-    /// indices of the patched rows.
-    pub fn patch_recode(
-        &mut self,
-        col: usize,
-        from: &Value,
-        to: &Value,
-        mut stats: Option<&mut GroupStats>,
-    ) -> Vec<usize> {
+    /// Rewrite every cell of column `col` equal to `from` into `to`.
+    /// Group statistics are not repaired: a recode rewrites a whole value
+    /// class, so callers that maintain statistics regroup once instead.
+    /// Returns the indices of the patched rows.
+    pub fn patch_recode(&mut self, col: usize, from: &Value, to: &Value) -> Vec<usize> {
         let mut patched = Vec::new();
         let Some(from_code) = self.dicts[col].code(from) else {
             return patched;
@@ -446,7 +407,7 @@ impl MicrodataView {
         let w = self.width();
         for r in 0..self.len() {
             if self.codes[r * w + col] == from_code {
-                self.patch_cell(r, col, to, stats.as_deref_mut());
+                self.patch_cell(r, col, to, None);
                 patched.push(r);
             }
         }
@@ -748,13 +709,12 @@ mod tests {
     #[test]
     fn patch_recode_rewrites_all_matching_cells() {
         let mut v = view_of(vec![vec!["a"], vec!["b"], vec!["a"]], None);
-        let mut stats = v.group_stats();
-        let patched = v.patch_recode(0, &Value::str("a"), &Value::str("b"), Some(&mut stats));
+        let patched = v.patch_recode(0, &Value::str("a"), &Value::str("b"));
         assert_eq!(patched, vec![0, 2]);
-        assert_eq!(stats.count, vec![3, 3, 3]);
+        assert_eq!(v.group_stats().count, vec![3, 3, 3]);
         assert_eq!(v.value(0, 0), &Value::str("b"));
         // recoding a value the column never held is a no-op
-        let none = v.patch_recode(0, &Value::str("zz"), &Value::str("b"), Some(&mut stats));
+        let none = v.patch_recode(0, &Value::str("zz"), &Value::str("b"));
         assert!(none.is_empty());
     }
 
@@ -816,7 +776,7 @@ mod tests {
         assert_ne!(v.pattern_of(0), by, "a retired id is never reused");
         v.patterns().assert_consistent(v.codes(), v.null_masks());
         // a recode moves every row of (b, x) and (a, x) at once
-        v.patch_recode(1, &Value::str("x"), &Value::Null(7), None);
+        v.patch_recode(1, &Value::str("x"), &Value::Null(7));
         v.patterns().assert_consistent(v.codes(), v.null_masks());
         let all: Vec<usize> = (0..v.width()).collect();
         let oracle = crate::columnar::group_stats_oracle(
@@ -973,7 +933,7 @@ mod tests {
                     0 => view.patch_cell(row, col, &Value::Null(100 + k as u64), None),
                     // recode one constant of the column everywhere
                     1 => {
-                        view.patch_recode(col, &Value::Int(to), &Value::Int((to + 1) % 3), None);
+                        view.patch_recode(col, &Value::Int(to), &Value::Int((to + 1) % 3));
                     }
                     // write a constant from the table's domain
                     _ => view.patch_cell(row, col, &Value::Int(to), None),

@@ -1,8 +1,8 @@
 //! The durable matrix: every file the journaled cycle keeps on disk — the
-//! write-ahead journal, its snapshots and the warm artifacts beside them —
-//! under kill points, injected I/O faults and hostile bytes. A resume must
-//! be bit-identical to a run that was never interrupted, or fail with a
-//! structured error: never a panic, never a silent divergence.
+//! write-ahead journal, its snapshots and the warm-stats artifact beside
+//! them — under kill points, injected I/O faults and hostile bytes. A
+//! resume must be bit-identical to a run that was never interrupted, or
+//! fail with a structured error: never a panic, never a silent divergence.
 //!
 //! 1. **Golden bytes** — the Fig. 5 run's journal, warm artifact and
 //!    snapshots match the committed `tests/golden/durable/` files byte for
@@ -18,9 +18,11 @@
 //!    artifacts.
 //! 4. **Hostile files** — alien bytes, wrong versions, fingerprint
 //!    mismatches, snapshot records naming files outside the journal
-//!    directory, corrupt or missing snapshots and artifacts, snapshots
-//!    whose cells do not fit the table, and two mutation properties: one
-//!    through resume, one through every kind's decoder.
+//!    directory, a record nesting values a million levels deep, corrupt
+//!    or missing snapshots and artifacts, snapshots whose cells do not fit
+//!    the table, and two mutation properties: one through resume, one
+//!    through the decoder of the journal, the snapshot and the warm-stats
+//!    artifact.
 //!
 //! CI runs the suite at 1 and 4 test threads, each at
 //! `VADASA_RISK_THREADS=1` and `4`.
@@ -30,10 +32,11 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use vadalog::backend::{FileKind, MemBackend, StorageBackend, StorageEngine, StorageError};
+use vadalog::backend::{FileKind, StorageEngine, StorageError};
+use vadalog::frame::{put_frame, wire};
 use vadalog::Value;
 use vadasa_core::checkpoint::Checkpoint;
-use vadasa_core::colstore::{decode_warm_stats, encode_warm_stats, load_view, spill_view};
+use vadasa_core::colstore::{decode_warm_stats, encode_warm_stats};
 use vadasa_core::cycle::{
     AnonymizationCycle, CycleConfig, CycleError, CycleOutcome, StepGranularity, StorageOptions,
     WarmCycleProfile,
@@ -865,6 +868,36 @@ fn hostile_journals_are_structured_errors_never_panics() {
     assert!(matches!(e, JournalError::Mismatch(_)), "{e}");
     let _ = fs::remove_dir_all(&dir);
 
+    // An Action record whose `previous` cell nests a million one-element
+    // sets (5 MB, CRC-valid): the decoder refuses it at a fixed depth
+    // instead of recursing until the stack overflows.
+    let seed = fresh_dir("hostile-nested-seed");
+    case.run(&config, JournalConfig::new(&seed))
+        .expect("seed journal");
+    let mut nested = fs::read(seed.join(JOURNAL_FILE)).expect("journal");
+    let _ = fs::remove_dir_all(&seed);
+    let mut payload = vec![1]; // Action
+    for field in [0, 0, 0.5f64.to_bits()] {
+        wire::put_u64(&mut payload, field);
+    }
+    wire::put_str(&mut payload, "k-anonymity");
+    payload.push(0); // Suppress
+    wire::put_u64(&mut payload, 0);
+    wire::put_str(&mut payload, "Sector");
+    for _ in 0..1_000_000 {
+        payload.push(5);
+        wire::put_u32(&mut payload, 1);
+    }
+    wire::put_value(&mut payload, &Value::Int(0));
+    put_frame(&mut nested, &payload);
+    let dir = dir_with_journal("hostile-nested", &nested);
+    match case.resume(&config, JournalConfig::new(&dir)) {
+        Ok(resumed) => assert_eq!(transcript(&resumed), reference),
+        Err(CycleError::Journal(_)) => {}
+        Err(other) => panic!("nested sets: wrong error kind: {other}"),
+    }
+    let _ = fs::remove_dir_all(&dir);
+
     // Snapshot records that name a valid snapshot outside the journal
     // directory, by absolute path or through `..`: recovery never reads
     // it there, and resume replays every committed action.
@@ -1155,7 +1188,8 @@ impl XorShift {
     }
 }
 
-/// A small view with nulls and weights, for the view artifact.
+/// A small view with nulls and weights, whose group statistics are the
+/// warm-stats artifact under mutation.
 fn sample_view() -> MicrodataView {
     let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
     let rows: Vec<Vec<Value>> = (0..24)
@@ -1230,10 +1264,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// One valid encoding of each durable kind — a journal stream, a
-    /// snapshot, a view artifact and a warm-stats artifact — under one
-    /// random truncation, bit flip, byte insertion or byte soup: each
-    /// kind's decoder returns the original value or a structured error,
-    /// never a panic and never a different value.
+    /// snapshot and a warm-stats artifact — under one random truncation,
+    /// bit flip, byte insertion or byte soup: each kind's decoder returns
+    /// the original value or a structured error, never a panic and never
+    /// a different value.
     #[test]
     fn mutated_files_of_every_kind_decode_to_the_original_or_refuse(seed in 0u64..1_000_000) {
         let mut rng = XorShift(seed.wrapping_mul(0xD134_2543_DE82_EF95) | 1);
@@ -1255,20 +1289,8 @@ proptest! {
             prop_assert!(cp.encode() == snapshot, "a snapshot mutant decoded to another value");
         }
 
-        // View artifact, through a store.
-        let view = sample_view();
-        let mut store = MemBackend::new();
-        spill_view(&view, &mut store, "v", fp).expect("spill");
-        let original = store.get("v").expect("get").expect("present");
-        store.put("v", &rng.mutate(&original)).expect("put");
-        if let Ok(back) = load_view(&store, "v", Some(fp), 1) {
-            let mut again = MemBackend::new();
-            spill_view(&back, &mut again, "v", fp).expect("respill");
-            prop_assert!(again.get("v").expect("get") == Some(original), "a view mutant decoded to another value");
-        }
-
         // Warm-stats artifact.
-        let stats = view.group_stats();
+        let stats = sample_view().group_stats();
         let encoded = encode_warm_stats(17, fp, &stats);
         if let Ok(ws) = decode_warm_stats(&rng.mutate(&encoded), Some(fp)) {
             prop_assert!(

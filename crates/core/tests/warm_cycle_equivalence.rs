@@ -9,7 +9,9 @@
 //!
 //! Random tables use categorical string columns and integer-valued
 //! weights — the regime the exact-summability gate admits to the fast
-//! path, so these cases genuinely exercise the incremental statistics.
+//! path, so these cases genuinely exercise the incremental statistics:
+//! a suppression repairs them for its one cell, a global recode replaces
+//! them with one regroup.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -20,7 +22,10 @@ use vadasa_core::cycle::{
 };
 use vadasa_core::dictionary::{Category, MetadataDictionary};
 use vadasa_core::model::MicrodataDb;
-use vadasa_core::prelude::{KAnonymity, LocalSuppression, ReIdentification};
+use vadasa_core::prelude::{
+    Anonymizer, DomainHierarchy, GlobalRecoding, HybridAnonymizer, KAnonymity, LocalSuppression,
+    ReIdentification,
+};
 use vadasa_core::risk::RiskMeasure;
 
 /// A random categorical microdata table: 2–4 QI columns over small value
@@ -57,17 +62,35 @@ fn random_table(rng: &mut StdRng) -> (MicrodataDb, MetadataDictionary) {
     (db, dict)
 }
 
+/// Rolls the random tables' values up two levels: `alpha` and `beta` to
+/// `ab`, `gamma` and `delta` to `gd`, both pairs to `*`.
+fn random_hierarchy() -> DomainHierarchy {
+    let mut h = DomainHierarchy::new();
+    for (leaf, pair) in [
+        ("alpha", "ab"),
+        ("beta", "ab"),
+        ("gamma", "gd"),
+        ("delta", "gd"),
+    ] {
+        h.link(Value::str(leaf), "Leaf", Value::str(pair), "Pair");
+    }
+    for pair in ["ab", "gd"] {
+        h.link(Value::str(pair), "Pair", Value::str("*"), "Root");
+    }
+    h
+}
+
 /// Run the cycle warm and cold and require identical observable outcomes.
 fn assert_warm_equals_cold(
     db: &MicrodataDb,
     dict: &MetadataDictionary,
     risk: &dyn RiskMeasure,
+    anon: &dyn Anonymizer,
     config: CycleConfig,
 ) -> (CycleOutcome, CycleOutcome) {
-    let anon = LocalSuppression::default();
     let warm = AnonymizationCycle::new(
         risk,
-        &anon,
+        anon,
         CycleConfig {
             warm_start: true,
             ..config.clone()
@@ -77,7 +100,7 @@ fn assert_warm_equals_cold(
     .expect("warm cycle runs");
     let cold = AnonymizationCycle::new(
         risk,
-        &anon,
+        anon,
         CycleConfig {
             warm_start: false,
             ..config
@@ -138,6 +161,7 @@ proptest! {
             &db,
             &dict,
             &KAnonymity::new(2),
+            &LocalSuppression::default(),
             CycleConfig { granularity, ..CycleConfig::default() },
         );
     }
@@ -152,6 +176,7 @@ proptest! {
             &db,
             &dict,
             &ReIdentification,
+            &LocalSuppression::default(),
             CycleConfig {
                 threshold: 0.2,
                 tuple_order: TupleOrder::MostRiskyFirst,
@@ -160,6 +185,42 @@ proptest! {
             },
         );
     }
+}
+
+/// Recoding-first anonymization (suppression only where no roll-up is
+/// left) over random tables whose values roll up, both granularities. A
+/// warm recode replaces the maintained statistics with one regroup, and
+/// the run must still equal a cold one.
+#[test]
+fn warm_hybrid_recoding_matches_cold() {
+    let anon = HybridAnonymizer::new(GlobalRecoding::new(random_hierarchy()));
+    let mut warm_recodes = 0;
+    for seed in 0..24u64 {
+        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let (db, dict) = random_table(&mut rng);
+        for granularity in [
+            StepGranularity::AllRiskyPerIteration,
+            StepGranularity::OneTuplePerIteration,
+        ] {
+            let (warm, _cold) = assert_warm_equals_cold(
+                &db,
+                &dict,
+                &KAnonymity::new(2),
+                &anon,
+                CycleConfig {
+                    granularity,
+                    ..CycleConfig::default()
+                },
+            );
+            if warm.recodings > 0 && warm.profile.warm.warm_evals > 0 {
+                warm_recodes += 1;
+            }
+        }
+    }
+    assert!(
+        warm_recodes > 0,
+        "no seed recoded on the warm path, so the recode regroup went untested"
+    );
 }
 
 /// Multi-iteration Fig-5-style workload: one-tuple granularity forces one
@@ -205,6 +266,7 @@ fn fig5_workload_is_warm_served() {
         &db,
         &dict,
         &KAnonymity::new(2),
+        &LocalSuppression::default(),
         CycleConfig {
             granularity: StepGranularity::OneTuplePerIteration,
             ..CycleConfig::default()

@@ -1,34 +1,23 @@
-//! Pluggable storage backends for durable engine state, and the one
-//! fault-injectable I/O layer every durable file goes through.
-//!
-//! Everything the engine keeps in RAM — EDB relations, saturated
-//! databases, interned strings, prebuilt hash indexes — can be frozen
-//! into named *artifacts* and reopened later through one trait,
-//! [`StorageBackend`]. The interface shape follows cozo's engine switch
-//! (`open_db(engine, path)`): one [`open`] entry point, several engines,
-//! zero behavioral drift between them. Two backends ship:
-//!
-//! - [`MemBackend`] — the default. Artifacts live in a process-local
-//!   map; nothing survives the process. This is the existing in-memory
-//!   behaviour, made explicit.
-//! - [`FileBackend`] — one file per artifact under a directory, written
-//!   with [`write_atomic`], so a crash mid-write leaves either the old
-//!   artifact or none, never a torn one.
-//!
-//! Every artifact is one [`frame`](crate::frame) header (magic
-//! [`ARTIFACT_MAGIC`], format version, fingerprint) followed by one CRC
-//! frame. Persisted artifacts are strictly *caches* — every consumer has
-//! a documented cold path that rebuilds the same state from primary
-//! inputs, so any load failure degrades to a cold start with identical
-//! results (DESIGN.md §10).
+//! The one fault-injectable I/O layer every durable file goes through,
+//! and the file-backed artifact store.
 //!
 //! File bytes move through the [`DurableIo`] trait: the action journal,
-//! the cycle's snapshots and these artifacts alike. Each call names its
-//! [`FileKind`], so `vadasa-core`'s `faults::faulty_io` can tear writes,
-//! fill disks, fail fsyncs and corrupt or deny reads of one kind of file
-//! without touching a real disk's error paths.
+//! the cycle's snapshots, the job server's files and the artifacts
+//! alike. Each call names its [`FileKind`], so `vadasa-core`'s
+//! `faults::faulty_io` can tear writes, fill disks, fail fsyncs and
+//! corrupt or deny reads of one kind of file without touching a real
+//! disk's error paths.
+//!
+//! [`FileBackend`] keeps named *artifacts* as `<dir>/<name>.vart`, each
+//! replaced whole with [`write_atomic`], so a crash mid-write leaves
+//! either the old artifact or none, never a torn one. Every artifact is
+//! one [`frame`](crate::frame) header (magic [`ARTIFACT_MAGIC`], format
+//! version, fingerprint) followed by one CRC frame. Its one artifact is
+//! the cycle's warm statistics (`cycle.warmstats`), strictly a *cache*:
+//! the cycle rebuilds the same state from primary inputs, so any load
+//! failure degrades to a cold start with identical results (DESIGN.md
+//! §10).
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -44,15 +33,14 @@ pub const ARTIFACT_MAGIC: &[u8; 8] = b"VADASAW1";
 /// Extension of artifact files inside a [`FileBackend`] directory.
 pub const ARTIFACT_EXT: &str = "vart";
 
-/// Which storage engine backs an artifact store. The interface shape is
-/// cozo's `open_db(engine, path)`: callers pick an engine by name and
-/// get the same [`StorageBackend`] contract regardless.
+/// Where the cycle keeps its warm statistics: named by job manifests,
+/// the NDJSON protocol and the cycle's storage options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageEngine {
-    /// Process-local, non-durable (the historical behaviour).
+    /// In the process only: no artifact is written (the default).
     #[default]
     Mem,
-    /// File-per-artifact under a directory, atomically replaced.
+    /// Also on disk, as a [`FileBackend`] artifact beside the journal.
     File,
 }
 
@@ -83,9 +71,9 @@ impl fmt::Display for StorageEngine {
     }
 }
 
-/// Why a storage operation failed. Every variant is a *structured*
-/// outcome: the storage layer never panics on hostile bytes, and every
-/// error maps to a documented cold fallback at the call site.
+/// Why reading or writing an artifact or snapshot failed. Every variant
+/// is a *structured* outcome: decoding never panics on hostile bytes,
+/// and every error maps to a documented cold fallback at the call site.
 #[derive(Debug)]
 pub enum StorageError {
     /// An underlying I/O operation failed (write, sync, rename, read).
@@ -128,19 +116,7 @@ pub enum StorageError {
         /// Fingerprint found in the header.
         found: u64,
     },
-    /// The artifact does not exist in the backend.
-    Missing {
-        /// Artifact name.
-        artifact: String,
-    },
-    /// The state cannot be persisted (e.g. a session that has not
-    /// reached a fixpoint is not a sound warm seed).
-    NotPersistable {
-        /// Why.
-        reason: String,
-    },
-    /// Backend-level misuse or mismatch (invalid artifact name, engine /
-    /// on-disk mismatch, unstratifiable restored program, …).
+    /// The backend refused the request (an invalid artifact name).
     Backend {
         /// Why.
         reason: String,
@@ -173,8 +149,6 @@ impl fmt::Display for StorageError {
                 f,
                 "artifact '{artifact}' belongs to different inputs (fingerprint {found:#018x}, expected {expected:#018x})"
             ),
-            StorageError::Missing { artifact } => write!(f, "artifact '{artifact}' not found"),
-            StorageError::NotPersistable { reason } => write!(f, "state not persistable: {reason}"),
             StorageError::Backend { reason } => write!(f, "storage backend: {reason}"),
         }
     }
@@ -298,107 +272,33 @@ pub fn write_atomic(
     fsync_dir(dir)
 }
 
-/// A named-artifact store: the one contract every engine implements.
+/// A named-artifact store.
 ///
 /// `put` is atomic per artifact — concurrent readers (and crashes) see
 /// either the previous artifact or the new one, never a mix. Artifact
 /// names are flat identifiers (`[A-Za-z0-9._-]`, no path separators);
-/// backends refuse anything else with [`StorageError::Backend`].
+/// anything else is refused with [`StorageError::Backend`].
 pub trait StorageBackend: Send {
-    /// Which engine this backend is.
-    fn engine(&self) -> StorageEngine;
-    /// Directory backing the store, when there is one.
-    fn location(&self) -> Option<&Path>;
     /// Atomically store `bytes` under `name`, replacing any previous
     /// artifact of that name.
     fn put(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError>;
     /// Fetch the artifact `name`, `None` if absent.
     fn get(&self, name: &str) -> Result<Option<Vec<u8>>, StorageError>;
-    /// Remove the artifact `name`; `true` if it existed.
-    fn delete(&mut self, name: &str) -> Result<bool, StorageError>;
-    /// All artifact names, sorted.
-    fn list(&self) -> Result<Vec<String>, StorageError>;
 }
 
-/// Open a backend the cozo way: pick an engine, point it at a path.
-/// [`StorageEngine::Mem`] ignores `path`; [`StorageEngine::File`]
-/// requires one (the directory is created if missing).
-pub fn open(
-    engine: StorageEngine,
-    path: Option<&Path>,
-) -> Result<Box<dyn StorageBackend>, StorageError> {
-    match engine {
-        StorageEngine::Mem => Ok(Box::new(MemBackend::new())),
-        StorageEngine::File => {
-            let dir = path.ok_or_else(|| StorageError::Backend {
-                reason: "the file engine requires a directory path".into(),
-            })?;
-            Ok(Box::new(FileBackend::create(dir)?))
-        }
-    }
-}
-
-fn valid_name(name: &str) -> bool {
-    !name.is_empty()
+fn check_name(name: &str) -> Result<(), StorageError> {
+    let valid = !name.is_empty()
         && name.len() <= 128
         && name
             .bytes()
             .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
-        && !name.starts_with('.')
-}
-
-fn check_name(name: &str) -> Result<(), StorageError> {
-    if valid_name(name) {
+        && !name.starts_with('.');
+    if valid {
         Ok(())
     } else {
         Err(StorageError::Backend {
             reason: format!("invalid artifact name '{name}'"),
         })
-    }
-}
-
-/// The in-memory engine: a sorted map of artifacts. Non-durable by
-/// design — it exists so callers can program against [`StorageBackend`]
-/// unconditionally and switch engines without code changes.
-#[derive(Debug, Default)]
-pub struct MemBackend {
-    blobs: BTreeMap<String, Vec<u8>>,
-}
-
-impl MemBackend {
-    /// Empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl StorageBackend for MemBackend {
-    fn engine(&self) -> StorageEngine {
-        StorageEngine::Mem
-    }
-
-    fn location(&self) -> Option<&Path> {
-        None
-    }
-
-    fn put(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
-        check_name(name)?;
-        self.blobs.insert(name.to_string(), bytes.to_vec());
-        Ok(())
-    }
-
-    fn get(&self, name: &str) -> Result<Option<Vec<u8>>, StorageError> {
-        check_name(name)?;
-        Ok(self.blobs.get(name).cloned())
-    }
-
-    fn delete(&mut self, name: &str) -> Result<bool, StorageError> {
-        check_name(name)?;
-        Ok(self.blobs.remove(name).is_some())
-    }
-
-    fn list(&self) -> Result<Vec<String>, StorageError> {
-        Ok(self.blobs.keys().cloned().collect())
     }
 }
 
@@ -429,14 +329,6 @@ impl FileBackend {
 }
 
 impl StorageBackend for FileBackend {
-    fn engine(&self) -> StorageEngine {
-        StorageEngine::File
-    }
-
-    fn location(&self) -> Option<&Path> {
-        Some(&self.dir)
-    }
-
     fn put(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
         check_name(name)?;
         write_atomic(
@@ -457,33 +349,6 @@ impl StorageBackend for FileBackend {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(StorageError::io(format!("read {}", path.display()), e)),
         }
-    }
-
-    fn delete(&mut self, name: &str) -> Result<bool, StorageError> {
-        check_name(name)?;
-        match std::fs::remove_file(self.dir.join(Self::file_of(name))) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(StorageError::io(format!("delete artifact '{name}'"), e)),
-        }
-    }
-
-    fn list(&self) -> Result<Vec<String>, StorageError> {
-        let mut out = Vec::new();
-        let entries = std::fs::read_dir(&self.dir)
-            .map_err(|e| StorageError::io(format!("list {}", self.dir.display()), e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| StorageError::io("read dir entry", e))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(stem) = name.strip_suffix(&format!(".{ARTIFACT_EXT}")) {
-                if valid_name(stem) {
-                    out.push(stem.to_string());
-                }
-            }
-        }
-        out.sort();
-        Ok(out)
     }
 }
 
@@ -507,46 +372,20 @@ mod tests {
     }
 
     #[test]
-    fn mem_and_file_backends_obey_the_same_contract() {
+    fn file_backend_replaces_artifacts_and_refuses_bad_names() {
         let dir = tmp_dir("contract");
-        let mut backends: Vec<Box<dyn StorageBackend>> = vec![
-            Box::new(MemBackend::new()),
-            Box::new(FileBackend::create(&dir).unwrap()),
-        ];
-        for b in backends.iter_mut() {
-            assert_eq!(b.get("absent").unwrap(), None);
-            b.put("alpha", b"one").unwrap();
-            b.put("beta.2", b"two").unwrap();
-            b.put("alpha", b"replaced").unwrap();
-            assert_eq!(b.get("alpha").unwrap().as_deref(), Some(&b"replaced"[..]));
-            assert_eq!(b.list().unwrap(), vec!["alpha", "beta.2"]);
-            assert!(b.delete("beta.2").unwrap());
-            assert!(!b.delete("beta.2").unwrap());
-            assert_eq!(b.list().unwrap(), vec!["alpha"]);
-            // invalid names are refused, not panicked on
-            for bad in ["", "a/b", "../up", ".hidden", "nul\0"] {
-                assert!(matches!(
-                    b.put(bad, b"x"),
-                    Err(StorageError::Backend { .. })
-                ));
-            }
+        let mut b = FileBackend::create(&dir).unwrap();
+        assert_eq!(b.get("absent").unwrap(), None);
+        b.put("alpha", b"one").unwrap();
+        b.put("alpha", b"replaced").unwrap();
+        assert_eq!(b.get("alpha").unwrap().as_deref(), Some(&b"replaced"[..]));
+        // invalid names are refused, not panicked on
+        for bad in ["", "a/b", "../up", ".hidden", "nul\0"] {
+            assert!(matches!(
+                b.put(bad, b"x"),
+                Err(StorageError::Backend { .. })
+            ));
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn open_follows_the_cozo_shape() {
-        let dir = tmp_dir("open");
-        let mem = open(StorageEngine::Mem, None).unwrap();
-        assert_eq!(mem.engine(), StorageEngine::Mem);
-        assert!(mem.location().is_none());
-        let file = open(StorageEngine::File, Some(&dir)).unwrap();
-        assert_eq!(file.engine(), StorageEngine::File);
-        assert_eq!(file.location(), Some(dir.as_path()));
-        assert!(matches!(
-            open(StorageEngine::File, None),
-            Err(StorageError::Backend { .. })
-        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -199,6 +199,12 @@ pub mod wire {
         }
     }
 
+    /// Deepest set/tuple nesting [`Reader::value`] accepts. Decoding
+    /// recurses once per level, so without a limit a crafted payload
+    /// could overflow the stack; table cells are scalars, and engine
+    /// values nest a few levels at most.
+    pub const MAX_NESTING: usize = 32;
+
     /// A bounds-checked cursor over a payload.
     pub struct Reader<'a> {
         bytes: &'a [u8],
@@ -261,25 +267,34 @@ pub mod wire {
 
         /// One tagged [`Value`]. Strings are routed through the interner
         /// (`Value::str`), so decoding repopulates the process-global
-        /// intern table as a side effect.
+        /// intern table as a side effect. Sets and tuples nested more
+        /// than [`MAX_NESTING`] deep are [`DecodeError::Invalid`].
         pub fn value(&mut self) -> Result<Value, DecodeError> {
+            self.value_within(MAX_NESTING)
+        }
+
+        /// [`Reader::value`] with `depth` more levels of nesting allowed.
+        fn value_within(&mut self, depth: usize) -> Result<Value, DecodeError> {
             match self.u8()? {
                 0 => Ok(Value::Bool(self.u8()? != 0)),
                 1 => Ok(Value::Int(self.u64()? as i64)),
                 2 => Ok(Value::Float(f64::from_bits(self.u64()?))),
                 3 => Ok(Value::str(self.string()?)),
                 4 => Ok(Value::Null(self.u64()?)),
-                5 => Ok(Value::set(self.values()?)),
-                6 => Ok(Value::Tuple(Arc::new(self.values()?))),
+                5 => Ok(Value::set(self.values(depth)?)),
+                6 => Ok(Value::Tuple(Arc::new(self.values(depth)?))),
                 t => Err(DecodeError::BadTag(t)),
             }
         }
 
-        fn values(&mut self) -> Result<Vec<Value>, DecodeError> {
+        fn values(&mut self, depth: usize) -> Result<Vec<Value>, DecodeError> {
+            let depth = depth
+                .checked_sub(1)
+                .ok_or(DecodeError::Invalid("values nest too deep"))?;
             let n = self.count()?;
             let mut items = Vec::with_capacity(n);
             for _ in 0..n {
-                items.push(self.value()?);
+                items.push(self.value_within(depth)?);
             }
             Ok(items)
         }
@@ -449,6 +464,30 @@ mod tests {
             assert_eq!(r.value().unwrap().cmp(v), std::cmp::Ordering::Equal);
         }
         assert!(r.done());
+    }
+
+    #[test]
+    fn nesting_beyond_the_limit_is_refused() {
+        // `levels` one-element sets and tuples around an integer.
+        let nested = |levels: usize| {
+            let mut buf = Vec::new();
+            for level in 0..levels {
+                buf.push(if level % 2 == 0 { 5 } else { 6 });
+                wire::put_u32(&mut buf, 1);
+            }
+            wire::put_value(&mut buf, &Value::Int(7));
+            buf
+        };
+        let at_limit = nested(wire::MAX_NESTING);
+        let mut r = wire::Reader::new(&at_limit);
+        assert!(r.value().is_ok());
+        assert!(r.done());
+        for levels in [wire::MAX_NESTING + 1, 1_000_000] {
+            assert!(matches!(
+                wire::Reader::new(&nested(levels)).value(),
+                Err(DecodeError::Invalid(_))
+            ));
+        }
     }
 
     #[test]

@@ -86,25 +86,6 @@ pub fn stats() -> InternStats {
     }
 }
 
-/// Total interned strings currently held (across shards).
-pub fn len() -> usize {
-    (0..NSHARDS).map(|i| lock_shard(i).len()).sum()
-}
-
-/// Snapshot every interned string, sorted, for warm-state persistence.
-/// Re-interning the exported strings on a fresh process restores the
-/// pointer-equality fast paths a warm session relies on; sorting makes
-/// the persisted artifact bytes deterministic for a given table content.
-pub fn export() -> Vec<String> {
-    let mut out: Vec<String> = Vec::with_capacity(len());
-    for i in 0..NSHARDS {
-        let shard = lock_shard(i);
-        out.extend(shard.iter().map(|s| s.to_string()));
-    }
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -65,8 +65,7 @@ pub use vadasa_obs as obs;
 
 pub use ast::{AggFunc, Atom, Expr, Fact, Head, Literal, Program, Rule, Term};
 pub use backend::{
-    open as open_storage, DurableIo, FileBackend, FileIo, FileKind, MemBackend, StorageBackend,
-    StorageEngine, StorageError,
+    DurableIo, FileBackend, FileIo, FileKind, StorageBackend, StorageEngine, StorageError,
 };
 pub use builtins::{eval_expr, Binding, EvalError};
 pub use eval::{
@@ -85,10 +84,7 @@ pub use printer::{print_expr, print_program, print_rule};
 pub use profile::{EngineProfile, RoundProfile, RuleProfile, StratumProfile};
 pub use query::{answers, goal_slice, parse_goal, AnswerMode};
 pub use routing::{AscendingBy, DescendingBy, Fifo, Router};
-pub use session::{
-    program_fingerprint, EngineSession, FactPatch, PatchOutcome, SessionStats,
-    WARM_SESSION_ARTIFACT,
-};
+pub use session::{EngineSession, FactPatch, PatchOutcome, SessionStats};
 pub use storage::{Database, Relation};
 pub use stratify::{idb_predicates, stratify, Stratification, StratifyError};
 pub use value::{NullId, Value};

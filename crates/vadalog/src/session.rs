@@ -32,9 +32,7 @@
 //! returned [`PatchOutcome`]; `DESIGN.md` §9 documents the rule.
 
 use crate::ast::{Head, Literal, Program};
-use crate::backend::{StorageBackend, StorageError, ARTIFACT_MAGIC};
 use crate::eval::{DeltaRows, Engine, EngineError, EvalStats, ReasoningResult, TraceEntry};
-use crate::frame::{self, wire, DecodeError};
 use crate::governor::Termination;
 use crate::profile::EngineProfile;
 use crate::storage::Database;
@@ -42,21 +40,6 @@ use crate::stratify::{stratify, Stratification};
 use crate::value::Value;
 use std::collections::{HashMap, HashSet, VecDeque};
 use vadasa_obs::{fields, Obs};
-
-/// Artifact name a persisted warm session is stored under.
-pub const WARM_SESSION_ARTIFACT: &str = "session.warm";
-
-/// On-disk format version of the warm-session artifact.
-pub const WARM_SESSION_VERSION: u32 = 1;
-
-/// Fingerprint (FNV-1a over the canonical printed form) tying a persisted
-/// warm session to the program it saturated. A session restored under a
-/// *different* program would be silently wrong, so
-/// [`EngineSession::load_warm`] refuses on mismatch with a structured
-/// [`StorageError::Fingerprint`].
-pub fn program_fingerprint(program: &Program) -> u64 {
-    frame::fnv1a(crate::printer::print_program(program).as_bytes())
-}
 
 /// A batch of input-fact changes applied to a session.
 #[derive(Debug, Clone, Default)]
@@ -217,118 +200,6 @@ impl EngineSession {
             trace: self.trace,
             termination: self.termination,
         }
-    }
-
-    /// Freeze this session's warm state into `store` under
-    /// [`WARM_SESSION_ARTIFACT`], CRC-framed and fingerprinted against the
-    /// session's program. The artifact carries everything a restart needs
-    /// to skip the cold saturation: the interner snapshot, the tracked
-    /// extensional database, the saturated database, and the recipes
-    /// (bound-position sets) of every prebuilt hash index.
-    ///
-    /// Only a *converged* session is a sound warm seed: a run that ended
-    /// short of [`Termination::Fixpoint`] or left EGD violations is
-    /// refused with [`StorageError::NotPersistable`] — the caller keeps
-    /// the (always correct) cold start instead.
-    ///
-    /// Returns the framed artifact size in bytes.
-    pub fn save_warm(&self, store: &mut dyn StorageBackend) -> Result<usize, StorageError> {
-        if self.termination != Termination::Fixpoint {
-            return Err(StorageError::NotPersistable {
-                reason: format!(
-                    "session ended with {:?}; only a fixpoint database is a sound warm seed",
-                    self.termination
-                ),
-            });
-        }
-        if !self.violations.is_empty() {
-            return Err(StorageError::NotPersistable {
-                reason: format!(
-                    "session holds {} unresolved EGD violation(s)",
-                    self.violations.len()
-                ),
-            });
-        }
-        let mut payload = Vec::new();
-        let strings = crate::intern::export();
-        wire::put_u32(&mut payload, strings.len() as u32);
-        for s in &strings {
-            wire::put_str(&mut payload, s);
-        }
-        encode_database(&mut payload, &self.edb);
-        encode_database(&mut payload, &self.db);
-        let framed = frame::encode(
-            ARTIFACT_MAGIC,
-            WARM_SESSION_VERSION,
-            program_fingerprint(&self.program),
-            &payload,
-        );
-        store.put(WARM_SESSION_ARTIFACT, &framed)?;
-        Ok(framed.len())
-    }
-
-    /// Rebuild a warm session from a persisted [`WARM_SESSION_ARTIFACT`].
-    ///
-    /// Validation is strict — alien magic, truncation, bit flips, a future
-    /// format version, or a fingerprint that does not match `program` all
-    /// return a structured [`StorageError`], and the caller's documented
-    /// fallback is a cold [`Engine::session`] (which derives the identical
-    /// database from primary inputs; the artifact is strictly a cache).
-    ///
-    /// On success the session is indistinguishable from one that just
-    /// saturated: same EDB, same saturated database (row order included),
-    /// same prebuilt indexes, interner repopulated, termination
-    /// [`Termination::Fixpoint`]. Evaluation statistics and traces are
-    /// reset — they describe *runs*, and no run happened here.
-    pub fn load_warm(
-        engine: Engine,
-        program: Program,
-        store: &dyn StorageBackend,
-    ) -> Result<EngineSession, StorageError> {
-        let artifact = WARM_SESSION_ARTIFACT;
-        let bytes = store.get(artifact)?.ok_or_else(|| StorageError::Missing {
-            artifact: artifact.to_string(),
-        })?;
-        let expected = program_fingerprint(&program);
-        let ((edb, edb_recipes), (db, db_recipes)) = frame::decode(
-            artifact,
-            ARTIFACT_MAGIC,
-            WARM_SESSION_VERSION,
-            Some(expected),
-            &bytes,
-            |r, _| {
-                for _ in 0..r.u32()? {
-                    crate::intern::intern(&r.string()?);
-                }
-                Ok((decode_database(r)?, decode_database(r)?))
-            },
-        )?;
-        let strat = stratify(&program).map_err(|e| StorageError::Backend {
-            reason: format!("restored program does not stratify: {e}"),
-        })?;
-        let mut edb = edb;
-        let mut db = db;
-        for (dbase, recipes) in [(&mut edb, edb_recipes), (&mut db, db_recipes)] {
-            for (name, bounds) in recipes {
-                let rel = dbase.relation_mut(&name);
-                for bound in bounds {
-                    rel.ensure_index(&bound);
-                }
-            }
-        }
-        Ok(EngineSession {
-            engine,
-            program,
-            strat,
-            edb,
-            db,
-            violations: Vec::new(),
-            stats: EvalStats::default(),
-            profile: EngineProfile::default(),
-            trace: Vec::new(),
-            termination: Termination::Fixpoint,
-            session_stats: SessionStats::default(),
-        })
     }
 
     /// Answer a goal-directed side query against the session's *current
@@ -580,78 +451,6 @@ impl EngineSession {
             vec![],
         );
     }
-}
-
-/// Serialize one database: null counter, then relations sorted by name
-/// (rows in insertion order — warm/cold equivalence depends on replaying
-/// them in the same order), each followed by its index recipes.
-fn encode_database(out: &mut Vec<u8>, db: &Database) {
-    wire::put_u64(out, db.nulls_minted());
-    let mut names: Vec<&str> = db.relation_names().collect();
-    names.sort_unstable();
-    let rels: Vec<_> = names
-        .into_iter()
-        .filter_map(|n| db.relation(n).map(|r| (n, r)))
-        .collect();
-    wire::put_u32(out, rels.len() as u32);
-    for (name, rel) in rels {
-        wire::put_str(out, name);
-        wire::put_u32(out, rel.len() as u32);
-        for row in rel.iter() {
-            wire::put_u32(out, row.len() as u32);
-            for v in row.iter() {
-                wire::put_value(out, v);
-            }
-        }
-        let bounds = rel.index_bounds();
-        wire::put_u32(out, bounds.len() as u32);
-        for bound in &bounds {
-            wire::put_u32(out, bound.len() as u32);
-            for &pos in bound {
-                wire::put_u32(out, pos as u32);
-            }
-        }
-    }
-}
-
-/// Total inverse of [`encode_database`]. Index recipes are returned
-/// separately so the caller can replay them through `ensure_index` after
-/// the rows are in place.
-#[allow(clippy::type_complexity)]
-fn decode_database(
-    r: &mut wire::Reader<'_>,
-) -> Result<(Database, Vec<(String, Vec<Vec<usize>>)>), DecodeError> {
-    let nulls = r.u64()?;
-    let nrels = r.count()?;
-    let mut db = Database::new();
-    let mut recipes = Vec::new();
-    for _ in 0..nrels {
-        let name = r.string()?;
-        let nrows = r.count()?;
-        for _ in 0..nrows {
-            let arity = r.count()?;
-            let mut row = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                row.push(r.value()?);
-            }
-            db.insert(&name, row);
-        }
-        let nidx = r.count()?;
-        let mut bounds = Vec::with_capacity(nidx);
-        for _ in 0..nidx {
-            let blen = r.count()?;
-            let mut bound = Vec::with_capacity(blen);
-            for _ in 0..blen {
-                bound.push(r.u32()? as usize);
-            }
-            bounds.push(bound);
-        }
-        if !bounds.is_empty() {
-            recipes.push((name, bounds));
-        }
-    }
-    db.ensure_null_floor(nulls);
-    Ok((db, recipes))
 }
 
 #[cfg(test)]
@@ -933,91 +732,5 @@ mod tests {
         assert!(outcome.warm);
         assert_eq!(outcome.facts_added + outcome.facts_removed, 0);
         assert_eq!(outcome.facts_derived, 0);
-    }
-
-    const TC_PROGRAM: &str = "path(X, Y) :- edge(X, Y).\n\
-                              path(X, Z) :- edge(X, Y), path(Y, Z).";
-
-    #[test]
-    fn warm_session_roundtrips_through_mem_backend() {
-        let mut store = crate::backend::MemBackend::new();
-        let mut original = tc_session(1);
-        let bytes = original.save_warm(&mut store).unwrap();
-        assert!(bytes > 0);
-        let program = parse_program(TC_PROGRAM).unwrap();
-        let mut restored = EngineSession::load_warm(Engine::new(), program, &store).unwrap();
-        // bit-identical warm state: same rows in the same order
-        assert_eq!(restored.db().rows("path"), original.db().rows("path"));
-        assert_eq!(restored.termination(), &Termination::Fixpoint);
-        // and the restored session patches warm, to the same result
-        let o1 = original
-            .patch(FactPatch::additions(ints("edge", &[(3, 4)])))
-            .unwrap();
-        let o2 = restored
-            .patch(FactPatch::additions(ints("edge", &[(3, 4)])))
-            .unwrap();
-        assert!(o1.warm && o2.warm, "restored session must patch warm");
-        assert_eq!(restored.db().rows("path"), original.db().rows("path"));
-    }
-
-    #[test]
-    fn warm_session_survives_a_restart_on_disk() {
-        let dir = std::env::temp_dir().join(format!("vadasa-warm-restart-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        {
-            let mut store = crate::backend::FileBackend::create(&dir).unwrap();
-            tc_session(1).save_warm(&mut store).unwrap();
-        }
-        // "new process": reopen the directory cold
-        let store = crate::backend::FileBackend::create(&dir).unwrap();
-        let program = parse_program(TC_PROGRAM).unwrap();
-        let restored = EngineSession::load_warm(Engine::new(), program, &store).unwrap();
-        assert_eq!(restored.db().rows("path"), tc_session(1).db().rows("path"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn non_fixpoint_session_refuses_to_persist() {
-        let program = parse_program(TC_PROGRAM).unwrap();
-        let mut input = Database::new();
-        for i in 0..20 {
-            input.insert("edge", vec![Value::Int(i), Value::Int(i + 1)]);
-        }
-        let s = Engine::with_config(EngineConfig {
-            budget: crate::governor::Budget {
-                max_facts: Some(3),
-                ..Default::default()
-            },
-            ..EngineConfig::default()
-        })
-        .session(program, input)
-        .unwrap();
-        assert_ne!(s.termination(), &Termination::Fixpoint);
-        let mut store = crate::backend::MemBackend::new();
-        assert!(matches!(
-            s.save_warm(&mut store),
-            Err(StorageError::NotPersistable { .. })
-        ));
-    }
-
-    #[test]
-    fn load_refuses_a_different_program() {
-        let mut store = crate::backend::MemBackend::new();
-        tc_session(1).save_warm(&mut store).unwrap();
-        let other = parse_program("reach(X, Y) :- edge(X, Y).").unwrap();
-        assert!(matches!(
-            EngineSession::load_warm(Engine::new(), other, &store),
-            Err(StorageError::Fingerprint { .. })
-        ));
-    }
-
-    #[test]
-    fn load_reports_a_missing_artifact() {
-        let store = crate::backend::MemBackend::new();
-        let program = parse_program(TC_PROGRAM).unwrap();
-        assert!(matches!(
-            EngineSession::load_warm(Engine::new(), program, &store),
-            Err(StorageError::Missing { .. })
-        ));
     }
 }

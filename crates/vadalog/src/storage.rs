@@ -259,17 +259,6 @@ impl Relation {
         true
     }
 
-    /// The bound-position sets of every prebuilt index, sorted. These are
-    /// the *recipes* warm-session persistence stores on disk: a restored
-    /// session replays them through [`ensure_index`](Self::ensure_index)
-    /// so a disk-warm session probes the same indexes an uninterrupted
-    /// one would.
-    pub fn index_bounds(&self) -> Vec<Vec<usize>> {
-        let mut bounds: Vec<Vec<usize>> = self.indexes.keys().cloned().collect();
-        bounds.sort();
-        bounds
-    }
-
     /// Approximate heap footprint of this relation's prebuilt hash
     /// indexes, in bytes. Used by warm-start telemetry to report how much
     /// index state a resumed session kept alive instead of rebuilding.
@@ -348,17 +337,6 @@ impl Database {
     /// Number of labelled nulls minted so far.
     pub fn nulls_minted(&self) -> NullId {
         self.next_null
-    }
-
-    /// Raise the labelled-null counter to at least `floor`. Restoring a
-    /// persisted database must reinstate the counter even when it sits
-    /// beyond every null still *mentioned* in a row (nulls can be minted
-    /// and then unified away by EGDs), or a resumed run would re-mint
-    /// colliding labels.
-    pub fn ensure_null_floor(&mut self, floor: NullId) {
-        if floor > self.next_null {
-            self.next_null = floor;
-        }
     }
 
     /// Access a relation (empty relation if absent).
