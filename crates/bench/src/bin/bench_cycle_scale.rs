@@ -1,21 +1,19 @@
-//! Million-row cycle benchmark: batched + partitioned + columnar vs the
-//! one-tuple hot path, written as `cycle.scale` lines.
+//! Million-row cycle benchmark: batched + columnar vs the one-tuple hot
+//! path, written as `cycle.scale` lines.
 //!
-//! Usage: `bench_cycle_scale [--rows N] [--runs N] [--risk-threads N]
-//! [--top-n N] [--out PATH] [--baseline PATH] [--min-speedup X]
-//! [--batched-only]`
+//! Usage: `bench_cycle_scale [--rows N] [--runs N] [--top-n N]
+//! [--out PATH] [--baseline PATH] [--min-speedup X] [--batched-only]`
 //!
 //! The workload is the streaming scale regime of `vadasa-datagen`
 //! (heavy-tailed classes, 256 risky sample-unique singletons, integer
-//! weights so partitioned regrouping is bitwise-deterministic), run under
-//! k-anonymity `k = 2`, local suppression in schema order, `T = 0.5`:
+//! weights, whose sums are exact in any order), run under k-anonymity
+//! `k = 2`, local suppression in schema order, `T = 0.5`:
 //!
-//! - **one-tuple** — `BatchStrategy::OneTuple`, `risk_threads: 1`: one
-//!   suppression per iteration, one risk evaluation per suppression;
-//! - **batched** — `BatchStrategy::TopN(top_n)`, `risk_threads`
-//!   partitioned evaluation: each iteration clears up to `top_n`
-//!   equivalence classes, so the table converges in a handful of
-//!   evaluations.
+//! - **one-tuple** — `BatchStrategy::OneTuple`: one suppression per
+//!   iteration, one risk evaluation per suppression;
+//! - **batched** — `BatchStrategy::TopN(top_n)`: each iteration clears up
+//!   to `top_n` equivalence classes, so the table converges in a handful
+//!   of evaluations.
 //!
 //! Safety is asserted before any number is reported: both modes must end
 //! with zero risky tuples, and the batched run may not suppress less than
@@ -55,7 +53,6 @@ fn main() {
     };
     let rows = parse_usize("--rows", 1_000_000);
     let runs = parse_usize("--runs", 3).max(1);
-    let risk_threads = parse_usize("--risk-threads", 4).max(1);
     let top_n = parse_usize("--top-n", 64).max(1);
     let out_path = flag("--out").unwrap_or_else(|| "BENCH_cycle.json".to_string());
     let baseline = flag("--baseline");
@@ -71,22 +68,21 @@ fn main() {
     let (db, dict) = generate_scale(&spec);
     let risk = KAnonymity::new(2);
     let anonymizer = LocalSuppression::new(AttributeOrder::SchemaOrder);
-    let config = |batch: BatchStrategy, threads: usize| CycleConfig {
+    let config = |batch: BatchStrategy| CycleConfig {
         threshold: 0.5,
         tuple_order: TupleOrder::Fifo,
         batch: Some(batch),
-        risk_threads: threads,
         ..CycleConfig::default()
     };
-    let run_once = |batch: BatchStrategy, threads: usize| -> CycleOutcome {
-        AnonymizationCycle::new(&risk, &anonymizer, config(batch, threads))
+    let run_once = |batch: BatchStrategy| -> CycleOutcome {
+        AnonymizationCycle::new(&risk, &anonymizer, config(batch))
             .run(&db, &dict)
             .expect("scale workload runs")
     };
 
     // --- safety first: both modes converge, batched never less safe ---
-    let one = run_once(BatchStrategy::OneTuple, 1);
-    let batched = run_once(BatchStrategy::TopN(top_n), risk_threads);
+    let one = run_once(BatchStrategy::OneTuple);
+    let batched = run_once(BatchStrategy::TopN(top_n));
     let mut violations: Vec<String> = Vec::new();
     if one.final_risky != 0 {
         violations.push(format!("one-tuple left {} risky tuple(s)", one.final_risky));
@@ -118,18 +114,16 @@ fn main() {
     }
 
     // --- medians ---
-    let median_of = |batch: BatchStrategy, threads: usize| -> f64 {
-        let mut times: Vec<f64> = (0..runs)
-            .map(|_| time_it(|| run_once(batch, threads)).1)
-            .collect();
+    let median_of = |batch: BatchStrategy| -> f64 {
+        let mut times: Vec<f64> = (0..runs).map(|_| time_it(|| run_once(batch)).1).collect();
         times.sort_by(f64::total_cmp);
         times[times.len() / 2]
     };
-    let batched_s = median_of(BatchStrategy::TopN(top_n), risk_threads);
+    let batched_s = median_of(BatchStrategy::TopN(top_n));
     let one_s = if batched_only {
         None
     } else {
-        Some(median_of(BatchStrategy::OneTuple, 1))
+        Some(median_of(BatchStrategy::OneTuple))
     };
     let speedup = one_s.map(|o| {
         if batched_s == 0.0 {
@@ -181,12 +175,12 @@ fn main() {
         rows, spec.risky, runs
     );
     println!(
-        "  batched (TopN({top_n}), {risk_threads} risk thread(s)): {:.3}s   {} iteration(s), {} suppression(s)",
+        "  batched (TopN({top_n})): {:.3}s   {} iteration(s), {} suppression(s)",
         batched_s, batched.iterations, batched.nulls_injected
     );
     if let (Some(o), Some(s)) = (one_s, speedup) {
         println!(
-            "  one-tuple (1 thread): {:.3}s   {} iteration(s), {} suppression(s)",
+            "  one-tuple: {:.3}s   {} iteration(s), {} suppression(s)",
             o, one.iterations, one.nulls_injected
         );
         println!("  speedup: {s:.2}x");

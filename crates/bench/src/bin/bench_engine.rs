@@ -76,10 +76,9 @@ fn disjoint_cycles_tc(components: usize, cycle_len: usize) -> String {
     src
 }
 
-fn engine(mode: JoinMode, threads: usize) -> Engine {
+fn engine(mode: JoinMode) -> Engine {
     Engine::with_config(EngineConfig {
         join_mode: mode,
-        threads,
         ..EngineConfig::default()
     })
 }
@@ -89,14 +88,13 @@ fn median_secs(
     program: &Program,
     facts: &Database,
     mode: JoinMode,
-    threads: usize,
     runs: usize,
     check: impl Fn(&vadalog::ReasoningResult),
 ) -> f64 {
     let mut times: Vec<f64> = (0..runs)
         .map(|_| {
             let (r, secs) = time_it(|| {
-                engine(mode, threads)
+                engine(mode)
                     .run(program, facts.clone())
                     .expect("benchmark program evaluates")
             });
@@ -122,7 +120,7 @@ fn median_secs_goal(
     let mut times: Vec<f64> = (0..runs)
         .map(|_| {
             let (r, secs) = time_it(|| {
-                engine(JoinMode::Indexed, 1)
+                engine(JoinMode::Indexed)
                     .run_with_goals(program, facts.clone(), goals, options)
                     .expect("goal-directed benchmark evaluates")
             });
@@ -144,7 +142,6 @@ struct WorkloadResult {
     size: usize,
     reference_s: f64,
     indexed_s: f64,
-    indexed_mt_s: f64,
     /// Goal-directed median, when the workload has a magic series.
     magic_s: Option<f64>,
 }
@@ -170,11 +167,7 @@ impl WorkloadResult {
 }
 
 fn emit(out: &mut impl Write, w: &WorkloadResult, runs: usize) {
-    let mut modes = vec![
-        ("reference", w.reference_s),
-        ("indexed", w.indexed_s),
-        ("indexed-mt4", w.indexed_mt_s),
-    ];
+    let mut modes = vec![("reference", w.reference_s), ("indexed", w.indexed_s)];
     if let Some(magic) = w.magic_s {
         modes.push(("magic", magic));
     }
@@ -236,16 +229,8 @@ fn main() {
     let tc = WorkloadResult {
         name: "tc",
         size: tc_nodes,
-        reference_s: median_secs(
-            &tc_program,
-            &tc_facts,
-            JoinMode::Reference,
-            1,
-            runs,
-            tc_check,
-        ),
-        indexed_s: median_secs(&tc_program, &tc_facts, JoinMode::Indexed, 1, runs, tc_check),
-        indexed_mt_s: median_secs(&tc_program, &tc_facts, JoinMode::Indexed, 4, runs, tc_check),
+        reference_s: median_secs(&tc_program, &tc_facts, JoinMode::Reference, runs, tc_check),
+        indexed_s: median_secs(&tc_program, &tc_facts, JoinMode::Indexed, runs, tc_check),
         magic_s: None,
     };
 
@@ -272,7 +257,6 @@ fn main() {
             &tc_goal_program,
             &tc_facts,
             JoinMode::Reference,
-            1,
             runs,
             tc_goal_full_check,
         ),
@@ -280,15 +264,6 @@ fn main() {
             &tc_goal_program,
             &tc_facts,
             JoinMode::Indexed,
-            1,
-            runs,
-            tc_goal_full_check,
-        ),
-        indexed_mt_s: median_secs(
-            &tc_goal_program,
-            &tc_facts,
-            JoinMode::Indexed,
-            4,
             runs,
             tc_goal_full_check,
         ),
@@ -322,7 +297,7 @@ fn main() {
     // that respondent's whole quasi-identifier group (closed under group
     // equality, so `closed_groups` is sound) — derived from a reference
     // full run, which also pins the expected risk values
-    let risk_full = engine(JoinMode::Indexed, 1)
+    let risk_full = engine(JoinMode::Indexed)
         .run(&risk_program, risk_facts.clone())
         .expect("risk reference run evaluates");
     let tuples = risk_full.db.rows("tuple");
@@ -350,7 +325,6 @@ fn main() {
             &risk_program,
             &risk_facts,
             JoinMode::Reference,
-            1,
             runs,
             risk_check,
         ),
@@ -358,15 +332,6 @@ fn main() {
             &risk_program,
             &risk_facts,
             JoinMode::Indexed,
-            1,
-            runs,
-            risk_check,
-        ),
-        indexed_mt_s: median_secs(
-            &risk_program,
-            &risk_facts,
-            JoinMode::Indexed,
-            4,
             runs,
             risk_check,
         ),
@@ -403,7 +368,6 @@ fn main() {
             &suda_program,
             &suda_facts,
             JoinMode::Reference,
-            1,
             runs,
             suda_check,
         ),
@@ -411,15 +375,6 @@ fn main() {
             &suda_program,
             &suda_facts,
             JoinMode::Indexed,
-            1,
-            runs,
-            suda_check,
-        ),
-        indexed_mt_s: median_secs(
-            &suda_program,
-            &suda_facts,
-            JoinMode::Indexed,
-            4,
             runs,
             suda_check,
         ),
@@ -446,13 +401,18 @@ fn main() {
             _ => String::new(),
         };
         println!(
-            "  engine.{:<7} (size {:>5}): reference {:.3}s   indexed {:.3}s   indexed-mt4 {:.3}s   speedup {:.2}x{}",
-            w.name, w.size, w.reference_s, w.indexed_s, w.indexed_mt_s, w.speedup(), magic
+            "  engine.{:<7} (size {:>5}): reference {:.3}s   indexed {:.3}s   speedup {:.2}x{}",
+            w.name,
+            w.size,
+            w.reference_s,
+            w.indexed_s,
+            w.speedup(),
+            magic
         );
     }
 
     // show *why* via the engine profile of one indexed tc run
-    let profiled = engine(JoinMode::Indexed, 1)
+    let profiled = engine(JoinMode::Indexed)
         .run(&tc_program, Database::new())
         .expect("profiled run evaluates");
     println!("\n{}", render_engine_profile(&profiled.profile));

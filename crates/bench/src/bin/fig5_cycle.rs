@@ -1,16 +1,14 @@
 //! Determinism probe: run the Figure-5 anonymization cycle and a
 //! warm-startable engine workload, printing a byte-stable transcript.
 //!
-//! Usage: `fig5_cycle [--threads N] [--warm|--cold] [--telemetry-out FILE]`
+//! Usage: `fig5_cycle [--warm|--cold] [--telemetry-out FILE]`
 //!
-//! The output deliberately contains **no timings, no thread counts and no
-//! mode echo**: a warm run must print exactly what a cold run prints, a
-//! 4-thread run exactly what a 1-thread run prints, and any run exactly
-//! what its repeat prints. The CI `determinism` job runs every
-//! threads × mode combination twice and `diff`s all transcripts
-//! byte-for-byte — any nondeterminism (iteration-order leakage, unstable
-//! null labels, racy parallel derivation, warm/cold divergence) fails the
-//! build.
+//! The output deliberately contains **no timings and no mode echo**: a
+//! warm run must print exactly what a cold run prints, and any run
+//! exactly what its repeat prints. The CI `determinism` job runs each
+//! mode twice and `diff`s all transcripts byte-for-byte — any
+//! nondeterminism (iteration-order leakage, unstable null labels,
+//! warm/cold divergence) fails the build.
 //!
 //! Two segments:
 //!
@@ -22,9 +20,9 @@
 //!
 //! With `--telemetry-out FILE` the run additionally streams its telemetry
 //! events — cycle and engine — as JSON lines with **redacted timings**
-//! (every `t_ns`/`dur_ns`/`*_ns` quantity zeroed), so two runs of the
-//! same threads × mode combination must produce byte-identical telemetry
-//! too. The CI determinism job diffs these files per combination.
+//! (every `t_ns`/`dur_ns`/`*_ns` quantity zeroed), so two runs in the
+//! same mode must produce byte-identical telemetry too. The CI
+//! determinism job diffs these files per mode.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -58,12 +56,6 @@ fn print_fact_sets(sets: &BTreeMap<String, BTreeSet<Vec<Value>>>) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let warm = !args.iter().any(|a| a == "--cold");
-    let threads: usize = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     let sink: Option<Arc<JsonLinesWriter<_>>> = args
         .iter()
         .position(|a| a == "--telemetry-out")
@@ -147,7 +139,6 @@ fn main() {
     ];
     let engine = Engine::with_config(EngineConfig {
         join_mode: JoinMode::Indexed,
-        threads,
         collector: sink.clone().map(|s| s as Arc<dyn Collector>),
         ..EngineConfig::default()
     });

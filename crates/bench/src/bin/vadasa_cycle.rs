@@ -4,7 +4,7 @@
 //! ```text
 //! vadasa_cycle --input survey.csv [--name NAME] [--k K] [--threshold T]
 //!              [--max-iterations N] [--out released.csv]
-//!              [--batch one-tuple|per-class|top-N] [--risk-threads N]
+//!              [--batch one-tuple|per-class|top-N]
 //!              [--journal DIR] [--resume]
 //!              [--sync every-record|every-N|on-snapshot]
 //!              [--snapshot-every N]
@@ -15,11 +15,14 @@
 //! `--batch` selects the iteration heuristic: `one-tuple` acts on the
 //! single highest-priority row per iteration, `per-class` clears one
 //! whole equivalence class, `top-N` (e.g. `top-64`) clears up to N
-//! classes per iteration — the million-row configuration. `--risk-threads`
-//! shards risk evaluation across a deterministic thread pool (the outcome
-//! is bit-identical at any thread count). Note that batching is part of a
-//! journal's identity: a `--resume` must use the same `--batch` as the
-//! run that wrote the journal.
+//! classes per iteration — the million-row configuration. Note that
+//! batching is part of a journal's identity: a `--resume` must use the
+//! same `--batch` as the run that wrote the journal.
+//!
+//! An argument that is not one of the options above (a misspelt option,
+//! say), or an option without a well-formed value, prints the usage line
+//! and exits 2 before anything is read or written: a release at a
+//! threshold or `k` the user did not ask for is worse than none.
 //!
 //! Observability outputs (all optional, all write-once at the end of the
 //! run):
@@ -47,7 +50,9 @@
 //! vadasa_cycle --input survey.csv --journal wal/ --resume # finishes it
 //! ```
 
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use vadasa_core::cycle::{BatchStrategy, CycleConfig};
 use vadasa_core::io::{read_csv, write_csv};
@@ -58,105 +63,116 @@ use vadasa_core::pipeline::Vadasa;
 use vadasa_core::prelude::{JournalConfig, SyncPolicy};
 use vadasa_core::report::render_profile;
 
-fn usage() -> ExitCode {
+fn usage() -> ! {
     eprintln!(
         "usage: vadasa_cycle --input FILE.csv [--name NAME] [--k K] [--threshold T]\n\
          \x20                   [--max-iterations N] [--out released.csv]\n\
-         \x20                   [--batch one-tuple|per-class|top-N] [--risk-threads N]\n\
+         \x20                   [--batch one-tuple|per-class|top-N]\n\
          \x20                   [--journal DIR] [--resume]\n\
          \x20                   [--sync every-record|every-N|on-snapshot] [--snapshot-every N]\n\
          \x20                   [--telemetry-out FILE] [--trace-out FILE]\n\
          \x20                   [--collapsed-out FILE] [--metrics-out FILE]"
     );
-    ExitCode::from(2)
+    std::process::exit(2);
+}
+
+/// The operand of `option`, parsed; a missing or malformed operand is a
+/// usage error.
+fn operand<T: FromStr>(args: &mut impl Iterator<Item = String>, option: &str) -> T
+where
+    T::Err: Display,
+{
+    let Some(text) = args.next() else {
+        eprintln!("{option} needs a value");
+        usage()
+    };
+    match text.parse() {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("{option}: cannot parse '{text}': {e}");
+            usage()
+        }
+    }
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let switch = |name: &str| args.iter().any(|a| a == name);
-    if switch("--help") || switch("-h") {
-        return usage();
-    }
+    let mut input: Option<String> = None;
+    let mut name = "survey".to_string();
+    let mut k: usize = 2;
+    let mut config = CycleConfig::default();
+    let mut out: Option<String> = None;
+    let mut journal: Option<String> = None;
+    let mut resume = false;
+    let mut sync = SyncPolicy::EveryRecord;
+    let mut snapshot_every: Option<u32> = Some(16);
+    let mut telemetry_out: Option<String> = None;
+    let mut trace_out: Option<String> = None;
+    let mut collapsed_out: Option<String> = None;
+    let mut metrics_out: Option<String> = None;
 
-    let Some(input) = flag("--input") else {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--input" => input = Some(operand(&mut args, &arg)),
+            "--name" => name = operand(&mut args, &arg),
+            "--k" => k = operand(&mut args, &arg),
+            "--threshold" => config.threshold = operand(&mut args, &arg),
+            "--max-iterations" => config.max_iterations = operand(&mut args, &arg),
+            "--out" => out = Some(operand(&mut args, &arg)),
+            "--batch" => {
+                let s: String = operand(&mut args, &arg);
+                config.batch = Some(match s.as_str() {
+                    "one-tuple" => BatchStrategy::OneTuple,
+                    "per-class" => BatchStrategy::PerClass,
+                    _ => match s.strip_prefix("top-").and_then(|n| n.parse::<usize>().ok()) {
+                        Some(n) if n > 0 => BatchStrategy::TopN(n),
+                        _ => {
+                            eprintln!("--batch must be one-tuple, per-class or top-N, got '{s}'");
+                            usage()
+                        }
+                    },
+                });
+            }
+            "--journal" => journal = Some(operand(&mut args, &arg)),
+            "--resume" => resume = true,
+            "--sync" => {
+                let s: String = operand(&mut args, &arg);
+                sync = match s.as_str() {
+                    "every-record" => SyncPolicy::EveryRecord,
+                    "on-snapshot" => SyncPolicy::OnSnapshot,
+                    _ => match s.strip_prefix("every-").and_then(|n| n.parse::<u32>().ok()) {
+                        Some(n) => SyncPolicy::EveryN(n),
+                        None => {
+                            eprintln!(
+                                "--sync must be every-record, every-N or on-snapshot, got '{s}'"
+                            );
+                            usage()
+                        }
+                    },
+                };
+            }
+            "--snapshot-every" => {
+                snapshot_every = Some(operand(&mut args, &arg)).filter(|&n| n != 0)
+            }
+            "--telemetry-out" => telemetry_out = Some(operand(&mut args, &arg)),
+            "--trace-out" => trace_out = Some(operand(&mut args, &arg)),
+            "--collapsed-out" => collapsed_out = Some(operand(&mut args, &arg)),
+            "--metrics-out" => metrics_out = Some(operand(&mut args, &arg)),
+            "--help" | "-h" => usage(),
+            other => {
+                eprintln!("unrecognised argument '{other}'");
+                usage()
+            }
+        }
+    }
+    let Some(input) = input else {
         eprintln!("missing required --input FILE.csv");
-        return usage();
+        usage()
     };
-    let name = flag("--name").unwrap_or_else(|| "survey".to_string());
-    let k: usize = match flag("--k").as_deref().unwrap_or("2").parse() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("--k must be an integer: {e}");
-            return usage();
-        }
-    };
-    let threshold: f64 = match flag("--threshold").as_deref().unwrap_or("0.5").parse() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("--threshold must be a number: {e}");
-            return usage();
-        }
-    };
-    let max_iterations: Option<usize> = match flag("--max-iterations") {
-        None => None,
-        Some(v) => match v.parse() {
-            Ok(n) => Some(n),
-            Err(e) => {
-                eprintln!("--max-iterations must be an integer: {e}");
-                return usage();
-            }
-        },
-    };
-    let sync = match flag("--sync").as_deref() {
-        None | Some("every-record") => SyncPolicy::EveryRecord,
-        Some("on-snapshot") => SyncPolicy::OnSnapshot,
-        Some(s) => match s.strip_prefix("every-").and_then(|n| n.parse::<u32>().ok()) {
-            Some(n) => SyncPolicy::EveryN(n),
-            None => {
-                eprintln!("--sync must be every-record, every-N or on-snapshot, got '{s}'");
-                return usage();
-            }
-        },
-    };
-    let snapshot_every: Option<u32> = match flag("--snapshot-every") {
-        None => Some(16),
-        Some(v) => match v.parse() {
-            Ok(0) => None,
-            Ok(n) => Some(n),
-            Err(e) => {
-                eprintln!("--snapshot-every must be an integer: {e}");
-                return usage();
-            }
-        },
-    };
-    let batch: Option<BatchStrategy> = match flag("--batch").as_deref() {
-        None => None,
-        Some("one-tuple") => Some(BatchStrategy::OneTuple),
-        Some("per-class") => Some(BatchStrategy::PerClass),
-        Some(s) => match s.strip_prefix("top-").and_then(|n| n.parse::<usize>().ok()) {
-            Some(n) if n > 0 => Some(BatchStrategy::TopN(n)),
-            _ => {
-                eprintln!("--batch must be one-tuple, per-class or top-N, got '{s}'");
-                return usage();
-            }
-        },
-    };
-    let risk_threads: usize = match flag("--risk-threads").as_deref().unwrap_or("1").parse() {
-        Ok(0) => {
-            eprintln!("--risk-threads must be at least 1");
-            return usage();
-        }
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("--risk-threads must be an integer: {e}");
-            return usage();
-        }
-    };
+    if resume && journal.is_none() {
+        eprintln!("--resume requires --journal DIR");
+        usage()
+    }
 
     let text = match std::fs::read_to_string(&input) {
         Ok(t) => t,
@@ -172,20 +188,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    let mut config = CycleConfig {
-        threshold,
-        batch,
-        risk_threads,
-        ..CycleConfig::default()
-    };
-    if let Some(n) = max_iterations {
-        config.max_iterations = n;
-    }
-    let telemetry_out = flag("--telemetry-out");
-    let trace_out = flag("--trace-out");
-    let collapsed_out = flag("--collapsed-out");
-    let metrics_out = flag("--metrics-out");
 
     let sink: Option<Arc<JsonLinesWriter<std::io::BufWriter<std::fs::File>>>> = match &telemetry_out
     {
@@ -230,18 +232,15 @@ fn main() -> ExitCode {
     if let Some(m) = &metrics {
         pipeline = pipeline.metrics(m.clone());
     }
-    if let Some(dir) = flag("--journal") {
+    if let Some(dir) = journal {
         pipeline = pipeline.journal(JournalConfig {
             sync,
             snapshot_every,
             ..JournalConfig::new(dir)
         });
-        if switch("--resume") {
+        if resume {
             pipeline = pipeline.resume();
         }
-    } else if switch("--resume") {
-        eprintln!("--resume requires --journal DIR");
-        return usage();
     }
 
     let release = match pipeline.run(&db) {
@@ -283,7 +282,7 @@ fn main() -> ExitCode {
     }
 
     let csv = write_csv(&release.outcome.db);
-    match flag("--out") {
+    match out {
         Some(path) => {
             if let Err(e) = std::fs::write(&path, csv) {
                 eprintln!("cannot write '{path}': {e}");

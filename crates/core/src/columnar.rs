@@ -19,9 +19,7 @@
 //! kernel adds every weight in the order of the row-level pass it
 //! replaced: a group's own rows in row order, then its maybe-matching
 //! nulled rows mask by mask (masks ascending), in row order within a
-//! mask. Every addition runs on one thread; only the fill pass, which
-//! adds nothing, shards across [`std::thread::scope`] workers. The result
-//! is therefore bit-identical for any weights and any thread count, and
+//! mask. The result is therefore bit-identical for any weights, and
 //! pattern ids, which depend on the patch history, never reach an output.
 
 use crate::maybe_match::{GroupStats, NullSemantics};
@@ -30,10 +28,6 @@ use std::collections::HashMap;
 use std::hash::BuildHasher;
 use vadalog::storage::ByHash;
 use vadalog::Value;
-
-/// Rows below this count are never sharded: thread spawn overhead
-/// dominates the work.
-const MIN_ROWS_PER_THREAD: usize = 4096;
 
 /// "No id": ends a hash chain, marks an unmapped pattern.
 const NONE: u32 = u32::MAX;
@@ -127,56 +121,6 @@ pub(crate) fn mismatch_bits(a: &[u32], b: &[u32]) -> u64 {
         .zip(b)
         .enumerate()
         .fold(0, |m, (c, (x, y))| m | (u64::from(x != y) << c))
-}
-
-/// Even row-range split for `threads` workers over `n` rows.
-fn chunk_ranges(n: usize, threads: usize) -> Vec<(usize, usize)> {
-    let t = threads.max(1).min(n.max(1));
-    let base = n / t;
-    let extra = n % t;
-    let mut out = Vec::with_capacity(t);
-    let mut start = 0;
-    for i in 0..t {
-        let len = base + usize::from(i < extra);
-        out.push((start, start + len));
-        start += len;
-    }
-    out
-}
-
-/// Map rows `0..n` through `f` into a fresh `Vec`, sharding across
-/// `threads` scoped workers. Chunks are written into pre-allocated slots
-/// and concatenated in chunk order, so the output is identical to the
-/// sequential map for any thread count.
-pub fn par_map_rows<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let t = if threads <= 1 || n < 2 * MIN_ROWS_PER_THREAD {
-        1
-    } else {
-        threads.min(n / MIN_ROWS_PER_THREAD).max(1)
-    };
-    if t == 1 {
-        return (0..n).map(f).collect();
-    }
-    let ranges = chunk_ranges(n, t);
-    let mut slots: Vec<Option<Vec<T>>> = Vec::new();
-    slots.resize_with(ranges.len(), || None);
-    std::thread::scope(|s| {
-        for (slot, &(lo, hi)) in slots.iter_mut().zip(ranges.iter()) {
-            let f = &f;
-            s.spawn(move || {
-                *slot = Some((lo..hi).map(f).collect());
-            });
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for chunk in slots.into_iter().flatten() {
-        out.extend(chunk);
-    }
-    out
 }
 
 /// Dense ids chained by a keyed hash, deduplicating the way
@@ -566,7 +510,6 @@ pub fn group_stats_codes(
     positions: &[usize],
     weights: Option<&[f64]>,
     sem: NullSemantics,
-    threads: usize,
 ) -> GroupStats {
     let n = null_masks.len();
     let w = |i: usize| weights.map(|w| w[i]).unwrap_or(1.0);
@@ -601,8 +544,8 @@ pub fn group_stats_codes(
             g_sum[g] += w(row);
         }
         return GroupStats {
-            count: par_map_rows(n, threads, |row| g_count[group(row)]),
-            weight_sum: par_map_rows(n, threads, |row| g_sum[group(row)]),
+            count: (0..n).map(|row| g_count[group(row)]).collect(),
+            weight_sum: (0..n).map(|row| g_sum[group(row)]).collect(),
         };
     }
 
@@ -637,8 +580,8 @@ pub fn group_stats_codes(
             g_sum[g as usize] += w(i);
         }
     }
-    let mut count = par_map_rows(n, threads, |row| g_count[group(row)]);
-    let mut weight_sum = par_map_rows(n, threads, |row| g_sum[group(row)]);
+    let mut count: Vec<usize> = (0..n).map(|row| g_count[group(row)]).collect();
+    let mut weight_sum: Vec<f64> = (0..n).map(|row| g_sum[group(row)]).collect();
 
     // Nulled rows: their complete matches, then nulled-vs-nulled
     // (including self) pairwise in row order.
@@ -964,10 +907,9 @@ mod tests {
         positions: &[usize],
         weights: Option<&[f64]>,
         sem: NullSemantics,
-        threads: usize,
     ) -> GroupStats {
         let index = PatternIndex::build(codes, masks, width);
-        let fast = group_stats_codes(codes, masks, &index, positions, weights, sem, threads);
+        let fast = group_stats_codes(codes, masks, &index, positions, weights, sem);
         let oracle = group_stats_oracle(codes, masks, width, positions, weights, sem);
         assert_same(&fast, &oracle);
         fast
@@ -981,7 +923,7 @@ mod tests {
         let weights: Vec<f64> = (0..rows.len()).map(|i| (i as f64 + 1.0) * 2.0).collect();
         for sem in [NullSemantics::MaybeMatch, NullSemantics::Standard] {
             for w in [None, Some(weights.as_slice())] {
-                let colv = kernel(&codes, &masks, width, &all, w, sem, 1);
+                let colv = kernel(&codes, &masks, width, &all, w, sem);
                 let rowv = group_stats(&rows, w, sem);
                 assert_same(&colv, &rowv);
             }
@@ -995,7 +937,7 @@ mod tests {
         let weights: Vec<f64> = vec![10.0, 20.0, 20.0, 30.0, 30.0, 5.0, 5.0];
         for positions in [vec![0], vec![1, 3], vec![0, 2, 3], vec![2]] {
             for sem in [NullSemantics::MaybeMatch, NullSemantics::Standard] {
-                let colv = kernel(&codes, &masks, width, &positions, Some(&weights), sem, 1);
+                let colv = kernel(&codes, &masks, width, &positions, Some(&weights), sem);
                 let rowv = group_stats_on(&rows, &positions, Some(&weights), sem);
                 assert_same(&colv, &rowv);
             }
@@ -1003,10 +945,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_equals_sequential_bitwise() {
-        // Large enough to clear the per-thread row floor, so the fill
-        // pass shards; the additions stay on one thread.
-        let n = 3 * MIN_ROWS_PER_THREAD;
+    fn large_table_with_nulls_matches_oracles_bitwise() {
+        // 12,288 rows with a labelled null every 97th row, under both
+        // semantics, full width and on a sub-projection.
+        let n = 12_288;
         let rows: Vec<Vec<Value>> = (0..n)
             .map(|i| {
                 if i % 97 == 0 {
@@ -1020,39 +962,10 @@ mod tests {
         let (codes, masks, width) = encode(&rows);
         let all: Vec<usize> = (0..width).collect();
         for sem in [NullSemantics::MaybeMatch, NullSemantics::Standard] {
-            for positions in [&all[..], &[1][..]] {
-                let seq = kernel(&codes, &masks, width, positions, Some(&weights), sem, 1);
-                let par = kernel(&codes, &masks, width, positions, Some(&weights), sem, 4);
-                assert_same(&seq, &par);
-            }
-            let par = kernel(&codes, &masks, width, &all, Some(&weights), sem, 4);
-            assert_same(&par, &group_stats(&rows, Some(&weights), sem));
-        }
-    }
-
-    #[test]
-    fn non_summable_weights_fall_back_to_sequential() {
-        // Fractional weights are not exactly summable: the thread count
-        // must still not change a bit, nulls and sub-projections included.
-        let n = 3 * MIN_ROWS_PER_THREAD;
-        let rows: Vec<Vec<Value>> = (0..n)
-            .map(|i| {
-                let a = if i % 89 == 0 {
-                    Value::Null(i as u64)
-                } else {
-                    Value::Int((i % 11) as i64)
-                };
-                vec![a, Value::Int((i % 5) as i64)]
-            })
-            .collect();
-        let weights: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64 * 0.1).collect();
-        let (codes, masks, width) = encode(&rows);
-        for sem in [NullSemantics::MaybeMatch, NullSemantics::Standard] {
-            for positions in [&[0][..], &[0, 1][..]] {
-                let seq = kernel(&codes, &masks, width, positions, Some(&weights), sem, 1);
-                let par = kernel(&codes, &masks, width, positions, Some(&weights), sem, 8);
-                assert_same(&seq, &par);
-            }
+            let full = kernel(&codes, &masks, width, &all, Some(&weights), sem);
+            assert_same(&full, &group_stats(&rows, Some(&weights), sem));
+            let sub = kernel(&codes, &masks, width, &[1], Some(&weights), sem);
+            assert_same(&sub, &group_stats_on(&rows, &[1], Some(&weights), sem));
         }
     }
 
@@ -1071,7 +984,7 @@ mod tests {
                 }
             }
             let mut index = PatternIndex::build(&codes, &masks, width);
-            let mut stats = group_stats_codes(&codes, &masks, &index, &all, Some(weights), sem, 1);
+            let mut stats = group_stats_codes(&codes, &masks, &index, &all, Some(weights), sem);
             for (row, col, v) in steps {
                 let (row, col) = (*row, *col);
                 let old_codes: Vec<u32> = codes[row * width..(row + 1) * width].to_vec();
@@ -1096,7 +1009,7 @@ mod tests {
                     old_mask,
                     &mut stats,
                 );
-                let cold = group_stats_codes(&codes, &masks, &index, &all, Some(weights), sem, 1);
+                let cold = group_stats_codes(&codes, &masks, &index, &all, Some(weights), sem);
                 assert_same(
                     &cold,
                     &group_stats_oracle(&codes, &masks, width, &all, Some(weights), sem),
@@ -1177,16 +1090,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_rows_preserves_order() {
-        let n = 3 * MIN_ROWS_PER_THREAD;
-        let seq = par_map_rows(n, 1, |i| i * 3);
-        let par = par_map_rows(n, 4, |i| i * 3);
-        assert_eq!(seq, par);
-        assert_eq!(seq[17], 51);
-        assert_eq!(seq.len(), n);
-    }
-
-    #[test]
     fn dictionary_interning_is_stable_and_cheap() {
         let mut d = ColumnDict::new();
         let a = d.intern(&s("x"));
@@ -1201,10 +1104,10 @@ mod tests {
 
     #[test]
     fn empty_and_zero_width_inputs() {
-        let gs = kernel(&[], &[], 0, &[], None, NullSemantics::MaybeMatch, 4);
+        let gs = kernel(&[], &[], 0, &[], None, NullSemantics::MaybeMatch);
         assert!(gs.count.is_empty());
         // zero projected columns over 3 rows: one universal group
-        let gs = kernel(&[], &[0, 0, 0], 0, &[], None, NullSemantics::Standard, 1);
+        let gs = kernel(&[], &[0, 0, 0], 0, &[], None, NullSemantics::Standard);
         assert_eq!(gs.count, vec![3, 3, 3]);
         assert_eq!(gs.weight_sum, vec![3.0, 3.0, 3.0]);
     }

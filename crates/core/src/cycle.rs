@@ -155,11 +155,6 @@ pub struct CycleConfig {
     /// legacy per-tuple behaviour byte-for-byte; `Some` selects how many
     /// equivalence classes each iteration anonymizes at once.
     pub batch: Option<BatchStrategy>,
-    /// Worker threads for partitioned risk evaluation (group-stats
-    /// regrouping and per-row scoring). `1` keeps everything sequential;
-    /// more threads shard the row space and merge deterministically, so
-    /// any thread count yields bitwise-identical reports.
-    pub risk_threads: usize,
     /// Storage backend for persisted warm artifacts (see
     /// [`StorageOptions`]). The default in-memory engine keeps legacy
     /// behaviour byte-for-byte; the file engine persists warm group
@@ -183,7 +178,6 @@ impl Default for CycleConfig {
             warm_start: true,
             journal: None,
             batch: None,
-            risk_threads: 1,
             storage: StorageOptions::default(),
         }
     }
@@ -873,7 +867,6 @@ impl<'a> AnonymizationCycle<'a> {
                     )?)
                 }
             };
-            view.risk_threads = self.config.risk_threads.max(1);
             let t0 = Instant::now();
             // Warm path: serve the report from the maintained group
             // statistics when the measure supports it; otherwise (or on
@@ -1170,7 +1163,7 @@ impl<'a> AnonymizationCycle<'a> {
                 }
             }
             if batched && data_changed {
-                // One parallel regroup at the next iteration's latch costs
+                // One regroup at the next iteration's latch costs
                 // O(n) total; repairing the statistics per batched row
                 // would have cost O(batch · n).
                 warm_stats = None;
@@ -1870,35 +1863,6 @@ mod tests {
         // batching may over-suppress across classes, never under-protect
         assert!(batched.nulls_injected >= one.nulls_injected);
         assert!(batched.iterations <= one.iterations);
-    }
-
-    #[test]
-    fn risk_threads_do_not_change_the_outcome() {
-        let (db, dict) = fig5_db();
-        let risk = KAnonymity::new(2);
-        let anon = LocalSuppression::new(AttributeOrder::MostSelectiveFirst);
-        let run_with_threads = |threads: usize| {
-            AnonymizationCycle::new(
-                &risk,
-                &anon,
-                CycleConfig {
-                    batch: Some(BatchStrategy::TopN(2)),
-                    risk_threads: threads,
-                    ..CycleConfig::default()
-                },
-            )
-            .run(&db, &dict)
-            .unwrap()
-        };
-        let a = run_with_threads(1);
-        let b = run_with_threads(4);
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.nulls_injected, b.nulls_injected);
-        assert_eq!(a.final_report.risks, b.final_report.risks);
-        assert_eq!(a.audit.decisions.len(), b.audit.decisions.len());
-        for i in 0..db.len() {
-            assert_eq!(a.db.row(i).unwrap(), b.db.row(i).unwrap(), "row {i}");
-        }
     }
 
     #[test]

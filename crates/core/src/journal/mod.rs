@@ -423,11 +423,10 @@ impl JournalWriter {
 /// Fingerprint of everything the cycle's trajectory depends on: table
 /// content, dictionary roles, result-affecting configuration, and plug-in
 /// names. Governor knobs (`max_iterations`, `deadline`), `fallback`,
-/// `audit`, `warm_start` and `risk_threads` are deliberately **excluded**:
-/// they bound or observe the trajectory without changing it (partitioned
-/// risk evaluation is bit-identical to sequential), so a journal written
-/// by a capped, warm, audited or parallel run resumes cleanly under
-/// different settings of those knobs. The batch strategy **is** included:
+/// `audit` and `warm_start` are deliberately **excluded**: they bound or
+/// observe the trajectory without changing it, so a journal written by a
+/// capped, warm or audited run resumes cleanly under different settings
+/// of those knobs. The batch strategy **is** included:
 /// batching changes which cells each iteration touches, so a journal is
 /// only replayable under the strategy that wrote it.
 pub fn fingerprint(

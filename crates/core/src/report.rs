@@ -222,7 +222,7 @@ pub fn render_profile(profile: &CycleProfile) -> String {
 /// Render a reasoning run's [`EngineProfile`](vadalog::EngineProfile) the
 /// way [`render_profile`] renders the cycle's: the engine's own table plus
 /// a one-line summary of the join core (index probes vs. fallback scans,
-/// interner hits, planner reorders, parallel rounds). Benchmarks and CLI
+/// interner hits, planner reorders and prunes). Benchmarks and CLI
 /// reports use this to show *why* an engine run got faster, not only that
 /// it did.
 pub fn render_engine_profile(profile: &vadalog::EngineProfile) -> String {

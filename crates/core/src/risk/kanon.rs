@@ -12,7 +12,6 @@
 //! the threshold.
 
 use super::{MicrodataView, RiskError, RiskMeasure, RiskReport, TupleRiskDetail};
-use crate::columnar::par_map_rows;
 use crate::maybe_match::GroupStats;
 use std::sync::Arc;
 
@@ -31,19 +30,17 @@ impl KAnonymity {
 
     /// Map group statistics to the k-anonymity report. Shared by the cold
     /// path ([`RiskMeasure::evaluate`]) and the warm-start hook so both
-    /// produce bit-identical output from identical statistics. Scoring is
-    /// a pure per-row map, so it shards across `threads` workers; notes
-    /// are formatted once per distinct class size and shared by every row
-    /// of that size (one allocation per size, not per row), found by
-    /// indexing a table by class size rather than hashing it.
-    fn report(&self, threads: usize, stats: &GroupStats) -> RiskReport {
+    /// produce bit-identical output from identical statistics. Notes are
+    /// formatted once per distinct class size and shared by every row of
+    /// that size (one allocation per size, not per row), found by indexing
+    /// a table by class size rather than hashing it.
+    fn report(&self, stats: &GroupStats) -> RiskReport {
         let n = stats.count.len();
-        let risks: Vec<f64> =
-            par_map_rows(
-                n,
-                threads,
-                |i| if stats.count[i] < self.k { 1.0 } else { 0.0 },
-            );
+        let risks: Vec<f64> = stats
+            .count
+            .iter()
+            .map(|&c| if c < self.k { 1.0 } else { 0.0 })
+            .collect();
         let note = |c: usize| -> Arc<str> { format!("class size {c} vs k={}", self.k).into() };
         // A class holds at most `n` rows; statistics restored from disk
         // that claim more get a note of their own instead of a huge table.
@@ -54,17 +51,19 @@ impl KAnonymity {
                 slot.get_or_insert_with(|| note(c));
             }
         }
-        let details = par_map_rows(n, threads, |i| {
-            let c = stats.count[i];
-            TupleRiskDetail {
-                frequency: c,
-                weight_sum: stats.weight_sum[i],
-                note: notes
-                    .get(c)
-                    .and_then(Clone::clone)
-                    .unwrap_or_else(|| note(c)),
-            }
-        });
+        let details = (0..n)
+            .map(|i| {
+                let c = stats.count[i];
+                TupleRiskDetail {
+                    frequency: c,
+                    weight_sum: stats.weight_sum[i],
+                    note: notes
+                        .get(c)
+                        .and_then(Clone::clone)
+                        .unwrap_or_else(|| note(c)),
+                }
+            })
+            .collect();
         RiskReport {
             measure: self.name().to_string(),
             risks,
@@ -80,7 +79,7 @@ impl RiskMeasure for KAnonymity {
 
     fn evaluate(&self, view: &MicrodataView) -> Result<RiskReport, RiskError> {
         let stats = view.group_stats();
-        Ok(self.report(view.risk_threads, &stats))
+        Ok(self.report(&stats))
     }
 
     fn evaluate_tuple(&self, view: &MicrodataView, row: usize) -> Option<f64> {
@@ -99,10 +98,10 @@ impl RiskMeasure for KAnonymity {
 
     fn report_from_groups(
         &self,
-        view: &MicrodataView,
+        _view: &MicrodataView,
         stats: &GroupStats,
     ) -> Option<Result<RiskReport, RiskError>> {
-        Some(Ok(self.report(view.risk_threads, stats)))
+        Some(Ok(self.report(stats)))
     }
 }
 
@@ -172,7 +171,7 @@ mod tests {
             count: vec![1, 3, 3, usize::MAX],
             weight_sum: vec![1.0, 3.0, 3.0, 9.0],
         };
-        let report = k.report(1, &stats);
+        let report = k.report(&stats);
         assert!(Arc::ptr_eq(
             &report.details[1].note,
             &report.details[2].note

@@ -19,9 +19,8 @@
 //! cells *columnarly* (per-column [`ColumnDict`]s, flat `u32` codes and a
 //! per-row null bitmask — see [`crate::columnar`]) instead of
 //! `Vec<Vec<Value>>`, and indexes its distinct coded rows
-//! ([`PatternIndex`]), so group formation works per distinct pattern,
-//! never clones a `Value`, and per-row scoring can shard across
-//! `risk_threads` scoped workers.
+//! ([`PatternIndex`]), so group formation works per distinct pattern and
+//! never clones a `Value`.
 
 mod individual;
 mod kanon;
@@ -113,10 +112,6 @@ pub struct MicrodataView {
     pub weights: Option<Vec<f64>>,
     /// Null semantics used to form equivalence groups.
     pub semantics: NullSemantics,
-    /// Worker threads for the per-row passes of group formation and
-    /// scoring (1 = sequential; the output is the same for any count, see
-    /// [`crate::columnar`]).
-    pub risk_threads: usize,
 }
 
 impl MicrodataView {
@@ -227,7 +222,6 @@ impl MicrodataView {
             patterns,
             weights,
             semantics,
-            risk_threads: 1,
         })
     }
 
@@ -292,8 +286,8 @@ impl MicrodataView {
         )
     }
 
-    /// Equivalence-group statistics under the view's own weights,
-    /// semantics and thread count.
+    /// Equivalence-group statistics under the view's own weights and
+    /// semantics.
     pub fn group_stats(&self) -> GroupStats {
         self.group_stats_with(self.weights.as_deref(), self.semantics)
     }
@@ -321,19 +315,10 @@ impl MicrodataView {
         &self.patterns
     }
 
-    /// Group statistics with explicit weights and semantics (threads from
-    /// the view).
+    /// Group statistics with explicit weights and semantics.
     pub fn group_stats_with(&self, weights: Option<&[f64]>, sem: NullSemantics) -> GroupStats {
         let all: Vec<usize> = (0..self.width()).collect();
-        group_stats_codes(
-            &self.codes,
-            &self.null_masks,
-            &self.patterns,
-            &all,
-            weights,
-            sem,
-            self.risk_threads,
-        )
+        self.group_stats_on(&all, weights, sem)
     }
 
     /// Group statistics over a sub-projection: only the listed column
@@ -351,7 +336,6 @@ impl MicrodataView {
             positions,
             weights,
             sem,
-            self.risk_threads,
         )
     }
 
@@ -818,10 +802,10 @@ mod tests {
 
     /// Check the view's pattern kernel, full width and on `positions`,
     /// under both semantics and the given weights, against the row-level
-    /// oracle (bit for bit, at 1 and 4 threads) and against the
+    /// oracle (bit for bit) and against the
     /// `Value`-row pass of [`crate::maybe_match`] (bit for bit under
     /// integer weights, whose sums are exact in any order).
-    fn check_view(view: &mut MicrodataView, positions: &[usize], weights: &[f64], exact: bool) {
+    fn check_view(view: &MicrodataView, positions: &[usize], weights: &[f64], exact: bool) {
         use crate::columnar::group_stats_oracle;
         use crate::maybe_match::{group_stats, group_stats_on};
         view.patterns()
@@ -839,11 +823,8 @@ mod tests {
                         ws,
                         sem,
                     );
-                    for threads in [1, 4] {
-                        view.risk_threads = threads;
-                        let fast = view.group_stats_on(cols, ws, sem);
-                        assert_bitwise(&fast, &oracle, "pattern kernel vs oracle");
-                    }
+                    let fast = view.group_stats_on(cols, ws, sem);
+                    assert_bitwise(&fast, &oracle, "pattern kernel vs oracle");
                     let by_rows = if cols.len() == all.len() {
                         group_stats(&rows, ws, sem)
                     } else {
@@ -860,7 +841,6 @@ mod tests {
                 }
             }
         }
-        view.risk_threads = 1;
     }
 
     use proptest::prelude::*;
@@ -905,7 +885,7 @@ mod tests {
                 NullSemantics::MaybeMatch,
             )
             .unwrap();
-            check_view(&mut view, &positions, &weights, !fractional);
+            check_view(&view, &positions, &weights, !fractional);
             // Every case first moves a row out of its pattern and back:
             // the first row of a pattern others share (its home leaves a
             // populated pattern), and a row alone in its pattern (the
@@ -921,10 +901,10 @@ mod tests {
                 let held = size(&view, row);
                 view.patch_cell(row, 0, &Value::Null(90 + k as u64), None);
                 prop_assert_eq!(view.patterns().rows_of(before), held - 1);
-                check_view(&mut view, &positions, &weights, !fractional);
+                check_view(&view, &positions, &weights, !fractional);
                 view.patch_cell(row, 0, &cell, None);
                 prop_assert_eq!(view.pattern_of(row) == before, held > 1);
-                check_view(&mut view, &positions, &weights, !fractional);
+                check_view(&view, &positions, &weights, !fractional);
             }
             for (k, &(row, col, pick, to)) in steps.iter().enumerate() {
                 let (row, col) = (row % rows.len(), col % width);
@@ -938,7 +918,7 @@ mod tests {
                     // write a constant from the table's domain
                     _ => view.patch_cell(row, col, &Value::Int(to), None),
                 }
-                check_view(&mut view, &positions, &weights, !fractional);
+                check_view(&view, &positions, &weights, !fractional);
             }
         }
     }

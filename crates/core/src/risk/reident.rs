@@ -14,7 +14,6 @@
 //! Figure 1 (the only North/Textiles/1000+ company) has risk `1/60 ≈ 0.016`.
 
 use super::{MicrodataView, RiskError, RiskMeasure, RiskReport, TupleRiskDetail};
-use crate::columnar::par_map_rows;
 use crate::maybe_match::GroupStats;
 
 /// Re-identification-based risk evaluation (Algorithm 3).
@@ -36,24 +35,20 @@ impl ReIdentification {
     }
 
     /// Map group statistics to the re-identification report. Shared by
-    /// [`RiskMeasure::evaluate`] and the warm-start hook. Per-row scoring
-    /// is a pure map over the statistics, so it shards across `threads`
-    /// workers with order-preserving reassembly.
-    fn report(&self, threads: usize, stats: &GroupStats) -> RiskReport {
+    /// [`RiskMeasure::evaluate`] and the warm-start hook.
+    fn report(&self, stats: &GroupStats) -> RiskReport {
         let n = stats.count.len();
-        let risks: Vec<f64> = par_map_rows(n, threads, |i| {
-            let s = stats.weight_sum[i];
-            if s > 0.0 {
-                (1.0 / s).min(1.0)
-            } else {
-                1.0
-            }
-        });
-        let details = par_map_rows(n, threads, |i| TupleRiskDetail {
-            frequency: stats.count[i],
-            weight_sum: stats.weight_sum[i],
-            note: Default::default(),
-        });
+        let risks: Vec<f64> = stats.weight_sum[..n]
+            .iter()
+            .map(|&s| if s > 0.0 { (1.0 / s).min(1.0) } else { 1.0 })
+            .collect();
+        let details = (0..n)
+            .map(|i| TupleRiskDetail {
+                frequency: stats.count[i],
+                weight_sum: stats.weight_sum[i],
+                note: Default::default(),
+            })
+            .collect();
         RiskReport {
             measure: self.name().to_string(),
             risks,
@@ -70,7 +65,7 @@ impl RiskMeasure for ReIdentification {
     fn evaluate(&self, view: &MicrodataView) -> Result<RiskReport, RiskError> {
         Self::validate_weights(view)?;
         let stats = view.group_stats();
-        Ok(self.report(view.risk_threads, &stats))
+        Ok(self.report(&stats))
     }
 
     fn evaluate_tuple(&self, view: &MicrodataView, row: usize) -> Option<f64> {
@@ -101,7 +96,7 @@ impl RiskMeasure for ReIdentification {
         view: &MicrodataView,
         stats: &GroupStats,
     ) -> Option<Result<RiskReport, RiskError>> {
-        Some(Self::validate_weights(view).map(|()| self.report(view.risk_threads, stats)))
+        Some(Self::validate_weights(view).map(|()| self.report(stats)))
     }
 }
 

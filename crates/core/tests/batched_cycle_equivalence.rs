@@ -1,20 +1,17 @@
 //! Batched-cycle pins (PR-8): the batched heuristic is an *efficiency*
 //! move, never a semantics change on safety.
 //!
-//! Four guarantees, per ISSUE 8:
+//! Three guarantees:
 //!
 //! 1. **Convergence under `T`** — on tables where the one-tuple cycle
 //!    converges, every batch strategy converges too, and never ends less
 //!    safe (it may over-suppress: cross-class defusal inside a batch is
 //!    deliberately not rechecked).
-//! 2. **Thread-count determinism** — `risk_threads` is invisible: the
-//!    transcripts (table, bitwise risks, audit) at 1 and 4 threads are
-//!    byte-identical.
-//! 3. **Warm-start compatibility** — warm batched ≡ cold batched: the
+//! 2. **Warm-start compatibility** — warm batched ≡ cold batched: the
 //!    batched path drops its statistics after a mutating iteration and
 //!    regroups once, which must land on the same trajectory as a cold
 //!    rebuild.
-//! 4. **Journal resume mid-batch** — a batched iteration commits several
+//! 3. **Journal resume mid-batch** — a batched iteration commits several
 //!    actions; killing the journal at every frame boundary and midpoint
 //!    inside those multi-action iterations must still resume to a
 //!    bit-identical outcome.
@@ -75,7 +72,7 @@ fn transcript(o: &CycleOutcome) -> String {
 }
 
 /// A random categorical table with integer weights (the exact-summability
-/// regime, so partitioned regrouping takes the parallel-eligible path).
+/// regime, where the warm path keeps its group statistics).
 fn random_table(rng: &mut StdRng) -> (MicrodataDb, MetadataDictionary) {
     let cols = rng.gen_range(2..=4usize);
     let rows = rng.gen_range(4..=16usize);
@@ -120,12 +117,11 @@ fn run(
         .expect("cycle runs")
 }
 
-fn batched_config(batch: BatchStrategy, risk_threads: usize) -> CycleConfig {
+fn batched_config(batch: BatchStrategy) -> CycleConfig {
     CycleConfig {
         threshold: 0.5,
         tuple_order: TupleOrder::Fifo,
         batch: Some(batch),
-        risk_threads,
         ..CycleConfig::default()
     }
 }
@@ -140,9 +136,9 @@ proptest! {
         let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
         let (db, dict) = random_table(&mut rng);
         let risk = KAnonymity::new(2);
-        let one = run(&db, &dict, &risk, batched_config(BatchStrategy::OneTuple, 1));
+        let one = run(&db, &dict, &risk, batched_config(BatchStrategy::OneTuple));
         for batch in [BatchStrategy::PerClass, BatchStrategy::TopN(3)] {
-            let b = run(&db, &dict, &risk, batched_config(batch, 1));
+            let b = run(&db, &dict, &risk, batched_config(batch));
             // Safety, not suppression count: trajectories legitimately
             // diverge (class-major order can defuse more rows per null,
             // or fewer), so the pin is that batched converges wherever
@@ -158,19 +154,7 @@ proptest! {
         }
     }
 
-    /// Pin 2: `risk_threads` is an evaluation strategy, not a semantics —
-    /// transcripts at 1 and 4 threads are byte-identical.
-    #[test]
-    fn risk_thread_count_is_invisible(seed in 0u64..1_000_000) {
-        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
-        let (db, dict) = random_table(&mut rng);
-        let risk = KAnonymity::new(2);
-        let t1 = run(&db, &dict, &risk, batched_config(BatchStrategy::TopN(2), 1));
-        let t4 = run(&db, &dict, &risk, batched_config(BatchStrategy::TopN(2), 4));
-        prop_assert_eq!(transcript(&t1), transcript(&t4));
-    }
-
-    /// Pin 3: warm batched ≡ cold batched, byte for byte.
+    /// Pin 2: warm batched ≡ cold batched, byte for byte.
     #[test]
     fn warm_batched_equals_cold_batched(seed in 0u64..1_000_000) {
         let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
@@ -178,11 +162,11 @@ proptest! {
         let risk = KAnonymity::new(2);
         let warm = run(&db, &dict, &risk, CycleConfig {
             warm_start: true,
-            ..batched_config(BatchStrategy::PerClass, 1)
+            ..batched_config(BatchStrategy::PerClass)
         });
         let cold = run(&db, &dict, &risk, CycleConfig {
             warm_start: false,
-            ..batched_config(BatchStrategy::PerClass, 1)
+            ..batched_config(BatchStrategy::PerClass)
         });
         prop_assert_eq!(transcript(&warm), transcript(&cold));
     }
@@ -227,7 +211,7 @@ fn multi_action_table() -> (MicrodataDb, MetadataDictionary) {
     (db, dict)
 }
 
-/// Pin 4: kill the journaled batched run at every frame boundary and
+/// Pin 3: kill the journaled batched run at every frame boundary and
 /// midpoint — including inside multi-action batch iterations — and
 /// resume; every prefix must land on the uninterrupted transcript.
 #[test]
@@ -235,7 +219,7 @@ fn batched_journal_resumes_identically_from_every_kill_point() {
     let (db, dict) = multi_action_table();
     let risk = KAnonymity::new(2);
     let anon = LocalSuppression::default();
-    let config = batched_config(BatchStrategy::TopN(4), 1);
+    let config = batched_config(BatchStrategy::TopN(4));
 
     let reference = transcript(
         &AnonymizationCycle::new(&risk, &anon, config.clone())
@@ -296,52 +280,5 @@ fn batched_journal_resumes_identically_from_every_kill_point() {
         );
         let _ = fs::remove_dir_all(&dir);
     }
-    let _ = fs::remove_dir_all(&full_dir);
-}
-
-/// Resume under 4 risk threads from a journal written single-threaded:
-/// thread count must stay invisible across the crash boundary too.
-#[test]
-fn batched_resume_is_thread_count_independent() {
-    let (db, dict) = multi_action_table();
-    let risk = KAnonymity::new(2);
-    let anon = LocalSuppression::default();
-    let config = batched_config(BatchStrategy::TopN(4), 1);
-    let reference = transcript(
-        &AnonymizationCycle::new(&risk, &anon, config.clone())
-            .run(&db, &dict)
-            .expect("reference run"),
-    );
-
-    let full_dir = fresh_dir("t1");
-    AnonymizationCycle::new(
-        &risk,
-        &anon,
-        CycleConfig {
-            journal: Some(JournalConfig::new(&full_dir)),
-            ..config.clone()
-        },
-    )
-    .run(&db, &dict)
-    .expect("journaled run");
-    let bytes = fs::read(full_dir.join(JOURNAL_FILE)).expect("read journal");
-    let bounds = record::frame_boundaries(&bytes);
-    let cut = bounds[bounds.len() / 2];
-
-    let dir = fresh_dir("t4");
-    fs::create_dir_all(&dir).expect("mkdir");
-    fs::write(dir.join(JOURNAL_FILE), &bytes[..cut]).expect("write prefix");
-    let resumed = AnonymizationCycle::new(
-        &risk,
-        &anon,
-        CycleConfig {
-            journal: Some(JournalConfig::new(&dir)),
-            ..batched_config(BatchStrategy::TopN(4), 4)
-        },
-    )
-    .resume(&db, &dict)
-    .expect("resume under 4 threads");
-    assert_eq!(transcript(&resumed), reference);
-    let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&full_dir);
 }

@@ -24,8 +24,7 @@
 //!    through the decoder of the journal, the snapshot and the warm-stats
 //!    artifact.
 //!
-//! CI runs the suite at 1 and 4 test threads, each at
-//! `VADASA_RISK_THREADS=1` and `4`.
+//! CI runs the suite at 1 and 4 test threads.
 
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -105,15 +104,6 @@ fn transcript(o: &CycleOutcome) -> String {
         let _ = writeln!(t, "row[{r}]={:?}", o.db.row(r).expect("row in range"));
     }
     t
-}
-
-/// Number of risk-evaluation worker threads every workload uses; CI runs
-/// the suite at both values via `VADASA_RISK_THREADS`.
-fn risk_threads() -> usize {
-    std::env::var("VADASA_RISK_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
 }
 
 fn file_engine() -> StorageOptions {
@@ -226,7 +216,6 @@ impl Case {
 fn fig5_config() -> CycleConfig {
     CycleConfig {
         granularity: StepGranularity::OneTuplePerIteration,
-        risk_threads: risk_threads(),
         ..CycleConfig::default()
     }
 }
@@ -234,7 +223,6 @@ fn fig5_config() -> CycleConfig {
 fn households_config() -> CycleConfig {
     CycleConfig {
         granularity: StepGranularity::AllRiskyPerIteration,
-        risk_threads: risk_threads(),
         ..CycleConfig::default()
     }
 }

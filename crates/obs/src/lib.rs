@@ -532,8 +532,7 @@ impl Histogram {
         u64::MAX
     }
 
-    /// Fold another histogram into this one (bucket-wise; used to
-    /// aggregate per-thread histograms from parallel rounds).
+    /// Fold another histogram into this one (bucket-wise).
     pub fn merge(&mut self, other: &Histogram) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b = b.saturating_add(*o);
@@ -733,9 +732,10 @@ impl<W: Write + Send> JsonLinesWriter<W> {
         }
     }
 
-    /// Redact wall-clock timings (`t_ns`, `dur_ns`, `start_ns`, and any
-    /// field named `*_ns`) to 0 so the byte output depends only on the
-    /// logical event stream — for byte-for-byte determinism diffs.
+    /// Redact wall-clock timings (`t_ns`, `dur_ns`, `start_ns`, any field
+    /// named `*_ns` and the value of any counter or observation named
+    /// `*_ns`) to 0 so the byte output depends only on the logical event
+    /// stream — for byte-for-byte determinism diffs.
     pub fn redact_timings(mut self) -> Self {
         self.redact_timings = true;
         self
@@ -814,12 +814,17 @@ impl<W: Write + Send> Collector for JsonLinesWriter<W> {
 }
 
 /// A copy of `event` with every wall-clock quantity zeroed: span
-/// duration, explicit start, and numeric fields whose name ends in
-/// `_ns`. Logical fields (iteration numbers, deltas, counts) survive.
+/// duration, explicit start, numeric fields whose name ends in `_ns`, and
+/// the value of a counter or observation whose name ends in `_ns` (such
+/// as `engine.rule.join_ns`). Logical fields (iteration numbers, deltas,
+/// counts) survive.
 fn redact_event_timings(event: &Event) -> Event {
     let mut e = event.clone();
-    if let EventKind::Span { dur_ns } = &mut e.kind {
-        *dur_ns = 0;
+    let timed = e.name.ends_with("_ns");
+    match &mut e.kind {
+        EventKind::Span { dur_ns } => *dur_ns = 0,
+        EventKind::Counter { delta: v } | EventKind::Observe { value: v } if timed => *v = 0,
+        _ => {}
     }
     if e.start_ns.is_some() {
         e.start_ns = Some(0);
@@ -1074,6 +1079,7 @@ mod tests {
                 fields!["iteration" => 3u64, "risk_eval_ns" => 1234u64],
             );
             obs.span_in("s", 1, 0, 500, 900, fields!["delta" => 4u64]);
+            obs.counter("rule.join_ns", 4321, vec![]);
             String::from_utf8(writer.into_inner()).unwrap()
         };
         let text = run();
@@ -1091,6 +1097,10 @@ mod tests {
         let fields = first.get("fields").unwrap();
         assert_eq!(fields.get("iteration").unwrap().as_f64(), Some(3.0));
         assert_eq!(fields.get("risk_eval_ns").unwrap().as_f64(), Some(0.0));
+        // a counter of nanoseconds is a timing; any other counter is not
+        assert_eq!(first.get("value").unwrap().as_f64(), Some(7.0));
+        let timed = json::parse(text.lines().last().unwrap()).unwrap();
+        assert_eq!(timed.get("value").unwrap().as_f64(), Some(0.0));
         assert_eq!(text, run(), "same logical stream, same bytes");
     }
 

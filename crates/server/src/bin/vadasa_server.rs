@@ -13,6 +13,10 @@
 //!   --stdin           serve the NDJSON protocol on stdin/stdout (default)
 //! ```
 //!
+//! Any other argument (a misspelt option, say), or an option without a
+//! well-formed value, prints the usage line and exits 2 without starting
+//! the server.
+//!
 //! On start the server **always recovers the whole fleet**: every job
 //! directory under the root is re-registered, and jobs that were
 //! mid-flight when the previous process died resume from their
@@ -24,17 +28,39 @@
 //! socket, each connection is served in turn; a `shutdown` command ends
 //! the process after the requested drain/stop completes.
 
+use std::fmt::Display;
 use std::io::{BufRead, BufReader, Write};
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
+use std::str::FromStr;
 use vadasa_server::protocol::{handle_line, Disposition};
-use vadasa_server::{JobServer, RetryPolicy, ServerConfig, ShutdownMode};
+use vadasa_server::{JobServer, ServerConfig, ShutdownMode};
 
-fn usage() -> ExitCode {
+fn usage() -> ! {
     eprintln!(
         "usage: vadasa_server --jobs-root DIR [--workers N] [--queue N] [--max-rows N] \
          [--retries N] [--socket PATH | --stdin]"
     );
-    ExitCode::from(2)
+    std::process::exit(2);
+}
+
+/// The operand of `option`, parsed; a missing or malformed operand is a
+/// usage error.
+fn operand<T: FromStr>(args: &mut impl Iterator<Item = String>, option: &str) -> T
+where
+    T::Err: Display,
+{
+    let Some(text) = args.next() else {
+        eprintln!("{option} needs a value");
+        usage()
+    };
+    match text.parse() {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("{option}: cannot parse '{text}': {e}");
+            usage()
+        }
+    }
 }
 
 /// Serve one line-oriented reader/writer pair until EOF or shutdown.
@@ -67,65 +93,30 @@ fn serve<R: BufRead, W: Write>(
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let switch = |name: &str| args.iter().any(|a| a == name);
-    if switch("--help") || switch("-h") {
-        return usage();
-    }
-    let Some(jobs_root) = flag("--jobs-root") else {
-        eprintln!("missing required --jobs-root DIR");
-        return usage();
-    };
-    let mut config = ServerConfig::new(&jobs_root);
-    let parse_num = |name: &str| -> Result<Option<usize>, ExitCode> {
-        match flag(name) {
-            None => Ok(None),
-            Some(v) => match v.parse() {
-                Ok(n) => Ok(Some(n)),
-                Err(_) => {
-                    eprintln!("{name} must be a non-negative integer");
-                    Err(usage())
-                }
-            },
-        }
-    };
-    match parse_num("--workers") {
-        Ok(Some(n)) if n >= 1 => config.workers = n,
-        Ok(Some(_)) => {
-            eprintln!("--workers must be >= 1");
-            return usage();
-        }
-        Ok(None) => {}
-        Err(code) => return code,
-    }
-    match parse_num("--queue") {
-        Ok(Some(n)) if n >= 1 => config.queue_capacity = n,
-        Ok(Some(_)) => {
-            eprintln!("--queue must be >= 1");
-            return usage();
-        }
-        Ok(None) => {}
-        Err(code) => return code,
-    }
-    match parse_num("--max-rows") {
-        Ok(n) => config.budget.max_facts = n.or(config.budget.max_facts),
-        Err(code) => return code,
-    }
-    match parse_num("--retries") {
-        Ok(Some(n)) => {
-            config.retry = RetryPolicy {
-                max_retries: n as u32,
-                ..RetryPolicy::default()
+    let mut config = ServerConfig::new("");
+    let mut socket: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--jobs-root" => config.jobs_root = operand(&mut args, &arg),
+            "--workers" => config.workers = operand::<NonZeroUsize>(&mut args, &arg).get(),
+            "--queue" => config.queue_capacity = operand::<NonZeroUsize>(&mut args, &arg).get(),
+            "--max-rows" => config.budget.max_facts = Some(operand(&mut args, &arg)),
+            "--retries" => config.retry.max_retries = operand(&mut args, &arg),
+            "--socket" => socket = Some(operand(&mut args, &arg)),
+            "--stdin" => {}
+            "--help" | "-h" => usage(),
+            other => {
+                eprintln!("unrecognised argument '{other}'");
+                usage()
             }
         }
-        Ok(None) => {}
-        Err(code) => return code,
     }
+    if config.jobs_root.as_os_str().is_empty() {
+        eprintln!("missing required --jobs-root DIR");
+        usage()
+    }
+    let jobs_root = config.jobs_root.display().to_string();
 
     let server = match JobServer::start(config) {
         Ok(s) => s,
@@ -140,7 +131,7 @@ fn main() -> ExitCode {
         server.metrics().counter("server.recovered")
     );
 
-    let mode = match flag("--socket") {
+    let mode = match socket {
         Some(path) => {
             let _ = std::fs::remove_file(&path);
             let listener = match std::os::unix::net::UnixListener::bind(&path) {

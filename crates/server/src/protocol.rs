@@ -156,9 +156,6 @@ fn parse_submit(v: &Json) -> Result<(String, JobSpec), String> {
             },
         });
     }
-    if let Some(n) = v.get("risk_threads").and_then(Json::as_f64) {
-        spec.risk_threads = (n as usize).max(1);
-    }
     if let Some(n) = v.get("snapshot_every").and_then(Json::as_f64) {
         spec.snapshot_every = Some(n as u32);
     }

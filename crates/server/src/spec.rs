@@ -136,9 +136,6 @@ pub struct JobSpec {
     /// stepping). Part of the journal fingerprint: recovery resumes a
     /// job under the exact strategy that wrote its journal.
     pub batch: Option<BatchStrategy>,
-    /// Risk-evaluation shard count (bit-identical at any value, so it is
-    /// *not* part of the fingerprint and may differ across restarts).
-    pub risk_threads: usize,
     /// Null semantics for risk-group formation.
     pub semantics: NullSemantics,
     /// Iteration cap for the cycle.
@@ -188,7 +185,6 @@ impl JobSpec {
             tuple_order: TupleOrder::default(),
             granularity: StepGranularity::default(),
             batch: None,
-            risk_threads: 1,
             semantics: NullSemantics::default(),
             max_iterations: 10_000,
             deadline: None,
@@ -260,7 +256,6 @@ impl JobSpec {
             tuple_order: self.tuple_order,
             granularity: self.granularity,
             batch: self.batch,
-            risk_threads: self.risk_threads,
             semantics: self.semantics,
             max_iterations: self.max_iterations,
             deadline: self.deadline,
@@ -324,7 +319,6 @@ impl JobSpec {
                 Some(BatchStrategy::TopN(n)) => Json::Str(format!("top-{n}")),
             },
         ));
-        members.push(("risk_threads".into(), Json::Num(self.risk_threads as f64)));
         members.push((
             "semantics".into(),
             Json::Str(
@@ -410,11 +404,6 @@ impl JobSpec {
                 None => return Err(err(format!("unknown batch strategy {s:?}"))),
             },
         };
-        let risk_threads = v
-            .get("risk_threads")
-            .and_then(Json::as_f64)
-            .map(|n| (n as usize).max(1))
-            .unwrap_or(1);
         let semantics = match v.get("semantics").and_then(Json::as_str) {
             Some("standard") => NullSemantics::Standard,
             _ => NullSemantics::MaybeMatch,
@@ -456,7 +445,6 @@ impl JobSpec {
             tuple_order,
             granularity,
             batch,
-            risk_threads,
             semantics,
             max_iterations,
             deadline,
@@ -625,7 +613,6 @@ mod tests {
         s.tuple_order = TupleOrder::MostRiskyFirst;
         s.granularity = StepGranularity::OneTuplePerIteration;
         s.batch = Some(BatchStrategy::TopN(64));
-        s.risk_threads = 4;
         s.semantics = NullSemantics::Standard;
         s.max_iterations = 77;
         s.deadline = Some(Duration::from_millis(1500));
@@ -643,7 +630,6 @@ mod tests {
         assert_eq!(back.tuple_order, s.tuple_order);
         assert_eq!(back.granularity, s.granularity);
         assert_eq!(back.batch, s.batch);
-        assert_eq!(back.risk_threads, s.risk_threads);
         assert_eq!(back.semantics, s.semantics);
         assert_eq!(back.max_iterations, s.max_iterations);
         assert_eq!(back.deadline, s.deadline);

@@ -12,6 +12,10 @@
 //!    boundary (the union of all possible crash points),
 //! 3. a real `SIGKILL` of the `vadasa_server` binary mid-flight,
 //!    followed by a restart that recovers the fleet.
+//!
+//! Two hostile-input cases ride along: unknown or value-less command-line
+//! options, and job specs that still carry the deleted risk-evaluation
+//! thread count.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -283,6 +287,92 @@ fn sigkill_of_the_whole_server_process_recovers_every_job() {
             reference_csv(&from_disk),
             "{id}: post-kill result differs from the uninterrupted reference"
         );
+    }
+    server.shutdown(ShutdownMode::Drain);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn unknown_options_exit_2_without_starting_the_server() {
+    use std::process::Command;
+
+    let root = fresh_root("options");
+    for (extra, reason) in [
+        (&["--worker", "2"][..], "unrecognised argument"),
+        (&["--risk-threads", "4"][..], "unrecognised argument"),
+        (&["--workers"][..], "--workers needs a value"),
+        (&["--workers", "0"][..], "cannot parse '0'"),
+        (&["--socket"][..], "--socket needs a value"),
+    ] {
+        // `extra` comes last, so a value-less option has nothing to take
+        let output = Command::new(env!("CARGO_BIN_EXE_vadasa_server"))
+            .arg("--jobs-root")
+            .arg(&root)
+            .arg("--stdin")
+            .args(extra)
+            .output()
+            .expect("spawn vadasa_server");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(stderr.contains(reason), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: vadasa_server"),
+            "{extra:?}: {stderr}"
+        );
+        // starting the server creates the jobs root; a refusal must not
+        assert!(!root.exists(), "{extra:?}: the server started");
+    }
+}
+
+/// Manifests and submit lines written when a run could shard its risk
+/// evaluation carry a `"risk_threads"` member. Both are accepted, the
+/// member is ignored, and the job releases the table a spec without it
+/// releases.
+#[test]
+fn specs_carrying_risk_threads_release_the_same_table() {
+    use vadasa_core::obs::json::{self, Json};
+    use vadasa_server::protocol::handle_line;
+
+    let with_risk_threads = |mut members: Vec<(String, Json)>| {
+        members.push(("risk_threads".into(), Json::Num(4.0)));
+        Json::Obj(members).to_string()
+    };
+    let spec = household_spec(8, 66, MeasureSpec::KAnonymity(3));
+    let manifest = spec.to_manifest_json();
+    assert!(!manifest.contains("risk_threads"), "{manifest}");
+    let Ok(Json::Obj(members)) = json::parse(&manifest) else {
+        panic!("manifest is not an object: {manifest}");
+    };
+    let legacy = with_risk_threads(members);
+    let parsed = JobSpec::from_manifest_json(&legacy).expect("legacy manifest parses");
+    assert_eq!(parsed.to_manifest_json(), manifest);
+
+    let root = fresh_root("legacy");
+    for (id, text) in [("current", &manifest), ("legacy", &legacy)] {
+        std::fs::create_dir_all(root.join(id)).expect("mkdir");
+        std::fs::write(root.join(id).join(MANIFEST_FILE), text).expect("manifest");
+    }
+    let server = JobServer::start(ServerConfig::new(&root)).expect("start");
+    assert_eq!(server.metrics().counter("server.recovered"), 2);
+    let text = |s: &str| Json::Str(s.into());
+    let categories = spec.categories.iter().map(|(a, c)| (a.clone(), text(c)));
+    let submit = with_risk_threads(vec![
+        ("cmd".into(), text("submit")),
+        ("id".into(), text("submitted")),
+        ("name".into(), text(&spec.name)),
+        ("csv".into(), text(&spec.csv)),
+        ("categories".into(), Json::Obj(categories.collect())),
+        ("measure".into(), text("k-anonymity")),
+        ("k".into(), Json::Num(3.0)),
+    ]);
+    let (response, _) = handle_line(&server, &submit);
+    assert!(response.contains("\"ok\":true"), "{response}");
+
+    let reference = reference_csv(&spec);
+    for id in ["current", "legacy", "submitted"] {
+        let report = server.wait(id, Duration::from_secs(60)).expect(id);
+        assert_eq!(report.state, JobState::Done, "{id}: {:?}", report.error);
+        assert_eq!(released_bytes(&root, id), reference, "{id}");
     }
     server.shutdown(ShutdownMode::Drain);
     std::fs::remove_dir_all(&root).ok();

@@ -22,8 +22,6 @@
 //!                        point after N ms and print the partial result
 //!   --max-facts N        soft derived-fact budget: stop once N facts have
 //!                        been derived and print the partial result
-//!   --threads N          evaluate each round's rules on up to N threads
-//!                        (default 1; results are identical either way)
 //!   --reference-join     use the reference nested-loop evaluator instead
 //!                        of planned, hash-indexed joins (for debugging
 //!                        and baseline timing)
@@ -69,7 +67,7 @@ use vadalog::{
 
 fn usage() -> ! {
     eprintln!(
-        "usage: vadalog PROGRAM.vada [FACTS.vada ...] [--output PRED]... [--trace] [--warded] [--stats] [--profile] [--profile-json PATH] [--trace-out PATH] [--collapsed-out PATH] [--deadline-ms N] [--max-facts N] [--threads N] [--reference-join] [--goal ATOM]... [--no-magic]"
+        "usage: vadalog PROGRAM.vada [FACTS.vada ...] [--output PRED]... [--trace] [--warded] [--stats] [--profile] [--profile-json PATH] [--trace-out PATH] [--collapsed-out PATH] [--deadline-ms N] [--max-facts N] [--reference-join] [--goal ATOM]... [--no-magic]"
     );
     std::process::exit(2);
 }
@@ -85,7 +83,6 @@ fn main() -> ExitCode {
     let mut trace_out: Option<String> = None;
     let mut collapsed_out: Option<String> = None;
     let mut budget = Budget::unlimited();
-    let mut threads = 1usize;
     let mut join_mode = JoinMode::Indexed;
     let mut goal_specs: Vec<String> = Vec::new();
     let mut no_magic = false;
@@ -120,10 +117,6 @@ fn main() -> ExitCode {
             "--max-facts" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) => budget = budget.with_max_facts(n),
                 None => usage(),
-            },
-            "--threads" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => threads = n,
-                _ => usage(),
             },
             "--reference-join" => join_mode = JoinMode::Reference,
             "--goal" => match args.next() {
@@ -210,7 +203,6 @@ fn main() -> ExitCode {
         trace,
         collector,
         budget,
-        threads,
         join_mode,
         ..Default::default()
     });

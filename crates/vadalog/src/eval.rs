@@ -84,8 +84,7 @@ struct Firings {
     /// One binding per firing, materialized only when tracing or routing.
     bindings: Vec<Binding>,
     counters: JoinCounters,
-    /// Nanoseconds the rule's join passes took, on whichever thread ran
-    /// them.
+    /// Nanoseconds the rule's join passes took.
     join_ns: u64,
 }
 
@@ -175,20 +174,11 @@ pub struct EngineConfig {
     /// [`Termination::BudgetExceeded`]. Default: unlimited.
     pub budget: Budget,
     /// Optional cooperative cancellation token, polled between semi-naive
-    /// rounds (and between rules by parallel workers). When it fires the
-    /// engine returns its partial result tagged [`Termination::Cancelled`].
+    /// rounds. When it fires the engine returns its partial result tagged
+    /// [`Termination::Cancelled`].
     pub cancel: Option<CancelToken>,
     /// Join evaluation strategy ([`JoinMode::Indexed`] by default).
     pub join_mode: JoinMode,
-    /// Worker threads for plain-rule joins within a semi-naive round.
-    /// `0` or `1` means sequential. With `n > 1`, each round's plain-rule
-    /// joins fan out over `min(n, rules)` scoped threads against the
-    /// frozen database; aggregate and EGD rules run on the calling thread.
-    /// Firings are merged on the calling thread in rule order, so a run
-    /// stores the same rows in the same order, and mints the same null
-    /// labels, at every thread count. Aggregates emit their groups in
-    /// first-seen order, so that also holds from one run to the next.
-    pub threads: usize,
 }
 
 impl Default for EngineConfig {
@@ -204,7 +194,6 @@ impl Default for EngineConfig {
             budget: Budget::default(),
             cancel: None,
             join_mode: JoinMode::default(),
-            threads: 1,
         }
     }
 }
@@ -222,7 +211,6 @@ impl fmt::Debug for EngineConfig {
             .field("budget", &self.budget)
             .field("cancel", &self.cancel.is_some())
             .field("join_mode", &self.join_mode)
-            .field("threads", &self.threads)
             .finish()
     }
 }
@@ -997,7 +985,7 @@ impl Engine {
             // Phase 1 — plan. One plan per (rule, delta-focus) pass, and
             // every hash index those plans will probe is built while we
             // still hold `&mut db`. From here until the merge the database
-            // is frozen, which is what makes lock-free sharing sound.
+            // is frozen: every rule joins against the same state.
             let plans: Vec<Vec<JoinPlan>> = rules
                 .iter()
                 .map(|r| self.round_plans(r.compiled, db, delta.as_ref()))
@@ -1024,26 +1012,21 @@ impl Engine {
             let planned = Instant::now();
 
             // Phase 2 — evaluate every rule's joins against the frozen
-            // database, fanning out across scoped threads when configured.
-            if self.config.threads.min(rules.len()) > 1 {
-                profile.parallel_rounds += 1;
-            }
-            let mut results = self.evaluate_rules(rules, &plans, db, delta.as_ref(), program);
+            // database.
+            let results: Vec<Result<Firings, EngineError>> = rules
+                .iter()
+                .zip(&plans)
+                .map(|(&r, plans)| self.eval_one_rule(program, r, plans, db, delta.as_ref()))
+                .collect();
             let joined = Instant::now();
 
             // Phase 3 — merge, strictly in rule order: route bindings,
             // instantiate heads (null minting stays sequential and
             // deterministic), then apply the buffered inserts. Errors
-            // surface in rule order, exactly as sequential evaluation
-            // would report them.
+            // surface in rule order.
             let mut new_facts: Vec<NewFact> = Vec::new();
             let mut traced: Vec<TraceBinding> = Vec::new();
-            for (slot, &r) in rules.iter().enumerate() {
-                // A `None` slot means a cancelled worker skipped the rule;
-                // the governor check at the next round start reports it.
-                let Some(result) = results[slot].take() else {
-                    continue;
-                };
+            for (&r, result) in rules.iter().zip(results) {
                 let mut firings = result?;
                 if let Some(router) = &self.config.router {
                     router.order_bindings(r.rule, &mut firings.bindings);
@@ -1178,89 +1161,11 @@ impl Engine {
         }
     }
 
-    /// Evaluate every rule's joins for one round against a frozen
-    /// database. Returns one slot per rule: the rule's firings and join
-    /// counters, the error it produced, or `None` when a cancellation
-    /// made a worker skip it.
-    ///
-    /// With `threads > 1` the rules fan out round-robin over scoped
-    /// worker threads. Workers only *read* the database (index building
-    /// happened in the planning phase) and write into disjoint slots, so
-    /// no synchronization beyond the scope join is needed — and because
-    /// the caller merges slots in rule order, the derived fact sequence
-    /// is identical to sequential evaluation.
-    fn evaluate_rules(
-        &self,
-        rules: &[RuleRef],
-        plans: &[Vec<JoinPlan>],
-        db: &Database,
-        delta: Option<&DeltaRows>,
-        program: &Program,
-    ) -> Vec<Option<Result<Firings, EngineError>>> {
-        let workers = self.config.threads.min(rules.len());
-        if workers <= 1 {
-            return rules
-                .iter()
-                .zip(plans)
-                .map(|(&r, plans)| Some(self.eval_one_rule(program, r, plans, db, delta)))
-                .collect();
-        }
-        let mut results: Vec<Option<Result<Firings, EngineError>>> = Vec::new();
-        results.resize_with(rules.len(), || None);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let cancel = self.config.cancel.clone();
-                handles.push(scope.spawn(move || {
-                    let mut chunk = Vec::new();
-                    let mut slot = w;
-                    while slot < rules.len() {
-                        if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                            break;
-                        }
-                        chunk.push((
-                            slot,
-                            self.eval_one_rule(program, rules[slot], &plans[slot], db, delta),
-                        ));
-                        slot += workers;
-                    }
-                    chunk
-                }));
-            }
-            for (w, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok(chunk) => {
-                        for (slot, r) in chunk {
-                            results[slot] = Some(r);
-                        }
-                    }
-                    Err(payload) => {
-                        // `eval_one_rule` already catches rule panics, so a
-                        // worker dying here is out-of-band; surface it as an
-                        // internal error on its first unfinished rule rather
-                        // than silently dropping derivations.
-                        let message = panic_message(payload.as_ref());
-                        if let Some(slot) = (w..rules.len())
-                            .step_by(workers)
-                            .find(|s| results[*s].is_none())
-                        {
-                            results[slot] = Some(Err(EngineError::Internal {
-                                rule: rule_label(program, rules[slot].idx),
-                                message,
-                            }));
-                        }
-                    }
-                }
-            }
-        });
-        results
-    }
-
     /// All join passes of one plain rule for the round, isolated against
     /// panics at the rule boundary (a faulty builtin cannot take down the
-    /// round — or, in parallel mode, its worker thread). Every pass binds
-    /// into the same frame; a firing appends its frontier values to the
-    /// rule's buffer, plus a full binding only when tracing or routing.
+    /// round). Every pass binds into the same frame; a firing appends its
+    /// frontier values to the rule's buffer, plus a full binding only when
+    /// tracing or routing.
     fn eval_one_rule(
         &self,
         program: &Program,

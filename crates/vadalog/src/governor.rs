@@ -4,7 +4,7 @@
 //! wall-clock, memory or iteration budgets run out, the engine should hand
 //! back the work it has done — tagged as partial — instead of discarding it
 //! behind an error. This module provides the three pieces the engine
-//! threads through its semi-naive loop:
+//! checks in its semi-naive loop:
 //!
 //! - [`Budget`] — declarative soft limits (wall-clock deadline, derived-fact
 //!   cap, minted-null cap, per-stratum round cap). All default to

@@ -12,10 +12,10 @@
 //!   the common case in join-heavy workloads.
 //!
 //! The table is sharded (16 shards, keyed by a FNV-1a hash of the string)
-//! so concurrent rule-evaluation threads do not serialize on one lock, and
-//! capacity-bounded: past [`SHARD_CAPACITY`] entries per shard, new strings
-//! are passed through uninterned instead of growing the table without
-//! bound. Interning is *semantically invisible* — an uninterned
+//! so engines running at once on a server's workers do not serialize on
+//! one lock, and capacity-bounded: past [`SHARD_CAPACITY`] entries per
+//! shard, new strings are passed through uninterned instead of growing the
+//! table without bound. Interning is *semantically invisible* — an uninterned
 //! `Value::Str` compares and hashes identically, just without the pointer
 //! shortcut.
 //!

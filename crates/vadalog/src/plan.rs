@@ -22,8 +22,7 @@
 //! argument positions of every positive literal is *statically known*.
 //! The plan records those masks so the engine can prebuild the matching
 //! hash indexes ([`crate::storage::Relation::ensure_index`]) before the
-//! join — and, crucially, before fanning rule evaluation out to threads,
-//! after which all index access is read-only.
+//! join, after which all index access in the round is read-only.
 //!
 //! Plans are made over rules compiled to slots (`compile.rs`), and the
 //! same static knowledge compiles each step for its place: every argument

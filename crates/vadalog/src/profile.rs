@@ -34,9 +34,9 @@ pub struct RuleProfile {
     /// Candidate rows examined while joining the body (the engine's raw
     /// join effort; the ratio to `firings` shows join selectivity).
     pub join_candidates: u64,
-    /// Nanoseconds in the rule's join passes, summed over rounds. A
-    /// threaded round times each rule on its worker; an aggregate or EGD
-    /// rule times its full join, aggregate folding included.
+    /// Nanoseconds in the rule's join passes, summed over rounds. An
+    /// aggregate or EGD rule times its full join, aggregate folding
+    /// included.
     pub join_ns: u64,
     /// Null unifications performed (EGD rules only).
     pub unifications: u64,
@@ -57,7 +57,7 @@ pub struct RoundProfile {
     /// Nanoseconds planning the round's joins and building the indexes
     /// the plans probe.
     pub plan_ns: u64,
-    /// Nanoseconds in the joins (across worker threads: their span).
+    /// Nanoseconds in the joins.
     pub join_ns: u64,
     /// Nanoseconds instantiating heads (null minting included) and
     /// inserting the derived facts.
@@ -120,8 +120,6 @@ pub struct EngineProfile {
     /// Join passes skipped whole because the planner proved a positive
     /// body literal's relation empty (semi-join short-circuit).
     pub planner_prunes: u64,
-    /// Semi-naive rounds whose rule evaluation fanned out over threads.
-    pub parallel_rounds: u64,
     /// Goal constants turned into magic seed facts by the rewrite.
     pub magic_goal_seeds: u64,
     /// Rule copies guarded with a magic atom by the rewrite.
@@ -183,13 +181,12 @@ impl EngineProfile {
         );
         let _ = writeln!(
             out,
-            "join core — {} index probe(s), {} scan(s), {} intern hit(s), {} plan reorder(s), {} plan prune(s), {} parallel round(s)",
+            "join core — {} index probe(s), {} scan(s), {} intern hit(s), {} plan reorder(s), {} plan prune(s)",
             self.index_probes,
             self.index_scans,
             self.intern_hits,
             self.planner_reorders,
             self.planner_prunes,
-            self.parallel_rounds,
         );
         let magic_active = self.magic_goal_seeds
             + self.magic_guarded_rules
@@ -362,7 +359,6 @@ impl EngineProfile {
             vec![],
         );
         obs.counter("engine.join.planner_prunes", self.planner_prunes, vec![]);
-        obs.counter("engine.join.parallel_rounds", self.parallel_rounds, vec![]);
         if self.magic_goal_seeds
             + self.magic_guarded_rules
             + self.magic_seed_rules

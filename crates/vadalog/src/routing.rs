@@ -18,8 +18,8 @@ use crate::value::Value;
 /// Orders the bindings of a rule before its head facts are derived.
 ///
 /// `Send + Sync` so an [`EngineConfig`](crate::eval::EngineConfig) holding
-/// a router can be shared with scoped rule-evaluation threads; routers are
-/// expected to be plain data (all in-tree strategies are).
+/// a router can move to the thread that runs it; routers are expected to
+/// be plain data (all in-tree strategies are).
 pub trait Router: Send + Sync {
     /// Strategy name for diagnostics.
     fn name(&self) -> &str;

@@ -456,7 +456,6 @@ impl EngineSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::EngineConfig;
     use crate::parser::parse_program;
 
     fn ints(pred: &str, rows: &[(i64, i64)]) -> Vec<(String, Vec<Value>)> {
@@ -465,27 +464,21 @@ mod tests {
             .collect()
     }
 
-    fn tc_session(threads: usize) -> EngineSession {
-        let program = parse_program(
-            "path(X, Y) :- edge(X, Y).\n\
-             path(X, Z) :- edge(X, Y), path(Y, Z).",
-        )
-        .unwrap();
+    const TC: &str = "path(X, Y) :- edge(X, Y).\n\
+                      path(X, Z) :- edge(X, Y), path(Y, Z).";
+
+    fn tc_session() -> EngineSession {
+        let program = parse_program(TC).unwrap();
         let mut input = Database::new();
         for (a, b) in [(1, 2), (2, 3)] {
             input.insert("edge", vec![Value::Int(a), Value::Int(b)]);
         }
-        Engine::with_config(EngineConfig {
-            threads,
-            ..EngineConfig::default()
-        })
-        .session(program, input)
-        .unwrap()
+        Engine::new().session(program, input).unwrap()
     }
 
     #[test]
     fn warm_patch_extends_closure() {
-        let mut s = tc_session(1);
+        let mut s = tc_session();
         assert_eq!(s.db().rows("path").len(), 3);
         let outcome = s
             .patch(FactPatch::additions(ints("edge", &[(3, 4)])))
@@ -500,31 +493,25 @@ mod tests {
 
     #[test]
     fn warm_patch_matches_cold_rerun_across_threads() {
-        for threads in [1, 4] {
-            let mut s = tc_session(threads);
-            s.patch(FactPatch::additions(ints("edge", &[(3, 4), (4, 1)])))
-                .unwrap();
-            let program = parse_program(
-                "path(X, Y) :- edge(X, Y).\n\
-                 path(X, Z) :- edge(X, Y), path(Y, Z).",
-            )
+        let mut s = tc_session();
+        s.patch(FactPatch::additions(ints("edge", &[(3, 4), (4, 1)])))
             .unwrap();
-            let mut input = Database::new();
-            for (a, b) in [(1, 2), (2, 3), (3, 4), (4, 1)] {
-                input.insert("edge", vec![Value::Int(a), Value::Int(b)]);
-            }
-            let cold = Engine::new().run(&program, input).unwrap();
-            let mut warm_rows = s.db().rows("path");
-            let mut cold_rows = cold.db.rows("path");
-            warm_rows.sort();
-            cold_rows.sort();
-            assert_eq!(warm_rows, cold_rows, "threads={threads}");
+        let program = parse_program(TC).unwrap();
+        let mut input = Database::new();
+        for (a, b) in [(1, 2), (2, 3), (3, 4), (4, 1)] {
+            input.insert("edge", vec![Value::Int(a), Value::Int(b)]);
         }
+        let cold = Engine::new().run(&program, input).unwrap();
+        let mut warm_rows = s.db().rows("path");
+        let mut cold_rows = cold.db.rows("path");
+        warm_rows.sort();
+        cold_rows.sort();
+        assert_eq!(warm_rows, cold_rows);
     }
 
     #[test]
     fn duplicate_addition_is_a_noop() {
-        let mut s = tc_session(1);
+        let mut s = tc_session();
         let facts_before = s.stats().facts_derived;
         let outcome = s
             .patch(FactPatch::additions(ints("edge", &[(1, 2)])))
@@ -537,7 +524,7 @@ mod tests {
 
     #[test]
     fn removal_triggers_cold_fallback() {
-        let mut s = tc_session(1);
+        let mut s = tc_session();
         let outcome = s
             .patch(FactPatch {
                 removals: ints("edge", &[(2, 3)]),
@@ -658,7 +645,7 @@ mod tests {
 
     #[test]
     fn session_reuses_indexes_across_patches() {
-        let mut s = tc_session(1);
+        let mut s = tc_session();
         s.patch(FactPatch::additions(ints("edge", &[(3, 4)])))
             .unwrap();
         let stats = s.session_stats();
@@ -671,7 +658,7 @@ mod tests {
 
     #[test]
     fn goal_query_leaves_warm_state_untouched_and_tracks_patches() {
-        let mut s = tc_session(1);
+        let mut s = tc_session();
         let before = s.db().rows("path");
         let goal = crate::query::parse_goal("path(1, ?)").unwrap();
         let run = s
@@ -710,7 +697,7 @@ mod tests {
 
     #[test]
     fn goal_query_slice_matches_full_run_slice() {
-        let mut s = tc_session(2);
+        let mut s = tc_session();
         let goal = crate::query::parse_goal("path(2, ?)").unwrap();
         let run = s
             .evaluate_goals(
@@ -727,7 +714,7 @@ mod tests {
 
     #[test]
     fn empty_patch_is_warm_and_cheap() {
-        let mut s = tc_session(1);
+        let mut s = tc_session();
         let outcome = s.patch(FactPatch::default()).unwrap();
         assert!(outcome.warm);
         assert_eq!(outcome.facts_added + outcome.facts_removed, 0);

@@ -6,9 +6,8 @@
 //! [`Relation::ensure_index`] — the engine calls it once per semi-naive
 //! round for every (predicate, bound-set) pair its join plans need — and
 //! extended incrementally as rows arrive. Probing ([`Relation::probe`])
-//! is a pure `&self` hash lookup returning a borrowed posting list, so
-//! relations are `Sync` and many rules can probe the same relation from
-//! parallel evaluation threads without locks.
+//! is a pure `&self` hash lookup returning a borrowed posting list, so a
+//! round's joins read the database without mutating it.
 
 use crate::ast::Fact;
 use crate::value::{NullId, Value};

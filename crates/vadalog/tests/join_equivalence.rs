@@ -1,13 +1,13 @@
-//! Equivalence suite for the planned / indexed / parallel join core.
+//! Equivalence suite for the planned, indexed join core.
 //!
-//! The optimized executor ([`JoinMode::Indexed`], possibly with
-//! `threads > 1`) is a pure evaluation-strategy change: it must derive
-//! *exactly* the same fact set, with the same [`Termination`], as the
-//! reference nested-loop evaluator ([`JoinMode::Reference`]) on every
-//! program. This suite generates random stratified programs — chain
-//! joins over random EDBs, comparisons, `Let` bindings, recursion,
-//! stratified negation and monotonic aggregation — and checks the three
-//! configurations pairwise on each.
+//! The optimized executor ([`JoinMode::Indexed`]) is a pure
+//! evaluation-strategy change: it must derive *exactly* the same fact
+//! set, with the same [`Termination`], as the reference nested-loop
+//! evaluator ([`JoinMode::Reference`]) on every program. This suite
+//! generates random stratified programs — chain joins over random EDBs,
+//! comparisons, `Let` bindings, recursion, stratified negation and
+//! monotonic aggregation — and checks the two join modes against each
+//! other on each.
 //!
 //! Random cases deliberately avoid existentials: labelled-null *identity*
 //! is mint-order dependent, so cross-strategy comparison of raw rows
@@ -23,11 +23,10 @@ use vadalog::{
     parse_program, Database, Engine, EngineConfig, JoinMode, ReasoningResult, Termination, Value,
 };
 
-/// Run `src` under the given join mode / thread count.
-fn run(src: &str, join_mode: JoinMode, threads: usize) -> ReasoningResult {
+/// Run `src` under the given join mode.
+fn run(src: &str, join_mode: JoinMode) -> ReasoningResult {
     Engine::with_config(EngineConfig {
         join_mode,
-        threads,
         ..EngineConfig::default()
     })
     .run(
@@ -45,13 +44,6 @@ fn fact_sets(r: &ReasoningResult) -> BTreeMap<String, BTreeSet<Vec<Value>>> {
         out.insert(name.clone(), r.db.rows(&name).into_iter().collect());
     }
     out
-}
-
-/// Every relation's rows in insertion order.
-fn fact_lists(r: &ReasoningResult) -> BTreeMap<String, Vec<Vec<Value>>> {
-    r.db.relation_names()
-        .map(|name| (name.to_string(), r.db.rows(name)))
-        .collect()
 }
 
 /// Assert two runs are observably identical (facts + termination + stats).
@@ -127,34 +119,15 @@ fn random_program(rng: &mut StdRng) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Indexed (1 and 4 threads) ≡ reference nested-loop on random
-    /// stratified programs, and indexed at 1 and 4 threads store every
-    /// relation's rows in the same order.
+    /// Indexed ≡ reference nested-loop on random stratified programs.
     #[test]
     fn indexed_and_parallel_match_reference(seed in 0u64..1_000_000) {
         let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
         let src = random_program(&mut rng);
-        let reference = run(&src, JoinMode::Reference, 1);
+        let reference = run(&src, JoinMode::Reference);
         prop_assert_eq!(&reference.termination, &Termination::Fixpoint);
-        let indexed = run(&src, JoinMode::Indexed, 1);
-        let parallel = run(&src, JoinMode::Indexed, 4);
-        assert_equivalent("indexed/1", &reference, &indexed);
-        assert_equivalent("indexed/4", &reference, &parallel);
-        // Threads change who joins, never what is merged: the same rows
-        // enter every relation in the same order.
-        prop_assert_eq!(fact_lists(&indexed), fact_lists(&parallel));
-    }
-
-    /// The reference evaluator is also deterministic under threading: a
-    /// parallel reference run (scans, no indexes) matches the sequential
-    /// one — parallelism and indexing are independent switches.
-    #[test]
-    fn parallel_reference_matches_sequential(seed in 0u64..1_000_000) {
-        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
-        let src = random_program(&mut rng);
-        let sequential = run(&src, JoinMode::Reference, 1);
-        let threaded = run(&src, JoinMode::Reference, 4);
-        assert_equivalent("reference/4", &sequential, &threaded);
+        let indexed = run(&src, JoinMode::Indexed);
+        assert_equivalent("indexed", &reference, &indexed);
     }
 }
 
@@ -165,27 +138,23 @@ fn chase_shape_matches_across_strategies() {
     let src = "emp(\"ann\"). emp(\"bob\"). emp(\"cyd\").\n\
                dept(E, D) :- emp(E).\n\
                head(D, H) :- dept(E, D).";
-    let reference = run(src, JoinMode::Reference, 1);
-    for (label, r) in [
-        ("indexed/1", run(src, JoinMode::Indexed, 1)),
-        ("indexed/4", run(src, JoinMode::Indexed, 4)),
-    ] {
-        assert_eq!(
-            reference.db.rows("dept").len(),
-            r.db.rows("dept").len(),
-            "{label}: dept count"
-        );
-        assert_eq!(
-            reference.db.rows("head").len(),
-            r.db.rows("head").len(),
-            "{label}: head count"
-        );
-        assert_eq!(
-            reference.stats.nulls_created, r.stats.nulls_created,
-            "{label}: nulls minted"
-        );
-        assert_eq!(reference.termination, r.termination, "{label}: termination");
-    }
+    let reference = run(src, JoinMode::Reference);
+    let r = run(src, JoinMode::Indexed);
+    assert_eq!(
+        reference.db.rows("dept").len(),
+        r.db.rows("dept").len(),
+        "dept count"
+    );
+    assert_eq!(
+        reference.db.rows("head").len(),
+        r.db.rows("head").len(),
+        "head count"
+    );
+    assert_eq!(
+        reference.stats.nulls_created, r.stats.nulls_created,
+        "nulls minted"
+    );
+    assert_eq!(reference.termination, r.termination, "termination");
 }
 
 /// EGD unification: the same substitutions happen regardless of strategy.
@@ -194,23 +163,19 @@ fn egd_shape_matches_across_strategies() {
     let src = "emp(\"ann\"). emp(\"bob\").\n\
                dept(E, D) :- emp(E).\n\
                D1 = D2 :- dept(E1, D1), dept(E2, D2).";
-    let reference = run(src, JoinMode::Reference, 1);
-    for (label, r) in [
-        ("indexed/1", run(src, JoinMode::Indexed, 1)),
-        ("indexed/4", run(src, JoinMode::Indexed, 4)),
-    ] {
-        assert_eq!(
-            reference.stats.unifications, r.stats.unifications,
-            "{label}: unifications"
-        );
-        // after unification both employees share one department null
-        let depts: BTreeSet<Value> =
-            r.db.rows("dept")
-                .into_iter()
-                .map(|row| row[1].clone())
-                .collect();
-        assert_eq!(depts.len(), 1, "{label}: departments not unified");
-    }
+    let reference = run(src, JoinMode::Reference);
+    let r = run(src, JoinMode::Indexed);
+    assert_eq!(
+        reference.stats.unifications, r.stats.unifications,
+        "unifications"
+    );
+    // after unification both employees share one department null
+    let depts: BTreeSet<Value> =
+        r.db.rows("dept")
+            .into_iter()
+            .map(|row| row[1].clone())
+            .collect();
+    assert_eq!(depts.len(), 1, "departments not unified");
 }
 
 /// Budgeted runs: a derived-fact cap must produce the same `Termination`
@@ -223,14 +188,12 @@ fn budget_termination_kind_matches() {
                p(X, Z) :- e(X, Y), p(Y, Z).";
     let budget = vadalog::Budget::unlimited().with_max_facts(5);
     let mut runs = Vec::new();
-    for (label, join_mode, threads) in [
-        ("reference/1", JoinMode::Reference, 1),
-        ("indexed/1", JoinMode::Indexed, 1),
-        ("indexed/4", JoinMode::Indexed, 4),
+    for (label, join_mode) in [
+        ("reference", JoinMode::Reference),
+        ("indexed", JoinMode::Indexed),
     ] {
         let r = Engine::with_config(EngineConfig {
             join_mode,
-            threads,
             budget,
             ..EngineConfig::default()
         })
@@ -252,7 +215,7 @@ fn budget_termination_kind_matches() {
     // The partial prefixes may differ (binding order depends on the join
     // strategy), but every prefix must be *sound*: a subset of the true
     // fixpoint.
-    let fixpoint: BTreeSet<Vec<Value>> = run(src, JoinMode::Reference, 1)
+    let fixpoint: BTreeSet<Vec<Value>> = run(src, JoinMode::Reference)
         .db
         .rows("p")
         .into_iter()

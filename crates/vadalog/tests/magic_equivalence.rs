@@ -14,44 +14,38 @@
 //! monotonic aggregation, the same family as `join_equivalence` — plus
 //! random goals (bound, half-bound and unbound, on every stratum
 //! including the negation and aggregate ones), and checks the contract
-//! cold at 1 and 4 threads and warm through an [`EngineSession`] that
-//! interleaves fact patches with goal queries.
+//! cold and warm through an [`EngineSession`] that interleaves fact
+//! patches with goal queries.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeSet;
 use vadalog::{
-    goal_slice, parse_goal, parse_program, Atom, Database, Engine, EngineConfig, FactPatch,
-    MagicOptions, Termination, Value,
+    goal_slice, parse_goal, parse_program, Atom, Database, Engine, FactPatch, MagicOptions,
+    Termination, Value,
 };
 
 /// Full (non-goal) run of `src` under the indexed join core.
-fn run_full(src: &str, threads: usize) -> vadalog::ReasoningResult {
-    Engine::with_config(EngineConfig {
-        threads,
-        ..EngineConfig::default()
-    })
-    .run(
-        &parse_program(src).expect("generated program parses"),
-        Database::new(),
-    )
-    .expect("generated program evaluates")
+fn run_full(src: &str) -> vadalog::ReasoningResult {
+    Engine::new()
+        .run(
+            &parse_program(src).expect("generated program parses"),
+            Database::new(),
+        )
+        .expect("generated program evaluates")
 }
 
 /// Goal-directed run of `src`.
-fn run_goal(src: &str, goals: &[Atom], threads: usize, options: MagicOptions) -> vadalog::GoalRun {
-    Engine::with_config(EngineConfig {
-        threads,
-        ..EngineConfig::default()
-    })
-    .run_with_goals(
-        &parse_program(src).expect("generated program parses"),
-        Database::new(),
-        goals,
-        options,
-    )
-    .expect("goal-directed run evaluates")
+fn run_goal(src: &str, goals: &[Atom], options: MagicOptions) -> vadalog::GoalRun {
+    Engine::new()
+        .run_with_goals(
+            &parse_program(src).expect("generated program parses"),
+            Database::new(),
+            goals,
+            options,
+        )
+        .expect("goal-directed run evaluates")
 }
 
 fn slice_set(db: &Database, goal: &Atom) -> BTreeSet<Vec<Value>> {
@@ -132,37 +126,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Cold contract: goal slice of the goal-directed run ≡ goal slice of
-    /// the full fixpoint, at 1 and 4 threads, whatever path (rewrite /
-    /// degenerate / fallback) the goals trigger.
+    /// the full fixpoint, whatever path (rewrite / degenerate / fallback)
+    /// the goals trigger.
     #[test]
     fn goal_slices_match_full_fixpoint(seed in 0u64..1_000_000) {
         let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
         let (src, domain, has_cnt) = random_program(&mut rng);
         let goal = random_goal(&mut rng, domain, has_cnt);
-        let full = run_full(&src, 1);
+        let full = run_full(&src);
         prop_assert_eq!(&full.termination, &Termination::Fixpoint);
         let want = slice_set(&full.db, &goal);
-        for threads in [1usize, 4] {
-            let out = run_goal(&src, std::slice::from_ref(&goal), threads, MagicOptions::default());
-            prop_assert_eq!(
-                &out.result.termination,
-                &Termination::Fixpoint,
-                "threads={}: termination (magic: {:?})", threads, out.magic
+        let out = run_goal(&src, std::slice::from_ref(&goal), MagicOptions::default());
+        prop_assert_eq!(
+            &out.result.termination,
+            &Termination::Fixpoint,
+            "termination (magic: {:?})", out.magic
+        );
+        let got = slice_set(&out.result.db, &goal);
+        prop_assert_eq!(
+            &want, &got,
+            "goal {} slice differs (magic: {:?})", goal.pred, out.magic
+        );
+        // soundness beyond the slice: every goal-pred fact the magic
+        // run derived is a fact of the full fixpoint
+        let fixpoint: BTreeSet<Vec<Value>> = full.db.rows(&goal.pred).into_iter().collect();
+        for row in out.result.db.rows(&goal.pred) {
+            prop_assert!(
+                fixpoint.contains(&row),
+                "unsound {}{:?}", goal.pred, row
             );
-            let got = slice_set(&out.result.db, &goal);
-            prop_assert_eq!(
-                &want, &got,
-                "threads={}: goal {} slice differs (magic: {:?})", threads, goal.pred, out.magic
-            );
-            // soundness beyond the slice: every goal-pred fact the magic
-            // run derived is a fact of the full fixpoint
-            let fixpoint: BTreeSet<Vec<Value>> = full.db.rows(&goal.pred).into_iter().collect();
-            for row in out.result.db.rows(&goal.pred) {
-                prop_assert!(
-                    fixpoint.contains(&row),
-                    "threads={}: unsound {}{:?}", threads, goal.pred, row
-                );
-            }
         }
     }
 
@@ -180,7 +172,7 @@ proptest! {
             .expect("session starts");
 
         // a goal query before any patch ≡ the cold slice
-        let cold = run_full(&src, 1);
+        let cold = run_full(&src);
         let out = session
             .evaluate_goals(std::slice::from_ref(&goal), MagicOptions::default())
             .expect("goal query evaluates");
@@ -202,7 +194,7 @@ proptest! {
         for (a, b) in &extra {
             extended_src.push_str(&format!("e0({a}, {b}).\n"));
         }
-        let cold = run_full(&extended_src, 1);
+        let cold = run_full(&extended_src);
         let out = session
             .evaluate_goals(std::slice::from_ref(&goal), MagicOptions::default())
             .expect("goal query evaluates after patch");
@@ -252,7 +244,7 @@ fn closed_group_risk_goals_match_full_run() {
          riskOutput(I, R) :- tuple(M, I, VSet), tuplea(VSet, F, S), R = F / S.\n",
     );
 
-    let full = run_full(&src, 1);
+    let full = run_full(&src);
     // goal set = the complete "roma" group: closed under group equality
     let goals: Vec<Atom> = (0..3)
         .map(|i| parse_goal(&format!("riskOutput({i}, ?)")).expect("goal parses"))
@@ -260,7 +252,6 @@ fn closed_group_risk_goals_match_full_run() {
     let out = run_goal(
         &src,
         &goals,
-        1,
         MagicOptions {
             closed_groups: true,
         },
@@ -292,8 +283,8 @@ fn unbound_goal_is_byte_for_byte_the_full_run() {
                tc(X, Y) :- e0(X, Y).\n\
                tc(X, Z) :- e0(X, Y), tc(Y, Z).";
     let goal = parse_goal("tc(?, ?)").expect("parses");
-    let full = run_full(src, 1);
-    let out = run_goal(src, &[goal], 1, MagicOptions::default());
+    let full = run_full(src);
+    let out = run_goal(src, &[goal], MagicOptions::default());
     assert!(out.magic.degenerate);
     let names: Vec<String> = full.db.relation_names().map(str::to_string).collect();
     for name in names {

@@ -278,11 +278,11 @@ fn round_phases_and_aggregate_skips_are_profiled() {
     assert!(r.profile.render_table().contains("aggregate"));
 }
 
-/// Each rule's join time sits inside the phase that ran it. At one
-/// thread the plain rules' join times add up to no more than the rounds'
-/// join phases and the aggregate rule's to no more than the strata's
-/// aggregate time; with worker threads each rule that fired is still
-/// timed. The times reach the rule table and the replayed counters.
+/// Each rule's join time sits inside the phase that ran it: the plain
+/// rules' join times add up to no more than the rounds' join phases and
+/// the aggregate rule's to no more than the strata's aggregate time, and
+/// every rule that fired is timed. The times reach the rule table and the
+/// replayed counters.
 #[test]
 fn per_rule_join_time_fits_inside_its_phase() {
     let src = "edge(1, 2). edge(2, 3). edge(3, 4). edge(4, 5).\n\
@@ -290,40 +290,35 @@ fn per_rule_join_time_fits_inside_its_phase() {
          path(X, Z) :- edge(X, Y), path(Y, Z).\n\
          reach(X, C) :- path(X, Y), C = mcount(<Y>).";
     let (plain, aggregate) = (0..2, 2);
-    for threads in [1, 4] {
-        let recorder = Arc::new(Recorder::new());
-        let r = Engine::with_config(EngineConfig {
-            threads,
-            collector: Some(recorder.clone()),
-            ..EngineConfig::default()
-        })
-        .run(&parse_program(src).expect("parses"), Database::new())
-        .expect("evaluates");
-        let rules = &r.profile.rules;
-        for rule in rules.iter().filter(|rule| rule.firings > 0) {
-            assert!(rule.join_ns > 0, "{threads} thread(s): {rule:?} untimed");
-        }
-        assert_eq!(
-            recorder.counter_total("engine.rule.join_ns"),
-            rules.iter().map(|rule| rule.join_ns).sum::<u64>()
-        );
-        if threads == 1 {
-            let plain_ns: u64 = rules[plain.clone()].iter().map(|rule| rule.join_ns).sum();
-            let rounds_ns: u64 = r
-                .profile
-                .strata
-                .iter()
-                .flat_map(|s| &s.rounds)
-                .map(|round| round.join_ns)
-                .sum();
-            assert!(plain_ns <= rounds_ns, "{plain_ns} ns > {rounds_ns} ns");
-            let aggregate_ns: u64 = r.profile.strata.iter().map(|s| s.aggregate_ns).sum();
-            assert!(rules[aggregate].join_ns <= aggregate_ns);
-        }
-        let table = r.profile.render_table();
-        assert!(
-            table.contains("join-cands        join"),
-            "join column missing: {table}"
-        );
+    let recorder = Arc::new(Recorder::new());
+    let r = Engine::with_config(EngineConfig {
+        collector: Some(recorder.clone()),
+        ..EngineConfig::default()
+    })
+    .run(&parse_program(src).expect("parses"), Database::new())
+    .expect("evaluates");
+    let rules = &r.profile.rules;
+    for rule in rules.iter().filter(|rule| rule.firings > 0) {
+        assert!(rule.join_ns > 0, "{rule:?} untimed");
     }
+    assert_eq!(
+        recorder.counter_total("engine.rule.join_ns"),
+        rules.iter().map(|rule| rule.join_ns).sum::<u64>()
+    );
+    let plain_ns: u64 = rules[plain].iter().map(|rule| rule.join_ns).sum();
+    let rounds_ns: u64 = r
+        .profile
+        .strata
+        .iter()
+        .flat_map(|s| &s.rounds)
+        .map(|round| round.join_ns)
+        .sum();
+    assert!(plain_ns <= rounds_ns, "{plain_ns} ns > {rounds_ns} ns");
+    let aggregate_ns: u64 = r.profile.strata.iter().map(|s| s.aggregate_ns).sum();
+    assert!(rules[aggregate].join_ns <= aggregate_ns);
+    let table = r.profile.render_table();
+    assert!(
+        table.contains("join-cands        join"),
+        "join column missing: {table}"
+    );
 }

@@ -2,8 +2,8 @@
 //!
 //! An [`EngineSession`] that absorbs a fact patch must leave the database
 //! in *exactly* the state a cold full run over the post-patch inputs
-//! produces: identical fact sets and identical [`Termination`], at 1 and
-//! 4 threads. This holds both when the patch is applied warm
+//! produces: identical fact sets and identical [`Termination`]. This
+//! holds both when the patch is applied warm
 //! (delta-seeded re-derivation of only the affected strata) and when the
 //! session's dependency analysis forces the documented cold fallback
 //! (retractions, negation, aggregation, EGDs): the fallback is a
@@ -17,17 +17,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 use vadalog::{
-    parse_program, Database, Engine, EngineConfig, EngineSession, FactPatch, JoinMode, Program,
-    Termination, Value,
+    parse_program, Database, Engine, EngineSession, FactPatch, Program, Termination, Value,
 };
-
-fn engine(threads: usize) -> Engine {
-    Engine::with_config(EngineConfig {
-        join_mode: JoinMode::Indexed,
-        threads,
-        ..EngineConfig::default()
-    })
-}
 
 fn db_of(facts: &[(String, Vec<Value>)]) -> Database {
     let mut db = Database::new();
@@ -110,17 +101,15 @@ fn random_facts(rng: &mut StdRng) -> (Vec<(String, Vec<Value>)>, Vec<(String, Ve
 }
 
 /// Session(base) + patch(added, removed) must equal a cold run over the
-/// final fact set, for the given thread count. Returns the session for
-/// further inspection.
+/// final fact set. Returns the session for further inspection.
 fn assert_patch_equals_cold(
     label: &str,
     program: &Program,
     base: &[(String, Vec<Value>)],
     added: &[(String, Vec<Value>)],
     removed: &[(String, Vec<Value>)],
-    threads: usize,
 ) -> (EngineSession, bool) {
-    let mut session = engine(threads)
+    let mut session = Engine::new()
         .session(program.clone(), db_of(base))
         .expect("session cold start evaluates");
     let outcome = session
@@ -136,7 +125,7 @@ fn assert_patch_equals_cold(
         .cloned()
         .collect();
     final_facts.extend(added.iter().cloned());
-    let cold = engine(threads)
+    let cold = Engine::new()
         .run(program, db_of(&final_facts))
         .expect("cold run evaluates");
 
@@ -157,26 +146,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Positive-only programs: the patch must be absorbed *warm* and the
-    /// result must match a cold run, at 1 and 4 threads.
+    /// result must match a cold run.
     #[test]
     fn warm_patch_matches_cold_on_positive_programs(seed in 0u64..1_000_000) {
         let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
         let src = random_rules(&mut rng, false, false);
         let program = parse_program(&src).expect("generated program parses");
         let (base, added) = random_facts(&mut rng);
-        for threads in [1usize, 4] {
-            let (session, warm) = assert_patch_equals_cold(
-                &format!("positive/threads={threads}"),
-                &program, &base, &added, &[], threads,
-            );
-            prop_assert!(warm, "positive-program patch must stay warm");
-            prop_assert_eq!(session.termination(), &Termination::Fixpoint);
-        }
+        let (session, warm) =
+            assert_patch_equals_cold("positive", &program, &base, &added, &[]);
+        prop_assert!(warm, "positive-program patch must stay warm");
+        prop_assert_eq!(session.termination(), &Termination::Fixpoint);
     }
 
     /// Programs with negation and/or aggregation: the session may fall
     /// back cold (documented rule) but the observable result must still
-    /// match a cold run, at 1 and 4 threads.
+    /// match a cold run.
     #[test]
     fn guarded_patch_matches_cold_on_stratified_programs(seed in 0u64..1_000_000) {
         let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
@@ -185,12 +170,7 @@ proptest! {
         let src = random_rules(&mut rng, with_negation, with_aggregate);
         let program = parse_program(&src).expect("generated program parses");
         let (base, added) = random_facts(&mut rng);
-        for threads in [1usize, 4] {
-            assert_patch_equals_cold(
-                &format!("stratified/threads={threads}"),
-                &program, &base, &added, &[], threads,
-            );
-        }
+        assert_patch_equals_cold("stratified", &program, &base, &added, &[]);
     }
 
     /// Retractions always trigger the cold fallback; the re-run must
@@ -204,13 +184,9 @@ proptest! {
         let (base, added) = random_facts(&mut rng);
         let victim = base[rng.gen_range(0..base.len())].clone();
         let removed = vec![victim];
-        for threads in [1usize, 4] {
-            let (_, warm) = assert_patch_equals_cold(
-                &format!("retraction/threads={threads}"),
-                &program, &base, &added, &removed, threads,
-            );
-            prop_assert!(!warm, "retractions must force the cold fallback");
-        }
+        let (_, warm) =
+            assert_patch_equals_cold("retraction", &program, &base, &added, &removed);
+        prop_assert!(!warm, "retractions must force the cold fallback");
     }
 }
 
@@ -223,7 +199,9 @@ fn chained_patches_match_cold() {
                tc(X, Z) :- a(X, Y), tc(Y, Z).";
     let program = parse_program(src).unwrap();
     let base = vec![("e0".to_string(), vec![Value::Int(1), Value::Int(2)])];
-    let mut session = engine(1).session(program.clone(), db_of(&base)).unwrap();
+    let mut session = Engine::new()
+        .session(program.clone(), db_of(&base))
+        .unwrap();
     let mut all = base.clone();
     for step in 2..6i64 {
         let fact = (
@@ -234,7 +212,7 @@ fn chained_patches_match_cold() {
         let outcome = session.patch(FactPatch::additions(vec![fact])).unwrap();
         assert!(outcome.warm, "chain-extension patch must stay warm");
     }
-    let cold = engine(1).run(&program, db_of(&all)).unwrap();
+    let cold = Engine::new().run(&program, db_of(&all)).unwrap();
     assert_eq!(fact_sets(session.db()), fact_sets(&cold.db));
     assert_eq!(session.termination(), &cold.termination);
     assert_eq!(session.session_stats().warm_patches, 4);

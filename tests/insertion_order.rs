@@ -6,10 +6,10 @@
 //! rules enumerate in it, existential rules mint nulls in it and the
 //! anonymization cycle reads facts in it. These goldens pin it for every
 //! sample program under `crates/vadalog/programs/` and for Algorithm 7
-//! over fixed `tuple` facts. Each case is checked sequentially, on four
-//! threads and with provenance tracing on (all three must store the same
-//! rows in the same order), and once more with a `DescendingBy` router,
-//! which reorders bindings and so has a golden of its own.
+//! over fixed `tuple` facts. Each case is checked plain and with
+//! provenance tracing on (both must store the same rows in the same
+//! order), and once more with a `DescendingBy` router, which reorders
+//! bindings and so has a golden of its own.
 //!
 //! The goldens live in `tests/golden/insertion_order/`. To regenerate after
 //! an intentional change: `UPDATE_GOLDEN=1 cargo test --test insertion_order`.
@@ -117,10 +117,9 @@ fn render(db: &Database) -> String {
     out
 }
 
-fn run(case: &Case, threads: usize, trace: bool, router: Option<Box<dyn Router>>) -> String {
+fn run(case: &Case, trace: bool, router: Option<Box<dyn Router>>) -> String {
     let program = parse_program(&case.source).expect("golden program parses");
     let result = Engine::with_config(EngineConfig {
-        threads,
         trace,
         router,
         ..EngineConfig::default()
@@ -158,17 +157,11 @@ fn check_golden(name: &str, actual: &str) {
 #[test]
 fn insertion_order_matches_goldens_sequential_parallel_and_traced() {
     for case in cases() {
-        let sequential = run(&case, 1, false, None);
-        check_golden(case.name, &sequential);
+        let plain = run(&case, false, None);
+        check_golden(case.name, &plain);
         assert_eq!(
-            run(&case, 4, false, None),
-            sequential,
-            "{}: four threads stored rows in another order",
-            case.name
-        );
-        assert_eq!(
-            run(&case, 1, true, None),
-            sequential,
+            run(&case, true, None),
+            plain,
             "{}: tracing changed the stored row order",
             case.name
         );
@@ -183,12 +176,12 @@ fn insertion_order_matches_goldens_under_a_router() {
                 var: case.router_var.to_string(),
             }))
         };
-        let routed = run(&case, 1, false, router());
+        let routed = run(&case, false, router());
         check_golden(&format!("{}.descending", case.name), &routed);
         assert_eq!(
-            run(&case, 4, true, router()),
+            run(&case, true, router()),
             routed,
-            "{}: routed order differs on four threads with tracing",
+            "{}: tracing changed the routed row order",
             case.name
         );
     }
