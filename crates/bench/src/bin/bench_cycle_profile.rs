@@ -1,32 +1,33 @@
-//! Cycle benchmark: cold-start vs warm-start medians for a multi-iteration
+//! Cycle benchmark: the end-to-end median of a multi-iteration
 //! anonymization run, written to `BENCH_cycle.json`, plus the telemetry
-//! event stream of one profiled warm run, written beside it.
+//! event stream of one profiled run, written beside it.
 //!
 //! Usage: `bench_cycle_profile [--quick] [--out PATH] [--baseline PATH] [--obs-gate]`
 //!
 //! The workload runs the paper's standard cycle (k-anonymity `k = 2`,
 //! local suppression, `T = 0.5`) at one-tuple-per-iteration granularity
 //! over a `vadasa-datagen` fixture, capped at a fixed iteration budget so
-//! both modes do identical anonymization work across ≥ 10 iterations:
+//! every timed run does identical anonymization work across ≥ 10
+//! iterations. The cycle builds its `MicrodataView` once, patches it in
+//! place and repairs the group statistics incrementally; the `cycle.e2e`
+//! line keeps its historical `"mode":"warm"` label, which the baseline
+//! gate looks up.
 //!
-//! - **cold** — `warm_start: false`: every iteration rebuilds the
-//!   `MicrodataView` and regroups the maybe-match statistics from scratch.
-//! - **warm** — `warm_start: true` (the default): the view is patched in
-//!   place and the group statistics are repaired incrementally.
-//!
-//! Warm and cold outcomes are asserted identical (table, report,
+//! Every timed run is asserted identical to the first one (table, report,
 //! iteration count, termination) before any number is reported — a
 //! benchmark over divergent semantics would be meaningless.
 //!
 //! The output file holds one JSON object per line, bench records only:
-//! the `cycle.e2e` median lines ready for `jq` and for the CI
+//! the `cycle.e2e` median line ready for `jq` and for the CI
 //! `cycle-perf-smoke` gate, then the sections below. The `cycle.*`
 //! telemetry spans of the profiled run (including the `cycle.warm.*`
 //! counters) go to a sibling file named after `--out` with its extension
 //! replaced by `telemetry.jsonl` (`BENCH_cycle.json` →
 //! `BENCH_cycle.telemetry.jsonl`), which is not committed. With
-//! `--baseline PATH` the warm median is compared against the committed
-//! baseline and the process exits non-zero on a >25% regression.
+//! `--baseline PATH` the median is compared against the committed
+//! baseline and the process exits non-zero on a >25% regression. An
+//! unknown option or a missing value prints the usage line and exits 2
+//! before anything is run or written.
 //!
 //! Two journal sections ride along (the `cycle.e2e` numbers themselves
 //! stay unjournaled so the baseline gate is undisturbed):
@@ -52,7 +53,7 @@
 //! benchmark of a fallback path mislabeled as the fast path would be
 //! meaningless.
 //!
-//! A third section, `cycle.obs_overhead`, times the same warm workload
+//! A third section, `cycle.obs_overhead`, times the same workload
 //! with telemetry off, with an in-process `Recorder`, with a JSON-lines
 //! file sink, and with full trace building (recorder + both exporters).
 //! The four modes are interleaved within each repetition so clock drift
@@ -66,7 +67,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use vadalog::StorageEngine;
-use vadasa_bench::{read_baseline_median, time_it};
+use vadasa_bench::{operand, read_baseline_median, time_it};
 use vadasa_core::journal::{record, JOURNAL_FILE};
 use vadasa_core::obs::trace::TraceBuilder;
 use vadasa_core::obs::{JsonLinesWriter, Recorder};
@@ -86,79 +87,88 @@ const MAX_OBS_OVERHEAD_FRAC: f64 = 0.02;
 /// Absolute floor for the observability gate, in seconds.
 const MAX_OBS_OVERHEAD_ABS_S: f64 = 0.015;
 
-fn cycle_config(iteration_cap: usize, warm_start: bool) -> CycleConfig {
+fn cycle_config(iteration_cap: usize) -> CycleConfig {
     CycleConfig {
         threshold: 0.5,
         tuple_order: TupleOrder::LessSignificantFirst,
         granularity: StepGranularity::OneTuplePerIteration,
         max_iterations: iteration_cap,
-        warm_start,
         ..CycleConfig::default()
     }
 }
 
 /// Require two runs to be observably identical, or die loudly.
-fn assert_equivalent(warm: &CycleOutcome, cold: &CycleOutcome) {
+fn assert_equivalent(a: &CycleOutcome, b: &CycleOutcome) {
     let mut diffs: Vec<String> = Vec::new();
-    if warm.iterations != cold.iterations {
-        diffs.push(format!(
-            "iterations {} vs {}",
-            warm.iterations, cold.iterations
-        ));
+    if a.iterations != b.iterations {
+        diffs.push(format!("iterations {} vs {}", a.iterations, b.iterations));
     }
-    if warm.nulls_injected != cold.nulls_injected {
+    if a.nulls_injected != b.nulls_injected {
         diffs.push(format!(
             "nulls {} vs {}",
-            warm.nulls_injected, cold.nulls_injected
+            a.nulls_injected, b.nulls_injected
         ));
     }
-    if warm.final_risky != cold.final_risky {
+    if a.final_risky != b.final_risky {
         diffs.push(format!(
             "final risky {} vs {}",
-            warm.final_risky, cold.final_risky
+            a.final_risky, b.final_risky
         ));
     }
-    if warm.termination != cold.termination {
+    if a.termination != b.termination {
         diffs.push(format!(
             "termination {:?} vs {:?}",
-            warm.termination, cold.termination
+            a.termination, b.termination
         ));
     }
-    if warm.final_report.risks != cold.final_report.risks {
+    if a.final_report.risks != b.final_report.risks {
         diffs.push("final risk vectors differ".to_string());
     }
-    for i in 0..warm.db.len() {
-        if warm.db.row(i) != cold.db.row(i) {
+    for i in 0..a.db.len() {
+        if a.db.row(i) != b.db.row(i) {
             diffs.push(format!("anonymized row {i} differs"));
             break;
         }
     }
     if !diffs.is_empty() {
         eprintln!(
-            "WARM/COLD DIVERGENCE — refusing to report timings: {}",
+            "DIVERGENT RUNS — refusing to report timings: {}",
             diffs.join("; ")
         );
         std::process::exit(1);
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let obs_gate = args.iter().any(|a| a == "--obs-gate");
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_cycle.json".to_string());
-    let baseline = flag("--baseline");
+fn usage() -> ! {
+    eprintln!("usage: bench_cycle_profile [--quick] [--out PATH] [--baseline PATH] [--obs-gate]");
+    std::process::exit(2);
+}
 
-    // The workload is identical in both modes so the --baseline gate
+fn main() {
+    let mut quick = false;
+    let mut obs_gate = false;
+    let mut out_path = "BENCH_cycle.json".to_string();
+    let mut baseline: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--obs-gate" => obs_gate = true,
+            "--out" => out_path = operand(&mut args, &arg, usage),
+            "--baseline" => baseline = Some(operand(&mut args, &arg, usage)),
+            "--help" | "-h" => usage(),
+            other => {
+                eprintln!("unrecognised argument '{other}'");
+                usage()
+            }
+        }
+    }
+
+    // The workload does not depend on --quick, so the --baseline gate
     // always compares like with like; --quick only trims repetitions.
     let rows = 12_000;
     let runs = if quick { 3 } else { 5 };
-    // One suppression per iteration; the cap keeps both modes on an
+    // One suppression per iteration; the cap keeps every run on an
     // identical ≥10-iteration trajectory with a bounded wall clock.
     let iteration_cap = 40;
     let spec = DatasetSpec::new(rows, 4, Regime::U);
@@ -166,16 +176,12 @@ fn main() {
 
     let risk = KAnonymity::new(2);
     let anonymizer = LocalSuppression::default();
-    let run_once = |warm_start: bool| -> CycleOutcome {
-        AnonymizationCycle::new(&risk, &anonymizer, cycle_config(iteration_cap, warm_start))
-            .run(&db, &dict)
-            .expect("cycle workload runs")
-    };
+    let build_cycle = || AnonymizationCycle::new(&risk, &anonymizer, cycle_config(iteration_cap));
+    let run_once =
+        || -> CycleOutcome { build_cycle().run(&db, &dict).expect("cycle workload runs") };
 
-    // --- correctness first: warm ≡ cold on this workload ---
-    let warm_out = run_once(true);
-    let cold_out = run_once(false);
-    assert_equivalent(&warm_out, &cold_out);
+    // --- the reference outcome every timed run must reproduce ---
+    let warm_out = run_once();
     if warm_out.iterations < 10 {
         eprintln!(
             "workload too shallow: {} iteration(s), need >= 10 — grow the dataset",
@@ -184,21 +190,16 @@ fn main() {
         std::process::exit(1);
     }
 
-    // --- medians over `runs` repetitions per mode ---
-    let median_of = |warm_start: bool| -> f64 {
-        let mut times: Vec<f64> = (0..runs)
-            .map(|_| time_it(|| run_once(warm_start)).1)
-            .collect();
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    };
-    let cold_s = median_of(false);
-    let warm_s = median_of(true);
-    let speedup = if warm_s == 0.0 {
-        f64::INFINITY
-    } else {
-        cold_s / warm_s
-    };
+    // --- median over `runs` repetitions ---
+    let mut times: Vec<f64> = (0..runs)
+        .map(|_| {
+            let (out, secs) = time_it(run_once);
+            assert_equivalent(&out, &warm_out);
+            secs
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    let warm_s = times[times.len() / 2];
 
     // --- journal overhead: off vs every-record vs every-8 fsyncs ---
     let tmp_root =
@@ -214,7 +215,7 @@ fn main() {
                 snapshot_every: Some(8),
                 ..JournalConfig::new(&dir)
             }),
-            ..cycle_config(iteration_cap, true)
+            ..cycle_config(iteration_cap)
         };
         let (out, secs) = time_it(|| {
             AnonymizationCycle::new(&risk, &anonymizer, config.clone())
@@ -268,7 +269,7 @@ fn main() {
         }
         let config = CycleConfig {
             journal: Some(JournalConfig::new(&dir)),
-            ..cycle_config(iteration_cap, true)
+            ..cycle_config(iteration_cap)
         };
         let (out, secs) = time_it(|| {
             AnonymizationCycle::new(&risk, &anonymizer, config.clone())
@@ -298,7 +299,7 @@ fn main() {
                 engine,
                 ..StorageOptions::default()
             },
-            ..cycle_config(iteration_cap, true)
+            ..cycle_config(iteration_cap)
         };
         let (out, secs) = time_it(|| {
             AnonymizationCycle::new(&risk, &anonymizer, config.clone())
@@ -359,7 +360,7 @@ fn main() {
                     engine: StorageEngine::File,
                     ..StorageOptions::default()
                 },
-                ..cycle_config(iteration_cap, true)
+                ..cycle_config(iteration_cap)
             };
             let (out, secs) = time_it(|| {
                 AnonymizationCycle::new(&risk, &anonymizer, config.clone())
@@ -391,11 +392,9 @@ fn main() {
     let obs_tmp =
         std::env::temp_dir().join(format!("vadasa-bench-obs-{}.jsonl", std::process::id()));
     let mut obs_times: [Vec<f64>; 4] = std::array::from_fn(|_| Vec::with_capacity(runs));
-    let build_cycle =
-        || AnonymizationCycle::new(&risk, &anonymizer, cycle_config(iteration_cap, true));
     for _ in 0..runs {
         // interleaved within the repetition so clock drift is shared
-        let (out, secs) = time_it(|| run_once(true));
+        let (out, secs) = time_it(run_once);
         assert_equivalent(&out, &warm_out);
         obs_times[0].push(secs);
 
@@ -445,7 +444,7 @@ fn main() {
         .collect();
     let obs_off_s = obs_mins[0];
 
-    // --- one profiled warm run feeds the telemetry stream ---
+    // --- one profiled run feeds the telemetry stream ---
     let telemetry_path = Path::new(&out_path).with_extension("telemetry.jsonl");
     let sink = match JsonLinesWriter::create(&telemetry_path) {
         Ok(w) => Arc::new(w),
@@ -457,13 +456,13 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let profiled = AnonymizationCycle::new(&risk, &anonymizer, cycle_config(iteration_cap, true))
+    let profiled = build_cycle()
         .with_collector(sink.clone())
         .run(&db, &dict)
         .expect("profiled run evaluates");
     sink.flush().expect("flush telemetry");
 
-    // --- the e2e median lines the CI gate parses ---
+    // --- the e2e median line the CI gate parses ---
     let mut file = match std::fs::File::create(&out_path) {
         Ok(f) => f,
         Err(e) => {
@@ -471,18 +470,10 @@ fn main() {
             std::process::exit(1);
         }
     };
-    for (mode, secs) in [("cold", cold_s), ("warm", warm_s)] {
-        writeln!(
-            file,
-            "{{\"bench\":\"cycle.e2e\",\"rows\":{},\"iterations\":{},\"mode\":\"{}\",\"median_s\":{:.6},\"runs\":{}}}",
-            rows, warm_out.iterations, mode, secs, runs
-        )
-        .expect("write bench line");
-    }
     writeln!(
         file,
-        "{{\"bench\":\"cycle.e2e\",\"rows\":{},\"speedup\":{:.3}}}",
-        rows, speedup
+        "{{\"bench\":\"cycle.e2e\",\"rows\":{},\"iterations\":{},\"mode\":\"warm\",\"median_s\":{:.6},\"runs\":{}}}",
+        rows, warm_out.iterations, warm_s, runs
     )
     .expect("write bench line");
     for (sync, secs) in &journal_medians {
@@ -529,10 +520,7 @@ fn main() {
         "cycle bench — {} ({} rows, 4 QIs, k-anonymity k=2, T=0.5, one-tuple steps, {} iterations)",
         spec.name, rows, warm_out.iterations
     );
-    println!(
-        "  cycle.e2e: cold {:.3}s   warm {:.3}s   speedup {:.2}x   ({} run(s) per mode)",
-        cold_s, warm_s, speedup, runs
-    );
+    println!("  cycle.e2e: {warm_s:.3}s   ({runs} run(s))");
     let w = &profiled.profile.warm;
     println!(
         "  warm profile: {} warm / {} cold evaluation(s), {} fact(s) patched, {} fallback(s) to cold\n",
@@ -544,9 +532,7 @@ fn main() {
         } else {
             100.0 * (secs / warm_s - 1.0)
         };
-        println!(
-            "  cycle.journal: sync={sync:<12} {secs:.3}s   ({overhead:+.1}% vs unjournaled warm)"
-        );
+        println!("  cycle.journal: sync={sync:<12} {secs:.3}s   ({overhead:+.1}% vs unjournaled)");
     }
     println!(
         "  cycle.recovery: resume from mid-run journal {:.3}s ({} action(s) replayed)",
@@ -600,12 +586,12 @@ fn main() {
             Ok(base) => {
                 let ratio = warm_s / base;
                 println!(
-                    "baseline check — warm median {:.3}s vs baseline {:.3}s ({:.2}x)",
+                    "baseline check — median {:.3}s vs baseline {:.3}s ({:.2}x)",
                     warm_s, base, ratio
                 );
                 if ratio > MAX_REGRESSION {
                     eprintln!(
-                        "PERF REGRESSION: warm cycle median {:.3}s exceeds baseline {:.3}s by more than {:.0}%",
+                        "PERF REGRESSION: cycle median {:.3}s exceeds baseline {:.3}s by more than {:.0}%",
                         warm_s,
                         base,
                         (MAX_REGRESSION - 1.0) * 100.0

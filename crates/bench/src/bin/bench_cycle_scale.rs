@@ -23,10 +23,12 @@
 //! `--min-speedup` fails the run if one-tuple/batched falls below the
 //! given ratio. `--batched-only` times only the batched mode (the CI
 //! smoke profile) while still running one-tuple once for the safety
-//! cross-check.
+//! cross-check. An unknown option, a missing value, a malformed number,
+//! or `--min-speedup` with `--batched-only` prints the usage line and
+//! exits 2 before anything is run or written.
 
 use std::io::Write;
-use vadasa_bench::{read_baseline_median, time_it};
+use vadasa_bench::{operand, read_baseline_median, time_it};
 use vadasa_core::prelude::*;
 use vadasa_datagen::scale::{generate_scale, ScaleSpec};
 
@@ -34,35 +36,45 @@ use vadasa_datagen::scale::{generate_scale, ScaleSpec};
 /// `bench_engine` and `bench_cycle_profile`).
 const MAX_REGRESSION: f64 = 1.25;
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: bench_cycle_scale [--rows N] [--runs N] [--top-n N] [--out PATH] \
+         [--baseline PATH] [--min-speedup X] [--batched-only]"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let parse_usize = |name: &str, default: usize| -> usize {
-        flag(name)
-            .map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("{name} expects an integer, got '{v}'");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(default)
-    };
-    let rows = parse_usize("--rows", 1_000_000);
-    let runs = parse_usize("--runs", 3).max(1);
-    let top_n = parse_usize("--top-n", 64).max(1);
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_cycle.json".to_string());
-    let baseline = flag("--baseline");
-    let min_speedup: Option<f64> = flag("--min-speedup").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--min-speedup expects a number, got '{v}'");
-            std::process::exit(2);
-        })
-    });
-    let batched_only = args.iter().any(|a| a == "--batched-only");
+    let mut rows: usize = 1_000_000;
+    let mut runs: usize = 3;
+    let mut top_n: usize = 64;
+    let mut out_path = "BENCH_cycle.json".to_string();
+    let mut baseline: Option<String> = None;
+    let mut min_speedup: Option<f64> = None;
+    let mut batched_only = false;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--rows" => rows = operand(&mut args, &arg, usage),
+            "--runs" => runs = operand(&mut args, &arg, usage),
+            "--top-n" => top_n = operand(&mut args, &arg, usage),
+            "--out" => out_path = operand(&mut args, &arg, usage),
+            "--baseline" => baseline = Some(operand(&mut args, &arg, usage)),
+            "--min-speedup" => min_speedup = Some(operand(&mut args, &arg, usage)),
+            "--batched-only" => batched_only = true,
+            "--help" | "-h" => usage(),
+            other => {
+                eprintln!("unrecognised argument '{other}'");
+                usage()
+            }
+        }
+    }
+    if min_speedup.is_some() && batched_only {
+        eprintln!("--min-speedup requires the one-tuple mode; drop --batched-only");
+        usage()
+    }
+    let runs = runs.max(1);
+    let top_n = top_n.max(1);
 
     let spec = ScaleSpec::new(rows);
     let (db, dict) = generate_scale(&spec);
@@ -187,18 +199,12 @@ fn main() {
     }
     println!("cycle.scale lines appended to {out_path}");
 
-    if let Some(floor) = min_speedup {
-        match speedup {
-            Some(s) if s < floor => {
-                eprintln!("SPEEDUP BELOW FLOOR: {s:.2}x < required {floor:.2}x");
-                std::process::exit(1);
-            }
-            Some(s) => println!("speedup gate passed: {s:.2}x >= {floor:.2}x"),
-            None => {
-                eprintln!("--min-speedup requires the one-tuple mode; drop --batched-only");
-                std::process::exit(2);
-            }
+    if let (Some(floor), Some(s)) = (min_speedup, speedup) {
+        if s < floor {
+            eprintln!("SPEEDUP BELOW FLOOR: {s:.2}x < required {floor:.2}x");
+            std::process::exit(1);
         }
+        println!("speedup gate passed: {s:.2}x >= {floor:.2}x");
     }
 
     if let Some(path) = baseline {

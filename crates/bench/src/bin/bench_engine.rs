@@ -31,14 +31,16 @@
 //! for `jq` and for the CI perf-smoke gates. With `--baseline PATH` the
 //! indexed tc64 and suda medians and the magic tc_goal median are
 //! compared against the committed baseline and the process exits
-//! non-zero on a >25% regression in any of them.
+//! non-zero on a >25% regression in any of them. An unknown option or a
+//! missing value prints the usage line and exits 2 before anything is
+//! run or written.
 
 use std::io::Write;
 use vadalog::{
     parse_program, Atom, Database, Engine, EngineConfig, GoalRun, JoinMode, MagicOptions, Program,
     Term,
 };
-use vadasa_bench::{read_baseline_median, time_it};
+use vadasa_bench::{operand, read_baseline_median, time_it};
 use vadasa_core::programs::{
     alg6_suda, microdata_to_facts, ALG2_TUPLE_REIFICATION, ALG5_INDIVIDUAL_RISK,
 };
@@ -197,16 +199,28 @@ fn emit(out: &mut impl Write, w: &WorkloadResult, runs: usize) {
     }
 }
 
+fn usage() -> ! {
+    eprintln!("usage: bench_engine [--quick] [--out PATH] [--baseline PATH]");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_engine.json".to_string());
-    let baseline = flag("--baseline");
+    let mut quick = false;
+    let mut out_path = "BENCH_engine.json".to_string();
+    let mut baseline: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--out" => out_path = operand(&mut args, &arg, usage),
+            "--baseline" => baseline = Some(operand(&mut args, &arg, usage)),
+            "--help" | "-h" => usage(),
+            other => {
+                eprintln!("unrecognised argument '{other}'");
+                usage()
+            }
+        }
+    }
 
     let runs = if quick { 3 } else { 5 };
     let tc_nodes = 64; // the headline workload is identical in both modes

@@ -8,26 +8,31 @@
 //! exactly what its repeat prints. The CI `determinism` job runs each
 //! mode twice and `diff`s all transcripts byte-for-byte — any
 //! nondeterminism (iteration-order leakage, unstable null labels,
-//! warm/cold divergence) fails the build.
+//! session/cold-run divergence) fails the build.
 //!
 //! Two segments:
 //!
 //! 1. the native Fig-5 cycle (k-anonymity `k = 2`, local suppression,
-//!    one tuple per iteration) — final table, audit trail, final report;
+//!    one tuple per iteration) — final table, audit trail, final report.
+//!    The cycle has one path, so this segment is the same in both modes;
 //! 2. an engine transitive-closure workload — evaluated either as one
 //!    cold run (`--cold`) or as a session plus fact patch (`--warm`),
-//!    printed as sorted fact sets.
+//!    printed as sorted fact sets. This is the only segment the mode
+//!    picks.
 //!
 //! With `--telemetry-out FILE` the run additionally streams its telemetry
 //! events — cycle and engine — as JSON lines with **redacted timings**
 //! (every `t_ns`/`dur_ns`/`*_ns` quantity zeroed), so two runs in the
 //! same mode must produce byte-identical telemetry too. The CI
 //! determinism job diffs these files per mode.
+//!
+//! An unknown option or a missing value prints the usage line and exits
+//! 2 before anything is written.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use vadalog::{parse_program, Database, Engine, EngineConfig, FactPatch, JoinMode, Value};
-use vadasa_bench::render_table;
+use vadasa_bench::{operand, render_table};
 use vadasa_core::obs::{Collector, JsonLinesWriter};
 use vadasa_core::prelude::*;
 use vadasa_datagen::fixtures::local_suppression_fig5a;
@@ -53,20 +58,34 @@ fn print_fact_sets(sets: &BTreeMap<String, BTreeSet<Vec<Value>>>) {
     }
 }
 
+fn usage() -> ! {
+    eprintln!("usage: fig5_cycle [--warm|--cold] [--telemetry-out FILE]");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let warm = !args.iter().any(|a| a == "--cold");
-    let sink: Option<Arc<JsonLinesWriter<_>>> = args
-        .iter()
-        .position(|a| a == "--telemetry-out")
-        .and_then(|i| args.get(i + 1))
-        .map(|path| {
-            Arc::new(
-                JsonLinesWriter::create(path)
-                    .expect("create telemetry file")
-                    .redact_timings(),
-            )
-        });
+    let mut warm = true;
+    let mut telemetry_out: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--warm" => warm = true,
+            "--cold" => warm = false,
+            "--telemetry-out" => telemetry_out = Some(operand(&mut args, &arg, usage)),
+            "--help" | "-h" => usage(),
+            other => {
+                eprintln!("unrecognised argument '{other}'");
+                usage()
+            }
+        }
+    }
+    let sink: Option<Arc<JsonLinesWriter<_>>> = telemetry_out.map(|path| {
+        Arc::new(
+            JsonLinesWriter::create(path)
+                .expect("create telemetry file")
+                .redact_timings(),
+        )
+    });
 
     // --- segment 1: the Figure-5 anonymization cycle ---
     let (db, dict) = local_suppression_fig5a();
@@ -74,7 +93,6 @@ fn main() {
     let anonymizer = LocalSuppression::default();
     let config = CycleConfig {
         granularity: StepGranularity::OneTuplePerIteration,
-        warm_start: warm,
         ..CycleConfig::default()
     };
     let mut cycle = AnonymizationCycle::new(&risk, &anonymizer, config);

@@ -50,10 +50,9 @@
 //! vadasa_cycle --input survey.csv --journal wal/ --resume # finishes it
 //! ```
 
-use std::fmt::Display;
 use std::process::ExitCode;
-use std::str::FromStr;
 use std::sync::Arc;
+use vadasa_bench::operand;
 use vadasa_core::cycle::{BatchStrategy, CycleConfig};
 use vadasa_core::io::{read_csv, write_csv};
 use vadasa_core::obs::metrics::MetricsRegistry;
@@ -76,25 +75,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// The operand of `option`, parsed; a missing or malformed operand is a
-/// usage error.
-fn operand<T: FromStr>(args: &mut impl Iterator<Item = String>, option: &str) -> T
-where
-    T::Err: Display,
-{
-    let Some(text) = args.next() else {
-        eprintln!("{option} needs a value");
-        usage()
-    };
-    match text.parse() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{option}: cannot parse '{text}': {e}");
-            usage()
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let mut input: Option<String> = None;
     let mut name = "survey".to_string();
@@ -113,14 +93,14 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--input" => input = Some(operand(&mut args, &arg)),
-            "--name" => name = operand(&mut args, &arg),
-            "--k" => k = operand(&mut args, &arg),
-            "--threshold" => config.threshold = operand(&mut args, &arg),
-            "--max-iterations" => config.max_iterations = operand(&mut args, &arg),
-            "--out" => out = Some(operand(&mut args, &arg)),
+            "--input" => input = Some(operand(&mut args, &arg, usage)),
+            "--name" => name = operand(&mut args, &arg, usage),
+            "--k" => k = operand(&mut args, &arg, usage),
+            "--threshold" => config.threshold = operand(&mut args, &arg, usage),
+            "--max-iterations" => config.max_iterations = operand(&mut args, &arg, usage),
+            "--out" => out = Some(operand(&mut args, &arg, usage)),
             "--batch" => {
-                let s: String = operand(&mut args, &arg);
+                let s: String = operand(&mut args, &arg, usage);
                 config.batch = Some(match s.as_str() {
                     "one-tuple" => BatchStrategy::OneTuple,
                     "per-class" => BatchStrategy::PerClass,
@@ -133,10 +113,10 @@ fn main() -> ExitCode {
                     },
                 });
             }
-            "--journal" => journal = Some(operand(&mut args, &arg)),
+            "--journal" => journal = Some(operand(&mut args, &arg, usage)),
             "--resume" => resume = true,
             "--sync" => {
-                let s: String = operand(&mut args, &arg);
+                let s: String = operand(&mut args, &arg, usage);
                 sync = match s.as_str() {
                     "every-record" => SyncPolicy::EveryRecord,
                     "on-snapshot" => SyncPolicy::OnSnapshot,
@@ -152,12 +132,12 @@ fn main() -> ExitCode {
                 };
             }
             "--snapshot-every" => {
-                snapshot_every = Some(operand(&mut args, &arg)).filter(|&n| n != 0)
+                snapshot_every = Some(operand(&mut args, &arg, usage)).filter(|&n| n != 0)
             }
-            "--telemetry-out" => telemetry_out = Some(operand(&mut args, &arg)),
-            "--trace-out" => trace_out = Some(operand(&mut args, &arg)),
-            "--collapsed-out" => collapsed_out = Some(operand(&mut args, &arg)),
-            "--metrics-out" => metrics_out = Some(operand(&mut args, &arg)),
+            "--telemetry-out" => telemetry_out = Some(operand(&mut args, &arg, usage)),
+            "--trace-out" => trace_out = Some(operand(&mut args, &arg, usage)),
+            "--collapsed-out" => collapsed_out = Some(operand(&mut args, &arg, usage)),
+            "--metrics-out" => metrics_out = Some(operand(&mut args, &arg, usage)),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unrecognised argument '{other}'");

@@ -152,6 +152,30 @@ pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64())
 }
 
+/// The value of `option`: the next command-line argument, parsed. A
+/// missing or malformed value is a usage error: the reason goes to stderr
+/// and `usage` exits.
+pub fn operand<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    option: &str,
+    usage: fn() -> !,
+) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    let Some(text) = args.next() else {
+        eprintln!("{option} needs a value");
+        usage()
+    };
+    match text.parse() {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("{option}: cannot parse '{text}': {e}");
+            usage()
+        }
+    }
+}
+
 /// Read a committed `BENCH_*.json` baseline and return the `median_s` of
 /// the line matching `bench` and `mode`.
 ///

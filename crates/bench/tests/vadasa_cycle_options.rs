@@ -1,11 +1,13 @@
-//! `vadasa_cycle` refuses arguments it does not know.
+//! `vadasa_cycle` and the bench binaries refuse arguments they do not
+//! know.
 //!
 //! An ignored option is a silent default: `--treshold 0.01` would release
 //! the table at the default threshold of 0.5, and so would a `--threshold`
-//! whose value is missing. Any argument that is not an option, an
-//! option's value or a switch, and any option without a well-formed
-//! value, prints the usage line and exits 2 before the input is read or a
-//! release is written.
+//! whose value is missing; a misspelt CI mode of `fig5_cycle` would print
+//! the default transcript and pass. Any argument that is not an option,
+//! an option's value or a switch, and any option without a well-formed
+//! value, prints the usage line and exits 2 before the input is read or
+//! an output file is written.
 
 use std::process::Command;
 
@@ -64,4 +66,82 @@ fn unknown_options_exit_2_and_write_no_release() {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+fn exe(name: &str) -> &'static str {
+    match name {
+        "fig5_cycle" => env!("CARGO_BIN_EXE_fig5_cycle"),
+        "bench_cycle_profile" => env!("CARGO_BIN_EXE_bench_cycle_profile"),
+        "bench_cycle_scale" => env!("CARGO_BIN_EXE_bench_cycle_scale"),
+        _ => env!("CARGO_BIN_EXE_bench_engine"),
+    }
+}
+
+/// The bench binaries refuse the same way, before they generate data or
+/// write their output file, so none of these cases starts a bench run.
+#[test]
+fn bench_binaries_exit_2_before_writing_anything() {
+    let unknown = "unrecognised argument";
+    let cases: [(&str, &[&str], &str); 10] = [
+        ("fig5_cycle", &["--colld"], unknown),
+        ("fig5_cycle", &["--telemetry-out"], "needs a value"),
+        ("bench_cycle_profile", &["--quick", "--cold"], unknown),
+        ("bench_cycle_profile", &["--baseline"], "needs a value"),
+        ("bench_cycle_scale", &["--batched-onyl"], unknown),
+        (
+            "bench_cycle_scale",
+            &["--rows", "100k"],
+            "cannot parse '100k'",
+        ),
+        ("bench_cycle_scale", &["--runs"], "needs a value"),
+        (
+            "bench_cycle_scale",
+            &["--min-speedup", "2", "--batched-only"],
+            "one-tuple",
+        ),
+        ("bench_engine", &["--quick", "--threads", "4"], unknown),
+        ("bench_engine", &["--baseline"], "needs a value"),
+    ];
+    for (i, (name, extra, reason)) in cases.into_iter().enumerate() {
+        let out = std::env::temp_dir().join(format!("vadasa-opts-{}-{i}", std::process::id()));
+        let _ = std::fs::remove_file(&out);
+        // fig5_cycle writes only its telemetry file, the others their --out
+        let out_option = match name {
+            "fig5_cycle" => "--telemetry-out",
+            _ => "--out",
+        };
+        let output = (Command::new(exe(name))
+            .arg(out_option)
+            .arg(&out)
+            .args(extra))
+        .output()
+        .expect("spawn");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let tag = format!("{name} {extra:?}: {stderr}");
+        assert_eq!(output.status.code(), Some(2), "{tag}");
+        assert!(stderr.contains(reason), "{tag}");
+        assert!(stderr.contains(&format!("usage: {name}")), "{tag}");
+        assert!(output.stdout.is_empty() && !out.exists(), "{tag}");
+    }
+}
+
+/// The control: both `fig5_cycle` modes parse, write their telemetry and
+/// print one transcript.
+#[test]
+fn fig5_cycle_modes_print_one_transcript() {
+    let run = |mode: &str| {
+        let tel = std::env::temp_dir().join(format!("vadasa-opts-{}{mode}", std::process::id()));
+        let output = (Command::new(exe("fig5_cycle")).args([mode, "--telemetry-out"]))
+            .arg(&tel)
+            .output()
+            .expect("spawn");
+        assert_eq!(output.status.code(), Some(0), "{mode}");
+        let telemetry = std::fs::read_to_string(&tel).expect("telemetry written");
+        assert!(telemetry.contains("cycle.warm.evals"), "{mode}");
+        let _ = std::fs::remove_file(&tel);
+        output.stdout
+    };
+    let warm = run("--warm");
+    assert!(!warm.is_empty());
+    assert_eq!(warm, run("--cold"), "--warm and --cold diverged");
 }

@@ -423,12 +423,15 @@ impl JournalWriter {
 /// Fingerprint of everything the cycle's trajectory depends on: table
 /// content, dictionary roles, result-affecting configuration, and plug-in
 /// names. Governor knobs (`max_iterations`, `deadline`), `fallback`,
-/// `audit` and `warm_start` are deliberately **excluded**: they bound or
+/// `audit` and `storage` are deliberately **excluded**: they bound or
 /// observe the trajectory without changing it, so a journal written by a
-/// capped, warm or audited run resumes cleanly under different settings
-/// of those knobs. The batch strategy **is** included:
-/// batching changes which cells each iteration touches, so a journal is
-/// only replayable under the strategy that wrote it.
+/// capped or audited run resumes cleanly under different settings of
+/// those knobs. The step settings **are** included, `granularity` and
+/// `batch` as given: batching changes which cells each iteration touches,
+/// so a journal is only replayable under the strategy that wrote it.
+/// `batch: Some(OneTuple)` takes the same step as one-tuple granularity
+/// but hashes differently, which keeps journals written under either
+/// spelling resumable.
 pub fn fingerprint(
     db: &MicrodataDb,
     dict: &MetadataDictionary,
@@ -722,7 +725,9 @@ pub fn recover(
     })
 }
 
-fn fresh_recovery(original: &MicrodataDb, profile: JournalProfile) -> Recovery {
+/// The state a run that has nothing to recover starts from: the original
+/// table and zeroed counters.
+pub(crate) fn fresh_recovery(original: &MicrodataDb, profile: JournalProfile) -> Recovery {
     Recovery {
         db: original.clone(),
         audit: AuditLog::default(),

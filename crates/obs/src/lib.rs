@@ -532,15 +532,6 @@ impl Histogram {
         u64::MAX
     }
 
-    /// Fold another histogram into this one (bucket-wise).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b = b.saturating_add(*o);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
     /// Render non-empty buckets as `[lo, hi): count` lines.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -995,30 +986,22 @@ mod tests {
         assert!((mixed.mean() - 1.0).abs() < 1e-9);
     }
 
-    /// Exact values for `merge`: {1, 2} ∪ {2, 100} observation by
-    /// observation.
+    /// Exact buckets, mean and quantiles for the observations
+    /// {1, 2, 2, 100}.
     #[test]
-    fn histogram_merge_is_bucketwise_sum() {
-        let mut a = Histogram::default();
-        a.observe(1);
-        a.observe(2);
-        let mut b = Histogram::default();
-        b.observe(2);
-        b.observe(100);
-        a.merge(&b);
-        assert_eq!(a.count, 4);
-        assert_eq!(a.sum, 105);
-        assert_eq!(a.buckets[1], 1); // value 1 ∈ [1, 2)
-        assert_eq!(a.buckets[2], 2); // both 2s ∈ [2, 4)
-        assert_eq!(a.buckets[7], 1); // 100 ∈ [64, 128)
-        assert!((a.mean() - 26.25).abs() < 1e-9);
-        assert_eq!(a.quantile_ceil(0.5), 4);
-        assert_eq!(a.quantile_ceil(1.0), 128);
-
-        // Merging an empty histogram is a no-op.
-        let before = (a.count, a.sum);
-        a.merge(&Histogram::default());
-        assert_eq!((a.count, a.sum), before);
+    fn histogram_buckets_mean_and_quantiles_are_exact() {
+        let mut h = Histogram::default();
+        for v in [1, 2, 2, 100] {
+            h.observe(v);
+        }
+        assert_eq!(h.count, 4);
+        assert_eq!(h.sum, 105);
+        assert_eq!(h.buckets[1], 1); // value 1 ∈ [1, 2)
+        assert_eq!(h.buckets[2], 2); // both 2s ∈ [2, 4)
+        assert_eq!(h.buckets[7], 1); // 100 ∈ [64, 128)
+        assert!((h.mean() - 26.25).abs() < 1e-9);
+        assert_eq!(h.quantile_ceil(0.5), 4);
+        assert_eq!(h.quantile_ceil(1.0), 128);
     }
 
     /// Live spans link to the innermost open span on the same thread.
