@@ -5,8 +5,10 @@
 //! order facts enter a relation, yet that order is observable: downstream
 //! rules enumerate in it, existential rules mint nulls in it and the
 //! anonymization cycle reads facts in it. These goldens pin it for every
-//! sample program under `crates/vadalog/programs/` and for Algorithm 7
-//! over fixed `tuple` facts. Each case is checked plain and with
+//! sample program under `crates/vadalog/programs/`, for Algorithm 7
+//! over fixed `tuple` facts and for Algorithms 2 + 6 (SUDA, a recursive
+//! program over set values) over a fixed table. Each case is checked
+//! plain and with
 //! provenance tracing on (both must store the same rows in the same
 //! order), and once more with a `DescendingBy` router, which reorders
 //! bindings and so has a golden of its own.
@@ -16,7 +18,7 @@
 
 use std::fmt::Write as _;
 use vadalog::{parse_program, Database, DescendingBy, Engine, EngineConfig, Router, Value};
-use vadasa_core::programs::ALG7_LOCAL_SUPPRESSION;
+use vadasa_core::programs::{alg6_suda, ALG2_TUPLE_REIFICATION, ALG7_LOCAL_SUPPRESSION};
 
 /// Fixed Algorithm 7 input: six reified tuples, three of them flagged
 /// for suppression with the attribute(s) the host picked for each.
@@ -42,6 +44,51 @@ fn alg7_input() -> Database {
     }
     for (id, attr) in [(2, "sector"), (5, "area"), (6, "area"), (6, "sector")] {
         db.insert("suppressattr", vec![Value::Int(id), Value::str(attr)]);
+    }
+    db
+}
+
+/// Fixed Algorithm 2 + 6 input: eight rows over three quasi-identifiers
+/// (one of them numeric) and a weight. Rows 0–5 form three pairs that
+/// share their full pattern; row 6 is the only `East` row (a
+/// one-attribute MSU) and row 7 is unique only on two-attribute
+/// combinations.
+fn alg6_input() -> Database {
+    let mut db = Database::new();
+    let m = Value::str("survey");
+    for attr in ["Area", "Sector", "Employees"] {
+        db.insert(
+            "cat",
+            vec![m.clone(), Value::str(attr), Value::str("quasi-identifier")],
+        );
+    }
+    db.insert(
+        "cat",
+        vec![m.clone(), Value::str("Weight"), Value::str("weight")],
+    );
+    let rows = [
+        ("North", "Textiles", 10),
+        ("North", "Textiles", 10),
+        ("North", "Commerce", 50),
+        ("South", "Commerce", 50),
+        ("North", "Commerce", 50),
+        ("South", "Commerce", 50),
+        ("East", "Textiles", 10),
+        ("South", "Textiles", 50),
+    ];
+    for (i, (area, sector, employees)) in rows.into_iter().enumerate() {
+        let cells = [
+            ("Area", Value::str(area)),
+            ("Sector", Value::str(sector)),
+            ("Employees", Value::Int(employees)),
+            ("Weight", Value::Float(1.5 + i as f64)),
+        ];
+        for (attr, v) in cells {
+            db.insert(
+                "val",
+                vec![m.clone(), Value::Int(i as i64), Value::str(attr), v],
+            );
+        }
     }
     db
 }
@@ -93,10 +140,16 @@ fn cases() -> Vec<Case> {
             input: alg7_input,
             router_var: "I",
         },
+        Case {
+            name: "alg6_suda",
+            source: format!("{ALG2_TUPLE_REIFICATION}{}", alg6_suda(2)),
+            input: alg6_input,
+            router_var: "I",
+        },
     ];
     let covered: Vec<String> = cases
         .iter()
-        .filter(|c| !c.name.starts_with("alg7"))
+        .filter(|c| !c.name.starts_with("alg"))
         .map(|c| format!("{}.vada", c.name))
         .collect();
     assert_eq!(covered, on_disk, "every sample program needs a golden case");
