@@ -23,9 +23,14 @@
 //! telemetry spans of the profiled run (including the `cycle.warm.*`
 //! counters) go to a sibling file named after `--out` with its extension
 //! replaced by `telemetry.jsonl` (`BENCH_cycle.json` →
-//! `BENCH_cycle.telemetry.jsonl`), which is not committed. With
-//! `--baseline PATH` the median is compared against the committed
-//! baseline and the process exits non-zero on a >25% regression. An
+//! `BENCH_cycle.telemetry.jsonl`), which is not committed. The
+//! `cycle.e2e` runs and the `cycle.storage` backend runs each time the
+//! reference kernel ([`vadasa_bench::reference`]) before every run, and
+//! their lines carry its median as `ref_ms`. With `--baseline PATH` the
+//! `cycle.e2e` median and the file-backed `cycle.storage` median are
+//! compared against the committed baseline at one host speed (each
+//! divided by its `ref_ms`) and the process exits non-zero on a >25%
+//! regression of either. An
 //! unknown option or a missing value prints the usage line and exits 2
 //! before anything is run or written.
 //!
@@ -67,17 +72,14 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use vadalog::StorageEngine;
-use vadasa_bench::{operand, read_baseline_median, time_it};
+use vadasa_bench::reference::{self, Series};
+use vadasa_bench::{operand, time_it};
 use vadasa_core::journal::{record, JOURNAL_FILE};
 use vadasa_core::obs::trace::TraceBuilder;
 use vadasa_core::obs::{JsonLinesWriter, Recorder};
 use vadasa_core::prelude::*;
 use vadasa_core::report::render_profile;
 use vadasa_datagen::generator::{generate, DatasetSpec, Regime};
-
-/// The regression threshold the CI perf-smoke gate enforces (same as
-/// `bench_engine`).
-const MAX_REGRESSION: f64 = 1.25;
 
 /// The observability-overhead gate: telemetry may cost at most this
 /// fraction over a bare run, unless the absolute difference is still
@@ -191,15 +193,12 @@ fn main() {
     }
 
     // --- median over `runs` repetitions ---
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let (out, secs) = time_it(run_once);
-            assert_equivalent(&out, &warm_out);
-            secs
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    let warm_s = times[times.len() / 2];
+    let mut warm = Series::default();
+    for _ in 0..runs {
+        let out = warm.time(run_once);
+        assert_equivalent(&out, &warm_out);
+    }
+    let warm_s = warm.median_s();
 
     // --- journal overhead: off vs every-record vs every-8 fsyncs ---
     let tmp_root =
@@ -286,7 +285,7 @@ fn main() {
 
     // --- storage backends: mem vs file, then warm-disk vs cold resume ---
     let mut storage_seq = 0u32;
-    let mut storage_run = |engine: StorageEngine| -> (CycleOutcome, f64, PathBuf) {
+    let mut storage_run = |engine: StorageEngine, series: &mut Series| -> (CycleOutcome, PathBuf) {
         storage_seq += 1;
         let dir = tmp_root.join(format!("s{storage_seq}"));
         let config = CycleConfig {
@@ -301,30 +300,28 @@ fn main() {
             },
             ..cycle_config(iteration_cap)
         };
-        let (out, secs) = time_it(|| {
+        let out = series.time(|| {
             AnonymizationCycle::new(&risk, &anonymizer, config.clone())
                 .run(&db, &dict)
                 .expect("storage run")
         });
-        (out, secs, dir)
+        (out, dir)
     };
-    let mut storage_medians: Vec<(&str, f64)> = Vec::new();
+    let mut storage_series: Vec<(&str, Series)> = Vec::new();
     let mut file_dir: Option<PathBuf> = None;
     for (mode, engine) in [("mem", StorageEngine::Mem), ("file", StorageEngine::File)] {
-        let mut times: Vec<f64> = Vec::with_capacity(runs);
+        let mut series = Series::default();
         for _ in 0..runs {
-            let (out, secs, dir) = storage_run(engine);
+            let (out, dir) = storage_run(engine, &mut series);
             // the storage backend is an observer, not an intervention
             assert_equivalent(&out, &warm_out);
-            times.push(secs);
             if mode == "file" && file_dir.is_none() {
                 file_dir = Some(dir);
             } else {
                 let _ = std::fs::remove_dir_all(&dir);
             }
         }
-        times.sort_by(f64::total_cmp);
-        storage_medians.push((mode, times[times.len() / 2]));
+        storage_series.push((mode, series));
     }
     // Cut the kept file-backed journal just after its final Snapshot
     // record: recovery then lands exactly on the iteration the persisted
@@ -472,8 +469,12 @@ fn main() {
     };
     writeln!(
         file,
-        "{{\"bench\":\"cycle.e2e\",\"rows\":{},\"iterations\":{},\"mode\":\"warm\",\"median_s\":{:.6},\"runs\":{}}}",
-        rows, warm_out.iterations, warm_s, runs
+        "{{\"bench\":\"cycle.e2e\",\"rows\":{},\"iterations\":{},\"mode\":\"warm\",\"median_s\":{:.6},\"ref_ms\":{:.3},\"runs\":{}}}",
+        rows,
+        warm_out.iterations,
+        warm_s,
+        warm.ref_ms(),
+        runs
     )
     .expect("write bench line");
     for (sync, secs) in &journal_medians {
@@ -490,11 +491,16 @@ fn main() {
         rows, replayed, recovery_s, runs
     )
     .expect("write bench line");
-    for (mode, secs) in &storage_medians {
+    for (mode, series) in &storage_series {
         writeln!(
             file,
-            "{{\"bench\":\"cycle.storage\",\"rows\":{},\"iterations\":{},\"mode\":\"{}\",\"median_s\":{:.6},\"runs\":{}}}",
-            rows, warm_out.iterations, mode, secs, runs
+            "{{\"bench\":\"cycle.storage\",\"rows\":{},\"iterations\":{},\"mode\":\"{}\",\"median_s\":{:.6},\"ref_ms\":{:.3},\"runs\":{}}}",
+            rows,
+            warm_out.iterations,
+            mode,
+            series.median_s(),
+            series.ref_ms(),
+            runs
         )
         .expect("write bench line");
     }
@@ -538,8 +544,11 @@ fn main() {
         "  cycle.recovery: resume from mid-run journal {:.3}s ({} action(s) replayed)",
         recovery_s, replayed
     );
-    for (mode, secs) in &storage_medians {
-        println!("  cycle.storage: engine={mode:<16} {secs:.3}s");
+    for (mode, series) in &storage_series {
+        println!(
+            "  cycle.storage: engine={mode:<16} {:.3}s",
+            series.median_s()
+        );
     }
     for (mode, secs, restores) in &storage_resume {
         println!("  cycle.storage: {mode:<23} {secs:.3}s ({restores} disk restore(s))");
@@ -582,59 +591,18 @@ fn main() {
     }
 
     if let Some(path) = baseline {
-        match read_baseline_median(&path, "cycle.e2e", "warm") {
-            Ok(base) => {
-                let ratio = warm_s / base;
-                println!(
-                    "baseline check — median {:.3}s vs baseline {:.3}s ({:.2}x)",
-                    warm_s, base, ratio
-                );
-                if ratio > MAX_REGRESSION {
-                    eprintln!(
-                        "PERF REGRESSION: cycle median {:.3}s exceeds baseline {:.3}s by more than {:.0}%",
-                        warm_s,
-                        base,
-                        (MAX_REGRESSION - 1.0) * 100.0
-                    );
-                    std::process::exit(1);
-                }
-            }
-            Err(msg) => {
-                eprintln!("baseline check failed: {msg}");
-                std::process::exit(1);
-            }
+        let mut passed = reference::gate(&path, "cycle.e2e", "warm", warm_s, warm.ref_ms());
+        for (mode, series) in storage_series.iter().filter(|(m, _)| *m == "file") {
+            passed &= reference::gate(
+                &path,
+                "cycle.storage",
+                mode,
+                series.median_s(),
+                series.ref_ms(),
+            );
         }
-        let file_s = storage_medians
-            .iter()
-            .find(|(m, _)| *m == "file")
-            .map(|(_, s)| *s)
-            .unwrap_or(0.0);
-        match read_baseline_median(&path, "cycle.storage", "file") {
-            Ok(base) => {
-                let ratio = file_s / base;
-                println!(
-                    "baseline check — file-backed median {:.3}s vs baseline {:.3}s ({:.2}x)",
-                    file_s, base, ratio
-                );
-                if ratio > MAX_REGRESSION {
-                    eprintln!(
-                        "PERF REGRESSION: file-backed cycle median {:.3}s exceeds baseline {:.3}s by more than {:.0}%",
-                        file_s,
-                        base,
-                        (MAX_REGRESSION - 1.0) * 100.0
-                    );
-                    std::process::exit(1);
-                }
-            }
-            // A baseline that predates the storage series is not a
-            // regression; the gate arms once the series is committed.
-            Err(msg) if msg.contains("has no entry") => {
-                println!("baseline note: {msg}");
-            }
-            Err(msg) => {
-                eprintln!("baseline check failed: {msg}");
-                std::process::exit(1);
-            }
+        if !passed {
+            std::process::exit(1);
         }
     }
 }

@@ -17,9 +17,12 @@
 //!
 //! Safety is asserted before any number is reported: both modes must end
 //! with zero risky tuples, and the batched run may not suppress less than
-//! the one-tuple run. Results append to the `--out` file (default
+//! the one-tuple run. Each timed run follows a run of the reference kernel
+//! ([`vadasa_bench::reference`]), whose median each mode line carries as
+//! `ref_ms`. Results append to the `--out` file (default
 //! `BENCH_cycle.json`); `--baseline` gates the batched median against a
-//! committed baseline with the standard >25% regression threshold, and
+//! committed baseline at one host speed (both divided by their `ref_ms`)
+//! with the standard >25% regression threshold, and
 //! `--min-speedup` fails the run if one-tuple/batched falls below the
 //! given ratio. `--batched-only` times only the batched mode (the CI
 //! smoke profile) while still running one-tuple once for the safety
@@ -28,13 +31,10 @@
 //! exits 2 before anything is run or written.
 
 use std::io::Write;
-use vadasa_bench::{operand, read_baseline_median, time_it};
+use vadasa_bench::operand;
+use vadasa_bench::reference::{self, Series};
 use vadasa_core::prelude::*;
 use vadasa_datagen::scale::{generate_scale, ScaleSpec};
-
-/// The regression threshold the CI scale-smoke gate enforces (same as
-/// `bench_engine` and `bench_cycle_profile`).
-const MAX_REGRESSION: f64 = 1.25;
 
 fn usage() -> ! {
     eprintln!(
@@ -126,17 +126,17 @@ fn main() {
     }
 
     // --- medians ---
-    let median_of = |batch: BatchStrategy| -> f64 {
-        let mut times: Vec<f64> = (0..runs).map(|_| time_it(|| run_once(batch)).1).collect();
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
+    let series_of = |batch: BatchStrategy| -> Series {
+        let mut s = Series::default();
+        for _ in 0..runs {
+            s.time(|| run_once(batch));
+        }
+        s
     };
-    let batched_s = median_of(BatchStrategy::TopN(top_n));
-    let one_s = if batched_only {
-        None
-    } else {
-        Some(median_of(BatchStrategy::OneTuple))
-    };
+    let batched_runs = series_of(BatchStrategy::TopN(top_n));
+    let batched_s = batched_runs.median_s();
+    let one_runs = (!batched_only).then(|| series_of(BatchStrategy::OneTuple));
+    let one_s = one_runs.as_ref().map(Series::median_s);
     let speedup = one_s.map(|o| {
         if batched_s == 0.0 {
             f64::INFINITY
@@ -158,20 +158,23 @@ fn main() {
         }
     };
     let k = rows / 1000;
-    if let Some(o) = one_s {
+    let modes = [
+        ("one-tuple", one_runs.as_ref()),
+        ("batched", Some(&batched_runs)),
+    ];
+    for (mode, series) in modes.iter().filter_map(|(m, s)| Some((m, (*s)?))) {
         writeln!(
             file,
-            "{{\"bench\":\"cycle.scale\",\"rows\":{},\"mode\":\"one-tuple@{}k\",\"median_s\":{:.6},\"runs\":{}}}",
-            rows, k, o, runs
+            "{{\"bench\":\"cycle.scale\",\"rows\":{},\"mode\":\"{}@{}k\",\"median_s\":{:.6},\"ref_ms\":{:.3},\"runs\":{}}}",
+            rows,
+            mode,
+            k,
+            series.median_s(),
+            series.ref_ms(),
+            runs
         )
         .expect("write bench line");
     }
-    writeln!(
-        file,
-        "{{\"bench\":\"cycle.scale\",\"rows\":{},\"mode\":\"batched@{}k\",\"median_s\":{:.6},\"runs\":{}}}",
-        rows, k, batched_s, runs
-    )
-    .expect("write bench line");
     if let Some(s) = speedup {
         writeln!(
             file,
@@ -209,27 +212,14 @@ fn main() {
 
     if let Some(path) = baseline {
         let mode = format!("batched@{k}k");
-        match read_baseline_median(&path, "cycle.scale", &mode) {
-            Ok(base) => {
-                let ratio = batched_s / base;
-                println!(
-                    "baseline check — batched median {:.3}s vs baseline {:.3}s ({:.2}x)",
-                    batched_s, base, ratio
-                );
-                if ratio > MAX_REGRESSION {
-                    eprintln!(
-                        "PERF REGRESSION: batched scale median {:.3}s exceeds baseline {:.3}s by more than {:.0}%",
-                        batched_s,
-                        base,
-                        (MAX_REGRESSION - 1.0) * 100.0
-                    );
-                    std::process::exit(1);
-                }
-            }
-            Err(msg) => {
-                eprintln!("baseline check failed: {msg}");
-                std::process::exit(1);
-            }
+        if !reference::gate(
+            &path,
+            "cycle.scale",
+            &mode,
+            batched_s,
+            batched_runs.ref_ms(),
+        ) {
+            std::process::exit(1);
         }
     }
 }

@@ -26,11 +26,14 @@
 //!   over attribute subsets, negation and aggregation, the engine's
 //!   per-binding costs (frames, head instantiation, inserts) at volume.
 //!
-//! Each workload runs its modes `runs` times; the output file gets one
-//! JSON object per line (medians in seconds plus speedup ratios), ready
-//! for `jq` and for the CI perf-smoke gates. With `--baseline PATH` the
-//! indexed tc64 and suda medians and the magic tc_goal median are
-//! compared against the committed baseline and the process exits
+//! Each workload runs its modes `runs` times, timing the reference kernel
+//! ([`vadasa_bench::reference`]) before every run; the output file gets
+//! one JSON object per line (medians in seconds plus speedup ratios, each
+//! with the kernel's median beside it as `ref_ms`), ready for `jq` and for
+//! the CI perf-smoke gates. With `--baseline PATH` the indexed tc64 and
+//! suda medians are compared against the committed baseline at one host
+//! speed (each divided by its `ref_ms`), the magic tc_goal median
+//! relative to the same run's full fixpoint, and the process exits
 //! non-zero on a >25% regression in any of them. An unknown option or a
 //! missing value prints the usage line and exits 2 before anything is
 //! run or written.
@@ -40,15 +43,13 @@ use vadalog::{
     parse_program, Atom, Database, Engine, EngineConfig, GoalRun, JoinMode, MagicOptions, Program,
     Term,
 };
-use vadasa_bench::{operand, read_baseline_median, time_it};
+use vadasa_bench::reference::{self, Series, MAX_REGRESSION};
+use vadasa_bench::{operand, read_baseline_median};
 use vadasa_core::programs::{
     alg6_suda, microdata_to_facts, ALG2_TUPLE_REIFICATION, ALG5_INDIVIDUAL_RISK,
 };
 use vadasa_core::report::render_engine_profile;
 use vadasa_datagen::generator::{generate, DatasetSpec, Regime};
-
-/// The regression threshold the CI perf-smoke gates enforce.
-const MAX_REGRESSION: f64 = 1.25;
 
 fn non_linear_tc(nodes: usize) -> String {
     let mut src = String::new();
@@ -85,115 +86,121 @@ fn engine(mode: JoinMode) -> Engine {
     })
 }
 
-/// Median wall-clock seconds over `runs` evaluations of `program`.
-fn median_secs(
+/// `runs` evaluations of `program`, each timed beside the kernel.
+fn series(
     program: &Program,
     facts: &Database,
     mode: JoinMode,
     runs: usize,
     check: impl Fn(&vadalog::ReasoningResult),
-) -> f64 {
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let (r, secs) = time_it(|| {
-                engine(mode)
-                    .run(program, facts.clone())
-                    .expect("benchmark program evaluates")
-            });
-            check(&r);
-            secs
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+) -> Series {
+    let mut s = Series::default();
+    for _ in 0..runs {
+        let r = s.time(|| {
+            engine(mode)
+                .run(program, facts.clone())
+                .expect("benchmark program evaluates")
+        });
+        check(&r);
+    }
+    s
 }
 
-/// Median wall-clock seconds over `runs` goal-directed evaluations.
+/// `runs` goal-directed evaluations, each timed beside the kernel.
 /// Asserts the magic rewrite actually applied — a silent fallback would
 /// benchmark the full fixpoint and report a meaningless "speedup".
-fn median_secs_goal(
+fn series_goal(
     program: &Program,
     facts: &Database,
     goals: &[Atom],
     options: MagicOptions,
     runs: usize,
     check: impl Fn(&GoalRun),
-) -> f64 {
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let (r, secs) = time_it(|| {
-                engine(JoinMode::Indexed)
-                    .run_with_goals(program, facts.clone(), goals, options)
-                    .expect("goal-directed benchmark evaluates")
-            });
-            assert!(
-                r.magic.applied,
-                "magic rewrite fell back in benchmark: {:?}",
-                r.magic
-            );
-            check(&r);
-            secs
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+) -> Series {
+    let mut s = Series::default();
+    for _ in 0..runs {
+        let r = s.time(|| {
+            engine(JoinMode::Indexed)
+                .run_with_goals(program, facts.clone(), goals, options)
+                .expect("goal-directed benchmark evaluates")
+        });
+        assert!(
+            r.magic.applied,
+            "magic rewrite fell back in benchmark: {:?}",
+            r.magic
+        );
+        check(&r);
+    }
+    s
 }
 
 struct WorkloadResult {
     name: &'static str,
     size: usize,
-    reference_s: f64,
-    indexed_s: f64,
-    /// Goal-directed median, when the workload has a magic series.
-    magic_s: Option<f64>,
+    reference: Series,
+    indexed: Series,
+    /// The goal-directed series, when the workload has one.
+    magic: Option<Series>,
+}
+
+/// `num / den`, infinite when `den` is zero.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den == 0.0 {
+        f64::INFINITY
+    } else {
+        num / den
+    }
 }
 
 impl WorkloadResult {
     fn speedup(&self) -> f64 {
-        if self.indexed_s == 0.0 {
-            f64::INFINITY
-        } else {
-            self.reference_s / self.indexed_s
-        }
+        ratio(self.reference.median_s(), self.indexed.median_s())
     }
 
     /// Full indexed fixpoint vs goal-directed run of the same program.
     fn magic_speedup(&self) -> Option<f64> {
-        let magic = self.magic_s?;
-        Some(if magic == 0.0 {
-            f64::INFINITY
-        } else {
-            self.indexed_s / magic
-        })
+        Some(ratio(
+            self.indexed.median_s(),
+            self.magic.as_ref()?.median_s(),
+        ))
     }
 }
 
 fn emit(out: &mut impl Write, w: &WorkloadResult, runs: usize) {
-    let mut modes = vec![("reference", w.reference_s), ("indexed", w.indexed_s)];
-    if let Some(magic) = w.magic_s {
+    let mut modes = vec![("reference", &w.reference), ("indexed", &w.indexed)];
+    if let Some(magic) = &w.magic {
         modes.push(("magic", magic));
     }
-    for (mode, secs) in modes {
+    for (mode, s) in &modes {
         writeln!(
             out,
-            "{{\"bench\":\"engine.{}\",\"size\":{},\"mode\":\"{}\",\"median_s\":{:.6},\"runs\":{}}}",
-            w.name, w.size, mode, secs, runs
+            "{{\"bench\":\"engine.{}\",\"size\":{},\"mode\":\"{}\",\"median_s\":{:.6},\"ref_ms\":{:.3},\"runs\":{}}}",
+            w.name,
+            w.size,
+            mode,
+            s.median_s(),
+            s.ref_ms(),
+            runs
         )
         .expect("write bench line");
     }
     writeln!(
         out,
-        "{{\"bench\":\"engine.{}\",\"size\":{},\"speedup\":{:.3}}}",
+        "{{\"bench\":\"engine.{}\",\"size\":{},\"speedup\":{:.3},\"ref_ms\":{:.3}}}",
         w.name,
         w.size,
-        w.speedup()
+        w.speedup(),
+        Series::ref_ms_of(&[&w.reference, &w.indexed])
     )
     .expect("write bench line");
-    if let Some(magic) = w.magic_speedup() {
+    if let (Some(speedup), Some(magic)) = (w.magic_speedup(), &w.magic) {
         writeln!(
             out,
-            "{{\"bench\":\"engine.{}\",\"size\":{},\"magic_speedup\":{:.3}}}",
-            w.name, w.size, magic
+            "{{\"bench\":\"engine.{}\",\"size\":{},\"magic_speedup\":{:.3},\"ref_ms\":{:.3}}}",
+            w.name,
+            w.size,
+            speedup,
+            Series::ref_ms_of(&[&w.indexed, magic])
         )
         .expect("write bench line");
     }
@@ -243,9 +250,9 @@ fn main() {
     let tc = WorkloadResult {
         name: "tc",
         size: tc_nodes,
-        reference_s: median_secs(&tc_program, &tc_facts, JoinMode::Reference, runs, tc_check),
-        indexed_s: median_secs(&tc_program, &tc_facts, JoinMode::Indexed, runs, tc_check),
-        magic_s: None,
+        reference: series(&tc_program, &tc_facts, JoinMode::Reference, runs, tc_check),
+        indexed: series(&tc_program, &tc_facts, JoinMode::Indexed, runs, tc_check),
+        magic: None,
     };
 
     // --- workload 2: goal-directed closure over disjoint components ---
@@ -267,21 +274,21 @@ fn main() {
     let tc_goal = WorkloadResult {
         name: "tc_goal",
         size: tc_goal_nodes,
-        reference_s: median_secs(
+        reference: series(
             &tc_goal_program,
             &tc_facts,
             JoinMode::Reference,
             runs,
             tc_goal_full_check,
         ),
-        indexed_s: median_secs(
+        indexed: series(
             &tc_goal_program,
             &tc_facts,
             JoinMode::Indexed,
             runs,
             tc_goal_full_check,
         ),
-        magic_s: Some(median_secs_goal(
+        magic: Some(series_goal(
             &tc_goal_program,
             &tc_facts,
             std::slice::from_ref(&tc_goal_atom),
@@ -335,21 +342,21 @@ fn main() {
     let risk = WorkloadResult {
         name: "risk",
         size: risk_rows,
-        reference_s: median_secs(
+        reference: series(
             &risk_program,
             &risk_facts,
             JoinMode::Reference,
             runs,
             risk_check,
         ),
-        indexed_s: median_secs(
+        indexed: series(
             &risk_program,
             &risk_facts,
             JoinMode::Indexed,
             runs,
             risk_check,
         ),
-        magic_s: Some(median_secs_goal(
+        magic: Some(series_goal(
             &risk_program,
             &risk_facts,
             &group_goals,
@@ -378,21 +385,21 @@ fn main() {
     let suda = WorkloadResult {
         name: "suda",
         size: suda_rows,
-        reference_s: median_secs(
+        reference: series(
             &suda_program,
             &suda_facts,
             JoinMode::Reference,
             runs,
             suda_check,
         ),
-        indexed_s: median_secs(
+        indexed: series(
             &suda_program,
             &suda_facts,
             JoinMode::Indexed,
             runs,
             suda_check,
         ),
-        magic_s: None,
+        magic: None,
     };
 
     // --- report ---
@@ -410,18 +417,19 @@ fn main() {
 
     println!("engine bench — {runs} run(s) per mode, medians in seconds\n");
     for w in [&tc, &tc_goal, &risk, &suda] {
-        let magic = match (w.magic_s, w.magic_speedup()) {
-            (Some(s), Some(x)) => format!("   magic {s:.3}s ({x:.2}x vs indexed)"),
+        let magic = match (&w.magic, w.magic_speedup()) {
+            (Some(s), Some(x)) => format!("   magic {:.3}s ({x:.2}x vs indexed)", s.median_s()),
             _ => String::new(),
         };
         println!(
-            "  engine.{:<7} (size {:>5}): reference {:.3}s   indexed {:.3}s   speedup {:.2}x{}",
+            "  engine.{:<7} (size {:>5}): reference {:.3}s   indexed {:.3}s   speedup {:.2}x{}   (kernel {:.2} ms)",
             w.name,
             w.size,
-            w.reference_s,
-            w.indexed_s,
+            w.reference.median_s(),
+            w.indexed.median_s(),
             w.speedup(),
-            magic
+            magic,
+            Series::ref_ms_of(&[&w.reference, &w.indexed])
         );
     }
 
@@ -433,54 +441,38 @@ fn main() {
     println!("results written to {out_path}");
 
     if let Some(path) = baseline {
+        // The tc and suda gates compare each median with its baseline at
+        // one host speed: both are divided by the reference kernel's
+        // median timed beside them. The tc_goal magic gate normalizes by
+        // the same run's full-fixpoint median instead, holding the
+        // *relative* cost of goal-directed evaluation to within 25% of
+        // the baseline.
         let mut failed = false;
-        // The tc and suda gates are absolute (their medians are
-        // load-stable). The tc_goal magic gate normalizes by the same
-        // run's full-fixpoint median: a sub-100ms median moves with
-        // container load, but load moves both numbers together, so the
-        // gate holds the *relative* cost of goal-directed evaluation to
-        // within 25% of the baseline.
-        for (bench, mode, current, normalize_by) in [
-            ("engine.tc", "indexed", tc.indexed_s, None),
-            ("engine.suda", "indexed", suda.indexed_s, None),
-            (
-                "engine.tc_goal",
-                "magic",
-                tc_goal.magic_s.expect("tc_goal has a magic series"),
-                Some(tc_goal.indexed_s),
-            ),
-        ] {
-            match read_baseline_median(&path, bench, mode) {
-                Ok(base) => {
-                    let machine = match normalize_by {
-                        Some(current_indexed) => {
-                            match read_baseline_median(&path, bench, "indexed") {
-                                Ok(base_indexed) => current_indexed / base_indexed,
-                                Err(msg) => {
-                                    eprintln!("baseline check failed: {msg}");
-                                    failed = true;
-                                    continue;
-                                }
-                            }
-                        }
-                        None => 1.0,
-                    };
-                    let ratio = current / (base * machine);
-                    println!(
-                        "baseline check — {bench} {mode} median {current:.3}s vs baseline {base:.3}s, machine factor {machine:.2} ({ratio:.2}x)"
+        for (bench, s) in [("engine.tc", &tc.indexed), ("engine.suda", &suda.indexed)] {
+            failed |= !reference::gate(&path, bench, "indexed", s.median_s(), s.ref_ms());
+        }
+        let (bench, mode) = ("engine.tc_goal", "magic");
+        let current = tc_goal.magic.as_ref().map_or(f64::NAN, Series::median_s);
+        let base = read_baseline_median(&path, bench, mode)
+            .and_then(|m| Ok((m, read_baseline_median(&path, bench, "indexed")?)));
+        match base {
+            Ok((base, base_indexed)) => {
+                let machine = tc_goal.indexed.median_s() / base_indexed;
+                let ratio = current / (base * machine);
+                println!(
+                    "baseline check — {bench} {mode} median {current:.3}s vs baseline {base:.3}s, machine factor {machine:.2} ({ratio:.2}x)"
+                );
+                if ratio > MAX_REGRESSION {
+                    eprintln!(
+                        "PERF REGRESSION: {bench} {mode} median {current:.3}s exceeds baseline {base:.3}s (load-normalized {ratio:.2}x) by more than {:.0}%",
+                        (MAX_REGRESSION - 1.0) * 100.0
                     );
-                    if ratio > MAX_REGRESSION {
-                        eprintln!(
-                            "PERF REGRESSION: {bench} {mode} median {current:.3}s exceeds baseline {base:.3}s (load-normalized {ratio:.2}x) by more than {:.0}%",
-                            (MAX_REGRESSION - 1.0) * 100.0
-                        );
-                        failed = true;
-                    }
-                }
-                Err(msg) => {
-                    eprintln!("baseline check failed: {msg}");
                     failed = true;
                 }
+            }
+            Err(msg) => {
+                eprintln!("baseline check failed: {msg}");
+                failed = true;
             }
         }
         if failed {

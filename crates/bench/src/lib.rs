@@ -5,6 +5,7 @@
 
 #![warn(missing_docs)]
 
+pub mod reference;
 pub mod status;
 
 use rand::rngs::StdRng;
@@ -178,13 +179,24 @@ where
 
 /// Read a committed `BENCH_*.json` baseline and return the `median_s` of
 /// the line matching `bench` and `mode`.
+pub fn read_baseline_median(path: &str, bench: &str, mode: &str) -> Result<f64, String> {
+    read_baseline_field(path, bench, mode, "median_s")
+}
+
+/// Read a committed `BENCH_*.json` baseline and return the positive
+/// number `field` of the line matching `bench` and `mode`.
 ///
 /// Every failure mode gets its own human-readable message (missing file,
 /// unreadable file, no JSON line matching, matching line without a usable
-/// median) so the CI perf gates can fail with a clear diagnosis instead
+/// value) so the CI perf gates can fail with a clear diagnosis instead
 /// of a panic — re-run the bench binary without `--baseline` to
 /// regenerate the file.
-pub fn read_baseline_median(path: &str, bench: &str, mode: &str) -> Result<f64, String> {
+pub fn read_baseline_field(
+    path: &str,
+    bench: &str,
+    mode: &str,
+    field: &str,
+) -> Result<f64, String> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -206,13 +218,13 @@ pub fn read_baseline_median(path: &str, bench: &str, mode: &str) -> Result<f64, 
         if v.get("bench").and_then(|b| b.as_str()) == Some(bench)
             && v.get("mode").and_then(|m| m.as_str()) == Some(mode)
         {
-            return match v.get("median_s").and_then(|m| m.as_f64()) {
+            return match v.get(field).and_then(|m| m.as_f64()) {
                 Some(m) if m > 0.0 => Ok(m),
                 Some(m) => Err(format!(
-                    "baseline '{path}' has a non-positive median_s ({m}) for bench '{bench}' mode '{mode}'"
+                    "baseline '{path}' has a non-positive {field} ({m}) for bench '{bench}' mode '{mode}'"
                 )),
                 None => Err(format!(
-                    "baseline '{path}' entry for bench '{bench}' mode '{mode}' lacks a numeric median_s"
+                    "baseline '{path}' entry for bench '{bench}' mode '{mode}' lacks a numeric {field} — regenerate it"
                 )),
             };
         }

@@ -15,9 +15,9 @@
 //! evaluates them into a stack array.
 
 use crate::ast::{BinOp, Expr, UnOp};
-use crate::value::Value;
+use crate::value::{SetVal, Value};
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -104,7 +104,8 @@ pub(crate) enum CExpr {
     /// `x in keys(s)`: scans the pairs of `s` for one keyed by `x`
     /// instead of building the key set.
     InKeys(Box<CExpr>, Box<CExpr>),
-    /// `s union {x}`: copies `s` once and inserts `x`.
+    /// `s union {x}`: inserts `x` into a copy of `s`, or returns `s`
+    /// itself when it already holds `x`.
     UnionWith(Box<CExpr>, Box<CExpr>),
 }
 
@@ -231,11 +232,7 @@ impl CExpr {
                 let s = s.eval(frame)?;
                 let x = x.eval(frame)?.into_owned();
                 match &*s {
-                    Value::Set(set) => {
-                        let mut out = BTreeSet::clone(set);
-                        out.insert(x);
-                        Value::Set(Arc::new(out))
-                    }
+                    Value::Set(set) => Value::Set(SetVal::with(set, x)),
                     _ => return Err(union_error()),
                 }
             }
@@ -394,11 +391,7 @@ fn binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, EvalError> {
             _ => Err(EvalError::Type("'subset' expects two sets".into())),
         },
         BinOp::Union => match (a, b) {
-            (Value::Set(x), Value::Set(y)) => {
-                let mut s: BTreeSet<Value> = (**x).clone();
-                s.extend(y.iter().cloned());
-                Ok(Value::Set(Arc::new(s)))
-            }
+            (Value::Set(x), Value::Set(y)) => Ok(Value::Set(SetVal::union(x, y))),
             _ => Err(union_error()),
         },
         BinOp::And | BinOp::Or => unreachable!("short-circuited by the caller"),
@@ -414,17 +407,10 @@ fn binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, EvalError> {
 fn index_value(base: &Value, key: &Value) -> Result<Value, EvalError> {
     match base {
         Value::Set(pairs) => match key {
-            Value::Set(keys) => {
-                let filtered: BTreeSet<Value> = pairs
-                    .iter()
-                    .filter(|p| match p.as_tuple() {
-                        Some(t) if !t.is_empty() => keys.contains(&t[0]),
-                        _ => false,
-                    })
-                    .cloned()
-                    .collect();
-                Ok(Value::Set(Arc::new(filtered)))
-            }
+            Value::Set(keys) => Ok(Value::Set(Arc::new(pairs.filter(|p| match p.as_tuple() {
+                Some(t) if !t.is_empty() => keys.contains(&t[0]),
+                _ => false,
+            })))),
             scalar => {
                 for p in pairs.iter() {
                     if let Some(t) = p.as_tuple() {
@@ -510,9 +496,7 @@ fn call_builtin(builtin: Builtin, args: &[&Value]) -> Result<Value, EvalError> {
             [a, b] => Ok(Value::pair(Value::clone(a), Value::clone(b))),
             _ => arity_err(2),
         },
-        Tuple => Ok(Value::Tuple(Arc::new(
-            args.iter().copied().cloned().collect(),
-        ))),
+        Tuple => Ok(Value::Tuple(args.iter().copied().cloned().collect())),
         Set => Ok(Value::set(args.iter().copied().cloned())),
         First => match args {
             [Value::Tuple(t)] if !t.is_empty() => Ok(t[0].clone()),
@@ -532,13 +516,15 @@ fn call_builtin(builtin: Builtin, args: &[&Value]) -> Result<Value, EvalError> {
             _ => arity_err(2),
         },
         SetMinus => match args {
-            [Value::Set(a), Value::Set(b)] => Ok(Value::set(a.difference(b).cloned())),
-            [Value::Set(a), x] => Ok(Value::set(a.iter().filter(|v| v != x).cloned())),
+            [Value::Set(a), Value::Set(b)] => {
+                Ok(Value::Set(Arc::new(a.filter(|v| !b.contains(v)))))
+            }
+            [Value::Set(a), x] => Ok(Value::Set(Arc::new(a.filter(|v| v != *x)))),
             [other, _] => Err(kind_error(builtin, "a set", other)),
             _ => arity_err(2),
         },
         Contains => match args {
-            [Value::Set(s), x] => Ok(Value::Bool(s.contains(*x))),
+            [Value::Set(s), x] => Ok(Value::Bool(s.contains(x))),
             [Value::Tuple(t), x] => Ok(Value::Bool(t.contains(*x))),
             [other, _] => Err(kind_error(builtin, "a set or a tuple", other)),
             _ => arity_err(2),
@@ -674,11 +660,11 @@ fn call_builtin(builtin: Builtin, args: &[&Value]) -> Result<Value, EvalError> {
             Ok(Value::str(s))
         }
         UnionOf => {
-            // n-ary set union
-            let mut out: BTreeSet<Value> = BTreeSet::new();
+            // n-ary set union; of equal items the first stays
+            let mut out: Vec<Value> = Vec::new();
             for a in args {
                 match a {
-                    Value::Set(s) => out.extend(s.iter().cloned()),
+                    Value::Set(s) => out.extend_from_slice(s.items()),
                     other => {
                         return Err(EvalError::Type(format!(
                             "union_of() expects sets, got {other}"
@@ -686,7 +672,7 @@ fn call_builtin(builtin: Builtin, args: &[&Value]) -> Result<Value, EvalError> {
                     }
                 }
             }
-            Ok(Value::Set(Arc::new(out)))
+            Ok(Value::Set(Arc::new(SetVal::from_inserted(out))))
         }
     }
 }
@@ -1088,9 +1074,7 @@ mod tests {
     fn value(rng: &mut StdRng) -> Value {
         match rng.gen_range(0..8u32) {
             0..=3 => scalar(rng),
-            4 => Value::Tuple(Arc::new(
-                (0..rng.gen_range(0..3)).map(|_| scalar(rng)).collect(),
-            )),
+            4 => Value::Tuple((0..rng.gen_range(0..3)).map(|_| scalar(rng)).collect()),
             5 => Value::set((0..rng.gen_range(0..3)).map(|_| scalar(rng))),
             _ => Value::set((0..rng.gen_range(0..4)).map(|_| {
                 let key = Value::str(pick(rng, &["a", "b", "c"]));

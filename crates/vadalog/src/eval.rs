@@ -33,9 +33,9 @@ use crate::profile::{EngineProfile, RoundProfile, StratumProfile};
 use crate::routing::Router;
 use crate::storage::{Database, Relation, Row};
 use crate::stratify::{check_safety, stratify, StratifyError};
-use crate::value::{NullId, Value};
+use crate::value::{NullId, SetVal, Value};
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -89,11 +89,12 @@ struct Firings {
 }
 
 /// A head fact awaiting insertion, with the index of its firing's traced
-/// binding when tracing.
+/// binding when tracing. Its row is built shared, so a new fact is
+/// stored without another copy.
 struct NewFact<'p> {
     rule: usize,
     pred: &'p str,
-    args: Vec<Value>,
+    args: Row,
     trace: Option<usize>,
 }
 
@@ -1066,7 +1067,7 @@ impl Engine {
                 }
                 if let Some(t) = fact.trace {
                     trace.push(TraceEntry {
-                        fact: Fact::new(fact.pred, (*row).clone()),
+                        fact: Fact::new(fact.pred, row.to_vec()),
                         rule: rule_label(program, fact.rule),
                         binding: traced[t].clone(),
                     });
@@ -1500,7 +1501,7 @@ impl Engine {
                 profile.rules[r.idx].facts_derived += 1;
                 if let Some(binding) = binding {
                     trace.push(TraceEntry {
-                        fact: Fact::new(pred, (*row).clone()),
+                        fact: Fact::new(pred, row.to_vec()),
                         rule: rule_label_of(r.rule, r.idx),
                         binding,
                     });
@@ -1619,19 +1620,35 @@ struct Group {
 /// Contributions to one aggregate within a group, one per contributor, in
 /// first-seen order. Monotonic semantics collapse repeated contributions
 /// of a contributor to the extremal one (`munion` merges them).
+///
+/// A contributor maps to its position in `values`. One named by a single
+/// variable (`mcount(<I>)`, `msum(W, <I>)`) is keyed by that value in
+/// `single`, so a new contributor costs no vector; wider ones go to
+/// `tuples`.
 #[derive(Default)]
 struct Contributions {
-    index: HashMap<Vec<Value>, usize>,
+    single: HashMap<Value, usize>,
+    tuples: HashMap<Vec<Value>, usize>,
     values: Vec<Value>,
 }
 
 impl Contributions {
     fn add(&mut self, func: AggFunc, contributor: &[Value], contribution: Cow<'_, Value>) {
-        let Some(&i) = self.index.get(contributor) else {
-            self.index.insert(contributor.to_vec(), self.values.len());
+        let next = self.values.len();
+        let i = match contributor {
+            [c] => *self.single.entry(c.clone()).or_insert(next),
+            _ => match self.tuples.get(contributor) {
+                Some(&i) => i,
+                None => {
+                    self.tuples.insert(contributor.to_vec(), next);
+                    next
+                }
+            },
+        };
+        if i == next {
             self.values.push(contribution.into_owned());
             return;
-        };
+        }
         let old = &mut self.values[i];
         match func {
             // monotone-increasing aggregates keep the max
@@ -1902,23 +1919,13 @@ fn find_existential_witness(
     None
 }
 
-/// Merge two values for `munion` contributor updates.
+/// Merge two values for `munion` contributor updates. Of two equal
+/// items the one already in a set stays.
 fn merge_union(a: &Value, b: &Value) -> Value {
     match (a, b) {
-        (Value::Set(x), Value::Set(y)) => {
-            let mut s = (**x).clone();
-            s.extend(y.iter().cloned());
-            Value::Set(Arc::new(s))
-        }
-        (Value::Set(x), other) => {
-            let mut s = (**x).clone();
-            s.insert(other.clone());
-            Value::Set(Arc::new(s))
-        }
-        (other, Value::Set(y)) => {
-            let mut s = (**y).clone();
-            s.insert(other.clone());
-            Value::Set(Arc::new(s))
+        (Value::Set(x), Value::Set(y)) => Value::Set(SetVal::union(x, y)),
+        (Value::Set(s), other) | (other, Value::Set(s)) => {
+            Value::Set(SetVal::with(s, other.clone()))
         }
         (x, y) => Value::set([x.clone(), y.clone()]),
     }
@@ -1960,16 +1967,15 @@ fn finalize_aggregate<'a>(func: AggFunc, contributions: impl Iterator<Item = &'a
         AggFunc::MMin => contributions.min().cloned().unwrap_or(Value::Bool(false)),
         AggFunc::MMax => contributions.max().cloned().unwrap_or(Value::Bool(false)),
         AggFunc::MUnion => {
-            let mut out: BTreeSet<Value> = BTreeSet::new();
+            // of equal items the first contributed stays
+            let mut out: Vec<Value> = Vec::new();
             for c in contributions {
                 match c {
-                    Value::Set(s) => out.extend(s.iter().cloned()),
-                    other => {
-                        out.insert(other.clone());
-                    }
+                    Value::Set(s) => out.extend_from_slice(s.items()),
+                    other => out.push(other.clone()),
                 }
             }
-            Value::Set(Arc::new(out))
+            Value::Set(Arc::new(SetVal::from_inserted(out)))
         }
     }
 }

@@ -141,7 +141,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 pub mod wire {
     use super::DecodeError;
     use crate::value::Value;
-    use std::sync::Arc;
 
     /// Append a `u32` (little-endian).
     pub fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -282,7 +281,7 @@ pub mod wire {
                 3 => Ok(Value::str(self.string()?)),
                 4 => Ok(Value::Null(self.u64()?)),
                 5 => Ok(Value::set(self.values(depth)?)),
-                6 => Ok(Value::Tuple(Arc::new(self.values(depth)?))),
+                6 => Ok(Value::Tuple(self.values(depth)?.into())),
                 t => Err(DecodeError::BadTag(t)),
             }
         }

@@ -1,6 +1,12 @@
 //! Fact storage: insertion-ordered, deduplicated relations with prebuilt
 //! hash indexes over bound argument positions.
 //!
+//! A row is one `Arc<[Value]>` allocation. A relation stores its rows once,
+//! in insertion order; its dedup map holds row ids (`u32` positions), not
+//! row handles, keyed by a hash computed once per row. Hashing a row is
+//! cheap even when it carries sets: a set value hashes as the `u64` it
+//! cached when it was built (see [`SetVal`](crate::value::SetVal)).
+//!
 //! Indexes are keyed by the *set of bound positions* a join probe uses
 //! (e.g. `[0]` for `p(X, ?)` with `X` bound). They are built on demand by
 //! [`Relation::ensure_index`] — the engine calls it once per semi-naive
@@ -16,8 +22,9 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-/// A stored tuple (shared so index buckets and deltas stay cheap).
-pub type Row = Arc<Vec<Value>>;
+/// A stored tuple: one shared allocation, so index buckets and deltas
+/// stay cheap.
+pub type Row = Arc<[Value]>;
 
 /// Hasher for keys that already are hashes: passes a `u64` through. The
 /// hashes are SipHash under the owner's random keys (a `RandomState`), so
@@ -56,18 +63,23 @@ struct Index {
 /// prebuilt secondary indexes keyed by a set of bound positions.
 ///
 /// Deduplication hashes each row once: the hash keys `dedup`, which holds
-/// the first row stored under it, and rows whose hash collides with a
-/// different stored row go to `collisions`.
+/// the id of the first row stored under it, and rows whose hash collides
+/// with a different stored row have their ids in `collisions`. A row id
+/// is the row's position in `rows`.
 #[derive(Debug, Default, Clone)]
 pub struct Relation {
     rows: Vec<Row>,
     hasher: RandomState,
-    dedup: ByHash<Row>,
-    collisions: ByHash<Vec<Row>>,
+    dedup: ByHash<u32>,
+    collisions: ByHash<Vec<u32>>,
     /// bound-position set → incremental index over those positions.
     indexes: HashMap<Vec<usize>, Index>,
     /// Bumped by every mutation of the row set.
     generation: u64,
+    /// Test hook: hash every row to one value, so every row after the
+    /// first goes through `collisions`.
+    #[cfg(test)]
+    one_hash: bool,
 }
 
 impl Relation {
@@ -91,50 +103,50 @@ impl Relation {
     /// Insert a row; returns `true` if it was new. Duplicate rows are
     /// rejected with a borrowed membership probe — no allocation.
     pub fn insert(&mut self, row: Vec<Value>) -> bool {
-        self.insert_vec(row).is_some()
+        self.insert_shared(row).is_some()
     }
 
-    /// Insert a shared row; returns the stored handle if it was new so
-    /// callers (the semi-naive delta) can alias it instead of cloning.
-    pub fn insert_shared(&mut self, row: Row) -> Option<Row> {
-        let hash = self.hasher.hash_one(row.as_slice());
-        if self.find(hash, &row) {
+    /// Insert a row, owned (`Vec<Value>`) or already shared ([`Row`]);
+    /// returns the stored handle if it was new, so callers (the
+    /// semi-naive delta) can alias it instead of cloning. The row is
+    /// shared only once it is known to be new.
+    pub fn insert_shared(&mut self, row: impl AsRef<[Value]> + Into<Row>) -> Option<Row> {
+        let hash = self.row_hash(row.as_ref());
+        if self.position(hash, row.as_ref()).is_some() {
             return None;
         }
+        let row: Row = row.into();
         self.store(hash, row.clone());
         Some(row)
     }
 
-    /// Insert an owned row, sharing it only once it is known to be new.
-    fn insert_vec(&mut self, row: Vec<Value>) -> Option<Row> {
-        let hash = self.hasher.hash_one(row.as_slice());
-        if self.find(hash, &row) {
-            return None;
+    /// The hash `dedup` and `collisions` key `row` by.
+    fn row_hash(&self, row: &[Value]) -> u64 {
+        #[cfg(test)]
+        if self.one_hash {
+            return 0;
         }
-        let row = Arc::new(row);
-        self.store(hash, row.clone());
-        Some(row)
+        self.hasher.hash_one(row)
     }
 
-    /// Is `row`, whose hash is `hash`, stored?
-    fn find(&self, hash: u64, row: &[Value]) -> bool {
+    /// The id of the stored row equal to `row`, whose hash is `hash`.
+    fn position(&self, hash: u64, row: &[Value]) -> Option<u32> {
+        let is = |id: &u32| *self.rows[*id as usize] == *row;
         match self.dedup.get(&hash) {
-            None => false,
-            Some(first) if first.as_slice() == row => true,
-            Some(_) => self
-                .collisions
-                .get(&hash)
-                .is_some_and(|rows| rows.iter().any(|r| r.as_slice() == row)),
+            None => None,
+            Some(id) if is(id) => Some(*id),
+            Some(_) => self.collisions.get(&hash)?.iter().copied().find(is),
         }
     }
 
     /// Store a row known to be new.
     fn store(&mut self, hash: u64, row: Row) {
+        let id = self.rows.len() as u32;
         match self.dedup.entry(hash) {
             Entry::Vacant(e) => {
-                e.insert(row.clone());
+                e.insert(id);
             }
-            Entry::Occupied(_) => self.collisions.entry(hash).or_default().push(row.clone()),
+            Entry::Occupied(_) => self.collisions.entry(hash).or_default().push(id),
         }
         self.rows.push(row);
         self.generation += 1;
@@ -142,7 +154,7 @@ impl Relation {
 
     /// Does the relation contain this exact row? Borrow-only.
     pub fn contains(&self, row: &[Value]) -> bool {
-        self.find(self.hasher.hash_one(row), row)
+        self.position(self.row_hash(row), row).is_some()
     }
 
     /// Iterate all rows in insertion order.
@@ -222,17 +234,19 @@ impl Relation {
     }
 
     /// Remove a row; returns `true` if it was present. Row order of the
-    /// survivors is preserved; indexes are dropped (their posting lists
-    /// hold positional row ids) and will be rebuilt lazily on the next
-    /// `ensure_index`.
+    /// survivors is preserved, so every later row id shifts down by one;
+    /// indexes are dropped (their posting lists hold row ids) and will be
+    /// rebuilt lazily on the next `ensure_index`.
     pub fn remove(&mut self, row: &[Value]) -> bool {
-        let hash = self.hasher.hash_one(row);
+        let hash = self.row_hash(row);
+        let Some(id) = self.position(hash, row) else {
+            return false;
+        };
         let extra = self.collisions.get_mut(&hash);
-        match self.dedup.get_mut(&hash) {
-            None => return false,
-            Some(first) if first.as_slice() == row => match extra {
+        if self.dedup.get(&hash) == Some(&id) {
+            match extra {
                 Some(extra) => {
-                    *first = extra.remove(0);
+                    self.dedup.insert(hash, extra.remove(0));
                     if extra.is_empty() {
                         self.collisions.remove(&hash);
                     }
@@ -240,19 +254,21 @@ impl Relation {
                 None => {
                     self.dedup.remove(&hash);
                 }
-            },
-            Some(_) => {
-                let Some(extra) = extra else { return false };
-                let Some(at) = extra.iter().position(|r| r.as_slice() == row) else {
-                    return false;
-                };
-                extra.remove(at);
-                if extra.is_empty() {
-                    self.collisions.remove(&hash);
-                }
+            }
+        } else if let Some(extra) = extra {
+            extra.retain(|&other| other != id);
+            if extra.is_empty() {
+                self.collisions.remove(&hash);
             }
         }
-        self.rows.retain(|r| r.as_slice() != row);
+        self.rows.remove(id as usize);
+        let shift = |other: &mut u32| {
+            if *other > id {
+                *other -= 1;
+            }
+        };
+        self.dedup.values_mut().for_each(shift);
+        self.collisions.values_mut().flatten().for_each(shift);
         self.indexes.clear();
         self.generation += 1;
         true
@@ -302,8 +318,12 @@ impl Database {
     /// Insert a fact and, when it is new, hand back the stored shared row.
     /// This is the engine's hot path: the returned [`Row`] is aliased into
     /// the semi-naive delta (and the trace) without re-cloning the values.
-    pub fn insert_shared(&mut self, pred: impl AsRef<str>, row: Vec<Value>) -> Option<Row> {
-        for v in &row {
+    pub fn insert_shared(
+        &mut self,
+        pred: impl AsRef<str>,
+        row: impl AsRef<[Value]> + Into<Row>,
+    ) -> Option<Row> {
+        for v in row.as_ref() {
             if let Value::Null(n) = v {
                 if *n >= self.next_null {
                     self.next_null = n + 1;
@@ -312,12 +332,12 @@ impl Database {
         }
         let pred = pred.as_ref();
         match self.relations.get_mut(pred) {
-            Some(rel) => rel.insert_vec(row),
+            Some(rel) => rel.insert_shared(row),
             None => self
                 .relations
                 .entry(pred.to_string())
                 .or_default()
-                .insert_vec(row),
+                .insert_shared(row),
         }
     }
 
@@ -363,7 +383,7 @@ impl Database {
     pub fn rows(&self, pred: &str) -> Vec<Vec<Value>> {
         self.relations
             .get(pred)
-            .map(|r| r.iter().map(|row| (**row).clone()).collect())
+            .map(|r| r.iter().map(|row| row.to_vec()).collect())
             .unwrap_or_default()
     }
 
@@ -403,9 +423,7 @@ impl Database {
             match v {
                 Value::Null(n) if *n == from => to.clone(),
                 Value::Set(s) => Value::set(s.iter().map(|x| subst(x, from, to))),
-                Value::Tuple(t) => {
-                    Value::Tuple(Arc::new(t.iter().map(|x| subst(x, from, to)).collect()))
-                }
+                Value::Tuple(t) => Value::Tuple(t.iter().map(|x| subst(x, from, to)).collect()),
                 other => other.clone(),
             }
         }
@@ -458,9 +476,9 @@ mod tests {
     #[test]
     fn insert_shared_aliases_the_stored_row() {
         let mut rel = Relation::default();
-        let stored = rel.insert_shared(Arc::new(vec![Value::Int(7)])).unwrap();
+        let stored = rel.insert_shared(Row::from([Value::Int(7)])).unwrap();
         assert!(Arc::ptr_eq(&stored, rel.row(0)));
-        assert!(rel.insert_shared(Arc::new(vec![Value::Int(7)])).is_none());
+        assert!(rel.insert_shared(Row::from([Value::Int(7)])).is_none());
     }
 
     #[test]
@@ -568,6 +586,131 @@ mod tests {
         let set = rows[0][0].as_set().unwrap();
         let pair = set.iter().next().unwrap().as_tuple().unwrap();
         assert_eq!(pair[1], Value::str("gone"));
+    }
+
+    /// Small row domain: three first columns (one a labelled null the
+    /// rewrite replaces) by four second columns, sets among them.
+    fn universe() -> Vec<Vec<Value>> {
+        let firsts = [Value::Int(0), Value::Int(1), Value::Null(1)];
+        let seconds = [
+            Value::str("a"),
+            Value::str("b"),
+            Value::set([Value::str("a")]),
+            Value::set([Value::str("a"), Value::str("b")]),
+        ];
+        firsts
+            .iter()
+            .flat_map(|f| seconds.iter().map(move |s| vec![f.clone(), s.clone()]))
+            .collect()
+    }
+
+    /// `contains`, `insert_shared` and `probe` answer as a scan of
+    /// `naive`, the rows the relation should hold in order.
+    fn assert_agrees(rel: &mut Relation, naive: &[Vec<Value>], what: &str) {
+        let stored: Vec<Vec<Value>> = rel.iter().map(|r| r.to_vec()).collect();
+        assert_eq!(stored, naive, "{what}: stored rows");
+        for row in universe() {
+            assert_eq!(
+                rel.contains(&row),
+                naive.contains(&row),
+                "{what}: contains {row:?}"
+            );
+        }
+        for row in naive {
+            assert!(
+                rel.insert_shared(row.clone()).is_none(),
+                "{what}: re-insert of {row:?}"
+            );
+        }
+        rel.ensure_index(&[0]);
+        for key in [Value::Int(0), Value::Int(1), Value::Null(1)] {
+            let want: Vec<u32> = (0..naive.len() as u32)
+                .filter(|&i| naive[i as usize][0] == key)
+                .collect();
+            let got = rel.probe(&[0], std::slice::from_ref(&key));
+            assert_eq!(got, Some(want.as_slice()), "{what}: probe {key}");
+        }
+    }
+
+    /// A relation and a naive row list driven through the same random
+    /// inserts, removals (which shift row ids), EGD rewrites
+    /// (`replace_rows`) and re-inserts of removed rows.
+    fn dedup_agrees_with_a_scan(one_hash: bool) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let rows = universe();
+        for seed in 0..300 {
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let mut rel = Relation {
+                one_hash,
+                ..Relation::default()
+            };
+            let mut naive: Vec<Vec<Value>> = Vec::new();
+            let mut removed: Vec<Vec<Value>> = Vec::new();
+            for step in 0..40 {
+                let what = format!("seed {seed} step {step}");
+                let insert = |rel: &mut Relation, naive: &mut Vec<Vec<Value>>, row: Vec<Value>| {
+                    let new = !naive.contains(&row);
+                    assert_eq!(rel.insert(row.clone()), new, "{what}: insert {row:?}");
+                    if new {
+                        naive.push(row);
+                    }
+                };
+                match rng.gen_range(0..10u32) {
+                    0..=4 => insert(
+                        &mut rel,
+                        &mut naive,
+                        rows[rng.gen_range(0..rows.len())].clone(),
+                    ),
+                    5 | 6 if !naive.is_empty() => {
+                        let row = naive.remove(rng.gen_range(0..naive.len()));
+                        assert!(rel.remove(&row), "{what}: remove {row:?}");
+                        assert!(!rel.remove(&row), "{what}: second remove {row:?}");
+                        removed.push(row);
+                    }
+                    7 if !removed.is_empty() => {
+                        let row = removed.swap_remove(rng.gen_range(0..removed.len()));
+                        insert(&mut rel, &mut naive, row);
+                    }
+                    8 => {
+                        // an EGD rewrite `⊥1 := 0`, as `substitute_null` does it
+                        let rewritten: Vec<Vec<Value>> = naive
+                            .iter()
+                            .map(|r| {
+                                r.iter()
+                                    .map(|v| {
+                                        if *v == Value::Null(1) {
+                                            Value::Int(0)
+                                        } else {
+                                            v.clone()
+                                        }
+                                    })
+                                    .collect()
+                            })
+                            .collect();
+                        naive.clear();
+                        for r in &rewritten {
+                            if !naive.contains(r) {
+                                naive.push(r.clone());
+                            }
+                        }
+                        rel.replace_rows(rewritten);
+                    }
+                    _ => {}
+                }
+                assert_agrees(&mut rel, &naive, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn row_id_dedup_agrees_with_a_scan() {
+        dedup_agrees_with_a_scan(false);
+    }
+
+    #[test]
+    fn row_id_dedup_agrees_with_a_scan_when_every_row_collides() {
+        dedup_agrees_with_a_scan(true);
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! and aggregate tie-breaking) and are hashable. Floats are ordered with
 //! [`f64::total_cmp`] and hashed by bit pattern, so `NaN` is a legitimate —
 //! if unusual — value rather than a panic source.
+//!
+//! Composites are flat: a tuple is one `Arc<[Value]>` allocation, and a
+//! set is a [`SetVal`], its items sorted in one boxed slice beside a hash
+//! computed once when the set is built.
 
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
+use std::collections::hash_map::RandomState;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a labelled null (`⊥_n`), the engine-invented witnesses for
 /// existentially quantified head variables. Two nulls are interchangeable iff
@@ -33,9 +37,197 @@ pub enum Value {
     /// Labelled null `⊥_id`.
     Null(NullId),
     /// A set of values (deterministically ordered).
-    Set(Arc<BTreeSet<Value>>),
+    Set(Arc<SetVal>),
     /// A fixed-arity tuple of values, e.g. an attribute-value pair.
-    Tuple(Arc<Vec<Value>>),
+    Tuple(Arc<[Value]>),
+}
+
+/// The key every set hash in this process is computed under, drawn once.
+/// Sets key the engine's hash maps, so their hashes stay keyed the way
+/// the maps' own hashers are: a crafted input cannot aim for collisions.
+fn set_keys() -> &'static RandomState {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    KEYS.get_or_init(RandomState::new)
+}
+
+/// A set value: its items in ascending order without duplicates, in one
+/// boxed slice, and the hash of those items, computed once when the set
+/// is built.
+///
+/// [`Value`]'s `Hash` writes that one `u64` instead of walking the items,
+/// `==` rejects two sets whose hashes differ before comparing items, and
+/// membership is a binary search. The hash is keyed per process (see
+/// `set_keys`), so it differs from run to run; nothing the engine
+/// outputs depends on it.
+///
+/// `Int(2)` and `Float(2.0)` are equal yet not interchangeable (arithmetic
+/// and `Debug` tell them apart), so which of two equal items a set keeps
+/// is pinned to what a `BTreeSet` keeps: building a set from a list ([`Value::set`]) keeps
+/// the last of equal items, as collecting into a `BTreeSet` does, and
+/// adding to a set ([`SetVal::with`], [`SetVal::union`], `munion`,
+/// `union_of`) keeps the item that came first, as `BTreeSet::insert` does.
+#[derive(Clone)]
+pub struct SetVal {
+    hash: u64,
+    items: Box<[Value]>,
+}
+
+impl SetVal {
+    /// A set over `items`, which must be strictly ascending.
+    fn new(items: Box<[Value]>) -> SetVal {
+        debug_assert!(items.windows(2).all(|w| w[0] < w[1]), "unsorted set items");
+        SetVal {
+            hash: set_keys().hash_one(&*items),
+            items,
+        }
+    }
+
+    /// A set over `items` in any order: sorted (stably, so equal items
+    /// keep the order given), then deduplicated keeping the first or the
+    /// last of each run of equal items.
+    fn build(mut items: Vec<Value>, keep_last: bool) -> SetVal {
+        items.sort();
+        if keep_last {
+            items.dedup_by(|later, kept| {
+                let equal = later == kept;
+                if equal {
+                    std::mem::swap(later, kept);
+                }
+                equal
+            });
+        } else {
+            items.dedup();
+        }
+        SetVal::new(items.into_boxed_slice())
+    }
+
+    /// The set of `items`, of equal items the last, as collecting them
+    /// into a `BTreeSet` keeps it.
+    pub fn from_collected(items: Vec<Value>) -> SetVal {
+        SetVal::build(items, true)
+    }
+
+    /// The set of `items`, of equal items the first, as inserting them
+    /// one by one into a `BTreeSet` keeps it.
+    pub fn from_inserted(items: Vec<Value>) -> SetVal {
+        SetVal::build(items, false)
+    }
+
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Is the set empty?
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// The items, ascending.
+    pub fn items(&self) -> &[Value] {
+        &self.items
+    }
+
+    /// Iterate the items in ascending order.
+    pub fn iter(&self) -> std::slice::Iter<'_, Value> {
+        self.items.iter()
+    }
+
+    /// Does the set hold an item equal to `x`? A binary search.
+    pub fn contains(&self, x: &Value) -> bool {
+        self.items.binary_search(x).is_ok()
+    }
+
+    /// Is every item of `self` in `other`?
+    pub fn is_subset(&self, other: &SetVal) -> bool {
+        self.len() <= other.len() && self.iter().all(|x| other.contains(x))
+    }
+
+    /// The items `keep` accepts, as a set (a subset stays sorted).
+    pub fn filter(&self, mut keep: impl FnMut(&Value) -> bool) -> SetVal {
+        SetVal::new(self.iter().filter(|x| keep(x)).cloned().collect())
+    }
+
+    /// `s ∪ {x}`. When `s` already holds an item equal to `x`, that item
+    /// stays and the result is `s` itself.
+    pub fn with(s: &Arc<SetVal>, x: Value) -> Arc<SetVal> {
+        match s.items.binary_search(&x) {
+            Ok(_) => Arc::clone(s),
+            Err(at) => {
+                let mut items = Vec::with_capacity(s.len() + 1);
+                items.extend_from_slice(&s.items[..at]);
+                items.push(x);
+                items.extend_from_slice(&s.items[at..]);
+                Arc::new(SetVal::new(items.into_boxed_slice()))
+            }
+        }
+    }
+
+    /// `a ∪ b`, keeping `a`'s item of two equal ones. When `b` adds
+    /// nothing the result is `a` itself.
+    pub fn union(a: &Arc<SetVal>, b: &Arc<SetVal>) -> Arc<SetVal> {
+        if b.is_subset(a) {
+            return Arc::clone(a);
+        }
+        if a.is_empty() {
+            return Arc::clone(b);
+        }
+        let (a, b) = (a.items(), b.items());
+        let mut items = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                Ordering::Less => {
+                    items.push(a[i].clone());
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    items.push(b[j].clone());
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    items.push(a[i].clone());
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        items.extend_from_slice(&a[i..]);
+        items.extend_from_slice(&b[j..]);
+        Arc::new(SetVal::new(items.into_boxed_slice()))
+    }
+}
+
+impl PartialEq for SetVal {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.items == other.items
+    }
+}
+impl Eq for SetVal {}
+
+impl Ord for SetVal {
+    /// Lexicographic over the ascending items, as `BTreeSet`'s order.
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.items.cmp(&other.items)
+    }
+}
+impl PartialOrd for SetVal {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for SetVal {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.hash.hash(state);
+    }
+}
+
+impl fmt::Debug for SetVal {
+    /// The items only: the hash is per process and stays out of output.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
 }
 
 impl Value {
@@ -55,12 +247,15 @@ impl Value {
 
     /// Convenience constructor for a pair `(a, b)`.
     pub fn pair(a: Value, b: Value) -> Self {
-        Value::Tuple(Arc::new(vec![a, b]))
+        Value::Tuple(Arc::new([a, b]))
     }
 
-    /// Convenience constructor for a set value.
+    /// Convenience constructor for a set value. Of two equal items the
+    /// last stays (see [`SetVal`]).
     pub fn set(items: impl IntoIterator<Item = Value>) -> Self {
-        Value::Set(Arc::new(items.into_iter().collect()))
+        Value::Set(Arc::new(SetVal::from_collected(
+            items.into_iter().collect(),
+        )))
     }
 
     /// Is this value a labelled null?
@@ -91,7 +286,7 @@ impl Value {
     }
 
     /// Set view, if this is a `Set`.
-    pub fn as_set(&self) -> Option<&BTreeSet<Value>> {
+    pub fn as_set(&self) -> Option<&SetVal> {
         match self {
             Value::Set(s) => Some(s),
             _ => None,
@@ -122,7 +317,13 @@ impl Value {
 
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        match (self, other) {
+            // composites compare item by item, so a nested set's cached
+            // hash can reject it before its items are read
+            (Value::Set(a), Value::Set(b)) => Arc::ptr_eq(a, b) || a == b,
+            (Value::Tuple(a), Value::Tuple(b)) => Arc::ptr_eq(a, b) || a == b,
+            _ => self.cmp(other) == Ordering::Equal,
+        }
     }
 }
 impl Eq for Value {}
@@ -206,9 +407,7 @@ impl Hash for Value {
             }
             Value::Set(s) => {
                 4u8.hash(state);
-                for v in s.iter() {
-                    v.hash(state);
-                }
+                s.hash(state);
             }
             Value::Tuple(t) => {
                 5u8.hash(state);
@@ -347,5 +546,353 @@ mod tests {
         // total_cmp places NaN after all numbers; just ensure consistency.
         assert_eq!(nan.cmp(&one), one.cmp(&nan).reverse());
         assert_eq!(nan, nan.clone());
+    }
+
+    #[test]
+    fn adding_a_present_item_returns_the_same_set() {
+        let Value::Set(s) = Value::set([Value::Int(1), Value::Int(2)]) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(&SetVal::with(&s, Value::Float(2.0)), &s));
+        let Value::Set(one) = Value::set([Value::Float(1.0)]) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(&SetVal::union(&s, &one), &s));
+    }
+
+    /// Every set-producing path against a `BTreeSet<Value>` oracle, over
+    /// random multisets rich in items that are equal yet distinguishable
+    /// (`Int(1)` and `Float(1.0)`).
+    mod against_btreeset {
+        use super::*;
+        use crate::ast::{BinOp, Expr};
+        use crate::builtins::{eval_expr, Binding};
+        use crate::frame::wire;
+        use crate::{parse_program, Database, Engine};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+
+        const CASES: u64 = 1500;
+
+        fn scalar(rng: &mut StdRng) -> Value {
+            match rng.gen_range(0..6u32) {
+                0 => Value::Int(rng.gen_range(0..3i64)),
+                1 => Value::Float(rng.gen_range(0..3i64) as f64),
+                2 => Value::Float(0.5),
+                3 => Value::str(["a", "b"][rng.gen_range(0..2usize)]),
+                4 => Value::Null(rng.gen_range(1..3u64)),
+                _ => Value::Bool(rng.gen_bool(0.5)),
+            }
+        }
+
+        /// A scalar, a pair keyed `a`/`b`/`c`, or a nested set.
+        fn item(rng: &mut StdRng) -> Value {
+            match rng.gen_range(0..6u32) {
+                0 | 1 => scalar(rng),
+                2..=4 => {
+                    let key = Value::str(["a", "b", "c"][rng.gen_range(0..3usize)]);
+                    Value::pair(key, scalar(rng))
+                }
+                _ => Value::set((0..rng.gen_range(0..3)).map(|_| scalar(rng))),
+            }
+        }
+
+        fn multiset(rng: &mut StdRng) -> Vec<Value> {
+            (0..rng.gen_range(0..8)).map(|_| item(rng)).collect()
+        }
+
+        fn collected(items: &[Value]) -> BTreeSet<Value> {
+            items.iter().cloned().collect()
+        }
+
+        fn set_items(v: &Value) -> &[Value] {
+            v.as_set().map_or(&[], SetVal::items)
+        }
+
+        /// Strictly ascending items and a cached hash equal to a fresh
+        /// hash of them, nested sets included.
+        fn assert_well_formed(s: &SetVal, what: &str) {
+            assert!(
+                s.items.windows(2).all(|w| w[0] < w[1]),
+                "{what}: items not strictly ascending: {s:?}"
+            );
+            assert_eq!(s.hash, set_keys().hash_one(s.items()), "{what}: stale hash");
+            for x in s.iter() {
+                if let Value::Set(inner) = x {
+                    assert_well_formed(inner, what);
+                }
+            }
+        }
+
+        /// `got` is a well-formed set of exactly the oracle's items, the
+        /// same one of two equal items included (`Debug` tells `Int(1)`
+        /// from `Float(1.0)`).
+        fn check(got: &Value, oracle: &BTreeSet<Value>, what: &str) {
+            let s = got
+                .as_set()
+                .unwrap_or_else(|| panic!("{what}: not a set: {got:?}"));
+            assert_well_formed(s, what);
+            let want: Vec<&Value> = oracle.iter().collect();
+            assert_eq!(format!("{:?}", s.items()), format!("{want:?}"), "{what}");
+        }
+
+        fn eval(e: &Expr, binding: &Binding) -> Value {
+            eval_expr(e, binding).unwrap_or_else(|err| panic!("{e:?}: {err}"))
+        }
+
+        fn var(name: &str) -> Box<Expr> {
+            Box::new(Expr::var(name))
+        }
+
+        fn call(name: &str, args: &[&str]) -> Expr {
+            Expr::Call(name.into(), args.iter().map(|a| Expr::var(*a)).collect())
+        }
+
+        #[test]
+        fn builders_and_builtins_match_the_oracle() {
+            for seed in 0..CASES {
+                let rng = &mut StdRng::seed_from_u64(seed);
+                let (a, b, c) = (multiset(rng), multiset(rng), multiset(rng));
+                let x = item(rng);
+                let (sa, sb, sc) = (Value::set(a.clone()), Value::set(b.clone()), Value::set(c));
+                let (oa, ob) = (collected(&a), collected(&b));
+                check(&sa, &oa, &format!("seed {seed}: Value::set"));
+                let binding: Binding = [("A", &sa), ("B", &sb), ("C", &sc), ("X", &x)]
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v.clone()))
+                    .collect();
+                let what = |path: &str| format!("seed {seed}: {path}");
+
+                // `a union b` keeps a's item of two equal ones, as `extend`
+                let mut union = oa.clone();
+                union.extend(ob.iter().cloned());
+                let e = Expr::Binary(BinOp::Union, var("A"), var("B"));
+                check(&eval(&e, &binding), &union, &what("union"));
+
+                // `a union {x}` keeps a's item, as `insert`
+                let mut with = oa.clone();
+                with.insert(x.clone());
+                let e = Expr::Binary(BinOp::Union, var("A"), Box::new(call("set", &["X"])));
+                check(&eval(&e, &binding), &with, &what("s union {x}"));
+
+                // `A[B]`: the pairs of A keyed by an item of B
+                let projected: BTreeSet<Value> = oa
+                    .iter()
+                    .filter(|p| p.as_tuple().is_some_and(|t| ob.contains(&t[0])))
+                    .cloned()
+                    .collect();
+                let e = Expr::Index(var("A"), var("B"));
+                check(&eval(&e, &binding), &projected, &what("VSet[S]"));
+
+                let minus: BTreeSet<Value> = oa.difference(&ob).cloned().collect();
+                check(
+                    &eval(&call("setminus", &["A", "B"]), &binding),
+                    &minus,
+                    &what("setminus set"),
+                );
+                if !matches!(x, Value::Set(_)) {
+                    let minus: BTreeSet<Value> = oa.iter().filter(|v| **v != x).cloned().collect();
+                    check(
+                        &eval(&call("setminus", &["A", "X"]), &binding),
+                        &minus,
+                        &what("setminus item"),
+                    );
+                }
+
+                for (name, at) in [("keys", 0), ("values", 1)] {
+                    let oracle: BTreeSet<Value> = oa
+                        .iter()
+                        .filter_map(|p| p.as_tuple().and_then(|t| t.get(at).cloned()))
+                        .collect();
+                    check(&eval(&call(name, &["A"]), &binding), &oracle, &what(name));
+                }
+
+                let mut union_of = BTreeSet::new();
+                for s in ["A", "B", "C"] {
+                    union_of.extend(set_items(&binding[s]).iter().cloned());
+                }
+                check(
+                    &eval(&call("union_of", &["A", "B", "C"]), &binding),
+                    &union_of,
+                    &what("union_of"),
+                );
+            }
+        }
+
+        #[test]
+        fn comparisons_match_the_oracle() {
+            for seed in 0..CASES {
+                let rng = &mut StdRng::seed_from_u64(seed);
+                let a = multiset(rng);
+                // a third of the time, `b` holds `a`'s items retyped and reordered
+                let b = match rng.gen_range(0..3u32) {
+                    0 => a
+                        .iter()
+                        .rev()
+                        .map(|v| match v {
+                            Value::Int(i) => Value::Float(*i as f64),
+                            other => other.clone(),
+                        })
+                        .collect(),
+                    _ => multiset(rng),
+                };
+                let (sa, sb) = (Value::set(a.clone()), Value::set(b.clone()));
+                let (oa, ob) = (collected(&a), collected(&b));
+                let what = format!("seed {seed}: {sa} vs {sb}");
+                assert_eq!(sa == sb, oa == ob, "{what}: ==");
+                assert_eq!(sa.cmp(&sb), oa.cmp(&ob), "{what}: cmp");
+                if sa == sb {
+                    assert_eq!(hash_of(&sa), hash_of(&sb), "{what}: equal sets hash apart");
+                }
+                let binding: Binding = [("A", sa.clone()), ("B", sb.clone())]
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect();
+                let subset = Expr::Binary(BinOp::Subset, var("A"), var("B"));
+                assert_eq!(
+                    eval(&subset, &binding),
+                    Value::Bool(oa.is_subset(&ob) && oa.len() < ob.len()),
+                    "{what}: subset"
+                );
+                for x in b.iter().chain([item(rng)].iter()) {
+                    let set = sa.as_set().expect("a set");
+                    assert_eq!(set.contains(x), oa.contains(x), "{what}: contains {x:?}");
+                    let mut binding = binding.clone();
+                    binding.insert("X".into(), x.clone());
+                    let e = Expr::Binary(BinOp::In, var("X"), var("A"));
+                    assert_eq!(
+                        eval(&e, &binding),
+                        Value::Bool(oa.contains(x)),
+                        "{what}: in"
+                    );
+                }
+            }
+        }
+
+        /// A contributor's `munion` contribution in the oracle.
+        enum Folded {
+            Item(Value),
+            Set(BTreeSet<Value>),
+        }
+
+        impl Folded {
+            fn of(v: &Value) -> Folded {
+                match v {
+                    Value::Set(s) => Folded::Set(s.iter().cloned().collect()),
+                    other => Folded::Item(other.clone()),
+                }
+            }
+
+            /// A repeated contributor: the set already there keeps its
+            /// items; two items are collected.
+            fn merge(self, v: &Value) -> Folded {
+                match (self, Folded::of(v)) {
+                    (Folded::Set(mut x), Folded::Set(y)) => {
+                        x.extend(y);
+                        Folded::Set(x)
+                    }
+                    (Folded::Set(mut s), Folded::Item(x))
+                    | (Folded::Item(x), Folded::Set(mut s)) => {
+                        s.insert(x);
+                        Folded::Set(s)
+                    }
+                    (Folded::Item(x), Folded::Item(y)) => Folded::Set([x, y].into_iter().collect()),
+                }
+            }
+        }
+
+        #[test]
+        fn munion_matches_the_oracle() {
+            let program = parse_program("out(G, S) :- c(G, K, V), S = munion(V, <K>).")
+                .expect("munion program parses");
+            for seed in 0..CASES / 5 {
+                let rng = &mut StdRng::seed_from_u64(seed);
+                let mut db = Database::new();
+                for _ in 0..rng.gen_range(1..10) {
+                    let k = Value::Int(rng.gen_range(0..4i64));
+                    db.insert("c", vec![Value::Int(0), k, item(rng)]);
+                }
+                // contributors in first-seen order, repeats merged
+                let mut per_key: Vec<(Value, Folded)> = Vec::new();
+                for row in db.rows("c") {
+                    match per_key.iter().position(|(k, _)| *k == row[1]) {
+                        Some(i) => {
+                            let (k, folded) = per_key.remove(i);
+                            per_key.insert(i, (k, folded.merge(&row[2])));
+                        }
+                        None => per_key.push((row[1].clone(), Folded::of(&row[2]))),
+                    }
+                }
+                // then one union in that order: the first contributed stays
+                let mut oracle = BTreeSet::new();
+                for (_, folded) in per_key {
+                    match folded {
+                        Folded::Set(s) => oracle.extend(s),
+                        Folded::Item(x) => {
+                            oracle.insert(x);
+                        }
+                    }
+                }
+                let out = Engine::new().run(&program, db).expect("munion runs");
+                check(
+                    &out.db.rows("out")[0][1],
+                    &oracle,
+                    &format!("seed {seed}: munion"),
+                );
+            }
+        }
+
+        #[test]
+        fn decoded_and_substituted_sets_match_the_oracle() {
+            for seed in 0..CASES {
+                let rng = &mut StdRng::seed_from_u64(seed);
+                let items = multiset(rng);
+                // a set frame as a hostile writer could lay it out:
+                // unsorted, with equal items
+                let mut bytes = vec![5u8];
+                wire::put_u32(&mut bytes, items.len() as u32);
+                for v in &items {
+                    wire::put_value(&mut bytes, v);
+                }
+                let decoded = wire::Reader::new(&bytes).value().expect("set decodes");
+                check(
+                    &decoded,
+                    &collected(&items),
+                    &format!("seed {seed}: decoder"),
+                );
+
+                let to = scalar(rng);
+                let subst = |v: &Value| match v {
+                    Value::Null(1) => to.clone(),
+                    Value::Tuple(t) => Value::Tuple(
+                        t.iter()
+                            .map(|x| {
+                                if *x == Value::Null(1) {
+                                    to.clone()
+                                } else {
+                                    x.clone()
+                                }
+                            })
+                            .collect(),
+                    ),
+                    Value::Set(s) => Value::set(s.iter().map(|x| match x {
+                        Value::Null(1) => to.clone(),
+                        other => other.clone(),
+                    })),
+                    other => other.clone(),
+                };
+                // the stored set is rewritten in its own (ascending) order
+                let oracle: BTreeSet<Value> = collected(&items).iter().map(subst).collect();
+                let mut db = Database::new();
+                db.insert("t", vec![Value::set(items.clone()), Value::Null(1)]);
+                db.substitute_null(1, &to);
+                check(
+                    &db.rows("t")[0][0],
+                    &oracle,
+                    &format!("seed {seed}: substitute_null"),
+                );
+            }
+        }
     }
 }
