@@ -152,16 +152,18 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
+/// Speedups compare two series at one host speed (each median divided by
+/// its kernel median).
 impl WorkloadResult {
     fn speedup(&self) -> f64 {
-        ratio(self.reference.median_s(), self.indexed.median_s())
+        ratio(self.reference.per_ref(), self.indexed.per_ref())
     }
 
     /// Full indexed fixpoint vs goal-directed run of the same program.
     fn magic_speedup(&self) -> Option<f64> {
         Some(ratio(
-            self.indexed.median_s(),
-            self.magic.as_ref()?.median_s(),
+            self.indexed.per_ref(),
+            self.magic.as_ref()?.per_ref(),
         ))
     }
 }

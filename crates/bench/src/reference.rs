@@ -81,6 +81,12 @@ impl Series {
         median(&self.ref_ms)
     }
 
+    /// Median seconds per millisecond of the kernel: the series at one
+    /// host speed, for comparing it with a series timed at another.
+    pub fn per_ref(&self) -> f64 {
+        self.median_s() / self.ref_ms()
+    }
+
     /// The kernel's median milliseconds beside the runs of every series
     /// given (for a line that compares series, such as a speedup).
     pub fn ref_ms_of(series: &[&Series]) -> f64 {

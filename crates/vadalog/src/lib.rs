@@ -87,5 +87,5 @@ pub use routing::{AscendingBy, DescendingBy, Fifo, Router};
 pub use session::{EngineSession, FactPatch, PatchOutcome, SessionStats};
 pub use storage::{Database, Relation};
 pub use stratify::{idb_predicates, stratify, Stratification, StratifyError};
-pub use value::{NullId, Value};
+pub use value::{NullId, SetVal, Value};
 pub use warded::{analyze as warded_analyze, WardedReport};

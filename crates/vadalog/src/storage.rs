@@ -141,6 +141,8 @@ impl Relation {
 
     /// Store a row known to be new.
     fn store(&mut self, hash: u64, row: Row) {
+        // row ids are `u32`, as index postings are: the engine's facts cap
+        // keeps a relation far below `u32::MAX` rows
         let id = self.rows.len() as u32;
         match self.dedup.entry(hash) {
             Entry::Vacant(e) => {

@@ -62,10 +62,11 @@ fn set_keys() -> &'static RandomState {
 ///
 /// `Int(2)` and `Float(2.0)` are equal yet not interchangeable (arithmetic
 /// and `Debug` tell them apart), so which of two equal items a set keeps
-/// is pinned to what a `BTreeSet` keeps: building a set from a list ([`Value::set`]) keeps
-/// the last of equal items, as collecting into a `BTreeSet` does, and
-/// adding to a set ([`SetVal::with`], [`SetVal::union`], `munion`,
-/// `union_of`) keeps the item that came first, as `BTreeSet::insert` does.
+/// is pinned to what a `BTreeSet` keeps: building a set from a list
+/// ([`Value::set`], `keys`, `values`) keeps the last of equal items, as
+/// collecting into a `BTreeSet` does, and adding to a set (`union`,
+/// `s union {x}`, `munion`, `union_of`) keeps the item that came first,
+/// as `BTreeSet::insert` does.
 #[derive(Clone)]
 pub struct SetVal {
     hash: u64,
@@ -103,13 +104,13 @@ impl SetVal {
 
     /// The set of `items`, of equal items the last, as collecting them
     /// into a `BTreeSet` keeps it.
-    pub fn from_collected(items: Vec<Value>) -> SetVal {
+    pub(crate) fn from_collected(items: Vec<Value>) -> SetVal {
         SetVal::build(items, true)
     }
 
     /// The set of `items`, of equal items the first, as inserting them
     /// one by one into a `BTreeSet` keeps it.
-    pub fn from_inserted(items: Vec<Value>) -> SetVal {
+    pub(crate) fn from_inserted(items: Vec<Value>) -> SetVal {
         SetVal::build(items, false)
     }
 
@@ -124,7 +125,7 @@ impl SetVal {
     }
 
     /// The items, ascending.
-    pub fn items(&self) -> &[Value] {
+    pub(crate) fn items(&self) -> &[Value] {
         &self.items
     }
 
@@ -134,23 +135,23 @@ impl SetVal {
     }
 
     /// Does the set hold an item equal to `x`? A binary search.
-    pub fn contains(&self, x: &Value) -> bool {
+    pub(crate) fn contains(&self, x: &Value) -> bool {
         self.items.binary_search(x).is_ok()
     }
 
     /// Is every item of `self` in `other`?
-    pub fn is_subset(&self, other: &SetVal) -> bool {
+    pub(crate) fn is_subset(&self, other: &SetVal) -> bool {
         self.len() <= other.len() && self.iter().all(|x| other.contains(x))
     }
 
     /// The items `keep` accepts, as a set (a subset stays sorted).
-    pub fn filter(&self, mut keep: impl FnMut(&Value) -> bool) -> SetVal {
+    pub(crate) fn filter(&self, mut keep: impl FnMut(&Value) -> bool) -> SetVal {
         SetVal::new(self.iter().filter(|x| keep(x)).cloned().collect())
     }
 
     /// `s ∪ {x}`. When `s` already holds an item equal to `x`, that item
     /// stays and the result is `s` itself.
-    pub fn with(s: &Arc<SetVal>, x: Value) -> Arc<SetVal> {
+    pub(crate) fn with(s: &Arc<SetVal>, x: Value) -> Arc<SetVal> {
         match s.items.binary_search(&x) {
             Ok(_) => Arc::clone(s),
             Err(at) => {
@@ -165,7 +166,7 @@ impl SetVal {
 
     /// `a ∪ b`, keeping `a`'s item of two equal ones. When `b` adds
     /// nothing the result is `a` itself.
-    pub fn union(a: &Arc<SetVal>, b: &Arc<SetVal>) -> Arc<SetVal> {
+    pub(crate) fn union(a: &Arc<SetVal>, b: &Arc<SetVal>) -> Arc<SetVal> {
         if b.is_subset(a) {
             return Arc::clone(a);
         }
