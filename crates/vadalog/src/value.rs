@@ -336,8 +336,8 @@ impl Ord for Value {
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a).reverse(),
             // Interned strings (and shared composites) alias: a pointer
             // match decides equality without touching the bytes.
             (Str(a), Str(b)) => {
@@ -369,6 +369,20 @@ impl Ord for Value {
 impl PartialOrd for Value {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// An integer against a float, exactly. `a as f64` rounds beyond 2^53, so
+/// a tie of the rounded value is broken by the integer itself: otherwise
+/// `Int(2^53)` and `Int(2^53 + 1)` would both equal `Float(2^53)` yet
+/// differ from each other, an order that is not transitive, on which a
+/// sort may panic and a binary search may miss.
+fn int_float_cmp(a: i64, b: f64) -> Ordering {
+    match (a as f64).total_cmp(&b) {
+        // `b` is 2^63 here only when `a` rounded up to it
+        Ordering::Equal if b >= 9_223_372_036_854_775_808.0 => Ordering::Less,
+        Ordering::Equal => a.cmp(&(b as i64)),
+        other => other,
     }
 }
 
@@ -547,6 +561,52 @@ mod tests {
         // total_cmp places NaN after all numbers; just ensure consistency.
         assert_eq!(nan.cmp(&one), one.cmp(&nan).reverse());
         assert_eq!(nan, nan.clone());
+    }
+
+    #[test]
+    fn numbers_beyond_2_pow_53_stay_totally_ordered() {
+        let big = 1i64 << 53;
+        let mut vs: Vec<Value> = Vec::new();
+        for k in 0..4 {
+            vs.push(Value::Int(big + k));
+            vs.push(Value::Int(-big - k));
+            vs.push(Value::Float((big + k) as f64));
+            vs.push(Value::Float((-big - k) as f64));
+        }
+        vs.extend([
+            Value::Int(i64::MAX),
+            Value::Int(i64::MIN),
+            Value::Float(9_223_372_036_854_775_808.0),
+            Value::Float(-9_223_372_036_854_775_808.0),
+            Value::Float(-0.0),
+            Value::Int(0),
+        ]);
+        for a in &vs {
+            for b in &vs {
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a:?} vs {b:?}");
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b), "{a:?} == {b:?}");
+                }
+                for c in &vs {
+                    if a <= b && b <= c {
+                        assert!(a <= c, "{a:?} <= {b:?} <= {c:?}");
+                    }
+                }
+            }
+        }
+        assert!(Value::Int(big + 1) > Value::Float(big as f64));
+        assert!(Value::Int(i64::MAX) < Value::Float(9_223_372_036_854_775_808.0));
+        assert_eq!(
+            Value::Int(i64::MIN),
+            Value::Float(-9_223_372_036_854_775_808.0)
+        );
+        // a set of many such items builds (a sort on a non-transitive
+        // order may panic from 20 items on) and is strictly ascending
+        let many: Vec<Value> = (0..200).map(|i| vs[(i * 7) % vs.len()].clone()).collect();
+        let s = Value::set(many.clone());
+        let items = s.as_set().expect("a set").items();
+        assert!(items.windows(2).all(|w| w[0] < w[1]));
+        assert!(many.iter().all(|x| s.as_set().expect("a set").contains(x)));
     }
 
     #[test]
