@@ -1621,30 +1621,24 @@ struct Group {
 /// first-seen order. Monotonic semantics collapse repeated contributions
 /// of a contributor to the extremal one (`munion` merges them).
 ///
-/// A contributor maps to its position in `values`. One named by a single
-/// variable (`mcount(<I>)`, `msum(W, <I>)`) is keyed by that value in
-/// `single`, so a new contributor costs no vector; wider ones go to
-/// `tuples`.
+/// `index` maps a contributor to its position in `values`, keyed by its
+/// value when the aggregate names one (`mcount(<I>)`, `msum(W, <I>)`), so
+/// a new contributor costs no allocation, and by the tuple of its values
+/// when it names several.
 #[derive(Default)]
 struct Contributions {
-    single: HashMap<Value, usize>,
-    tuples: HashMap<Vec<Value>, usize>,
+    index: HashMap<Value, usize>,
     values: Vec<Value>,
 }
 
 impl Contributions {
     fn add(&mut self, func: AggFunc, contributor: &[Value], contribution: Cow<'_, Value>) {
-        let next = self.values.len();
-        let i = match contributor {
-            [c] => *self.single.entry(c.clone()).or_insert(next),
-            _ => match self.tuples.get(contributor) {
-                Some(&i) => i,
-                None => {
-                    self.tuples.insert(contributor.to_vec(), next);
-                    next
-                }
-            },
+        let key = match contributor {
+            [c] => c.clone(),
+            _ => Value::Tuple(contributor.into()),
         };
+        let next = self.values.len();
+        let i = *self.index.entry(key).or_insert(next);
         if i == next {
             self.values.push(contribution.into_owned());
             return;
