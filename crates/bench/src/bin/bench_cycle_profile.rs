@@ -24,13 +24,14 @@
 //! counters) go to a sibling file named after `--out` with its extension
 //! replaced by `telemetry.jsonl` (`BENCH_cycle.json` →
 //! `BENCH_cycle.telemetry.jsonl`), which is not committed. The
-//! `cycle.e2e` runs and the `cycle.storage` backend runs each time the
-//! reference kernel ([`vadasa_bench::reference`]) before every run, and
-//! their lines carry its median as `ref_ms`. With `--baseline PATH` the
-//! `cycle.e2e` median and the file-backed `cycle.storage` median are
-//! compared against the committed baseline at one host speed (each
-//! divided by its `ref_ms`) and the process exits non-zero on a >25%
-//! regression of either. An
+//! `cycle.e2e` runs each time the reference kernel
+//! ([`vadasa_bench::reference`]) before every run, and their line carries
+//! its median as `ref_ms`. With `--baseline PATH` the `cycle.e2e` median
+//! is compared against the committed baseline at one host speed (both
+//! divided by their `ref_ms`) and the process exits non-zero on a >25%
+//! regression. The `cycle.storage` medians are not gated: they are mostly
+//! fsync time, which on a shared disk swings by more than the threshold
+//! between runs and which no kernel timed beside them predicts. An
 //! unknown option or a missing value prints the usage line and exits 2
 //! before anything is run or written.
 //!
@@ -285,7 +286,7 @@ fn main() {
 
     // --- storage backends: mem vs file, then warm-disk vs cold resume ---
     let mut storage_seq = 0u32;
-    let mut storage_run = |engine: StorageEngine, series: &mut Series| -> (CycleOutcome, PathBuf) {
+    let mut storage_run = |engine: StorageEngine| -> (CycleOutcome, f64, PathBuf) {
         storage_seq += 1;
         let dir = tmp_root.join(format!("s{storage_seq}"));
         let config = CycleConfig {
@@ -300,28 +301,30 @@ fn main() {
             },
             ..cycle_config(iteration_cap)
         };
-        let out = series.time(|| {
+        let (out, secs) = time_it(|| {
             AnonymizationCycle::new(&risk, &anonymizer, config.clone())
                 .run(&db, &dict)
                 .expect("storage run")
         });
-        (out, dir)
+        (out, secs, dir)
     };
-    let mut storage_series: Vec<(&str, Series)> = Vec::new();
+    let mut storage_medians: Vec<(&str, f64)> = Vec::new();
     let mut file_dir: Option<PathBuf> = None;
     for (mode, engine) in [("mem", StorageEngine::Mem), ("file", StorageEngine::File)] {
-        let mut series = Series::default();
+        let mut times: Vec<f64> = Vec::with_capacity(runs);
         for _ in 0..runs {
-            let (out, dir) = storage_run(engine, &mut series);
+            let (out, secs, dir) = storage_run(engine);
             // the storage backend is an observer, not an intervention
             assert_equivalent(&out, &warm_out);
+            times.push(secs);
             if mode == "file" && file_dir.is_none() {
                 file_dir = Some(dir);
             } else {
                 let _ = std::fs::remove_dir_all(&dir);
             }
         }
-        storage_series.push((mode, series));
+        times.sort_by(f64::total_cmp);
+        storage_medians.push((mode, times[times.len() / 2]));
     }
     // Cut the kept file-backed journal just after its final Snapshot
     // record: recovery then lands exactly on the iteration the persisted
@@ -491,16 +494,11 @@ fn main() {
         rows, replayed, recovery_s, runs
     )
     .expect("write bench line");
-    for (mode, series) in &storage_series {
+    for (mode, secs) in &storage_medians {
         writeln!(
             file,
-            "{{\"bench\":\"cycle.storage\",\"rows\":{},\"iterations\":{},\"mode\":\"{}\",\"median_s\":{:.6},\"ref_ms\":{:.3},\"runs\":{}}}",
-            rows,
-            warm_out.iterations,
-            mode,
-            series.median_s(),
-            series.ref_ms(),
-            runs
+            "{{\"bench\":\"cycle.storage\",\"rows\":{},\"iterations\":{},\"mode\":\"{}\",\"median_s\":{:.6},\"runs\":{}}}",
+            rows, warm_out.iterations, mode, secs, runs
         )
         .expect("write bench line");
     }
@@ -544,11 +542,8 @@ fn main() {
         "  cycle.recovery: resume from mid-run journal {:.3}s ({} action(s) replayed)",
         recovery_s, replayed
     );
-    for (mode, series) in &storage_series {
-        println!(
-            "  cycle.storage: engine={mode:<16} {:.3}s",
-            series.median_s()
-        );
+    for (mode, secs) in &storage_medians {
+        println!("  cycle.storage: engine={mode:<16} {secs:.3}s");
     }
     for (mode, secs, restores) in &storage_resume {
         println!("  cycle.storage: {mode:<23} {secs:.3}s ({restores} disk restore(s))");
@@ -591,17 +586,7 @@ fn main() {
     }
 
     if let Some(path) = baseline {
-        let mut passed = reference::gate(&path, "cycle.e2e", "warm", warm_s, warm.ref_ms());
-        for (mode, series) in storage_series.iter().filter(|(m, _)| *m == "file") {
-            passed &= reference::gate(
-                &path,
-                "cycle.storage",
-                mode,
-                series.median_s(),
-                series.ref_ms(),
-            );
-        }
-        if !passed {
+        if !reference::gate(&path, "cycle.e2e", "warm", warm_s, warm.ref_ms()) {
             std::process::exit(1);
         }
     }

@@ -30,21 +30,20 @@
 //! ([`vadasa_bench::reference`]) before every run; the output file gets
 //! one JSON object per line (medians in seconds plus speedup ratios, each
 //! with the kernel's median beside it as `ref_ms`), ready for `jq` and for
-//! the CI perf-smoke gates. With `--baseline PATH` the indexed tc64 and
-//! suda medians are compared against the committed baseline at one host
-//! speed (each divided by its `ref_ms`), the magic tc_goal median
-//! relative to the same run's full fixpoint, and the process exits
-//! non-zero on a >25% regression in any of them. An unknown option or a
-//! missing value prints the usage line and exits 2 before anything is
-//! run or written.
+//! the CI perf-smoke gates. With `--baseline PATH` the indexed tc64, the
+//! magic tc_goal and the indexed suda medians are compared against the
+//! committed baseline at one host speed (each divided by its `ref_ms`),
+//! and the process exits non-zero on a >25% regression in any of them.
+//! An unknown option or a missing value prints the usage line and exits
+//! 2 before anything is run or written.
 
 use std::io::Write;
 use vadalog::{
     parse_program, Atom, Database, Engine, EngineConfig, GoalRun, JoinMode, MagicOptions, Program,
     Term,
 };
-use vadasa_bench::reference::{self, Series, MAX_REGRESSION};
-use vadasa_bench::{operand, read_baseline_median};
+use vadasa_bench::operand;
+use vadasa_bench::reference::{self, Series};
 use vadasa_core::programs::{
     alg6_suda, microdata_to_facts, ALG2_TUPLE_REIFICATION, ALG5_INDIVIDUAL_RISK,
 };
@@ -443,39 +442,18 @@ fn main() {
     println!("results written to {out_path}");
 
     if let Some(path) = baseline {
-        // The tc and suda gates compare each median with its baseline at
-        // one host speed: both are divided by the reference kernel's
-        // median timed beside them. The tc_goal magic gate normalizes by
-        // the same run's full-fixpoint median instead, holding the
-        // *relative* cost of goal-directed evaluation to within 25% of
-        // the baseline.
+        // Each gated median is compared with its baseline at one host
+        // speed: both are divided by the reference kernel's median timed
+        // beside them.
+        let magic = tc_goal.magic.as_ref().expect("tc_goal runs a magic series");
+        let gated = [
+            ("engine.tc", "indexed", &tc.indexed),
+            ("engine.tc_goal", "magic", magic),
+            ("engine.suda", "indexed", &suda.indexed),
+        ];
         let mut failed = false;
-        for (bench, s) in [("engine.tc", &tc.indexed), ("engine.suda", &suda.indexed)] {
-            failed |= !reference::gate(&path, bench, "indexed", s.median_s(), s.ref_ms());
-        }
-        let (bench, mode) = ("engine.tc_goal", "magic");
-        let current = tc_goal.magic.as_ref().map_or(f64::NAN, Series::median_s);
-        let base = read_baseline_median(&path, bench, mode)
-            .and_then(|m| Ok((m, read_baseline_median(&path, bench, "indexed")?)));
-        match base {
-            Ok((base, base_indexed)) => {
-                let machine = tc_goal.indexed.median_s() / base_indexed;
-                let ratio = current / (base * machine);
-                println!(
-                    "baseline check — {bench} {mode} median {current:.3}s vs baseline {base:.3}s, machine factor {machine:.2} ({ratio:.2}x)"
-                );
-                if ratio > MAX_REGRESSION {
-                    eprintln!(
-                        "PERF REGRESSION: {bench} {mode} median {current:.3}s exceeds baseline {base:.3}s (load-normalized {ratio:.2}x) by more than {:.0}%",
-                        (MAX_REGRESSION - 1.0) * 100.0
-                    );
-                    failed = true;
-                }
-            }
-            Err(msg) => {
-                eprintln!("baseline check failed: {msg}");
-                failed = true;
-            }
+        for (bench, mode, s) in gated {
+            failed |= !reference::gate(&path, bench, mode, s.median_s(), s.ref_ms());
         }
         if failed {
             std::process::exit(1);

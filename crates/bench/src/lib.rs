@@ -177,12 +177,6 @@ where
     }
 }
 
-/// Read a committed `BENCH_*.json` baseline and return the `median_s` of
-/// the line matching `bench` and `mode`.
-pub fn read_baseline_median(path: &str, bench: &str, mode: &str) -> Result<f64, String> {
-    read_baseline_field(path, bench, mode, "median_s")
-}
-
 /// Read a committed `BENCH_*.json` baseline and return the positive
 /// number `field` of the line matching `bench` and `mode`.
 ///
@@ -289,7 +283,7 @@ mod tests {
     #[test]
     fn baseline_reader_distinguishes_failure_modes() {
         // missing file
-        let err = read_baseline_median("/nonexistent/BENCH.json", "x", "y").unwrap_err();
+        let err = read_baseline_field("/nonexistent/BENCH.json", "x", "y", "median_s").unwrap_err();
         assert!(err.contains("not found"), "{err}");
 
         let dir = std::env::temp_dir().join("vadasa-baseline-test");
@@ -298,7 +292,7 @@ mod tests {
         // malformed file (no JSON lines at all)
         let bad = dir.join("bad.json");
         std::fs::write(&bad, "this is not json\nneither is this\n").unwrap();
-        let err = read_baseline_median(bad.to_str().unwrap(), "x", "y").unwrap_err();
+        let err = read_baseline_field(bad.to_str().unwrap(), "x", "y", "median_s").unwrap_err();
         assert!(err.contains("malformed"), "{err}");
 
         // valid file without the requested entry
@@ -308,7 +302,8 @@ mod tests {
             "{\"bench\":\"other\",\"mode\":\"cold\",\"median_s\":1.0}\n",
         )
         .unwrap();
-        let err = read_baseline_median(sparse.to_str().unwrap(), "cycle.e2e", "warm").unwrap_err();
+        let err = read_baseline_field(sparse.to_str().unwrap(), "cycle.e2e", "warm", "median_s")
+            .unwrap_err();
         assert!(err.contains("no entry"), "{err}");
 
         // matching entry without a usable median
@@ -318,7 +313,8 @@ mod tests {
             "{\"bench\":\"cycle.e2e\",\"mode\":\"warm\",\"median_s\":0.0}\n",
         )
         .unwrap();
-        let err = read_baseline_median(nan.to_str().unwrap(), "cycle.e2e", "warm").unwrap_err();
+        let err = read_baseline_field(nan.to_str().unwrap(), "cycle.e2e", "warm", "median_s")
+            .unwrap_err();
         assert!(err.contains("non-positive"), "{err}");
 
         // the happy path
@@ -328,7 +324,8 @@ mod tests {
             "{\"bench\":\"cycle.e2e\",\"mode\":\"warm\",\"median_s\":0.125}\n",
         )
         .unwrap();
-        let m = read_baseline_median(good.to_str().unwrap(), "cycle.e2e", "warm").unwrap();
+        let m =
+            read_baseline_field(good.to_str().unwrap(), "cycle.e2e", "warm", "median_s").unwrap();
         assert!((m - 0.125).abs() < 1e-12);
     }
 }
