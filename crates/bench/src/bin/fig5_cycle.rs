@@ -1,37 +1,33 @@
-//! Determinism probe: run the Figure-5 anonymization cycle and a
-//! warm-startable engine workload, printing a byte-stable transcript.
+//! Determinism probe: run the Figure-5 anonymization cycle and an
+//! engine transitive-closure workload, printing a byte-stable transcript.
 //!
-//! Usage: `fig5_cycle [--warm|--cold] [--telemetry-out FILE]`
+//! Usage: `fig5_cycle [--telemetry-out FILE]`
 //!
-//! The output deliberately contains **no timings and no mode echo**: a
-//! warm run must print exactly what a cold run prints, and any run
-//! exactly what its repeat prints. The CI `determinism` job runs each
-//! mode twice and `diff`s all transcripts byte-for-byte — any
-//! nondeterminism (iteration-order leakage, unstable null labels,
-//! session/cold-run divergence) fails the build.
+//! The output deliberately contains **no timings**: any run must print
+//! exactly what its repeat prints. The CI `determinism` job runs the
+//! probe twice and `diff`s both transcripts byte-for-byte — any
+//! nondeterminism (iteration-order leakage, unstable null labels) fails
+//! the build.
 //!
 //! Two segments:
 //!
 //! 1. the native Fig-5 cycle (k-anonymity `k = 2`, local suppression,
-//!    one tuple per iteration) — final table, audit trail, final report.
-//!    The cycle has one path, so this segment is the same in both modes;
-//! 2. an engine transitive-closure workload — evaluated either as one
-//!    cold run (`--cold`) or as a session plus fact patch (`--warm`),
-//!    printed as sorted fact sets. This is the only segment the mode
-//!    picks.
+//!    one tuple per iteration) — final table, audit trail, final report;
+//! 2. an engine transitive-closure workload over an eight-node cycle,
+//!    printed as sorted fact sets.
 //!
 //! With `--telemetry-out FILE` the run additionally streams its telemetry
 //! events — cycle and engine — as JSON lines with **redacted timings**
-//! (every `t_ns`/`dur_ns`/`*_ns` quantity zeroed), so two runs in the
-//! same mode must produce byte-identical telemetry too. The CI
-//! determinism job diffs these files per mode.
+//! (every `t_ns`/`dur_ns`/`*_ns` quantity zeroed), so two runs must
+//! produce byte-identical telemetry too. The CI determinism job diffs
+//! both files.
 //!
 //! An unknown option or a missing value prints the usage line and exits
 //! 2 before anything is written.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use vadalog::{parse_program, Database, Engine, EngineConfig, FactPatch, JoinMode, Value};
+use vadalog::{parse_program, Database, Engine, EngineConfig, JoinMode, Value};
 use vadasa_bench::{operand, render_table};
 use vadasa_core::obs::{Collector, JsonLinesWriter};
 use vadasa_core::prelude::*;
@@ -59,18 +55,15 @@ fn print_fact_sets(sets: &BTreeMap<String, BTreeSet<Vec<Value>>>) {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: fig5_cycle [--warm|--cold] [--telemetry-out FILE]");
+    eprintln!("usage: fig5_cycle [--telemetry-out FILE]");
     std::process::exit(2);
 }
 
 fn main() {
-    let mut warm = true;
     let mut telemetry_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--warm" => warm = true,
-            "--cold" => warm = false,
             "--telemetry-out" => telemetry_out = Some(operand(&mut args, &arg, usage)),
             "--help" | "-h" => usage(),
             other => {
@@ -143,52 +136,24 @@ fn main() {
         )
     );
 
-    // --- segment 2: engine closure, cold run vs session + patch ---
+    // --- segment 2: engine closure ---
     let src = "a(X, Y) :- e(X, Y).\n\
                tc(X, Y) :- a(X, Y).\n\
                tc(X, Z) :- a(X, Y), tc(Y, Z).";
     let program = parse_program(src).expect("closure program parses");
-    let base: Vec<(String, Vec<Value>)> = (0..6i64)
-        .map(|i| ("e".to_string(), vec![Value::Int(i), Value::Int(i + 1)]))
-        .collect();
-    let patch: Vec<(String, Vec<Value>)> = vec![
-        ("e".to_string(), vec![Value::Int(6), Value::Int(7)]),
-        ("e".to_string(), vec![Value::Int(7), Value::Int(0)]),
-    ];
+    let mut edges = Database::new();
+    for i in 0..8i64 {
+        edges.insert("e", vec![Value::Int(i), Value::Int((i + 1) % 8)]);
+    }
     let engine = Engine::with_config(EngineConfig {
         join_mode: JoinMode::Indexed,
         collector: sink.clone().map(|s| s as Arc<dyn Collector>),
         ..EngineConfig::default()
     });
-    let db_of = |facts: &[(String, Vec<Value>)]| {
-        let mut db = Database::new();
-        for (p, row) in facts {
-            db.insert(p, row.clone());
-        }
-        db
-    };
-    let (sets, termination) = if warm {
-        let mut session = engine
-            .session(program.clone(), db_of(&base))
-            .expect("session cold start evaluates");
-        session
-            .patch(FactPatch::additions(patch))
-            .expect("patch evaluates");
-        (
-            fact_sets(session.db()),
-            format!("{:?}", session.termination()),
-        )
-    } else {
-        let mut all = base.clone();
-        all.extend(patch);
-        let r = engine
-            .run(&program, db_of(&all))
-            .expect("cold run evaluates");
-        (fact_sets(&r.db), format!("{:?}", r.termination))
-    };
+    let r = engine.run(&program, edges).expect("closure run evaluates");
     println!("== engine closure ==");
-    println!("termination: {termination}");
-    print_fact_sets(&sets);
+    println!("termination: {:?}", r.termination);
+    print_fact_sets(&fact_sets(&r.db));
 
     if let Some(s) = &sink {
         s.flush().expect("flush telemetry");

@@ -3,11 +3,11 @@
 //!
 //! An ignored option is a silent default: `--treshold 0.01` would release
 //! the table at the default threshold of 0.5, and so would a `--threshold`
-//! whose value is missing; a misspelt CI mode of `fig5_cycle` would print
-//! the default transcript and pass. Any argument that is not an option,
-//! an option's value or a switch, and any option without a well-formed
-//! value, prints the usage line and exits 2 before the input is read or
-//! an output file is written.
+//! whose value is missing; a misspelt or stale `fig5_cycle` switch in CI
+//! would print the transcript and pass. Any argument that is not an
+//! option, an option's value or a switch, and any option without a
+//! well-formed value, prints the usage line and exits 2 before the input
+//! is read or an output file is written.
 
 use std::process::Command;
 
@@ -82,8 +82,10 @@ fn exe(name: &str) -> &'static str {
 #[test]
 fn bench_binaries_exit_2_before_writing_anything() {
     let unknown = "unrecognised argument";
-    let cases: [(&str, &[&str], &str); 10] = [
+    let cases: [(&str, &[&str], &str); 12] = [
         ("fig5_cycle", &["--colld"], unknown),
+        ("fig5_cycle", &["--warm"], unknown),
+        ("fig5_cycle", &["--cold"], unknown),
         ("fig5_cycle", &["--telemetry-out"], "needs a value"),
         ("bench_cycle_profile", &["--quick", "--cold"], unknown),
         ("bench_cycle_profile", &["--baseline"], "needs a value"),
@@ -125,23 +127,24 @@ fn bench_binaries_exit_2_before_writing_anything() {
     }
 }
 
-/// The control: both `fig5_cycle` modes parse, write their telemetry and
-/// print one transcript.
+/// The control: `fig5_cycle` parses, writes its telemetry and prints the
+/// same transcript on a repeat.
 #[test]
-fn fig5_cycle_modes_print_one_transcript() {
-    let run = |mode: &str| {
-        let tel = std::env::temp_dir().join(format!("vadasa-opts-{}{mode}", std::process::id()));
-        let output = (Command::new(exe("fig5_cycle")).args([mode, "--telemetry-out"]))
+fn fig5_cycle_repeats_its_transcript() {
+    let run = |rep: &str| {
+        let tel = std::env::temp_dir().join(format!("vadasa-opts-{}-{rep}", std::process::id()));
+        let output = Command::new(exe("fig5_cycle"))
+            .arg("--telemetry-out")
             .arg(&tel)
             .output()
             .expect("spawn");
-        assert_eq!(output.status.code(), Some(0), "{mode}");
+        assert_eq!(output.status.code(), Some(0), "{rep}");
         let telemetry = std::fs::read_to_string(&tel).expect("telemetry written");
-        assert!(telemetry.contains("cycle.warm.evals"), "{mode}");
+        assert!(telemetry.contains("cycle.warm.evals"), "{rep}");
         let _ = std::fs::remove_file(&tel);
         output.stdout
     };
-    let warm = run("--warm");
-    assert!(!warm.is_empty());
-    assert_eq!(warm, run("--cold"), "--warm and --cold diverged");
+    let first = run("a");
+    assert!(!first.is_empty());
+    assert_eq!(first, run("b"), "two runs diverged");
 }

@@ -128,11 +128,13 @@ impl Checkpoint {
         put_u64(&mut p, self.recodings);
         put_u64(&mut p, self.initial_risky);
         let w = &self.warm;
+        // the fourth slot held a skipped-strata count that the cycle
+        // never set: it stays, as 0, so `VADASAS4` keeps its layout
         for c in [
             w.warm_evals,
             w.cold_evals,
             w.patched_facts,
-            w.strata_skipped,
+            0,
             w.fallback_to_cold,
             w.reused_index_bytes,
         ] {
@@ -172,11 +174,13 @@ impl Checkpoint {
                 let nulls_injected = c.u64()?;
                 let recodings = c.u64()?;
                 let initial_risky = c.u64()?;
+                let (warm_evals, cold_evals, patched_facts) = (c.u64()?, c.u64()?, c.u64()?);
+                // the retired skipped-strata slot (see `encode`)
+                c.u64()?;
                 let warm = WarmCycleProfile {
-                    warm_evals: c.u64()?,
-                    cold_evals: c.u64()?,
-                    patched_facts: c.u64()?,
-                    strata_skipped: c.u64()?,
+                    warm_evals,
+                    cold_evals,
+                    patched_facts,
                     fallback_to_cold: c.u64()?,
                     reused_index_bytes: c.u64()?,
                     // run-local storage counters are not part of the
@@ -281,7 +285,6 @@ mod tests {
                 warm_evals: 6,
                 cold_evals: 1,
                 patched_facts: 12,
-                strata_skipped: 0,
                 fallback_to_cold: 0,
                 reused_index_bytes: 4096,
                 ..WarmCycleProfile::default()

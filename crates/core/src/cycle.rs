@@ -226,15 +226,11 @@ pub struct WarmCycleProfile {
     pub cold_evals: u64,
     /// View rows patched in place instead of rebuilding the view.
     pub patched_facts: u64,
-    /// Engine strata skipped by warm re-derivation. The native cycle
-    /// leaves it at zero; snapshots still encode it.
-    pub strata_skipped: u64,
     /// Times the warm path fell back to full evaluations (inexact
     /// weights, or a measure whose `report_from_groups` returns `None`).
     pub fallback_to_cold: u64,
-    /// Estimated bytes of retained state (view + group statistics, or
-    /// engine hash indexes) reused instead of rebuilt, summed over warm
-    /// evaluations.
+    /// Estimated bytes of retained state (view + group statistics)
+    /// reused instead of rebuilt, summed over warm evaluations.
     pub reused_index_bytes: u64,
     /// Warm seeds restored from a persisted on-disk artifact instead of a
     /// cold regroup (file-backed resumed runs only). Not persisted in
@@ -371,7 +367,6 @@ impl CycleProfile {
                 fields!["cold_evals" => w.cold_evals],
             );
             obs.counter("cycle.warm.patched_facts", w.patched_facts, fields![]);
-            obs.counter("cycle.warm.strata_skipped", w.strata_skipped, fields![]);
             obs.counter("cycle.warm.fallback_cold", w.fallback_to_cold, fields![]);
             obs.counter(
                 "cycle.warm.reused_index_bytes",

@@ -171,12 +171,11 @@ pub fn render_profile(profile: &CycleProfile) -> String {
         let _ = writeln!(
             out,
             "warm-start — {} warm / {} cold evaluation(s), {} fact(s) patched, \
-             {} stratum(s) skipped, {} fallback(s) to cold, {} reused byte(s), \
+             {} fallback(s) to cold, {} reused byte(s), \
              {} disk restore(s), {} persist error(s)",
             w.warm_evals,
             w.cold_evals,
             w.patched_facts,
-            w.strata_skipped,
             w.fallback_to_cold,
             w.reused_index_bytes,
             w.disk_restores,
@@ -373,7 +372,6 @@ mod tests {
                 warm_evals: 9,
                 cold_evals: 1,
                 patched_facts: 12,
-                strata_skipped: 0,
                 fallback_to_cold: 0,
                 reused_index_bytes: 4096,
                 ..Default::default()

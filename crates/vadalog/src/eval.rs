@@ -45,7 +45,7 @@ use vadasa_obs::{Collector, Obs};
 /// Rows inserted in the previous semi-naive round, keyed by predicate.
 /// The rows are shared handles aliasing the stored rows, so building the
 /// delta costs one `Arc` bump per fact rather than a deep copy.
-pub(crate) type DeltaRows = HashMap<String, Vec<Row>>;
+type DeltaRows = HashMap<String, Vec<Row>>;
 
 /// Chase memo, per stratum: rule index → frontier values → the values of
 /// the rule's existential variables (in name order), minted as fresh
@@ -422,22 +422,6 @@ pub struct GoalRun {
     pub magic: MagicReport,
 }
 
-/// Result of a warm-start re-evaluation pass (see [`Engine::run_warm`]):
-/// the incremental statistics/profile of the pass, not cumulative totals.
-#[derive(Debug)]
-pub(crate) struct WarmRun {
-    /// Statistics of this pass only.
-    pub stats: EvalStats,
-    /// Profile of this pass only.
-    pub profile: EngineProfile,
-    /// Provenance of facts derived this pass (when tracing is on).
-    pub trace: Vec<TraceEntry>,
-    /// How the pass ended.
-    pub termination: Termination,
-    /// Strata skipped because no seeded/derived predicate reached them.
-    pub strata_skipped: usize,
-}
-
 /// How one stratum (or one semi-naive fixpoint within it) ended: ran to
 /// completion, or was stopped early by the governor.
 enum StratumEnd {
@@ -692,117 +676,6 @@ impl Engine {
         })
     }
 
-    /// Warm-start re-evaluation: re-derive the consequences of `seed`
-    /// (freshly inserted rows, keyed by predicate) over an already
-    /// saturated database, using a pre-computed stratification.
-    ///
-    /// Soundness contract — the caller ([`crate::session::EngineSession`])
-    /// must have verified via dependency analysis that no predicate
-    /// reachable from the seed feeds a negated literal, an aggregate rule
-    /// or an EGD. Under that contract only plain (non-aggregate, non-EGD)
-    /// rules can derive anything new, so each stratum needs exactly one
-    /// semi-naive fixpoint seeded with the accumulated delta; strata whose
-    /// plain rules never read a seeded/derived predicate are skipped
-    /// outright.
-    pub(crate) fn run_warm(
-        &self,
-        program: &Program,
-        strat: &crate::stratify::Stratification,
-        db: &mut Database,
-        seed: DeltaRows,
-    ) -> Result<WarmRun, EngineError> {
-        let mut stats = EvalStats::default();
-        let mut trace = Vec::new();
-        let mut profile = EngineProfile::for_program(program);
-        let intern_before = crate::intern::stats();
-        let nulls_before = db.nulls_minted();
-        let run_start = Instant::now();
-        let governor = Governor::new(self.config.budget, self.config.cancel.clone());
-        let mut termination = Termination::Fixpoint;
-        let mut strata_skipped = 0usize;
-        let compiled: Vec<CompiledRule> = program.rules.iter().map(CompiledRule::new).collect();
-
-        // The accumulated delta: patch additions plus every fact derived in
-        // lower strata so far.
-        let mut accumulated = seed;
-
-        for (stratum_idx, stratum) in strat.strata.iter().enumerate() {
-            profile.strata.push(StratumProfile {
-                stratum: stratum_idx,
-                ..StratumProfile::default()
-            });
-            let plain: Vec<RuleRef> = rule_refs(program, &compiled, stratum)
-                .into_iter()
-                .filter(|r| matches!(r.compiled.head, CHead::Plain { .. }))
-                .collect();
-            let touched = plain.iter().any(|r| {
-                r.rule.body.iter().any(|l| match l {
-                    Literal::Pos(a) => accumulated
-                        .get(&a.pred)
-                        .is_some_and(|rows| !rows.is_empty()),
-                    _ => false,
-                })
-            });
-            if !touched {
-                strata_skipped += 1;
-                continue;
-            }
-
-            let stratum_start = Instant::now();
-            let facts_before = stats.facts_derived;
-            profile.strata[stratum_idx].passes += 1;
-            let mut skolem = SkolemMemo::new();
-            let stratum_seed = accumulated.clone();
-            let mut derived: DeltaRows = HashMap::new();
-            let end = self.fixpoint_plain(
-                &plain,
-                db,
-                &mut skolem,
-                &mut stats,
-                &mut trace,
-                program,
-                &mut profile,
-                stratum_idx,
-                &governor,
-                nulls_before,
-                Some(stratum_seed),
-                Some(&mut derived),
-            )?;
-            for (pred, rows) in derived {
-                accumulated.entry(pred).or_default().extend(rows);
-            }
-
-            let s = &mut profile.strata[stratum_idx];
-            s.dur_ns = stratum_start.elapsed().as_nanos() as u64;
-            s.facts_derived = (stats.facts_derived - facts_before) as u64;
-
-            if let StratumEnd::Stopped(t) = end {
-                termination = t;
-                break;
-            }
-        }
-
-        stats.nulls_created = db.nulls_minted() - nulls_before;
-        profile.total_ns = run_start.elapsed().as_nanos() as u64;
-        profile.facts_derived = stats.facts_derived as u64;
-        profile.iterations = stats.iterations as u64;
-        profile.nulls_created = stats.nulls_created;
-        profile.unifications = stats.unifications as u64;
-        profile.intern_hits = crate::intern::stats()
-            .hits
-            .saturating_sub(intern_before.hits);
-        if let Some(collector) = &self.config.collector {
-            profile.emit(&Obs::new(Some(collector.as_ref())));
-        }
-        Ok(WarmRun {
-            stats,
-            profile,
-            trace,
-            termination,
-            strata_skipped,
-        })
-    }
-
     /// Evaluate one stratum to stability (or an early governed stop):
     /// plain rules to a semi-naive fixpoint, then aggregate rules, then
     /// EGDs, repeating until a pass changes nothing.
@@ -811,7 +684,7 @@ impl Engine {
     /// reads has changed since it last ran: its derivations are a function
     /// of those relations' rows and their order, and all of them are
     /// already stored. Relation generations make "changed" exact —
-    /// every insert, removal and EGD rewrite bumps one.
+    /// every insert and EGD rewrite bumps one.
     #[allow(clippy::too_many_arguments)]
     fn run_stratum(
         &self,
@@ -859,8 +732,6 @@ impl Engine {
                 stratum_idx,
                 governor,
                 nulls_base,
-                None,
-                None,
             )?;
             if let StratumEnd::Stopped(t) = end {
                 return Ok(StratumEnd::Stopped(t));
@@ -939,14 +810,9 @@ impl Engine {
 
     /// Semi-naive fixpoint over plain (non-aggregate, non-EGD) rules.
     /// Returns early — with a sound partial delta already inserted — when
-    /// the governor reports a budget trip or cancellation.
-    ///
-    /// `seed` chooses how the first round runs: `None` treats everything
-    /// as delta (full evaluation — the cold path), `Some(rows)` runs
-    /// delta-focused plans against just those rows (the warm-start path,
-    /// see [`Engine::run_warm`]). When a `derived` sink is supplied, every
-    /// newly inserted row is also appended there, so a warm driver can
-    /// carry the deltas of lower strata into higher ones.
+    /// the governor reports a budget trip or cancellation. The first round
+    /// evaluates every rule in full; later rounds join against the rows
+    /// the previous round inserted.
     #[allow(clippy::too_many_arguments)]
     fn fixpoint_plain(
         &self,
@@ -960,11 +826,9 @@ impl Engine {
         stratum_idx: usize,
         governor: &Governor,
         nulls_base: u64,
-        seed: Option<DeltaRows>,
-        mut derived: Option<&mut DeltaRows>,
     ) -> Result<StratumEnd, EngineError> {
         // Delta tracking: predicate → set of rows added in the previous round.
-        let mut delta: Option<DeltaRows> = seed;
+        let mut delta: Option<DeltaRows> = None;
 
         loop {
             // Governed stop check, once per round. With no budget and no
@@ -1071,9 +935,6 @@ impl Engine {
                         rule: rule_label(program, fact.rule),
                         binding: traced[t].clone(),
                     });
-                }
-                if let Some(sink) = derived.as_deref_mut() {
-                    push_row(sink, fact.pred, row.clone());
                 }
                 push_row(&mut next_delta, fact.pred, row);
                 // Soft facts budget: stop inserting mid-round so the

@@ -54,7 +54,6 @@ pub mod printer;
 pub mod profile;
 pub mod query;
 pub mod routing;
-pub mod session;
 pub mod storage;
 pub mod stratify;
 pub mod value;
@@ -84,7 +83,6 @@ pub use printer::{print_expr, print_program, print_rule};
 pub use profile::{EngineProfile, RoundProfile, RuleProfile, StratumProfile};
 pub use query::{answers, goal_slice, parse_goal, AnswerMode};
 pub use routing::{AscendingBy, DescendingBy, Fifo, Router};
-pub use session::{EngineSession, FactPatch, PatchOutcome, SessionStats};
 pub use storage::{Database, Relation};
 pub use stratify::{idb_predicates, stratify, Stratification, StratifyError};
 pub use value::{NullId, SetVal, Value};

@@ -93,9 +93,9 @@ impl Relation {
         self.rows.is_empty()
     }
 
-    /// Mutation counter: changes whenever a row is inserted, removed or
-    /// rewritten. Equal generations of the same relation within a run
-    /// mean an unchanged row set, in an unchanged order.
+    /// Mutation counter: changes whenever a row is inserted or the row
+    /// set is rewritten. Equal generations of the same relation within a
+    /// run mean an unchanged row set, in an unchanged order.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -234,67 +234,6 @@ impl Relation {
             self.insert(r);
         }
     }
-
-    /// Remove a row; returns `true` if it was present. Row order of the
-    /// survivors is preserved, so every later row id shifts down by one;
-    /// indexes are dropped (their posting lists hold row ids) and will be
-    /// rebuilt lazily on the next `ensure_index`.
-    pub fn remove(&mut self, row: &[Value]) -> bool {
-        let hash = self.row_hash(row);
-        let Some(id) = self.position(hash, row) else {
-            return false;
-        };
-        let extra = self.collisions.get_mut(&hash);
-        if self.dedup.get(&hash) == Some(&id) {
-            match extra {
-                Some(extra) => {
-                    self.dedup.insert(hash, extra.remove(0));
-                    if extra.is_empty() {
-                        self.collisions.remove(&hash);
-                    }
-                }
-                None => {
-                    self.dedup.remove(&hash);
-                }
-            }
-        } else if let Some(extra) = extra {
-            extra.retain(|&other| other != id);
-            if extra.is_empty() {
-                self.collisions.remove(&hash);
-            }
-        }
-        self.rows.remove(id as usize);
-        let shift = |other: &mut u32| {
-            if *other > id {
-                *other -= 1;
-            }
-        };
-        self.dedup.values_mut().for_each(shift);
-        self.collisions.values_mut().flatten().for_each(shift);
-        self.indexes.clear();
-        self.generation += 1;
-        true
-    }
-
-    /// Approximate heap footprint of this relation's prebuilt hash
-    /// indexes, in bytes. Used by warm-start telemetry to report how much
-    /// index state a resumed session kept alive instead of rebuilding.
-    pub fn index_footprint_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.indexes
-            .iter()
-            .map(|(bound, idx)| {
-                let keys: usize = idx
-                    .map
-                    .iter()
-                    .map(|(k, postings)| {
-                        k.len() * size_of::<Value>() + postings.len() * size_of::<u32>()
-                    })
-                    .sum();
-                bound.len() * size_of::<usize>() + keys
-            })
-            .sum()
-    }
 }
 
 /// A database: named relations plus the labelled-null counter.
@@ -399,23 +338,6 @@ impl Database {
     /// the internal `magic#…` relations before handing results back.
     pub fn remove_relation(&mut self, pred: &str) -> bool {
         self.relations.remove(pred).is_some()
-    }
-
-    /// Remove a fact; returns `true` if it was present. Empty relations
-    /// are kept (cheap, and keeps relation names stable for reporting).
-    pub fn remove(&mut self, pred: &str, row: &[Value]) -> bool {
-        self.relations
-            .get_mut(pred)
-            .is_some_and(|rel| rel.remove(row))
-    }
-
-    /// Approximate heap footprint of all prebuilt hash indexes, in bytes
-    /// (see [`Relation::index_footprint_bytes`]).
-    pub fn index_footprint_bytes(&self) -> usize {
-        self.relations
-            .values()
-            .map(Relation::index_footprint_bytes)
-            .sum()
     }
 
     /// Apply a null-substitution: every occurrence of `Null(from)` becomes
@@ -547,25 +469,7 @@ mod tests {
         );
         // an EGD rewrite that keeps the size must still be seen
         db.substitute_null(1, &Value::Int(5));
-        let after_rewrite = db.generation("p").unwrap();
-        assert!(after_rewrite > after_insert);
-        assert!(db.remove("p", &[Value::Int(5), Value::Int(9)]));
-        assert!(db.generation("p").unwrap() > after_rewrite);
-    }
-
-    #[test]
-    fn removal_keeps_membership_and_order_consistent() {
-        let mut rel = Relation::default();
-        for i in 0..5 {
-            rel.insert(vec![Value::Int(i)]);
-        }
-        assert!(rel.remove(&[Value::Int(2)]));
-        assert!(!rel.remove(&[Value::Int(2)]));
-        assert!(!rel.contains(&[Value::Int(2)]));
-        assert!(rel.contains(&[Value::Int(3)]));
-        assert!(rel.insert(vec![Value::Int(2)]));
-        let order: Vec<Value> = rel.iter().map(|r| r[0].clone()).collect();
-        assert_eq!(order, [0, 1, 3, 4, 2].map(Value::Int));
+        assert!(db.generation("p").unwrap() > after_insert);
     }
 
     #[test]
@@ -635,8 +539,7 @@ mod tests {
     }
 
     /// A relation and a naive row list driven through the same random
-    /// inserts, removals (which shift row ids), EGD rewrites
-    /// (`replace_rows`) and re-inserts of removed rows.
+    /// inserts and EGD rewrites (`replace_rows`).
     fn dedup_agrees_with_a_scan(one_hash: bool) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -648,31 +551,16 @@ mod tests {
                 ..Relation::default()
             };
             let mut naive: Vec<Vec<Value>> = Vec::new();
-            let mut removed: Vec<Vec<Value>> = Vec::new();
             for step in 0..40 {
                 let what = format!("seed {seed} step {step}");
-                let insert = |rel: &mut Relation, naive: &mut Vec<Vec<Value>>, row: Vec<Value>| {
-                    let new = !naive.contains(&row);
-                    assert_eq!(rel.insert(row.clone()), new, "{what}: insert {row:?}");
-                    if new {
-                        naive.push(row);
-                    }
-                };
                 match rng.gen_range(0..10u32) {
-                    0..=4 => insert(
-                        &mut rel,
-                        &mut naive,
-                        rows[rng.gen_range(0..rows.len())].clone(),
-                    ),
-                    5 | 6 if !naive.is_empty() => {
-                        let row = naive.remove(rng.gen_range(0..naive.len()));
-                        assert!(rel.remove(&row), "{what}: remove {row:?}");
-                        assert!(!rel.remove(&row), "{what}: second remove {row:?}");
-                        removed.push(row);
-                    }
-                    7 if !removed.is_empty() => {
-                        let row = removed.swap_remove(rng.gen_range(0..removed.len()));
-                        insert(&mut rel, &mut naive, row);
+                    0..=7 => {
+                        let row = rows[rng.gen_range(0..rows.len())].clone();
+                        let new = !naive.contains(&row);
+                        assert_eq!(rel.insert(row.clone()), new, "{what}: insert {row:?}");
+                        if new {
+                            naive.push(row);
+                        }
                     }
                     8 => {
                         // an EGD rewrite `⊥1 := 0`, as `substitute_null` does it

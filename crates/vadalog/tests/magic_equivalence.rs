@@ -14,37 +14,47 @@
 //! monotonic aggregation, the same family as `join_equivalence` — plus
 //! random goals (bound, half-bound and unbound, on every stratum
 //! including the negation and aggregate ones), and checks the contract
-//! cold and warm through an [`EngineSession`] that interleaves fact
-//! patches with goal queries.
+//! with the extensional facts given either as program text or as the
+//! input [`Database`].
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeSet;
 use vadalog::{
-    goal_slice, parse_goal, parse_program, Atom, Database, Engine, FactPatch, MagicOptions,
+    goal_slice, parse_goal, parse_program, Atom, Database, Engine, MagicOptions, Program,
     Termination, Value,
 };
 
-/// Full (non-goal) run of `src` under the indexed join core.
-fn run_full(src: &str) -> vadalog::ReasoningResult {
+/// Parse `src`; with `facts_as_input`, its facts move out of the program
+/// into the input database the runs start from.
+fn load(src: &str, facts_as_input: bool) -> (Program, Database) {
+    let mut program = parse_program(src).expect("generated program parses");
+    let mut input = Database::new();
+    if facts_as_input {
+        for fact in std::mem::take(&mut program.facts) {
+            input.insert_fact(fact);
+        }
+    }
+    (program, input)
+}
+
+/// Full (non-goal) run under the indexed join core.
+fn run_full(program: &Program, input: Database) -> vadalog::ReasoningResult {
     Engine::new()
-        .run(
-            &parse_program(src).expect("generated program parses"),
-            Database::new(),
-        )
+        .run(program, input)
         .expect("generated program evaluates")
 }
 
-/// Goal-directed run of `src`.
-fn run_goal(src: &str, goals: &[Atom], options: MagicOptions) -> vadalog::GoalRun {
+/// Goal-directed run.
+fn run_goal(
+    program: &Program,
+    input: Database,
+    goals: &[Atom],
+    options: MagicOptions,
+) -> vadalog::GoalRun {
     Engine::new()
-        .run_with_goals(
-            &parse_program(src).expect("generated program parses"),
-            Database::new(),
-            goals,
-            options,
-        )
+        .run_with_goals(program, input, goals, options)
         .expect("goal-directed run evaluates")
 }
 
@@ -125,18 +135,20 @@ fn random_goal(rng: &mut StdRng, domain: i64, has_cnt: bool) -> Atom {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Cold contract: goal slice of the goal-directed run ≡ goal slice of
-    /// the full fixpoint, whatever path (rewrite / degenerate / fallback)
-    /// the goals trigger.
+    /// Goal slice of the goal-directed run ≡ goal slice of the full
+    /// fixpoint, whatever path (rewrite / degenerate / fallback) the
+    /// goals trigger. Half the cases pass their facts as the input
+    /// database rather than as program text.
     #[test]
     fn goal_slices_match_full_fixpoint(seed in 0u64..1_000_000) {
         let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
         let (src, domain, has_cnt) = random_program(&mut rng);
         let goal = random_goal(&mut rng, domain, has_cnt);
-        let full = run_full(&src);
+        let (program, input) = load(&src, rng.gen_bool(0.5));
+        let full = run_full(&program, input.clone());
         prop_assert_eq!(&full.termination, &Termination::Fixpoint);
         let want = slice_set(&full.db, &goal);
-        let out = run_goal(&src, std::slice::from_ref(&goal), MagicOptions::default());
+        let out = run_goal(&program, input, std::slice::from_ref(&goal), MagicOptions::default());
         prop_assert_eq!(
             &out.result.termination,
             &Termination::Fixpoint,
@@ -156,59 +168,6 @@ proptest! {
                 "unsound {}{:?}", goal.pred, row
             );
         }
-    }
-
-    /// Warm contract: an [`EngineSession`] interleaving fact patches with
-    /// goal queries answers every query from its *current* inputs, and
-    /// the warm state stays equivalent to a cold rerun.
-    #[test]
-    fn warm_goal_queries_match_cold_reruns(seed in 0u64..1_000_000) {
-        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
-        let (src, domain, has_cnt) = random_program(&mut rng);
-        let goal = random_goal(&mut rng, domain, has_cnt);
-        let program = parse_program(&src).expect("parses");
-        let mut session = Engine::new()
-            .session(program, Database::new())
-            .expect("session starts");
-
-        // a goal query before any patch ≡ the cold slice
-        let cold = run_full(&src);
-        let out = session
-            .evaluate_goals(std::slice::from_ref(&goal), MagicOptions::default())
-            .expect("goal query evaluates");
-        prop_assert_eq!(slice_set(&out.result.db, &goal), slice_set(&cold.db, &goal));
-
-        // patch two fresh edges in, then re-query: the answer must match
-        // a cold run over the extended fact set
-        let extra: Vec<(i64, i64)> = (0..2)
-            .map(|_| (rng.gen_range(0..domain), rng.gen_range(0..domain)))
-            .collect();
-        let patch = FactPatch::additions(
-            extra
-                .iter()
-                .map(|&(a, b)| ("e0".to_string(), vec![Value::Int(a), Value::Int(b)]))
-                .collect(),
-        );
-        session.patch(patch).expect("patch applies");
-        let mut extended_src = src.clone();
-        for (a, b) in &extra {
-            extended_src.push_str(&format!("e0({a}, {b}).\n"));
-        }
-        let cold = run_full(&extended_src);
-        let out = session
-            .evaluate_goals(std::slice::from_ref(&goal), MagicOptions::default())
-            .expect("goal query evaluates after patch");
-        prop_assert_eq!(
-            slice_set(&out.result.db, &goal),
-            slice_set(&cold.db, &goal),
-            "post-patch goal slice differs (magic: {:?})", out.magic
-        );
-        // and the session's own warm database still matches the cold rerun
-        prop_assert_eq!(
-            slice_set(session.db(), &goal),
-            slice_set(&cold.db, &goal),
-            "session warm state diverged"
-        );
     }
 }
 
@@ -244,13 +203,15 @@ fn closed_group_risk_goals_match_full_run() {
          riskOutput(I, R) :- tuple(M, I, VSet), tuplea(VSet, F, S), R = F / S.\n",
     );
 
-    let full = run_full(&src);
+    let (program, input) = load(&src, false);
+    let full = run_full(&program, input.clone());
     // goal set = the complete "roma" group: closed under group equality
     let goals: Vec<Atom> = (0..3)
         .map(|i| parse_goal(&format!("riskOutput({i}, ?)")).expect("goal parses"))
         .collect();
     let out = run_goal(
-        &src,
+        &program,
+        input,
         &goals,
         MagicOptions {
             closed_groups: true,
@@ -283,8 +244,9 @@ fn unbound_goal_is_byte_for_byte_the_full_run() {
                tc(X, Y) :- e0(X, Y).\n\
                tc(X, Z) :- e0(X, Y), tc(Y, Z).";
     let goal = parse_goal("tc(?, ?)").expect("parses");
-    let full = run_full(src);
-    let out = run_goal(src, &[goal], MagicOptions::default());
+    let (program, input) = load(src, false);
+    let full = run_full(&program, input.clone());
+    let out = run_goal(&program, input, &[goal], MagicOptions::default());
     assert!(out.magic.degenerate);
     let names: Vec<String> = full.db.relation_names().map(str::to_string).collect();
     for name in names {
