@@ -23,9 +23,12 @@
 //! both files.
 //!
 //! An unknown option or a missing value prints the usage line and exits
-//! 2 before anything is written.
+//! 2 before anything is written. A telemetry file that cannot be created
+//! prints a plain error and exits 1 before the transcript starts; one
+//! that cannot be written exits 1 too.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::process::ExitCode;
 use std::sync::Arc;
 use vadalog::{parse_program, Database, Engine, EngineConfig, JoinMode, Value};
 use vadasa_bench::{operand, render_table};
@@ -59,7 +62,7 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut telemetry_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -72,13 +75,16 @@ fn main() {
             }
         }
     }
-    let sink: Option<Arc<JsonLinesWriter<_>>> = telemetry_out.map(|path| {
-        Arc::new(
-            JsonLinesWriter::create(path)
-                .expect("create telemetry file")
-                .redact_timings(),
-        )
-    });
+    let sink: Option<Arc<JsonLinesWriter<_>>> = match &telemetry_out {
+        Some(path) => match JsonLinesWriter::create(path) {
+            Ok(w) => Some(Arc::new(w.redact_timings())),
+            Err(e) => {
+                eprintln!("cannot create {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+        None => None,
+    };
 
     // --- segment 1: the Figure-5 anonymization cycle ---
     let (db, dict) = local_suppression_fig5a();
@@ -155,7 +161,9 @@ fn main() {
     println!("termination: {:?}", r.termination);
     print_fact_sets(&fact_sets(&r.db));
 
-    if let Some(s) = &sink {
-        s.flush().expect("flush telemetry");
+    if let Some(e) = sink.and_then(|s| s.flush().err()) {
+        eprintln!("cannot write the telemetry file: {e}");
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }

@@ -101,17 +101,11 @@ fn main() -> ExitCode {
             "--out" => out = Some(operand(&mut args, &arg, usage)),
             "--batch" => {
                 let s: String = operand(&mut args, &arg, usage);
-                config.batch = Some(match s.as_str() {
-                    "one-tuple" => BatchStrategy::OneTuple,
-                    "per-class" => BatchStrategy::PerClass,
-                    _ => match s.strip_prefix("top-").and_then(|n| n.parse::<usize>().ok()) {
-                        Some(n) if n > 0 => BatchStrategy::TopN(n),
-                        _ => {
-                            eprintln!("--batch must be one-tuple, per-class or top-N, got '{s}'");
-                            usage()
-                        }
-                    },
-                });
+                let Some(batch) = BatchStrategy::parse(&s) else {
+                    eprintln!("--batch must be one-tuple, per-class or top-N, got '{s}'");
+                    usage()
+                };
+                config.batch = Some(batch);
             }
             "--journal" => journal = Some(operand(&mut args, &arg, usage)),
             "--resume" => resume = true,

@@ -40,6 +40,12 @@ fn unknown_options_exit_2_and_write_no_release() {
             &["--threshold", "low"][..],
             Some("cannot parse 'low'"),
         ),
+        ("top-0", &["--batch", "top-0"][..], Some("--batch must be")),
+        (
+            "batch",
+            &["--batch", "per_class"][..],
+            Some("--batch must be"),
+        ),
     ] {
         let dir = std::env::temp_dir().join(format!("vadasa-opts-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -147,4 +153,22 @@ fn fig5_cycle_repeats_its_transcript() {
     let first = run("a");
     assert!(!first.is_empty());
     assert_eq!(first, run("b"), "two runs diverged");
+}
+
+/// A telemetry path that cannot be created is a plain error and exit 1
+/// before anything is printed, as in `vadasa_cycle`.
+#[test]
+fn fig5_cycle_unwritable_telemetry_exits_1_before_any_output() {
+    let missing = std::env::temp_dir()
+        .join(format!("vadasa-opts-{}-absent", std::process::id()))
+        .join("x.jsonl");
+    let output = Command::new(exe("fig5_cycle"))
+        .arg("--telemetry-out")
+        .arg(&missing)
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot create"), "{stderr}");
+    assert!(output.stdout.is_empty(), "printed before failing");
 }

@@ -68,6 +68,27 @@ pub enum StepGranularity {
     OneTuplePerIteration,
 }
 
+impl StepGranularity {
+    /// The name CLI options and job manifests use: `all-risky` or
+    /// `one-tuple`.
+    pub fn name(self) -> &'static str {
+        match self {
+            StepGranularity::AllRiskyPerIteration => "all-risky",
+            StepGranularity::OneTuplePerIteration => "one-tuple",
+        }
+    }
+
+    /// The granularity a [`name`](Self::name) stands for. Any other string
+    /// is `None`, so callers refuse it with a structured error.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "all-risky" => Some(StepGranularity::AllRiskyPerIteration),
+            "one-tuple" => Some(StepGranularity::OneTuplePerIteration),
+            _ => None,
+        }
+    }
+}
+
 /// How many equivalence classes one batched iteration anonymizes (the
 /// million-row heuristic). With a class batch the cycle hands the
 /// anonymizer *all* rows of the selected classes in one iteration and
@@ -92,6 +113,32 @@ pub enum BatchStrategy {
     /// All rows of the `n` highest-priority equivalence classes
     /// (`TopN(1)` ≡ [`BatchStrategy::PerClass`]).
     TopN(usize),
+}
+
+impl BatchStrategy {
+    /// The name CLI options and job manifests use: `one-tuple`,
+    /// `per-class` or `top-N`.
+    pub fn name(self) -> String {
+        match self {
+            BatchStrategy::OneTuple => "one-tuple".into(),
+            BatchStrategy::PerClass => "per-class".into(),
+            BatchStrategy::TopN(n) => format!("top-{n}"),
+        }
+    }
+
+    /// The strategy a [`name`](Self::name) stands for. Any other string,
+    /// and `top-0`, which names no class, is `None`, so callers refuse it
+    /// with a structured error.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "one-tuple" => Some(BatchStrategy::OneTuple),
+            "per-class" => Some(BatchStrategy::PerClass),
+            _ => match s.strip_prefix("top-")?.parse::<usize>().ok()? {
+                0 => None,
+                n => Some(BatchStrategy::TopN(n)),
+            },
+        }
+    }
 }
 
 /// Storage backend selection for the cycle's persisted warm artifacts.

@@ -5,8 +5,9 @@
 //! This module ships the concrete encodings of Algorithms 1 and 3–7 in the
 //! syntax of the bundled [`vadalog`] engine, together with converters that
 //! round-trip a [`MicrodataDb`] + [`MetadataDictionary`] to the extensional
-//! facts (`val`, `cat`, `expbase`, …) the programs expect, and runners that
-//! extract the derived `riskOutput` facts.
+//! facts (`val`, `cat`, `expbase`, …) the programs expect, runners that
+//! extract the derived `riskOutput` facts, and [`VadalogKAnonymity`], the
+//! cycle's `#risk` plug-in decided on the engine.
 //!
 //! The unit and integration tests prove the declarative and the native
 //! implementations agree on shared fixtures — the engine-based path is the
@@ -26,9 +27,11 @@
 //!   `InComb(Z, Z1), In(A, Z1) → In(A, Z)`.
 
 use crate::dictionary::{Category, MetadataDictionary};
+use crate::maybe_match::NullSemantics;
 use crate::model::MicrodataDb;
+use crate::risk::{MicrodataView, RiskError, RiskMeasure, RiskReport, TupleRiskDetail};
 use std::collections::HashMap;
-use vadalog::{parse_program, Database, Engine, EngineError, ParseError, Program, Value};
+use vadalog::{parse_program, Database, Engine, EngineError, ParseError, Value};
 
 /// Algorithm 1 — attribute categorization by recursive experience.
 ///
@@ -76,6 +79,44 @@ tuplea(VSet, C) :- tuple(M, I, VSet), C = mcount(<I>).
 @label("alg4-rule2: threshold against k")
 riskOutput(I, R) :- tuple(M, I, VSet), tuplea(VSet, C),
                     R = case C < {k} then 1.0 else 0.0.
+"#
+    )
+}
+
+/// Algorithm 4 under the maybe-match semantics `=⊥` of §4.3 (`k` is
+/// spliced into the rule text).
+///
+/// Two tuples match iff they agree wherever both hold a constant. Each
+/// tuple is keyed by the set `K` of attributes where it holds one (a
+/// fully suppressed tuple by the empty set), so tuples `t` and `u` match
+/// iff their constant pairs projected on `K_t ∩ K_u` are equal. The
+/// program never pairs tuples. It projects every tuple on every key set
+/// and counts the tuples of each key set `K1` per projection on each key
+/// set `K` (`mcount`). A tuple keyed by `K` then matches, among the
+/// tuples keyed by `K1`, exactly those counted under its own projection
+/// on `K1`, and its class size sums these counts over `K1` (`msum`).
+/// That is O(rows × key sets) facts, the mask-key idea of DESIGN.md § 18.
+pub fn alg4_kanonymity_maybe_match(k: usize) -> String {
+    format!(
+        r#"
+@label("alg4mm-rule1: the constant pairs of each tuple")
+cpairs(I, CSet) :- val(M, I, A, V), cat(M, A, "quasi-identifier"), not is_null(V),
+                   CSet = munion(pair(A, V), <A>).
+@label("alg4mm-rule2: key each tuple by its constant attributes")
+tuplek(I, K, CSet) :- cpairs(I, CSet), K = keys(CSet).
+@label("alg4mm-rule3: a fully suppressed tuple keys on the empty set")
+hasconst(I) :- cpairs(I, CSet).
+tuplek(I, E, E) :- tuple(M, I, VSet), not hasconst(I), E = {{}}.
+@label("alg4mm-rule4: the key sets in use")
+keyset(K) :- tuplek(I, K, CSet).
+@label("alg4mm-rule5: project every tuple on every key set")
+proj(K, K1, P, I) :- tuplek(I, K1, CSet), keyset(K), P = CSet[K].
+@label("alg4mm-rule6: count the tuples of each key set per projection")
+projcount(K, K1, P, C) :- proj(K, K1, P, I), C = mcount(<I>).
+@label("alg4mm-rule7: a tuple's class size sums its matches over key sets")
+freq(I, F) :- proj(K1, K, P, I), projcount(K, K1, P, C), F = msum(C, <K1>).
+@label("alg4mm-rule8: threshold against k")
+riskOutput(I, R) :- freq(I, F), R = case F < {k} then 1.0 else 0.0.
 "#
     )
 }
@@ -251,23 +292,14 @@ pub fn run_risk_program(
     db: &MicrodataDb,
     dict: &MetadataDictionary,
 ) -> Result<Vec<f64>, ProgramError> {
-    let mut source = String::from(ALG2_TUPLE_REIFICATION);
-    source.push_str(risk_rules);
-    let program: Program = parse_program(&source)?;
-    let facts = microdata_to_facts(db, dict)?;
-    let result = Engine::new().run(&program, facts)?;
-
+    let result = run_alg2(risk_rules, microdata_to_facts(db, dict)?)?;
     let mut risks = vec![0.0f64; db.len()];
-    for row in result.db.rows("riskOutput") {
-        let (Some(Value::Int(i)), Some(r)) = (row.first(), row.get(1)) else {
-            continue;
-        };
-        let idx = *i as usize;
-        if idx < risks.len() {
-            if let Some(x) = r.as_f64() {
-                // several riskOutput facts may exist (e.g. SUDA before the
-                // mmax fold); keep the maximum.
-                risks[idx] = risks[idx].max(x);
+    for row in result.rows("riskOutput") {
+        // several riskOutput facts may exist (e.g. SUDA before the mmax
+        // fold); keep the maximum
+        if let [Value::Int(i), r] = row.as_slice() {
+            if let (Some(slot), Some(x)) = (risks.get_mut(*i as usize), r.as_f64()) {
+                *slot = slot.max(x);
             }
         }
     }
@@ -369,339 +401,108 @@ pub fn run_control_program(
     }
 }
 
-/// Outcome of a fully declarative anonymization run.
-#[derive(Debug, Clone)]
-pub struct DeclarativeCycleOutcome {
-    /// Iterations performed.
-    pub iterations: usize,
-    /// Labelled nulls injected (one per suppression).
-    pub nulls_injected: usize,
-    /// Per-row final risks.
-    pub final_risks: Vec<f64>,
-    /// The anonymized quasi-identifier table: per row, `(attr, value)`
-    /// pairs where suppressed cells hold labelled nulls.
-    pub anonymized_rows: Vec<Vec<(String, Value)>>,
-    /// Risk evaluations answered goal-directed (magic-sets restricted to
-    /// the rows whose groups last suppression touched).
-    pub goal_evals: usize,
-    /// Risk evaluations over the full program (the first iteration is
-    /// always one; magic refusals add more).
-    pub full_evals: usize,
-    /// Goal-directed evaluations where the rewrite refused and the cycle
-    /// fell back, documented-cold, to a full evaluation.
-    pub goal_fallbacks: usize,
-}
-
-/// Options for [`run_declarative_cycle_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeclarativeCycleOptions {
-    /// After the first full risk evaluation, answer subsequent rounds'
-    /// risk queries goal-directed: only rows whose quasi-identifier group
-    /// was touched by the previous suppression are re-evaluated (their
-    /// old group lost members, their new group gained them); every other
-    /// row keeps its previous risk, which is sound because its group is
-    /// unchanged. The goal set is closed under group equality by
-    /// construction, so the magic rewrite runs with
-    /// [`vadalog::MagicOptions::closed_groups`] and aggregate groups stay
-    /// complete. Results are bit-identical with the full evaluation; the
-    /// cycle falls back cold whenever the rewrite refuses.
-    pub goal_directed: bool,
-}
-
-/// The anonymization cycle exactly as Algorithm 2 stages it: risk
-/// evaluation and local suppression are both **Vadalog programs**, and the
-/// host only plays the role of the `#risk`/`#anonymize` plumbing — reading
-/// `riskOutput`, asserting `anonymize(I)`/`suppressattr(I, A)` facts, and
-/// looping until every tuple passes the threshold.
-///
-/// Risk is evaluated with the declarative k-anonymity program
-/// ([`alg4_kanonymity`]) under the maybe-match group semantics, realized
-/// here by re-reifying the current (suppressed) `val` facts each round:
-/// a suppressed cell carries a labelled null which the engine's `tuple`
-/// reification keeps, and the host-side count emulation is avoided
-/// entirely — grouping happens in `tuplea` on the engine.
-///
-/// The attribute to suppress is picked by the host (most-selective-first
-/// over the current facts), mirroring §4.4's routing-strategy division of
-/// labour. Suppression itself is Algorithm 7 on the engine: the fresh `⊥`
-/// comes from the chase, not from host code.
-pub fn run_declarative_cycle(
-    db: &MicrodataDb,
-    dict: &MetadataDictionary,
-    k: usize,
-    max_iterations: usize,
-) -> Result<DeclarativeCycleOutcome, ProgramError> {
-    run_declarative_cycle_with(
-        db,
-        dict,
-        k,
-        max_iterations,
-        DeclarativeCycleOptions::default(),
-    )
-}
-
-/// [`run_declarative_cycle`] with explicit options — see
-/// [`DeclarativeCycleOptions::goal_directed`] for the warm-start path.
-pub fn run_declarative_cycle_with(
-    db: &MicrodataDb,
-    dict: &MetadataDictionary,
-    k: usize,
-    max_iterations: usize,
-    options: DeclarativeCycleOptions,
-) -> Result<DeclarativeCycleOutcome, ProgramError> {
-    use crate::maybe_match::{group_stats, NullSemantics};
-
-    let qi_names = dict
-        .quasi_identifiers(&db.name)
-        .map_err(|e| ProgramError::Conversion(e.to_string()))?;
-    // current QI state, row-major; starts from the input table
-    let mut rows: Vec<Vec<(String, Value)>> = (0..db.len())
-        .map(|i| {
-            qi_names
-                .iter()
-                .map(|a| (a.clone(), db.value(i, a).expect("qi exists").clone()))
-                .collect()
-        })
-        .collect();
-    let m = Value::str(&db.name);
-    let mut nulls_injected = 0usize;
-    let mut iterations = 0usize;
-    let mut goal_evals = 0usize;
-    let mut full_evals = 0usize;
-    let mut goal_fallbacks = 0usize;
-
-    let risk_program = parse_program(&format!("{}{}", ALG2_TUPLE_REIFICATION, alg4_kanonymity(k)))?;
-    let suppress_program = parse_program(&format!(
-        "{}{}",
-        ALG2_TUPLE_REIFICATION, ALG7_LOCAL_SUPPRESSION
-    ))?;
-
-    // Engine risks carry over between rounds so the goal-directed path
-    // can update only the rows whose groups changed.
-    let mut risks = vec![0.0f64; rows.len()];
-    // Rows whose risk must be re-derived this round; `None` means all
-    // (the first round, goal-directed off, or a magic fallback).
-    let mut pending_goals: Option<std::collections::BTreeSet<usize>> = None;
-
-    loop {
-        // --- extensional component from the current state ---
-        let mut facts = Database::new();
-        facts.insert("microdb", vec![m.clone()]);
-        for attr in &qi_names {
-            facts.insert("att", vec![m.clone(), Value::str(attr)]);
+/// `view` as the extensional facts Algorithm 2 Rule 1 reads:
+/// `cat(M, A, "quasi-identifier")` per column and `val(M, I, A, V)` per
+/// cell, with `I` the view row.
+fn view_facts(view: &MicrodataView) -> Database {
+    let (m, qi) = (Value::str("view"), Value::str("quasi-identifier"));
+    let attrs: Vec<Value> = view.qi_names.iter().map(Value::str).collect();
+    let mut facts = Database::new();
+    for a in &attrs {
+        facts.insert("cat", vec![m.clone(), a.clone(), qi.clone()]);
+    }
+    for i in 0..view.len() {
+        for (c, a) in attrs.iter().enumerate() {
+            let cell = view.value(i, c).clone();
             facts.insert(
-                "cat",
-                vec![m.clone(), Value::str(attr), Value::str("quasi-identifier")],
+                "val",
+                vec![m.clone(), Value::Int(i as i64), a.clone(), cell],
             );
         }
-        for (i, row) in rows.iter().enumerate() {
-            for (attr, v) in row {
-                facts.insert(
-                    "val",
-                    vec![m.clone(), Value::Int(i as i64), Value::str(attr), v.clone()],
-                );
-            }
-        }
+    }
+    facts
+}
 
-        // --- #risk: the engine evaluates Algorithm 4 ---
-        // The engine groups VSets by equality; the maybe-match widening is
-        // applied on the host side over the reified rows, exactly like the
-        // =⊥ grouping semantics of §4.3 extends plain equality.
-        fn apply_risks(db: &Database, risks: &mut [f64]) {
-            for r in db.rows("riskOutput") {
-                if let (Some(Value::Int(i)), Some(v)) = (r.first(), r.get(1)) {
-                    if let Some(x) = v.as_f64() {
-                        if let Some(slot) = risks.get_mut(*i as usize) {
-                            *slot = x;
-                        }
+/// Parse `rules` behind Algorithm 2 Rule 1 and run them over `facts`.
+fn run_alg2(rules: &str, facts: Database) -> Result<Database, ProgramError> {
+    let program = parse_program(&format!("{ALG2_TUPLE_REIFICATION}{rules}"))?;
+    Ok(Engine::new().run(&program, facts)?.db)
+}
+
+/// k-anonymity decided on the engine: the `#risk` plug-in of Algorithm 2.
+///
+/// Each evaluation turns the view into `cat`/`val` facts, runs Algorithm 2
+/// Rule 1 and a k-anonymity program, and reads `riskOutput(I, R)` and the
+/// class size `freq(I, F)`. The program is [`alg4_kanonymity`] as printed
+/// under [`NullSemantics::Standard`] (its `VSet` grouping compares nulls
+/// by label) and [`alg4_kanonymity_maybe_match`] under
+/// [`NullSemantics::MaybeMatch`]. The host decides nothing: without a
+/// single-tuple or group-statistics hook, the cycle scores every iteration
+/// in full and rechecks no target within one. The programs sum no
+/// weights, so every `weight_sum` of the report is 0.
+#[derive(Debug, Clone, Copy)]
+pub struct VadalogKAnonymity {
+    /// Minimum acceptable equivalence-class size.
+    pub k: usize,
+}
+
+impl VadalogKAnonymity {
+    /// Engine k-anonymity with the given `k` (clamped to at least 1, as
+    /// [`KAnonymity::new`](crate::risk::KAnonymity::new) does).
+    pub fn new(k: usize) -> Self {
+        VadalogKAnonymity { k: k.max(1) }
+    }
+}
+
+impl RiskMeasure for VadalogKAnonymity {
+    fn name(&self) -> &str {
+        "vadalog-k-anonymity"
+    }
+
+    fn evaluate(&self, view: &MicrodataView) -> Result<RiskReport, RiskError> {
+        let rules = match view.semantics {
+            // as printed, plus the class size `alg4_kanonymity_maybe_match` derives
+            NullSemantics::Standard => format!(
+                "{}freq(I, C) :- tuple(M, I, VSet), tuplea(VSet, C).\n",
+                alg4_kanonymity(self.k)
+            ),
+            NullSemantics::MaybeMatch => alg4_kanonymity_maybe_match(self.k),
+        };
+        let db = run_alg2(&rules, view_facts(view))
+            .map_err(|e| RiskError::View(format!("k-anonymity program: {e}")))?;
+        // the second argument of `pred`'s facts, by the row in the first
+        let by_row = |pred: &str| {
+            let mut out = vec![None; view.len()];
+            for fact in db.rows(pred) {
+                if let [Value::Int(i), v] = fact.as_slice() {
+                    if let Some(slot) = out.get_mut(*i as usize) {
+                        *slot = Some(v.clone());
                     }
                 }
             }
-        }
-        match &pending_goals {
-            Some(goal_rows) => {
-                // Goal-directed warm round: derive risk only for the rows
-                // whose groups the last suppression touched. Every other
-                // row's group — and therefore its engine risk — is
-                // unchanged and carried over.
-                let goals: Vec<vadalog::Atom> = goal_rows
-                    .iter()
-                    .map(|&i| {
-                        vadalog::Atom::new(
-                            "riskOutput",
-                            vec![
-                                vadalog::Term::Const(Value::Int(i as i64)),
-                                vadalog::Term::Var("R".to_string()),
-                            ],
-                        )
-                    })
-                    .collect();
-                let run = Engine::new().run_with_goals(
-                    &risk_program,
-                    facts.clone(),
-                    &goals,
-                    vadalog::MagicOptions {
-                        closed_groups: true,
-                    },
-                )?;
-                if run.magic.applied {
-                    goal_evals += 1;
-                    for &i in goal_rows {
-                        risks[i] = 0.0;
-                    }
-                    for r in run.result.db.rows("riskOutput") {
-                        if let (Some(Value::Int(i)), Some(v)) = (r.first(), r.get(1)) {
-                            if goal_rows.contains(&(*i as usize)) {
-                                if let Some(x) = v.as_f64() {
-                                    risks[*i as usize] = x;
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    // Documented cold fallback: the rewrite could not
-                    // promise the goal slice, and the engine already ran
-                    // the full program in its place.
-                    goal_fallbacks += usize::from(run.magic.fallback.is_some());
-                    full_evals += 1;
-                    risks.fill(0.0);
-                    apply_risks(&run.result.db, &mut risks);
-                }
-            }
-            None => {
-                full_evals += 1;
-                let result = Engine::new().run(&risk_program, facts.clone())?;
-                risks.fill(0.0);
-                apply_risks(&result.db, &mut risks);
-            }
-        }
-        // maybe-match correction: a tuple the engine flags may still reach
-        // k through null-tolerant matches
-        let qi_matrix: Vec<Vec<Value>> = rows
-            .iter()
-            .map(|r| r.iter().map(|(_, v)| v.clone()).collect())
-            .collect();
-        let stats = group_stats(&qi_matrix, None, NullSemantics::MaybeMatch);
-        for (i, &c) in stats.count.iter().enumerate() {
-            if c >= k {
-                risks[i] = 0.0;
-            }
-        }
-
-        let risky: Vec<usize> = risks
-            .iter()
+            out
+        };
+        let mut report = RiskReport {
+            measure: self.name().to_string(),
+            risks: Vec::with_capacity(view.len()),
+            details: Vec::with_capacity(view.len()),
+        };
+        for (i, (r, f)) in by_row("riskOutput")
+            .into_iter()
+            .zip(by_row("freq"))
             .enumerate()
-            .filter(|(i, &r)| r > 0.5 && rows[*i].iter().any(|(_, v)| !v.is_null()))
-            .map(|(i, _)| i)
-            .collect();
-        if risky.is_empty() || iterations >= max_iterations {
-            return Ok(DeclarativeCycleOutcome {
-                iterations,
-                nulls_injected,
-                final_risks: risks,
-                anonymized_rows: rows,
-                goal_evals,
-                full_evals,
-                goal_fallbacks,
+        {
+            let (Some(r), Some(Value::Int(f))) = (r.and_then(|r| r.as_f64()), f) else {
+                return Err(RiskError::View(format!("no risk derived for row {i}")));
+            };
+            report.risks.push(r);
+            report.details.push(TupleRiskDetail {
+                frequency: f as usize,
+                weight_sum: 0.0,
+                note: format!("class size {f} vs k={}", self.k).into(),
             });
         }
-
-        // --- #anonymize: assert the trigger facts, let Algorithm 7 chase ---
-        // Remember the flagged rows' pre-suppression signatures: their old
-        // groups lose a member, so those groups must be re-evaluated too.
-        let old_sigs: Option<std::collections::BTreeSet<Vec<Value>>> =
-            options.goal_directed.then(|| {
-                risky
-                    .iter()
-                    .map(|&i| rows[i].iter().map(|(_, v)| v.clone()).collect())
-                    .collect()
-            });
-        let mut supp_facts = facts;
-        let mut picks: Vec<String> = Vec::with_capacity(risky.len());
-        for &i in &risky {
-            supp_facts.insert("anonymize", vec![Value::Int(i as i64)]);
-            // routing: most selective non-null attribute of the row
-            let pick = rows[i]
-                .iter()
-                .filter(|(_, v)| !v.is_null())
-                .min_by_key(|(attr, v)| {
-                    rows.iter()
-                        .filter(|r| r.iter().any(|(a2, v2)| a2 == attr && v2 == v))
-                        .count()
-                })
-                .map(|(a, _)| a.clone())
-                .expect("risky row has a non-null QI");
-            supp_facts.insert(
-                "suppressattr",
-                vec![Value::Int(i as i64), Value::str(&pick)],
-            );
-            picks.push(pick);
-        }
-        let result = Engine::new().run(&suppress_program, supp_facts)?;
-
-        // read back the anonymized versions: for each flagged row, the
-        // chase derived a second `tuple` fact whose picked attribute holds
-        // the fresh null (the original version may carry older nulls)
-        for (&i, pick) in risky.iter().zip(&picks) {
-            let versions: Vec<Vec<Value>> = result
-                .db
-                .rows("tuple")
-                .into_iter()
-                .filter(|r| r[1] == Value::Int(i as i64))
-                .collect();
-            let nulled = versions.iter().find(|v| {
-                v[2].as_set()
-                    .map(|s| {
-                        s.iter().any(|p| {
-                            p.as_tuple()
-                                .map(|t| t[0].as_str() == Some(pick.as_str()) && t[1].is_null())
-                                .unwrap_or(false)
-                        })
-                    })
-                    .unwrap_or(false)
-            });
-            if let Some(version) = nulled {
-                if let Some(set) = version[2].as_set() {
-                    for p in set.iter() {
-                        if let Some(t) = p.as_tuple() {
-                            if let (Some(attr), v) = (t[0].as_str(), &t[1]) {
-                                if let Some(cell) = rows[i].iter_mut().find(|(a, _)| a == attr) {
-                                    if v.is_null() && !cell.1.is_null() {
-                                        nulls_injected += 1;
-                                        // re-label host-side so nulls stay
-                                        // globally distinct across rounds
-                                        cell.1 = Value::Null(nulls_injected as u64 - 1);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        if let Some(mut touched) = old_sigs {
-            // The next round only needs the rows living in a touched
-            // group: the suppressed rows' old groups (lost members) and
-            // their new groups (gained members). Membership is a
-            // predicate of the row's *current* signature, so the set is
-            // closed under group equality — the precondition for
-            // `closed_groups` above.
-            for &i in &risky {
-                touched.insert(rows[i].iter().map(|(_, v)| v.clone()).collect());
-            }
-            pending_goals = Some(
-                rows.iter()
-                    .enumerate()
-                    .filter(|(_, row)| {
-                        let sig: Vec<Value> = row.iter().map(|(_, v)| v.clone()).collect();
-                        touched.contains(&sig)
-                    })
-                    .map(|(i, _)| i)
-                    .collect(),
-            );
-        }
-        iterations += 1;
+        Ok(report)
     }
 }
 
@@ -749,22 +550,6 @@ mod tests {
 
     fn native_view(db: &MicrodataDb, dict: &MetadataDictionary) -> MicrodataView {
         MicrodataView::from_db_with(db, dict, NullSemantics::Standard, None).unwrap()
-    }
-
-    #[test]
-    fn declarative_kanonymity_matches_native() {
-        let (db, dict) = fig5();
-        let declarative = run_risk_program(&alg4_kanonymity(2), &db, &dict).unwrap();
-        let native = KAnonymity::new(2)
-            .evaluate(&native_view(&db, &dict))
-            .unwrap();
-        assert_eq!(declarative.len(), native.risks.len());
-        for (d, n) in declarative.iter().zip(native.risks.iter()) {
-            assert!((d - n).abs() < 1e-9, "declarative {d} vs native {n}");
-        }
-        // tuple 0 (Roma, Textiles) is the lone sample unique
-        assert_eq!(declarative[0], 1.0);
-        assert_eq!(declarative[1], 0.0);
     }
 
     #[test]
@@ -840,115 +625,65 @@ mod tests {
         assert!(declarative_set.contains(&(Value::str("a"), Value::str("c"))));
     }
 
-    #[test]
-    fn declarative_cycle_reaches_k_anonymity_on_fig5() {
-        let (db, dict) = fig5();
-        let out = run_declarative_cycle(&db, &dict, 2, 20).unwrap();
-        assert!(out.iterations >= 1);
-        assert!(out.nulls_injected >= 1);
-        assert!(
-            out.final_risks.iter().all(|&r| r <= 0.5),
-            "risks: {:?}",
-            out.final_risks
-        );
-        // tuple 0 (Roma/Textiles, the sample unique) must carry a null now
-        assert!(out.anonymized_rows[0].iter().any(|(_, v)| v.is_null()));
-        // untouched safe tuples keep their constants
-        assert!(out.anonymized_rows[1].iter().all(|(_, v)| !v.is_null()));
-    }
-
-    #[test]
-    fn declarative_cycle_matches_native_null_count_on_fig5() {
-        let (db, dict) = fig5();
-        let declarative = run_declarative_cycle(&db, &dict, 2, 20).unwrap();
-        let risk = crate::risk::KAnonymity::new(2);
-        let anonymizer = crate::anonymize::LocalSuppression::new(
-            crate::anonymize::AttributeOrder::MostSelectiveFirst,
-        );
-        let native = crate::cycle::AnonymizationCycle::new(
-            &risk,
-            &anonymizer,
-            crate::cycle::CycleConfig::default(),
-        )
-        .run(&db, &dict)
-        .unwrap();
-        assert_eq!(declarative.nulls_injected, native.nulls_injected);
-    }
-
-    #[test]
-    fn goal_directed_cycle_is_bit_identical_to_full_cycle() {
-        // The tentpole equivalence: goal-directed warm rounds must leave
-        // no observable trace — risks, released rows, iteration count and
-        // null count all match the full evaluation exactly.
-        let (db, dict) = fig5();
-        let full = run_declarative_cycle(&db, &dict, 2, 20).unwrap();
-        let goal = run_declarative_cycle_with(
-            &db,
-            &dict,
-            2,
-            20,
-            DeclarativeCycleOptions {
-                goal_directed: true,
-            },
-        )
-        .unwrap();
-        assert_eq!(goal.iterations, full.iterations);
-        assert_eq!(goal.nulls_injected, full.nulls_injected);
-        assert_eq!(goal.final_risks, full.final_risks, "bit-identical risks");
-        assert_eq!(goal.anonymized_rows, full.anonymized_rows);
-        // and it actually took the warm path: one full eval up front,
-        // goal-directed rounds after (no refusals on ALG2+ALG4)
-        assert_eq!(goal.full_evals, 1);
-        assert!(goal.goal_evals >= 1, "outcome: {goal:?}");
-        assert_eq!(goal.goal_fallbacks, 0);
-        assert_eq!(full.goal_evals, 0);
-        assert_eq!(full.full_evals, full.iterations + 1);
-    }
-
-    #[test]
-    fn declarative_cycle_is_a_noop_on_safe_tables() {
-        // duplicate every row: everything is 2-anonymous already
-        let (db, dict) = fig5();
-        let mut doubled = MicrodataDb::new("fig5", db.attributes().to_vec()).unwrap();
-        for i in 0..db.len() {
-            doubled.push_row(db.row(i).unwrap().to_vec()).unwrap();
-            doubled.push_row(db.row(i).unwrap().to_vec()).unwrap();
+    /// Figure 5 with labelled nulls: row 0 lost its Sector, row 3 is fully
+    /// suppressed, and row 4 holds the same null label as row 0.
+    fn fig5_with_nulls() -> (MicrodataDb, MetadataDictionary) {
+        let (mut db, dict) = fig5();
+        let shared = db.fresh_null();
+        db.set_value(0, "Sector", shared.clone()).unwrap();
+        db.set_value(4, "Sector", shared).unwrap();
+        for attr in ["Area", "Sector"] {
+            let n = db.fresh_null();
+            db.set_value(3, attr, n).unwrap();
         }
-        let out = run_declarative_cycle(&doubled, &dict, 2, 20).unwrap();
-        assert_eq!(out.iterations, 0);
-        assert_eq!(out.nulls_injected, 0);
+        (db, dict)
+    }
+
+    #[test]
+    fn vadalog_kanonymity_matches_native_bit_for_bit() {
+        for sem in [NullSemantics::MaybeMatch, NullSemantics::Standard] {
+            for (t, (db, dict)) in [fig5(), fig5_with_nulls()].iter().enumerate() {
+                let view = &MicrodataView::from_db_with(db, dict, sem, None).unwrap();
+                for k in [2, 3, 5] {
+                    let engine = VadalogKAnonymity::new(k).evaluate(view).unwrap();
+                    let native = KAnonymity::new(k).evaluate(view).unwrap();
+                    let bits = |r: &RiskReport| {
+                        let sizes = r.details.iter().map(|d| d.frequency);
+                        r.risks
+                            .iter()
+                            .map(|x| x.to_bits())
+                            .zip(sizes)
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(&engine), bits(&native), "view {t}, {sem:?}, k = {k}");
+                }
+            }
+        }
+        // the fully suppressed row maybe-matches all five rows
+        let (db, dict) = fig5_with_nulls();
+        let view = MicrodataView::from_db(&db, &dict).unwrap();
+        let report = VadalogKAnonymity::new(2).evaluate(&view).unwrap();
+        assert_eq!(report.details[3].frequency, 5);
     }
 
     #[test]
     fn suppression_program_splices_null() {
         // reify, flag tuple 0, suppress its Sector
         let (db, dict) = fig5();
-        let mut source = String::from(ALG2_TUPLE_REIFICATION);
-        source.push_str(ALG7_LOCAL_SUPPRESSION);
-        let program = parse_program(&source).unwrap();
         let mut facts = microdata_to_facts(&db, &dict).unwrap();
         facts.insert("anonymize", vec![Value::Int(0)]);
         facts.insert("suppressattr", vec![Value::Int(0), Value::str("Sector")]);
-        let result = Engine::new().run(&program, facts).unwrap();
+        let result = run_alg2(ALG7_LOCAL_SUPPRESSION, facts).unwrap();
         // tuple 0 now has two versions: original and suppressed
         let versions: Vec<Vec<Value>> = result
-            .db
             .rows("tuple")
             .into_iter()
             .filter(|r| r[1] == Value::Int(0))
             .collect();
         assert_eq!(versions.len(), 2);
-        let has_null_version = versions.iter().any(|v| {
-            v[2].as_set()
-                .map(|s| {
-                    s.iter().any(|p| {
-                        p.as_tuple()
-                            .map(|t| t[0] == Value::str("Sector") && t[1].is_null())
-                            .unwrap_or(false)
-                    })
-                })
-                .unwrap_or(false)
-        });
-        assert!(has_null_version);
+        let sector_nulled = |p: &Value| matches!(p.as_tuple(), Some([a, v]) if *a == Value::str("Sector") && v.is_null());
+        assert!(versions
+            .iter()
+            .any(|v| v[2].as_set().is_some_and(|s| s.iter().any(sector_nulled))));
     }
 }

@@ -16,6 +16,7 @@
 
 use std::time::Duration;
 
+use vadasa_core::cycle::{BatchStrategy, StepGranularity};
 use vadasa_core::obs::json::{self, Json};
 
 use crate::server::{JobReport, JobServer, ShutdownMode};
@@ -137,24 +138,12 @@ fn parse_submit(v: &Json) -> Result<(String, JobSpec), String> {
         spec.deadline = Some(Duration::from_millis(ms as u64));
     }
     if let Some(g) = v.get("granularity").and_then(Json::as_str) {
-        spec.granularity = match g {
-            "one-tuple" => vadasa_core::cycle::StepGranularity::OneTuplePerIteration,
-            "all-risky" => vadasa_core::cycle::StepGranularity::AllRiskyPerIteration,
-            other => return Err(format!("unknown granularity {other:?}")),
-        };
+        spec.granularity =
+            StepGranularity::parse(g).ok_or_else(|| format!("unknown granularity {g:?}"))?;
     }
     if let Some(b) = v.get("batch").and_then(Json::as_str) {
-        spec.batch = Some(match b {
-            "one-tuple" => vadasa_core::cycle::BatchStrategy::OneTuple,
-            "per-class" => vadasa_core::cycle::BatchStrategy::PerClass,
-            other => match other
-                .strip_prefix("top-")
-                .and_then(|n| n.parse::<usize>().ok())
-            {
-                Some(n) if n > 0 => vadasa_core::cycle::BatchStrategy::TopN(n),
-                _ => return Err(format!("unknown batch strategy {other:?}")),
-            },
-        });
+        spec.batch =
+            Some(BatchStrategy::parse(b).ok_or_else(|| format!("unknown batch strategy {b:?}"))?);
     }
     if let Some(n) = v.get("snapshot_every").and_then(Json::as_f64) {
         spec.snapshot_every = Some(n as u32);
@@ -347,6 +336,16 @@ mod tests {
             r#"{"cmd":"submit","id":"c2","csv":"a\n1\n","categories":{"a":"nonsense"}}"#,
         );
         assert!(resp.contains("unknown category"), "{resp}");
+        // step names are the cycle's own; an alien one is refused
+        for (field, reason) in [
+            (r#""batch":"top-0""#, "unknown batch strategy"),
+            (r#""granularity":"all""#, "unknown granularity"),
+        ] {
+            let line =
+                format!(r#"{{"cmd":"submit","id":"c3","csv":"Id,Area\n1,North\n",{field}}}"#);
+            let (resp, _) = handle_line(&server, &line);
+            assert!(resp.contains(reason), "{resp}");
+        }
         let (resp, _) = handle_line(&server, r#"{"cmd":"status","id":"ghost"}"#);
         assert!(resp.contains("unknown job"), "{resp}");
         server.wait("c1", Duration::from_secs(60));

@@ -302,22 +302,11 @@ impl JobSpec {
         ));
         members.push((
             "granularity".into(),
-            Json::Str(
-                match self.granularity {
-                    StepGranularity::AllRiskyPerIteration => "all-risky",
-                    StepGranularity::OneTuplePerIteration => "one-tuple",
-                }
-                .into(),
-            ),
+            Json::Str(self.granularity.name().into()),
         ));
         members.push((
             "batch".into(),
-            match self.batch {
-                None => Json::Null,
-                Some(BatchStrategy::OneTuple) => Json::Str("one-tuple".into()),
-                Some(BatchStrategy::PerClass) => Json::Str("per-class".into()),
-                Some(BatchStrategy::TopN(n)) => Json::Str(format!("top-{n}")),
-            },
+            self.batch.map_or(Json::Null, |b| Json::Str(b.name())),
         ));
         members.push((
             "semantics".into(),
@@ -386,27 +375,28 @@ impl JobSpec {
         };
         let measure = MeasureSpec::from_json(&v)?;
         let threshold = v.get("threshold").and_then(Json::as_f64).unwrap_or(0.5);
-        let tuple_order = match v.get("tuple_order").and_then(Json::as_str) {
+        // An absent field keeps its default, so older manifests load; a
+        // name no version wrote is an alien manifest and is refused.
+        let name_of = |field: &str| v.get(field).and_then(Json::as_str);
+        let refuse = |what: &str, s: &str| err(format!("unknown {what} {s:?}"));
+        let tuple_order = match name_of("tuple_order") {
+            None | Some("less-significant-first") => TupleOrder::LessSignificantFirst,
             Some("most-risky-first") => TupleOrder::MostRiskyFirst,
             Some("fifo") => TupleOrder::Fifo,
-            _ => TupleOrder::LessSignificantFirst,
+            Some(s) => return Err(refuse("tuple order", s)),
         };
-        let granularity = match v.get("granularity").and_then(Json::as_str) {
-            Some("one-tuple") => StepGranularity::OneTuplePerIteration,
-            _ => StepGranularity::AllRiskyPerIteration,
+        let granularity = match name_of("granularity") {
+            None => StepGranularity::default(),
+            Some(s) => StepGranularity::parse(s).ok_or_else(|| refuse("granularity", s))?,
         };
-        let batch = match v.get("batch").and_then(Json::as_str) {
+        let batch = match name_of("batch") {
             None => None,
-            Some("one-tuple") => Some(BatchStrategy::OneTuple),
-            Some("per-class") => Some(BatchStrategy::PerClass),
-            Some(s) => match s.strip_prefix("top-").and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) => Some(BatchStrategy::TopN(n)),
-                None => return Err(err(format!("unknown batch strategy {s:?}"))),
-            },
+            Some(s) => Some(BatchStrategy::parse(s).ok_or_else(|| refuse("batch strategy", s))?),
         };
-        let semantics = match v.get("semantics").and_then(Json::as_str) {
+        let semantics = match name_of("semantics") {
+            None | Some("maybe-match") => NullSemantics::MaybeMatch,
             Some("standard") => NullSemantics::Standard,
-            _ => NullSemantics::MaybeMatch,
+            Some(s) => return Err(refuse("null semantics", s)),
         };
         let max_iterations = v
             .get("max_iterations")
@@ -416,25 +406,24 @@ impl JobSpec {
             .get("deadline_ms")
             .and_then(Json::as_f64)
             .map(|ms| Duration::from_millis(ms as u64));
-        let sync = match v.get("sync").and_then(Json::as_str) {
+        let sync = match name_of("sync") {
+            None | Some("every-record") => SyncPolicy::EveryRecord,
             Some("on-snapshot") => SyncPolicy::OnSnapshot,
             Some("every-n") => {
                 let n = v.get("sync_n").and_then(Json::as_f64).unwrap_or(8.0);
                 SyncPolicy::EveryN(n as u32)
             }
-            _ => SyncPolicy::EveryRecord,
+            Some(s) => return Err(refuse("sync policy", s)),
         };
         let snapshot_every = v
             .get("snapshot_every")
             .and_then(Json::as_f64)
             .map(|n| n as u32);
         // Older manifests predate the storage field: absent means the
-        // historical in-memory engine. An unknown name is an alien
-        // manifest and must be refused, not guessed at.
-        let storage = match v.get("storage").and_then(Json::as_str) {
+        // historical in-memory engine.
+        let storage = match name_of("storage") {
             None => StorageEngine::Mem,
-            Some(s) => StorageEngine::parse(s)
-                .ok_or_else(|| err(format!("unknown storage engine {s:?}")))?,
+            Some(s) => StorageEngine::parse(s).ok_or_else(|| refuse("storage engine", s))?,
         };
         Ok(JobSpec {
             name,
@@ -638,6 +627,63 @@ mod tests {
         assert_eq!(back.storage, StorageEngine::File);
         // faults never persist
         assert!(!back.fault.is_armed());
+    }
+
+    #[test]
+    fn every_step_name_round_trips_and_aliens_are_refused() {
+        use BatchStrategy::{OneTuple, PerClass, TopN};
+        use StepGranularity::{AllRiskyPerIteration, OneTuplePerIteration};
+        let orders = [
+            TupleOrder::LessSignificantFirst,
+            TupleOrder::MostRiskyFirst,
+            TupleOrder::Fifo,
+        ];
+        let batches = [None, Some(OneTuple), Some(PerClass), Some(TopN(3))];
+        let sems = [NullSemantics::MaybeMatch, NullSemantics::Standard];
+        let syncs = [
+            SyncPolicy::EveryRecord,
+            SyncPolicy::EveryN(5),
+            SyncPolicy::OnSnapshot,
+        ];
+        let knobs = |s: &JobSpec| (s.tuple_order, s.granularity, s.batch, s.semantics, s.sync);
+        for i in 0..4 {
+            let mut s = spec();
+            s.granularity = [AllRiskyPerIteration, OneTuplePerIteration][i % 2];
+            (s.tuple_order, s.batch) = (orders[i % 3], batches[i]);
+            (s.semantics, s.sync) = (sems[i % 2], syncs[i % 3]);
+            let back = JobSpec::from_manifest_json(&s.to_manifest_json()).unwrap();
+            assert_eq!(knobs(&back), knobs(&s));
+        }
+        // an absent field keeps its default; an alien name is refused
+        let with = |field: &str, value: Option<&str>| {
+            let Ok(Json::Obj(mut members)) = json::parse(&spec().to_manifest_json()) else {
+                panic!("manifest is an object");
+            };
+            members.retain(|(k, _)| k != field);
+            members.extend(value.map(|v| (field.to_string(), Json::Str(v.into()))));
+            JobSpec::from_manifest_json(&Json::Obj(members).to_string())
+        };
+        for (field, alien) in [
+            ("tuple_order", "lsf"),
+            ("granularity", "all"),
+            ("batch", "top-0"),
+            ("batch", "top-"),
+            ("batch", "top--1"),
+            ("batch", "per_class"),
+            ("semantics", "maybe"),
+            ("sync", "always"),
+        ] {
+            assert_eq!(
+                knobs(&with(field, None).unwrap()),
+                knobs(&spec()),
+                "{field}"
+            );
+            let e = with(field, Some(alien)).unwrap_err();
+            assert!(
+                e.message.contains("unknown") && e.message.contains(alien),
+                "{e}"
+            );
+        }
     }
 
     #[test]

@@ -2,18 +2,21 @@
 //! *declarative Vadalog rules* and executed by a Datalog± reasoning engine.
 //! This example runs the paper's algorithm listings on the bundled engine:
 //! tuple reification (Algorithm 2 Rule 1), k-anonymity (Algorithm 4),
-//! local suppression with existential labelled nulls (Algorithm 7), and
-//! the recursive company-control rules of §4.4 — and shows the engine's
-//! chase, EGDs and wardedness analysis at work.
+//! local suppression with existential labelled nulls (Algorithm 7), the
+//! recursive company-control rules of §4.4, and the anonymization cycle
+//! with its risk decided on the engine — and shows the engine's chase,
+//! EGDs and wardedness analysis at work.
 //!
 //! Run with `cargo run --example declarative_vadalog`.
 
 use vadalog::{parse_program, warded_analyze, Database, Engine, EngineConfig, Value};
+use vadasa_core::anonymize::LocalSuppression;
+use vadasa_core::cycle::{AnonymizationCycle, CycleConfig};
 use vadasa_core::dictionary::{Category, MetadataDictionary};
 use vadasa_core::model::MicrodataDb;
 use vadasa_core::programs::{
-    self, alg4_kanonymity, microdata_to_facts, run_risk_program, ALG2_TUPLE_REIFICATION,
-    ALG7_LOCAL_SUPPRESSION,
+    self, alg4_kanonymity, microdata_to_facts, run_risk_program, VadalogKAnonymity,
+    ALG2_TUPLE_REIFICATION, ALG7_LOCAL_SUPPRESSION,
 };
 
 fn figure5_db() -> (MicrodataDb, MetadataDictionary) {
@@ -137,27 +140,36 @@ fn main() {
         ctrl.contains(&(Value::str("alpha"), Value::str("gamma"))),
         "joint control through beta: 0.3 + 0.25 > 0.5"
     );
-    // --- 6. the fully declarative anonymization cycle ---
-    println!("\n=== fully declarative anonymization cycle (Algorithm 2) ===");
-    let outcome =
-        programs::run_declarative_cycle(&db, &dict, 2, 20).expect("declarative cycle runs");
+    // --- 6. the anonymization cycle with the engine's #risk plug-in ---
+    println!("\n=== anonymization cycle with a Vadalog #risk plug-in (Algorithm 2) ===");
+    let (risk, anonymizer) = (VadalogKAnonymity::new(2), LocalSuppression::default());
+    let outcome = AnonymizationCycle::new(&risk, &anonymizer, CycleConfig::default())
+        .run(&db, &dict)
+        .expect("plug-in cycle runs");
     println!(
-        "  engine-evaluated risk + engine-chased suppression: {} null(s) in {} iteration(s)",
+        "  engine-evaluated risk + local suppression: {} null(s) in {} iteration(s)",
         outcome.nulls_injected, outcome.iterations
     );
-    for (i, row) in outcome.anonymized_rows.iter().enumerate() {
-        let cells: Vec<String> = row.iter().map(|(a, v)| format!("{a}={v}")).collect();
+    let attrs = outcome.db.attributes();
+    for (i, row) in outcome.db.iter_rows().enumerate() {
+        let cells: Vec<String> = attrs
+            .iter()
+            .zip(row)
+            .map(|(a, v)| format!("{a}={v}"))
+            .collect();
         println!("  tuple {}: {}", i + 1, cells.join(", "));
     }
-    assert!(outcome.final_risks.iter().all(|&r| r <= 0.5));
+    assert!(outcome.final_report.risks.iter().all(|&r| r <= 0.5));
 
     // --- 7. what the attacker can still ask: certain vs possible answers ---
     println!("\n=== query answering over the anonymized instance ===");
     use vadalog::{answers, AnswerMode, Atom, Term};
     let mut released = Database::new();
-    for (i, row) in outcome.anonymized_rows.iter().enumerate() {
+    for i in 0..outcome.db.len() {
         let mut args = vec![Value::Int(i as i64)];
-        args.extend(row.iter().map(|(_, v)| v.clone()));
+        for attr in ["Area", "Sector"] {
+            args.push(outcome.db.value(i, attr).expect("QI column").clone());
+        }
         released.insert("released", args);
     }
     let who_is_in_textiles = Atom::new(

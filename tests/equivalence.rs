@@ -2,17 +2,20 @@
 //! program of Section 4.2 must produce, on the Figure 1 microdata, exactly
 //! the risks the native implementations compute. This is the crate-level
 //! guarantee that the scalable native kernels implement the *same
-//! semantics* as the Vadalog rule listings.
+//! semantics* as the Vadalog rule listings. The engine's k-anonymity
+//! plug-in (`VadalogKAnonymity`) runs in the one cycle loop and must take
+//! the native measure's decisions, journal and resume like it.
 
 use vadalog::Value;
+use vadasa_core::journal::record::{self, JournalRecord};
 use vadasa_core::maybe_match::NullSemantics;
 use vadasa_core::prelude::*;
 use vadasa_core::programs::{
-    alg4_kanonymity, alg6_suda, run_control_program, run_declarative_cycle, run_risk_program,
+    alg4_kanonymity, alg6_suda, run_control_program, run_risk_program, VadalogKAnonymity,
     ALG3_REIDENTIFICATION, ALG5_INDIVIDUAL_RISK,
 };
 use vadasa_core::risk::RiskMeasure;
-use vadasa_datagen::fixtures::inflation_growth_fig1;
+use vadasa_datagen::fixtures::{inflation_growth_fig1, local_suppression_fig5a};
 use vadasa_datagen::generator::{generate, DatasetSpec, Regime};
 
 fn native_view() -> (MicrodataDb, MetadataDictionary, MicrodataView) {
@@ -150,20 +153,136 @@ fn declarative_categorization_matches_native_on_figure4() {
     }
 }
 
+/// What two runs of the one cycle loop must agree on: each decision's
+/// row, risk bits and action, the iteration and null counts, and the
+/// released table.
+fn transcript(out: &CycleOutcome) -> impl PartialEq + std::fmt::Debug {
+    let decisions: Vec<_> = out
+        .audit
+        .decisions
+        .iter()
+        .map(|d| (d.row, d.risk.to_bits(), d.action.clone()))
+        .collect();
+    let table: Vec<_> = out.db.iter_rows().map(<[Value]>::to_vec).collect();
+    (decisions, out.iterations, out.nulls_injected, table)
+}
+
+/// Did the run suppress some row twice: flag it again while it already
+/// held a null?
+fn suppressed_twice(out: &CycleOutcome) -> bool {
+    let mut seen = std::collections::HashSet::new();
+    let is_suppression = |d: &&Decision| matches!(d.action, AnonymizationAction::Suppress { .. });
+    let mut suppressed = out.audit.decisions.iter().filter(is_suppression);
+    suppressed.any(|d| !seen.insert(d.row))
+}
+
+fn u_table(rows: usize) -> (MicrodataDb, MetadataDictionary) {
+    generate(&DatasetSpec::new(rows, 4, Regime::U), 20210323)
+}
+
+/// One-tuple steps, capped well above the 26 iterations these tables
+/// need, so a stalled loop fails fast instead of running 10,000.
+fn one_tuple(order: TupleOrder) -> CycleConfig {
+    CycleConfig {
+        granularity: StepGranularity::OneTuplePerIteration,
+        tuple_order: order,
+        max_iterations: 60,
+        ..CycleConfig::default()
+    }
+}
+
+#[test]
+fn vadalog_plugins_match_native_under_one_tuple_steps() {
+    // One-tuple steps leave no recheck to differ on: with the same
+    // suppression, the engine measure must take the native measure's
+    // every decision, label for label.
+    let (engine_risk, native_risk) = (VadalogKAnonymity::new(2), KAnonymity::new(2));
+    let anonymizer = LocalSuppression::default();
+    for (name, (db, dict)) in [
+        ("fig5a", local_suppression_fig5a()),
+        ("U100", u_table(100)),
+        ("U400", u_table(400)),
+    ] {
+        for order in [TupleOrder::LessSignificantFirst, TupleOrder::Fifo] {
+            let tag = format!("{name} {order:?}");
+            let run = |risk: &dyn RiskMeasure| {
+                AnonymizationCycle::new(risk, &anonymizer, one_tuple(order))
+                    .run(&db, &dict)
+                    .expect(&tag)
+            };
+            let (engine, native) = (run(&engine_risk), run(&native_risk));
+            assert!(engine.termination.is_converged(), "{tag}");
+            assert_eq!(transcript(&engine), transcript(&native), "{tag}");
+            assert!(name == "fig5a" || suppressed_twice(&engine), "{tag}");
+        }
+    }
+}
+
 #[test]
 fn declarative_cycle_converges_when_flagged_rows_already_hold_nulls() {
-    // On these generated tables the second round flags rows that already
-    // carry a null. Their unsuppressed `tuple` version holds a null too,
-    // so reading back "the version with a null" dropped the new
-    // suppression and the loop spun to the iteration cap.
-    for rows in [100, 300, 400] {
-        let (db, dict) = generate(&DatasetSpec::new(rows, 4, Regime::U), 20210323);
-        let out = run_declarative_cycle(&db, &dict, 2, 50).unwrap();
-        let risky = (0..rows)
-            .filter(|&i| {
-                out.final_risks[i] > 0.5 && out.anonymized_rows[i].iter().any(|(_, v)| !v.is_null())
-            })
-            .count();
-        assert_eq!((out.iterations, risky), (2, 0), "{rows} rows");
+    // All-risky steps on the engine measure. It has no per-tuple
+    // recheck, so a step may suppress a row an earlier step of the same
+    // iteration already defused; the release must still be safe by the
+    // native measure. On U400 the second iteration flags a row that
+    // already holds a null, and the suppression must give it a new one
+    // instead of stalling.
+    let (risk, anonymizer) = (VadalogKAnonymity::new(2), LocalSuppression::default());
+    let mut config = one_tuple(TupleOrder::default());
+    config.granularity = StepGranularity::AllRiskyPerIteration;
+    let cycle = AnonymizationCycle::new(&risk, &anonymizer, config);
+    let mut twice = false;
+    for (name, (db, dict)) in [
+        ("fig5a", local_suppression_fig5a()),
+        ("U100", u_table(100)),
+        ("U300", u_table(300)),
+        ("U400", u_table(400)),
+    ] {
+        let out = cycle.run(&db, &dict).expect("plug-in run");
+        assert!(out.termination.is_converged(), "{name}");
+        let view = MicrodataView::from_db(&out.db, &dict).unwrap();
+        let native = KAnonymity::new(2).evaluate(&view).unwrap();
+        assert_eq!(native.risky_tuples(0.5), Vec::<usize>::new(), "{name}");
+        assert_eq!(out.db.null_cells(&[]), out.nulls_injected, "{name}");
+        twice |= suppressed_twice(&out);
     }
+    assert!(twice, "no flagged row already held a null");
+    // every row twice: the table is 2-anonymous already
+    let (db, dict) = local_suppression_fig5a();
+    let mut doubled = MicrodataDb::new(db.name.clone(), db.attributes().to_vec()).unwrap();
+    for row in db.iter_rows().flat_map(|r| [r, r]) {
+        doubled.push_row(row.to_vec()).unwrap();
+    }
+    let out = cycle.run(&doubled, &dict).expect("plug-in run");
+    assert_eq!((out.iterations, out.nulls_injected), (0, 0));
+}
+
+#[test]
+fn journaled_plugin_run_resumes_to_the_uninterrupted_release() {
+    let (db, dict) = u_table(100);
+    let (risk, anonymizer) = (VadalogKAnonymity::new(2), LocalSuppression::default());
+    let tmp = std::env::temp_dir().join(format!("vadasa-plugin-{}", std::process::id()));
+    let (full_dir, cut_dir) = (tmp.join("full"), tmp.join("cut"));
+    let _ = std::fs::remove_dir_all(&tmp);
+    let cycle = |dir: &std::path::Path| {
+        let journal = Some(JournalConfig::new(dir));
+        let config = CycleConfig {
+            journal,
+            ..one_tuple(TupleOrder::LessSignificantFirst)
+        };
+        AnonymizationCycle::new(&risk, &anonymizer, config)
+    };
+    let full = cycle(&full_dir).run(&db, &dict).expect("journaled run");
+    // cut the journal right after its tenth Commit record
+    let bytes = std::fs::read(full_dir.join("journal.wal")).expect("journal");
+    let cut = record::records(&bytes)
+        .filter(|(r, _)| matches!(r, JournalRecord::Commit { .. }))
+        .nth(9)
+        .map(|(_, end)| end)
+        .expect("ten commits");
+    std::fs::create_dir_all(&cut_dir).expect("dir");
+    std::fs::write(cut_dir.join("journal.wal"), &bytes[..cut]).expect("write");
+    let resumed = cycle(&cut_dir).resume(&db, &dict).expect("resume");
+    assert_eq!(resumed.profile.journal.replayed_actions, 10);
+    assert_eq!(transcript(&resumed), transcript(&full));
+    let _ = std::fs::remove_dir_all(&tmp);
 }

@@ -9,7 +9,8 @@ use vadasa_core::business::combined_cluster_risk;
 use vadasa_core::maybe_match::{group_stats, rows_match, NullSemantics};
 use vadasa_core::metrics::information_loss;
 use vadasa_core::prelude::*;
-use vadasa_core::risk::minimal_sample_uniques;
+use vadasa_core::programs::VadalogKAnonymity;
+use vadasa_core::risk::{minimal_sample_uniques, RiskMeasure};
 
 /// Strategy: a small categorical table, optionally with labelled nulls.
 fn qi_table(
@@ -42,14 +43,20 @@ proptest! {
         }
     }
 
-    /// group_stats agrees with the O(n²) definition of =⊥ matching.
+    /// group_stats and the engine's k-anonymity program agree with the
+    /// O(n²) definition of =⊥ matching.
     #[test]
     fn group_stats_matches_naive_quadratic(rows in qi_table(18, 3, true)) {
+        let names: Vec<String> = (0..3).map(|i| format!("q{i}")).collect();
         for sem in [NullSemantics::MaybeMatch, NullSemantics::Standard] {
             let fast = group_stats(&rows, None, sem);
+            let view = MicrodataView::from_rows(names.clone(), rows.clone(), None, sem).unwrap();
+            let engine = VadalogKAnonymity::new(2).evaluate(&view).unwrap();
             for (i, target) in rows.iter().enumerate() {
                 let naive = rows.iter().filter(|r| rows_match(target, r, sem)).count();
                 prop_assert_eq!(fast.count[i], naive, "row {} under {:?}", i, sem);
+                prop_assert_eq!(engine.details[i].frequency, naive, "engine, row {}", i);
+                prop_assert_eq!(engine.risks[i], if naive < 2 { 1.0 } else { 0.0 });
             }
         }
     }
