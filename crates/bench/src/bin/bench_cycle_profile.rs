@@ -24,12 +24,12 @@
 //! counters) go to a sibling file named after `--out` with its extension
 //! replaced by `telemetry.jsonl` (`BENCH_cycle.json` →
 //! `BENCH_cycle.telemetry.jsonl`), which is not committed. The
-//! `cycle.e2e` runs each time the reference kernel
-//! ([`vadasa_bench::reference`]) before every run, and their line carries
-//! its median as `ref_ms`. With `--baseline PATH` the `cycle.e2e` median
-//! is compared against the committed baseline at one host speed (both
-//! divided by their `ref_ms`) and the process exits non-zero on a >25%
-//! regression. The `cycle.storage` medians are not gated: they are mostly
+//! `cycle.e2e` median, over 5 runs even with `--quick`, times the
+//! reference kernel ([`vadasa_bench::reference`]) before every run, and
+//! its line carries the kernel's median as `ref_ms`. With `--baseline
+//! PATH` the `cycle.e2e` median is compared against the committed
+//! baseline at one host speed (both divided by their `ref_ms`) and the
+//! process exits non-zero on a >25% regression. The `cycle.storage` medians are not gated: they are mostly
 //! fsync time, which on a shared disk swings by more than the threshold
 //! between runs and which no kernel timed beside them predicts. An
 //! unknown option or a missing value prints the usage line and exits 2
@@ -193,9 +193,10 @@ fn main() {
         std::process::exit(1);
     }
 
-    // --- median over `runs` repetitions ---
+    // --- the gated median, over 5 repetitions in both modes, so that a
+    // burst of host contention slowing two of them does not move it ---
     let mut warm = Series::default();
-    for _ in 0..runs {
+    for _ in 0..5 {
         let out = warm.time(run_once);
         assert_equivalent(&out, &warm_out);
     }
@@ -477,7 +478,7 @@ fn main() {
         warm_out.iterations,
         warm_s,
         warm.ref_ms(),
-        runs
+        warm.runs()
     )
     .expect("write bench line");
     for (sync, secs) in &journal_medians {
@@ -524,7 +525,7 @@ fn main() {
         "cycle bench — {} ({} rows, 4 QIs, k-anonymity k=2, T=0.5, one-tuple steps, {} iterations)",
         spec.name, rows, warm_out.iterations
     );
-    println!("  cycle.e2e: {warm_s:.3}s   ({runs} run(s))");
+    println!("  cycle.e2e: {warm_s:.3}s   ({} run(s))", warm.runs());
     let w = &profiled.profile.warm;
     println!(
         "  warm profile: {} warm / {} cold evaluation(s), {} fact(s) patched, {} fallback(s) to cold\n",

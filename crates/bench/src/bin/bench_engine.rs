@@ -26,14 +26,17 @@
 //!   over attribute subsets, negation and aggregation, the engine's
 //!   per-binding costs (frames, head instantiation, inserts) at volume.
 //!
-//! Each workload runs its modes `runs` times, timing the reference kernel
-//! ([`vadasa_bench::reference`]) before every run; the output file gets
-//! one JSON object per line (medians in seconds plus speedup ratios, each
-//! with the kernel's median beside it as `ref_ms`), ready for `jq` and for
-//! the CI perf-smoke gates. With `--baseline PATH` the indexed tc64, the
-//! magic tc_goal and the indexed suda medians are compared against the
-//! committed baseline at one host speed (each divided by its `ref_ms`),
-//! and the process exits non-zero on a >25% regression in any of them.
+//! Each workload runs its modes 5 times (3 with `--quick`), timing the
+//! reference kernel ([`vadasa_bench::reference`]) before every run; the
+//! output file gets one JSON object per line (medians in seconds plus
+//! speedup ratios, each with the kernel's median beside it as `ref_ms`),
+//! ready for `jq` and for the CI perf-smoke gates. With `--baseline PATH`
+//! the indexed tc64, the magic tc_goal and the indexed suda medians are
+//! compared against the committed baseline at one host speed (each
+//! divided by its `ref_ms`), and the process exits non-zero on a >25%
+//! regression in any of them. Those three gated series run 5 times even
+//! with `--quick`, so that a burst of host contention slowing two runs
+//! does not move their medians.
 //! An unknown option or a missing value prints the usage line and exits
 //! 2 before anything is run or written.
 
@@ -167,7 +170,7 @@ impl WorkloadResult {
     }
 }
 
-fn emit(out: &mut impl Write, w: &WorkloadResult, runs: usize) {
+fn emit(out: &mut impl Write, w: &WorkloadResult) {
     let mut modes = vec![("reference", &w.reference), ("indexed", &w.indexed)];
     if let Some(magic) = &w.magic {
         modes.push(("magic", magic));
@@ -181,7 +184,7 @@ fn emit(out: &mut impl Write, w: &WorkloadResult, runs: usize) {
             mode,
             s.median_s(),
             s.ref_ms(),
-            runs
+            s.runs()
         )
         .expect("write bench line");
     }
@@ -231,6 +234,8 @@ fn main() {
     }
 
     let runs = if quick { 3 } else { 5 };
+    // the series the baseline gates: as many runs in both modes
+    let gated_runs = 5;
     let tc_nodes = 64; // the headline workload is identical in both modes
 
     // 8 components keep the full fixpoint comparable to tc64 while the
@@ -252,7 +257,13 @@ fn main() {
         name: "tc",
         size: tc_nodes,
         reference: series(&tc_program, &tc_facts, JoinMode::Reference, runs, tc_check),
-        indexed: series(&tc_program, &tc_facts, JoinMode::Indexed, runs, tc_check),
+        indexed: series(
+            &tc_program,
+            &tc_facts,
+            JoinMode::Indexed,
+            gated_runs,
+            tc_check,
+        ),
         magic: None,
     };
 
@@ -294,7 +305,7 @@ fn main() {
             &tc_facts,
             std::slice::from_ref(&tc_goal_atom),
             MagicOptions::default(),
-            runs,
+            gated_runs,
             |r: &GoalRun| {
                 assert_eq!(
                     vadalog::goal_slice(&r.result.db, &tc_goal_atom).len(),
@@ -397,7 +408,7 @@ fn main() {
             &suda_program,
             &suda_facts,
             JoinMode::Indexed,
-            runs,
+            gated_runs,
             suda_check,
         ),
         magic: None,
@@ -411,12 +422,13 @@ fn main() {
             std::process::exit(1);
         }
     };
-    emit(&mut file, &tc, runs);
-    emit(&mut file, &tc_goal, runs);
-    emit(&mut file, &risk, runs);
-    emit(&mut file, &suda, runs);
+    for w in [&tc, &tc_goal, &risk, &suda] {
+        emit(&mut file, w);
+    }
 
-    println!("engine bench — {runs} run(s) per mode, medians in seconds\n");
+    println!(
+        "engine bench — {runs} run(s) per mode, {gated_runs} per gated series, medians in seconds\n"
+    );
     for w in [&tc, &tc_goal, &risk, &suda] {
         let magic = match (&w.magic, w.magic_speedup()) {
             (Some(s), Some(x)) => format!("   magic {:.3}s ({x:.2}x vs indexed)", s.median_s()),

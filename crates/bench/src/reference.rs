@@ -71,6 +71,11 @@ impl Series {
         out
     }
 
+    /// How many runs were timed.
+    pub fn runs(&self) -> usize {
+        self.secs.len()
+    }
+
     /// Median seconds per run.
     pub fn median_s(&self) -> f64 {
         median(&self.secs)
@@ -138,7 +143,7 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(s.time(|| 7), 7);
         }
-        assert_eq!((s.secs.len(), s.ref_ms.len()), (3, 3));
+        assert_eq!((s.runs(), s.ref_ms.len()), (3, 3));
         assert!(s.ref_ms() > 0.0 && s.median_s() >= 0.0);
         assert_eq!(Series::ref_ms_of(&[&s, &s]), s.ref_ms());
     }

@@ -623,14 +623,13 @@ fn projected_maybe_match(
         .all(|&c| (union >> c) & 1 == 1 || codes[i * width + c] == codes[j * width + c])
 }
 
-/// Incrementally repair `stats` after row `row` changed a single cell:
-/// the columnar analogue of
-/// [`GroupStats::apply_row_change`](crate::maybe_match::GroupStats::apply_row_change),
-/// with the same exactness caveat (gate on
-/// [`weights_exactly_summable`](crate::maybe_match::weights_exactly_summable)
-/// for bit-identical warm ≡ cold). `codes`/`null_masks` must already hold
-/// the *new* contents; `old_codes`/`old_mask` are the row's previous coded
-/// contents.
+/// Incrementally repair `stats` after row `row` changed a single cell, in
+/// O(rows) instead of a regroup. The weight sums are accumulated in
+/// another order than a cold [`group_stats`](crate::maybe_match::group_stats)
+/// pass, so they are bit-identical to it only for integer-valued weights:
+/// gate on [`weights_exactly_summable`](crate::maybe_match::weights_exactly_summable)
+/// for warm ≡ cold. `codes`/`null_masks` must already hold the *new*
+/// contents; `old_codes`/`old_mask` are the row's previous coded contents.
 ///
 /// One pass does both halves: every other row whose match with the
 /// changed row flipped gains or loses its weight, and the changed row's

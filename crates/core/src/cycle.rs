@@ -637,6 +637,25 @@ fn plugin_panic(plugin: &str, payload: Box<dyn std::any::Any + Send>) -> Degrade
     }
 }
 
+/// The degradation trigger an anonymizer step on `row` raises when it
+/// changed nothing: a suppression of a cell that already held a labelled
+/// null, or a recode of a value to itself.
+fn no_progress(plugin: &str, row: usize, action: &AnonymizationAction) -> Option<DegradeTrigger> {
+    let message = match action {
+        AnonymizationAction::Suppress { attr, previous, .. } if previous.is_null() => {
+            format!("row {row}: suppressed {attr}, which already held {previous}")
+        }
+        AnonymizationAction::Recode { attr, from, to, .. } if from == to => {
+            format!("row {row}: recoded {attr} from {from} to {to}")
+        }
+        _ => return None,
+    };
+    Some(DegradeTrigger::NoProgress {
+        plugin: plugin.to_string(),
+        message,
+    })
+}
+
 /// How one iteration picks its targets, resolved once per run from
 /// [`CycleConfig::batch`] and, when that is `None`,
 /// [`CycleConfig::granularity`].
@@ -667,8 +686,8 @@ impl Step {
 enum LoopEnd {
     /// Risk ≤ `T` everywhere (modulo exhausted tuples).
     Converged(RiskReport),
-    /// A degradation trigger fired; `still_risky` is known for the
-    /// iteration-cap case.
+    /// A degradation trigger fired; `still_risky` is known when it fired
+    /// inside an iteration (the cap, or a faulty anonymizer step).
     Trigger(DegradeTrigger, Option<usize>),
 }
 
@@ -965,12 +984,13 @@ impl<'a> AnonymizationCycle<'a> {
                 st.close(it);
                 break LoopEnd::Trigger(DegradeTrigger::IterationCap, Some(risky.len()));
             }
+            let still_risky = risky.len();
             let targets = self.select(step, risky, &it.report, view, &mut it.record);
             let batched = matches!(step, Step::Classes(_));
-            let panicked = self.apply(&mut st, view, dict, &mut it, targets, batched)?;
+            let faulted = self.apply(&mut st, view, dict, &mut it, targets, batched)?;
             st.close(it);
-            if let Some(trigger) = panicked {
-                break LoopEnd::Trigger(trigger, None);
+            if let Some(trigger) = faulted {
+                break LoopEnd::Trigger(trigger, Some(still_risky));
             }
             st.iterations += 1;
             self.commit(&mut st, db)?;
@@ -1225,7 +1245,8 @@ impl<'a> AnonymizationCycle<'a> {
     /// over-suppresses, never under-protects. It also leaves the group
     /// statistics to one regroup at the next evaluation, O(n) in total,
     /// instead of one repair per row, O(batch · n). Returns the trigger
-    /// when the anonymizer panicked.
+    /// when the anonymizer panicked or took a step that changed nothing;
+    /// such a step is neither counted nor journaled.
     fn apply(
         &self,
         st: &mut LoopState,
@@ -1265,6 +1286,9 @@ impl<'a> AnonymizationCycle<'a> {
                 Ok(action) => action?,
                 Err(payload) => return Ok(Some(plugin_panic(self.anonymizer.name(), payload))),
             };
+            if let Some(trigger) = no_progress(self.anonymizer.name(), row, &action) {
+                return Ok(Some(trigger));
+            }
             match &action {
                 AnonymizationAction::Suppress { .. } => {
                     st.nulls_injected += 1;
@@ -1629,6 +1653,69 @@ mod tests {
         assert_eq!(out.final_risky, 0, "risk bound holds after degradation");
         assert!(out.final_report.risky_tuples(0.5).is_empty());
         assert_eq!(out.audit.suppressions(), fallback.cells_suppressed);
+    }
+
+    /// Suppresses a row's first quasi-identifier whatever it holds: from
+    /// its second step on one row, it writes a null over a null.
+    struct FirstAttribute;
+
+    impl Anonymizer for FirstAttribute {
+        fn name(&self) -> &str {
+            "first-attribute"
+        }
+
+        fn anonymize_step_with(
+            &self,
+            db: &mut MicrodataDb,
+            dict: &MetadataDictionary,
+            _view: &MicrodataView,
+            row: usize,
+        ) -> Result<AnonymizationAction, AnonymizeError> {
+            let attr = dict.quasi_identifiers(&db.name)?.remove(0);
+            let previous = db.value(row, &attr)?.clone();
+            let null = db.fresh_null();
+            db.set_value(row, &attr, null)?;
+            Ok(AnonymizationAction::Suppress {
+                row,
+                attr,
+                previous,
+            })
+        }
+    }
+
+    #[test]
+    fn a_step_that_changes_nothing_degrades_at_once() {
+        // Row 0 stays unique by its Sector once its Area is suppressed, so
+        // the next iteration steps on it again and nulls a null; without
+        // the check the loop repeats that step up to the iteration cap.
+        let (db, dict) = fig5_db();
+        let risk = KAnonymity::new(2);
+        let cycle = AnonymizationCycle::new(&risk, &FirstAttribute, CycleConfig::default());
+        let out = cycle.run(&db, &dict).unwrap();
+        assert!(out.iterations <= 2, "{} iterations", out.iterations);
+        let CycleTermination::Degraded {
+            trigger: DegradeTrigger::NoProgress { plugin, message },
+        } = &out.termination
+        else {
+            panic!(
+                "expected a no-progress degradation, got {:?}",
+                out.termination
+            );
+        };
+        assert_eq!(plugin, "first-attribute");
+        assert!(message.starts_with("row 0: suppressed Area"), "{message}");
+        // the step was not counted: one null per suppressed cell
+        assert_eq!(out.nulls_injected, out.db.null_cells(&[]));
+        assert_eq!(out.final_risky, 0, "the fallback keeps the risk bound");
+        // without a fallback the run stops with the rows it left risky
+        let strict = CycleConfig {
+            fallback: FallbackPolicy::Error,
+            ..CycleConfig::default()
+        };
+        match AnonymizationCycle::new(&risk, &FirstAttribute, strict).run(&db, &dict) {
+            Err(CycleError::DidNotConverge { still_risky, .. }) => assert!(still_risky > 0),
+            other => panic!("expected DidNotConverge, got {other:?}"),
+        }
     }
 
     #[test]

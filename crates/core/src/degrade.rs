@@ -66,6 +66,16 @@ pub enum DegradeTrigger {
         /// The rendered panic payload.
         message: String,
     },
+    /// An anonymizer step changed nothing: it suppressed a cell that
+    /// already held a labelled null, or recoded a value to itself. The
+    /// tuple would stay as risky as before, so the loop would repeat the
+    /// step until the iteration cap.
+    NoProgress {
+        /// The anonymizer's name.
+        plugin: String,
+        /// The row and the step, rendered.
+        message: String,
+    },
 }
 
 impl fmt::Display for DegradeTrigger {
@@ -76,6 +86,9 @@ impl fmt::Display for DegradeTrigger {
             DegradeTrigger::Cancelled => write!(f, "cancelled"),
             DegradeTrigger::PluginPanic { plugin, message } => {
                 write!(f, "plug-in {plugin} panicked: {message}")
+            }
+            DegradeTrigger::NoProgress { plugin, message } => {
+                write!(f, "plug-in {plugin} made no progress: {message}")
             }
         }
     }

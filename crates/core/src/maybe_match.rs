@@ -53,65 +53,6 @@ pub struct GroupStats {
     pub weight_sum: Vec<f64>,
 }
 
-impl GroupStats {
-    /// Incrementally repair the statistics after a single row changed in
-    /// place (a suppression writing `⊥` into a cell, or a recode rewriting
-    /// one value). `rows` must already hold the *new* contents; `old_row`
-    /// is the row's previous contents.
-    ///
-    /// Only rows whose match status against the changed row flipped are
-    /// adjusted (`±1` count, `±w` weight), then the changed row's own
-    /// statistics are recomputed by a full scan — `O(n)` per patched row
-    /// instead of the `O(n)`–`O(n²)` full [`group_stats`] pass.
-    ///
-    /// Exactness caveat: weight sums are accumulated in a different order
-    /// than a cold [`group_stats`] pass, so bit-identical results are only
-    /// guaranteed when every weight is an integer-valued `f64` below
-    /// `2^53` (integer addition in doubles is exact and order-free).
-    /// Callers that need warm ≡ cold equivalence must gate on
-    /// [`weights_exactly_summable`].
-    pub fn apply_row_change(
-        &mut self,
-        rows: &[Vec<Value>],
-        weights: Option<&[f64]>,
-        sem: NullSemantics,
-        row: usize,
-        old_row: &[Value],
-    ) {
-        let w = |i: usize| weights.map(|w| w[i]).unwrap_or(1.0);
-        let w_row = w(row);
-        for (j, other) in rows.iter().enumerate() {
-            if j == row {
-                continue;
-            }
-            let was = rows_match(old_row, other, sem);
-            let now = rows_match(&rows[row], other, sem);
-            if was == now {
-                continue;
-            }
-            if now {
-                self.count[j] += 1;
-                self.weight_sum[j] += w_row;
-            } else {
-                self.count[j] -= 1;
-                self.weight_sum[j] -= w_row;
-            }
-        }
-        // The changed row's own group may have been reshaped arbitrarily:
-        // recompute it from scratch.
-        let mut c = 0usize;
-        let mut s = 0.0f64;
-        for (j, other) in rows.iter().enumerate() {
-            if rows_match(&rows[row], other, sem) {
-                c += 1;
-                s += w(j);
-            }
-        }
-        self.count[row] = c;
-        self.weight_sum[row] = s;
-    }
-}
-
 /// Are these weights exactly summable in any order? True when every weight
 /// is an integer-valued `f64` with magnitude below `2^53`: integer sums in
 /// that range are exact, so incremental `±w` updates produce bit-identical
@@ -449,108 +390,6 @@ mod tests {
         let gs = group_stats(&[], None, NullSemantics::MaybeMatch);
         assert!(gs.count.is_empty());
         assert!(gs.weight_sum.is_empty());
-    }
-
-    /// Apply a single-cell change through `apply_row_change` and check the
-    /// patched stats equal a cold recomputation.
-    fn check_patch(
-        mut rows: Vec<Vec<Value>>,
-        weights: Option<Vec<f64>>,
-        sem: NullSemantics,
-        row: usize,
-        col: usize,
-        new_val: Value,
-    ) {
-        let mut gs = group_stats(&rows, weights.as_deref(), sem);
-        let old = rows[row].clone();
-        rows[row][col] = new_val;
-        gs.apply_row_change(&rows, weights.as_deref(), sem, row, &old);
-        let cold = group_stats(&rows, weights.as_deref(), sem);
-        assert_eq!(gs.count, cold.count, "counts diverged");
-        assert_eq!(gs.weight_sum, cold.weight_sum, "weight sums diverged");
-    }
-
-    #[test]
-    fn patch_matches_cold_for_suppression() {
-        // Figure 5: suppressing tuple 1's Sector
-        let rows = vec![
-            row(&["Roma", "Textiles", "1000+", "0-30"]),
-            row(&["Roma", "Commerce", "1000+", "0-30"]),
-            row(&["Roma", "Commerce", "1000+", "0-30"]),
-            row(&["Roma", "Financial", "1000+", "0-30"]),
-            row(&["Roma", "Financial", "1000+", "0-30"]),
-            row(&["Milano", "Construction", "0-200", "60-90"]),
-            row(&["Torino", "Construction", "0-200", "60-90"]),
-        ];
-        let weights = Some(vec![10.0, 20.0, 20.0, 30.0, 30.0, 5.0, 5.0]);
-        check_patch(
-            rows,
-            weights,
-            NullSemantics::MaybeMatch,
-            0,
-            1,
-            Value::Null(0),
-        );
-    }
-
-    #[test]
-    fn patch_matches_cold_under_standard_semantics() {
-        let rows = vec![row(&["a", "x"]), row(&["a", "x"]), row(&["b", "y"])];
-        check_patch(rows, None, NullSemantics::Standard, 0, 0, s("b"));
-    }
-
-    #[test]
-    fn patch_matches_cold_when_nulled_row_changes_again() {
-        // second suppression on an already-nulled row
-        let rows = vec![
-            vec![s("Roma"), Value::Null(0), s("1000+")],
-            row(&["Roma", "Commerce", "1000+"]),
-            row(&["Milano", "Commerce", "0-200"]),
-        ];
-        check_patch(
-            rows,
-            Some(vec![3.0, 4.0, 5.0]),
-            NullSemantics::MaybeMatch,
-            0,
-            0,
-            Value::Null(1),
-        );
-    }
-
-    #[test]
-    fn patch_matches_cold_for_recode() {
-        // recoding a value to an existing category merges groups
-        let rows = vec![row(&["Textiles"]), row(&["Commerce"]), row(&["Commerce"])];
-        check_patch(
-            rows,
-            Some(vec![1.0, 2.0, 3.0]),
-            NullSemantics::MaybeMatch,
-            0,
-            0,
-            s("Commerce"),
-        );
-    }
-
-    #[test]
-    fn chained_patches_match_cold() {
-        // several consecutive suppressions, patching after each
-        let mut rows = vec![
-            row(&["Roma", "Textiles"]),
-            row(&["Roma", "Commerce"]),
-            row(&["Milano", "Commerce"]),
-            row(&["Milano", "Textiles"]),
-        ];
-        let weights = vec![2.0, 3.0, 4.0, 5.0];
-        let sem = NullSemantics::MaybeMatch;
-        let mut gs = group_stats(&rows, Some(&weights), sem);
-        for (step, (r, c)) in [(0usize, 1usize), (3, 0), (1, 1)].iter().enumerate() {
-            let old = rows[*r].clone();
-            rows[*r][*c] = Value::Null(step as u64);
-            gs.apply_row_change(&rows, Some(&weights), sem, *r, &old);
-        }
-        let cold = group_stats(&rows, Some(&weights), sem);
-        assert_eq!(gs.count, cold.count);
-        assert_eq!(gs.weight_sum, cold.weight_sum);
     }
 
     #[test]

@@ -341,8 +341,9 @@ impl MicrodataView {
 
     /// Overwrite the cell at `(row, col)`, move the row to its new
     /// pattern, and, when `stats` is given, incrementally repair the group
-    /// statistics (columnar flip-then-rescan, same exactness caveat as
-    /// [`GroupStats::apply_row_change`]).
+    /// statistics (columnar flip-then-rescan: bit-identical to a regroup
+    /// for integer-valued weights, see
+    /// [`weights_exactly_summable`](crate::maybe_match::weights_exactly_summable)).
     pub fn patch_cell(
         &mut self,
         row: usize,
@@ -537,8 +538,8 @@ pub trait RiskMeasure {
     /// Warm-start hook: produce the full report from precomputed
     /// equivalence-group statistics instead of regrouping the whole view.
     /// The cycle maintains `stats` incrementally across suppressions
-    /// (`GroupStats::apply_row_change`) and serves every re-evaluation
-    /// after the first through this hook.
+    /// (`MicrodataView::patch_cell`) and serves every re-evaluation after
+    /// the first through this hook.
     ///
     /// A measure may implement this only when its report is a pure,
     /// deterministic function of per-tuple `(frequency, weight_sum)` — the

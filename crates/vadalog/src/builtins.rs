@@ -12,10 +12,12 @@
 //! into the compiled expression or the frame, and only values an operator
 //! or builtin computes are owned ([`Cow`]). Operators and builtins take
 //! their operands by reference, and a call with one or two arguments
-//! evaluates them into a stack array.
+//! evaluates them into a stack array. The sets it builds go through the
+//! run's `SetTable`, so each distinct one is built once.
 
 use crate::ast::{BinOp, Expr, UnOp};
-use crate::value::{SetVal, Value};
+use crate::compile::SlotValues;
+use crate::value::{SetTable, SetVal, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
@@ -82,7 +84,9 @@ pub fn eval_expr(expr: &Expr, binding: &Binding) -> Result<Value, EvalError> {
         frame.push(binding.get(name).cloned());
         frame.len() - 1
     });
-    compiled.eval(&frame).map(Cow::into_owned)
+    compiled
+        .eval(frame.as_slice(), &mut SetTable::default())
+        .map(Cow::into_owned)
 }
 
 /// An expression compiled against a rule's slot frame: variables are
@@ -154,72 +158,79 @@ impl CExpr {
         }
     }
 
-    /// Evaluate against a frame: `frame[slot]` is the slot's value, `None`
-    /// while unbound. Constants and slot values come back borrowed.
-    pub(crate) fn eval<'a>(
+    /// Evaluate against a frame, whose slots read `None` while unbound.
+    /// Constants and slot values come back borrowed; sets are built
+    /// through `sets`.
+    pub(crate) fn eval<'a, F: SlotValues + ?Sized>(
         &'a self,
-        frame: &'a [Option<Value>],
+        frame: &'a F,
+        sets: &mut SetTable,
     ) -> Result<Cow<'a, Value>, EvalError> {
         let owned = match self {
             CExpr::Const(v) => return Ok(Cow::Borrowed(v)),
             CExpr::Var(slot, name) => {
-                return match frame.get(*slot) {
-                    Some(Some(v)) => Ok(Cow::Borrowed(v)),
-                    _ => Err(EvalError::Type(format!("unbound variable {name}"))),
+                return match frame.slot(*slot) {
+                    Some(v) => Ok(Cow::Borrowed(v)),
+                    None => Err(EvalError::Type(format!("unbound variable {name}"))),
                 }
             }
-            CExpr::Unary(op, inner) => unary(*op, &*inner.eval(frame)?)?,
+            CExpr::Unary(op, inner) => unary(*op, &*inner.eval(frame, sets)?)?,
             CExpr::Binary(op, lhs, rhs) => {
                 // short-circuit booleans
                 if matches!(op, BinOp::And | BinOp::Or) {
-                    let lb = match &*lhs.eval(frame)? {
+                    let lb = match &*lhs.eval(frame, sets)? {
                         Value::Bool(b) => *b,
                         other => return Err(EvalError::Type(format!("'and'/'or' on {other}"))),
                     };
                     return match (op, lb) {
                         (BinOp::And, false) => Ok(Cow::Owned(Value::Bool(false))),
                         (BinOp::Or, true) => Ok(Cow::Owned(Value::Bool(true))),
-                        _ => rhs.eval(frame),
+                        _ => rhs.eval(frame, sets),
                     };
                 }
-                let a = lhs.eval(frame)?;
-                binary(*op, &a, &*rhs.eval(frame)?)?
+                let a = lhs.eval(frame, sets)?;
+                binary(*op, &a, &*rhs.eval(frame, sets)?)?
             }
             CExpr::Case(cond, then, otherwise) => {
-                return match &*cond.eval(frame)? {
-                    Value::Bool(true) => then.eval(frame),
-                    Value::Bool(false) => otherwise.eval(frame),
+                return match &*cond.eval(frame, sets)? {
+                    Value::Bool(true) => then.eval(frame, sets),
+                    Value::Bool(false) => otherwise.eval(frame, sets),
                     other => Err(EvalError::Type(format!("case condition is {other}"))),
                 }
             }
             CExpr::Index(base, key) => {
-                let b = base.eval(frame)?;
-                index_value(&b, &*key.eval(frame)?)?
+                let b = base.eval(frame, sets)?;
+                let key = key.eval(frame, sets)?;
+                index_value(&b, &key, sets)?
             }
             CExpr::Call(builtin, args) => match args.as_slice() {
-                [a] => call_builtin(*builtin, &[&*a.eval(frame)?])?,
+                [a] => {
+                    let a = a.eval(frame, sets)?;
+                    call_builtin(*builtin, &[&*a], sets)?
+                }
                 [a, b] => {
-                    let a = a.eval(frame)?;
-                    call_builtin(*builtin, &[&*a, &*b.eval(frame)?])?
+                    let a = a.eval(frame, sets)?;
+                    let b = b.eval(frame, sets)?;
+                    call_builtin(*builtin, &[&*a, &*b], sets)?
                 }
                 args => {
                     let vals = args
                         .iter()
-                        .map(|a| a.eval(frame))
+                        .map(|a| a.eval(frame, sets))
                         .collect::<Result<Vec<_>, _>>()?;
                     let refs: Vec<&Value> = vals.iter().map(|v| &**v).collect();
-                    call_builtin(*builtin, &refs)?
+                    call_builtin(*builtin, &refs, sets)?
                 }
             },
             CExpr::Unknown(name, args) => {
                 for a in args {
-                    a.eval(frame)?;
+                    a.eval(frame, sets)?;
                 }
                 return Err(unknown_builtin(name));
             }
             CExpr::InKeys(x, s) => {
-                let x = x.eval(frame)?;
-                match &*s.eval(frame)? {
+                let x = x.eval(frame, sets)?;
+                match &*s.eval(frame, sets)? {
                     Value::Set(pairs) => Value::Bool(
                         pairs
                             .iter()
@@ -229,10 +240,10 @@ impl CExpr {
                 }
             }
             CExpr::UnionWith(s, x) => {
-                let s = s.eval(frame)?;
-                let x = x.eval(frame)?.into_owned();
+                let s = s.eval(frame, sets)?;
+                let x = x.eval(frame, sets)?;
                 match &*s {
-                    Value::Set(set) => Value::Set(SetVal::with(set, x)),
+                    Value::Set(set) => Value::Set(sets.with(set, &x)),
                     _ => return Err(union_error()),
                 }
             }
@@ -246,12 +257,12 @@ impl CExpr {
     /// they replace (`keys` then `in`; a set literal then `union`). It
     /// calls the same operator and builtin functions, so it checks
     /// evaluation order, borrowing and the fused nodes, not the operators
-    /// themselves.
+    /// themselves. Every set it builds is built anew.
     #[cfg(test)]
     pub(crate) fn eval_oracle(&self, frame: &[Option<Value>]) -> Result<Value, EvalError> {
         let call = |builtin, vals: &[Value]| {
             let refs: Vec<&Value> = vals.iter().collect();
-            call_builtin(builtin, &refs)
+            call_builtin(builtin, &refs, &mut SetTable::default())
         };
         let eval_args = |args: &[CExpr]| -> Result<Vec<Value>, EvalError> {
             args.iter().map(|a| a.eval_oracle(frame)).collect()
@@ -291,7 +302,7 @@ impl CExpr {
             CExpr::Index(base, key) => {
                 let b = base.eval_oracle(frame)?;
                 let k = key.eval_oracle(frame)?;
-                index_value(&b, &k)
+                index_value(&b, &k, &mut SetTable::default())
             }
             CExpr::Call(builtin, args) => call(*builtin, &eval_args(args)?),
             CExpr::Unknown(name, args) => {
@@ -404,13 +415,10 @@ fn binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, EvalError> {
 ///   (the paper's `VSet[AnonSet]` filter).
 ///
 /// With a tuple base and integer key: positional access (0-based).
-fn index_value(base: &Value, key: &Value) -> Result<Value, EvalError> {
+fn index_value(base: &Value, key: &Value, sets: &mut SetTable) -> Result<Value, EvalError> {
     match base {
         Value::Set(pairs) => match key {
-            Value::Set(keys) => Ok(Value::Set(Arc::new(pairs.filter(|p| match p.as_tuple() {
-                Some(t) if !t.is_empty() => keys.contains(&t[0]),
-                _ => false,
-            })))),
+            Value::Set(keys) => Ok(Value::Set(sets.project(pairs, keys))),
             scalar => {
                 for p in pairs.iter() {
                     if let Some(t) = p.as_tuple() {
@@ -475,7 +483,12 @@ builtins! {
 
 /// Dispatch a builtin function call. A wrong argument count is an arity
 /// error; an argument of the wrong kind is a type error naming the kind.
-fn call_builtin(builtin: Builtin, args: &[&Value]) -> Result<Value, EvalError> {
+/// A set literal is built through `sets`.
+fn call_builtin(
+    builtin: Builtin,
+    args: &[&Value],
+    sets: &mut SetTable,
+) -> Result<Value, EvalError> {
     let name = builtin.name();
     let arity_err = |n: usize| {
         Err(EvalError::Type(format!(
@@ -497,7 +510,10 @@ fn call_builtin(builtin: Builtin, args: &[&Value]) -> Result<Value, EvalError> {
             _ => arity_err(2),
         },
         Tuple => Ok(Value::Tuple(args.iter().copied().cloned().collect())),
-        Set => Ok(Value::set(args.iter().copied().cloned())),
+        Set => Ok(Value::Set(match args {
+            [x] => sets.singleton(x),
+            _ => sets.collect(args.iter().copied().cloned().collect()),
+        })),
         First => match args {
             [Value::Tuple(t)] if !t.is_empty() => Ok(t[0].clone()),
             [_] => Err(EvalError::Type("first() expects a non-empty tuple".into())),
@@ -1213,11 +1229,16 @@ mod tests {
         #[test]
         fn borrowing_evaluator_matches_the_clone_oracle(e in ArbExpr(4), frame in ArbFrame) {
             let compiled = CExpr::compile(&e, &mut slot_of);
-            let got = compiled.eval(&frame).map(Cow::into_owned);
             let want = compiled.eval_oracle(&frame);
-            // Debug output tells `Int(1)` from `Float(1.0)`, which `==`
-            // does not.
-            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{:?} over {:?}", e, frame);
+            // twice through one set table: the second evaluation is
+            // handed the sets the first one built
+            let mut sets = SetTable::default();
+            for _ in 0..2 {
+                let got = compiled.eval(frame.as_slice(), &mut sets).map(Cow::into_owned);
+                // Debug output tells `Int(1)` from `Float(1.0)`, which
+                // `==` does not.
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{:?} over {:?}", e, frame);
+            }
         }
     }
 }

@@ -7,7 +7,9 @@
 //! contributors all refer to slots, and builtin calls are resolved to a
 //! [`Builtin`](crate::builtins) once. A join then binds into one reusable
 //! [`Frame`] per rule pass — a vector of optional values plus an undo
-//! trail — instead of a string-keyed hash map cloned per firing.
+//! trail — instead of a string-keyed hash map cloned per firing. A slot
+//! the join binds from a row points into the row, which the frozen
+//! database keeps alive for the whole join: binding costs no copy.
 //!
 //! A [`Binding`] (variable name → value) is only materialized from a frame
 //! when something outside the engine needs one: provenance tracing and
@@ -16,11 +18,31 @@
 use crate::ast::{AggFunc, Head, Literal, Rule, Term};
 use crate::builtins::{Binding, CExpr};
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Index of a variable's cell in a rule's [`Frame`].
 pub(crate) type Slot = usize;
+
+/// Slot cells an expression reads: a join's [`Frame`], or a frame of
+/// owned values (an aggregate group's, or one built from a [`Binding`]).
+pub(crate) trait SlotValues {
+    /// The value of `slot`, if bound.
+    fn slot(&self, slot: Slot) -> Option<&Value>;
+}
+
+impl SlotValues for [Option<Value>] {
+    fn slot(&self, slot: Slot) -> Option<&Value> {
+        self.get(slot)?.as_ref()
+    }
+}
+
+impl SlotValues for [Option<Cow<'_, Value>>] {
+    fn slot(&self, slot: Slot) -> Option<&Value> {
+        self.get(slot)?.as_deref()
+    }
+}
 
 /// A compiled term: a constant or a frame slot.
 #[derive(Debug, Clone)]
@@ -31,10 +53,10 @@ pub(crate) enum CTerm {
 
 impl CTerm {
     /// The term's value under `frame` (`None` for an unbound slot).
-    pub(crate) fn value(&self, frame: &[Option<Value>]) -> Option<Value> {
+    pub(crate) fn value(&self, frame: &(impl SlotValues + ?Sized)) -> Option<Value> {
         match self {
             CTerm::Const(v) => Some(v.clone()),
-            CTerm::Slot(s) => frame[*s].clone(),
+            CTerm::Slot(s) => frame.slot(*s).cloned(),
         }
     }
 }
@@ -272,7 +294,7 @@ impl CompiledRule {
     }
 
     /// A fresh frame with every slot of this rule unbound.
-    pub(crate) fn frame(&self) -> Frame {
+    pub(crate) fn frame<'a>(&self) -> Frame<'a> {
         Frame {
             slots: vec![None; self.names.len()],
             trail: Vec::new(),
@@ -282,28 +304,43 @@ impl CompiledRule {
 
 /// The variable cells one rule pass binds into, with an undo trail: a
 /// join step records the slots it binds and unwinds to its mark before
-/// trying the next candidate row.
+/// trying the next candidate row. A slot bound from a row borrows the
+/// value from the row (`'a` is the join's hold on the rows); one bound
+/// by an assignment owns its value.
 #[derive(Debug)]
-pub(crate) struct Frame {
-    slots: Vec<Option<Value>>,
+pub(crate) struct Frame<'a> {
+    slots: Vec<Option<Cow<'a, Value>>>,
     trail: Vec<Slot>,
 }
 
-impl Frame {
+impl<'a> Frame<'a> {
     /// The slot values (`None` while unbound).
-    pub(crate) fn values(&self) -> &[Option<Value>] {
+    pub(crate) fn values(&self) -> &[Option<Cow<'a, Value>>] {
         &self.slots
     }
 
     /// The value of a slot, if bound.
     pub(crate) fn get(&self, slot: Slot) -> Option<&Value> {
-        self.slots[slot].as_ref()
+        self.slots[slot].as_deref()
     }
 
-    /// Bind an unbound slot, recording it on the trail.
+    /// Bind an unbound slot to a value of its own, recording it on the
+    /// trail.
     pub(crate) fn bind(&mut self, slot: Slot, value: Value) {
-        self.slots[slot] = Some(value);
+        self.slots[slot] = Some(Cow::Owned(value));
         self.trail.push(slot);
+    }
+
+    /// Bind an unbound slot to a value in a row, recording it on the
+    /// trail.
+    pub(crate) fn bind_ref(&mut self, slot: Slot, value: &'a Value) {
+        self.slots[slot] = Some(Cow::Borrowed(value));
+        self.trail.push(slot);
+    }
+
+    /// The slot values, owned.
+    pub(crate) fn to_owned_values(&self) -> Vec<Option<Value>> {
+        self.slots.iter().map(|v| v.as_deref().cloned()).collect()
     }
 
     /// The current trail position, to [`undo`](Self::undo) back to.
@@ -320,20 +357,20 @@ impl Frame {
 
     /// The bound slots as a name-keyed [`Binding`].
     pub(crate) fn binding(&self, names: &[String]) -> Binding {
-        bound_pairs(names, &self.slots).collect()
+        bound_pairs(names, self.values()).collect()
     }
 }
 
 /// The bound slots of `values` as (name, value) pairs, in slot order —
 /// that is, in order of the variables' first occurrence in the rule.
-pub(crate) fn bound_pairs<'a>(
+pub(crate) fn bound_pairs<'a, F: SlotValues + ?Sized>(
     names: &'a [String],
-    values: &'a [Option<Value>],
+    values: &'a F,
 ) -> impl Iterator<Item = (String, Value)> + 'a {
     names
         .iter()
-        .zip(values)
-        .filter_map(|(n, v)| v.as_ref().map(|v| (n.clone(), v.clone())))
+        .enumerate()
+        .filter_map(|(s, n)| values.slot(s).map(|v| (n.clone(), v.clone())))
 }
 
 #[cfg(test)]

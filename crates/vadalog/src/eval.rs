@@ -21,8 +21,11 @@
 //! Steps repeat until the stratum is stable, then evaluation moves up.
 //!
 //! Rules run compiled to slots (see `compile.rs`): joins bind into a
-//! reusable frame, and a [`Binding`] is only built for tracing or a
-//! [`Router`].
+//! reusable frame that points into the rows it matched, and a
+//! [`Binding`] is only built for tracing or a [`Router`]. The sets a run's
+//! rules build are looked up in one table for the run and built only
+//! when new (`SetTable`); a head fact is checked against its relation
+//! before its row is allocated.
 
 use crate::ast::{AggFunc, Atom, Fact, Head, Literal, Program, Rule};
 use crate::builtins::{Binding, CExpr, EvalError};
@@ -33,7 +36,7 @@ use crate::profile::{EngineProfile, RoundProfile, StratumProfile};
 use crate::routing::Router;
 use crate::storage::{Database, Relation, Row};
 use crate::stratify::{check_safety, stratify, StratifyError};
-use crate::value::{NullId, SetVal, Value};
+use crate::value::{NullId, SetTable, SetVal, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
@@ -86,16 +89,6 @@ struct Firings {
     counters: JoinCounters,
     /// Nanoseconds the rule's join passes took.
     join_ns: u64,
-}
-
-/// A head fact awaiting insertion, with the index of its firing's traced
-/// binding when tracing. Its row is built shared, so a new fact is
-/// stored without another copy.
-struct NewFact<'p> {
-    rule: usize,
-    pred: &'p str,
-    args: Row,
-    trace: Option<usize>,
 }
 
 /// Append `row` to `pred`'s rows in a delta map.
@@ -358,6 +351,10 @@ pub struct TraceEntry {
 /// A traced firing's binding, variables in order of first occurrence.
 type TraceBinding = Vec<(String, Value)>;
 
+/// The callback a join hands each complete binding, with the run's set
+/// table for what it evaluates.
+type Emit<'e> = dyn FnMut(&Frame, &mut SetTable) -> Result<(), EngineError> + 'e;
+
 /// Statistics of a reasoning run.
 #[derive(Debug, Clone, Default)]
 pub struct EvalStats {
@@ -522,6 +519,7 @@ impl Engine {
         let mut violations = Vec::new();
         let mut trace = Vec::new();
         let mut profile = EngineProfile::for_program(program);
+        let mut sets = SetTable::default();
         let intern_before = crate::intern::stats();
         let nulls_before = db.nulls_minted();
         let run_start = Instant::now();
@@ -552,6 +550,7 @@ impl Engine {
                 stratum_idx,
                 &governor,
                 nulls_before,
+                &mut sets,
             )?;
 
             let s = &mut profile.strata[stratum_idx];
@@ -571,6 +570,8 @@ impl Engine {
         profile.nulls_created = stats.nulls_created;
         profile.unifications = stats.unifications as u64;
         profile.violations = violations.len() as u64;
+        profile.sets_built = sets.built;
+        profile.sets_shared = sets.shared;
         // The interner is process-global; the delta over this run is what
         // this run's parsing/derivation saved.
         profile.intern_hits = crate::intern::stats()
@@ -698,6 +699,7 @@ impl Engine {
         stratum_idx: usize,
         governor: &Governor,
         nulls_base: u64,
+        sets: &mut SetTable,
     ) -> Result<StratumEnd, EngineError> {
         let kind = |f: fn(&CHead) -> bool| -> Vec<RuleRef> {
             rules
@@ -732,6 +734,7 @@ impl Engine {
                 stratum_idx,
                 governor,
                 nulls_base,
+                sets,
             )?;
             if let StratumEnd::Stopped(t) = end {
                 return Ok(StratumEnd::Stopped(t));
@@ -754,7 +757,7 @@ impl Engine {
                 }
                 *seen = Some(inputs);
                 changed |= isolate_rule(program, r.idx, || {
-                    self.apply_aggregate_rule(r, db, stats, trace, profile)
+                    self.apply_aggregate_rule(r, db, stats, trace, profile, sets)
                 })?;
             }
             profile.strata[stratum_idx].aggregate_ns += agg_start.elapsed().as_nanos() as u64;
@@ -764,7 +767,7 @@ impl Engine {
             // null on the next pass and the stratum would never settle.
             for &r in &egds {
                 let subs = isolate_rule(program, r.idx, || {
-                    self.apply_egd(r, db, stats, violations, profile)
+                    self.apply_egd(r, db, stats, violations, profile, sets)
                 })?;
                 if !subs.is_empty() {
                     changed = true;
@@ -826,6 +829,7 @@ impl Engine {
         stratum_idx: usize,
         governor: &Governor,
         nulls_base: u64,
+        sets: &mut SetTable,
     ) -> Result<StratumEnd, EngineError> {
         // Delta tracking: predicate → set of rows added in the previous round.
         let mut delta: Option<DeltaRows> = None;
@@ -881,16 +885,14 @@ impl Engine {
             let results: Vec<Result<Firings, EngineError>> = rules
                 .iter()
                 .zip(&plans)
-                .map(|(&r, plans)| self.eval_one_rule(program, r, plans, db, delta.as_ref()))
+                .map(|(&r, plans)| self.eval_one_rule(program, r, plans, db, delta.as_ref(), sets))
                 .collect();
             let joined = Instant::now();
 
-            // Phase 3 — merge, strictly in rule order: route bindings,
-            // instantiate heads (null minting stays sequential and
-            // deterministic), then apply the buffered inserts. Errors
-            // surface in rule order.
-            let mut new_facts: Vec<NewFact> = Vec::new();
-            let mut traced: Vec<TraceBinding> = Vec::new();
+            // Phase 3 — merge, strictly in rule order: route bindings and
+            // mint every firing's nulls (sequential and deterministic),
+            // then insert the head facts. Errors surface in rule order.
+            let mut minted: Vec<(RuleRef, Firings, Vec<Value>)> = Vec::with_capacity(rules.len());
             for (&r, result) in rules.iter().zip(results) {
                 let mut firings = result?;
                 if let Some(router) = &self.config.router {
@@ -903,52 +905,82 @@ impl Engine {
                 rp.firings += firings.count as u64;
                 profile.index_probes += firings.counters.probes;
                 profile.index_scans += firings.counters.scans;
-                isolate_rule(program, r.idx, || {
-                    self.instantiate(r, &firings, db, skolem, &mut new_facts, &mut traced);
-                    Ok(())
+                let nulls = isolate_rule(program, r.idx, || {
+                    Ok(self.existentials(r, &firings, db, skolem))
                 })?;
+                minted.push((r, firings, nulls));
             }
 
+            // Each head row is assembled as references to its values and
+            // probed against its relation: a fact already there costs a
+            // hash and a compare, and only a new one is allocated.
             let mut next_delta: DeltaRows = HashMap::new();
             let mut inserted = 0u64;
             let mut stopped: Option<Termination> = None;
-            for fact in new_facts {
-                let Some(row) = db.insert_shared(fact.pred, fact.args) else {
+            let mut head: Vec<&Value> = Vec::new();
+            'merge: for (r, firings, nulls) in &minted {
+                let CHead::Plain {
+                    atoms,
+                    frontier,
+                    existentials,
+                } = &r.compiled.head
+                else {
                     continue;
                 };
-                inserted += 1;
-                stats.facts_derived += 1;
-                profile.rules[fact.rule].facts_derived += 1;
-                if stats.facts_derived > self.config.max_facts {
-                    return Err(EngineError::ResourceLimit {
-                        which: BudgetKind::Facts,
-                        stratum: stratum_idx,
-                        rule: Some(fact.rule),
-                        facts_so_far: stats.facts_derived,
-                        iterations_so_far: stats.iterations,
-                        limit: self.config.max_facts,
-                    });
-                }
-                if let Some(t) = fact.trace {
-                    trace.push(TraceEntry {
-                        fact: Fact::new(fact.pred, row.to_vec()),
-                        rule: rule_label(program, fact.rule),
-                        binding: traced[t].clone(),
-                    });
-                }
-                push_row(&mut next_delta, fact.pred, row);
-                // Soft facts budget: stop inserting mid-round so the
-                // partial result stays close to the cap. The facts
-                // already inserted are sound derivations and are kept.
-                if governor.active() {
-                    if let Some(cap) = governor.budget().max_facts {
-                        if stats.facts_derived >= cap {
-                            stopped = Some(Termination::BudgetExceeded {
+                for i in 0..firings.count {
+                    let values = firings.frontier(i, frontier.len());
+                    let nulls = &nulls[i * existentials..(i + 1) * existentials];
+                    for atom in atoms {
+                        head.clear();
+                        head.extend(atom.args.iter().map(|a| match a {
+                            HeadArg::Const(v) => v,
+                            HeadArg::Frontier(j) => &values[*j],
+                            HeadArg::Null(j) => &nulls[*j],
+                        }));
+                        let Some(row) = db.insert_refs(&atom.pred, &head) else {
+                            continue;
+                        };
+                        inserted += 1;
+                        stats.facts_derived += 1;
+                        profile.rules[r.idx].facts_derived += 1;
+                        if stats.facts_derived > self.config.max_facts {
+                            return Err(EngineError::ResourceLimit {
                                 which: BudgetKind::Facts,
                                 stratum: stratum_idx,
-                                rule: Some(rule_label(program, fact.rule)),
+                                rule: Some(r.idx),
+                                facts_so_far: stats.facts_derived,
+                                iterations_so_far: stats.iterations,
+                                limit: self.config.max_facts,
                             });
-                            break;
+                        }
+                        if self.config.trace {
+                            let b = &firings.bindings[i];
+                            trace.push(TraceEntry {
+                                fact: Fact::new(&*atom.pred, row.to_vec()),
+                                rule: rule_label(program, r.idx),
+                                binding: r
+                                    .compiled
+                                    .names
+                                    .iter()
+                                    .filter_map(|n| b.get(n).map(|v| (n.clone(), v.clone())))
+                                    .collect(),
+                            });
+                        }
+                        push_row(&mut next_delta, &atom.pred, row);
+                        // Soft facts budget: stop inserting mid-round so the
+                        // partial result stays close to the cap. The facts
+                        // already inserted are sound derivations and are kept.
+                        if governor.active() {
+                            if let Some(cap) = governor.budget().max_facts {
+                                if stats.facts_derived >= cap {
+                                    stopped = Some(Termination::BudgetExceeded {
+                                        which: BudgetKind::Facts,
+                                        stratum: stratum_idx,
+                                        rule: Some(rule_label(program, r.idx)),
+                                    });
+                                    break 'merge;
+                                }
+                            }
                         }
                     }
                 }
@@ -1035,6 +1067,7 @@ impl Engine {
         plans: &[JoinPlan],
         db: &Database,
         delta: Option<&DeltaRows>,
+        sets: &mut SetTable,
     ) -> Result<Firings, EngineError> {
         isolate_rule(program, r.idx, || {
             let start = Instant::now();
@@ -1051,7 +1084,7 @@ impl Engine {
                     // this pass vacuous.
                     continue;
                 }
-                let mut emit = |frame: &Frame| {
+                let mut emit = |frame: &Frame, _: &mut SetTable| {
                     for &s in frontier {
                         let v = frame
                             .get(s)
@@ -1064,7 +1097,7 @@ impl Engine {
                     }
                     Ok(())
                 };
-                Join::new(plan, db, delta, r.idx, &mut firings.counters)
+                Join::new(plan, db, delta, r.idx, &mut firings.counters, sets)
                     .step(0, &mut frame, &mut emit)?;
             }
             firings.join_ns = start.elapsed().as_nanos() as u64;
@@ -1072,66 +1105,34 @@ impl Engine {
         })
     }
 
-    /// Build one plain rule's head facts, firing by firing, minting nulls
-    /// for its existentials. Nulls are memoized on (rule, frontier values)
-    /// — the restricted chase's Skolem table — and a single-atom head
-    /// first looks for an existing witness fact to adopt.
-    fn instantiate<'p>(
+    /// One plain rule's existential values, firing by firing, back to
+    /// back. They are memoized on (rule, frontier values) — the restricted
+    /// chase's Skolem table — and a single-atom head first looks for an
+    /// existing witness fact to adopt; otherwise fresh nulls are minted.
+    fn existentials(
         &self,
-        r: RuleRef<'p>,
+        r: RuleRef,
         firings: &Firings,
         db: &mut Database,
         skolem: &mut SkolemMemo,
-        out: &mut Vec<NewFact<'p>>,
-        traced: &mut Vec<TraceBinding>,
-    ) {
+    ) -> Vec<Value> {
         let CHead::Plain {
             atoms,
             frontier,
             existentials,
         } = &r.compiled.head
         else {
-            return;
+            return Vec::new();
         };
+        if *existentials == 0 {
+            return Vec::new();
+        }
         let memo = skolem.entry(r.idx).or_default();
+        let mut out = Vec::with_capacity(firings.count * existentials);
         for i in 0..firings.count {
-            let trace = self.config.trace.then(|| {
-                let b = &firings.bindings[i];
-                traced.push(
-                    r.compiled
-                        .names
-                        .iter()
-                        .filter_map(|n| b.get(n).map(|v| (n.clone(), v.clone())))
-                        .collect(),
-                );
-                traced.len() - 1
-            });
-            let values = &firings.values[i * frontier.len()..(i + 1) * frontier.len()];
-            let emit = |nulls: &[Value], out: &mut Vec<NewFact<'p>>| {
-                for atom in atoms {
-                    let args = atom
-                        .args
-                        .iter()
-                        .map(|a| match a {
-                            HeadArg::Const(v) => v.clone(),
-                            HeadArg::Frontier(i) => values[*i].clone(),
-                            HeadArg::Null(j) => nulls[*j].clone(),
-                        })
-                        .collect();
-                    out.push(NewFact {
-                        rule: r.idx,
-                        pred: &atom.pred,
-                        args,
-                        trace,
-                    });
-                }
-            };
-            if *existentials == 0 {
-                emit(&[], out);
-                continue;
-            }
+            let values = firings.frontier(i, frontier.len());
             if let Some(nulls) = memo.get(values) {
-                emit(nulls, out);
+                out.extend_from_slice(nulls);
                 continue;
             }
             // Restricted-chase satisfaction check: if the database already
@@ -1145,9 +1146,10 @@ impl Engine {
             };
             let nulls =
                 witness.unwrap_or_else(|| (0..*existentials).map(|_| db.fresh_null()).collect());
-            emit(&nulls, out);
+            out.extend_from_slice(&nulls);
             memo.insert(values.to_vec(), nulls);
         }
+        out
     }
 
     /// Join the first `len` body literals of a rule in full (no delta
@@ -1160,7 +1162,8 @@ impl Engine {
         len: usize,
         db: &mut Database,
         profile: &mut EngineProfile,
-        emit: &mut dyn FnMut(&Frame) -> Result<(), EngineError>,
+        sets: &mut SetTable,
+        emit: &mut Emit,
     ) -> Result<(), EngineError> {
         let plan = match self.config.join_mode {
             JoinMode::Reference => plan::identity_plan(r.compiled, len, None),
@@ -1182,7 +1185,11 @@ impl Engine {
         }
         let mut counters = JoinCounters::default();
         let start = Instant::now();
-        Join::new(&plan, db, None, r.idx, &mut counters).step(0, &mut r.compiled.frame(), emit)?;
+        Join::new(&plan, db, None, r.idx, &mut counters, sets).step(
+            0,
+            &mut r.compiled.frame(),
+            emit,
+        )?;
         let rp = &mut profile.rules[r.idx];
         rp.join_ns += start.elapsed().as_nanos() as u64;
         rp.join_candidates += counters.candidates;
@@ -1205,6 +1212,7 @@ impl Engine {
         stats: &mut EvalStats,
         trace: &mut Vec<TraceEntry>,
         profile: &mut EngineProfile,
+        sets: &mut SetTable,
     ) -> Result<bool, EngineError> {
         let CHead::Aggregate {
             prefix,
@@ -1236,7 +1244,7 @@ impl Engine {
         // error raised later in the enumeration takes precedence.
         let mut fold_error: Option<EvalError> = None;
         let mut firings = 0u64;
-        self.join_full(r, *prefix, db, profile, &mut |frame| {
+        self.join_full(r, *prefix, db, profile, sets, &mut |frame, sets| {
             firings += 1;
             if fold_error.is_some() {
                 return Ok(());
@@ -1253,7 +1261,7 @@ impl Engine {
                     index.insert(key.clone(), groups.len());
                     groups.push(Group {
                         key: key.clone(),
-                        rep: frame.values().to_vec(),
+                        rep: frame.to_owned_values(),
                         per_agg: (0..aggs.len()).map(|_| Contributions::default()).collect(),
                     });
                     groups.len() - 1
@@ -1262,7 +1270,7 @@ impl Engine {
             'aggs: for (ai, (func, arg, contributors)) in aggs.iter().enumerate() {
                 contributor.clear();
                 for c in contributors.iter() {
-                    match c.eval(frame.values()) {
+                    match c.eval(frame.values(), sets) {
                         Ok(v) => contributor.push(v.into_owned()),
                         Err(EvalError::Undefined(_)) => continue 'aggs,
                         Err(e) => {
@@ -1271,7 +1279,7 @@ impl Engine {
                         }
                     }
                 }
-                match arg.eval(frame.values()) {
+                match arg.eval(frame.values(), sets) {
                     Ok(v) => groups[g].per_agg[ai].add(*func, &contributor, v),
                     Err(EvalError::Undefined(_)) => {}
                     Err(e) => {
@@ -1305,12 +1313,12 @@ impl Engine {
                         };
                         frame[*slot] = Some(finalize_aggregate(*func, contributions.values.iter()));
                     }
-                    CLit::Cond(expr) => match expr.eval(&frame) {
+                    CLit::Cond(expr) => match expr.eval(frame.as_slice(), sets) {
                         Ok(v) if v.is_true() => {}
                         Ok(_) | Err(EvalError::Undefined(_)) => continue 'group,
                         Err(e) => return Err(eval_error(e)),
                     },
-                    CLit::Let { slot, expr } => match expr.eval(&frame) {
+                    CLit::Let { slot, expr } => match expr.eval(frame.as_slice(), sets) {
                         Ok(v) => match &frame[*slot] {
                             Some(existing) if *existing != *v => continue 'group,
                             Some(_) => {}
@@ -1350,7 +1358,7 @@ impl Engine {
                 let binding = self
                     .config
                     .trace
-                    .then(|| bound_pairs(&r.compiled.names, &frame).collect());
+                    .then(|| bound_pairs(&r.compiled.names, frame.as_slice()).collect());
                 to_insert.push((&atom.pred, args, binding));
             }
         }
@@ -1382,6 +1390,7 @@ impl Engine {
         stats: &mut EvalStats,
         violations: &mut Vec<EgdViolation>,
         profile: &mut EngineProfile,
+        sets: &mut SetTable,
     ) -> Result<Vec<(NullId, Value)>, EngineError> {
         let CHead::Equality(lt, rt) = &r.compiled.head else {
             return Ok(Vec::new());
@@ -1391,10 +1400,17 @@ impl Engine {
         // new bindings.
         loop {
             let mut sides: Vec<(Option<Value>, Option<Value>)> = Vec::new();
-            self.join_full(r, r.compiled.body.len(), db, profile, &mut |frame| {
-                sides.push((lt.value(frame.values()), rt.value(frame.values())));
-                Ok(())
-            })?;
+            self.join_full(
+                r,
+                r.compiled.body.len(),
+                db,
+                profile,
+                sets,
+                &mut |frame, _| {
+                    sides.push((lt.value(frame.values()), rt.value(frame.values())));
+                    Ok(())
+                },
+            )?;
             profile.rules[r.idx].firings += sides.len() as u64;
             let mut did_unify = false;
             for sides in sides {
@@ -1452,6 +1468,11 @@ fn unbound_head_var(rule: usize, var: &str) -> EngineError {
 }
 
 impl Firings {
+    /// The frontier values of firing `i`, for a frontier of `width` slots.
+    fn frontier(&self, i: usize, width: usize) -> &[Value] {
+        &self.values[i * width..(i + 1) * width]
+    }
+
     /// Replace the frontier values by those of the (routed) bindings.
     fn rebuild_from_bindings(&mut self, r: RuleRef) -> Result<(), EngineError> {
         let CHead::Plain { frontier, .. } = &r.compiled.head else {
@@ -1528,26 +1549,29 @@ impl Contributions {
 /// to a linear scan if the index is missing or stale), scans the delta
 /// rows when it is the focused literal, and scans the relation otherwise.
 /// Negation/condition/assignment steps run once their slots are bound —
-/// the planner schedules them so.
-struct Join<'a> {
+/// the planner schedules them so. A matched row's values are bound into
+/// the frame by reference: the database stays frozen while `'a` lasts.
+struct Join<'a, 'j> {
     plan: &'a JoinPlan,
     /// Per step: the relation a positive or negated atom reads.
     rels: Vec<Option<&'a Relation>>,
     /// The focused literal's delta rows.
     delta: &'a [Row],
     rule_idx: usize,
-    counters: &'a mut JoinCounters,
+    counters: &'j mut JoinCounters,
+    sets: &'j mut SetTable,
     /// Probe-key and negation-row buffer, reused across lookups.
     key: Vec<Value>,
 }
 
-impl<'a> Join<'a> {
+impl<'a, 'j> Join<'a, 'j> {
     fn new(
         plan: &'a JoinPlan,
         db: &'a Database,
         delta: Option<&'a DeltaRows>,
         rule_idx: usize,
-        counters: &'a mut JoinCounters,
+        counters: &'j mut JoinCounters,
+        sets: &'j mut SetTable,
     ) -> Self {
         let mut focused: &[Row] = &[];
         let rels = plan
@@ -1570,6 +1594,7 @@ impl<'a> Join<'a> {
             delta: focused,
             rule_idx,
             counters,
+            sets,
             key: Vec::new(),
         }
     }
@@ -1579,12 +1604,12 @@ impl<'a> Join<'a> {
     fn step(
         &mut self,
         k: usize,
-        frame: &mut Frame,
-        emit: &mut dyn FnMut(&Frame) -> Result<(), EngineError>,
+        frame: &mut Frame<'a>,
+        emit: &mut Emit,
     ) -> Result<(), EngineError> {
         let steps = &self.plan.steps;
         let Some(step) = steps.get(k) else {
-            return emit(frame);
+            return emit(frame, self.sets);
         };
         match &step.op {
             StepOp::Match {
@@ -1658,7 +1683,7 @@ impl<'a> Join<'a> {
                 }
                 Ok(())
             }
-            StepOp::Test(expr) => match expr.eval(frame.values()) {
+            StepOp::Test(expr) => match expr.eval(frame.values(), self.sets) {
                 Ok(v) if v.is_true() => self.step(k + 1, frame, emit),
                 Ok(_) | Err(EvalError::Undefined(_)) => Ok(()),
                 Err(error) => Err(EngineError::Eval {
@@ -1666,7 +1691,7 @@ impl<'a> Join<'a> {
                     error,
                 }),
             },
-            StepOp::Assign { slot, expr, filter } => match expr.eval(frame.values()) {
+            StepOp::Assign { slot, expr, filter } => match expr.eval(frame.values(), self.sets) {
                 // An assignment to a bound slot acts as an equality filter.
                 Ok(v) if *filter => match frame.get(*slot) == Some(&*v) {
                     true => self.step(k + 1, frame, emit),
@@ -1698,12 +1723,12 @@ impl<'a> Join<'a> {
     /// rest of the plan on a match, then unwind the slots it bound.
     fn candidate(
         &mut self,
-        row: &[Value],
+        row: &'a [Value],
         arity: usize,
         ops: &[(usize, ArgOp)],
         k: usize,
-        frame: &mut Frame,
-        emit: &mut dyn FnMut(&Frame) -> Result<(), EngineError>,
+        frame: &mut Frame<'a>,
+        emit: &mut Emit,
     ) -> Result<(), EngineError> {
         if row.len() != arity {
             return Ok(());
@@ -1717,7 +1742,7 @@ impl<'a> Join<'a> {
                 ArgOp::Is(c) => c == v,
                 ArgOp::Eq(s) => frame.get(*s) == Some(v),
                 ArgOp::Bind(s) => {
-                    frame.bind(*s, v.clone());
+                    frame.bind_ref(*s, v);
                     true
                 }
             };

@@ -115,6 +115,12 @@ pub struct EngineProfile {
     /// String-interner hits during this run (heap allocations avoided;
     /// see [`mod@crate::intern`]).
     pub intern_hits: u64,
+    /// Sets the run's rules built: distinct sets they computed, each
+    /// built once (`{x}`, `s union {x}`, `VSet[S]`).
+    pub sets_built: u64,
+    /// Sets the run's rules computed again and were handed the one
+    /// already built instead of building a copy.
+    pub sets_shared: u64,
     /// Join plans where the planner deviated from source literal order.
     pub planner_reorders: u64,
     /// Join passes skipped whole because the planner proved a positive
@@ -181,12 +187,14 @@ impl EngineProfile {
         );
         let _ = writeln!(
             out,
-            "join core — {} index probe(s), {} scan(s), {} intern hit(s), {} plan reorder(s), {} plan prune(s)",
+            "join core — {} index probe(s), {} scan(s), {} intern hit(s), {} plan reorder(s), {} plan prune(s), {} set(s) built, {} shared",
             self.index_probes,
             self.index_scans,
             self.intern_hits,
             self.planner_reorders,
             self.planner_prunes,
+            self.sets_built,
+            self.sets_shared,
         );
         let magic_active = self.magic_goal_seeds
             + self.magic_guarded_rules
@@ -359,6 +367,8 @@ impl EngineProfile {
             vec![],
         );
         obs.counter("engine.join.planner_prunes", self.planner_prunes, vec![]);
+        obs.counter("engine.sets.built", self.sets_built, vec![]);
+        obs.counter("engine.sets.shared", self.sets_shared, vec![]);
         if self.magic_goal_seeds
             + self.magic_guarded_rules
             + self.magic_seed_rules
@@ -486,8 +496,13 @@ mod tests {
         profile.rules[0].join_ns = 9;
         profile.facts_derived = 2;
         profile.total_ns = 10;
+        profile.sets_built = 3;
+        profile.sets_shared = 7;
+        assert!(profile.render_table().contains("3 set(s) built, 7 shared"));
         let rec = vadasa_obs::Recorder::new();
         profile.emit(&Obs::new(Some(&rec)));
+        assert_eq!(rec.counter_total("engine.sets.built"), 3);
+        assert_eq!(rec.counter_total("engine.sets.shared"), 7);
         assert_eq!(rec.counter_total("engine.rule.firings"), 4);
         assert_eq!(rec.counter_total("engine.rule.join_ns"), 9);
         assert_eq!(rec.counter_total("engine.facts_derived"), 2);

@@ -17,9 +17,10 @@
 
 use crate::ast::Fact;
 use crate::value::{NullId, Value};
+use std::borrow::Borrow;
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// A stored tuple: one shared allocation, so index buckets and deltas
@@ -120,8 +121,22 @@ impl Relation {
         Some(row)
     }
 
-    /// The hash `dedup` and `collisions` key `row` by.
-    fn row_hash(&self, row: &[Value]) -> u64 {
+    /// Insert a row given as references to its values; returns the stored
+    /// handle if it was new. The row is allocated only then: a duplicate
+    /// costs a hash and a compare.
+    pub(crate) fn insert_refs(&mut self, row: &[&Value]) -> Option<Row> {
+        let hash = self.row_hash(row);
+        if self.position(hash, row).is_some() {
+            return None;
+        }
+        let row: Row = row.iter().copied().cloned().collect();
+        self.store(hash, row.clone());
+        Some(row)
+    }
+
+    /// The hash `dedup` and `collisions` key `row` by: that of the slice
+    /// of its values, whether they are given owned or by reference.
+    fn row_hash<V: Hash>(&self, row: &[V]) -> u64 {
         #[cfg(test)]
         if self.one_hash {
             return 0;
@@ -130,8 +145,11 @@ impl Relation {
     }
 
     /// The id of the stored row equal to `row`, whose hash is `hash`.
-    fn position(&self, hash: u64, row: &[Value]) -> Option<u32> {
-        let is = |id: &u32| *self.rows[*id as usize] == *row;
+    fn position<V: Borrow<Value>>(&self, hash: u64, row: &[V]) -> Option<u32> {
+        let is = |id: &u32| {
+            let stored = &self.rows[*id as usize];
+            stored.len() == row.len() && stored.iter().zip(row).all(|(a, b)| a == b.borrow())
+        };
         match self.dedup.get(&hash) {
             None => None,
             Some(id) if is(id) => Some(*id),
@@ -257,28 +275,43 @@ impl Database {
     }
 
     /// Insert a fact and, when it is new, hand back the stored shared row.
-    /// This is the engine's hot path: the returned [`Row`] is aliased into
-    /// the semi-naive delta (and the trace) without re-cloning the values.
+    /// The returned [`Row`] is aliased into the semi-naive delta (and the
+    /// trace) without re-cloning the values.
     pub fn insert_shared(
         &mut self,
         pred: impl AsRef<str>,
         row: impl AsRef<[Value]> + Into<Row>,
     ) -> Option<Row> {
-        for v in row.as_ref() {
+        self.saw_nulls(row.as_ref().iter());
+        self.with_relation(pred.as_ref(), |rel| rel.insert_shared(row))
+    }
+
+    /// [`insert_shared`](Self::insert_shared) for a row given as
+    /// references to its values, allocated only when it is new. This is
+    /// the engine's hot path: most firings derive a fact already stored.
+    pub(crate) fn insert_refs(&mut self, pred: &str, row: &[&Value]) -> Option<Row> {
+        self.saw_nulls(row.iter().copied());
+        self.with_relation(pred, |rel| rel.insert_refs(row))
+    }
+
+    /// Advance the null counter past every null label in `values`, so
+    /// freshly invented nulls never collide with inserted ones.
+    fn saw_nulls<'v>(&mut self, values: impl Iterator<Item = &'v Value>) {
+        for v in values {
             if let Value::Null(n) = v {
                 if *n >= self.next_null {
                     self.next_null = n + 1;
                 }
             }
         }
-        let pred = pred.as_ref();
+    }
+
+    /// Run `f` on the relation of `pred`, created empty if needed; its
+    /// name is allocated only then.
+    fn with_relation<T>(&mut self, pred: &str, f: impl FnOnce(&mut Relation) -> T) -> T {
         match self.relations.get_mut(pred) {
-            Some(rel) => rel.insert_shared(row),
-            None => self
-                .relations
-                .entry(pred.to_string())
-                .or_default()
-                .insert_shared(row),
+            Some(rel) => f(rel),
+            None => f(self.relations.entry(pred.to_string()).or_default()),
         }
     }
 
@@ -510,8 +543,8 @@ mod tests {
             .collect()
     }
 
-    /// `contains`, `insert_shared` and `probe` answer as a scan of
-    /// `naive`, the rows the relation should hold in order.
+    /// `contains`, `insert_shared`, `insert_refs` and `probe` answer as a
+    /// scan of `naive`, the rows the relation should hold in order.
     fn assert_agrees(rel: &mut Relation, naive: &[Vec<Value>], what: &str) {
         let stored: Vec<Vec<Value>> = rel.iter().map(|r| r.to_vec()).collect();
         assert_eq!(stored, naive, "{what}: stored rows");
@@ -527,6 +560,11 @@ mod tests {
                 rel.insert_shared(row.clone()).is_none(),
                 "{what}: re-insert of {row:?}"
             );
+            let refs: Vec<&Value> = row.iter().collect();
+            assert!(
+                rel.insert_refs(&refs).is_none(),
+                "{what}: re-insert by reference of {row:?}"
+            );
         }
         rel.ensure_index(&[0]);
         for key in [Value::Int(0), Value::Int(1), Value::Null(1)] {
@@ -539,7 +577,7 @@ mod tests {
     }
 
     /// A relation and a naive row list driven through the same random
-    /// inserts and EGD rewrites (`replace_rows`).
+    /// inserts (owned or by reference) and EGD rewrites (`replace_rows`).
     fn dedup_agrees_with_a_scan(one_hash: bool) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -557,7 +595,11 @@ mod tests {
                     0..=7 => {
                         let row = rows[rng.gen_range(0..rows.len())].clone();
                         let new = !naive.contains(&row);
-                        assert_eq!(rel.insert(row.clone()), new, "{what}: insert {row:?}");
+                        let inserted = match rng.gen_bool(0.5) {
+                            true => rel.insert(row.clone()),
+                            false => rel.insert_refs(&row.iter().collect::<Vec<_>>()).is_some(),
+                        };
+                        assert_eq!(inserted, new, "{what}: insert {row:?}");
                         if new {
                             naive.push(row);
                         }

@@ -7,10 +7,12 @@
 //!
 //! Composites are flat: a tuple is one `Arc<[Value]>` allocation, and a
 //! set is a [`SetVal`], its items sorted in one boxed slice beside a hash
-//! computed once when the set is built.
+//! computed once when the set is built. A run builds each distinct set
+//! its rules compute once and shares it after that (`SetTable`).
 
+use crate::storage::ByHash;
 use std::cmp::Ordering;
-use std::collections::hash_map::RandomState;
+use std::collections::hash_map::{Entry, RandomState};
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -73,12 +75,23 @@ pub struct SetVal {
     items: Box<[Value]>,
 }
 
+/// The hash of a set of `len` items, from the items in ascending order:
+/// the hash of their slice, computed without one.
+fn hash_items<'v>(len: usize, items: impl Iterator<Item = &'v Value>) -> u64 {
+    let mut h = set_keys().build_hasher();
+    h.write_usize(len);
+    for v in items {
+        v.hash(&mut h);
+    }
+    h.finish()
+}
+
 impl SetVal {
     /// A set over `items`, which must be strictly ascending.
     fn new(items: Box<[Value]>) -> SetVal {
         debug_assert!(items.windows(2).all(|w| w[0] < w[1]), "unsorted set items");
         SetVal {
-            hash: set_keys().hash_one(&*items),
+            hash: hash_items(items.len(), items.iter()),
             items,
         }
     }
@@ -221,6 +234,142 @@ impl fmt::Debug for SetVal {
     /// The items only: the hash is per process and stays out of output.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// Are `a` and `b` the same value, not merely equal: equal item for item
+/// and of the same kind at every depth? `Int(2) == Float(2.0)`, yet the
+/// two are not identical, and neither are sets or pairs holding them.
+fn identical(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Bool(x), Value::Bool(y)) => x == y,
+        (Value::Int(x), Value::Int(y)) => x == y,
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::Str(x), Value::Str(y)) => x == y,
+        (Value::Null(x), Value::Null(y)) => x == y,
+        (Value::Set(x), Value::Set(y)) => {
+            Arc::ptr_eq(x, y) || (x.hash == y.hash && same_items(&x.items, y.len(), y.iter()))
+        }
+        (Value::Tuple(x), Value::Tuple(y)) => Arc::ptr_eq(x, y) || same_items(x, y.len(), y.iter()),
+        _ => false,
+    }
+}
+
+/// Are `items` identical, one by one, to the `len` items `other` yields?
+fn same_items<'v>(items: &[Value], len: usize, other: impl Iterator<Item = &'v Value>) -> bool {
+    items.len() == len && items.iter().zip(other).all(|(a, b)| identical(a, b))
+}
+
+/// Distinct sets a [`SetTable`] keeps; past this many, new sets are built
+/// and handed out without being kept, as the string interner passes new
+/// strings through once a shard is full.
+pub(crate) const SET_TABLE_CAPACITY: usize = 1 << 16;
+
+/// The sets one run's rules have built, each kept once.
+///
+/// A rule that builds sets builds the same few again and again: SUDA's
+/// attribute combinations `S union {A}` hold a handful of distinct sets
+/// across thousands of firings. Before building one the evaluator looks
+/// it up here by its hash, computed from the items it would hold, and
+/// shares the set already built when there is one. Sets match by
+/// identity, not `==`: equal item for item and of the same kind at every
+/// depth, so a set holding `Int(2)` never stands in for one holding
+/// `Float(2.0)`, and whichever of two equal items a set keeps (see
+/// [`SetVal`]) is what it would have held unshared.
+///
+/// The engine makes one table per run and passes it to the evaluator, so
+/// it lives only as long as the run, and no run sees another's.
+#[derive(Debug, Default)]
+pub(crate) struct SetTable {
+    /// By hash: the first set kept under it.
+    first: ByHash<Arc<SetVal>>,
+    /// By hash: the sets kept under a hash whose first set differs.
+    collisions: ByHash<Vec<Arc<SetVal>>>,
+    kept: usize,
+    /// The positions of a projection's pairs, reused.
+    positions: Vec<usize>,
+    /// Sets built (allocated).
+    pub(crate) built: u64,
+    /// Sets handed out again instead of being built.
+    pub(crate) shared: u64,
+}
+
+impl SetTable {
+    /// The set of the `len` items `items` yields, ascending and without
+    /// equal items: the kept set identical to it, or a new one.
+    fn share<'v, I>(&mut self, len: usize, items: impl Fn() -> I) -> Arc<SetVal>
+    where
+        I: Iterator<Item = &'v Value>,
+    {
+        let hash = hash_items(len, items());
+        let same = |s: &&Arc<SetVal>| same_items(&s.items, len, items());
+        let kept = match self.first.get(&hash) {
+            Some(s) if same(&s) => Some(s),
+            Some(_) => self.collisions.get(&hash).and_then(|c| c.iter().find(same)),
+            None => None,
+        };
+        if let Some(s) = kept {
+            self.shared += 1;
+            return Arc::clone(s);
+        }
+        self.built += 1;
+        let set = Arc::new(SetVal {
+            hash,
+            items: items().cloned().collect(),
+        });
+        if self.kept < SET_TABLE_CAPACITY {
+            self.kept += 1;
+            match self.first.entry(hash) {
+                Entry::Vacant(e) => {
+                    e.insert(Arc::clone(&set));
+                }
+                Entry::Occupied(_) => self
+                    .collisions
+                    .entry(hash)
+                    .or_default()
+                    .push(Arc::clone(&set)),
+            }
+        }
+        set
+    }
+
+    /// `{x}`.
+    pub(crate) fn singleton(&mut self, x: &Value) -> Arc<SetVal> {
+        self.share(1, || std::iter::once(x))
+    }
+
+    /// The set of `items` in any order, of equal items the last, as
+    /// [`Value::set`] builds it.
+    pub(crate) fn collect(&mut self, items: Vec<Value>) -> Arc<SetVal> {
+        let sorted = SetVal::from_collected(items).items;
+        self.share(sorted.len(), || sorted.iter())
+    }
+
+    /// `s ∪ {x}`: `s` itself when it already holds an item equal to `x`
+    /// (that item stays), as [`SetVal::with`].
+    pub(crate) fn with(&mut self, s: &Arc<SetVal>, x: &Value) -> Arc<SetVal> {
+        match s.items.binary_search(x) {
+            Ok(_) => Arc::clone(s),
+            Err(at) => {
+                let (below, above) = s.items.split_at(at);
+                self.share(s.len() + 1, || {
+                    below.iter().chain(std::iter::once(x)).chain(above)
+                })
+            }
+        }
+    }
+
+    /// `VSet[S]`: the pairs of `pairs` whose key is an item of `keys`.
+    pub(crate) fn project(&mut self, pairs: &SetVal, keys: &SetVal) -> Arc<SetVal> {
+        let mut at = std::mem::take(&mut self.positions);
+        at.clear();
+        at.extend(pairs.iter().enumerate().filter_map(|(i, p)| {
+            let key = p.as_tuple().and_then(<[Value]>::first)?;
+            keys.contains(key).then_some(i)
+        }));
+        let set = self.share(at.len(), || at.iter().map(|&i| &pairs.items[i]));
+        self.positions = at;
+        set
     }
 }
 
@@ -600,6 +749,60 @@ mod tests {
         let items = s.as_set().expect("a set").items();
         assert!(items.windows(2).all(|w| w[0] < w[1]));
         assert!(many.iter().all(|x| s.as_set().expect("a set").contains(x)));
+    }
+
+    #[test]
+    fn a_run_shares_sets_by_identity_not_equality() {
+        // `{2}` and `{2.0}` are equal and hash alike, and so are the sets
+        // and pairs holding them; each set must keep its own items
+        let program = crate::parse_program(
+            "i(2). f(2.0). x(3).\n\
+             fromint(S) :- i(V), x(X), S = {V} union {X}.\n\
+             fromfloat(S) :- f(V), x(X), S = {V} union {X}.\n\
+             pairint(S) :- i(V), x(X), S = {pair(\"a\", V)} union {X}.\n\
+             pairfloat(S) :- f(V), x(X), S = {pair(\"a\", V)} union {X}.\n\
+             again(S) :- i(V), x(X), S = {V} union {X}.",
+        )
+        .expect("program parses");
+        let out = crate::Engine::new()
+            .run(&program, crate::Database::new())
+            .expect("program runs");
+        let set = |pred: &str| {
+            let rows = out.db.rows(pred);
+            assert_eq!(rows.len(), 1, "{pred}");
+            rows[0][0].clone()
+        };
+        let shown = |pred: &str| format!("{:?}", set(pred));
+        assert_eq!(shown("fromint"), "Set({Int(2), Int(3)})");
+        assert_eq!(shown("fromfloat"), "Set({Float(2.0), Int(3)})");
+        assert_eq!(
+            shown("pairint"),
+            r#"Set({Int(3), Tuple([Str("a"), Int(2)])})"#
+        );
+        assert_eq!(
+            shown("pairfloat"),
+            r#"Set({Int(3), Tuple([Str("a"), Float(2.0)])})"#
+        );
+        // an identical set is the one already built
+        let (Value::Set(a), Value::Set(b)) = (set("fromint"), set("again")) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(out.profile.sets_shared >= 2, "{:?}", out.profile);
+    }
+
+    #[test]
+    fn a_full_set_table_builds_new_sets_without_keeping_them() {
+        let mut sets = SetTable::default();
+        for i in 0..SET_TABLE_CAPACITY as i64 {
+            sets.singleton(&Value::Int(i));
+        }
+        let kept = sets.singleton(&Value::Int(0));
+        assert!(Arc::ptr_eq(&kept, &sets.singleton(&Value::Int(0))));
+        let past = Value::Int(-1);
+        assert!(!Arc::ptr_eq(&sets.singleton(&past), &sets.singleton(&past)));
+        assert_eq!(sets.built, SET_TABLE_CAPACITY as u64 + 2);
+        assert_eq!(sets.shared, 2);
     }
 
     #[test]

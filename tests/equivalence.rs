@@ -11,8 +11,8 @@ use vadasa_core::journal::record::{self, JournalRecord};
 use vadasa_core::maybe_match::NullSemantics;
 use vadasa_core::prelude::*;
 use vadasa_core::programs::{
-    alg4_kanonymity, alg6_suda, run_control_program, run_risk_program, VadalogKAnonymity,
-    ALG3_REIDENTIFICATION, ALG5_INDIVIDUAL_RISK,
+    alg4_kanonymity, alg6_suda, microdata_to_facts, run_control_program, run_risk_program,
+    VadalogKAnonymity, ALG2_TUPLE_REIFICATION, ALG3_REIDENTIFICATION, ALG5_INDIVIDUAL_RISK,
 };
 use vadasa_core::risk::RiskMeasure;
 use vadasa_datagen::fixtures::{inflation_growth_fig1, local_suppression_fig5a};
@@ -178,6 +178,34 @@ fn suppressed_twice(out: &CycleOutcome) -> bool {
 
 fn u_table(rows: usize) -> (MicrodataDb, MetadataDictionary) {
     generate(&DatasetSpec::new(rows, 4, Regime::U), 20210323)
+}
+
+#[test]
+fn declarative_suda_builds_each_set_once_per_run() {
+    // the 400-row table of the benchmark's reason-suda workload
+    let (db, dict) = u_table(400);
+    let program =
+        vadalog::parse_program(&format!("{ALG2_TUPLE_REIFICATION}{}", alg6_suda(2))).unwrap();
+    let facts = microdata_to_facts(&db, &dict).unwrap();
+    let result = vadalog::Engine::new().run(&program, facts).unwrap();
+    // rows, and set allocations in the second column
+    let allocations = |pred: &str| {
+        let rel = result.db.relation(pred).unwrap();
+        let sets: std::collections::HashSet<*const vadalog::SetVal> = rel
+            .iter()
+            .map(|row| match &row[1] {
+                Value::Set(s) => std::sync::Arc::as_ptr(s),
+                other => panic!("{pred}: {other} is not a set"),
+            })
+            .collect();
+        (rel.len(), sets.len())
+    };
+    // 15 attribute combinations and 482 projections, each built once
+    // (every row held a set of its own when every firing built one)
+    assert_eq!(allocations("comb"), (6_000, 15));
+    assert_eq!(allocations("tuplec"), (6_000, 482));
+    let p = &result.profile;
+    assert!(p.sets_shared > p.sets_built, "{p:?}");
 }
 
 /// One-tuple steps, capped well above the 26 iterations these tables
