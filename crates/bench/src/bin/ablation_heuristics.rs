@@ -17,11 +17,6 @@ fn main() {
     let (db, dict) = by_name("R25A4U").expect("catalogue dataset");
     let risk = KAnonymity::new(2);
 
-    let tuple_orders = [
-        ("less-significant-first", TupleOrder::LessSignificantFirst),
-        ("most-risky-first", TupleOrder::MostRiskyFirst),
-        ("fifo", TupleOrder::Fifo),
-    ];
     let attr_orders = [
         ("most-risky-first", AttributeOrder::MostRiskyFirst),
         ("most-selective-first", AttributeOrder::MostSelectiveFirst),
@@ -30,7 +25,7 @@ fn main() {
 
     println!("Ablation — tuple routing × attribute choice (R25A4U, k-anonymity k=2, T=0.5)\n");
     let mut rows = Vec::new();
-    for (tname, torder) in tuple_orders {
+    for torder in TupleOrder::ALL {
         for (aname, aorder) in attr_orders {
             let anonymizer = LocalSuppression::new(aorder);
             let config = CycleConfig {
@@ -39,7 +34,7 @@ fn main() {
             };
             let (out, secs) = time_it(|| run_cycle_with(&db, &dict, &risk, &anonymizer, config));
             rows.push(vec![
-                tname.to_string(),
+                torder.name().to_string(),
                 aname.to_string(),
                 out.nulls_injected.to_string(),
                 format!("{:.1}%", out.information_loss * 100.0),
@@ -65,16 +60,7 @@ fn main() {
 
     println!("\nAblation — iteration granularity (same setup, most-risky-first attributes)\n");
     let mut rows = Vec::new();
-    for (gname, granularity) in [
-        (
-            "all-risky-per-iteration",
-            StepGranularity::AllRiskyPerIteration,
-        ),
-        (
-            "one-tuple-per-iteration",
-            StepGranularity::OneTuplePerIteration,
-        ),
-    ] {
+    for granularity in StepGranularity::ALL {
         let anonymizer = LocalSuppression::default();
         let config = CycleConfig {
             granularity,
@@ -82,7 +68,7 @@ fn main() {
         };
         let (out, secs) = time_it(|| run_cycle_with(&db, &dict, &risk, &anonymizer, config));
         rows.push(vec![
-            gname.to_string(),
+            granularity.name().to_string(),
             out.nulls_injected.to_string(),
             format!("{:.1}%", out.information_loss * 100.0),
             out.iterations.to_string(),
@@ -96,6 +82,6 @@ fn main() {
             &rows
         )
     );
-    println!("(one-tuple-per-iteration is maximally greedy — closest to the paper's");
+    println!("(one-tuple is maximally greedy — closest to the paper's");
     println!("per-binding activation — at the price of one risk evaluation per step)");
 }

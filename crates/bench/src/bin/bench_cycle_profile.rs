@@ -225,26 +225,23 @@ fn main() {
         });
         (out, secs, dir)
     };
-    let mut journal_medians: Vec<(&str, f64)> = vec![("off", warm_s)];
+    let mut journal_medians: Vec<(String, f64)> = vec![("off".into(), warm_s)];
     let mut recovery_dir: Option<PathBuf> = None;
-    for (mode, sync) in [
-        ("every-record", SyncPolicy::EveryRecord),
-        ("every-8", SyncPolicy::EveryN(8)),
-    ] {
+    for sync in [SyncPolicy::EveryRecord, SyncPolicy::EveryN(8)] {
         let mut times: Vec<f64> = Vec::with_capacity(runs);
         for _ in 0..runs {
             let (out, secs, dir) = journaled_run(sync);
             // crash safety is an observer, not an intervention
             assert_equivalent(&out, &warm_out);
             times.push(secs);
-            if mode == "every-record" && recovery_dir.is_none() {
+            if sync == SyncPolicy::EveryRecord && recovery_dir.is_none() {
                 recovery_dir = Some(dir);
             } else {
                 let _ = std::fs::remove_dir_all(&dir);
             }
         }
         times.sort_by(f64::total_cmp);
-        journal_medians.push((mode, times[times.len() / 2]));
+        journal_medians.push((sync.name(), times[times.len() / 2]));
     }
 
     // --- recovery: truncate the journal mid-run, resume, verify, time ---
@@ -311,21 +308,21 @@ fn main() {
     };
     let mut storage_medians: Vec<(&str, f64)> = Vec::new();
     let mut file_dir: Option<PathBuf> = None;
-    for (mode, engine) in [("mem", StorageEngine::Mem), ("file", StorageEngine::File)] {
+    for engine in StorageEngine::ALL {
         let mut times: Vec<f64> = Vec::with_capacity(runs);
         for _ in 0..runs {
             let (out, secs, dir) = storage_run(engine);
             // the storage backend is an observer, not an intervention
             assert_equivalent(&out, &warm_out);
             times.push(secs);
-            if mode == "file" && file_dir.is_none() {
+            if engine == StorageEngine::File && file_dir.is_none() {
                 file_dir = Some(dir);
             } else {
                 let _ = std::fs::remove_dir_all(&dir);
             }
         }
         times.sort_by(f64::total_cmp);
-        storage_medians.push((mode, times[times.len() / 2]));
+        storage_medians.push((engine.as_str(), times[times.len() / 2]));
     }
     // Cut the kept file-backed journal just after its final Snapshot
     // record: recovery then lands exactly on the iteration the persisted

@@ -18,14 +18,8 @@ fn main() {
     let mut rows = Vec::new();
     for name in datasets {
         let (db, dict) = by_name(name).expect("catalogue dataset");
-        for sem in [NullSemantics::MaybeMatch, NullSemantics::Standard] {
-            let mut cells = vec![
-                name.to_string(),
-                match sem {
-                    NullSemantics::MaybeMatch => "maybe-match".to_string(),
-                    NullSemantics::Standard => "standard".to_string(),
-                },
-            ];
+        for sem in NullSemantics::ALL {
+            let mut cells = vec![name.to_string(), sem.name().to_string()];
             for k in ks {
                 let risk = KAnonymity::new(k);
                 let mut config = paper_cycle_config();

@@ -22,7 +22,9 @@
 //! An argument that is not one of the options above (a misspelt option,
 //! say), or an option without a well-formed value, prints the usage line
 //! and exits 2 before anything is read or written: a release at a
-//! threshold or `k` the user did not ask for is worse than none.
+//! threshold or `k` the user did not ask for is worse than none. So is a
+//! threshold that is not a finite number in `[0, 1]`, or a `k` of 0:
+//! either protects nothing, and is refused the same way.
 //!
 //! Observability outputs (all optional, all write-once at the end of the
 //! run):
@@ -53,7 +55,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 use vadasa_bench::operand;
-use vadasa_core::cycle::{BatchStrategy, CycleConfig};
+use vadasa_core::cycle::{check_size, check_threshold, BatchStrategy, CycleConfig};
 use vadasa_core::io::{read_csv, write_csv};
 use vadasa_core::obs::metrics::MetricsRegistry;
 use vadasa_core::obs::trace::TraceBuilder;
@@ -111,19 +113,11 @@ fn main() -> ExitCode {
             "--resume" => resume = true,
             "--sync" => {
                 let s: String = operand(&mut args, &arg, usage);
-                sync = match s.as_str() {
-                    "every-record" => SyncPolicy::EveryRecord,
-                    "on-snapshot" => SyncPolicy::OnSnapshot,
-                    _ => match s.strip_prefix("every-").and_then(|n| n.parse::<u32>().ok()) {
-                        Some(n) => SyncPolicy::EveryN(n),
-                        None => {
-                            eprintln!(
-                                "--sync must be every-record, every-N or on-snapshot, got '{s}'"
-                            );
-                            usage()
-                        }
-                    },
+                let Some(policy) = SyncPolicy::parse(&s) else {
+                    eprintln!("--sync must be every-record, every-N or on-snapshot, got '{s}'");
+                    usage()
                 };
+                sync = policy;
             }
             "--snapshot-every" => {
                 snapshot_every = Some(operand(&mut args, &arg, usage)).filter(|&n| n != 0)
@@ -145,6 +139,10 @@ fn main() -> ExitCode {
     };
     if resume && journal.is_none() {
         eprintln!("--resume requires --journal DIR");
+        usage()
+    }
+    if let Err(e) = check_threshold(config.threshold).and_then(|()| check_size("k", k as f64)) {
+        eprintln!("--{e}");
         usage()
     }
 

@@ -137,9 +137,7 @@ fn main() -> ExitCode {
                 print!("{}", render_jobs_table(&jobs));
             }
             // Keep watching while any job is still making progress.
-            let all_settled = jobs
-                .iter()
-                .all(|j| !matches!(j.state(), "running" | "queued"));
+            let all_settled = jobs.iter().all(|j| j.settled());
             match watch {
                 Some(secs) if !all_settled => {
                     if !json {

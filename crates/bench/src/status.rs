@@ -18,6 +18,8 @@ use vadasa_core::journal::record::{records, JournalRecord, MAGIC};
 use vadasa_core::journal::JOURNAL_FILE;
 use vadasa_core::obs::json::Json;
 use vadasa_core::progress::{self, ProgressEstimate};
+use vadasa_server::spec::Marker;
+use vadasa_server::JobState;
 
 /// Why a journal directory could not be inspected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -591,8 +593,10 @@ pub struct JobDirStatus {
     /// Job id (= directory name).
     pub id: String,
     /// `state.json` marker state (`done`/`failed`/`cancelled`/
-    /// `interrupted`), when present.
-    pub marker: Option<String>,
+    /// `interrupted`), when present. A marker that cannot be read, or
+    /// that names no marker state, reads as `failed`, as fleet recovery
+    /// reads it ([`Marker::read`]).
+    pub marker: Option<JobState>,
     /// Storage backend the job's manifest declares (`mem`/`file`);
     /// `None` when the manifest is missing or unreadable.
     pub storage: Option<String>,
@@ -608,13 +612,21 @@ impl JobDirStatus {
     /// Best-effort one-word state: the durable marker wins, then the
     /// journal's own state, then `queued` (manifest but no journal yet).
     pub fn state(&self) -> &str {
-        if let Some(m) = &self.marker {
-            return m;
+        match (self.marker, &self.status) {
+            (Some(m), _) => m.name(),
+            (None, Some(s)) => s.state(),
+            (None, None) => JobState::Queued.name(),
         }
-        match &self.status {
-            Some(s) => s.state(),
-            None => "queued",
-        }
+    }
+
+    /// Has the job stopped moving: does it carry a marker, or has its
+    /// journal finished or degraded?
+    pub fn settled(&self) -> bool {
+        self.marker.is_some()
+            || self
+                .status
+                .as_ref()
+                .is_some_and(|s| s.finished.is_some() || s.degraded.is_some())
     }
 }
 
@@ -637,10 +649,9 @@ pub fn read_jobs_root(root: &Path) -> Result<Vec<JobDirStatus>, StatusError> {
         let Some(id) = dir.file_name().and_then(|n| n.to_str()).map(String::from) else {
             continue;
         };
-        let (marker, mut error) = match vadasa_server::spec::Marker::read(&dir) {
-            Ok(Some(m)) => (Some(m.state), m.error),
-            Ok(None) => (None, None),
-            Err(e) => (None, Some(format!("unreadable marker: {e}"))),
+        let (marker, mut error) = match Marker::read(&dir) {
+            Some(m) => (Some(m.state), m.error),
+            None => (None, None),
         };
         let storage = std::fs::read_to_string(dir.join(vadasa_server::spec::MANIFEST_FILE))
             .ok()
@@ -1039,69 +1050,92 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Fleet recovery and `vadasa_status` read every job directory
+    /// alike, an unreadable marker or one naming an unknown state
+    /// included: both read it as `failed`.
     #[test]
-    fn jobs_root_listing_covers_done_failed_and_queued() {
+    fn recovery_and_status_read_every_job_directory_alike() {
+        use vadasa_server::spec::{MANIFEST_FILE, MARKER_FILE};
         use vadasa_server::{JobServer, JobSpec, MeasureSpec, ServerConfig, ShutdownMode};
-        let root = fresh_dir("jobs-root");
-        let server = JobServer::start(ServerConfig::new(&root)).unwrap();
-        let spec = JobSpec::from_csv(
-            "survey",
-            "id,area,weight\n1,North,9\n2,North,2\n3,South,5\n4,South,1\n",
-            MeasureSpec::KAnonymity(2),
-        )
-        .unwrap();
-        server.submit("good", spec).unwrap();
-        server
-            .wait("good", std::time::Duration::from_secs(60))
-            .unwrap();
-        server.shutdown(ShutdownMode::Drain);
-        // A hand-made queued job: manifest, no journal, no marker.
-        let queued = root.join("later");
-        std::fs::create_dir_all(&queued).unwrap();
-        std::fs::write(
-            queued.join(vadasa_server::spec::MANIFEST_FILE),
-            "{\"name\":\"t\",\"csv\":\"a\\n1\\n\",\"categories\":{\"a\":\"identifier\"},\"measure\":\"re-identification\"}",
-        )
-        .unwrap();
-        // A failed job: marker only.
-        let failed = root.join("broken");
-        std::fs::create_dir_all(&failed).unwrap();
-        std::fs::write(
-            failed.join(vadasa_server::spec::MANIFEST_FILE),
-            "{\"name\":\"t\",\"csv\":\"a\\n1\\n\",\"categories\":{\"a\":\"identifier\"},\"measure\":\"re-identification\"}",
-        )
-        .unwrap();
-        std::fs::write(
-            failed.join("state.json"),
-            "{\"state\":\"failed\",\"attempts\":2,\"error\":\"cycle: boom\",\"summary\":null}",
-        )
-        .unwrap();
+        let root = fresh_dir("alike");
+        let csv = "id,area,weight\n1,North,9\n2,North,2\n3,South,5\n4,South,1\n";
+        let spec = JobSpec::from_csv("survey", csv, MeasureSpec::KAnonymity(2)).unwrap();
+        let marker = |state| Some(Marker::new(state, 1).to_json());
+        let boom = Marker {
+            error: Some("cycle: boom".into()),
+            ..Marker::new(JobState::Failed, 2)
+        };
+        // (job, its marker, the state both read before recovery)
+        let jobs = [
+            ("done", marker(JobState::Done), "done"),
+            ("failed", Some(boom.to_json()), "failed"),
+            ("cancelled", marker(JobState::Cancelled), "cancelled"),
+            ("interrupted", marker(JobState::Interrupted), "interrupted"),
+            ("unmarked", None, "queued"),
+            ("corrupt", Some("{\"state\":".into()), "failed"),
+            ("unknown", Some("{\"state\":\"paused\"}".into()), "failed"),
+        ];
+        for (id, marker, _) in &jobs {
+            let dir = root.join(id);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(MANIFEST_FILE), spec.to_manifest_json()).unwrap();
+            if let Some(text) = marker {
+                std::fs::write(dir.join(MARKER_FILE), text).unwrap();
+            }
+        }
         // A stray non-job directory is ignored.
         std::fs::create_dir_all(root.join("not-a-job")).unwrap();
+        let states = |jobs: &[JobDirStatus]| -> Vec<(String, String)> {
+            jobs.iter()
+                .map(|j| (j.id.clone(), j.state().to_string()))
+                .collect()
+        };
+        let mut before: Vec<_> = jobs
+            .iter()
+            .map(|(id, _, state)| (id.to_string(), state.to_string()))
+            .collect();
+        before.sort();
+        let listing = read_jobs_root(&root).unwrap();
+        assert_eq!(states(&listing), before);
+        let json = jobs_to_json(&listing).to_string();
+        assert!(json.contains("\"state\":\"queued\""), "{json}");
 
-        let jobs = read_jobs_root(&root).unwrap();
-        let ids: Vec<&str> = jobs.iter().map(|j| j.id.as_str()).collect();
-        assert_eq!(
-            ids,
-            vec!["broken", "good", "later"],
-            "sorted, strays ignored"
-        );
-        let by_id = |id: &str| jobs.iter().find(|j| j.id == id).unwrap();
-        assert_eq!(by_id("good").state(), "done");
-        assert_eq!(by_id("good").storage.as_deref(), Some("mem"));
-        assert!(by_id("good")
+        // Recovery honours every marker and resumes the interrupted and
+        // the unmarked job, which then release and are marked done.
+        let server = JobServer::start(ServerConfig::new(&root)).unwrap();
+        assert!(server.wait_idle(std::time::Duration::from_secs(60)));
+        let recovered: Vec<_> = server
+            .list()
+            .iter()
+            .map(|r| (r.id.clone(), r.state.name().to_string()))
+            .collect();
+        server.shutdown(ShutdownMode::Drain);
+        let listing = read_jobs_root(&root).unwrap();
+        assert_eq!(states(&listing), recovered);
+        for (job, (id, state)) in listing.iter().zip(recovered) {
+            let want = match id.as_str() {
+                "interrupted" | "unmarked" => "done",
+                "corrupt" | "unknown" => "failed",
+                other => other,
+            };
+            assert_eq!(state, want, "{id}");
+            assert_eq!(job.storage.as_deref(), Some("mem"), "{id}");
+            let error = job.error.as_deref().unwrap_or_default();
+            let unreadable = error.starts_with("unreadable marker");
+            assert_eq!(
+                unreadable,
+                ["corrupt", "unknown"].contains(&&*id),
+                "{error}"
+            );
+        }
+        let unmarked = listing.iter().find(|j| j.id == "unmarked").unwrap();
+        assert!(unmarked
             .status
             .as_ref()
             .is_some_and(|s| s.finished == Some(true)));
-        assert_eq!(by_id("broken").state(), "failed");
-        assert_eq!(by_id("broken").error.as_deref(), Some("cycle: boom"));
-        assert_eq!(by_id("later").state(), "queued");
-
-        let table = render_jobs_table(&jobs);
+        let table = render_jobs_table(&listing);
         assert!(table.starts_with("JOB"), "{table}");
-        assert!(table.contains("broken") && table.contains("cycle: boom"));
-        let json = jobs_to_json(&jobs).to_string();
-        assert!(json.contains("\"state\":\"queued\""), "{json}");
+        assert!(table.contains("failed: cycle: boom"), "{table}");
         let _ = std::fs::remove_dir_all(&root);
     }
 }

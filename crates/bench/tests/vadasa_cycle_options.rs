@@ -7,7 +7,8 @@
 //! would print the transcript and pass. Any argument that is not an
 //! option, an option's value or a switch, and any option without a
 //! well-formed value, prints the usage line and exits 2 before the input
-//! is read or an output file is written.
+//! is read or an output file is written. So does a threshold that is not
+//! a finite number in `[0, 1]`, or a `k` of 0: either protects nothing.
 
 use std::process::Command;
 
@@ -45,6 +46,20 @@ fn unknown_options_exit_2_and_write_no_release() {
             "batch",
             &["--batch", "per_class"][..],
             Some("--batch must be"),
+        ),
+        ("sync", &["--sync", "every-n"][..], Some("--sync must be")),
+        // parameters that protect nothing: each released the input as is
+        (
+            "nan",
+            &["--threshold", "nan"][..],
+            Some("--threshold must be a finite number in [0, 1], got NaN"),
+        ),
+        ("inf", &["--threshold", "inf"][..], Some("got inf")),
+        ("above-one", &["--threshold", "5"][..], Some("got 5")),
+        (
+            "k-0",
+            &["--k", "0"][..],
+            Some("--k must be a whole number ≥ 1, got 0"),
         ),
     ] {
         let dir = std::env::temp_dir().join(format!("vadasa-opts-{}-{tag}", std::process::id()));

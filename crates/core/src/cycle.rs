@@ -53,6 +53,31 @@ pub enum TupleOrder {
     Fifo,
 }
 
+impl TupleOrder {
+    /// Every order, in declaration order.
+    pub const ALL: [TupleOrder; 3] = [
+        TupleOrder::LessSignificantFirst,
+        TupleOrder::MostRiskyFirst,
+        TupleOrder::Fifo,
+    ];
+
+    /// The name job manifests and the iteration label use:
+    /// `less-significant-first`, `most-risky-first` or `fifo`.
+    pub fn name(self) -> &'static str {
+        match self {
+            TupleOrder::LessSignificantFirst => "less-significant-first",
+            TupleOrder::MostRiskyFirst => "most-risky-first",
+            TupleOrder::Fifo => "fifo",
+        }
+    }
+
+    /// The order a [`name`](Self::name) stands for. Any other string is
+    /// `None`, so callers refuse it with a structured error.
+    pub fn parse(s: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|o| o.name() == s)
+    }
+}
+
 /// How much work one cycle iteration performs when
 /// [`CycleConfig::batch`] is `None`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,7 +94,13 @@ pub enum StepGranularity {
 }
 
 impl StepGranularity {
-    /// The name CLI options and job manifests use: `all-risky` or
+    /// Every granularity, in declaration order.
+    pub const ALL: [StepGranularity; 2] = [
+        StepGranularity::AllRiskyPerIteration,
+        StepGranularity::OneTuplePerIteration,
+    ];
+
+    /// The name job manifests and the iteration label use: `all-risky` or
     /// `one-tuple`.
     pub fn name(self) -> &'static str {
         match self {
@@ -81,11 +112,7 @@ impl StepGranularity {
     /// The granularity a [`name`](Self::name) stands for. Any other string
     /// is `None`, so callers refuse it with a structured error.
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "all-risky" => Some(StepGranularity::AllRiskyPerIteration),
-            "one-tuple" => Some(StepGranularity::OneTuplePerIteration),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|g| g.name() == s)
     }
 }
 
@@ -130,13 +157,11 @@ impl BatchStrategy {
     /// and `top-0`, which names no class, is `None`, so callers refuse it
     /// with a structured error.
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "one-tuple" => Some(BatchStrategy::OneTuple),
-            "per-class" => Some(BatchStrategy::PerClass),
-            _ => match s.strip_prefix("top-")?.parse::<usize>().ok()? {
-                0 => None,
-                n => Some(BatchStrategy::TopN(n)),
-            },
+        match s.strip_prefix("top-") {
+            Some(n) => n.parse().ok().filter(|&n| n > 0).map(BatchStrategy::TopN),
+            None => [BatchStrategy::OneTuple, BatchStrategy::PerClass]
+                .into_iter()
+                .find(|b| b.name() == s),
         }
     }
 }
@@ -178,8 +203,6 @@ pub struct CycleConfig {
     pub semantics: NullSemantics,
     /// Hard cap on cycle iterations.
     pub max_iterations: usize,
-    /// Record the audit trail (cheap; on by default).
-    pub audit: bool,
     /// Optional wall-clock deadline for the whole run, checked between
     /// iterations. On expiry the cycle reacts per [`CycleConfig::fallback`].
     pub deadline: Option<Duration>,
@@ -214,13 +237,38 @@ impl Default for CycleConfig {
             granularity: StepGranularity::default(),
             semantics: NullSemantics::MaybeMatch,
             max_iterations: 10_000,
-            audit: true,
             deadline: None,
             fallback: FallbackPolicy::default(),
             journal: None,
             batch: None,
             storage: StorageOptions::default(),
         }
+    }
+}
+
+/// Refuse a risk threshold `T` that protects nothing. A tuple is risky
+/// when its score exceeds `T`, and scores lie in `[0, 1]`: a larger `T`
+/// marks no tuple, nor does `NaN`, which no score exceeds, so the cycle
+/// would release its input unchanged. The error names the member.
+pub fn check_threshold(threshold: f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(&threshold) {
+        Ok(())
+    } else {
+        Err(format!(
+            "threshold must be a finite number in [0, 1], got {threshold}"
+        ))
+    }
+}
+
+/// Refuse a measure parameter that protects nothing: k-anonymity's `k`
+/// and SUDA's `msu` must be whole numbers ≥ 1 (`KAnonymity::new(0)` runs
+/// as k = 1, and a fraction names no class size). Returns the parameter;
+/// the error names `member`.
+pub fn check_size(member: &str, n: f64) -> Result<usize, String> {
+    if n >= 1.0 && n.fract() == 0.0 {
+        Ok(n as usize)
+    } else {
+        Err(format!("{member} must be a whole number ≥ 1, got {n}"))
     }
 }
 
@@ -869,11 +917,7 @@ impl<'a> AnonymizationCycle<'a> {
         let r = recovery.unwrap_or_else(|| journal::fresh_recovery(db, JournalProfile::default()));
         let mut st = LoopState {
             work: r.db,
-            audit: if self.config.audit {
-                r.audit
-            } else {
-                AuditLog::default()
-            },
+            audit: r.audit,
             exhausted: r.exhausted,
             iterations: r.iterations,
             nulls_injected: r.nulls_injected,
@@ -1201,24 +1245,27 @@ impl<'a> AnonymizationCycle<'a> {
         view: &MicrodataView,
         record: &mut IterationRecord,
     ) -> Vec<usize> {
-        let order = match self.config.tuple_order {
+        match self.config.tuple_order {
             TupleOrder::LessSignificantFirst => {
                 if let Some(w) = &view.weights {
                     risky.sort_by(|&a, &b| w[a].total_cmp(&w[b]));
                 }
-                "less-significant-first"
             }
             TupleOrder::MostRiskyFirst => {
                 risky.sort_by(|&a, &b| report.risks[b].total_cmp(&report.risks[a]));
-                "most-risky-first"
             }
-            TupleOrder::Fifo => "fifo",
-        };
+            TupleOrder::Fifo => {}
+        }
+        let order = self.config.tuple_order.name();
+        let one_tuple = StepGranularity::OneTuplePerIteration.name();
         record.heuristic = match step {
-            Step::AllRisky => format!("{order}/all-risky → row {}", risky[0]),
+            Step::AllRisky => {
+                let all_risky = StepGranularity::AllRiskyPerIteration.name();
+                format!("{order}/{all_risky} → row {}", risky[0])
+            }
             Step::OneTuple => {
                 risky.truncate(1);
-                format!("{order}/one-tuple → row {}", risky[0])
+                format!("{order}/{one_tuple} → row {}", risky[0])
             }
             Step::Classes(n) => {
                 let (selected, classes) = select_batch(&risky, view, n);
@@ -1315,16 +1362,14 @@ impl<'a> AnonymizationCycle<'a> {
                     action: action.clone(),
                 })?;
             }
-            if self.config.audit {
-                st.audit.record(Decision {
-                    iteration: st.iterations,
-                    row,
-                    measure: it.report.measure.clone(),
-                    risk: it.report.risks[row],
-                    threshold: t,
-                    action,
-                });
-            }
+            st.audit.record(Decision {
+                iteration: st.iterations,
+                row,
+                measure: it.report.measure.clone(),
+                risk: it.report.risks[row],
+                threshold: t,
+                action,
+            });
         }
         if batched && data_changed {
             st.stats = None;
@@ -1400,7 +1445,7 @@ impl<'a> AnonymizationCycle<'a> {
             self.risk,
             t,
             self.config.semantics,
-            self.config.audit.then_some((&mut st.audit, st.iterations)),
+            Some((&mut st.audit, st.iterations)),
         );
         st.nulls_injected += summary.cells_suppressed;
         if st.iterations == 0 && st.initial_risky == 0 {
@@ -1546,12 +1591,11 @@ mod tests {
         let (db, dict) = fig5_db();
         let risk = KAnonymity::new(2);
         let anon = LocalSuppression::new(AttributeOrder::MostSelectiveFirst);
-        let mut config = CycleConfig {
+        let config = CycleConfig {
             granularity: StepGranularity::OneTuplePerIteration,
             tuple_order: TupleOrder::Fifo,
             ..CycleConfig::default()
         };
-        config.audit = true;
         let cycle = AnonymizationCycle::new(&risk, &anon, config);
         let out = cycle.run(&db, &dict).unwrap();
         // tuples 0 (Textiles), 5 (Milano) and 6 (Torino) are risky at k=2;

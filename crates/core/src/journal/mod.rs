@@ -48,6 +48,46 @@ pub enum SyncPolicy {
     OnSnapshot,
 }
 
+impl SyncPolicy {
+    /// The name of the policy's kind, as a job manifest's `sync` member
+    /// holds it: `every-record`, `every-n` or `on-snapshot`. A manifest
+    /// carries `EveryN`'s count beside it, as `sync_n`.
+    pub fn kind(self) -> &'static str {
+        match self {
+            SyncPolicy::EveryRecord => "every-record",
+            SyncPolicy::EveryN(_) => "every-n",
+            SyncPolicy::OnSnapshot => "on-snapshot",
+        }
+    }
+
+    /// The policy a manifest's [`kind`](Self::kind) and count stand for;
+    /// an absent count is 8. Any other kind is `None`.
+    pub fn from_kind(kind: &str, count: Option<u32>) -> Option<Self> {
+        let every_n = SyncPolicy::EveryN(count.unwrap_or(8));
+        [SyncPolicy::EveryRecord, every_n, SyncPolicy::OnSnapshot]
+            .into_iter()
+            .find(|p| p.kind() == kind)
+    }
+
+    /// The name `vadasa_cycle --sync` takes: the kind, with `EveryN`'s
+    /// count inside it (`every-8`).
+    pub fn name(self) -> String {
+        match self {
+            SyncPolicy::EveryN(n) => format!("every-{n}"),
+            other => other.kind().to_string(),
+        }
+    }
+
+    /// The policy a [`name`](Self::name) stands for. Any other string is
+    /// `None`, so callers refuse it with a structured error.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s.strip_prefix("every-").and_then(|n| n.parse().ok()) {
+            Some(n) => Some(SyncPolicy::EveryN(n)),
+            None => Self::from_kind(s, None).filter(|p| !matches!(p, SyncPolicy::EveryN(_))),
+        }
+    }
+}
+
 /// What to do when journal I/O fails mid-run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoErrorPolicy {

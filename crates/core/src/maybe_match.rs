@@ -30,6 +30,26 @@ pub enum NullSemantics {
     Standard,
 }
 
+impl NullSemantics {
+    /// Both semantics, in declaration order.
+    pub const ALL: [NullSemantics; 2] = [NullSemantics::MaybeMatch, NullSemantics::Standard];
+
+    /// The name job manifests and Figure 7c use: `maybe-match` or
+    /// `standard`.
+    pub fn name(self) -> &'static str {
+        match self {
+            NullSemantics::MaybeMatch => "maybe-match",
+            NullSemantics::Standard => "standard",
+        }
+    }
+
+    /// The semantics a [`name`](Self::name) stands for. Any other string
+    /// is `None`, so callers refuse it with a structured error.
+    pub fn parse(s: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|n| n.name() == s)
+    }
+}
+
 /// Do two cell values match under the chosen semantics?
 pub fn values_match(a: &Value, b: &Value, sem: NullSemantics) -> bool {
     match sem {

@@ -7,6 +7,8 @@
 //!
 //! - [`spec`] — what a job *is*: the submitted [`JobSpec`], its durable
 //!   manifest (`job.json`) and terminal-state marker (`state.json`).
+//!   One reader takes a manifest and a submit line alike.
+//! - [`state`] — the job lifecycle ([`JobState`]) and its names.
 //! - [`backoff`] — fault classification (transient journal I/O vs
 //!   fail-fast everything else) and capped exponential backoff with
 //!   deterministic per-job jitter.
@@ -46,7 +48,9 @@ pub mod backoff;
 pub mod protocol;
 pub mod server;
 pub mod spec;
+pub mod state;
 
 pub use backoff::{classify, FaultClass, RetryPolicy};
-pub use server::{JobReport, JobServer, JobState, ServerConfig, ShutdownMode, SubmitError};
+pub use server::{JobReport, JobServer, ServerConfig, ShutdownMode, SubmitError};
 pub use spec::{JobSpec, Marker, MarkerSummary, MeasureSpec, SpecError};
+pub use state::JobState;

@@ -13,10 +13,21 @@
 //! → {"cmd":"shutdown","mode":"drain"}
 //! ← {"ok":true,"shutdown":"drain"}
 //! ```
+//!
+//! A `submit` line is `id` plus a job manifest's members, read by the
+//! manifest's own reader ([`JobSpec::read_knobs`]): the table (`csv`;
+//! `name`, default `microdata`; `categories`, else categorized
+//! automatically), `measure` (k-anonymity when absent) with `k` or
+//! `msu`, and the knobs `threshold`, `tuple_order`, `granularity`,
+//! `batch`, `semantics`, `max_iterations`, `deadline_ms`, `sync` with
+//! `sync_n`, `snapshot_every` and `storage`. An absent member keeps its
+//! default and an unknown one is ignored; an unknown name, a wrong type
+//! or a parameter that protects nothing is refused with the manifest
+//! reader's message. So a manifest's members, sent with `cmd` and `id`,
+//! write that manifest back byte for byte.
 
 use std::time::Duration;
 
-use vadasa_core::cycle::{BatchStrategy, StepGranularity};
 use vadasa_core::obs::json::{self, Json};
 
 use crate::server::{JobReport, JobServer, ShutdownMode};
@@ -58,17 +69,7 @@ pub fn report_json(r: &JobReport) -> Json {
         members.push(("error".into(), Json::Str(e.clone())));
     }
     if let Some(s) = &r.summary {
-        members.push((
-            "summary".into(),
-            Json::Obj(vec![
-                ("converged".into(), Json::Bool(s.converged)),
-                ("iterations".into(), Json::Num(s.iterations as f64)),
-                ("nulls_injected".into(), Json::Num(s.nulls_injected as f64)),
-                ("recodings".into(), Json::Num(s.recodings as f64)),
-                ("final_risky".into(), Json::Num(s.final_risky as f64)),
-                ("information_loss".into(), Json::Num(s.information_loss)),
-            ]),
-        ));
+        members.push(("summary".into(), s.to_json()));
     }
     if let Some(i) = r.iteration {
         members.push(("iteration".into(), Json::Num(i)));
@@ -82,21 +83,10 @@ pub fn report_json(r: &JobReport) -> Json {
     Json::Obj(members)
 }
 
-fn parse_measure(v: &Json) -> Result<MeasureSpec, String> {
-    match v.get("measure").and_then(Json::as_str) {
-        None | Some("k-anonymity") => {
-            let k = v.get("k").and_then(Json::as_f64).unwrap_or(2.0);
-            Ok(MeasureSpec::KAnonymity(k as usize))
-        }
-        Some("re-identification") => Ok(MeasureSpec::ReIdentification),
-        Some("suda") => {
-            let t = v.get("msu").and_then(Json::as_f64).unwrap_or(2.0);
-            Ok(MeasureSpec::Suda(t as usize))
-        }
-        Some(other) => Err(format!("unknown measure {other:?}")),
-    }
-}
-
+/// A submit line: `id`, then a manifest's members (module docs). The
+/// table and dictionary are built here, since a submit may leave `name`
+/// and `categories` out; the measure and every knob go through the
+/// manifest's reader.
 fn parse_submit(v: &Json) -> Result<(String, JobSpec), String> {
     let id = v
         .get("id")
@@ -108,7 +98,10 @@ fn parse_submit(v: &Json) -> Result<(String, JobSpec), String> {
         .get("csv")
         .and_then(Json::as_str)
         .ok_or("submit requires \"csv\"")?;
-    let measure = parse_measure(v)?;
+    // A manifest always names its measure; a submit line without one
+    // asks for k-anonymity.
+    let measure =
+        MeasureSpec::from_json(v, Some(MeasureSpec::KAnonymity(2))).map_err(|e| e.to_string())?;
     let mut spec = match v.get("categories") {
         Some(Json::Obj(members)) => {
             // Explicit dictionary: build it attribute by attribute.
@@ -128,149 +121,97 @@ fn parse_submit(v: &Json) -> Result<(String, JobSpec), String> {
         }
         _ => JobSpec::from_csv(name, csv, measure).map_err(|e| e.to_string())?,
     };
-    if let Some(t) = v.get("threshold").and_then(Json::as_f64) {
-        spec.threshold = t;
-    }
-    if let Some(m) = v.get("max_iterations").and_then(Json::as_f64) {
-        spec.max_iterations = m as usize;
-    }
-    if let Some(ms) = v.get("deadline_ms").and_then(Json::as_f64) {
-        spec.deadline = Some(Duration::from_millis(ms as u64));
-    }
-    if let Some(g) = v.get("granularity").and_then(Json::as_str) {
-        spec.granularity =
-            StepGranularity::parse(g).ok_or_else(|| format!("unknown granularity {g:?}"))?;
-    }
-    if let Some(b) = v.get("batch").and_then(Json::as_str) {
-        spec.batch =
-            Some(BatchStrategy::parse(b).ok_or_else(|| format!("unknown batch strategy {b:?}"))?);
-    }
-    if let Some(n) = v.get("snapshot_every").and_then(Json::as_f64) {
-        spec.snapshot_every = Some(n as u32);
-    }
-    if let Some(s) = v.get("storage").and_then(Json::as_str) {
-        spec.storage = vadalog::StorageEngine::parse(s)
-            .ok_or_else(|| format!("unknown storage engine {s:?}"))?;
-    }
+    spec.read_knobs(v).map_err(|e| e.to_string())?;
     Ok((id, spec))
 }
 
 /// Handle one request line against the server. Always returns a
 /// one-line JSON response; never panics, never kills the supervisor.
 pub fn handle_line(server: &JobServer, line: &str) -> (String, Disposition) {
+    match respond(server, line) {
+        Ok((members, disposition)) => (ok(members), disposition),
+        Err(e) => (fail(e), Disposition::Continue),
+    }
+}
+
+/// The members of a successful response to `line`, or why it failed.
+fn respond(server: &JobServer, line: &str) -> Result<(Vec<(String, Json)>, Disposition), String> {
     let line = line.trim();
     if line.is_empty() {
-        return (fail("empty request"), Disposition::Continue);
+        return Err("empty request".into());
     }
-    let v = match json::parse(line) {
-        Ok(v) => v,
-        Err(e) => return (fail(format!("bad json: {e}")), Disposition::Continue),
+    let v = json::parse(line).map_err(|e| format!("bad json: {e}"))?;
+    let cmd = v
+        .get("cmd")
+        .and_then(Json::as_str)
+        .ok_or("missing \"cmd\"")?;
+    let id = || {
+        v.get("id")
+            .and_then(Json::as_str)
+            .ok_or(format!("{cmd} requires \"id\""))
     };
-    let Some(cmd) = v.get("cmd").and_then(Json::as_str) else {
-        return (fail("missing \"cmd\""), Disposition::Continue);
-    };
-    match cmd {
-        "ping" => (
-            ok(vec![("pong".into(), Json::Bool(true))]),
-            Disposition::Continue,
-        ),
-        "submit" => match parse_submit(&v) {
-            Ok((id, spec)) => match server.submit(&id, spec) {
-                Ok(id) => (
-                    ok(vec![("id".into(), Json::Str(id))]),
-                    Disposition::Continue,
-                ),
-                Err(e) => (fail(e.to_string()), Disposition::Continue),
-            },
-            Err(e) => (fail(e), Disposition::Continue),
-        },
-        "status" => match v.get("id").and_then(Json::as_str) {
-            Some(id) => match server.status(id) {
-                Some(r) => (
-                    ok(vec![("job".into(), report_json(&r))]),
-                    Disposition::Continue,
-                ),
-                None => (fail(format!("unknown job {id:?}")), Disposition::Continue),
-            },
-            None => (fail("status requires \"id\""), Disposition::Continue),
-        },
-        "list" => {
-            let jobs: Vec<Json> = server.list().iter().map(report_json).collect();
-            (
-                ok(vec![("jobs".into(), Json::Arr(jobs))]),
-                Disposition::Continue,
-            )
+    let unknown_job = |id: &str| format!("unknown job {id:?}");
+    let member = |key: &str, value| vec![(key.to_string(), value)];
+    let members = match cmd {
+        "ping" => member("pong", Json::Bool(true)),
+        "submit" => {
+            let (id, spec) = parse_submit(&v)?;
+            let id = server.submit(&id, spec).map_err(|e| e.to_string())?;
+            member("id", Json::Str(id))
         }
-        "cancel" => match v.get("id").and_then(Json::as_str) {
-            Some(id) => (
-                ok(vec![("cancelled".into(), Json::Bool(server.cancel(id)))]),
-                Disposition::Continue,
-            ),
-            None => (fail("cancel requires \"id\""), Disposition::Continue),
-        },
-        "wait" => match v.get("id").and_then(Json::as_str) {
-            Some(id) => {
-                let timeout = v
-                    .get("timeout_ms")
-                    .and_then(Json::as_f64)
-                    .map_or(Duration::from_secs(60), |ms| {
-                        Duration::from_millis(ms as u64)
-                    });
-                match server.wait(id, timeout) {
-                    Some(r) => (
-                        ok(vec![("job".into(), report_json(&r))]),
-                        Disposition::Continue,
-                    ),
-                    None => (fail(format!("unknown job {id:?}")), Disposition::Continue),
-                }
-            }
-            None => (fail("wait requires \"id\""), Disposition::Continue),
-        },
-        "result" => match v.get("id").and_then(Json::as_str) {
-            Some(id) => match server.result_csv(id) {
-                Some(csv) => (
-                    ok(vec![("csv".into(), Json::Str(csv))]),
-                    Disposition::Continue,
-                ),
-                None => (
-                    fail(format!("job {id:?} has no released result")),
-                    Disposition::Continue,
-                ),
-            },
-            None => (fail("result requires \"id\""), Disposition::Continue),
-        },
-        "metrics" => match json::parse(&server.metrics().snapshot_json()) {
-            Ok(snapshot) => (
-                ok(vec![("metrics".into(), snapshot)]),
-                Disposition::Continue,
-            ),
-            Err(e) => (fail(format!("metrics: {e}")), Disposition::Continue),
-        },
+        "status" => {
+            let id = id()?;
+            let report = server.status(id).ok_or_else(|| unknown_job(id))?;
+            member("job", report_json(&report))
+        }
+        "list" => member(
+            "jobs",
+            Json::Arr(server.list().iter().map(report_json).collect()),
+        ),
+        "cancel" => member("cancelled", Json::Bool(server.cancel(id()?))),
+        "wait" => {
+            let id = id()?;
+            let timeout = v
+                .get("timeout_ms")
+                .and_then(Json::as_f64)
+                .map_or(Duration::from_secs(60), |ms| {
+                    Duration::from_millis(ms as u64)
+                });
+            let report = server.wait(id, timeout).ok_or_else(|| unknown_job(id))?;
+            member("job", report_json(&report))
+        }
+        "result" => {
+            let id = id()?;
+            let csv = server
+                .result_csv(id)
+                .ok_or_else(|| format!("job {id:?} has no released result"))?;
+            member("csv", Json::Str(csv))
+        }
+        "metrics" => {
+            let snapshot = json::parse(&server.metrics().snapshot_json())
+                .map_err(|e| format!("metrics: {e}"))?;
+            member("metrics", snapshot)
+        }
         "shutdown" => {
-            let mode = match v.get("mode").and_then(Json::as_str) {
-                Some("stop") => ShutdownMode::Stop,
-                _ => ShutdownMode::Drain,
+            let (mode, label) = match v.get("mode").and_then(Json::as_str) {
+                Some("stop") => (ShutdownMode::Stop, "stop"),
+                _ => (ShutdownMode::Drain, "drain"),
             };
-            let label = match mode {
-                ShutdownMode::Drain => "drain",
-                ShutdownMode::Stop => "stop",
-            };
-            (
-                ok(vec![("shutdown".into(), Json::Str(label.into()))]),
-                Disposition::Shutdown(mode),
-            )
+            let members = member("shutdown", Json::Str(label.into()));
+            return Ok((members, Disposition::Shutdown(mode)));
         }
-        other => (
-            fail(format!("unknown cmd {other:?}")),
-            Disposition::Continue,
-        ),
-    }
+        other => return Err(format!("unknown cmd {other:?}")),
+    };
+    Ok((members, Disposition::Continue))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::server::{JobServer, ServerConfig};
+    use crate::spec::tests::{manifest_with, one_spec_per_knob_value, spec};
+    use crate::spec::MANIFEST_FILE;
+    use crate::JobState;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -336,19 +277,89 @@ mod tests {
             r#"{"cmd":"submit","id":"c2","csv":"a\n1\n","categories":{"a":"nonsense"}}"#,
         );
         assert!(resp.contains("unknown category"), "{resp}");
-        // step names are the cycle's own; an alien one is refused
+        // a parameter that protects nothing is refused, naming the member
+        let range = "threshold must be a finite number in [0, 1], got";
         for (field, reason) in [
-            (r#""batch":"top-0""#, "unknown batch strategy"),
-            (r#""granularity":"all""#, "unknown granularity"),
+            (
+                r#""threshold":1e999"#,
+                format!("invalid submission: {range} inf"),
+            ),
+            (r#""threshold":5"#, format!("{range} 5")),
+            (r#""threshold":-0.5"#, format!("{range} -0.5")),
+            (r#""threshold":"0.1""#, "threshold must be a number".into()),
+            (r#""k":0"#, "k must be a whole number ≥ 1, got 0".into()),
+            (r#""k":2.5"#, "k must be a whole number ≥ 1, got 2.5".into()),
+            (
+                r#""measure":"suda","msu":0"#,
+                "msu must be a whole number ≥ 1".into(),
+            ),
         ] {
             let line =
                 format!(r#"{{"cmd":"submit","id":"c3","csv":"Id,Area\n1,North\n",{field}}}"#);
             let (resp, _) = handle_line(&server, &line);
-            assert!(resp.contains(reason), "{resp}");
+            assert!(resp.contains("\"ok\":false"), "{field}: {resp}");
+            assert!(resp.contains(&reason), "{field}: {resp}");
+            assert!(!root.join("c3").exists(), "{field}: job written");
         }
         let (resp, _) = handle_line(&server, r#"{"cmd":"status","id":"ghost"}"#);
         assert!(resp.contains("unknown job"), "{resp}");
         server.wait("c1", Duration::from_secs(60));
+        server.shutdown(ShutdownMode::Drain);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A submit line: `cmd` and `id`, then `members`.
+    fn submit_line(id: &str, members: Vec<(String, Json)>) -> String {
+        let mut line = vec![
+            ("cmd".to_string(), Json::Str("submit".into())),
+            ("id".to_string(), Json::Str(id.into())),
+        ];
+        line.extend(members);
+        Json::Obj(line).to_string()
+    }
+
+    #[test]
+    fn a_manifests_members_sent_as_a_submit_write_it_back() {
+        let root = fresh_root();
+        let server = JobServer::start(ServerConfig::new(&root)).expect("start");
+        let golden = include_str!("../../../tests/golden/server/job.json").to_string();
+        let manifests = one_spec_per_knob_value()
+            .into_iter()
+            .map(|s| s.to_manifest_json())
+            .chain([golden]);
+        for (i, manifest) in manifests.enumerate() {
+            let Ok(Json::Obj(members)) = json::parse(&manifest) else {
+                panic!("manifest is an object: {manifest}");
+            };
+            let id = format!("k{i}");
+            let (resp, _) = handle_line(&server, &submit_line(&id, members));
+            assert!(resp.contains("\"ok\":true"), "{manifest}: {resp}");
+            let written = std::fs::read_to_string(root.join(&id).join(MANIFEST_FILE)).unwrap();
+            assert_eq!(written, manifest);
+        }
+        // an alien name gets the manifest reader's own refusal
+        for (key, alien, what) in [
+            ("tuple_order", "lsf", "tuple order"),
+            ("granularity", "all", "granularity"),
+            ("batch", "top-0", "batch strategy"),
+            ("semantics", "bogus", "null semantics"),
+            ("sync", "every-8", "sync policy"),
+            ("storage", "cloudz", "storage engine"),
+            ("storage", "", "storage engine"),
+            ("measure", "l-diversity", "measure"),
+        ] {
+            let members = manifest_with(&spec(), key, Some(Json::Str(alien.into())));
+            let e = JobSpec::from_manifest_json(&Json::Obj(members.clone()).to_string());
+            let e = e.unwrap_err().to_string();
+            assert_eq!(e, format!("job spec: unknown {what} {alien:?}"));
+            let (resp, _) = handle_line(&server, &submit_line("alien", members));
+            let v = json::parse(&resp).expect("json");
+            assert_eq!(v.get("error").and_then(Json::as_str), Some(&*e));
+        }
+        assert!(server.wait_idle(Duration::from_secs(60)));
+        for report in server.list() {
+            assert_eq!(report.state, JobState::Done, "{report:?}");
+        }
         server.shutdown(ShutdownMode::Drain);
         std::fs::remove_dir_all(&root).ok();
     }

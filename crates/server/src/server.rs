@@ -45,14 +45,13 @@ use vadalog::{Budget, CancelToken, StorageEngine};
 use vadasa_core::cycle::{AnonymizationCycle, CycleError, CycleOutcome, CycleTermination};
 use vadasa_core::faults::{faulty_io, FaultyRisk, IoFault, JOURNAL_KINDS};
 use vadasa_core::io::write_csv;
-use vadasa_core::journal::JournalConfig;
+use vadasa_core::journal::{JournalConfig, JOURNAL_FILE};
 use vadasa_core::obs::metrics::MetricsRegistry;
 use vadasa_core::prelude::{LocalSuppression, RiskMeasure};
 
 use crate::backoff::{classify, jitter_seed, FaultClass, RetryPolicy};
-use crate::spec::{
-    has_journal, JobSpec, Marker, MarkerSummary, SpecError, MANIFEST_FILE, RELEASED_FILE,
-};
+use crate::spec::{JobSpec, Marker, MarkerSummary, SpecError, MANIFEST_FILE, RELEASED_FILE};
+use crate::state::JobState;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -81,61 +80,6 @@ impl ServerConfig {
             budget: Budget::unlimited(),
             retry: RetryPolicy::default(),
         }
-    }
-}
-
-/// Job lifecycle states.
-///
-/// ```text
-/// Queued ──► Running ──► Done
-///    ▲          │  ├───► Failed
-///    │          │  ├───► Cancelled
-///    │          │  └───► Interrupted   (checkpoint-and-stop shutdown)
-///    └─Retrying ◄┘       (transient fault, capped backoff)
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobState {
-    /// Admitted, waiting for a worker.
-    Queued,
-    /// A worker is executing the cycle.
-    Running,
-    /// Hit a transient fault; re-queued behind a backoff gate.
-    Retrying,
-    /// Converged (or degraded safely); `released.csv` is on disk.
-    Done,
-    /// Terminal failure; see the structured error.
-    Failed,
-    /// Cancelled by the client.
-    Cancelled,
-    /// Stopped by a checkpoint-and-stop shutdown; the journal is
-    /// resumable and fleet recovery re-queues the job on restart.
-    Interrupted,
-}
-
-impl JobState {
-    /// Stable lowercase name (marker / wire format).
-    pub fn name(&self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Retrying => "retrying",
-            JobState::Done => "done",
-            JobState::Failed => "failed",
-            JobState::Cancelled => "cancelled",
-            JobState::Interrupted => "interrupted",
-        }
-    }
-
-    /// No worker will touch this job again (in this process).
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobState::Done | JobState::Failed | JobState::Cancelled | JobState::Interrupted
-        )
-    }
-
-    fn in_flight(&self) -> bool {
-        !self.is_terminal()
     }
 }
 
@@ -274,6 +218,23 @@ struct JobEntry {
 }
 
 impl JobEntry {
+    /// A job no attempt has run yet.
+    fn new(spec: Option<Arc<JobSpec>>, rows: usize, state: JobState) -> Self {
+        JobEntry {
+            spec,
+            rows,
+            state,
+            attempts: 0,
+            cancel: CancelToken::new(),
+            cancel_requested: false,
+            metrics: Arc::new(MetricsRegistry::new()),
+            io: None,
+            not_before: None,
+            error: None,
+            summary: None,
+        }
+    }
+
     fn report(&self, id: &str) -> JobReport {
         let live = self.state == JobState::Running;
         JobReport {
@@ -396,8 +357,10 @@ impl JobServer {
         &self.shared.cfg.jobs_root
     }
 
-    /// Submit a job. Admission checks run in a pinned order —
-    /// shutting-down, duplicate id, queue saturation, row budget — and
+    /// Submit a job. Admission checks run in a pinned order — a
+    /// well-formed id, protection parameters that protect something
+    /// ([`JobSpec::check`]), shutting-down, duplicate id, queue
+    /// saturation, row budget — and
     /// the job is only visible to workers after its manifest is durably
     /// on disk (so a crash can never leave an accepted-but-unrecoverable
     /// job).
@@ -412,6 +375,7 @@ impl JobServer {
                 "job id {id:?} must be non-empty [A-Za-z0-9._-] and not start with '.'"
             )));
         }
+        spec.check().map_err(|e| SubmitError::Invalid(e.message))?;
         let rows = spec.row_count();
         let io = spec
             .fault
@@ -453,22 +417,11 @@ impl JobServer {
             // Reserve the id (state Queued, but *not* yet in the run
             // queue) so concurrent submits can't double-admit while we
             // do I/O below.
-            st.jobs.insert(
-                id.to_string(),
-                JobEntry {
-                    spec: Some(Arc::new(spec.clone())),
-                    rows,
-                    state: JobState::Queued,
-                    attempts: 0,
-                    cancel: CancelToken::new(),
-                    cancel_requested: false,
-                    metrics: Arc::new(MetricsRegistry::new()),
-                    io,
-                    not_before: None,
-                    error: None,
-                    summary: None,
-                },
-            );
+            let entry = JobEntry {
+                io,
+                ..JobEntry::new(Some(Arc::new(spec.clone())), rows, JobState::Queued)
+            };
+            st.jobs.insert(id.to_string(), entry);
         }
         // Durable admission: directory + manifest before the job becomes
         // runnable.
@@ -529,17 +482,13 @@ impl JobServer {
                 entry.cancel_requested = true;
                 entry.state = JobState::Cancelled;
                 entry.not_before = None;
-                let marker = Marker {
-                    state: JobState::Cancelled.name().to_string(),
-                    attempts: u64::from(entry.attempts),
-                    error: None,
-                    summary: None,
-                };
-                if let Err(e) = marker.write(&dir) {
+                if let Err(e) = Marker::new(JobState::Cancelled, entry.attempts).write(&dir) {
                     entry.error = Some(format!("writing cancel marker: {e}"));
                 }
                 st.queue.retain(|q| q != id);
-                self.shared.metrics.inc_counter("server.cancelled", 1);
+                self.shared
+                    .metrics
+                    .inc_counter(&format!("server.{}", JobState::Cancelled.name()), 1);
                 self.shared.refresh_gauges(&st);
                 drop(st);
                 self.shared.done.notify_all();
@@ -629,12 +578,7 @@ impl JobServer {
                     if let Some(entry) = st.jobs.get_mut(&id) {
                         entry.state = JobState::Interrupted;
                         entry.not_before = None;
-                        let marker = Marker {
-                            state: JobState::Interrupted.name().to_string(),
-                            attempts: u64::from(entry.attempts),
-                            error: None,
-                            summary: None,
-                        };
+                        let marker = Marker::new(JobState::Interrupted, entry.attempts);
                         if let Err(e) = marker.write(&dir) {
                             entry.error = Some(format!("writing interrupt marker: {e}"));
                         }
@@ -697,8 +641,9 @@ fn backend_mismatch(spec: &JobSpec, dir: &Path) -> Option<String> {
         None
     } else {
         Some(format!(
-            "storage backend mismatch: manifest declares \"mem\" but the job \
+            "storage backend mismatch: manifest declares {:?} but the job \
              directory holds persisted artifacts [{}]",
+            spec.storage.as_str(),
             arts.join(", ")
         ))
     }
@@ -726,45 +671,32 @@ fn recover_fleet(
         let manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE))
             .map_err(|e| e.to_string())
             .and_then(|text| JobSpec::from_manifest_json(&text).map_err(|e| e.to_string()));
-        let marker = Marker::read(&dir);
-        let mut entry = JobEntry {
-            spec: None,
-            rows: 0,
-            state: JobState::Failed,
-            attempts: 0,
-            cancel: CancelToken::new(),
-            cancel_requested: false,
-            metrics: Arc::new(MetricsRegistry::new()),
-            io: None,
-            not_before: None,
-            error: None,
-            summary: None,
+        let mut entry = match &manifest {
+            Ok(spec) => JobEntry::new(
+                Some(Arc::new(spec.clone())),
+                spec.row_count(),
+                JobState::Failed,
+            ),
+            Err(e) => JobEntry {
+                error: Some(format!("unreadable manifest: {e}")),
+                ..JobEntry::new(None, 0, JobState::Failed)
+            },
         };
-        let mut mismatch = None;
-        match &manifest {
-            Ok(spec) => {
-                entry.rows = spec.row_count();
-                entry.spec = Some(Arc::new(spec.clone()));
-                mismatch = backend_mismatch(spec, &dir);
-            }
-            Err(e) => {
-                entry.error = Some(format!("unreadable manifest: {e}"));
-            }
-        }
+        let mismatch = manifest
+            .as_ref()
+            .ok()
+            .and_then(|spec| backend_mismatch(spec, &dir));
         let mut enqueue = false;
-        match marker {
-            Ok(Some(m)) if m.state != JobState::Interrupted.name() => {
-                // done / failed / cancelled — honour verbatim.
-                entry.state = match m.state.as_str() {
-                    "done" => JobState::Done,
-                    "cancelled" => JobState::Cancelled,
-                    _ => JobState::Failed,
-                };
+        match Marker::read(&dir) {
+            Some(m) if m.state != JobState::Interrupted => {
+                // done / failed / cancelled, an unreadable marker read as
+                // failed included — honour verbatim.
+                entry.state = m.state;
                 entry.attempts = m.attempts as u32;
                 entry.error = m.error.or(entry.error);
                 entry.summary = m.summary;
             }
-            Ok(_) => {
+            _ => {
                 // Interrupted marker or none at all.
                 if entry.spec.is_some() && mismatch.is_none() {
                     entry.state = JobState::Queued;
@@ -777,17 +709,11 @@ fn recover_fleet(
                         entry.error = Some(m);
                     }
                     let marker = Marker {
-                        state: JobState::Failed.name().to_string(),
-                        attempts: 0,
                         error: entry.error.clone(),
-                        summary: None,
+                        ..Marker::new(JobState::Failed, 0)
                     };
                     let _ = marker.write(&dir);
                 }
-            }
-            Err(e) => {
-                entry.state = JobState::Failed;
-                entry.error = Some(format!("unreadable marker: {e}"));
             }
         }
         if enqueue {
@@ -968,7 +894,7 @@ fn execute(
         jcfg.io = Arc::clone(io);
     }
     config.journal = Some(jcfg);
-    let resume = has_journal(dir);
+    let resume = dir.join(JOURNAL_FILE).is_file();
     let run = |risk: &dyn RiskMeasure| {
         let cycle = AnonymizationCycle::new(risk, &anonymizer, config.clone())
             .with_cancel(cancel.clone())
@@ -1013,10 +939,8 @@ fn transition(shared: &Shared, id: &str, dir: &Path, result: Result<CycleOutcome
                 information_loss: outcome.information_loss,
             };
             let marker = Marker {
-                state: JobState::Done.name().to_string(),
-                attempts: u64::from(attempts),
-                error: None,
                 summary: Some(summary),
+                ..Marker::new(JobState::Done, attempts)
             };
             // released.csv first, marker second: a crash in between
             // resumes the journal and re-releases identically.
@@ -1034,41 +958,20 @@ fn transition(shared: &Shared, id: &str, dir: &Path, result: Result<CycleOutcome
                 Err(e) => Err(JobFailure::Persist(e)),
             }
         }
-        Ok(_) if cancel_requested => {
-            let marker = Marker {
-                state: JobState::Cancelled.name().to_string(),
-                attempts: u64::from(attempts),
-                error: None,
-                summary: None,
-            };
-            if let Err(e) = marker.write(dir) {
-                Ok((
-                    JobState::Cancelled,
-                    Some(format!("writing cancel marker: {e}")),
-                    None,
-                ))
-            } else {
-                Ok((JobState::Cancelled, None, None))
-            }
-        }
         Ok(_) => {
-            // Checkpoint-and-stop shutdown caught this job mid-flight:
-            // the journal stays resumable.
-            let marker = Marker {
-                state: JobState::Interrupted.name().to_string(),
-                attempts: u64::from(attempts),
-                error: None,
-                summary: None,
-            };
-            if let Err(e) = marker.write(dir) {
-                Ok((
-                    JobState::Interrupted,
-                    Some(format!("writing interrupt marker: {e}")),
-                    None,
-                ))
+            // Cancelled, or a checkpoint-and-stop shutdown caught this job
+            // mid-flight: the journal stays resumable.
+            let (state, what) = if cancel_requested {
+                (JobState::Cancelled, "cancel")
             } else {
-                Ok((JobState::Interrupted, None, None))
-            }
+                (JobState::Interrupted, "interrupt")
+            };
+            let error = Marker::new(state, attempts).write(dir).err();
+            Ok((
+                state,
+                error.map(|e| format!("writing {what} marker: {e}")),
+                None,
+            ))
         }
         Err(f) => Err(f),
     };
@@ -1081,12 +984,10 @@ fn transition(shared: &Shared, id: &str, dir: &Path, result: Result<CycleOutcome
                 entry.summary = summary.or(entry.summary);
             }
             st.active = st.active.saturating_sub(1);
-            let counter = match state {
-                JobState::Done => "server.done",
-                JobState::Cancelled => "server.cancelled",
-                _ => "server.interrupted",
-            };
-            shared.metrics.inc_counter(counter, 1);
+            // done, cancelled or interrupted
+            shared
+                .metrics
+                .inc_counter(&format!("server.{}", state.name()), 1);
             shared.refresh_gauges(&st);
             drop(st);
             shared.done.notify_all();
@@ -1118,10 +1019,8 @@ fn transition(shared: &Shared, id: &str, dir: &Path, result: Result<CycleOutcome
                     JobState::Failed
                 };
                 let marker = Marker {
-                    state: target.name().to_string(),
-                    attempts: u64::from(attempts),
                     error: Some(failure.render()),
-                    summary: None,
+                    ..Marker::new(target, attempts)
                 };
                 let marker_err = marker.write(dir).err();
                 let mut st = shared.lock();
@@ -1133,14 +1032,9 @@ fn transition(shared: &Shared, id: &str, dir: &Path, result: Result<CycleOutcome
                     });
                 }
                 st.active = st.active.saturating_sub(1);
-                shared.metrics.inc_counter(
-                    if target == JobState::Cancelled {
-                        "server.cancelled"
-                    } else {
-                        "server.failed"
-                    },
-                    1,
-                );
+                shared
+                    .metrics
+                    .inc_counter(&format!("server.{}", target.name()), 1);
                 shared.refresh_gauges(&st);
                 drop(st);
                 shared.done.notify_all();
@@ -1306,6 +1200,61 @@ mod tests {
             .expect("known");
         assert_eq!(report.state, JobState::Failed);
         assert_eq!(report.attempts, 1, "permanent fault must not retry");
+        server.shutdown(ShutdownMode::Drain);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn parameters_that_protect_nothing_are_refused_at_admission_and_recovery() {
+        let root = fresh_root("unsafe");
+        let server = JobServer::start(ServerConfig::new(&root)).expect("start");
+        let (mut nan, mut k0, mut msu0) = (tiny_spec(), tiny_spec(), tiny_spec());
+        nan.threshold = f64::NAN;
+        k0.measure = MeasureSpec::KAnonymity(0);
+        msu0.measure = MeasureSpec::Suda(0);
+        for (spec, reason) in [
+            (nan, "threshold must be a finite number in [0, 1], got NaN"),
+            (k0, "k must be a whole number ≥ 1, got 0"),
+            (msu0, "msu must be a whole number ≥ 1, got 0"),
+        ] {
+            let refusal = server.submit("unsafe", spec);
+            assert_eq!(refusal, Err(SubmitError::Invalid(reason.into())));
+        }
+        assert!(!root.join("unsafe").exists(), "nothing written");
+        server.shutdown(ShutdownMode::Drain);
+        // Manifests written before the refusal existed fail on recovery,
+        // carrying the message, and release nothing.
+        let manifest = tiny_spec().to_manifest_json();
+        for (id, from, to) in [
+            ("inf", "\"threshold\":0.5", "\"threshold\":1e999"),
+            ("k2.5", "\"k\":2", "\"k\":2.5"),
+        ] {
+            let dir = root.join(id);
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            std::fs::write(dir.join(MANIFEST_FILE), manifest.replace(from, to)).expect("manifest");
+        }
+        let server = JobServer::start(ServerConfig::new(&root)).expect("restart");
+        for (id, reason) in [
+            ("inf", "got inf"),
+            ("k2.5", "k must be a whole number ≥ 1, got 2.5"),
+        ] {
+            let report = server.wait(id, Duration::from_secs(30)).expect("known");
+            assert_eq!(
+                (report.state, report.attempts),
+                (JobState::Failed, 0),
+                "{id}"
+            );
+            let err = report.error.unwrap_or_default();
+            assert!(
+                err.starts_with("unreadable manifest") && err.contains(reason),
+                "{err}"
+            );
+            assert!(
+                !root.join(id).join(RELEASED_FILE).exists(),
+                "{id}: released"
+            );
+        }
+        assert_eq!(server.metrics().counter("server.recovered"), 0);
         server.shutdown(ShutdownMode::Drain);
         std::fs::remove_dir_all(&root).ok();
     }

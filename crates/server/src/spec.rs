@@ -11,6 +11,12 @@
 //! journal fingerprint is a function of exactly these inputs, so a
 //! recovered job resumes its own journal and nobody else's.
 //!
+//! One reader takes the measure ([`MeasureSpec::from_json`]) and every
+//! knob ([`JobSpec::read_knobs`]) out of a manifest and out of a submit
+//! line alike, and each knob's names come from its type's own
+//! `name`/`parse` pair, so the names the server writes and the names it
+//! accepts cannot drift apart.
+//!
 //! [`ServerFault`]s deliberately do **not** serialize: a restarted
 //! server re-runs recovered jobs clean, which is what a healed
 //! transient fault looks like.
@@ -20,15 +26,20 @@ use std::time::Duration;
 use vadalog::backend::{write_atomic, FileIo, FileKind};
 use vadalog::StorageEngine;
 use vadasa_core::categorize::{Categorizer, ExperienceBase};
-use vadasa_core::cycle::{BatchStrategy, CycleConfig, StepGranularity, StorageOptions, TupleOrder};
+use vadasa_core::cycle::{
+    check_size, check_threshold, BatchStrategy, CycleConfig, StepGranularity, StorageOptions,
+    TupleOrder,
+};
 use vadasa_core::dictionary::{Category, MetadataDictionary};
 use vadasa_core::faults::ServerFault;
 use vadasa_core::io::{read_csv, write_csv};
-use vadasa_core::journal::{SyncPolicy, JOURNAL_FILE};
+use vadasa_core::journal::SyncPolicy;
 use vadasa_core::maybe_match::NullSemantics;
 use vadasa_core::model::MicrodataDb;
 use vadasa_core::obs::json::{self, Json};
 use vadasa_core::prelude::{KAnonymity, ReIdentification, RiskMeasure, Suda};
+
+use crate::state::JobState;
 
 /// File name of the job manifest inside a job directory.
 pub const MANIFEST_FILE: &str = "job.json";
@@ -58,6 +69,37 @@ fn err(message: impl Into<String>) -> SpecError {
     }
 }
 
+/// The refusal of a name no version wrote.
+fn unknown(what: &str, name: &str) -> SpecError {
+    err(format!("unknown {what} {name:?}"))
+}
+
+/// Member `key`'s value as a string, or a refusal naming the member.
+fn string<'a>(key: &str, value: &'a Json) -> Result<&'a str, SpecError> {
+    value
+        .as_str()
+        .ok_or_else(|| err(format!("{key} must be a string, got {value}")))
+}
+
+/// Member `key`'s value as a number, or a refusal naming the member.
+fn number(key: &str, value: &Json) -> Result<f64, SpecError> {
+    value
+        .as_f64()
+        .ok_or_else(|| err(format!("{key} must be a number, got {value}")))
+}
+
+/// Member `key`'s value as a name its type's `parse` knows; any other
+/// name is refused as an unknown `what`.
+fn named<T>(
+    key: &str,
+    value: &Json,
+    what: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<T, SpecError> {
+    let name = string(key, value)?;
+    parse(name).ok_or_else(|| unknown(what, name))
+}
+
 /// Which risk measure the job screens with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeasureSpec {
@@ -70,6 +112,13 @@ pub enum MeasureSpec {
 }
 
 impl MeasureSpec {
+    /// Every measure, each parameter at its default of 2.
+    const ALL: [MeasureSpec; 3] = [
+        MeasureSpec::KAnonymity(2),
+        MeasureSpec::ReIdentification,
+        MeasureSpec::Suda(2),
+    ];
+
     /// Instantiate the measure.
     pub fn build(&self) -> Box<dyn RiskMeasure> {
         match self {
@@ -79,39 +128,54 @@ impl MeasureSpec {
         }
     }
 
-    fn to_json(self) -> Vec<(String, Json)> {
-        match self {
-            MeasureSpec::KAnonymity(k) => vec![
-                ("measure".into(), Json::Str("k-anonymity".into())),
-                ("k".into(), Json::Num(k as f64)),
-            ],
-            MeasureSpec::ReIdentification => {
-                vec![("measure".into(), Json::Str("re-identification".into()))]
-            }
-            MeasureSpec::Suda(t) => vec![
-                ("measure".into(), Json::Str("suda".into())),
-                ("msu".into(), Json::Num(t as f64)),
-            ],
+    /// The name a manifest's `measure` member holds: the measure's own
+    /// [`RiskMeasure::name`], which the journal's `Begin` record carries
+    /// too.
+    pub fn name(&self) -> String {
+        self.build().name().to_string()
+    }
+
+    /// The member beside `measure` that holds the parameter, and its
+    /// value: `k` for k-anonymity, `msu` for SUDA.
+    fn parameter(&self) -> Option<(&'static str, usize)> {
+        match *self {
+            MeasureSpec::KAnonymity(k) => Some(("k", k)),
+            MeasureSpec::ReIdentification => None,
+            MeasureSpec::Suda(t) => Some(("msu", t)),
         }
     }
 
-    fn from_json(v: &Json) -> Result<Self, SpecError> {
-        let name = v
-            .get("measure")
-            .and_then(Json::as_str)
-            .ok_or_else(|| err("missing \"measure\""))?;
-        match name {
-            "k-anonymity" => {
-                let k = v.get("k").and_then(Json::as_f64).unwrap_or(2.0);
-                Ok(MeasureSpec::KAnonymity(k as usize))
-            }
-            "re-identification" => Ok(MeasureSpec::ReIdentification),
-            "suda" => {
-                let t = v.get("msu").and_then(Json::as_f64).unwrap_or(2.0);
-                Ok(MeasureSpec::Suda(t as usize))
-            }
-            other => Err(err(format!("unknown measure {other:?}"))),
+    fn to_json(self) -> Vec<(String, Json)> {
+        let mut members = vec![("measure".to_string(), Json::Str(self.name()))];
+        if let Some((member, n)) = self.parameter() {
+            members.push((member.into(), Json::Num(n as f64)));
         }
+        members
+    }
+
+    /// Read `measure` and its parameter member out of a manifest or a
+    /// submit line. An absent `measure` is `absent`, and refused when
+    /// that is `None`; an absent parameter is 2. A parameter that is not
+    /// a whole number ≥ 1 is refused, naming the member.
+    pub fn from_json(v: &Json, absent: Option<MeasureSpec>) -> Result<Self, SpecError> {
+        let measure = match v.get("measure") {
+            None => absent.ok_or_else(|| err("missing \"measure\""))?,
+            Some(value) => named("measure", value, "measure", |name| {
+                Self::ALL.into_iter().find(|m| m.name() == name)
+            })?,
+        };
+        let Some((member, value)) = measure
+            .parameter()
+            .and_then(|(member, _)| Some((member, v.get(member)?)))
+        else {
+            return Ok(measure);
+        };
+        let n = check_size(member, number(member, value)?).map_err(err)?;
+        Ok(match measure {
+            MeasureSpec::KAnonymity(_) => MeasureSpec::KAnonymity(n),
+            MeasureSpec::Suda(_) => MeasureSpec::Suda(n),
+            other => other,
+        })
     }
 }
 
@@ -176,9 +240,25 @@ impl JobSpec {
                 .ok_or_else(|| err(format!("attribute {attr:?} is uncategorized")))?;
             categories.push((attr.clone(), cat.name().to_string()));
         }
-        Ok(JobSpec {
-            name: db.name.clone(),
-            csv: write_csv(db),
+        Ok(JobSpec::with_defaults(
+            db.name.clone(),
+            write_csv(db),
+            categories,
+            measure,
+        ))
+    }
+
+    /// A spec over a table, its categories and a measure, with every
+    /// knob at its default.
+    fn with_defaults(
+        name: String,
+        csv: String,
+        categories: Vec<(String, String)>,
+        measure: MeasureSpec,
+    ) -> Self {
+        JobSpec {
+            name,
+            csv,
             categories,
             measure,
             threshold: 0.5,
@@ -192,7 +272,7 @@ impl JobSpec {
             snapshot_every: Some(16),
             storage: StorageEngine::Mem,
             fault: ServerFault::default(),
-        })
+        }
     }
 
     /// A spec from raw CSV, categorizing attributes automatically with
@@ -272,96 +352,73 @@ impl JobSpec {
         self.csv.lines().count().saturating_sub(1)
     }
 
+    /// Refuse a spec whose protection parameters protect nothing: a
+    /// threshold that is not a finite number in `[0, 1]`, or a `k` or
+    /// `msu` below 1. The error names the member.
+    pub fn check(&self) -> Result<(), SpecError> {
+        check_threshold(self.threshold).map_err(err)?;
+        match self.measure.parameter() {
+            Some((member, n)) => check_size(member, n as f64).map(drop).map_err(err),
+            None => Ok(()),
+        }
+    }
+
     /// Serialize to the manifest JSON object (faults excluded).
     pub fn to_manifest_json(&self) -> String {
-        let mut members: Vec<(String, Json)> = vec![
-            ("name".into(), Json::Str(self.name.clone())),
+        let text = |s: &str| Some(Json::Str(s.into()));
+        let num = |n: Option<f64>| Some(n.map_or(Json::Null, Json::Num));
+        let categories = self
+            .categories
+            .iter()
+            .map(|(a, c)| (a.clone(), Json::Str(c.clone())));
+        let mut members = vec![
+            ("name".to_string(), Json::Str(self.name.clone())),
             ("csv".into(), Json::Str(self.csv.clone())),
-            (
-                "categories".into(),
-                Json::Obj(
-                    self.categories
-                        .iter()
-                        .map(|(a, c)| (a.clone(), Json::Str(c.clone())))
-                        .collect(),
-                ),
-            ),
+            ("categories".into(), Json::Obj(categories.collect())),
         ];
         members.extend(self.measure.to_json());
-        members.push(("threshold".into(), Json::Num(self.threshold)));
-        members.push((
-            "tuple_order".into(),
-            Json::Str(
-                match self.tuple_order {
-                    TupleOrder::LessSignificantFirst => "less-significant-first",
-                    TupleOrder::MostRiskyFirst => "most-risky-first",
-                    TupleOrder::Fifo => "fifo",
-                }
-                .into(),
-            ),
-        ));
-        members.push((
-            "granularity".into(),
-            Json::Str(self.granularity.name().into()),
-        ));
-        members.push((
-            "batch".into(),
-            self.batch.map_or(Json::Null, |b| Json::Str(b.name())),
-        ));
-        members.push((
-            "semantics".into(),
-            Json::Str(
-                match self.semantics {
-                    NullSemantics::MaybeMatch => "maybe-match",
-                    NullSemantics::Standard => "standard",
-                }
-                .into(),
-            ),
-        ));
-        members.push((
-            "max_iterations".into(),
-            Json::Num(self.max_iterations as f64),
-        ));
-        members.push((
-            "deadline_ms".into(),
-            match self.deadline {
-                Some(d) => Json::Num(d.as_millis() as f64),
-                None => Json::Null,
-            },
-        ));
-        let (sync_kind, sync_n) = match self.sync {
-            SyncPolicy::EveryRecord => ("every-record", None),
-            SyncPolicy::EveryN(n) => ("every-n", Some(n)),
-            SyncPolicy::OnSnapshot => ("on-snapshot", None),
+        let sync_n = match self.sync {
+            SyncPolicy::EveryN(n) => num(Some(f64::from(n))),
+            _ => None,
         };
-        members.push(("sync".into(), Json::Str(sync_kind.into())));
-        if let Some(n) = sync_n {
-            members.push(("sync_n".into(), Json::Num(n as f64)));
-        }
-        members.push((
-            "snapshot_every".into(),
-            match self.snapshot_every {
-                Some(n) => Json::Num(n as f64),
-                None => Json::Null,
-            },
-        ));
-        members.push(("storage".into(), Json::Str(self.storage.as_str().into())));
+        let knobs = [
+            ("threshold", num(Some(self.threshold))),
+            ("tuple_order", text(self.tuple_order.name())),
+            ("granularity", text(self.granularity.name())),
+            (
+                "batch",
+                Some(self.batch.map_or(Json::Null, |b| Json::Str(b.name()))),
+            ),
+            ("semantics", text(self.semantics.name())),
+            ("max_iterations", num(Some(self.max_iterations as f64))),
+            (
+                "deadline_ms",
+                num(self.deadline.map(|d| d.as_millis() as f64)),
+            ),
+            ("sync", text(self.sync.kind())),
+            ("sync_n", sync_n),
+            ("snapshot_every", num(self.snapshot_every.map(f64::from))),
+            ("storage", text(self.storage.as_str())),
+        ];
+        members.extend(
+            knobs
+                .into_iter()
+                .filter_map(|(key, v)| Some((key.into(), v?))),
+        );
         Json::Obj(members).to_string()
     }
 
-    /// Parse a manifest back into a spec.
+    /// Parse a manifest back into a spec. It must name its table, its
+    /// categories and its measure; every knob goes through
+    /// [`read_knobs`](Self::read_knobs), and a spec whose protection
+    /// parameters protect nothing is refused ([`check`](Self::check)).
     pub fn from_manifest_json(text: &str) -> Result<Self, SpecError> {
         let v = json::parse(text).map_err(|e| err(format!("manifest json: {e}")))?;
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| err("missing \"name\""))?
-            .to_string();
-        let csv = v
-            .get("csv")
-            .and_then(Json::as_str)
-            .ok_or_else(|| err("missing \"csv\""))?
-            .to_string();
+        let required = |key: &str| match v.get(key) {
+            Some(value) => string(key, value).map(str::to_string),
+            None => Err(err(format!("missing {key:?}"))),
+        };
+        let (name, csv) = (required("name")?, required("csv")?);
         let categories = match v.get("categories") {
             Some(Json::Obj(members)) => members
                 .iter()
@@ -373,75 +430,61 @@ impl JobSpec {
                 .collect::<Result<Vec<_>, _>>()?,
             _ => return Err(err("missing \"categories\" object")),
         };
-        let measure = MeasureSpec::from_json(&v)?;
-        let threshold = v.get("threshold").and_then(Json::as_f64).unwrap_or(0.5);
-        // An absent field keeps its default, so older manifests load; a
-        // name no version wrote is an alien manifest and is refused.
-        let name_of = |field: &str| v.get(field).and_then(Json::as_str);
-        let refuse = |what: &str, s: &str| err(format!("unknown {what} {s:?}"));
-        let tuple_order = match name_of("tuple_order") {
-            None | Some("less-significant-first") => TupleOrder::LessSignificantFirst,
-            Some("most-risky-first") => TupleOrder::MostRiskyFirst,
-            Some("fifo") => TupleOrder::Fifo,
-            Some(s) => return Err(refuse("tuple order", s)),
+        let measure = MeasureSpec::from_json(&v, None)?;
+        let mut spec = JobSpec::with_defaults(name, csv, categories, measure);
+        spec.read_knobs(&v)?;
+        spec.check()?;
+        Ok(spec)
+    }
+
+    /// Set every knob the members of `v` — a manifest or a submit line —
+    /// name: `threshold`, `tuple_order`, `granularity`, `batch`,
+    /// `semantics`, `max_iterations`, `deadline_ms`, `sync` with
+    /// `sync_n`, `snapshot_every` and `storage`. An absent member keeps
+    /// the spec's value, and `null` clears `batch`, `deadline_ms` and
+    /// `snapshot_every`. A member of the wrong type, or a name no version
+    /// wrote, is refused; members it does not know are ignored.
+    pub fn read_knobs(&mut self, obj: &Json) -> Result<(), SpecError> {
+        let Json::Obj(members) = obj else {
+            return Err(err(format!("expected a JSON object, got {obj}")));
         };
-        let granularity = match name_of("granularity") {
-            None => StepGranularity::default(),
-            Some(s) => StepGranularity::parse(s).ok_or_else(|| refuse("granularity", s))?,
-        };
-        let batch = match name_of("batch") {
-            None => None,
-            Some(s) => Some(BatchStrategy::parse(s).ok_or_else(|| refuse("batch strategy", s))?),
-        };
-        let semantics = match name_of("semantics") {
-            None | Some("maybe-match") => NullSemantics::MaybeMatch,
-            Some("standard") => NullSemantics::Standard,
-            Some(s) => return Err(refuse("null semantics", s)),
-        };
-        let max_iterations = v
-            .get("max_iterations")
-            .and_then(Json::as_f64)
-            .unwrap_or(10_000.0) as usize;
-        let deadline = v
-            .get("deadline_ms")
-            .and_then(Json::as_f64)
-            .map(|ms| Duration::from_millis(ms as u64));
-        let sync = match name_of("sync") {
-            None | Some("every-record") => SyncPolicy::EveryRecord,
-            Some("on-snapshot") => SyncPolicy::OnSnapshot,
-            Some("every-n") => {
-                let n = v.get("sync_n").and_then(Json::as_f64).unwrap_or(8.0);
-                SyncPolicy::EveryN(n as u32)
+        let (mut sync, mut sync_n) = (None, None);
+        for (key, v) in members {
+            match (key.as_str(), v) {
+                ("threshold", _) => self.threshold = number(key, v)?,
+                ("tuple_order", _) => {
+                    self.tuple_order = named(key, v, "tuple order", TupleOrder::parse)?
+                }
+                ("granularity", _) => {
+                    self.granularity = named(key, v, "granularity", StepGranularity::parse)?
+                }
+                ("batch", Json::Null) => self.batch = None,
+                ("batch", _) => {
+                    self.batch = Some(named(key, v, "batch strategy", BatchStrategy::parse)?)
+                }
+                ("semantics", _) => {
+                    self.semantics = named(key, v, "null semantics", NullSemantics::parse)?
+                }
+                ("max_iterations", _) => self.max_iterations = number(key, v)? as usize,
+                ("deadline_ms", Json::Null) => self.deadline = None,
+                ("deadline_ms", _) => {
+                    self.deadline = Some(Duration::from_millis(number(key, v)? as u64))
+                }
+                ("sync", _) => sync = Some(string(key, v)?),
+                ("sync_n", _) => sync_n = Some(number(key, v)? as u32),
+                ("snapshot_every", Json::Null) => self.snapshot_every = None,
+                ("snapshot_every", _) => self.snapshot_every = Some(number(key, v)? as u32),
+                ("storage", _) => {
+                    self.storage = named(key, v, "storage engine", StorageEngine::parse)?
+                }
+                _ => {}
             }
-            Some(s) => return Err(refuse("sync policy", s)),
-        };
-        let snapshot_every = v
-            .get("snapshot_every")
-            .and_then(Json::as_f64)
-            .map(|n| n as u32);
-        // Older manifests predate the storage field: absent means the
-        // historical in-memory engine.
-        let storage = match name_of("storage") {
-            None => StorageEngine::Mem,
-            Some(s) => StorageEngine::parse(s).ok_or_else(|| refuse("storage engine", s))?,
-        };
-        Ok(JobSpec {
-            name,
-            csv,
-            categories,
-            measure,
-            threshold,
-            tuple_order,
-            granularity,
-            batch,
-            semantics,
-            max_iterations,
-            deadline,
-            sync,
-            snapshot_every,
-            storage,
-            fault: ServerFault::default(),
-        })
+        }
+        if let Some(kind) = sync {
+            self.sync =
+                SyncPolicy::from_kind(kind, sync_n).ok_or_else(|| unknown("sync policy", kind))?;
+        }
+        Ok(())
     }
 }
 
@@ -469,8 +512,9 @@ pub struct MarkerSummary {
 /// shutdown) marks a job recovery should resume.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Marker {
-    /// `done` / `failed` / `cancelled` / `interrupted`.
-    pub state: String,
+    /// One of the [terminal](JobState::is_terminal) states: done, failed,
+    /// cancelled or interrupted.
+    pub state: JobState,
     /// Attempts consumed when the marker was written.
     pub attempts: u64,
     /// Structured error for `failed` markers.
@@ -479,45 +523,63 @@ pub struct Marker {
     pub summary: Option<MarkerSummary>,
 }
 
+impl MarkerSummary {
+    /// The summary as the JSON object markers and job reports carry.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("converged".into(), Json::Bool(self.converged)),
+            ("iterations".into(), Json::Num(self.iterations as f64)),
+            (
+                "nulls_injected".into(),
+                Json::Num(self.nulls_injected as f64),
+            ),
+            ("recodings".into(), Json::Num(self.recodings as f64)),
+            ("final_risky".into(), Json::Num(self.final_risky as f64)),
+            ("information_loss".into(), Json::Num(self.information_loss)),
+        ])
+    }
+}
+
 impl Marker {
+    /// A marker of `state` after `attempts` attempts, without an error or
+    /// a summary.
+    pub fn new(state: JobState, attempts: u32) -> Marker {
+        Marker {
+            state,
+            attempts: u64::from(attempts),
+            error: None,
+            summary: None,
+        }
+    }
+
     /// Serialize to the `state.json` object.
     pub fn to_json(&self) -> String {
-        let mut members: Vec<(String, Json)> = vec![
-            ("state".into(), Json::Str(self.state.clone())),
+        Json::Obj(vec![
+            ("state".into(), Json::Str(self.state.name().into())),
             ("attempts".into(), Json::Num(self.attempts as f64)),
             (
                 "error".into(),
-                match &self.error {
-                    Some(e) => Json::Str(e.clone()),
-                    None => Json::Null,
-                },
+                self.error.clone().map_or(Json::Null, Json::Str),
             ),
-        ];
-        members.push((
-            "summary".into(),
-            match &self.summary {
-                Some(s) => Json::Obj(vec![
-                    ("converged".into(), Json::Bool(s.converged)),
-                    ("iterations".into(), Json::Num(s.iterations as f64)),
-                    ("nulls_injected".into(), Json::Num(s.nulls_injected as f64)),
-                    ("recodings".into(), Json::Num(s.recodings as f64)),
-                    ("final_risky".into(), Json::Num(s.final_risky as f64)),
-                    ("information_loss".into(), Json::Num(s.information_loss)),
-                ]),
-                None => Json::Null,
-            },
-        ));
-        Json::Obj(members).to_string()
+            (
+                "summary".into(),
+                self.summary.map_or(Json::Null, |s| s.to_json()),
+            ),
+        ])
+        .to_string()
     }
 
-    /// Parse a `state.json` object.
+    /// Parse a `state.json` object. A state no marker records (one that
+    /// is not terminal, or a name no version wrote) is refused.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
         let v = json::parse(text).map_err(|e| err(format!("marker json: {e}")))?;
-        let state = v
+        let name = v
             .get("state")
             .and_then(Json::as_str)
-            .ok_or_else(|| err("marker missing \"state\""))?
-            .to_string();
+            .ok_or_else(|| err("marker missing \"state\""))?;
+        let state = JobState::parse(name)
+            .filter(JobState::is_terminal)
+            .ok_or_else(|| unknown("marker state", name))?;
         let attempts = v.get("attempts").and_then(Json::as_f64).unwrap_or(0.0) as u64;
         let error = v.get("error").and_then(Json::as_str).map(|s| s.to_string());
         let summary = v.get("summary").and_then(|s| match s {
@@ -556,183 +618,195 @@ impl Marker {
         )
     }
 
-    /// Read the marker from `dir`, `Ok(None)` when absent.
-    pub fn read(dir: &Path) -> Result<Option<Marker>, SpecError> {
+    /// Read the marker from `dir`, `None` when there is none. Fleet
+    /// recovery and `vadasa_status` both read a job directory through
+    /// here, so they agree on every job: a marker that cannot be read or
+    /// parsed stands for a failed job whose error says why, which
+    /// recovery must not resume and a monitor must not show as running.
+    pub fn read(dir: &Path) -> Option<Marker> {
+        let failed = |e: SpecError| Marker {
+            state: JobState::Failed,
+            attempts: 0,
+            error: Some(format!("unreadable marker: {e}")),
+            summary: None,
+        };
         match std::fs::read_to_string(dir.join(MARKER_FILE)) {
-            Ok(text) => Marker::from_json(&text).map(Some),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(err(format!("reading marker: {e}"))),
+            Ok(text) => Some(Marker::from_json(&text).unwrap_or_else(failed)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => Some(failed(err(format!("reading marker: {e}")))),
         }
     }
-}
-
-/// Does a journal file exist in this job directory?
-pub fn has_journal(dir: &Path) -> bool {
-    dir.join(JOURNAL_FILE).is_file()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use vadalog::Value;
 
-    fn spec() -> JobSpec {
-        let mut db = MicrodataDb::new("survey", ["Id", "Area", "Weight"]).unwrap();
-        db.push_row(vec![Value::Int(1), Value::str("North"), Value::Int(9)])
-            .unwrap();
-        db.push_row(vec![Value::Int(2), Value::str("South"), Value::Int(2)])
-            .unwrap();
-        let mut dict = MetadataDictionary::new();
-        for a in ["Id", "Area", "Weight"] {
-            dict.register_attr("survey", a, "");
-        }
-        dict.set_category("survey", "Id", Category::Identifier)
-            .unwrap();
-        dict.set_category("survey", "Area", Category::QuasiIdentifier)
-            .unwrap();
-        dict.set_category("survey", "Weight", Category::Weight)
-            .unwrap();
-        JobSpec::new(&db, &dict, MeasureSpec::KAnonymity(2)).unwrap()
+    pub(crate) fn spec() -> JobSpec {
+        let csv = "Id,Area,Weight\n1,North,9\n2,South,2\n";
+        JobSpec::from_csv("survey", csv, MeasureSpec::KAnonymity(2)).unwrap()
     }
 
-    #[test]
-    fn manifest_round_trips() {
+    /// [`spec`] with one change.
+    fn with(set: impl Fn(&mut JobSpec)) -> JobSpec {
         let mut s = spec();
-        s.threshold = 0.25;
-        s.tuple_order = TupleOrder::MostRiskyFirst;
-        s.granularity = StepGranularity::OneTuplePerIteration;
-        s.batch = Some(BatchStrategy::TopN(64));
-        s.semantics = NullSemantics::Standard;
-        s.max_iterations = 77;
-        s.deadline = Some(Duration::from_millis(1500));
-        s.sync = SyncPolicy::EveryN(8);
-        s.snapshot_every = None;
-        s.storage = StorageEngine::File;
-        s.fault = ServerFault::none().transient_appends(1);
-        let text = s.to_manifest_json();
-        let back = JobSpec::from_manifest_json(&text).unwrap();
-        assert_eq!(back.name, s.name);
-        assert_eq!(back.csv, s.csv);
-        assert_eq!(back.categories, s.categories);
-        assert_eq!(back.measure, s.measure);
-        assert_eq!(back.threshold, s.threshold);
-        assert_eq!(back.tuple_order, s.tuple_order);
-        assert_eq!(back.granularity, s.granularity);
-        assert_eq!(back.batch, s.batch);
-        assert_eq!(back.semantics, s.semantics);
-        assert_eq!(back.max_iterations, s.max_iterations);
-        assert_eq!(back.deadline, s.deadline);
-        assert_eq!(back.sync, s.sync);
-        assert_eq!(back.snapshot_every, s.snapshot_every);
-        assert_eq!(back.storage, StorageEngine::File);
-        // faults never persist
-        assert!(!back.fault.is_armed());
+        set(&mut s);
+        s
     }
 
-    #[test]
-    fn every_step_name_round_trips_and_aliens_are_refused() {
+    /// One spec per value of every knob type, every other knob at its
+    /// default.
+    pub(crate) fn one_spec_per_knob_value() -> Vec<JobSpec> {
         use BatchStrategy::{OneTuple, PerClass, TopN};
-        use StepGranularity::{AllRiskyPerIteration, OneTuplePerIteration};
-        let orders = [
-            TupleOrder::LessSignificantFirst,
-            TupleOrder::MostRiskyFirst,
-            TupleOrder::Fifo,
-        ];
-        let batches = [None, Some(OneTuple), Some(PerClass), Some(TopN(3))];
-        let sems = [NullSemantics::MaybeMatch, NullSemantics::Standard];
-        let syncs = [
-            SyncPolicy::EveryRecord,
-            SyncPolicy::EveryN(5),
-            SyncPolicy::OnSnapshot,
-        ];
-        let knobs = |s: &JobSpec| (s.tuple_order, s.granularity, s.batch, s.semantics, s.sync);
-        for i in 0..4 {
-            let mut s = spec();
-            s.granularity = [AllRiskyPerIteration, OneTuplePerIteration][i % 2];
-            (s.tuple_order, s.batch) = (orders[i % 3], batches[i]);
-            (s.semantics, s.sync) = (sems[i % 2], syncs[i % 3]);
-            let back = JobSpec::from_manifest_json(&s.to_manifest_json()).unwrap();
-            assert_eq!(knobs(&back), knobs(&s));
-        }
-        // an absent field keeps its default; an alien name is refused
-        let with = |field: &str, value: Option<&str>| {
-            let Ok(Json::Obj(mut members)) = json::parse(&spec().to_manifest_json()) else {
-                panic!("manifest is an object");
-            };
-            members.retain(|(k, _)| k != field);
-            members.extend(value.map(|v| (field.to_string(), Json::Str(v.into()))));
-            JobSpec::from_manifest_json(&Json::Obj(members).to_string())
-        };
-        for (field, alien) in [
-            ("tuple_order", "lsf"),
-            ("granularity", "all"),
-            ("batch", "top-0"),
-            ("batch", "top-"),
-            ("batch", "top--1"),
-            ("batch", "per_class"),
-            ("semantics", "maybe"),
-            ("sync", "always"),
-        ] {
-            assert_eq!(
-                knobs(&with(field, None).unwrap()),
-                knobs(&spec()),
-                "{field}"
-            );
-            let e = with(field, Some(alien)).unwrap_err();
-            assert!(
-                e.message.contains("unknown") && e.message.contains(alien),
-                "{e}"
-            );
-        }
-    }
-
-    #[test]
-    fn storage_engine_defaults_and_refusals() {
-        // a pre-storage manifest defaults to the in-memory engine
-        let text = spec()
-            .to_manifest_json()
-            .replace(",\"storage\":\"mem\"", "");
-        assert!(!text.contains("storage"));
-        let back = JobSpec::from_manifest_json(&text).unwrap();
-        assert_eq!(back.storage, StorageEngine::Mem);
-        // an alien engine name is a structured refusal, not a guess
-        let alien = spec()
-            .to_manifest_json()
-            .replace("\"storage\":\"mem\"", "\"storage\":\"cloudz\"");
-        let e = JobSpec::from_manifest_json(&alien).unwrap_err();
-        assert!(e.message.contains("unknown storage engine"), "{e}");
-        // the cycle config carries the engine through
-        let mut s = spec();
-        s.storage = StorageEngine::File;
-        assert_eq!(s.cycle_config().storage.engine, StorageEngine::File);
-    }
-
-    #[test]
-    fn spec_rebuilds_table_and_dictionary() {
-        let s = spec();
-        let db = s.table().unwrap();
-        assert_eq!(db.len(), 2);
-        assert_eq!(s.row_count(), 2);
-        let dict = s.dictionary().unwrap();
-        assert_eq!(
-            dict.quasi_identifiers("survey").unwrap(),
-            vec!["Area".to_string()]
+        use MeasureSpec::{KAnonymity, ReIdentification, Suda};
+        use SyncPolicy::{EveryN, EveryRecord, OnSnapshot};
+        let (batches, syncs) = (
+            [OneTuple, PerClass, TopN(1), TopN(64)],
+            [EveryRecord, EveryN(1), EveryN(8), OnSnapshot],
         );
-        assert_eq!(dict.weight_attr("survey").unwrap(), "Weight");
+        let mut specs = Vec::new();
+        specs.extend(TupleOrder::ALL.map(|v| with(|s| s.tuple_order = v)));
+        specs.extend(StepGranularity::ALL.map(|v| with(|s| s.granularity = v)));
+        specs.extend(NullSemantics::ALL.map(|v| with(|s| s.semantics = v)));
+        specs.extend(StorageEngine::ALL.map(|v| with(|s| s.storage = v)));
+        specs.extend(batches.map(|v| with(|s| s.batch = Some(v))));
+        specs.extend(syncs.map(|v| with(|s| s.sync = v)));
+        specs.extend([KAnonymity(3), ReIdentification, Suda(3)].map(|v| with(|s| s.measure = v)));
+        specs.push(with(|s| s.snapshot_every = None));
+        specs
+    }
+
+    /// A spec's manifest members with `key` removed, then set to `value`
+    /// when there is one.
+    pub(crate) fn manifest_with(
+        s: &JobSpec,
+        key: &str,
+        value: Option<Json>,
+    ) -> Vec<(String, Json)> {
+        let Ok(Json::Obj(mut members)) = json::parse(&s.to_manifest_json()) else {
+            panic!("manifest is an object");
+        };
+        members.retain(|(k, _)| k != key);
+        members.extend(value.map(|v| (key.to_string(), v)));
+        members
+    }
+
+    /// A manifest is written with `name` and read with `parse`, so its
+    /// rewrite is byte-identical only when `parse(name(v)) == v`.
+    #[test]
+    fn every_knob_value_round_trips_through_its_name() {
+        for s in one_spec_per_knob_value() {
+            let text = s.to_manifest_json();
+            assert_eq!(
+                JobSpec::from_manifest_json(&text)
+                    .unwrap()
+                    .to_manifest_json(),
+                text
+            );
+            assert_eq!(TupleOrder::parse(s.tuple_order.name()), Some(s.tuple_order));
+            assert_eq!(
+                StepGranularity::parse(s.granularity.name()),
+                Some(s.granularity)
+            );
+            assert_eq!(NullSemantics::parse(s.semantics.name()), Some(s.semantics));
+            assert_eq!(StorageEngine::parse(s.storage.as_str()), Some(s.storage));
+            // the command line spells both kinds of names itself
+            assert_eq!(SyncPolicy::parse(&s.sync.name()), Some(s.sync));
+            assert!(s
+                .batch
+                .is_none_or(|b| BatchStrategy::parse(&b.name()) == Some(b)));
+        }
+        for state in JobState::ALL.into_iter().filter(JobState::is_terminal) {
+            assert_eq!(JobState::parse(state.name()), Some(state));
+            let m = Marker::new(state, 1);
+            assert_eq!(Marker::from_json(&m.to_json()), Ok(m));
+        }
+    }
+
+    /// `job.json` as the server wrote it before knob names had one table.
+    #[test]
+    fn golden_manifest_loads_and_is_rewritten_byte_for_byte() {
+        let golden = include_str!("../../../tests/golden/server/job.json");
+        let mut s = JobSpec::from_manifest_json(golden).unwrap();
+        // faults never persist
+        s.fault = ServerFault::none().transient_appends(1);
+        assert_eq!(s.to_manifest_json(), golden);
+        // every knob member holds a value other than its default
+        let defaults =
+            JobSpec::with_defaults(s.name, s.csv, s.categories, MeasureSpec::KAnonymity(2));
+        let defaults = json::parse(&defaults.to_manifest_json()).unwrap();
+        let Ok(Json::Obj(members)) = json::parse(golden) else {
+            panic!("golden manifest is an object");
+        };
+        for (key, value) in &members[3..] {
+            assert_ne!(defaults.get(key), Some(value), "{key}");
+        }
+        assert_eq!(members.len(), 16, "table, measure, msu and 11 knob members");
     }
 
     #[test]
-    fn from_csv_categorizes_automatically() {
-        let s = JobSpec::from_csv(
-            "survey",
-            "id,area,weight\n1,North,9\n2,South,2\n",
-            MeasureSpec::ReIdentification,
-        )
-        .unwrap();
+    fn absent_knobs_keep_their_defaults_and_malformed_ones_are_refused() {
+        let read = |members| JobSpec::from_manifest_json(&Json::Obj(members).to_string());
+        for key in [
+            "threshold",
+            "tuple_order",
+            "granularity",
+            "batch",
+            "semantics",
+            "sync",
+            "storage",
+        ] {
+            let back = read(manifest_with(&spec(), key, None)).unwrap();
+            assert_eq!(back.to_manifest_json(), spec().to_manifest_json(), "{key}");
+        }
+        // an absent `snapshot_every` snapshots every 16 iterations; null never
+        let text = |s: &str| Some(Json::Str(s.into()));
+        let every_3 = with(|s| s.snapshot_every = Some(3));
+        let absent = read(manifest_with(&every_3, "snapshot_every", None)).unwrap();
+        let null = read(manifest_with(&every_3, "snapshot_every", Some(Json::Null))).unwrap();
+        assert_eq!(
+            (absent.snapshot_every, null.snapshot_every),
+            (Some(16), None)
+        );
+        for (key, value, reason) in [
+            ("batch", text("top-"), "unknown batch strategy \"top-\""),
+            ("batch", text("top--1"), "unknown batch strategy"),
+            ("batch", text("per_class"), "unknown batch strategy"),
+            ("measure", None, "missing \"measure\""),
+            (
+                "semantics",
+                Some(Json::Num(1.0)),
+                "semantics must be a string, got 1",
+            ),
+            (
+                "threshold",
+                text("0.1"),
+                "threshold must be a number, got \"0.1\"",
+            ),
+            // the server wrote a threshold of 1e999 as null
+            (
+                "threshold",
+                Some(Json::Null),
+                "threshold must be a number, got null",
+            ),
+        ] {
+            let e = read(manifest_with(&spec(), key, value)).unwrap_err();
+            assert!(e.message.contains(reason), "{key}: {e}");
+        }
+    }
+
+    #[test]
+    fn spec_rebuilds_table_dictionary_and_cycle_config() {
+        let s = with(|s| s.storage = StorageEngine::File);
+        assert_eq!((s.table().unwrap().len(), s.row_count()), (2, 2));
         assert!(s
             .categories
             .iter()
-            .any(|(a, c)| a == "id" && c == "identifier"));
+            .any(|(a, c)| a == "Id" && c == "identifier"));
+        let dict = s.dictionary().unwrap();
+        assert_eq!(dict.quasi_identifiers("survey").unwrap(), ["Area"]);
+        assert_eq!(dict.weight_attr("survey").unwrap(), "Weight");
+        assert_eq!(s.cycle_config().storage.engine, StorageEngine::File);
         // un-categorizable attributes fail at admission time
         assert!(JobSpec::from_csv("weird", "zzxyqf\n?\n", MeasureSpec::ReIdentification).is_err());
     }
@@ -742,30 +816,41 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("vadasa-marker-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(Marker::read(&dir).unwrap(), None);
-        let m = Marker {
-            state: "done".into(),
-            attempts: 2,
-            error: None,
-            summary: Some(MarkerSummary {
-                converged: true,
-                iterations: 5,
-                nulls_injected: 3,
-                recodings: 0,
-                final_risky: 0,
-                information_loss: 0.25,
-            }),
+        assert_eq!(Marker::read(&dir), None);
+        let summary = MarkerSummary {
+            converged: true,
+            iterations: 5,
+            nulls_injected: 3,
+            recodings: 0,
+            final_risky: 0,
+            information_loss: 0.25,
         };
-        m.write(&dir).unwrap();
-        assert_eq!(Marker::read(&dir).unwrap(), Some(m));
-        let failed = Marker {
-            state: "failed".into(),
-            attempts: 4,
-            error: Some("journal i/o failed".into()),
-            summary: None,
+        let done = Marker {
+            summary: Some(summary),
+            ..Marker::new(JobState::Done, 2)
         };
-        failed.write(&dir).unwrap();
-        assert_eq!(Marker::read(&dir).unwrap().unwrap().state, "failed");
+        done.write(&dir).unwrap();
+        assert_eq!(Marker::read(&dir), Some(done));
+        // a corrupt marker, or one naming a state no marker records,
+        // reads as a failed job that says why
+        for (text, reason) in [
+            ("{\"state\":", "marker json"),
+            ("{\"state\":\"paused\"}", "unknown marker state \"paused\""),
+            (
+                "{\"state\":\"running\"}",
+                "unknown marker state \"running\"",
+            ),
+            ("{\"attempts\":1}", "marker missing \"state\""),
+        ] {
+            std::fs::write(dir.join(MARKER_FILE), text).unwrap();
+            let m = Marker::read(&dir).unwrap();
+            assert_eq!(m.state, JobState::Failed, "{text}");
+            let error = m.error.unwrap_or_default();
+            assert!(
+                error.starts_with("unreadable marker: ") && error.contains(reason),
+                "{error}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -26,6 +26,7 @@ use vadasa_core::faults::ServerFault;
 use vadasa_core::io::write_csv;
 use vadasa_core::journal::record::frame_boundaries;
 use vadasa_core::journal::JOURNAL_FILE;
+use vadasa_core::obs::json::{self, Json};
 use vadasa_core::prelude::LocalSuppression;
 use vadasa_datagen::households::generate_households;
 use vadasa_server::spec::{MANIFEST_FILE, RELEASED_FILE};
@@ -61,6 +62,21 @@ fn reference_csv(spec: &JobSpec) -> String {
 
 fn released_bytes(root: &Path, id: &str) -> String {
     std::fs::read_to_string(root.join(id).join(RELEASED_FILE)).expect("released.csv")
+}
+
+/// The members of a submit line for `spec`: `cmd` and `id`, then the
+/// members of its manifest.
+fn submit_members(id: &str, spec: &JobSpec) -> Vec<(String, Json)> {
+    let manifest = spec.to_manifest_json();
+    let Ok(Json::Obj(members)) = json::parse(&manifest) else {
+        panic!("manifest is not an object: {manifest}");
+    };
+    let mut line = vec![
+        ("cmd".to_string(), Json::Str("submit".into())),
+        ("id".to_string(), Json::Str(id.into())),
+    ];
+    line.extend(members);
+    line
 }
 
 #[test]
@@ -229,27 +245,7 @@ fn sigkill_of_the_whole_server_process_recovers_every_job() {
         })
         .collect();
     for (id, spec) in &specs {
-        use vadasa_core::obs::json::Json;
-        let line = Json::Obj(vec![
-            ("cmd".into(), Json::Str("submit".into())),
-            ("id".into(), Json::Str(id.clone())),
-            ("name".into(), Json::Str(spec.name.clone())),
-            ("csv".into(), Json::Str(spec.csv.clone())),
-            (
-                "categories".into(),
-                Json::Obj(
-                    spec.categories
-                        .iter()
-                        .map(|(a, c)| (a.clone(), Json::Str(c.clone())))
-                        .collect(),
-                ),
-            ),
-            ("measure".into(), Json::Str("k-anonymity".into())),
-            ("k".into(), Json::Num(4.0)),
-            ("granularity".into(), Json::Str("one-tuple".into())),
-            ("snapshot_every".into(), Json::Num(4.0)),
-        ])
-        .to_string();
+        let line = Json::Obj(submit_members(id, spec)).to_string();
         writeln!(stdin, "{line}").expect("write submit");
         stdin.flush().expect("flush");
         let mut response = String::new();
@@ -280,8 +276,12 @@ fn sigkill_of_the_whole_server_process_recovers_every_job() {
         // a fresh operator would see.
         let manifest = std::fs::read_to_string(root.join(id).join(MANIFEST_FILE))
             .expect("manifest survives the kill");
+        assert_eq!(
+            manifest,
+            spec.to_manifest_json(),
+            "{id}: manifest round-trip"
+        );
         let from_disk = JobSpec::from_manifest_json(&manifest).expect("parse manifest");
-        assert_eq!(from_disk.csv, spec.csv, "{id}: manifest csv round-trip");
         assert_eq!(
             released_bytes(&root, id),
             reference_csv(&from_disk),
@@ -330,7 +330,6 @@ fn unknown_options_exit_2_without_starting_the_server() {
 /// releases.
 #[test]
 fn specs_carrying_risk_threads_release_the_same_table() {
-    use vadasa_core::obs::json::{self, Json};
     use vadasa_server::protocol::handle_line;
 
     let with_risk_threads = |mut members: Vec<(String, Json)>| {
@@ -354,19 +353,11 @@ fn specs_carrying_risk_threads_release_the_same_table() {
     }
     let server = JobServer::start(ServerConfig::new(&root)).expect("start");
     assert_eq!(server.metrics().counter("server.recovered"), 2);
-    let text = |s: &str| Json::Str(s.into());
-    let categories = spec.categories.iter().map(|(a, c)| (a.clone(), text(c)));
-    let submit = with_risk_threads(vec![
-        ("cmd".into(), text("submit")),
-        ("id".into(), text("submitted")),
-        ("name".into(), text(&spec.name)),
-        ("csv".into(), text(&spec.csv)),
-        ("categories".into(), Json::Obj(categories.collect())),
-        ("measure".into(), text("k-anonymity")),
-        ("k".into(), Json::Num(3.0)),
-    ]);
+    let submit = with_risk_threads(submit_members("submitted", &spec));
     let (response, _) = handle_line(&server, &submit);
     assert!(response.contains("\"ok\":true"), "{response}");
+    let written = std::fs::read_to_string(root.join("submitted").join(MANIFEST_FILE));
+    assert_eq!(written.expect("submitted manifest"), manifest);
 
     let reference = reference_csv(&spec);
     for id in ["current", "legacy", "submitted"] {

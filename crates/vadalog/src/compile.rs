@@ -11,12 +11,12 @@
 //! the join binds from a row points into the row, which the frozen
 //! database keeps alive for the whole join: binding costs no copy.
 //!
-//! A [`Binding`] (variable name → value) is only materialized from a frame
-//! when something outside the engine needs one: provenance tracing and
-//! [`Router`](crate::routing::Router)s.
+//! A firing's (variable name, value) pairs are only copied out of a
+//! frame when something outside the engine needs them: provenance
+//! tracing.
 
 use crate::ast::{AggFunc, Head, Literal, Rule, Term};
-use crate::builtins::{Binding, CExpr};
+use crate::builtins::CExpr;
 use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -26,7 +26,8 @@ use std::sync::Arc;
 pub(crate) type Slot = usize;
 
 /// Slot cells an expression reads: a join's [`Frame`], or a frame of
-/// owned values (an aggregate group's, or one built from a [`Binding`]).
+/// owned values (an aggregate group's, or one built from a
+/// [`Binding`](crate::builtins::Binding)).
 pub(crate) trait SlotValues {
     /// The value of `slot`, if bound.
     fn slot(&self, slot: Slot) -> Option<&Value>;
@@ -354,11 +355,6 @@ impl<'a> Frame<'a> {
             self.slots[slot] = None;
         }
     }
-
-    /// The bound slots as a name-keyed [`Binding`].
-    pub(crate) fn binding(&self, names: &[String]) -> Binding {
-        bound_pairs(names, self.values()).collect()
-    }
 }
 
 /// The bound slots of `values` as (name, value) pairs, in slot order —
@@ -424,7 +420,10 @@ mod tests {
         frame.bind(0, Value::Int(1));
         let mark = frame.mark();
         frame.bind(1, Value::Int(2));
-        assert_eq!(frame.binding(&["X".into(), "Y".into()]).len(), 2);
+        assert_eq!(
+            bound_pairs(&["X".into(), "Y".into()], frame.values()).count(),
+            2
+        );
         frame.undo(mark);
         assert_eq!(frame.get(0), Some(&Value::Int(1)));
         assert_eq!(frame.get(1), None);

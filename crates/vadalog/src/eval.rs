@@ -21,19 +21,18 @@
 //! Steps repeat until the stratum is stable, then evaluation moves up.
 //!
 //! Rules run compiled to slots (see `compile.rs`): joins bind into a
-//! reusable frame that points into the rows it matched, and a
-//! [`Binding`] is only built for tracing or a [`Router`]. The sets a run's
+//! reusable frame that points into the rows it matched, and a firing's
+//! variable bindings are only copied out for tracing. The sets a run's
 //! rules build are looked up in one table for the run and built only
 //! when new (`SetTable`); a head fact is checked against its relation
 //! before its row is allocated.
 
 use crate::ast::{AggFunc, Atom, Fact, Head, Literal, Program, Rule};
-use crate::builtins::{Binding, CExpr, EvalError};
+use crate::builtins::{CExpr, EvalError};
 use crate::compile::{bound_pairs, CHead, CLit, CTerm, CompiledRule, Frame, HeadArg, HeadAtom};
 use crate::governor::{Budget, BudgetKind, CancelToken, Governor, StopReason, Termination};
 use crate::plan::{self, ArgOp, JoinPlan, StepOp};
 use crate::profile::{EngineProfile, RoundProfile, StratumProfile};
-use crate::routing::Router;
 use crate::storage::{Database, Relation, Row};
 use crate::stratify::{check_safety, stratify, StratifyError};
 use crate::value::{NullId, SetTable, SetVal, Value};
@@ -84,8 +83,8 @@ fn rule_refs<'p>(
 struct Firings {
     values: Vec<Value>,
     count: usize,
-    /// One binding per firing, materialized only when tracing or routing.
-    bindings: Vec<Binding>,
+    /// One binding per firing, materialized only when tracing.
+    bindings: Vec<TraceBinding>,
     counters: JoinCounters,
     /// Nanoseconds the rule's join passes took.
     join_ns: u64,
@@ -112,18 +111,6 @@ struct JoinCounters {
     scans: u64,
 }
 
-/// What to do when an EGD equates two distinct constants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EgdPolicy {
-    /// Record the violation and keep reasoning — the paper's
-    /// human-in-the-loop stance (Algorithm 1's "violations of EGD 4 …
-    /// allow for manual inspection of doubtful cases").
-    #[default]
-    Collect,
-    /// Abort the reasoning task on the first violation.
-    FailFast,
-}
-
 /// Join evaluation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinMode {
@@ -148,10 +135,6 @@ pub struct EngineConfig {
     pub max_facts: usize,
     /// Record provenance for every derived fact (costly; off by default).
     pub trace: bool,
-    /// Optional routing strategy ordering rule bindings before application.
-    pub router: Option<Box<dyn Router>>,
-    /// Behaviour on EGD constant clashes.
-    pub egd_policy: EgdPolicy,
     /// Optional telemetry sink. The engine accumulates its
     /// [`EngineProfile`] regardless (that is a handful of counters); a
     /// collector additionally receives the profile replayed as events
@@ -181,8 +164,6 @@ impl Default for EngineConfig {
             max_iterations: 100_000,
             max_facts: 50_000_000,
             trace: false,
-            router: None,
-            egd_policy: EgdPolicy::default(),
             collector: None,
             metrics: None,
             budget: Budget::default(),
@@ -198,8 +179,6 @@ impl fmt::Debug for EngineConfig {
             .field("max_iterations", &self.max_iterations)
             .field("max_facts", &self.max_facts)
             .field("trace", &self.trace)
-            .field("router", &self.router.as_ref().map(|r| r.name()))
-            .field("egd_policy", &self.egd_policy)
             .field("collector", &self.collector.is_some())
             .field("metrics", &self.metrics.is_some())
             .field("budget", &self.budget)
@@ -263,8 +242,6 @@ pub enum EngineError {
         /// Explanation.
         message: String,
     },
-    /// An EGD equated two distinct constants under [`EgdPolicy::FailFast`].
-    EgdViolation(EgdViolation),
 }
 
 impl fmt::Display for EngineError {
@@ -303,16 +280,6 @@ impl fmt::Display for EngineError {
             EngineError::MalformedAggregateRule { rule, message } => {
                 write!(f, "rule {rule} misuses aggregation: {message}")
             }
-            EngineError::EgdViolation(v) => write!(
-                f,
-                "EGD violation{}: {} ≠ {}",
-                v.rule_label
-                    .as_ref()
-                    .map(|l| format!(" [{l}]"))
-                    .unwrap_or_default(),
-                v.left,
-                v.right
-            ),
         }
     }
 }
@@ -325,8 +292,9 @@ impl From<StratifyError> for EngineError {
     }
 }
 
-/// An EGD binding that equated two distinct constants: flagged for
-/// human-in-the-loop inspection (paper §4.1).
+/// An EGD binding that equated two distinct constants: collected for
+/// human-in-the-loop inspection (paper §4.1, Algorithm 1's "violations of
+/// EGD 4 … allow for manual inspection of doubtful cases"), never fatal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EgdViolation {
     /// Label of the EGD rule, if any.
@@ -889,16 +857,12 @@ impl Engine {
                 .collect();
             let joined = Instant::now();
 
-            // Phase 3 — merge, strictly in rule order: route bindings and
-            // mint every firing's nulls (sequential and deterministic),
-            // then insert the head facts. Errors surface in rule order.
+            // Phase 3 — merge, strictly in rule order: mint every firing's
+            // nulls (sequential and deterministic), then insert the head
+            // facts. Errors surface in rule order.
             let mut minted: Vec<(RuleRef, Firings, Vec<Value>)> = Vec::with_capacity(rules.len());
             for (&r, result) in rules.iter().zip(results) {
-                let mut firings = result?;
-                if let Some(router) = &self.config.router {
-                    router.order_bindings(r.rule, &mut firings.bindings);
-                    firings.rebuild_from_bindings(r)?;
-                }
+                let firings = result?;
                 let rp = &mut profile.rules[r.idx];
                 rp.join_candidates += firings.counters.candidates;
                 rp.join_ns += firings.join_ns;
@@ -954,16 +918,10 @@ impl Engine {
                             });
                         }
                         if self.config.trace {
-                            let b = &firings.bindings[i];
                             trace.push(TraceEntry {
                                 fact: Fact::new(&*atom.pred, row.to_vec()),
                                 rule: rule_label(program, r.idx),
-                                binding: r
-                                    .compiled
-                                    .names
-                                    .iter()
-                                    .filter_map(|n| b.get(n).map(|v| (n.clone(), v.clone())))
-                                    .collect(),
+                                binding: firings.bindings[i].clone(),
                             });
                         }
                         push_row(&mut next_delta, &atom.pred, row);
@@ -1059,7 +1017,7 @@ impl Engine {
     /// panics at the rule boundary (a faulty builtin cannot take down the
     /// round). Every pass binds into the same frame; a firing appends its
     /// frontier values to the rule's buffer, plus a full binding only when
-    /// tracing or routing.
+    /// tracing.
     fn eval_one_rule(
         &self,
         program: &Program,
@@ -1076,7 +1034,6 @@ impl Engine {
                 return Ok(firings);
             };
             let names = &r.compiled.names;
-            let materialize = self.config.trace || self.config.router.is_some();
             let mut frame = r.compiled.frame();
             for plan in plans {
                 if plan.dead {
@@ -1092,8 +1049,10 @@ impl Engine {
                         firings.values.push(v.clone());
                     }
                     firings.count += 1;
-                    if materialize {
-                        firings.bindings.push(frame.binding(names));
+                    if self.config.trace {
+                        firings
+                            .bindings
+                            .push(bound_pairs(names, frame.values()).collect());
                     }
                     Ok(())
                 };
@@ -1441,9 +1400,6 @@ impl Engine {
                             left: l,
                             right: rv,
                         };
-                        if self.config.egd_policy == EgdPolicy::FailFast {
-                            return Err(EngineError::EgdViolation(viol));
-                        }
                         if !violations.contains(&viol) {
                             violations.push(viol);
                         }
@@ -1471,23 +1427,6 @@ impl Firings {
     /// The frontier values of firing `i`, for a frontier of `width` slots.
     fn frontier(&self, i: usize, width: usize) -> &[Value] {
         &self.values[i * width..(i + 1) * width]
-    }
-
-    /// Replace the frontier values by those of the (routed) bindings.
-    fn rebuild_from_bindings(&mut self, r: RuleRef) -> Result<(), EngineError> {
-        let CHead::Plain { frontier, .. } = &r.compiled.head else {
-            return Ok(());
-        };
-        self.values.clear();
-        for b in &self.bindings {
-            for &s in frontier {
-                let name = &r.compiled.names[s];
-                let v = b.get(name).ok_or_else(|| unbound_head_var(r.idx, name))?;
-                self.values.push(v.clone());
-            }
-        }
-        self.count = self.bindings.len();
-        Ok(())
     }
 }
 
@@ -2264,25 +2203,6 @@ mod tests {
         assert_eq!(a, b2);
         assert!(r.stats.unifications >= 1);
         assert!(r.violations.is_empty());
-    }
-
-    #[test]
-    fn egd_fail_fast_policy_aborts() {
-        let p = parse_program(
-            "cat(\"m\", \"a\", \"qi\"). cat(\"m\", \"a\", \"id\").\n\
-             C1 = C2 :- cat(M, A, C1), cat(M, A, C2), C1 != C2.",
-        )
-        .unwrap();
-        let engine = Engine::with_config(EngineConfig {
-            egd_policy: EgdPolicy::FailFast,
-            ..Default::default()
-        });
-        match engine.run(&p, Database::new()) {
-            Err(EngineError::EgdViolation(v)) => {
-                assert_ne!(v.left, v.right);
-            }
-            other => panic!("expected EgdViolation, got {other:?}"),
-        }
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //! - **equality-generating dependencies** (EGDs) that unify labelled nulls
 //!   or report violations for human inspection (paper Algorithm 1, Rule 4);
 //! - **wardedness analysis** ([`warded::analyze`]) as a tractability
-//!   diagnostic, and **routing strategies** ([`routing`]) ordering rule
-//!   bindings (paper §4.4 runtime heuristics).
+//!   diagnostic.
 //!
 //! ## Quick example
 //!
@@ -53,7 +52,6 @@ pub mod plan;
 pub mod printer;
 pub mod profile;
 pub mod query;
-pub mod routing;
 pub mod storage;
 pub mod stratify;
 pub mod value;
@@ -68,8 +66,8 @@ pub use backend::{
 };
 pub use builtins::{eval_expr, Binding, EvalError};
 pub use eval::{
-    EgdPolicy, EgdViolation, Engine, EngineConfig, EngineError, EvalStats, GoalRun, JoinMode,
-    MagicReport, ReasoningResult, TraceEntry,
+    EgdViolation, Engine, EngineConfig, EngineError, EvalStats, GoalRun, JoinMode, MagicReport,
+    ReasoningResult, TraceEntry,
 };
 pub use governor::{Budget, BudgetKind, CancelToken, Termination};
 pub use intern::{intern, InternStats};
@@ -82,7 +80,6 @@ pub use plan::{plan_rule, JoinPlan, PlanStep};
 pub use printer::{print_expr, print_program, print_rule};
 pub use profile::{EngineProfile, RoundProfile, RuleProfile, StratumProfile};
 pub use query::{answers, goal_slice, parse_goal, AnswerMode};
-pub use routing::{AscendingBy, DescendingBy, Fifo, Router};
 pub use storage::{Database, Relation};
 pub use stratify::{idb_predicates, stratify, Stratification, StratifyError};
 pub use value::{NullId, SetVal, Value};

@@ -8,16 +8,14 @@
 //! sample program under `crates/vadalog/programs/`, for Algorithm 7
 //! over fixed `tuple` facts and for Algorithms 2 + 6 (SUDA, a recursive
 //! program over set values) over a fixed table. Each case is checked
-//! plain and with
-//! provenance tracing on (both must store the same rows in the same
-//! order), and once more with a `DescendingBy` router, which reorders
-//! bindings and so has a golden of its own.
+//! plain and with provenance tracing on (both must store the same rows in
+//! the same order).
 //!
 //! The goldens live in `tests/golden/insertion_order/`. To regenerate after
 //! an intentional change: `UPDATE_GOLDEN=1 cargo test --test insertion_order`.
 
 use std::fmt::Write as _;
-use vadalog::{parse_program, Database, DescendingBy, Engine, EngineConfig, Router, Value};
+use vadalog::{parse_program, Database, Engine, EngineConfig, Value};
 use vadasa_core::programs::{alg6_suda, ALG2_TUPLE_REIFICATION, ALG7_LOCAL_SUPPRESSION};
 
 /// Fixed Algorithm 7 input: six reified tuples, three of them flagged
@@ -93,15 +91,14 @@ fn alg6_input() -> Database {
     db
 }
 
-/// One golden case: a program source and the variable its router scores.
+/// One golden case: a program source and its input.
 struct Case {
     name: &'static str,
     source: String,
     input: fn() -> Database,
-    router_var: &'static str,
 }
 
-fn sample(name: &'static str, router_var: &'static str) -> Case {
+fn sample(name: &'static str) -> Case {
     let path = format!(
         "{}/crates/vadalog/programs/{name}.vada",
         env!("CARGO_MANIFEST_DIR")
@@ -112,7 +109,6 @@ fn sample(name: &'static str, router_var: &'static str) -> Case {
         name,
         source,
         input: Database::new,
-        router_var,
     }
 }
 
@@ -130,21 +126,19 @@ fn cases() -> Vec<Case> {
         .collect();
     on_disk.sort();
     let cases = vec![
-        sample("company_control", "W"),
-        sample("kanonymity", "I"),
-        sample("skolem_identity", "P"),
-        sample("transitive_closure", "Y"),
+        sample("company_control"),
+        sample("kanonymity"),
+        sample("skolem_identity"),
+        sample("transitive_closure"),
         Case {
             name: "alg7_local_suppression",
             source: ALG7_LOCAL_SUPPRESSION.to_string(),
             input: alg7_input,
-            router_var: "I",
         },
         Case {
             name: "alg6_suda",
             source: format!("{ALG2_TUPLE_REIFICATION}{}", alg6_suda(2)),
             input: alg6_input,
-            router_var: "I",
         },
     ];
     let covered: Vec<String> = cases
@@ -170,11 +164,10 @@ fn render(db: &Database) -> String {
     out
 }
 
-fn run(case: &Case, trace: bool, router: Option<Box<dyn Router>>) -> String {
+fn run(case: &Case, trace: bool) -> String {
     let program = parse_program(&case.source).expect("golden program parses");
     let result = Engine::with_config(EngineConfig {
         trace,
-        router,
         ..EngineConfig::default()
     })
     .run(&program, (case.input)())
@@ -210,31 +203,12 @@ fn check_golden(name: &str, actual: &str) {
 #[test]
 fn insertion_order_matches_goldens_sequential_parallel_and_traced() {
     for case in cases() {
-        let plain = run(&case, false, None);
+        let plain = run(&case, false);
         check_golden(case.name, &plain);
         assert_eq!(
-            run(&case, true, None),
+            run(&case, true),
             plain,
             "{}: tracing changed the stored row order",
-            case.name
-        );
-    }
-}
-
-#[test]
-fn insertion_order_matches_goldens_under_a_router() {
-    for case in cases() {
-        let router = || -> Option<Box<dyn Router>> {
-            Some(Box::new(DescendingBy {
-                var: case.router_var.to_string(),
-            }))
-        };
-        let routed = run(&case, false, router());
-        check_golden(&format!("{}.descending", case.name), &routed);
-        assert_eq!(
-            run(&case, true, router()),
-            routed,
-            "{}: tracing changed the routed row order",
             case.name
         );
     }
