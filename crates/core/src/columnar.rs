@@ -26,11 +26,18 @@ use crate::maybe_match::{GroupStats, NullSemantics};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
+use std::sync::Arc;
 use vadalog::storage::ByHash;
 use vadalog::Value;
 
 /// "No id": ends a hash chain, marks an unmapped pattern.
 const NONE: u32 = u32::MAX;
+
+/// Slots of the largest [`IdentityMemo`] (16 bytes each).
+const MEMO_SLOTS: usize = 1 << 12;
+
+/// Slots an [`IdentityMemo`] lookup probes before it asks the dictionary.
+const MEMO_PROBES: usize = 4;
 
 /// Per-column dictionary interning each distinct cell `Value` once.
 ///
@@ -89,6 +96,85 @@ impl ColumnDict {
     /// Approximate retained heap bytes (dictionary side only).
     pub fn retained_bytes(&self) -> usize {
         self.values.len() * (std::mem::size_of::<Value>() + std::mem::size_of::<u64>())
+    }
+}
+
+/// A cell's identity: its kind, and the bits of a scalar or the address
+/// of the shared string, set or tuple it holds. Two cells alive at once
+/// with the same identity hold the very same value.
+fn identity(v: &Value) -> (u32, u64) {
+    match v {
+        Value::Bool(b) => (1, u64::from(*b)),
+        Value::Int(i) => (2, *i as u64),
+        Value::Float(f) => (3, f.to_bits()),
+        Value::Null(n) => (4, *n),
+        Value::Str(s) => (5, s.as_ptr() as usize as u64),
+        Value::Set(s) => (6, Arc::as_ptr(s) as usize as u64),
+        Value::Tuple(t) => (7, t.as_ptr() as usize as u64),
+    }
+}
+
+/// One [`IdentityMemo`] entry; kind 0 marks an empty slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct MemoSlot {
+    kind: u32,
+    code: u32,
+    bits: u64,
+}
+
+/// A memo from each cell's identity to its code in one column's
+/// [`ColumnDict`], for one encoding pass: a hit costs a multiply and a
+/// compare where the dictionary SipHashes the cell's content.
+///
+/// Sound within the pass: the table being encoded stays borrowed, so no
+/// cell it holds is freed, and two live cells share an address only when
+/// they share the allocation. A hit therefore names the value the
+/// dictionary already coded and returns that code, so codes stay in
+/// first-appearance order and the encoding is exactly the dictionary's.
+/// The memo must not outlive the pass (a freed cell's address can come
+/// back holding another value), which is why `ColumnDict` never keeps it.
+///
+/// A lookup probes at most [`MEMO_PROBES`] slots from a multiplicative
+/// hash of the identity. A miss (first sight, a crowded slot run, or a
+/// string past the interner's capacity, whose every cell has its own
+/// address) asks the dictionary, as every cell did before the memo, so no
+/// input costs more than a few extra probes per cell.
+#[derive(Debug)]
+pub(crate) struct IdentityMemo {
+    slots: Vec<MemoSlot>,
+    /// `64 - log2(slots.len())`: the product bits that pick a home slot.
+    shift: u32,
+}
+
+impl IdentityMemo {
+    /// An empty memo sized for a pass over `rows` cells of one column.
+    pub(crate) fn for_rows(rows: usize) -> Self {
+        let len = (2 * rows.min(MEMO_SLOTS))
+            .next_power_of_two()
+            .clamp(MEMO_PROBES, MEMO_SLOTS);
+        IdentityMemo {
+            slots: vec![MemoSlot::default(); len],
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    /// The code of `v` in `dict`, interning `v` when it is new there.
+    pub(crate) fn code(&mut self, dict: &mut ColumnDict, v: &Value) -> u32 {
+        let (kind, bits) = identity(v);
+        let mask = self.slots.len() - 1;
+        let home = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        for probe in 0..MEMO_PROBES {
+            let slot = &mut self.slots[(home + probe) & mask];
+            if slot.kind == kind && slot.bits == bits {
+                return slot.code;
+            }
+            if slot.kind == 0 {
+                let code = dict.intern(v);
+                *slot = MemoSlot { kind, code, bits };
+                return code;
+            }
+        }
+        dict.intern(v)
     }
 }
 

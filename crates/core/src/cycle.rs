@@ -876,6 +876,18 @@ impl<'a> AnonymizationCycle<'a> {
         self.run_with(db, dict, None)
     }
 
+    /// The journal fingerprint of a run of this cycle on `db`
+    /// ([`journal::fingerprint`]): one pass over every cell.
+    fn fingerprint(&self, db: &MicrodataDb, dict: &MetadataDictionary) -> u64 {
+        journal::fingerprint(
+            db,
+            dict,
+            &self.config,
+            self.risk.name(),
+            self.anonymizer.name(),
+        )
+    }
+
     /// Resume an interrupted journaled run: recover the journal in
     /// [`CycleConfig::journal`] (truncating any torn tail), replay the
     /// committed actions onto the newest valid snapshot or the original
@@ -890,31 +902,30 @@ impl<'a> AnonymizationCycle<'a> {
         let Some(jcfg) = &self.config.journal else {
             return Err(CycleError::Journal(JournalError::NotConfigured));
         };
-        let fp = journal::fingerprint(
-            db,
-            dict,
-            &self.config,
-            self.risk.name(),
-            self.anonymizer.name(),
-        );
+        let fp = self.fingerprint(db, dict);
         let recovery = journal::recover(jcfg, db, self.config.threshold, fp)?;
-        self.run_with(db, dict, Some(recovery))
+        self.run_with(db, dict, Some((recovery, fp)))
     }
 
     /// The loop of Algorithm 2: evaluate, select, apply, commit, until
     /// no tuple is over the threshold or a degradation trigger fires.
+    /// A resumed run passes its recovery with the fingerprint it was
+    /// recovered under, so the table is hashed once.
     fn run_with(
         &self,
         db: &MicrodataDb,
         dict: &MetadataDictionary,
-        recovery: Option<journal::Recovery>,
+        recovery: Option<(journal::Recovery, u64)>,
     ) -> Result<CycleOutcome, CycleError> {
         let run_start = Instant::now();
         let t = self.config.threshold;
         let obs = Obs::new(self.collector.as_deref());
         let step = Step::of(&self.config);
-        let resumed = recovery.is_some();
-        let r = recovery.unwrap_or_else(|| journal::fresh_recovery(db, JournalProfile::default()));
+        let (r, recovered_fp) = match recovery {
+            Some((r, fp)) => (r, Some(fp)),
+            None => (journal::fresh_recovery(db, JournalProfile::default()), None),
+        };
+        let resumed = recovered_fp.is_some();
         let mut st = LoopState {
             work: r.db,
             audit: r.audit,
@@ -935,13 +946,7 @@ impl<'a> AnonymizationCycle<'a> {
         // The write-ahead journal: one Action record per committed step,
         // one Commit per finished iteration, periodic atomic snapshots.
         if let Some(jcfg) = &self.config.journal {
-            let fp = journal::fingerprint(
-                db,
-                dict,
-                &self.config,
-                self.risk.name(),
-                self.anonymizer.name(),
-            );
+            let fp = recovered_fp.unwrap_or_else(|| self.fingerprint(db, dict));
             let begin = JournalRecord::Begin {
                 version: crate::journal::record::FORMAT_VERSION,
                 fingerprint: fp,

@@ -162,11 +162,6 @@ impl MetadataDictionary {
         Ok(())
     }
 
-    /// All registered microdata DB names.
-    pub fn db_names(&self) -> impl Iterator<Item = &str> {
-        self.dbs.keys().map(|s| s.as_str())
-    }
-
     /// Attributes (with metadata) of a microdata DB, in registration order.
     pub fn attrs(&self, db: &str) -> Result<&[(String, AttrMeta)], DictionaryError> {
         self.dbs

@@ -11,10 +11,13 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 use vadalog::Value;
 
-/// Rows per storage block of a [`MicrodataDb`].
-const BLOCK_ROWS: usize = 1024;
+/// Rows per storage block of a [`MicrodataDb`]: the unit a clone shares
+/// and a write copies.
+const BLOCK_ROWS: usize = 64;
 
 /// A schema-independent microdata table.
 #[derive(Debug, Clone)]
@@ -26,10 +29,13 @@ pub struct MicrodataDb {
     /// Column name → position.
     attr_index: HashMap<String, usize>,
     /// Row-major cells in blocks of [`BLOCK_ROWS`] rows: one allocation
-    /// per block rather than one per row. The first block grows on demand
-    /// (small tables stay small); later ones are allocated whole, so
-    /// appending never moves more than one block's cells.
-    blocks: Vec<Vec<Value>>,
+    /// per block rather than one per row. Blocks are shared copy-on-write,
+    /// so a clone copies one handle per block, and a write copies the
+    /// block it lands in only while another table still holds it. The
+    /// first block grows on demand (small tables stay small); later ones
+    /// are allocated whole, so appending never moves more than one
+    /// block's cells.
+    blocks: Vec<Arc<Vec<Value>>>,
     /// Number of rows (kept apart: a zero-width schema has no cells).
     rows: usize,
     /// Labelled-null counter for suppression.
@@ -127,10 +133,10 @@ impl MicrodataDb {
                 BLOCK_ROWS
             };
             self.blocks
-                .push(Vec::with_capacity(whole * self.attributes.len()));
+                .push(Arc::new(Vec::with_capacity(whole * self.attributes.len())));
         }
         if let Some(block) = self.blocks.last_mut() {
-            block.extend(row);
+            Arc::make_mut(block).extend(row);
         }
         self.rows += 1;
         Ok(self.rows - 1)
@@ -193,8 +199,24 @@ impl MicrodataDb {
             }
         }
         let at = (row % BLOCK_ROWS) * self.attributes.len() + col;
-        self.blocks[row / BLOCK_ROWS][at] = v;
+        Arc::make_mut(&mut self.blocks[row / BLOCK_ROWS])[at] = v;
         Ok(())
+    }
+
+    /// The row ranges, one per storage block and ascending, that this
+    /// table does not share with `other`. A row outside them holds the
+    /// very cells of `other`'s row, so comparing a table with one it was
+    /// cloned from (or that was cloned from it) needs to read only these
+    /// rows. Rows past the end of `other` are never shared.
+    pub fn unshared_rows<'a>(
+        &'a self,
+        other: &'a MicrodataDb,
+    ) -> impl Iterator<Item = Range<usize>> + 'a {
+        self.blocks
+            .iter()
+            .enumerate()
+            .filter(|(b, block)| other.blocks.get(*b).is_none_or(|o| !Arc::ptr_eq(block, o)))
+            .map(|(b, _)| b * BLOCK_ROWS..self.rows.min((b + 1) * BLOCK_ROWS))
     }
 
     /// Mint a fresh labelled null (unique within this table's lifetime).
@@ -329,6 +351,8 @@ impl<'a> Projection<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn sample() -> MicrodataDb {
         let mut db = MicrodataDb::new("t", ["id", "area", "w"]).unwrap();
@@ -431,6 +455,114 @@ mod tests {
         let mut db = MicrodataDb::new("t", ["a"]).unwrap();
         db.push_row(vec![Value::Null(5)]).unwrap();
         assert_eq!(db.fresh_null(), Value::Null(6));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random `set_cell`/`push_row` sequences on a table and on its
+        /// clones, aimed at the rows on either side of block boundaries,
+        /// never show through to the other side, and every row where the
+        /// two differ lies in a range `unshared_rows` names.
+        #[test]
+        fn writes_to_a_table_or_its_clone_never_show_through(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let width = rng.gen_range(1usize..=3);
+            let mut a = MicrodataDb::new("a", (0..width).map(|c| format!("c{c}"))).unwrap();
+            let mut model_a: Vec<Vec<Value>> = Vec::new();
+            // every written cell is new, so a leaked write cannot hide
+            let mut cell = 0i64;
+            let fresh_row = |rng: &mut StdRng, cell: &mut i64| -> Vec<Value> {
+                (0..width)
+                    .map(|_| {
+                        *cell += 1;
+                        if rng.gen_bool(0.2) { Value::Null(*cell as u64) } else { Value::Int(*cell) }
+                    })
+                    .collect()
+            };
+            for _ in 0..rng.gen_range(0..=3 * BLOCK_ROWS) {
+                let row = fresh_row(&mut rng, &mut cell);
+                a.push_row(row.clone()).unwrap();
+                model_a.push(row);
+            }
+            let (mut b, mut model_b) = (a.clone(), model_a.clone());
+            for _ in 0..rng.gen_range(0usize..60) {
+                if rng.gen_bool(0.1) {
+                    // a clone of a clone shares the blocks neither side wrote
+                    if rng.gen_bool(0.5) {
+                        (b, model_b) = (a.clone(), model_a.clone());
+                    } else {
+                        (a, model_a) = (b.clone(), model_b.clone());
+                    }
+                    continue;
+                }
+                let (db, model) = if rng.gen_bool(0.5) {
+                    (&mut a, &mut model_a)
+                } else {
+                    (&mut b, &mut model_b)
+                };
+                if model.is_empty() || rng.gen_bool(0.25) {
+                    let row = fresh_row(&mut rng, &mut cell);
+                    prop_assert_eq!(db.push_row(row.clone()), Ok(model.len()));
+                    model.push(row);
+                } else {
+                    let n = model.len();
+                    let edge = BLOCK_ROWS * rng.gen_range(1usize..=3);
+                    let r = match rng.gen_range(0u32..3) {
+                        0 => edge.saturating_sub(1).min(n - 1),
+                        1 => edge.min(n - 1),
+                        _ => rng.gen_range(0..n),
+                    };
+                    let c = rng.gen_range(0..width);
+                    cell += 1;
+                    db.set_cell(r, c, Value::Int(-cell)).unwrap();
+                    model[r][c] = Value::Int(-cell);
+                }
+            }
+            for (db, model) in [(&a, &model_a), (&b, &model_b)] {
+                prop_assert_eq!(db.len(), model.len());
+                prop_assert!(db.iter_rows().eq(model.iter().map(Vec::as_slice)));
+            }
+            let unshared: Vec<Range<usize>> = a.unshared_rows(&b).collect();
+            for (r, row) in model_a.iter().enumerate() {
+                if model_b.get(r) != Some(row) {
+                    prop_assert!(unshared.iter().any(|u| u.contains(&r)), "row {} differs", r);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clones_share_blocks_until_written() {
+        let n = 3 * BLOCK_ROWS;
+        let mut input = MicrodataDb::new("t", ["i"]).unwrap();
+        for i in 0..n as i64 {
+            input.push_row(vec![Value::Int(i)]).unwrap();
+        }
+        let mut work = input.clone();
+        assert_eq!(work.unshared_rows(&input).count(), 0);
+        work.set_cell(BLOCK_ROWS, 0, Value::Null(0)).unwrap();
+        work.set_cell(BLOCK_ROWS + 1, 0, Value::Null(1)).unwrap();
+        let unshared: Vec<_> = work.unshared_rows(&input).collect();
+        assert_eq!(unshared, vec![BLOCK_ROWS..2 * BLOCK_ROWS]);
+        assert_eq!(input.unshared_rows(&work).collect::<Vec<_>>(), unshared);
+        assert_eq!(
+            input.value(BLOCK_ROWS, "i").unwrap(),
+            &Value::Int(BLOCK_ROWS as i64)
+        );
+        // a table built apart shares nothing, and a longer one's extra
+        // rows are never shared
+        let mut apart = MicrodataDb::new("t", ["i"]).unwrap();
+        for row in input.iter_rows() {
+            apart.push_row(row.to_vec()).unwrap();
+        }
+        assert_eq!(apart.unshared_rows(&input).count(), 3);
+        work.push_row(vec![Value::Int(-1)]).unwrap();
+        assert_eq!(
+            work.unshared_rows(&input).last(),
+            Some(n..n + 1),
+            "the appended row"
+        );
     }
 
     #[test]

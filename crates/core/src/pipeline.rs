@@ -40,7 +40,6 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
-use vadalog::CancelToken;
 use vadasa_obs::metrics::MetricsRegistry;
 use vadasa_obs::Collector;
 
@@ -104,7 +103,6 @@ pub struct Vadasa {
     summary_top_n: usize,
     collector: Option<Arc<dyn Collector>>,
     metrics: Option<Arc<MetricsRegistry>>,
-    cancel: Option<CancelToken>,
     resume: bool,
 }
 
@@ -119,7 +117,6 @@ impl Default for Vadasa {
             summary_top_n: 5,
             collector: None,
             metrics: None,
-            cancel: None,
             resume: false,
         }
     }
@@ -209,13 +206,6 @@ impl Vadasa {
         self
     }
 
-    /// Attach a cooperative cancellation token: flipping it from another
-    /// thread makes the cycle degrade at the next iteration boundary.
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// Journal the anonymization cycle into `config.dir`, making an
     /// interrupted run recoverable with [`resume`](Self::resume). See
     /// [`CycleConfig::journal`].
@@ -297,9 +287,6 @@ impl Vadasa {
         }
         if let Some(metrics) = self.metrics {
             cycle = cycle.with_metrics(metrics);
-        }
-        if let Some(token) = self.cancel {
-            cycle = cycle.with_cancel(token);
         }
         let outcome = if self.resume {
             cycle.resume(db, &dict)

@@ -39,7 +39,7 @@ pub use suda::{dis_scores, minimal_sample_uniques, MsuSet, Suda};
 pub use tcloseness::TCloseness;
 
 use crate::columnar::{
-    apply_cell_change_codes, codes_match, group_stats_codes, ColumnDict, PatternIndex,
+    apply_cell_change_codes, codes_match, group_stats_codes, ColumnDict, IdentityMemo, PatternIndex,
 };
 use crate::dictionary::{Category, DictionaryError, MetadataDictionary};
 use crate::maybe_match::{GroupStats, NullSemantics};
@@ -430,12 +430,16 @@ impl MicrodataView {
 /// the per-row null bitmasks.
 type Encoded = (Vec<ColumnDict>, Vec<u32>, Vec<u64>);
 
-/// Dictionary-encode `len` rows of exactly `width ≤ 64` cells each.
+/// Dictionary-encode `len` rows of exactly `width ≤ 64` cells each. Each
+/// column's cells go through an [`IdentityMemo`] that lives for this pass
+/// only, so a repeated cell (an interned string, a shared set, a scalar)
+/// is hashed by content once per column rather than once per row.
 fn encode_rows<'a, R>(width: usize, len: usize, rows: impl Iterator<Item = R>) -> Encoded
 where
     R: Iterator<Item = &'a Value>,
 {
     let mut dicts: Vec<ColumnDict> = (0..width).map(|_| ColumnDict::new()).collect();
+    let mut memos: Vec<IdentityMemo> = (0..width).map(|_| IdentityMemo::for_rows(len)).collect();
     let mut codes: Vec<u32> = Vec::with_capacity(len * width);
     let mut null_masks: Vec<u64> = Vec::with_capacity(len);
     for cells in rows {
@@ -444,7 +448,7 @@ where
             if v.is_null() {
                 mask |= 1 << k;
             }
-            codes.push(dicts[k].intern(v));
+            codes.push(memos[k].code(&mut dicts[k], v));
         }
         null_masks.push(mask);
     }
@@ -791,6 +795,104 @@ mod tests {
         assert_eq!(v.to_rows(), rows);
         assert_eq!(v.null_cell_count(), 1);
         assert!(v.retained_bytes() > 0);
+    }
+
+    /// The plain encoder [`encode_rows`] replaced, kept as its oracle:
+    /// every cell is looked up by content.
+    fn encode_rows_plain(width: usize, rows: &[Vec<Value>]) -> Encoded {
+        let mut dicts: Vec<ColumnDict> = (0..width).map(|_| ColumnDict::new()).collect();
+        let mut codes: Vec<u32> = Vec::with_capacity(rows.len() * width);
+        let mut null_masks: Vec<u64> = Vec::with_capacity(rows.len());
+        for cells in rows {
+            let mut mask = 0u64;
+            for (k, v) in cells.iter().enumerate() {
+                if v.is_null() {
+                    mask |= 1 << k;
+                }
+                codes.push(dicts[k].intern(v));
+            }
+            null_masks.push(mask);
+        }
+        (dicts, codes, null_masks)
+    }
+
+    /// A column dictionary's values in code order, in wire encoding:
+    /// equal images mean the same values bit for bit (`Int(2)` and
+    /// `Float(2.0)`, or two NaN payloads, tell apart).
+    fn dict_images(dicts: &[ColumnDict]) -> Vec<Vec<u8>> {
+        dicts
+            .iter()
+            .map(|d| {
+                let mut out = Vec::new();
+                for v in d.values() {
+                    vadalog::frame::wire::put_value(&mut out, v);
+                }
+                out
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The memoized encoder equals the plain one (same dictionaries,
+        /// codes, null masks and pattern ids) on random tables mixing
+        /// interned and separately allocated equal strings, `Int(k)` and
+        /// `Float(k)`, NaN payloads, labelled nulls, and shared and
+        /// separately built equal sets and tuples; also when a small size
+        /// hint crowds the memo so that lookups miss.
+        #[test]
+        fn memoized_encoding_equals_the_plain_encoder(seed in 0u64..1_000_000) {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let set = |k: i64| Value::set([Value::Int(k), Value::str("s")]);
+            let shared = [set(0), Value::pair(Value::str("a"), Value::Int(1))];
+            let width = rng.gen_range(1usize..=4);
+            let rows: Vec<Vec<Value>> = (0..rng.gen_range(0usize..=300))
+                .map(|_| {
+                    (0..width)
+                        .map(|_| {
+                            let k = rng.gen_range(0i64..3);
+                            let text = ["a", "b", "c"][k as usize];
+                            match rng.gen_range(0u32..10) {
+                                0 => Value::str(text),
+                                1 => Value::Str(Arc::from(text)),
+                                2 => Value::Int(k),
+                                3 => Value::Float(k as f64),
+                                4 => Value::Float(f64::from_bits(
+                                    [0x7ff8_0000_0000_0000, 0x7ff8_0000_0000_0001, 0xfff8_0000_0000_0000]
+                                        [k as usize],
+                                )),
+                                5 => Value::Null(k as u64),
+                                6 => set(k),
+                                7 => Value::pair(Value::str(text), Value::Int(k)),
+                                _ => shared[k as usize % 2].clone(),
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let names: Vec<String> = (0..width).map(|c| format!("q{c}")).collect();
+            for sem in [NullSemantics::MaybeMatch, NullSemantics::Standard] {
+                let view = MicrodataView::from_rows(names.clone(), rows.clone(), None, sem).unwrap();
+                let oracle = MicrodataView::assemble(names.clone(), None, sem, |w| {
+                    Ok(encode_rows_plain(w, &rows))
+                })
+                .unwrap();
+                prop_assert_eq!(dict_images(&view.dicts), dict_images(&oracle.dicts));
+                prop_assert_eq!(view.codes(), oracle.codes());
+                prop_assert_eq!(view.null_masks(), oracle.null_masks());
+                for r in 0..rows.len() {
+                    prop_assert_eq!(view.pattern_of(r), oracle.pattern_of(r));
+                }
+            }
+            let hint = rng.gen_range(0..=rows.len());
+            let (dicts, codes, masks) = encode_rows(width, hint, rows.iter().map(|r| r.iter()));
+            let (plain_dicts, plain_codes, plain_masks) = encode_rows_plain(width, &rows);
+            prop_assert_eq!(dict_images(&dicts), dict_images(&plain_dicts));
+            prop_assert_eq!(codes, plain_codes);
+            prop_assert_eq!(masks, plain_masks);
+        }
     }
 
     /// Bitwise stats comparison (`==` on `f64` would accept `0.0 == -0.0`).

@@ -47,11 +47,6 @@ impl IdentityOracle {
         self.records.is_empty()
     }
 
-    /// Projected quasi-identifier matrix of the oracle.
-    pub fn qi_matrix(&self) -> Vec<Vec<Value>> {
-        self.records.iter().map(|r| r.qi.clone()).collect()
-    }
-
     /// Build an oracle from a microdata DB: every sample row becomes a
     /// respondent record (with its true `Id` and a synthetic identity), and
     /// for each row `round(weight) − 1` background look-alikes with the

@@ -293,6 +293,20 @@ mod tests {
                 r#""measure":"suda","msu":0"#,
                 "msu must be a whole number ≥ 1".into(),
             ),
+            // counts that a cast would have truncated to 0
+            (
+                r#""max_iterations":-5"#,
+                "max_iterations must be a whole number in [0, 18446744073709551615], got -5".into(),
+            ),
+            (
+                r#""max_iterations":0.5"#,
+                "max_iterations must be a whole number in [0, 18446744073709551615], got 0.5"
+                    .into(),
+            ),
+            (
+                r#""deadline_ms":-1"#,
+                "deadline_ms must be a whole number in [0, 18446744073709551615], got -1".into(),
+            ),
         ] {
             let line =
                 format!(r#"{{"cmd":"submit","id":"c3","csv":"Id,Area\n1,North\n",{field}}}"#);

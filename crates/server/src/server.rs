@@ -462,12 +462,6 @@ impl JobServer {
         st.jobs.iter().map(|(id, e)| e.report(id)).collect()
     }
 
-    /// Per-job live metrics registry (the cycle's `cycle.*` gauges).
-    pub fn job_metrics(&self, id: &str) -> Option<Arc<MetricsRegistry>> {
-        let st = self.shared.lock();
-        st.jobs.get(id).map(|e| Arc::clone(&e.metrics))
-    }
-
     /// Cancel a job. Queued/retrying jobs cancel immediately; a running
     /// job is cancelled cooperatively at its next iteration boundary.
     /// Returns `false` for unknown or already-terminal jobs.

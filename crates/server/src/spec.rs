@@ -88,6 +88,22 @@ fn number(key: &str, value: &Json) -> Result<f64, SpecError> {
         .ok_or_else(|| err(format!("{key} must be a number, got {value}")))
 }
 
+/// Member `key`'s value as a whole number in `[0, max]`, or a refusal
+/// naming the member: a negative, fractional or too large value would
+/// otherwise be truncated by the cast into its field.
+fn whole(key: &str, value: &Json, max: u64) -> Result<u64, SpecError> {
+    let n = number(key, value)?;
+    // `max as f64` rounds u64::MAX up to 2^64, the number a manifest
+    // writes for it; the cast below saturates it back
+    if n >= 0.0 && n <= max as f64 && n.fract() == 0.0 {
+        Ok(n as u64)
+    } else {
+        Err(err(format!(
+            "{key} must be a whole number in [0, {max}], got {n}"
+        )))
+    }
+}
+
 /// Member `key`'s value as a name its type's `parse` knows; any other
 /// name is refused as an unknown `what`.
 fn named<T>(
@@ -442,8 +458,9 @@ impl JobSpec {
     /// `semantics`, `max_iterations`, `deadline_ms`, `sync` with
     /// `sync_n`, `snapshot_every` and `storage`. An absent member keeps
     /// the spec's value, and `null` clears `batch`, `deadline_ms` and
-    /// `snapshot_every`. A member of the wrong type, or a name no version
-    /// wrote, is refused; members it does not know are ignored.
+    /// `snapshot_every`. A member of the wrong type, a name no version
+    /// wrote, or a count that is not a whole number its field holds is
+    /// refused; members it does not know are ignored.
     pub fn read_knobs(&mut self, obj: &Json) -> Result<(), SpecError> {
         let Json::Obj(members) = obj else {
             return Err(err(format!("expected a JSON object, got {obj}")));
@@ -465,15 +482,19 @@ impl JobSpec {
                 ("semantics", _) => {
                     self.semantics = named(key, v, "null semantics", NullSemantics::parse)?
                 }
-                ("max_iterations", _) => self.max_iterations = number(key, v)? as usize,
+                ("max_iterations", _) => {
+                    self.max_iterations = whole(key, v, usize::MAX as u64)? as usize
+                }
                 ("deadline_ms", Json::Null) => self.deadline = None,
                 ("deadline_ms", _) => {
-                    self.deadline = Some(Duration::from_millis(number(key, v)? as u64))
+                    self.deadline = Some(Duration::from_millis(whole(key, v, u64::MAX)?))
                 }
                 ("sync", _) => sync = Some(string(key, v)?),
-                ("sync_n", _) => sync_n = Some(number(key, v)? as u32),
+                ("sync_n", _) => sync_n = Some(whole(key, v, u32::MAX.into())? as u32),
                 ("snapshot_every", Json::Null) => self.snapshot_every = None,
-                ("snapshot_every", _) => self.snapshot_every = Some(number(key, v)? as u32),
+                ("snapshot_every", _) => {
+                    self.snapshot_every = Some(whole(key, v, u32::MAX.into())? as u32)
+                }
                 ("storage", _) => {
                     self.storage = named(key, v, "storage engine", StorageEngine::parse)?
                 }
@@ -789,10 +810,58 @@ pub(crate) mod tests {
                 Some(Json::Null),
                 "threshold must be a number, got null",
             ),
+            // counts that a cast would have truncated to 0
+            (
+                "max_iterations",
+                Some(Json::Num(-5.0)),
+                "max_iterations must be a whole number in [0, 18446744073709551615], got -5",
+            ),
+            (
+                "max_iterations",
+                Some(Json::Num(0.5)),
+                "max_iterations must be a whole number in [0, 18446744073709551615], got 0.5",
+            ),
+            (
+                "deadline_ms",
+                Some(Json::Num(-1.0)),
+                "deadline_ms must be a whole number in [0, 18446744073709551615], got -1",
+            ),
+            (
+                "sync_n",
+                Some(Json::Num(4294967296.0)),
+                "sync_n must be a whole number in [0, 4294967295], got 4294967296",
+            ),
+            (
+                "snapshot_every",
+                Some(Json::Num(-3.0)),
+                "snapshot_every must be a whole number in [0, 4294967295], got -3",
+            ),
         ] {
             let e = read(manifest_with(&spec(), key, value)).unwrap_err();
             assert!(e.message.contains(reason), "{key}: {e}");
         }
+        // the largest count each field holds reads back
+        let most = with(|s| {
+            s.max_iterations = usize::MAX;
+            s.deadline = Some(Duration::from_millis(u64::MAX));
+            s.sync = SyncPolicy::EveryN(u32::MAX);
+            s.snapshot_every = Some(u32::MAX);
+        });
+        let back = JobSpec::from_manifest_json(&most.to_manifest_json()).unwrap();
+        assert_eq!(
+            (
+                back.max_iterations,
+                back.deadline,
+                back.sync,
+                back.snapshot_every
+            ),
+            (
+                most.max_iterations,
+                most.deadline,
+                most.sync,
+                most.snapshot_every
+            )
+        );
     }
 
     #[test]

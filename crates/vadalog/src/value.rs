@@ -381,13 +381,6 @@ impl Value {
         Value::Str(crate::intern::intern(s.as_ref()))
     }
 
-    /// String constructor that bypasses the interner. Use for strings that
-    /// are known to be transient or unbounded in variety (interned entries
-    /// live for the process lifetime, up to the interner's capacity cap).
-    pub fn str_uninterned(s: impl AsRef<str>) -> Self {
-        Value::Str(Arc::from(s.as_ref()))
-    }
-
     /// Convenience constructor for a pair `(a, b)`.
     pub fn pair(a: Value, b: Value) -> Self {
         Value::Tuple(Arc::new([a, b]))
