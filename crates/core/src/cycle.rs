@@ -304,6 +304,11 @@ pub struct IterationRecord {
     pub risk_eval_ns: u64,
     /// Wall-clock nanoseconds of the whole iteration.
     pub dur_ns: u64,
+    /// Wall-clock nanoseconds of the iteration boundary that follows the
+    /// iteration: its `Progress` and `Commit` records, and a due snapshot
+    /// with its warm artifact. Zero on unjournaled runs and on the record
+    /// the run ended on.
+    pub commit_ns: u64,
 }
 
 /// Warm-start telemetry: how much work the incremental path saved (and
@@ -345,6 +350,9 @@ pub struct CycleProfile {
     pub risk_eval_ns: u64,
     /// Total wall-clock nanoseconds of the run.
     pub total_ns: u64,
+    /// Wall-clock nanoseconds of the degradation fallback (zero when the
+    /// run did not degrade).
+    pub fallback_ns: u64,
     /// The degradation event, when the run fell back to
     /// [`degrade::suppress_all_risky`] — a first-class part of the
     /// profile, replayed to collectors as a `cycle.fallback` event.
@@ -367,19 +375,28 @@ impl CycleProfile {
 
     /// Replay the profile into a collector as an explicitly placed trace
     /// tree: one `cycle.run` root covering the whole run, one
-    /// `cycle.iteration` child per record at its cumulative offset, and
-    /// one `cycle.iter.risk_eval` grandchild carrying each iteration's
-    /// risk-evaluation share. Child intervals are clamped into their
-    /// parent's, so exporters always see properly nested spans.
+    /// `cycle.iteration` child per record, one `cycle.iter.risk_eval`
+    /// grandchild carrying each iteration's risk-evaluation share, a
+    /// `cycle.commit` child after each iteration whose boundary took time,
+    /// and a `cycle.fallback` child after the last one when the run
+    /// degraded. Iterations and boundaries are laid end to end from the
+    /// run's start, so each sits at its offset among them. Child
+    /// intervals are clamped into their parent's, so exporters always see
+    /// properly nested spans; zero-time boundaries and fallbacks emit
+    /// nothing.
     pub fn emit(&self, obs: &Obs<'_>) {
         if !obs.enabled() {
             return;
         }
         let run_id = next_span_id();
         let mut cursor = 0u64;
+        // A child of the run at `start` for `dur`, clamped into the run.
+        let place = |start: u64, dur: u64| {
+            let start = start.min(self.total_ns);
+            (start, dur.min(self.total_ns - start))
+        };
         for r in &self.iterations {
-            let start = cursor.min(self.total_ns);
-            let dur = r.dur_ns.min(self.total_ns - start);
+            let (start, dur) = place(cursor, r.dur_ns);
             let iter_id = next_span_id();
             obs.span_in(
                 "cycle.iteration",
@@ -410,6 +427,29 @@ impl CycleProfile {
                 fields!["iteration" => r.iteration],
             );
             cursor = cursor.saturating_add(r.dur_ns);
+            if r.commit_ns > 0 {
+                let (start, dur) = place(cursor, r.commit_ns);
+                obs.span_in(
+                    "cycle.commit",
+                    next_span_id(),
+                    run_id,
+                    start,
+                    dur,
+                    fields!["iteration" => r.iteration],
+                );
+                cursor = cursor.saturating_add(r.commit_ns);
+            }
+        }
+        if self.fallback_ns > 0 {
+            let (start, dur) = place(cursor, self.fallback_ns);
+            obs.span_in(
+                "cycle.fallback",
+                next_span_id(),
+                run_id,
+                start,
+                dur,
+                fields![],
+            );
         }
         obs.span_in(
             "cycle.risk_eval",
@@ -543,6 +583,10 @@ pub enum CycleError {
     /// mismatched or unusable journal, or an I/O error occurred under
     /// [`crate::journal::IoErrorPolicy::Fail`].
     Journal(JournalError),
+    /// The configuration protects nothing, e.g. a threshold outside
+    /// [0, 1]; refused before any journal file is touched. The message is
+    /// [`check_threshold`]'s.
+    Invalid(String),
 }
 
 impl fmt::Display for CycleError {
@@ -562,6 +606,7 @@ impl fmt::Display for CycleError {
                 write!(f, "plug-in {plugin} panicked: {message}")
             }
             CycleError::Journal(e) => write!(f, "{e}"),
+            CycleError::Invalid(why) => write!(f, "{why}"),
         }
     }
 }
@@ -735,8 +780,9 @@ enum LoopEnd {
     /// Risk ≤ `T` everywhere (modulo exhausted tuples).
     Converged(RiskReport),
     /// A degradation trigger fired; `still_risky` is known when it fired
-    /// inside an iteration (the cap, or a faulty anonymizer step).
-    Trigger(DegradeTrigger, Option<usize>),
+    /// inside an iteration (the cap, or a faulty anonymizer step), and the
+    /// report is the evaluation the cap fired on.
+    Trigger(DegradeTrigger, Option<usize>, Option<RiskReport>),
 }
 
 /// One run's state across iterations: the working table and its
@@ -868,11 +914,15 @@ impl<'a> AnonymizationCycle<'a> {
     /// (an existing one is refused with
     /// [`JournalError::AlreadyExists`] — use
     /// [`resume`](Self::resume) for that).
+    ///
+    /// A threshold outside [0, 1] is refused with [`CycleError::Invalid`]
+    /// before anything runs.
     pub fn run(
         &self,
         db: &MicrodataDb,
         dict: &MetadataDictionary,
     ) -> Result<CycleOutcome, CycleError> {
+        check_threshold(self.config.threshold).map_err(CycleError::Invalid)?;
         self.run_with(db, dict, None)
     }
 
@@ -893,12 +943,14 @@ impl<'a> AnonymizationCycle<'a> {
     /// committed actions onto the newest valid snapshot or the original
     /// table, and continue the cycle to its end. The outcome — final
     /// table, risk report, audit trail — is bit-identical to a run that
-    /// was never interrupted.
+    /// was never interrupted. A threshold outside [0, 1] is refused, as
+    /// by [`run`](Self::run), before the journal is read.
     pub fn resume(
         &self,
         db: &MicrodataDb,
         dict: &MetadataDictionary,
     ) -> Result<CycleOutcome, CycleError> {
+        check_threshold(self.config.threshold).map_err(CycleError::Invalid)?;
         let Some(jcfg) = &self.config.journal else {
             return Err(CycleError::Journal(JournalError::NotConfigured));
         };
@@ -996,7 +1048,7 @@ impl<'a> AnonymizationCycle<'a> {
 
         let end = loop {
             if let Some(trigger) = self.interrupted(run_start) {
-                break LoopEnd::Trigger(trigger, None);
+                break LoopEnd::Trigger(trigger, None, None);
             }
             let start = Instant::now();
             let view = match &mut live {
@@ -1011,7 +1063,7 @@ impl<'a> AnonymizationCycle<'a> {
             let t0 = Instant::now();
             let report = match self.evaluate(&mut st, view)? {
                 Ok(report) => report,
-                Err(trigger) => break LoopEnd::Trigger(trigger, None),
+                Err(trigger) => break LoopEnd::Trigger(trigger, None, None),
             };
             let risk_eval_ns = t0.elapsed().as_nanos() as u64;
             let risky: Vec<usize> = report
@@ -1030,8 +1082,12 @@ impl<'a> AnonymizationCycle<'a> {
             }
             if st.iterations >= self.config.max_iterations {
                 it.record.heuristic = "iteration cap hit".to_string();
-                st.close(it);
-                break LoopEnd::Trigger(DegradeTrigger::IterationCap, Some(risky.len()));
+                let report = st.close(it);
+                break LoopEnd::Trigger(
+                    DegradeTrigger::IterationCap,
+                    Some(risky.len()),
+                    Some(report),
+                );
             }
             let still_risky = risky.len();
             let targets = self.select(step, risky, &it.report, view, &mut it.record);
@@ -1039,10 +1095,19 @@ impl<'a> AnonymizationCycle<'a> {
             let faulted = self.apply(&mut st, view, dict, &mut it, targets, batched)?;
             st.close(it);
             if let Some(trigger) = faulted {
-                break LoopEnd::Trigger(trigger, Some(still_risky));
+                // The faulty step may have written the table without
+                // patching the view: the fallback builds its own.
+                live = None;
+                break LoopEnd::Trigger(trigger, Some(still_risky), None);
             }
             st.iterations += 1;
-            self.commit(&mut st, db)?;
+            if st.wal.is_some() {
+                let t1 = Instant::now();
+                self.commit(&mut st, db)?;
+                if let Some(record) = st.profile.iterations.last_mut() {
+                    record.commit_ns = t1.elapsed().as_nanos() as u64;
+                }
+            }
         };
 
         let (report, final_risky, termination) = match end {
@@ -1054,7 +1119,7 @@ impl<'a> AnonymizationCycle<'a> {
                     .count();
                 (report, final_risky, CycleTermination::Converged)
             }
-            LoopEnd::Trigger(trigger, still_risky) => {
+            LoopEnd::Trigger(trigger, still_risky, report) => {
                 // Mark the degradation in the journal *before* the
                 // fallback mutates the table: fallback suppressions are
                 // deliberately not journaled, so a later resume truncates
@@ -1062,9 +1127,9 @@ impl<'a> AnonymizationCycle<'a> {
                 // (e.g. under a raised iteration cap) instead of
                 // replaying a cap-shaped ending.
                 if let Some(w) = st.wal.as_mut() {
-                    w.append_durable(&JournalRecord::Degraded {
+                    w.append_durable(&[JournalRecord::Degraded {
                         trigger: trigger.to_string(),
-                    })?;
+                    }])?;
                 }
                 if self.config.fallback == FallbackPolicy::Error {
                     st.seal(run_start, &obs);
@@ -1082,20 +1147,26 @@ impl<'a> AnonymizationCycle<'a> {
                         },
                     });
                 }
-                let (report, final_risky) = self.degrade(&mut st, dict, &trigger);
+                let t1 = Instant::now();
+                let (report, final_risky) =
+                    self.degrade(&mut st, live.as_mut(), report, dict, &trigger);
+                st.profile.fallback_ns = t1.elapsed().as_nanos() as u64;
                 (report, final_risky, CycleTermination::Degraded { trigger })
             }
         };
         if let Some(w) = st.wal.as_mut() {
             // final trajectory sample, so a monitor reading the journal
-            // sees the state the run ended on
-            w.append(&JournalRecord::Progress {
-                iteration: st.iterations as u64,
-                rows_at_risk: st.rows_series.last().copied().unwrap_or(0),
-            })?;
-            w.append_durable(&JournalRecord::Finished {
-                converged: termination.is_converged(),
-            })?;
+            // sees the state the run ended on, written and synced with
+            // the Finished marker
+            w.append_durable(&[
+                JournalRecord::Progress {
+                    iteration: st.iterations as u64,
+                    rows_at_risk: st.rows_series.last().copied().unwrap_or(0),
+                },
+                JournalRecord::Finished {
+                    converged: termination.is_converged(),
+                },
+            ])?;
         }
         st.seal(run_start, &obs);
         Ok(CycleOutcome {
@@ -1382,25 +1453,29 @@ impl<'a> AnonymizationCycle<'a> {
         Ok(None)
     }
 
-    /// Iteration boundary: Progress and Commit records, then a snapshot
-    /// when one is due, with the maintained group statistics persisted
-    /// beside it. A crash after the commit loses at most the
+    /// Iteration boundary: Progress and Commit records in one write, then
+    /// a snapshot when one is due, with the maintained group statistics
+    /// persisted beside it. A crash after the commit loses at most the
     /// (re-derivable) work of the next iteration.
     fn commit(&self, st: &mut LoopState, db: &MicrodataDb) -> Result<(), CycleError> {
         let Some(w) = st.wal.as_mut() else {
             return Ok(());
         };
-        w.append(&JournalRecord::Progress {
-            iteration: (st.iterations - 1) as u64,
-            rows_at_risk: st.rows_series.last().copied().unwrap_or(0),
-        })?;
-        w.append(&JournalRecord::Commit {
-            iterations: st.iterations as u64,
-            nulls_injected: st.nulls_injected as u64,
-            recodings: st.recodings as u64,
-            initial_risky: st.initial_risky as u64,
-            exhausted: st.exhausted.len() as u64,
-        })?;
+        // The Progress sample rides in the Commit's write: recovery keeps
+        // it only ahead of a Commit anyway.
+        w.append_all(&[
+            JournalRecord::Progress {
+                iteration: (st.iterations - 1) as u64,
+                rows_at_risk: st.rows_series.last().copied().unwrap_or(0),
+            },
+            JournalRecord::Commit {
+                iterations: st.iterations as u64,
+                nulls_injected: st.nulls_injected as u64,
+                recodings: st.recodings as u64,
+                initial_risky: st.initial_risky as u64,
+                exhausted: st.exhausted.len() as u64,
+            },
+        ])?;
         let due = self
             .config
             .journal
@@ -1435,23 +1510,34 @@ impl<'a> AnonymizationCycle<'a> {
 
     /// Graceful degradation: guarantee the risk bound by suppressing every
     /// quasi-identifier of every still-risky tuple, recorded in the audit
-    /// log and profile. Returns the final report and the tuples it leaves
-    /// over the threshold.
+    /// log and profile. The fallback works on the cycle's live view when
+    /// it is in step with the table, starting from `report` (the
+    /// evaluation the cap fired on) when there is one; otherwise it builds
+    /// a view of its own. Returns the final report and the tuples it
+    /// leaves over the threshold.
     fn degrade(
         &self,
         st: &mut LoopState,
+        live: Option<&mut MicrodataView>,
+        report: Option<RiskReport>,
         dict: &MetadataDictionary,
         trigger: &DegradeTrigger,
     ) -> (RiskReport, usize) {
         let t = self.config.threshold;
-        let summary = degrade::suppress_all_risky(
-            &mut st.work,
-            dict,
-            self.risk,
-            t,
-            self.config.semantics,
-            Some((&mut st.audit, st.iterations)),
-        );
+        let audit = Some((&mut st.audit, st.iterations));
+        let summary = match live {
+            Some(view) => {
+                degrade::suppress_risky_on(&mut st.work, view, self.risk, t, report, audit)
+            }
+            None => degrade::suppress_all_risky(
+                &mut st.work,
+                dict,
+                self.risk,
+                t,
+                self.config.semantics,
+                audit,
+            ),
+        };
         st.nulls_injected += summary.cells_suppressed;
         if st.iterations == 0 && st.initial_risky == 0 {
             // the trigger fired before the first evaluation; the
@@ -1765,6 +1851,53 @@ mod tests {
             Err(CycleError::DidNotConverge { still_risky, .. }) => assert!(still_risky > 0),
             other => panic!("expected DidNotConverge, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn thresholds_outside_the_unit_interval_are_refused_before_the_journal() {
+        let (db, dict) = fig5_db();
+        let risk = KAnonymity::new(2);
+        let anon = LocalSuppression::default();
+        let dir = std::env::temp_dir().join(format!("vadasa-cycle-nan-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cycle = |threshold: f64| {
+            let config = CycleConfig {
+                threshold,
+                journal: Some(JournalConfig::new(&dir)),
+                ..CycleConfig::default()
+            };
+            AnonymizationCycle::new(&risk, &anon, config)
+        };
+        let refused = |r: Result<CycleOutcome, CycleError>, t: f64| match r {
+            Err(CycleError::Invalid(why)) => assert_eq!(Err(why), check_threshold(t)),
+            other => panic!("threshold {t}: expected a refusal, got {other:?}"),
+        };
+        for t in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.0 + f64::EPSILON,
+            -0.0001,
+        ] {
+            refused(cycle(t).run(&db, &dict), t);
+            assert!(
+                !dir.exists(),
+                "threshold {t}: run created the journal directory"
+            );
+        }
+        // A resume is refused before recovery reads or truncates the
+        // journal.
+        cycle(0.5).run(&db, &dict).unwrap();
+        let journal = std::fs::read(dir.join(crate::journal::JOURNAL_FILE)).unwrap();
+        let torn = &journal[..journal.len() - 3];
+        std::fs::write(dir.join(crate::journal::JOURNAL_FILE), torn).unwrap();
+        for t in [f64::NAN, 2.0] {
+            refused(cycle(t).resume(&db, &dict), t);
+            let after = std::fs::read(dir.join(crate::journal::JOURNAL_FILE)).unwrap();
+            assert_eq!(after, torn, "threshold {t}: resume touched the journal");
+        }
+        assert!(cycle(0.5).resume(&db, &dict).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! converges. Under [`NullSemantics::Standard`] fresh nulls only equal
 //! their own label, so a fully-suppressed singleton can stay "risky" by
 //! the letter of the measure; the fallback then reports the residual
-//! honestly instead of looping.
+//! honestly instead of looping. The loop runs on one view of the table,
+//! patched after each suppression: [`suppress_all_risky`] builds it, and
+//! the cycle passes its own live view (and, at the iteration cap, the
+//! evaluation the cap fired on) instead.
 //!
 //! The function is deliberately *total*: it returns a [`DegradeSummary`]
 //! in every case and converts internal failures (a risk measure that
@@ -114,7 +117,7 @@ pub struct FallbackRecord {
 }
 
 /// What [`suppress_all_risky`] did and verified.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DegradeSummary {
     /// Suppress-and-reverify passes performed.
     pub passes: usize,
@@ -131,45 +134,104 @@ pub struct DegradeSummary {
     pub final_report: Option<RiskReport>,
 }
 
-/// Suppress every non-null quasi-identifier cell of `row`, recording each
-/// suppression as an audited decision when a log is provided. Returns the
-/// number of cells suppressed.
-fn suppress_row(
-    db: &mut MicrodataDb,
-    qis: &[String],
-    row: usize,
-    risk_score: f64,
+/// One fallback run's bookkeeping: the columns it suppresses, the audit
+/// log it records into, and the summary it builds.
+struct Fallback<'a> {
+    qis: Vec<String>,
+    measure: String,
     threshold: f64,
-    measure: &str,
-    audit: &mut Option<(&mut AuditLog, usize)>,
-) -> usize {
-    let mut cells = 0usize;
-    for attr in qis {
-        let previous = match db.value(row, attr) {
-            Ok(v) if !v.is_null() => v.clone(),
-            _ => continue,
-        };
-        let null = db.fresh_null();
-        if db.set_value(row, attr, null).is_err() {
-            continue;
-        }
-        cells += 1;
-        if let Some((log, iteration)) = audit.as_mut() {
-            log.record(Decision {
-                iteration: *iteration,
-                row,
-                measure: measure.to_string(),
-                risk: risk_score,
-                threshold,
-                action: AnonymizationAction::Suppress {
-                    row,
-                    attr: attr.clone(),
-                    previous,
-                },
-            });
+    audit: Option<(&'a mut AuditLog, usize)>,
+    touched: HashSet<usize>,
+    summary: DegradeSummary,
+}
+
+impl<'a> Fallback<'a> {
+    fn new(
+        qis: Vec<String>,
+        risk: &dyn RiskMeasure,
+        threshold: f64,
+        audit: Option<(&'a mut AuditLog, usize)>,
+    ) -> Self {
+        Fallback {
+            qis,
+            measure: risk.name().to_string(),
+            threshold,
+            audit,
+            touched: HashSet::new(),
+            summary: DegradeSummary::default(),
         }
     }
-    cells
+
+    /// Suppress every non-null quasi-identifier cell of `row` in `db` and
+    /// in the view kept in step with it, if any, recording each
+    /// suppression as an audited decision when a log is provided. Returns
+    /// the number of cells suppressed.
+    fn suppress_row(
+        &mut self,
+        db: &mut MicrodataDb,
+        mut view: Option<&mut MicrodataView>,
+        row: usize,
+        risk_score: f64,
+    ) -> usize {
+        let mut cells = 0usize;
+        for (col, attr) in self.qis.iter().enumerate() {
+            let previous = match db.value(row, attr) {
+                Ok(v) if !v.is_null() => v.clone(),
+                _ => continue,
+            };
+            let null = db.fresh_null();
+            if db.set_value(row, attr, null.clone()).is_err() {
+                continue;
+            }
+            if let Some(view) = view.as_deref_mut() {
+                view.patch_cell(row, col, &null, None);
+            }
+            cells += 1;
+            if let Some((log, iteration)) = self.audit.as_mut() {
+                log.record(Decision {
+                    iteration: *iteration,
+                    row,
+                    measure: self.measure.clone(),
+                    risk: risk_score,
+                    threshold: self.threshold,
+                    action: AnonymizationAction::Suppress {
+                        row,
+                        attr: attr.clone(),
+                        previous,
+                    },
+                });
+            }
+        }
+        if cells > 0 {
+            self.touched.insert(row);
+            self.summary.cells_suppressed += cells;
+        }
+        cells
+    }
+
+    /// End with `report` as the verification and `residual` tuples still
+    /// over the threshold.
+    fn end(mut self, report: Option<RiskReport>, residual: usize) -> DegradeSummary {
+        self.summary.rows_suppressed = self.touched.len();
+        self.summary.residual_risky = residual;
+        self.summary.final_report = report;
+        self.summary
+    }
+
+    /// The fail-closed ending: the risk bound cannot be verified, so
+    /// suppress every quasi-identifier cell of every row and report the
+    /// whole table as unverified.
+    fn fail_closed(
+        mut self,
+        db: &mut MicrodataDb,
+        mut view: Option<&mut MicrodataView>,
+    ) -> DegradeSummary {
+        for row in 0..db.len() {
+            self.suppress_row(db, view.as_deref_mut(), row, 1.0);
+        }
+        let rows = db.len();
+        self.end(None, rows)
+    }
 }
 
 /// The safety-first fallback: local-suppress every quasi-identifier of
@@ -178,93 +240,79 @@ fn suppress_row(
 ///
 /// Total by design — it never returns an error and never panics:
 ///
-/// - a risk measure that fails or panics during re-verification triggers
-///   the **fail-closed** path (suppress all quasi-identifier cells of all
-///   rows, return `final_report: None`);
+/// - a view that cannot be built, or a risk measure that fails or panics
+///   during re-verification, triggers the **fail-closed** path (suppress
+///   all quasi-identifier cells of all rows, return `final_report: None`);
 /// - a row or cell that cannot be touched is skipped, not fatal;
 /// - passes are bounded by the table size, so the loop always ends.
 ///
 /// When `audit` is provided every suppression is recorded as a
 /// [`Decision`] under the given iteration ordinal, keeping the fallback
 /// as explainable as the normal cycle.
+///
+/// This builds the view of `db` and runs the fallback loop on it; the
+/// cycle runs the same loop on its live view.
 pub fn suppress_all_risky(
     db: &mut MicrodataDb,
     dict: &MetadataDictionary,
     risk: &dyn RiskMeasure,
     threshold: f64,
     semantics: NullSemantics,
-    mut audit: Option<(&mut AuditLog, usize)>,
+    audit: Option<(&mut AuditLog, usize)>,
 ) -> DegradeSummary {
-    let qis = dict.quasi_identifiers(&db.name).unwrap_or_default();
-    let measure = risk.name().to_string();
-    let mut summary = DegradeSummary {
-        passes: 0,
-        rows_suppressed: 0,
-        cells_suppressed: 0,
-        residual_risky: 0,
-        final_report: None,
-    };
-    if qis.is_empty() {
-        // No quasi-identifiers: nothing to suppress and no QI-based risk.
-        summary.final_report = evaluate_guarded(db, dict, risk, semantics);
-        summary.residual_risky = match &summary.final_report {
-            Some(r) => r.risky_tuples(threshold).len(),
-            None => db.len(),
-        };
-        return summary;
+    match MicrodataView::from_db_with(db, dict, semantics, None) {
+        Ok(mut view) => suppress_risky_on(db, &mut view, risk, threshold, None, audit),
+        Err(_) => {
+            // Without a view no risk can be verified: fail closed, in one
+            // pass when there is anything to suppress.
+            let qis = dict.quasi_identifiers(&db.name).unwrap_or_default();
+            let mut fallback = Fallback::new(qis, risk, threshold, audit);
+            fallback.summary.passes = usize::from(!fallback.qis.is_empty());
+            fallback.fail_closed(db, None)
+        }
     }
+}
 
-    let mut touched: HashSet<usize> = HashSet::new();
+/// The fallback loop of [`suppress_all_risky`] on `view`, which must be
+/// in step with `db`: each suppression is patched into the view, and
+/// each pass re-evaluates on it. `first`, when given, is a current
+/// evaluation of `view` and stands in for the first pass's.
+pub(crate) fn suppress_risky_on(
+    db: &mut MicrodataDb,
+    view: &mut MicrodataView,
+    risk: &dyn RiskMeasure,
+    threshold: f64,
+    mut first: Option<RiskReport>,
+    audit: Option<(&mut AuditLog, usize)>,
+) -> DegradeSummary {
+    let mut fallback = Fallback::new(view.qi_names.clone(), risk, threshold, audit);
     // Each pass fully suppresses the risky rows it sees, so `rows + 1`
     // passes suffice even if suppression exposes new risky rows (possible
     // under Standard semantics, where a null shrinks its old group).
     let max_passes = db.len() + 1;
 
     loop {
-        summary.passes += 1;
-        let Some(report) = evaluate_guarded(db, dict, risk, semantics) else {
-            // Fail-closed: the measure is unusable, so the risk bound
-            // cannot be verified. Suppress every QI cell of every row and
-            // report the table as unverified.
-            for row in 0..db.len() {
-                let cells = suppress_row(db, &qis, row, 1.0, threshold, &measure, &mut audit);
-                if cells > 0 {
-                    touched.insert(row);
-                    summary.cells_suppressed += cells;
-                }
-            }
-            summary.rows_suppressed = touched.len();
-            summary.residual_risky = db.len();
-            summary.final_report = None;
-            return summary;
+        fallback.summary.passes += 1;
+        let Some(report) = first.take().or_else(|| evaluate_guarded(view, risk)) else {
+            return fallback.fail_closed(db, Some(view));
         };
 
         let risky = report.risky_tuples(threshold);
         if risky.is_empty() {
-            summary.rows_suppressed = touched.len();
-            summary.residual_risky = 0;
-            summary.final_report = Some(report);
-            return summary;
+            return fallback.end(Some(report), 0);
         }
 
         let mut suppressed_this_pass = 0usize;
         for &row in &risky {
             let score = report.risks.get(row).copied().unwrap_or(1.0);
-            let cells = suppress_row(db, &qis, row, score, threshold, &measure, &mut audit);
-            if cells > 0 {
-                touched.insert(row);
-                suppressed_this_pass += cells;
-            }
+            suppressed_this_pass += fallback.suppress_row(db, Some(view), row, score);
         }
-        summary.cells_suppressed += suppressed_this_pass;
 
-        if suppressed_this_pass == 0 || summary.passes >= max_passes {
+        if suppressed_this_pass == 0 || fallback.summary.passes >= max_passes {
             // Nothing suppressible remains (every risky tuple is already
             // fully suppressed) — report the residual honestly.
-            summary.rows_suppressed = touched.len();
-            summary.residual_risky = risky.len();
-            summary.final_report = Some(report);
-            return summary;
+            let residual = risky.len();
+            return fallback.end(Some(report), residual);
         }
     }
 }
@@ -281,16 +329,10 @@ pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Evaluate `risk` over the current table, absorbing both errors and
-/// panics into `None` (the fail-closed signal).
-fn evaluate_guarded(
-    db: &MicrodataDb,
-    dict: &MetadataDictionary,
-    risk: &dyn RiskMeasure,
-    semantics: NullSemantics,
-) -> Option<RiskReport> {
-    let view = MicrodataView::from_db_with(db, dict, semantics, None).ok()?;
-    match catch_unwind(AssertUnwindSafe(|| risk.evaluate(&view))) {
+/// Evaluate `risk` over `view`, absorbing both errors and panics into
+/// `None` (the fail-closed signal).
+fn evaluate_guarded(view: &MicrodataView, risk: &dyn RiskMeasure) -> Option<RiskReport> {
+    match catch_unwind(AssertUnwindSafe(|| risk.evaluate(view))) {
         Ok(Ok(report)) => Some(report),
         Ok(Err(_)) | Err(_) => None,
     }

@@ -34,14 +34,21 @@ use vadalog::frame::Fnv1a;
 /// Name of the write-ahead journal file inside the journal directory.
 pub const JOURNAL_FILE: &str = "journal.wal";
 
-/// When the journal writer calls `fsync`.
+/// When the journal writer calls `fsync`. Each write of the writer is a
+/// durable point and costs at most one fsync: the header, an `Action`,
+/// a `Progress` sample with the `Commit` it precedes, a `Snapshot`
+/// record, `Degraded`, and the final `Progress` with `Finished`. The last
+/// three are synced under every policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
-    /// After every record — maximal durability, maximal overhead.
+    /// After every write — each `Action` as it is written, each iteration
+    /// boundary as one write. Maximal durability, maximal overhead.
     #[default]
     EveryRecord,
-    /// After every `n` unsynced records (and on every snapshot). A crash
-    /// can lose at most the last `n` records; recovery re-derives them.
+    /// After a write that leaves `n` or more records unsynced (and on
+    /// every snapshot): no call returns with `n` records unsynced. A crash
+    /// can lose the write in flight and the fewer than `n` records before
+    /// it; recovery re-derives them.
     EveryN(u32),
     /// Only when a snapshot is written. Cheapest; a crash rolls back to
     /// the last snapshot-or-sync point and recovery re-derives the rest.
@@ -210,7 +217,11 @@ pub struct JournalProfile {
     pub records_written: u64,
     /// Bytes appended to the journal file.
     pub bytes_written: u64,
-    /// `fsync` calls issued on the journal/snapshot files.
+    /// `fsync` calls issued on the journal file: one per durable point
+    /// (the header, each `Action`, each `Progress` + `Commit`, each
+    /// `Snapshot` record, `Degraded`, and `Progress` + `Finished` under
+    /// [`SyncPolicy::EveryRecord`]). A snapshot file's own fsync, made by
+    /// its atomic write, is not counted here.
     pub fsyncs: u64,
     /// `fsync` calls issued on the journal *directory* (after creating
     /// `journal.wal` and after renaming a snapshot into place), so the
@@ -401,34 +412,52 @@ impl JournalWriter {
 
     /// Append one record, honouring the sync policy.
     pub fn append(&mut self, rec: &JournalRecord) -> Result<(), JournalError> {
-        let Some(io) = self.io.as_mut() else {
-            return Ok(());
-        };
-        let frame = rec.encode();
-        if let Err(e) = io.append(&frame) {
-            return self.on_error(e, "appending journal record");
-        }
-        self.profile.records_written += 1;
-        self.profile.bytes_written += frame.len() as u64;
-        self.unsynced += 1;
-        match self.cfg.sync {
-            SyncPolicy::EveryRecord => self.sync_now(),
-            SyncPolicy::EveryN(n) => {
-                if self.unsynced >= n.max(1) {
-                    self.sync_now()
-                } else {
-                    Ok(())
-                }
-            }
-            SyncPolicy::OnSnapshot => Ok(()),
-        }
+        self.write(std::slice::from_ref(rec), false)
     }
 
-    /// Append one record and force durability regardless of policy —
-    /// used for the terminal `Degraded`/`Finished` markers.
-    pub fn append_durable(&mut self, rec: &JournalRecord) -> Result<(), JournalError> {
-        self.append(rec)?;
-        self.sync_now()
+    /// Append `recs` as one write with one sync decision under the sync
+    /// policy — a `Progress` sample with the `Commit` it precedes. The
+    /// bytes are the same as one [`append`](Self::append) per record.
+    pub fn append_all(&mut self, recs: &[JournalRecord]) -> Result<(), JournalError> {
+        self.write(recs, false)
+    }
+
+    /// Append `recs` as one write and make them durable regardless of
+    /// policy, with one fsync — used for the terminal `Degraded` and
+    /// `Progress` + `Finished` records.
+    pub fn append_durable(&mut self, recs: &[JournalRecord]) -> Result<(), JournalError> {
+        self.write(recs, true)
+    }
+
+    /// The one append path: a single `append` call on the sink, then at
+    /// most one fsync — when `durable` asks for it or the policy is due.
+    /// A durable point therefore costs one fsync, never a second one on a
+    /// file the first already made clean.
+    fn write(&mut self, recs: &[JournalRecord], durable: bool) -> Result<(), JournalError> {
+        let Some(io) = self.io.as_mut().filter(|_| !recs.is_empty()) else {
+            return Ok(());
+        };
+        let frames: Vec<u8> = match recs {
+            [rec] => rec.encode(),
+            _ => recs.iter().flat_map(JournalRecord::encode).collect(),
+        };
+        if let Err(e) = io.append(&frames) {
+            return self.on_error(e, "appending journal record");
+        }
+        self.profile.records_written += recs.len() as u64;
+        self.profile.bytes_written += frames.len() as u64;
+        self.unsynced = self.unsynced.saturating_add(recs.len() as u32);
+        let due = durable
+            || match self.cfg.sync {
+                SyncPolicy::EveryRecord => true,
+                SyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
+                SyncPolicy::OnSnapshot => false,
+            };
+        if due {
+            self.sync_now()
+        } else {
+            Ok(())
+        }
     }
 
     /// Write an atomic snapshot, record it in the journal, and sync.
@@ -442,11 +471,10 @@ impl JournalWriter {
                 self.profile.snapshot_bytes += bytes;
                 self.profile.dir_fsyncs += 1; // the atomic write fsynced the dir
 
-                self.append(&JournalRecord::Snapshot {
+                self.append_durable(&[JournalRecord::Snapshot {
                     iterations: cp.iterations,
                     file,
-                })?;
-                self.sync_now()
+                }])
             }
             Err(e) => self.on_error(e, "writing snapshot"),
         }

@@ -406,6 +406,31 @@ mod tests {
     }
 
     #[test]
+    fn a_threshold_that_protects_nothing_is_refused() {
+        // NaN marks no tuple risky, and neither does a threshold above 1:
+        // both would release the input unchanged.
+        let dir = std::env::temp_dir().join(format!("vadasa-pipeline-nan-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.5, -0.1] {
+            let refused = Vadasa::new()
+                .threshold(t)
+                .journal(JournalConfig::new(&dir))
+                .run(&survey());
+            match refused {
+                Err(PipelineError::Cycle(CycleError::Invalid(why))) => {
+                    assert_eq!(Err(why), crate::cycle::check_threshold(t))
+                }
+                other => panic!("threshold {t}: expected a refusal, got {other:?}"),
+            }
+            assert!(
+                !dir.exists(),
+                "threshold {t}: a journal directory was created"
+            );
+        }
+        assert!(Vadasa::new().threshold(1.0).run(&survey()).is_ok());
+    }
+
+    #[test]
     fn unknown_attributes_are_reported() {
         let mut db = MicrodataDb::new("weird", ["zzxyqf"]).unwrap();
         db.push_row(vec![Value::str("?")]).unwrap();

@@ -148,13 +148,13 @@ pub fn render_profile(profile: &CycleProfile) -> String {
     );
     let _ = writeln!(
         out,
-        "{:>5}  {:>6}  {:>5}  {:>8}  {:>8}  {:>6}  {:>6}  {:>9}  decision",
-        "iter", "risky", "exh.", "mean", "max", "suppr", "recode", "risk ms"
+        "{:>5}  {:>6}  {:>5}  {:>8}  {:>8}  {:>6}  {:>6}  {:>9}  {:>9}  decision",
+        "iter", "risky", "exh.", "mean", "max", "suppr", "recode", "risk ms", "commit ms"
     );
     for r in &profile.iterations {
         let _ = writeln!(
             out,
-            "{:>5}  {:>6}  {:>5}  {:>8.4}  {:>8.4}  {:>6}  {:>6}  {:>9.3}  {}",
+            "{:>5}  {:>6}  {:>5}  {:>8.4}  {:>8.4}  {:>6}  {:>6}  {:>9.3}  {:>9.3}  {}",
             r.iteration,
             r.risky,
             r.exhausted,
@@ -163,7 +163,21 @@ pub fn render_profile(profile: &CycleProfile) -> String {
             r.suppressions,
             r.recodings,
             r.risk_eval_ns as f64 / 1e6,
+            r.commit_ns as f64 / 1e6,
             r.heuristic
+        );
+    }
+    if let Some(f) = &profile.fallback {
+        let _ = writeln!(
+            out,
+            "fallback — {}: {} pass(es) suppressed {} cell(s) in {} row(s), \
+             {} still risky, {:.3} ms",
+            f.trigger,
+            f.passes,
+            f.cells_suppressed,
+            f.rows_suppressed,
+            f.residual_risky,
+            profile.fallback_ns as f64 / 1e6
         );
     }
     let w = &profile.warm;
@@ -325,6 +339,7 @@ mod tests {
             ],
             risk_eval_ns: 3_000_000,
             total_ns: 4_200_000,
+            fallback_ns: 0,
             fallback: None,
             warm: Default::default(),
             journal: Default::default(),
@@ -339,6 +354,38 @@ mod tests {
         assert!(!text.contains("warm-start"));
         // same for an unjournaled run
         assert!(!text.contains("journal —"));
+    }
+
+    #[test]
+    fn profile_table_renders_commit_and_fallback_time() {
+        let profile = CycleProfile {
+            iterations: vec![IterationRecord {
+                heuristic: "iteration cap hit".into(),
+                commit_ns: 1_250_000,
+                ..IterationRecord::default()
+            }],
+            fallback_ns: 2_500_000,
+            fallback: Some(crate::degrade::FallbackRecord {
+                trigger: crate::degrade::DegradeTrigger::IterationCap,
+                passes: 2,
+                rows_suppressed: 3,
+                cells_suppressed: 5,
+                residual_risky: 0,
+            }),
+            ..CycleProfile::default()
+        };
+        let text = render_profile(&profile);
+        assert!(text.contains("commit ms"), "{text}");
+        assert!(text.contains("    1.250  iteration cap hit"), "{text}");
+        assert!(
+            text.contains(
+                "fallback — iteration cap: 2 pass(es) suppressed 5 cell(s) in 3 row(s), \
+                 0 still risky, 2.500 ms"
+            ),
+            "{text}"
+        );
+        // a run that did not degrade prints no fallback line
+        assert!(!render_profile(&CycleProfile::default()).contains("fallback —"));
     }
 
     #[test]

@@ -23,15 +23,20 @@
 //!    the table, and two mutation properties: one through resume, one
 //!    through the decoder of the journal, the snapshot and the warm-stats
 //!    artifact.
+//! 5. **The fsync schedule** — a counting I/O layer under a degraded run
+//!    and its resume, under every sync policy: one fsync per durable
+//!    point, none on a clean file.
 //!
 //! CI runs the suite at 1 and 4 test threads.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use vadalog::backend::{FileKind, StorageEngine, StorageError};
+use std::sync::{Arc, Mutex};
+use vadalog::backend::{DurableIo, FileIo, FileKind, Sink, StorageEngine, StorageError};
 use vadalog::frame::{put_frame, wire};
 use vadalog::Value;
 use vadasa_core::checkpoint::Checkpoint;
@@ -43,7 +48,7 @@ use vadasa_core::cycle::{
 use vadasa_core::dictionary::{Category, MetadataDictionary};
 use vadasa_core::faults::{faulty_io, IoFault, JOURNAL_KINDS};
 use vadasa_core::journal::record::{self, JournalRecord, MAGIC};
-use vadasa_core::journal::{IoErrorPolicy, JournalConfig, JournalError, JOURNAL_FILE};
+use vadasa_core::journal::{IoErrorPolicy, JournalConfig, JournalError, SyncPolicy, JOURNAL_FILE};
 use vadasa_core::maybe_match::NullSemantics;
 use vadasa_core::model::MicrodataDb;
 use vadasa_core::prelude::{KAnonymity, LocalSuppression};
@@ -628,26 +633,29 @@ fn fault_rows() -> Vec<(IoFault, &'static [FileKind])> {
     let only_journal: &'static [FileKind] = &[FileKind::Journal];
     let mut rows = Vec::new();
     // Journal and snapshot writes share one ordinal count. With a snapshot
-    // every iteration, Fig. 5 appends its snapshots at 6 and 11 and syncs
-    // them at 5 and 11.
+    // every iteration, Fig. 5 appends the header at 1–2 (synced at 1);
+    // then each of its two iterations appends an Action (3, 7; synced at
+    // 2, 6), its Progress + Commit as one write (4, 8; synced at 3, 7),
+    // the snapshot file (5, 9; synced at 4, 8) and its Snapshot record
+    // (6, 10; synced at 5, 9).
     for fault in [
-        WriteError { at_append: 4 },
+        WriteError { at_append: 7 }, // the second Action
         TornWrite {
-            at_append: 4,
+            at_append: 4, // the first Progress + Commit
             keep_bytes: 5,
         },
-        SyncError { at_sync: 2 },
-        FullDisk { from_append: 3 },
+        SyncError { at_sync: 2 },    // the first Action's sync
+        FullDisk { from_append: 3 }, // from the first Action on
         TornWrite {
-            at_append: 6,
+            at_append: 5, // the first snapshot file
             keep_bytes: 5,
         },
         TornWrite {
-            at_append: 11,
+            at_append: 9, // the second snapshot file
             keep_bytes: 5,
         },
-        SyncError { at_sync: 5 },
-        SyncError { at_sync: 11 },
+        SyncError { at_sync: 4 }, // the first snapshot file's sync
+        SyncError { at_sync: 8 }, // the second snapshot file's sync
     ] {
         rows.push((fault, JOURNAL_KINDS));
     }
@@ -1270,5 +1278,272 @@ proptest! {
                 "a warm-stats mutant decoded to another value"
             );
         }
+    }
+}
+
+// --- 5. the fsync schedule ---------------------------------------------------
+
+/// One call on a durable file, as [`CountingIo`] logs it.
+#[derive(Debug)]
+enum IoCall {
+    /// An append: the names of the journal records it carries (`magic`
+    /// for the header bytes), or its length on a snapshot or artifact.
+    Append(Vec<&'static str>),
+    Sync,
+}
+
+/// The calls of a run: the sink each was made on, its file kind, the call.
+type IoLog = Arc<Mutex<Vec<(usize, FileKind, IoCall)>>>;
+
+/// A [`DurableIo`] that does real file I/O and logs every append and
+/// sync, numbering the sinks it opens.
+#[derive(Debug, Default)]
+struct CountingIo {
+    log: IoLog,
+    sinks: AtomicUsize,
+}
+
+impl CountingIo {
+    fn take(&self) -> Vec<(usize, FileKind, IoCall)> {
+        std::mem::take(&mut *self.log.lock().expect("log"))
+    }
+}
+
+struct CountingSink {
+    inner: Box<dyn Sink>,
+    id: usize,
+    kind: FileKind,
+    log: IoLog,
+}
+
+impl Sink for CountingSink {
+    fn append(&mut self, buf: &[u8]) -> std::io::Result<()> {
+        let call = IoCall::Append(match self.kind {
+            FileKind::Journal => record_names(buf),
+            FileKind::Snapshot | FileKind::Artifact => vec!["bytes"],
+        });
+        self.log
+            .lock()
+            .expect("log")
+            .push((self.id, self.kind, call));
+        self.inner.append(buf)
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        let entry = (self.id, self.kind, IoCall::Sync);
+        self.log.lock().expect("log").push(entry);
+        self.inner.sync()
+    }
+}
+
+impl DurableIo for CountingIo {
+    fn open(&self, path: &Path, kind: FileKind) -> std::io::Result<Box<dyn Sink>> {
+        Ok(Box::new(CountingSink {
+            inner: FileIo.open(path, kind)?,
+            id: self.sinks.fetch_add(1, Ordering::Relaxed),
+            kind,
+            log: Arc::clone(&self.log),
+        }))
+    }
+
+    fn read(&self, path: &Path, kind: FileKind) -> std::io::Result<Vec<u8>> {
+        FileIo.read(path, kind)
+    }
+}
+
+/// The names of the journal records in one append buffer.
+fn record_names(buf: &[u8]) -> Vec<&'static str> {
+    if buf == MAGIC {
+        return vec!["magic"];
+    }
+    let mut names = Vec::new();
+    let mut at = 0;
+    while at < buf.len() {
+        let (rec, next) = record::decode_frame(buf, at).expect("appends carry whole frames");
+        names.push(match rec {
+            JournalRecord::Begin { .. } => "Begin",
+            JournalRecord::Action { .. } => "Action",
+            JournalRecord::Commit { .. } => "Commit",
+            JournalRecord::Snapshot { .. } => "Snapshot",
+            JournalRecord::Degraded { .. } => "Degraded",
+            JournalRecord::Finished { .. } => "Finished",
+            JournalRecord::Progress { .. } => "Progress",
+        });
+        at = next;
+    }
+    names
+}
+
+/// Check a run's calls against `policy` and return the journal's writes
+/// (the records of each append, in order) and its fsync count:
+/// - no sink is synced without an append since its last sync;
+/// - under `EveryN(n)` no call returns with `n` or more journal records
+///   unsynced (a call has returned when the next append starts), and
+///   under `EveryRecord` each journal append is synced before the next;
+/// - a snapshot record and the terminal records are synced under every
+///   policy, and so is the run's last journal append.
+fn check_schedule(
+    log: &[(usize, FileKind, IoCall)],
+    policy: SyncPolicy,
+) -> (Vec<Vec<&'static str>>, u64) {
+    let mut dirty: HashMap<usize, bool> = HashMap::new();
+    let mut writes = Vec::new();
+    let mut syncs = 0u64;
+    let mut unsynced = 0usize;
+    let mut must_sync = false;
+    let limit = match policy {
+        SyncPolicy::EveryRecord => 1,
+        SyncPolicy::EveryN(n) => n.max(1) as usize,
+        SyncPolicy::OnSnapshot => usize::MAX,
+    };
+    for (sink, kind, call) in log {
+        match call {
+            IoCall::Append(records) => {
+                dirty.insert(*sink, true);
+                if *kind != FileKind::Journal {
+                    continue;
+                }
+                assert!(
+                    !must_sync,
+                    "{records:?} appended before the last durable point was synced"
+                );
+                assert!(
+                    unsynced < limit,
+                    "a call returned with {unsynced} records unsynced under {policy:?}"
+                );
+                if records[..] != ["magic"] {
+                    unsynced += records.len();
+                    must_sync = records
+                        .iter()
+                        .any(|r| matches!(*r, "Begin" | "Snapshot" | "Degraded" | "Finished"));
+                    writes.push(records.clone());
+                }
+            }
+            IoCall::Sync => {
+                assert!(
+                    dirty.insert(*sink, false) == Some(true),
+                    "sink {sink} ({kind:?}) synced while clean"
+                );
+                if *kind == FileKind::Journal {
+                    syncs += 1;
+                    unsynced = 0;
+                    must_sync = false;
+                }
+            }
+        }
+    }
+    assert!(
+        !must_sync && unsynced == 0,
+        "the run ended with journal records unsynced"
+    );
+    (writes, syncs)
+}
+
+#[test]
+fn each_durable_point_costs_one_fsync() {
+    // Fig. 5, one tuple per iteration, a snapshot every iteration, capped
+    // at one of the two iterations it needs so that it degrades; then its
+    // journal cut after the header and resumed to the same cap.
+    let case = Case::fig5();
+    let config = CycleConfig {
+        max_iterations: 1,
+        ..fig5_config()
+    };
+    for policy in [
+        SyncPolicy::EveryRecord,
+        SyncPolicy::EveryN(1),
+        SyncPolicy::EveryN(2),
+        SyncPolicy::EveryN(3),
+        SyncPolicy::EveryN(5),
+        SyncPolicy::OnSnapshot,
+    ] {
+        let dir = fresh_dir("fsyncs");
+        let io = Arc::new(CountingIo::default());
+        let jcfg = JournalConfig {
+            sync: policy,
+            io: io.clone(),
+            ..snapshot_every(Some(1), &dir)
+        };
+        let run = case.run(&config, jcfg.clone()).expect("journaled run");
+        assert!(
+            !run.termination.is_converged(),
+            "{policy:?}: the cap must fire"
+        );
+        let (writes, syncs) = check_schedule(&io.take(), policy);
+        assert_eq!(
+            run.profile.journal.fsyncs, syncs,
+            "{policy:?}: profile vs calls"
+        );
+
+        // Every write is one durable point's records.
+        let shapes: [&[&str]; 6] = [
+            &["Begin"],
+            &["Action"],
+            &["Progress", "Commit"],
+            &["Snapshot"],
+            &["Degraded"],
+            &["Progress", "Finished"],
+        ];
+        let count = |shape: &[&str]| writes.iter().filter(|w| w[..] == *shape).count() as u64;
+        assert_eq!(
+            shapes.iter().map(|s| count(s)).sum::<u64>(),
+            writes.len() as u64,
+            "{policy:?}: a write of another shape in {writes:?}"
+        );
+        let steps = run.audit.decisions.len()
+            - run
+                .profile
+                .fallback
+                .as_ref()
+                .expect("degraded")
+                .cells_suppressed;
+        assert_eq!(
+            count(shapes[1]),
+            steps as u64,
+            "{policy:?}: one write per Action"
+        );
+        assert_eq!(count(shapes[2]), run.iterations as u64);
+        assert_eq!(count(shapes[3]), run.profile.journal.snapshots_written);
+        assert_eq!((count(shapes[4]), count(shapes[5])), (1, 1));
+        if policy == SyncPolicy::EveryRecord {
+            // header, each Action, each Progress + Commit, each Snapshot
+            // record, Degraded, Progress + Finished: one fsync each
+            assert_eq!(syncs, writes.len() as u64);
+            assert_eq!(
+                syncs,
+                1 + steps as u64
+                    + run.iterations as u64
+                    + run.profile.journal.snapshots_written
+                    + 2
+            );
+        }
+
+        // Resume from the header: the same schedule, without a header.
+        let journal = fs::read(dir.join(JOURNAL_FILE)).expect("journal");
+        let header = record::frame_boundaries(&journal)[0];
+        fs::write(dir.join(JOURNAL_FILE), &journal[..header]).expect("cut journal");
+        let resumed = case.resume(&config, jcfg).expect("resume");
+        assert_eq!(
+            transcript(&resumed),
+            transcript(&run),
+            "{policy:?}: resume diverged"
+        );
+        let (writes, syncs) = check_schedule(&io.take(), policy);
+        assert_eq!(
+            resumed.profile.journal.fsyncs, syncs,
+            "{policy:?}: resumed profile vs calls"
+        );
+        assert!(
+            writes.iter().all(|w| w[..] != ["Begin"]),
+            "{policy:?}: {writes:?}"
+        );
+        assert!(
+            writes.contains(&vec!["Action"]),
+            "{policy:?}: the resume re-ran no step"
+        );
+        if policy == SyncPolicy::EveryRecord {
+            assert_eq!(syncs, writes.len() as u64);
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -10,7 +10,7 @@ use vadalog::CancelToken;
 use vadasa_core::cycle::{AnonymizationCycle, CycleConfig, CycleTermination};
 use vadasa_core::faults::{Fault, FaultPlan, FaultyAnonymizer, FaultyRisk};
 use vadasa_core::journal::JournalConfig;
-use vadasa_core::obs::Recorder;
+use vadasa_core::obs::{Event, EventKind, Recorder};
 use vadasa_core::prelude::*;
 use vadasa_datagen::generate_households;
 
@@ -99,9 +99,23 @@ fn every_scenario_degrades_gracefully() {
                 "{ctx}: audit log out of sync with suppressions"
             );
 
-            // 4. telemetry saw the degradation as a first-class event
+            // 4. telemetry saw the degradation as a first-class event,
+            //    and the trace places the time the fallback took
             let events = recorder.events_named("cycle.fallback");
-            assert_eq!(events.len(), 1, "{ctx}: expected one cycle.fallback event");
+            let counted = |span: bool| {
+                let of_kind = |e: &&Event| matches!(e.kind, EventKind::Span { .. }) == span;
+                events.iter().filter(of_kind).count()
+            };
+            assert_eq!(
+                counted(false),
+                1,
+                "{ctx}: expected one cycle.fallback event"
+            );
+            assert_eq!(
+                counted(true),
+                usize::from(outcome.profile.fallback_ns > 0),
+                "{ctx}: expected one cycle.fallback span"
+            );
         }
     }
 }

@@ -33,6 +33,7 @@ fn fig5_profile() -> CycleProfile {
                 recodings: 0,
                 risk_eval_ns: 150_000,
                 dur_ns: 400_000,
+                commit_ns: 0,
             },
             IterationRecord {
                 iteration: 1,
@@ -47,6 +48,7 @@ fn fig5_profile() -> CycleProfile {
                 recodings: 0,
                 risk_eval_ns: 120_000,
                 dur_ns: 350_000,
+                commit_ns: 0,
             },
             IterationRecord {
                 iteration: 2,
@@ -61,10 +63,12 @@ fn fig5_profile() -> CycleProfile {
                 recodings: 0,
                 risk_eval_ns: 100_000,
                 dur_ns: 250_000,
+                commit_ns: 0,
             },
         ],
         risk_eval_ns: 370_000,
         total_ns: 1_000_000,
+        fallback_ns: 0,
         fallback: None,
         warm: Default::default(),
         journal: Default::default(),
@@ -215,10 +219,12 @@ proptest! {
                     recodings: 0,
                     risk_eval_ns,
                     dur_ns,
+                    commit_ns: 0,
                 })
                 .collect(),
             risk_eval_ns: durs.iter().map(|&(_, r)| r).sum(),
             total_ns: total,
+            fallback_ns: 0,
             fallback: None,
             warm: Default::default(),
             journal: Default::default(),
@@ -232,6 +238,74 @@ proptest! {
         // exporters never panic on these trees either
         let _ = tree.chrome_trace_json();
         let _ = tree.collapsed_stacks();
+    }
+}
+
+/// Each iteration boundary that took time is a `cycle.commit` span right
+/// after its iteration, the fallback a `cycle.fallback` span after the
+/// last one, and later iterations move over by the time between them.
+#[test]
+fn commit_and_fallback_spans_sit_between_iterations() {
+    let mut profile = fig5_profile();
+    profile.iterations[0].commit_ns = 30_000;
+    profile.iterations[1].commit_ns = 20_000;
+    profile.fallback_ns = 80_000;
+    profile.total_ns = 1_200_000;
+    let tree = emit_to_tree(&profile);
+    assert_nested(&tree);
+    let spans = |name: &str| {
+        tree.nodes
+            .iter()
+            .filter(|n| n.name == name)
+            .map(|n| {
+                let parent = n.parent.map(|p| tree.nodes[p].name.as_str());
+                assert_eq!(parent, Some("cycle.run"), "{name} is a child of the run");
+                (n.start_ns, n.dur_ns)
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        spans("cycle.iteration"),
+        [(0, 400_000), (430_000, 350_000), (800_000, 250_000)]
+    );
+    assert_eq!(
+        spans("cycle.commit"),
+        [(400_000, 30_000), (780_000, 20_000)]
+    );
+    assert_eq!(spans("cycle.fallback"), [(1_050_000, 80_000)]);
+}
+
+proptest! {
+    /// Hostile boundary and fallback times nest like iterations do: one
+    /// span per nonzero time, none for a zero one.
+    #[test]
+    fn commit_and_fallback_spans_always_nest(
+        durs in proptest::collection::vec((0u64..2_000_000, 0u64..2_000_000), 0..16),
+        fallback_ns in 0u64..2_000_000,
+        total in 0u64..3_000_000,
+    ) {
+        let profile = CycleProfile {
+            iterations: durs
+                .iter()
+                .enumerate()
+                .map(|(i, &(dur_ns, commit_ns))| IterationRecord {
+                    iteration: i,
+                    risk_eval_ns: dur_ns / 2,
+                    dur_ns,
+                    commit_ns,
+                    ..IterationRecord::default()
+                })
+                .collect(),
+            total_ns: total,
+            fallback_ns,
+            ..CycleProfile::default()
+        };
+        let tree = emit_to_tree(&profile);
+        prop_assert_eq!(tree.roots.len(), 1, "exactly one root");
+        let commits = durs.iter().filter(|&&(_, c)| c > 0).count();
+        let fallbacks = usize::from(fallback_ns > 0);
+        prop_assert_eq!(tree.nodes.len(), 2 + 2 * durs.len() + commits + fallbacks);
+        assert_nested(&tree);
     }
 }
 
