@@ -123,7 +123,9 @@ fn main() -> ExitCode {
     {
         println!(
             "  tuple {i}: risk {r:.6}  frequency {}  weight {:.6}  {}",
-            det.frequency, det.weight_sum, det.note
+            det.frequency,
+            det.weight_sum,
+            out.final_report.note(i)
         );
     }
     let mut rows = Vec::new();

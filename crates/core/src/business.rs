@@ -242,13 +242,14 @@ impl RiskMeasure for ClusterRisk<'_> {
         for (row, &c) in self.clusters.row_cluster.iter().enumerate() {
             cluster_safe[c] *= 1.0 - report.risks[row].clamp(0.0, 1.0);
         }
+        // every row's note is rewritten, so the base's note table goes
+        report.notes.clear();
         for (row, &c) in self.clusters.row_cluster.iter().enumerate() {
             let combined = 1.0 - cluster_safe[c];
-            report.details[row].note = format!(
+            report.details[row].note = report.add_note(format!(
                 "cluster {c}: own risk {:.4}, cluster risk {combined:.4}",
                 report.risks[row]
-            )
-            .into();
+            ));
             report.risks[row] = combined;
         }
         report.measure = format!("cluster({})", self.base.name());
@@ -359,6 +360,18 @@ mod tests {
         assert_eq!(report.risks[0], 1.0);
         assert_eq!(report.risks[1], 1.0);
         assert_eq!(report.risks[2], 0.0);
+        // every row's note is rewritten, none of the base's is left
+        let own = base.evaluate(&view).unwrap();
+        for (row, c) in [0, 0, 1].into_iter().enumerate() {
+            assert_eq!(
+                report.note(row),
+                format!(
+                    "cluster {c}: own risk {:.4}, cluster risk {:.4}",
+                    own.risks[row], report.risks[row]
+                )
+            );
+        }
+        assert_eq!(report.notes.len(), 3);
     }
 
     #[test]

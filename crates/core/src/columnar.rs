@@ -579,9 +579,10 @@ impl NullLinks {
 /// `positions`, the columnar equivalent of
 /// [`group_stats_on`](crate::maybe_match::group_stats_on) (pass all
 /// positions for the full [`group_stats`](crate::maybe_match::group_stats)
-/// semantics). `codes` is row-major with the index's stride;
-/// `null_masks[i] & (1 << c)` says row `i` is null in column `c`, and
-/// `patterns` indexes exactly these rows.
+/// semantics), written into `out`. `codes` is row-major with the index's
+/// stride; `null_masks[i] & (1 << c)` says row `i` is null in column `c`,
+/// and `patterns` indexes exactly these rows. Whatever `out` held is
+/// overwritten, and its buffers are reused when large enough.
 ///
 /// The work is per pattern, not per row: patterns are grouped by their
 /// projected codes, one pass over the rows adds counts and weights per
@@ -596,22 +597,22 @@ pub fn group_stats_codes(
     positions: &[usize],
     weights: Option<&[f64]>,
     sem: NullSemantics,
-) -> GroupStats {
+    out: &mut GroupStats,
+) {
     let n = null_masks.len();
     let w = |i: usize| weights.map(|w| w[i]).unwrap_or(1.0);
+    let GroupStats { count, weight_sum } = out;
+    count.clear();
+    weight_sum.clear();
     if n == 0 {
-        return GroupStats {
-            count: Vec::new(),
-            weight_sum: Vec::new(),
-        };
+        return;
     }
     if positions.is_empty() {
         // Zero projected columns: every row matches every row.
         let total: f64 = (0..n).map(w).sum();
-        return GroupStats {
-            count: vec![n; n],
-            weight_sum: vec![total; n],
-        };
+        count.resize(n, n);
+        weight_sum.resize(n, total);
+        return;
     }
     let width = patterns.width;
     let pos_bits: u64 = positions.iter().fold(0u64, |m, &p| m | (1 << p));
@@ -629,10 +630,9 @@ pub fn group_stats_codes(
             g_count[g] += 1;
             g_sum[g] += w(row);
         }
-        return GroupStats {
-            count: (0..n).map(|row| g_count[group(row)]).collect(),
-            weight_sum: (0..n).map(|row| g_sum[group(row)]).collect(),
-        };
+        count.extend((0..n).map(|row| g_count[group(row)]));
+        weight_sum.extend((0..n).map(|row| g_sum[group(row)]));
+        return;
     }
 
     // --- maybe-match with nulls present ---
@@ -666,8 +666,8 @@ pub fn group_stats_codes(
             g_sum[g as usize] += w(i);
         }
     }
-    let mut count: Vec<usize> = (0..n).map(|row| g_count[group(row)]).collect();
-    let mut weight_sum: Vec<f64> = (0..n).map(|row| g_sum[group(row)]).collect();
+    count.extend((0..n).map(|row| g_count[group(row)]));
+    weight_sum.extend((0..n).map(|row| g_sum[group(row)]));
 
     // Nulled rows: their complete matches, then nulled-vs-nulled
     // (including self) pairwise in row order.
@@ -689,7 +689,6 @@ pub fn group_stats_codes(
             }
         }
     }
-    GroupStats { count, weight_sum }
 }
 
 /// Maybe-match between rows `i` and `j` on the projected positions.
@@ -983,6 +982,20 @@ mod tests {
         assert_eq!(bits(a), bits(b), "weight sums diverged");
     }
 
+    /// The pattern kernel into fresh buffers.
+    fn fresh(
+        codes: &[u32],
+        masks: &[u64],
+        index: &PatternIndex,
+        positions: &[usize],
+        weights: Option<&[f64]>,
+        sem: NullSemantics,
+    ) -> GroupStats {
+        let mut stats = GroupStats::default();
+        group_stats_codes(codes, masks, index, positions, weights, sem, &mut stats);
+        stats
+    }
+
     /// The pattern kernel over a freshly built index, checked bit for bit
     /// against the row-level oracle before it is returned.
     fn kernel(
@@ -994,7 +1007,7 @@ mod tests {
         sem: NullSemantics,
     ) -> GroupStats {
         let index = PatternIndex::build(codes, masks, width);
-        let fast = group_stats_codes(codes, masks, &index, positions, weights, sem);
+        let fast = fresh(codes, masks, &index, positions, weights, sem);
         let oracle = group_stats_oracle(codes, masks, width, positions, weights, sem);
         assert_same(&fast, &oracle);
         fast
@@ -1069,7 +1082,7 @@ mod tests {
                 }
             }
             let mut index = PatternIndex::build(&codes, &masks, width);
-            let mut stats = group_stats_codes(&codes, &masks, &index, &all, Some(weights), sem);
+            let mut stats = fresh(&codes, &masks, &index, &all, Some(weights), sem);
             for (row, col, v) in steps {
                 let (row, col) = (*row, *col);
                 let old_codes: Vec<u32> = codes[row * width..(row + 1) * width].to_vec();
@@ -1094,7 +1107,7 @@ mod tests {
                     old_mask,
                     &mut stats,
                 );
-                let cold = group_stats_codes(&codes, &masks, &index, &all, Some(weights), sem);
+                let cold = fresh(&codes, &masks, &index, &all, Some(weights), sem);
                 assert_same(
                     &cold,
                     &group_stats_oracle(&codes, &masks, width, &all, Some(weights), sem),

@@ -339,6 +339,12 @@ pub struct WarmCycleProfile {
     /// Warm-artifact persist attempts that failed. Non-fatal — the run
     /// continues unchanged; only a later resume loses its disk warm seed.
     pub persist_errors: u64,
+    /// Times the run grouped the whole table: the first evaluation of a
+    /// measure served from groups, the evaluation after a class batch,
+    /// and a recode's repair. A measure that is not served from groups
+    /// makes none. Not persisted in checkpoints, like the storage
+    /// counters.
+    pub regroups: u64,
 }
 
 /// Telemetry profile of one cycle run: per-iteration records plus totals.
@@ -722,6 +728,49 @@ fn select_batch(risky: &[usize], view: &MicrodataView, classes: usize) -> (Vec<u
     (members.into_iter().flatten().collect(), count)
 }
 
+/// One read of an evaluation: the rows over the threshold that the
+/// anonymizer has not given up on, in row order, and the minimum, mean
+/// and maximum risk.
+struct Scan {
+    risky: Vec<usize>,
+    min: f64,
+    mean: f64,
+    max: f64,
+}
+
+impl Scan {
+    /// What [`RiskReport::risky_tuples`] without the `exhausted` rows,
+    /// `fold(∞, f64::min)`, [`RiskReport::mean_risk`] and
+    /// [`RiskReport::max_risk`] give, bit for bit, in one pass over the
+    /// risks instead of four. The sum starts at `-0.0`, as `f64`'s `Sum`
+    /// does, so a table of negative zeros keeps its sign. (Where `0.0`
+    /// and `-0.0` tie, `f64::min` and `f64::max` may return either, here
+    /// as in those folds.)
+    fn of(report: &RiskReport, t: f64, exhausted: &HashSet<usize>) -> Scan {
+        let (mut min, mut sum, mut max) = (f64::INFINITY, -0.0f64, 0.0f64);
+        let mut risky = Vec::new();
+        for (row, &r) in report.risks.iter().enumerate() {
+            min = f64::min(min, r);
+            sum += r;
+            max = f64::max(max, r);
+            if r > t && !exhausted.contains(&row) {
+                risky.push(row);
+            }
+        }
+        let mean = if report.risks.is_empty() {
+            0.0
+        } else {
+            sum / report.risks.len() as f64
+        };
+        Scan {
+            risky,
+            min,
+            mean,
+            max,
+        }
+    }
+}
+
 /// The degradation trigger a panicking plug-in raises.
 fn plugin_panic(plugin: &str, payload: Box<dyn std::any::Any + Send>) -> DegradeTrigger {
     DegradeTrigger::PluginPanic {
@@ -806,6 +855,15 @@ struct LoopState {
     /// inapplicable (inexact weights, a measure opting out), so the
     /// fallback cost is paid once, not per iteration.
     groups_supported: bool,
+    /// Whether the view's weights sum exactly in any order, decided at
+    /// the first regroup: a run never changes its weights.
+    exact_weights: Option<bool>,
+    /// The buffers of the statistics a class batch invalidated, refilled
+    /// by the next regroup.
+    spare_stats: GroupStats,
+    /// The report of the last finished iteration, refilled by the next
+    /// evaluation served from groups.
+    spare_report: RiskReport,
     /// Group statistics restored from the warm-stats artifact of a
     /// resumed run, standing in for the first regroup.
     disk_seed: Option<GroupStats>,
@@ -989,6 +1047,9 @@ impl<'a> AnonymizationCycle<'a> {
             profile: CycleProfile::default(),
             stats: None,
             groups_supported: true,
+            exact_weights: None,
+            spare_stats: GroupStats::default(),
+            spare_report: RiskReport::default(),
             disk_seed: None,
             rows_series: Vec::new(),
             wal: None,
@@ -1066,16 +1127,13 @@ impl<'a> AnonymizationCycle<'a> {
                 Err(trigger) => break LoopEnd::Trigger(trigger, None, None),
             };
             let risk_eval_ns = t0.elapsed().as_nanos() as u64;
-            let risky: Vec<usize> = report
-                .risky_tuples(t)
-                .into_iter()
-                .filter(|r| !st.exhausted.contains(r))
-                .collect();
+            let scan = Scan::of(&report, t, &st.exhausted);
             let mut it = Iteration {
                 start,
-                record: self.observe(&mut st, &report, risky.len(), risk_eval_ns),
+                record: self.observe(&mut st, &scan, risk_eval_ns),
                 report,
             };
+            let risky = scan.risky;
             if risky.is_empty() {
                 it.record.heuristic = "converged".to_string();
                 break LoopEnd::Converged(st.close(it));
@@ -1093,7 +1151,7 @@ impl<'a> AnonymizationCycle<'a> {
             let targets = self.select(step, risky, &it.report, view, &mut it.record);
             let batched = matches!(step, Step::Classes(_));
             let faulted = self.apply(&mut st, view, dict, &mut it, targets, batched)?;
-            st.close(it);
+            st.spare_report = st.close(it);
             if let Some(trigger) = faulted {
                 // The faulty step may have written the table without
                 // patching the view: the fallback builds its own.
@@ -1202,8 +1260,10 @@ impl<'a> AnonymizationCycle<'a> {
     /// `#risk`: score every tuple. The report is served from the
     /// maintained group statistics when the measure supports
     /// [`RiskMeasure::report_from_groups`] and the weights are exactly
-    /// summable, and from a full evaluation otherwise. A panicking
-    /// measure comes back as the trigger it raises.
+    /// summable, and from a full evaluation otherwise. The measure is
+    /// asked before the table is grouped, and the statistics and report
+    /// are refilled in the run's own buffers. A panicking measure comes
+    /// back as the trigger it raises.
     fn evaluate(
         &self,
         st: &mut LoopState,
@@ -1212,7 +1272,11 @@ impl<'a> AnonymizationCycle<'a> {
         let warm = &mut st.profile.warm;
         let had_stats = st.stats.is_some();
         if st.groups_supported && !had_stats {
-            if weights_exactly_summable(view.weights.as_deref()) {
+            let served = self.risk.serves_from_groups()
+                && *st
+                    .exact_weights
+                    .get_or_insert_with(|| weights_exactly_summable(view.weights.as_deref()));
+            if served {
                 // A disk-restored seed stands in for the regroup only
                 // when it describes exactly this many rows; the
                 // incremental-maintenance invariant makes the two
@@ -1223,20 +1287,27 @@ impl<'a> AnonymizationCycle<'a> {
                         warm.disk_restores += 1;
                         stats
                     }
-                    None => view.group_stats(),
+                    None => {
+                        let mut stats = std::mem::take(&mut st.spare_stats);
+                        view.group_stats_into(&mut stats);
+                        warm.regroups += 1;
+                        stats
+                    }
                 });
             } else {
-                // fractional weights: incremental ± updates would not be
-                // bit-identical to a regroup
+                // a measure without the hook, or fractional weights,
+                // whose incremental ± updates would not be bit-identical
+                // to a regroup
                 st.groups_supported = false;
                 warm.fallback_to_cold += 1;
             }
         }
         if let Some(stats) = &st.stats {
+            let mut report = std::mem::take(&mut st.spare_report);
             match catch_unwind(AssertUnwindSafe(|| {
-                self.risk.report_from_groups(view, stats)
+                self.risk.report_from_groups(view, stats, &mut report)
             })) {
-                Ok(Some(report)) => {
+                Ok(Some(filled)) => {
                     if had_stats {
                         warm.warm_evals += 1;
                         warm.reused_index_bytes += retained_bytes(view, stats);
@@ -1244,7 +1315,8 @@ impl<'a> AnonymizationCycle<'a> {
                         // this evaluation grouped from scratch
                         warm.cold_evals += 1;
                     }
-                    return Ok(Ok(report?));
+                    filled?;
+                    return Ok(Ok(report));
                 }
                 Ok(None) => {
                     // the measure opted out of the warm path for good
@@ -1266,13 +1338,8 @@ impl<'a> AnonymizationCycle<'a> {
     /// the rows-at-risk series is fitted up to and including this
     /// evaluation, published live, and carried on the profile so every
     /// exit path reports it.
-    fn observe(
-        &self,
-        st: &mut LoopState,
-        report: &RiskReport,
-        risky: usize,
-        risk_eval_ns: u64,
-    ) -> IterationRecord {
+    fn observe(&self, st: &mut LoopState, scan: &Scan, risk_eval_ns: u64) -> IterationRecord {
+        let risky = scan.risky.len();
         if st.iterations == 0 {
             st.initial_risky = risky + st.exhausted.len();
         }
@@ -1280,9 +1347,9 @@ impl<'a> AnonymizationCycle<'a> {
             iteration: st.iterations,
             risky,
             exhausted: st.exhausted.len(),
-            min_risk: report.risks.iter().copied().fold(f64::INFINITY, f64::min),
-            mean_risk: report.mean_risk(),
-            max_risk: report.max_risk(),
+            min_risk: scan.min,
+            mean_risk: scan.mean,
+            max_risk: scan.max,
             risk_eval_ns,
             ..IterationRecord::default()
         };
@@ -1426,9 +1493,7 @@ impl<'a> AnonymizationCycle<'a> {
                 }
             }
             let stats = if batched { None } else { st.stats.as_mut() };
-            let patched = self.patch_view(view, &st.work, &action, stats);
-            data_changed |= patched > 0;
-            st.profile.warm.patched_facts += patched;
+            data_changed |= self.patch_view(view, &st.work, &action, stats, &mut st.profile.warm);
             if let Some(w) = st.wal.as_mut() {
                 w.append(&JournalRecord::Action {
                     iteration: st.iterations as u64,
@@ -1448,7 +1513,10 @@ impl<'a> AnonymizationCycle<'a> {
             });
         }
         if batched && data_changed {
-            st.stats = None;
+            // the next evaluation regroups into the same buffers
+            if let Some(stats) = st.stats.take() {
+                st.spare_stats = stats;
+            }
         }
         Ok(None)
     }
@@ -1564,6 +1632,7 @@ impl<'a> AnonymizationCycle<'a> {
                     measure: format!("{} (risk-unavailable)", self.risk.name()),
                     risks: vec![1.0; n],
                     details: vec![TupleRiskDetail::default(); n],
+                    notes: Vec::new(),
                 };
                 (report, n)
             }
@@ -1575,40 +1644,46 @@ impl<'a> AnonymizationCycle<'a> {
     /// the patch that replaces rebuilding the whole [`MicrodataView`]. When
     /// `stats` is supplied the maintained group statistics follow: a
     /// suppression repairs them for its one cell (against the state they
-    /// currently describe), a recode replaces them with one regroup — it
-    /// rewrites a whole value class, and a per-cell repair would cost
-    /// O(class · rows). Both are bit-identical to a regroup under the
-    /// exact-summability gate the warm path holds. Returns the number of
-    /// view rows patched.
+    /// currently describe), a recode regroups into them — it rewrites a
+    /// whole value class, and a per-cell repair would cost O(class ·
+    /// rows). Both are bit-identical to a fresh regroup under the
+    /// exact-summability gate the warm path holds. Counts the patched
+    /// view rows and the regroup on `warm`; returns whether a row
+    /// changed.
     fn patch_view(
         &self,
         view: &mut MicrodataView,
         work: &MicrodataDb,
         action: &AnonymizationAction,
         stats: Option<&mut GroupStats>,
-    ) -> u64 {
-        match action {
+        warm: &mut WarmCycleProfile,
+    ) -> bool {
+        let patched = match action {
             AnonymizationAction::Suppress { row, attr, .. } => {
-                if let Some(col) = view.qi_names.iter().position(|q| q == attr) {
-                    if let Ok(v) = work.value(*row, attr) {
+                let col = view.qi_names.iter().position(|q| q == attr);
+                match (col, work.value(*row, attr)) {
+                    (Some(col), Ok(v)) => {
                         view.patch_cell(*row, col, v, stats);
-                        return 1;
+                        1
                     }
+                    _ => 0,
                 }
-                0
             }
             AnonymizationAction::Recode { attr, from, to, .. } => {
                 let Some(col) = view.qi_names.iter().position(|q| q == attr) else {
-                    return 0;
+                    return false;
                 };
                 let patched = view.patch_recode(col, from, to).len() as u64;
                 if let Some(stats) = stats.filter(|_| patched > 0) {
-                    *stats = view.group_stats();
+                    view.group_stats_into(stats);
+                    warm.regroups += 1;
                 }
                 patched
             }
             AnonymizationAction::Exhausted { .. } => 0,
-        }
+        };
+        warm.patched_facts += patched;
+        patched > 0
     }
 }
 
@@ -2130,5 +2205,120 @@ mod tests {
         // first decision must target one of the weight-5 tuples (5 or 6)
         let first = &out.audit.decisions[0];
         assert!(first.row == 5 || first.row == 6, "row {}", first.row);
+    }
+
+    #[test]
+    fn regroups_are_counted_and_skipped_for_measures_not_served_from_groups() {
+        use crate::anonymize::{italian_geography, GlobalRecoding};
+        use crate::risk::Suda;
+        let (db, dict) = fig5_db();
+        let run = |risk: &dyn RiskMeasure, anon: &dyn Anonymizer, config: CycleConfig| {
+            let out = AnonymizationCycle::new(risk, anon, config)
+                .run(&db, &dict)
+                .unwrap();
+            assert_eq!(out.termination, CycleTermination::Converged);
+            out
+        };
+        let one_tuple = CycleConfig {
+            granularity: StepGranularity::OneTuplePerIteration,
+            ..CycleConfig::default()
+        };
+        let suppress = LocalSuppression::default();
+
+        // SUDA is not served from groups: the cycle asks before grouping,
+        // counts the opt-out once and evaluates every iteration cold
+        let suda = run(&Suda::new(2), &suppress, one_tuple.clone());
+        let w = suda.profile.warm;
+        let evaluations = suda.profile.iterations.len() as u64;
+        assert!(evaluations >= 2, "{w:?}");
+        assert_eq!((w.regroups, w.fallback_to_cold), (0, 1), "{w:?}");
+        assert_eq!((w.cold_evals, w.warm_evals), (evaluations, 0), "{w:?}");
+
+        // one-tuple warm run: one regroup, then every evaluation warm
+        let warm = run(&KAnonymity::new(2), &suppress, one_tuple.clone());
+        let w = warm.profile.warm;
+        let evaluations = warm.profile.iterations.len() as u64;
+        assert!(evaluations >= 2, "{w:?}");
+        assert_eq!(
+            (w.regroups, w.cold_evals, w.fallback_to_cold),
+            (1, 1, 0),
+            "{w:?}"
+        );
+        assert_eq!(w.warm_evals, evaluations - 1, "{w:?}");
+
+        // every class batch changes the table, so each evaluation regroups
+        let batch = CycleConfig {
+            batch: Some(BatchStrategy::PerClass),
+            ..CycleConfig::default()
+        };
+        let batched = run(&KAnonymity::new(2), &suppress, batch);
+        let w = batched.profile.warm;
+        let evaluations = batched.profile.iterations.len() as u64;
+        assert!(evaluations >= 2, "{w:?}");
+        assert_eq!(
+            (w.regroups, w.cold_evals, w.warm_evals),
+            (evaluations, evaluations, 0)
+        );
+
+        // a recode regroups into the maintained statistics
+        let recode = GlobalRecoding::new(italian_geography());
+        let recoded = run(&KAnonymity::new(2), &recode, one_tuple);
+        let w = recoded.profile.warm;
+        assert!(recoded.recodings >= 1, "{w:?}");
+        assert_eq!(w.regroups, 1 + recoded.recodings as u64, "{w:?}");
+        assert_eq!(w.fallback_to_cold, 0, "{w:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// One read of a report gives bit for bit what the four separate
+        /// passes give, on risks with NaN, both zeros and out-of-range
+        /// values, under any threshold and set of exhausted rows. The one
+        /// exception is a tie of `0.0` and `-0.0`, where `f64::min` and
+        /// `f64::max` may return either zero: the minimum is compared by
+        /// value when the risks hold both zeros, the maximum (which
+        /// starts at `0.0`) when they hold a `-0.0`.
+        #[test]
+        fn one_scan_equals_the_four_passes(
+            picks in proptest::collection::vec((0usize..8, 0.0f64..1.0, proptest::bool::ANY), 0..40),
+            t in 0.0f64..1.0,
+        ) {
+            let risks: Vec<f64> = picks
+                .iter()
+                .map(|&(kind, x, _)| match kind {
+                    0 => f64::NAN,
+                    1 => -0.0,
+                    2 => 0.0,
+                    3 => 1.0,
+                    4 => -x,
+                    5 => 1.0 + x,
+                    _ => x,
+                })
+                .collect();
+            let exhausted: HashSet<usize> =
+                (picks.iter().enumerate()).filter(|(_, p)| p.2).map(|(i, _)| i).collect();
+            for risks in [risks.clone(), vec![-0.0; risks.len()]] {
+                let report = RiskReport {
+                    risks,
+                    ..RiskReport::default()
+                };
+                let scan = Scan::of(&report, t, &exhausted);
+                let risky: Vec<usize> = (report.risky_tuples(t).into_iter())
+                    .filter(|r| !exhausted.contains(r))
+                    .collect();
+                proptest::prop_assert_eq!(&scan.risky, &risky);
+                let zero = |bits: u64| report.risks.iter().any(|r| r.to_bits() == bits);
+                let negative_zero = zero((-0.0f64).to_bits());
+                let same = |a: f64, b: f64, tie: bool| {
+                    if tie { a == b } else { a.to_bits() == b.to_bits() }
+                };
+                let min = report.risks.iter().copied().fold(f64::INFINITY, f64::min);
+                proptest::prop_assert!(same(scan.min, min, negative_zero && zero(0)), "{} vs {min}", scan.min);
+                proptest::prop_assert_eq!(scan.mean.to_bits(), report.mean_risk().to_bits());
+                let max = report.max_risk();
+                proptest::prop_assert!(same(scan.max, max, negative_zero), "{} vs {max}", scan.max);
+            }
+        }
     }
 }

@@ -64,7 +64,7 @@ pub fn rows_match(a: &[Value], b: &[Value], sem: NullSemantics) -> bool {
 }
 
 /// Per-row equivalence-group statistics over a set of projected columns.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GroupStats {
     /// `count[t]` = number of rows matching row `t` (including itself).
     pub count: Vec<usize>,

@@ -26,7 +26,7 @@
 //! ```
 
 use crate::categorize::{Categorizer, ExperienceBase};
-use crate::cycle::{AnonymizationCycle, CycleConfig, CycleError, CycleOutcome};
+use crate::cycle::{check_size, AnonymizationCycle, CycleConfig, CycleError, CycleOutcome};
 use crate::degrade::FallbackPolicy;
 use crate::dictionary::MetadataDictionary;
 use crate::journal::JournalConfig;
@@ -244,7 +244,21 @@ impl Vadasa {
 
     /// Run the pipeline: categorize (unless a dictionary was supplied),
     /// anonymize to the threshold, and summarize the released table.
+    ///
+    /// A `k` or SUDA threshold below 1 protects nothing (`k = 0` would
+    /// run as 1, and an MSU threshold of 0 flags no tuple), so it is
+    /// refused with [`CycleError::Invalid`] before anything runs, as a
+    /// threshold outside [0, 1] is.
     pub fn run(self, db: &MicrodataDb) -> Result<Release, PipelineError> {
+        let size = match self.measure {
+            MeasureChoice::KAnonymity(k) => Some(("k", k)),
+            MeasureChoice::Suda(msu) => Some(("msu", msu)),
+            MeasureChoice::ReIdentification | MeasureChoice::IndividualRisk(_) => None,
+        };
+        if let Some((member, n)) = size {
+            check_size(member, n as f64)
+                .map_err(|why| PipelineError::Cycle(CycleError::Invalid(why)))?;
+        }
         // --- categorize ---
         let dict = match self.dictionary {
             Some(d) => d,
@@ -428,6 +442,31 @@ mod tests {
             );
         }
         assert!(Vadasa::new().threshold(1.0).run(&survey()).is_ok());
+    }
+
+    #[test]
+    fn a_size_that_protects_nothing_is_refused() {
+        // k = 0 would run as k = 1 and an MSU threshold of 0 flags no
+        // tuple: both would release the input unchanged.
+        let dir = std::env::temp_dir().join(format!("vadasa-pipeline-k0-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for (member, build) in [
+            ("k", Vadasa::new().k_anonymity(0)),
+            ("msu", Vadasa::new().suda(0)),
+        ] {
+            let refused = build.journal(JournalConfig::new(&dir)).run(&survey());
+            let want = check_size(member, 0.0);
+            assert!(
+                matches!(&refused, Err(PipelineError::Cycle(CycleError::Invalid(why))) if want == Err(why.clone())),
+                "{member} = 0: expected {want:?}, got {refused:?}"
+            );
+            assert!(
+                !dir.exists(),
+                "{member} = 0: a journal directory was created"
+            );
+        }
+        assert!(Vadasa::new().k_anonymity(1).run(&survey()).is_ok());
+        assert!(Vadasa::new().suda(1).run(&survey()).is_ok());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 use crate::dictionary::{Category, MetadataDictionary};
 use crate::maybe_match::NullSemantics;
 use crate::model::MicrodataDb;
-use crate::risk::{MicrodataView, RiskError, RiskMeasure, RiskReport, TupleRiskDetail};
+use crate::risk::{MicrodataView, RiskError, RiskMeasure, RiskReport};
 use std::collections::HashMap;
 use vadalog::{parse_program, Database, Engine, EngineError, ParseError, Value};
 
@@ -482,11 +482,7 @@ impl RiskMeasure for VadalogKAnonymity {
             }
             out
         };
-        let mut report = RiskReport {
-            measure: self.name().to_string(),
-            risks: Vec::with_capacity(view.len()),
-            details: Vec::with_capacity(view.len()),
-        };
+        let mut report = RiskReport::new(self.name());
         for (i, (r, f)) in by_row("riskOutput")
             .into_iter()
             .zip(by_row("freq"))
@@ -495,12 +491,12 @@ impl RiskMeasure for VadalogKAnonymity {
             let (Some(r), Some(Value::Int(f))) = (r.and_then(|r| r.as_f64()), f) else {
                 return Err(RiskError::View(format!("no risk derived for row {i}")));
             };
-            report.risks.push(r);
-            report.details.push(TupleRiskDetail {
-                frequency: f as usize,
-                weight_sum: 0.0,
-                note: format!("class size {f} vs k={}", self.k).into(),
-            });
+            report.push(
+                r,
+                f as usize,
+                0.0,
+                format!("class size {f} vs k={}", self.k),
+            );
         }
         Ok(report)
     }
@@ -647,12 +643,10 @@ mod tests {
                 for k in [2, 3, 5] {
                     let engine = VadalogKAnonymity::new(k).evaluate(view).unwrap();
                     let native = KAnonymity::new(k).evaluate(view).unwrap();
+                    // the two formats agree, so notes compare as text
                     let bits = |r: &RiskReport| {
-                        let sizes = r.details.iter().map(|d| d.frequency);
-                        r.risks
-                            .iter()
-                            .map(|x| x.to_bits())
-                            .zip(sizes)
+                        (r.risks.iter().zip(&r.details).enumerate())
+                            .map(|(i, (x, d))| (x.to_bits(), d.frequency, r.note(i).to_string()))
                             .collect::<Vec<_>>()
                     };
                     assert_eq!(bits(&engine), bits(&native), "view {t}, {sem:?}, k = {k}");

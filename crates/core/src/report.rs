@@ -113,6 +113,7 @@ pub fn render_summary(
         let _ = writeln!(out, "  most exposed tuples:");
         for i in shown {
             let d = &report.details[i];
+            let note = report.note(i);
             let _ = writeln!(
                 out,
                 "    tuple {:>5}: risk {:.4}  (class size {}, weight sum {:.1}{}{})",
@@ -120,8 +121,8 @@ pub fn render_summary(
                 report.risks[i],
                 d.frequency,
                 d.weight_sum,
-                if d.note.is_empty() { "" } else { " — " },
-                d.note
+                if note.is_empty() { "" } else { " — " },
+                note
             );
         }
     }
@@ -184,11 +185,12 @@ pub fn render_profile(profile: &CycleProfile) -> String {
     if *w != Default::default() {
         let _ = writeln!(
             out,
-            "warm-start — {} warm / {} cold evaluation(s), {} fact(s) patched, \
-             {} fallback(s) to cold, {} reused byte(s), \
+            "warm-start — {} warm / {} cold evaluation(s), {} regroup(s), \
+             {} fact(s) patched, {} fallback(s) to cold, {} reused byte(s), \
              {} disk restore(s), {} persist error(s)",
             w.warm_evals,
             w.cold_evals,
+            w.regroups,
             w.patched_facts,
             w.fallback_to_cold,
             w.reused_index_bytes,
@@ -421,12 +423,13 @@ mod tests {
                 patched_facts: 12,
                 fallback_to_cold: 0,
                 reused_index_bytes: 4096,
+                regroups: 3,
                 ..Default::default()
             },
             ..CycleProfile::default()
         };
         let text = render_profile(&profile);
-        assert!(text.contains("9 warm / 1 cold evaluation(s)"));
+        assert!(text.contains("9 warm / 1 cold evaluation(s), 3 regroup(s)"));
         assert!(text.contains("12 fact(s) patched"));
         assert!(text.contains("4096 reused byte(s)"));
     }
@@ -434,11 +437,7 @@ mod tests {
     #[test]
     fn empty_view_is_handled() {
         let view = view_of(vec![], None);
-        let report = RiskReport {
-            measure: "test".into(),
-            risks: vec![],
-            details: vec![],
-        };
+        let report = RiskReport::new("test");
         let g = dataset_risk(&view, &report, 0.5);
         assert_eq!(g.tuples, 0);
         assert_eq!(g.risky_share, 0.0);

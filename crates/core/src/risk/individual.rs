@@ -80,42 +80,37 @@ impl IndividualRisk {
         Ok(())
     }
 
-    /// Map group statistics to the individual-risk report. Shared by
-    /// [`RiskMeasure::evaluate`] and the warm-start hook so identical
+    /// Write the individual-risk report of `stats` into `report`. Shared
+    /// by [`RiskMeasure::evaluate`] and the warm-start hook so identical
     /// statistics yield bit-identical reports.
-    fn report(&self, stats: &GroupStats) -> RiskReport {
-        let n = stats.count.len();
-        let mut risks = Vec::with_capacity(n);
-        let mut details = Vec::with_capacity(n);
+    fn fill(&self, stats: &GroupStats, report: &mut RiskReport) {
+        report.reset(self.name());
         let mut rng = XorShift::new(0x5eed_cafe_f00d_1234);
         // rows of the same equivalence class share (f, p): memoize so the
-        // expensive estimators run once per class, not once per row
-        let mut memo: std::collections::HashMap<(usize, u64), f64> =
+        // expensive estimators run, and the note is written, once per
+        // class, not once per row
+        let mut memo: std::collections::HashMap<(usize, u64), (f64, usize)> =
             std::collections::HashMap::new();
         for (&f, &wsum) in stats.count.iter().zip(stats.weight_sum.iter()) {
             // p̂ is a probability: weight sums below the sample frequency
             // (possible with weights < 1) are clamped.
             let p = (f as f64 / wsum).clamp(f64::MIN_POSITIVE, 1.0);
-            let r = *memo
-                .entry((f, p.to_bits()))
-                .or_insert_with(|| match self.estimator {
+            let (r, note) = *memo.entry((f, p.to_bits())).or_insert_with(|| {
+                let r = match self.estimator {
                     IrEstimator::Simple => p,
                     IrEstimator::PosteriorMean => bf_posterior_mean(f, p),
                     IrEstimator::SimulatedLibrary { samples } => {
                         simulate_posterior_mean(f, p, samples, &mut rng)
                     }
-                });
-            risks.push(r.min(1.0));
-            details.push(TupleRiskDetail {
+                };
+                (r, report.add_note(format!("p̂={p:.6}")))
+            });
+            report.risks.push(r.min(1.0));
+            report.details.push(TupleRiskDetail {
                 frequency: f,
                 weight_sum: wsum,
-                note: format!("p̂={p:.6}").into(),
+                note,
             });
-        }
-        RiskReport {
-            measure: self.name().to_string(),
-            risks,
-            details,
         }
     }
 }
@@ -127,8 +122,9 @@ impl RiskMeasure for IndividualRisk {
 
     fn evaluate(&self, view: &MicrodataView) -> Result<RiskReport, RiskError> {
         Self::validate_weights(view)?;
-        let stats = view.group_stats();
-        Ok(self.report(&stats))
+        let mut report = RiskReport::default();
+        self.fill(&view.group_stats(), &mut report);
+        Ok(report)
     }
 
     fn evaluate_tuple(&self, view: &MicrodataView, row: usize) -> Option<f64> {
@@ -179,22 +175,24 @@ impl RiskMeasure for IndividualRisk {
         Some(r.min(1.0))
     }
 
+    /// The simulated library deliberately models an out-of-process
+    /// estimator (Figure 7e): serving it from patched statistics would
+    /// skip exactly the overhead it exists to measure, so it opts out and
+    /// the cycle evaluates it cold.
+    fn serves_from_groups(&self) -> bool {
+        !matches!(self.estimator, IrEstimator::SimulatedLibrary { .. })
+    }
+
     fn report_from_groups(
         &self,
         view: &MicrodataView,
         stats: &GroupStats,
-    ) -> Option<Result<RiskReport, RiskError>> {
-        // The simulated library deliberately models an out-of-process
-        // estimator (Figure 7e): serving it from patched statistics would
-        // skip exactly the overhead it exists to measure, so it opts out
-        // and the cycle falls back to a cold evaluation.
-        if matches!(self.estimator, IrEstimator::SimulatedLibrary { .. }) {
+        report: &mut RiskReport,
+    ) -> Option<Result<(), RiskError>> {
+        if !self.serves_from_groups() {
             return None;
         }
-        if let Err(e) = Self::validate_weights(view) {
-            return Some(Err(e));
-        }
-        Some(Ok(self.report(stats)))
+        Some(Self::validate_weights(view).map(|()| self.fill(stats, report)))
     }
 }
 

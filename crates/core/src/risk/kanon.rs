@@ -13,7 +13,6 @@
 
 use super::{MicrodataView, RiskError, RiskMeasure, RiskReport, TupleRiskDetail};
 use crate::maybe_match::GroupStats;
-use std::sync::Arc;
 
 /// k-anonymity threshold risk (Algorithm 4).
 #[derive(Debug, Clone, Copy)]
@@ -28,47 +27,46 @@ impl KAnonymity {
         KAnonymity { k: k.max(1) }
     }
 
-    /// Map group statistics to the k-anonymity report. Shared by the cold
-    /// path ([`RiskMeasure::evaluate`]) and the warm-start hook so both
-    /// produce bit-identical output from identical statistics. Notes are
-    /// formatted once per distinct class size and shared by every row of
-    /// that size (one allocation per size, not per row), found by indexing
-    /// a table by class size rather than hashing it.
-    fn report(&self, stats: &GroupStats) -> RiskReport {
+    /// Write the k-anonymity report of `stats` into `report`. Shared by
+    /// the cold path ([`RiskMeasure::evaluate`]) and the warm-start hook
+    /// so both produce bit-identical output from identical statistics.
+    /// Notes are formatted once per distinct class size and shared by
+    /// every row of that size, found by indexing a table by class size
+    /// rather than hashing it.
+    fn fill(&self, stats: &GroupStats, report: &mut RiskReport) {
+        report.reset(self.name());
         let n = stats.count.len();
-        let risks: Vec<f64> = stats
-            .count
-            .iter()
-            .map(|&c| if c < self.k { 1.0 } else { 0.0 })
-            .collect();
-        let note = |c: usize| -> Arc<str> { format!("class size {c} vs k={}", self.k).into() };
+        let k = self.k;
+        let RiskReport {
+            risks,
+            details,
+            notes,
+            ..
+        } = report;
+        let mut note = |c: usize| {
+            notes.push(format!("class size {c} vs k={k}"));
+            notes.len() - 1
+        };
         // A class holds at most `n` rows; statistics restored from disk
         // that claim more get a note of their own instead of a huge table.
         let largest = stats.count.iter().copied().max().unwrap_or(0).min(n);
-        let mut notes: Vec<Option<Arc<str>>> = vec![None; largest + 1];
-        for &c in &stats.count {
-            if let Some(slot) = notes.get_mut(c) {
-                slot.get_or_insert_with(|| note(c));
-            }
-        }
-        let details = (0..n)
-            .map(|i| {
-                let c = stats.count[i];
-                TupleRiskDetail {
-                    frequency: c,
-                    weight_sum: stats.weight_sum[i],
-                    note: notes
-                        .get(c)
-                        .and_then(Clone::clone)
-                        .unwrap_or_else(|| note(c)),
+        let mut note_of: Vec<usize> = vec![usize::MAX; largest + 1];
+        risks.extend(stats.count.iter().map(|&c| if c < k { 1.0 } else { 0.0 }));
+        details.extend(stats.count.iter().zip(&stats.weight_sum).map(|(&c, &w)| {
+            let note = match note_of.get_mut(c) {
+                Some(slot) if *slot != usize::MAX => *slot,
+                Some(slot) => {
+                    *slot = note(c);
+                    *slot
                 }
-            })
-            .collect();
-        RiskReport {
-            measure: self.name().to_string(),
-            risks,
-            details,
-        }
+                None => note(c),
+            };
+            TupleRiskDetail {
+                frequency: c,
+                weight_sum: w,
+                note,
+            }
+        }));
     }
 }
 
@@ -78,8 +76,9 @@ impl RiskMeasure for KAnonymity {
     }
 
     fn evaluate(&self, view: &MicrodataView) -> Result<RiskReport, RiskError> {
-        let stats = view.group_stats();
-        Ok(self.report(&stats))
+        let mut report = RiskReport::default();
+        self.fill(&view.group_stats(), &mut report);
+        Ok(report)
     }
 
     fn evaluate_tuple(&self, view: &MicrodataView, row: usize) -> Option<f64> {
@@ -96,12 +95,18 @@ impl RiskMeasure for KAnonymity {
         Some(if stats.count[row] < self.k { 1.0 } else { 0.0 })
     }
 
+    fn serves_from_groups(&self) -> bool {
+        true
+    }
+
     fn report_from_groups(
         &self,
         _view: &MicrodataView,
         stats: &GroupStats,
-    ) -> Option<Result<RiskReport, RiskError>> {
-        Some(Ok(self.report(stats)))
+        report: &mut RiskReport,
+    ) -> Option<Result<(), RiskError>> {
+        self.fill(stats, report);
+        Some(Ok(()))
     }
 }
 
@@ -168,20 +173,26 @@ mod tests {
     fn notes_are_shared_per_class_size_and_survive_impossible_sizes() {
         let k = KAnonymity::new(2);
         let stats = GroupStats {
-            count: vec![1, 3, 3, usize::MAX],
-            weight_sum: vec![1.0, 3.0, 3.0, 9.0],
+            count: vec![1, 3, 3, usize::MAX, usize::MAX],
+            weight_sum: vec![1.0, 3.0, 3.0, 9.0, 9.0],
         };
-        let report = k.report(&stats);
-        assert!(Arc::ptr_eq(
-            &report.details[1].note,
-            &report.details[2].note
-        ));
-        assert_eq!(&*report.details[0].note, "class size 1 vs k=2");
+        let mut report = RiskReport::default();
+        k.fill(&stats, &mut report);
+        assert_eq!(report.details[1].note, report.details[2].note);
         assert_eq!(
-            &*report.details[3].note,
-            format!("class size {} vs k=2", usize::MAX)
+            report.notes.len(),
+            4,
+            "sizes 1 and 3 shared, each impossible size its own"
         );
-        assert_eq!(report.risks, vec![1.0, 0.0, 0.0, 0.0]);
+        assert_eq!(report.note(0), "class size 1 vs k=2");
+        assert_eq!(report.note(1), "class size 3 vs k=2");
+        for row in [3, 4] {
+            assert_eq!(
+                report.note(row),
+                format!("class size {} vs k=2", usize::MAX)
+            );
+        }
+        assert_eq!(report.risks, vec![1.0, 0.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

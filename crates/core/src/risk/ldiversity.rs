@@ -19,7 +19,7 @@
 //! quasi-identifiers, hence the captured column stays valid across
 //! iterations; a length check guards misuse against a different table.
 
-use super::{MicrodataView, RiskError, RiskMeasure, RiskReport, TupleRiskDetail};
+use super::{MicrodataView, RiskError, RiskMeasure, RiskReport};
 use crate::dictionary::{Category, MetadataDictionary};
 use crate::model::MicrodataDb;
 use std::collections::HashSet;
@@ -99,29 +99,23 @@ impl RiskMeasure for LDiversity {
         }
         // equivalence classes under the view's semantics; with maybe-match
         // the "class" of a tuple is its match set (classes may overlap)
-        let mut risks = Vec::with_capacity(view.len());
-        let mut details = Vec::with_capacity(view.len());
+        let mut report = RiskReport::new(self.name());
         for target in 0..view.len() {
             let members: Vec<usize> = (0..view.len())
                 .filter(|&j| view.rows_match(target, j))
                 .collect();
             let d = self.diversity(&members);
-            risks.push(if d < self.l { 1.0 } else { 0.0 });
-            details.push(TupleRiskDetail {
-                frequency: members.len(),
-                weight_sum: members.len() as f64,
-                note: format!(
+            report.push(
+                if d < self.l { 1.0 } else { 0.0 },
+                members.len(),
+                members.len() as f64,
+                format!(
                     "{d} distinct '{}' values vs l={}",
                     self.sensitive_attr, self.l
-                )
-                .into(),
-            });
+                ),
+            );
         }
-        Ok(RiskReport {
-            measure: self.name().to_string(),
-            risks,
-            details,
-        })
+        Ok(report)
     }
 
     fn evaluate_tuple(&self, view: &MicrodataView, row: usize) -> Option<f64> {

@@ -45,7 +45,6 @@ use crate::dictionary::{Category, DictionaryError, MetadataDictionary};
 use crate::maybe_match::{GroupStats, NullSemantics};
 use crate::model::{MicrodataDb, ModelError};
 use std::fmt;
-use std::sync::Arc;
 use vadalog::Value;
 
 /// Errors building a view or evaluating risk.
@@ -289,7 +288,17 @@ impl MicrodataView {
     /// Equivalence-group statistics under the view's own weights and
     /// semantics.
     pub fn group_stats(&self) -> GroupStats {
-        self.group_stats_with(self.weights.as_deref(), self.semantics)
+        let mut stats = GroupStats::default();
+        self.group_stats_into(&mut stats);
+        stats
+    }
+
+    /// [`group_stats`](Self::group_stats) written into `stats`, whatever
+    /// it held before: a caller that regroups again and again keeps one
+    /// pair of per-row buffers instead of allocating them each time.
+    pub fn group_stats_into(&self, stats: &mut GroupStats) {
+        let all: Vec<usize> = (0..self.width()).collect();
+        self.fill_group_stats(&all, self.weights.as_deref(), self.semantics, stats);
     }
 
     /// The flat row-major code matrix.
@@ -329,6 +338,19 @@ impl MicrodataView {
         weights: Option<&[f64]>,
         sem: NullSemantics,
     ) -> GroupStats {
+        let mut stats = GroupStats::default();
+        self.fill_group_stats(positions, weights, sem, &mut stats);
+        stats
+    }
+
+    /// The pattern kernel over this view, into `stats`.
+    fn fill_group_stats(
+        &self,
+        positions: &[usize],
+        weights: Option<&[f64]>,
+        sem: NullSemantics,
+        stats: &mut GroupStats,
+    ) {
         group_stats_codes(
             &self.codes,
             &self.null_masks,
@@ -336,7 +358,8 @@ impl MicrodataView {
             positions,
             weights,
             sem,
-        )
+            stats,
+        );
     }
 
     /// Overwrite the cell at `(row, col)`, move the row to its new
@@ -455,20 +478,24 @@ where
     (dicts, codes, null_masks)
 }
 
-/// Per-tuple diagnostic detail accompanying a risk score.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Per-tuple diagnostic detail accompanying a risk score: three plain
+/// words, so a report's rows are written and freed without touching a
+/// heap object.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TupleRiskDetail {
     /// Size of the tuple's equivalence group under the view's semantics.
     pub frequency: usize,
     /// Sum of sampling weights over the group (frequency if unweighted).
     pub weight_sum: f64,
-    /// Measure-specific annotation (e.g. MSU sizes for SUDA). Shared, so
-    /// rows with the same note hold one string between them.
-    pub note: Arc<str>,
+    /// Index of the tuple's measure-specific annotation (e.g. MSU sizes
+    /// for SUDA) in its report's [`RiskReport::notes`]; read the text
+    /// with [`RiskReport::note`]. Indices mean nothing outside their
+    /// report, so compare notes by text.
+    pub note: usize,
 }
 
 /// The outcome of evaluating a risk measure over a view.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RiskReport {
     /// Name of the measure that produced this report.
     pub measure: String,
@@ -476,9 +503,59 @@ pub struct RiskReport {
     pub risks: Vec<f64>,
     /// Per-tuple diagnostics (same order).
     pub details: Vec<TupleRiskDetail>,
+    /// The report's note table: rows with the same annotation share one
+    /// entry, which their [`TupleRiskDetail::note`] indexes. An index past
+    /// the end reads as the empty note, so the rows of a report without
+    /// notes point nowhere.
+    pub notes: Vec<String>,
 }
 
 impl RiskReport {
+    /// An empty report of `measure`.
+    pub fn new(measure: &str) -> Self {
+        RiskReport {
+            measure: measure.to_string(),
+            ..RiskReport::default()
+        }
+    }
+
+    /// Empty the report for a new evaluation by `measure`, keeping the
+    /// capacity of its row buffers: refilling a report of the same length
+    /// allocates nothing per row.
+    pub fn reset(&mut self, measure: &str) {
+        self.measure.clear();
+        self.measure.push_str(measure);
+        self.risks.clear();
+        self.details.clear();
+        self.notes.clear();
+    }
+
+    /// Add `text` to the note table and return its index.
+    pub fn add_note(&mut self, text: String) -> usize {
+        self.notes.push(text);
+        self.notes.len() - 1
+    }
+
+    /// Append one tuple whose note is its own.
+    pub fn push(&mut self, risk: f64, frequency: usize, weight_sum: f64, note: String) {
+        let note = self.add_note(note);
+        self.risks.push(risk);
+        self.details.push(TupleRiskDetail {
+            frequency,
+            weight_sum,
+            note,
+        });
+    }
+
+    /// The note text of tuple `row` (empty for a row without a note, or
+    /// past the report's end).
+    pub fn note(&self, row: usize) -> &str {
+        self.details
+            .get(row)
+            .and_then(|d| self.notes.get(d.note))
+            .map_or("", String::as_str)
+    }
+
     /// Indices of tuples whose risk strictly exceeds the threshold `t`
     /// (Algorithm 2, Rule 2: `R > T → anonymize`).
     pub fn risky_tuples(&self, t: f64) -> Vec<usize> {
@@ -539,11 +616,24 @@ pub trait RiskMeasure {
         None
     }
 
-    /// Warm-start hook: produce the full report from precomputed
-    /// equivalence-group statistics instead of regrouping the whole view.
-    /// The cycle maintains `stats` incrementally across suppressions
-    /// (`MicrodataView::patch_cell`) and serves every re-evaluation after
-    /// the first through this hook.
+    /// Is this measure's report served by
+    /// [`report_from_groups`](Self::report_from_groups)? The cycle asks
+    /// before it groups the table, so a measure that answers `false` (the
+    /// default) costs a run no regroup it would throw away. A measure
+    /// that answers `true` may still return `None` from the hook; the
+    /// cycle then falls back to cold evaluations as it would have.
+    fn serves_from_groups(&self) -> bool {
+        false
+    }
+
+    /// Warm-start hook: write the full report into `report` from
+    /// precomputed equivalence-group statistics instead of regrouping the
+    /// whole view. The cycle maintains `stats` incrementally across
+    /// suppressions (`MicrodataView::patch_cell`), serves every
+    /// re-evaluation after the first through this hook, and passes the
+    /// report of an earlier evaluation as `report`, so the hook must
+    /// [`reset`](RiskReport::reset) it and leave nothing of its old rows
+    /// or notes behind.
     ///
     /// A measure may implement this only when its report is a pure,
     /// deterministic function of per-tuple `(frequency, weight_sum)` — the
@@ -553,7 +643,8 @@ pub trait RiskMeasure {
         &self,
         _view: &MicrodataView,
         _stats: &crate::maybe_match::GroupStats,
-    ) -> Option<Result<RiskReport, RiskError>> {
+        _report: &mut RiskReport,
+    ) -> Option<Result<(), RiskError>> {
         None
     }
 }
@@ -597,6 +688,7 @@ mod tests {
     use super::test_support::view_of;
     use super::*;
     use crate::dictionary::Category;
+    use std::sync::Arc;
 
     #[test]
     fn view_from_db_projects_qis_and_weights() {
@@ -656,6 +748,7 @@ mod tests {
             measure: "test".into(),
             risks: vec![0.1, 0.6, 0.5, 1.0],
             details: vec![TupleRiskDetail::default(); 4],
+            notes: Vec::new(),
         };
         assert_eq!(report.risky_tuples(0.5), vec![1, 3]);
         assert_eq!(report.max_risk(), 1.0);
@@ -895,6 +988,157 @@ mod tests {
         }
     }
 
+    /// Every row of a report as the cycle and its outputs read it: risk
+    /// bits, frequency, weight-sum bits and note text (never the note
+    /// index, which means nothing outside its report).
+    fn rows_of(r: &RiskReport) -> Vec<(u64, usize, u64, String)> {
+        assert_eq!(r.risks.len(), r.details.len(), "{}: rows", r.measure);
+        (r.risks.iter().zip(&r.details).enumerate())
+            .map(|(i, (x, d))| {
+                (
+                    x.to_bits(),
+                    d.frequency,
+                    d.weight_sum.to_bits(),
+                    r.note(i).to_string(),
+                )
+            })
+            .collect()
+    }
+
+    /// A weighted table with labelled nulls: rows `(a, b)` drawn from a
+    /// small domain, every `null_every`-th row nulled in one column.
+    fn mixed_view(picks: &[(i64, i64, u32)], null_every: usize) -> MicrodataView {
+        let rows = (picks.iter().enumerate())
+            .map(|(i, &(a, b, _))| {
+                let mut row = vec![Value::Int(a), Value::Int(b)];
+                if null_every > 0 && i % null_every == 0 {
+                    row[i % 2] = Value::Null(i as u64);
+                }
+                row
+            })
+            .collect();
+        let weights = picks.iter().map(|p| f64::from(p.2)).collect();
+        MicrodataView::from_rows(
+            vec!["a".into(), "b".into()],
+            rows,
+            Some(weights),
+            NullSemantics::MaybeMatch,
+        )
+        .unwrap()
+    }
+
+    /// The measures served from group statistics.
+    fn served() -> Vec<Box<dyn RiskMeasure>> {
+        vec![
+            Box::new(KAnonymity::new(2)),
+            Box::new(KAnonymity::new(4)),
+            Box::new(ReIdentification),
+            Box::new(IndividualRisk::new(IrEstimator::Simple)),
+            Box::new(IndividualRisk::new(IrEstimator::PosteriorMean)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Each measure served from groups writes into a report left by
+        /// another measure, another length or other notes exactly the
+        /// report a fresh evaluation returns, row for row.
+        #[test]
+        fn reports_refilled_from_groups_equal_fresh_evaluations(
+            picks in proptest::collection::vec((0i64..3, 0i64..3, 1u32..40), 1..40),
+            null_every in 0usize..5,
+        ) {
+            let view = mixed_view(&picks, null_every);
+            let stats = view.group_stats();
+            let longer: Vec<_> = picks.iter().chain(&picks).copied().collect();
+            let reweighted: Vec<_> = picks.iter().map(|&(a, b, w)| (a, b, w + 3)).collect();
+            let dirty = [
+                Suda::new(2).evaluate(&view).unwrap(),
+                KAnonymity::new(3).evaluate(&mixed_view(&longer, 2)).unwrap(),
+                KAnonymity::new(2).evaluate(&mixed_view(&picks[..picks.len() / 2], 3)).unwrap(),
+                IndividualRisk::default().evaluate(&mixed_view(&reweighted, null_every)).unwrap(),
+            ];
+            for measure in served() {
+                prop_assert!(measure.serves_from_groups());
+                let fresh = measure.evaluate(&view).unwrap();
+                for d in &dirty {
+                    let mut report = d.clone();
+                    let filled = measure.report_from_groups(&view, &stats, &mut report);
+                    prop_assert!(matches!(filled, Some(Ok(()))), "{}", measure.name());
+                    prop_assert_eq!(&report.measure, &fresh.measure);
+                    prop_assert_eq!(rows_of(&report), rows_of(&fresh), "{} over {}", measure.name(), d.measure);
+                }
+            }
+        }
+    }
+
+    /// Every measure's note text on every row is what the measure formats
+    /// for that row: one note per class size for k-anonymity, none for
+    /// re-identification, one per `p̂` for individual risk, the MSU sizes
+    /// for SUDA, `ε` for presence, and the diversity and distance notes.
+    #[test]
+    fn every_measures_note_text_is_its_format() {
+        let picks: Vec<(i64, i64, u32)> = (0..30)
+            .map(|i| (i % 3, (i * 7) % 4, 1 + (i as u32 * 13) % 9))
+            .collect();
+        let view = mixed_view(&picks, 4);
+        let check = |report: &RiskReport, expected: &dyn Fn(usize) -> String| {
+            assert_eq!(report.details.len(), view.len(), "{}", report.measure);
+            for row in 0..view.len() {
+                assert_eq!(
+                    report.note(row),
+                    expected(row),
+                    "{}: row {row}",
+                    report.measure
+                );
+            }
+        };
+        for k in [2, 5] {
+            let r = KAnonymity::new(k).evaluate(&view).unwrap();
+            check(&r, &|i| {
+                format!("class size {} vs k={k}", r.details[i].frequency)
+            });
+        }
+        let r = ReIdentification.evaluate(&view).unwrap();
+        check(&r, &|_| String::new());
+        for est in [IrEstimator::Simple, IrEstimator::PosteriorMean] {
+            let r = IndividualRisk::new(est).evaluate(&view).unwrap();
+            check(&r, &|i| {
+                let d = &r.details[i];
+                let p = (d.frequency as f64 / d.weight_sum).clamp(f64::MIN_POSITIVE, 1.0);
+                format!("p̂={p:.6}")
+            });
+        }
+        let msus = minimal_sample_uniques(&view, None);
+        let r = Suda::new(2).evaluate(&view).unwrap();
+        check(&r, &|i| format!("msu sizes {:?}", msus[i].sizes()));
+        let r = PresenceRisk.evaluate(&view).unwrap();
+        check(&r, &|i| {
+            format!("ε={:.4}", PresenceRisk::epsilon(r.risks[i]))
+        });
+        let sensitive: Vec<Value> = (0..view.len()).map(|i| Value::Int(i as i64 % 3)).collect();
+        let r = LDiversity::from_column(2, "s", sensitive.clone())
+            .evaluate(&view)
+            .unwrap();
+        check(&r, &|i| {
+            let mut seen: Vec<&Value> = (0..view.len())
+                .filter(|&j| view.rows_match(i, j))
+                .map(|j| &sensitive[j])
+                .collect();
+            seen.sort_by_key(|v| v.to_string());
+            seen.dedup();
+            format!("{} distinct 's' values vs l=2", seen.len())
+        });
+        let r = TCloseness::from_column(0.2, "s", sensitive)
+            .evaluate(&view)
+            .unwrap();
+        check(&r, &|i| {
+            let distance = r.details[i].weight_sum;
+            format!("TV distance {distance:.4} vs t=0.20 on 's'")
+        });
+    }
+
     /// Bitwise stats comparison (`==` on `f64` would accept `0.0 == -0.0`).
     fn assert_bitwise(a: &GroupStats, b: &GroupStats, what: &str) {
         assert_eq!(a.count, b.count, "{what}: counts");
@@ -907,8 +1151,16 @@ mod tests {
     /// under both semantics and the given weights, against the row-level
     /// oracle (bit for bit) and against the
     /// `Value`-row pass of [`crate::maybe_match`] (bit for bit under
-    /// integer weights, whose sums are exact in any order).
-    fn check_view(view: &MicrodataView, positions: &[usize], weights: &[f64], exact: bool) {
+    /// integer weights, whose sums are exact in any order). The kernel
+    /// also regroups into each of the `dirty` statistics, left by other
+    /// tables, and must write exactly what it writes into fresh buffers.
+    fn check_view(
+        view: &MicrodataView,
+        positions: &[usize],
+        weights: &[f64],
+        exact: bool,
+        dirty: &[GroupStats],
+    ) {
         use crate::columnar::group_stats_oracle;
         use crate::maybe_match::{group_stats, group_stats_on};
         view.patterns()
@@ -928,6 +1180,11 @@ mod tests {
                     );
                     let fast = view.group_stats_on(cols, ws, sem);
                     assert_bitwise(&fast, &oracle, "pattern kernel vs oracle");
+                    for d in dirty {
+                        let mut refilled = d.clone();
+                        view.fill_group_stats(cols, ws, sem, &mut refilled);
+                        assert_bitwise(&refilled, &fast, "regroup into dirty buffers");
+                    }
                     let by_rows = if cols.len() == all.len() {
                         group_stats(&rows, ws, sem)
                     } else {
@@ -956,7 +1213,9 @@ mod tests {
         /// sequence: a home row leaving a populated pattern and coming
         /// back, a retired pattern being re-entered, then random cell
         /// patches (fresh nulls, and constants drawn from the table's own
-        /// small domain) and recodes.
+        /// small domain) and recodes. At every step it also regroups into
+        /// statistics left by a longer table, a shorter one, one with
+        /// nulls and one with other weights.
         #[test]
         fn pattern_kernel_matches_oracles_through_patches(
             table in proptest::collection::vec(
@@ -988,7 +1247,30 @@ mod tests {
                 NullSemantics::MaybeMatch,
             )
             .unwrap();
-            check_view(&view, &positions, &weights, !fractional);
+            let dirty = {
+                let names: Vec<String> = (0..width).map(|c| format!("q{c}")).collect();
+                let stats_of = |rows: Vec<Vec<Value>>, weights: Vec<f64>| {
+                    MicrodataView::from_rows(names.clone(), rows, Some(weights), NullSemantics::MaybeMatch)
+                        .unwrap()
+                        .group_stats()
+                };
+                let longer: Vec<Vec<Value>> = rows.iter().chain(&rows).chain(&rows).cloned().collect();
+                let nulled: Vec<Vec<Value>> = (rows.iter().enumerate())
+                    .map(|(i, r)| {
+                        let mut r = r.clone();
+                        r[i % width] = Value::Null(50 + i as u64);
+                        r
+                    })
+                    .collect();
+                let reweighted: Vec<f64> = weights.iter().map(|w| w * 3.0 + 0.5).collect();
+                vec![
+                    stats_of(longer.clone(), longer.iter().map(|_| 7.0).collect()),
+                    stats_of(rows[..rows.len() / 2].to_vec(), weights[..rows.len() / 2].to_vec()),
+                    stats_of(nulled, weights.clone()),
+                    stats_of(rows.clone(), reweighted),
+                ]
+            };
+            check_view(&view, &positions, &weights, !fractional, &dirty);
             // Every case first moves a row out of its pattern and back:
             // the first row of a pattern others share (its home leaves a
             // populated pattern), and a row alone in its pattern (the
@@ -1004,10 +1286,10 @@ mod tests {
                 let held = size(&view, row);
                 view.patch_cell(row, 0, &Value::Null(90 + k as u64), None);
                 prop_assert_eq!(view.patterns().rows_of(before), held - 1);
-                check_view(&view, &positions, &weights, !fractional);
+                check_view(&view, &positions, &weights, !fractional, &dirty);
                 view.patch_cell(row, 0, &cell, None);
                 prop_assert_eq!(view.pattern_of(row) == before, held > 1);
-                check_view(&view, &positions, &weights, !fractional);
+                check_view(&view, &positions, &weights, !fractional, &dirty);
             }
             for (k, &(row, col, pick, to)) in steps.iter().enumerate() {
                 let (row, col) = (row % rows.len(), col % width);
@@ -1021,7 +1303,7 @@ mod tests {
                     // write a constant from the table's domain
                     _ => view.patch_cell(row, col, &Value::Int(to), None),
                 }
-                check_view(&view, &positions, &weights, !fractional);
+                check_view(&view, &positions, &weights, !fractional, &dirty);
             }
         }
     }

@@ -24,7 +24,7 @@
 //! any other measure — suppression grows `Σw_group` under maybe-match and
 //! pushes `ρ` down.
 
-use super::{MicrodataView, RiskError, RiskMeasure, RiskReport, TupleRiskDetail};
+use super::{MicrodataView, RiskError, RiskMeasure, RiskReport};
 
 /// DP-inspired membership-disclosure risk (`ρ = w_t / Σw_group`).
 #[derive(Debug, Clone, Copy, Default)]
@@ -59,22 +59,12 @@ impl RiskMeasure for PresenceRisk {
             )));
         }
         let stats = view.group_stats();
-        let mut risks = Vec::with_capacity(view.len());
-        let mut details = Vec::with_capacity(view.len());
+        let mut report = RiskReport::new(self.name());
         for (i, (&f, &wsum)) in stats.count.iter().zip(stats.weight_sum.iter()).enumerate() {
             let r = (weights[i] / wsum).clamp(0.0, 1.0);
-            risks.push(r);
-            details.push(TupleRiskDetail {
-                frequency: f,
-                weight_sum: wsum,
-                note: format!("ε={:.4}", PresenceRisk::epsilon(r)).into(),
-            });
+            report.push(r, f, wsum, format!("ε={:.4}", PresenceRisk::epsilon(r)));
         }
-        Ok(RiskReport {
-            measure: self.name().to_string(),
-            risks,
-            details,
-        })
+        Ok(report)
     }
 
     fn evaluate_tuple(&self, view: &MicrodataView, row: usize) -> Option<f64> {

@@ -34,26 +34,32 @@ impl ReIdentification {
         Ok(())
     }
 
-    /// Map group statistics to the re-identification report. Shared by
-    /// [`RiskMeasure::evaluate`] and the warm-start hook.
-    fn report(&self, stats: &GroupStats) -> RiskReport {
+    /// Write the re-identification report of `stats` into `report`; its
+    /// rows carry no note. Shared by [`RiskMeasure::evaluate`] and the
+    /// warm-start hook.
+    fn fill(&self, stats: &GroupStats, report: &mut RiskReport) {
+        report.reset(self.name());
         let n = stats.count.len();
-        let risks: Vec<f64> = stats.weight_sum[..n]
-            .iter()
-            .map(|&s| if s > 0.0 { (1.0 / s).min(1.0) } else { 1.0 })
-            .collect();
-        let details = (0..n)
-            .map(|i| TupleRiskDetail {
-                frequency: stats.count[i],
-                weight_sum: stats.weight_sum[i],
-                note: Default::default(),
-            })
-            .collect();
-        RiskReport {
-            measure: self.name().to_string(),
-            risks,
-            details,
-        }
+        report.risks.extend(stats.weight_sum[..n].iter().map(|&s| {
+            if s > 0.0 {
+                (1.0 / s).min(1.0)
+            } else {
+                1.0
+            }
+        }));
+        report
+            .details
+            .extend(
+                stats
+                    .count
+                    .iter()
+                    .zip(&stats.weight_sum)
+                    .map(|(&frequency, &weight_sum)| TupleRiskDetail {
+                        frequency,
+                        weight_sum,
+                        note: 0,
+                    }),
+            );
     }
 }
 
@@ -64,8 +70,9 @@ impl RiskMeasure for ReIdentification {
 
     fn evaluate(&self, view: &MicrodataView) -> Result<RiskReport, RiskError> {
         Self::validate_weights(view)?;
-        let stats = view.group_stats();
-        Ok(self.report(&stats))
+        let mut report = RiskReport::default();
+        self.fill(&view.group_stats(), &mut report);
+        Ok(report)
     }
 
     fn evaluate_tuple(&self, view: &MicrodataView, row: usize) -> Option<f64> {
@@ -91,12 +98,17 @@ impl RiskMeasure for ReIdentification {
         })
     }
 
+    fn serves_from_groups(&self) -> bool {
+        true
+    }
+
     fn report_from_groups(
         &self,
         view: &MicrodataView,
         stats: &GroupStats,
-    ) -> Option<Result<RiskReport, RiskError>> {
-        Some(Self::validate_weights(view).map(|()| self.report(stats)))
+        report: &mut RiskReport,
+    ) -> Option<Result<(), RiskError>> {
+        Some(Self::validate_weights(view).map(|()| self.fill(stats, report)))
     }
 }
 

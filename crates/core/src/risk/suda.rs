@@ -23,7 +23,7 @@
 //! activation of Rule 7" that the paper credits for avoiding the
 //! combinatorial blowup in Figure 7f.
 
-use super::{MicrodataView, RiskError, RiskMeasure, RiskReport, TupleRiskDetail};
+use super::{MicrodataView, RiskError, RiskMeasure, RiskReport};
 
 /// The minimal sample uniques of one tuple, as column bitmasks.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -144,8 +144,7 @@ impl RiskMeasure for Suda {
             )));
         }
         let msus = minimal_sample_uniques(view, self.max_msu_size);
-        let mut risks = Vec::with_capacity(view.len());
-        let mut details = Vec::with_capacity(view.len());
+        let mut report = RiskReport::new(self.name());
         // normalization for the SUDA2-style score: the largest possible
         // per-MSU contribution is (m-1)! (an MSU of size 1)
         let norm = fact(m.saturating_sub(1) as u32).max(1.0);
@@ -154,24 +153,20 @@ impl RiskMeasure for Suda {
                 .sizes()
                 .iter()
                 .any(|&s| (s as usize) < self.msu_threshold);
-            risks.push(if dangerous { 1.0 } else { 0.0 });
             let score: f64 = set
                 .sizes()
                 .iter()
                 .map(|&s| fact(m.saturating_sub(s as usize) as u32))
                 .sum::<f64>()
                 / norm;
-            details.push(TupleRiskDetail {
-                frequency: set.masks.len(),
-                weight_sum: score,
-                note: format!("msu sizes {:?}", set.sizes()).into(),
-            });
+            report.push(
+                if dangerous { 1.0 } else { 0.0 },
+                set.masks.len(),
+                score,
+                format!("msu sizes {:?}", set.sizes()),
+            );
         }
-        Ok(RiskReport {
-            measure: self.name().to_string(),
-            risks,
-            details,
-        })
+        Ok(report)
     }
 }
 

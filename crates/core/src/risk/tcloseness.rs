@@ -15,7 +15,7 @@
 //! quasi-identifiers). Labelled nulls in the sensitive column are ignored
 //! in both distributions — an unknown value constrains neither side.
 
-use super::{MicrodataView, RiskError, RiskMeasure, RiskReport, TupleRiskDetail};
+use super::{MicrodataView, RiskError, RiskMeasure, RiskReport};
 use crate::dictionary::{Category, MetadataDictionary};
 use crate::model::MicrodataDb;
 use std::collections::HashMap;
@@ -104,30 +104,24 @@ impl RiskMeasure for TCloseness {
             )));
         }
         let global = self.distribution(0..view.len());
-        let mut risks = Vec::with_capacity(view.len());
-        let mut details = Vec::with_capacity(view.len());
+        let mut report = RiskReport::new(self.name());
         for target in 0..view.len() {
             let members: Vec<usize> = (0..view.len())
                 .filter(|&j| view.rows_match(target, j))
                 .collect();
             let class = self.distribution(members.iter().copied());
             let distance = total_variation(&class, &global);
-            risks.push(if distance > self.t { 1.0 } else { 0.0 });
-            details.push(TupleRiskDetail {
-                frequency: members.len(),
-                weight_sum: distance,
-                note: format!(
+            report.push(
+                if distance > self.t { 1.0 } else { 0.0 },
+                members.len(),
+                distance,
+                format!(
                     "TV distance {distance:.4} vs t={:.2} on '{}'",
                     self.t, self.sensitive_attr
-                )
-                .into(),
-            });
+                ),
+            );
         }
-        Ok(RiskReport {
-            measure: self.name().to_string(),
-            risks,
-            details,
-        })
+        Ok(report)
     }
 
     fn evaluate_tuple(&self, view: &MicrodataView, row: usize) -> Option<f64> {

@@ -146,7 +146,11 @@ fn assert_derived(o: &CycleOutcome, d: &Derived, tag: &str) {
     assert_eq!(counters, d.counters, "{tag}: counters");
     let bits = |r: &RiskReport| r.risks.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&o.final_report), bits(&d.report), "{tag}: risks");
-    let details = |r: &RiskReport| format!("{:?}", r.details);
+    let details = |r: &RiskReport| {
+        (r.details.iter().enumerate())
+            .map(|(i, x)| (x.frequency, x.weight_sum.to_bits(), r.note(i).to_string()))
+            .collect::<Vec<_>>()
+    };
     assert_eq!(details(&o.final_report), details(&d.report), "{tag}");
     let audit: Vec<_> = (o.audit.decisions.iter())
         .map(|x| (x.iteration, x.row, x.risk.to_bits(), x.action.clone()))

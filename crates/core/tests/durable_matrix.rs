@@ -91,8 +91,14 @@ fn transcript(o: &CycleOutcome) -> String {
     for (i, r) in o.final_report.risks.iter().enumerate() {
         let _ = writeln!(t, "risk[{i}]={:016x}", r.to_bits());
     }
-    for d in &o.final_report.details {
-        let _ = writeln!(t, "detail: {d:?}");
+    for (i, d) in o.final_report.details.iter().enumerate() {
+        let _ = writeln!(
+            t,
+            "detail: frequency={} weight={:016x} note={}",
+            d.frequency,
+            d.weight_sum.to_bits(),
+            o.final_report.note(i)
+        );
     }
     for d in &o.audit.decisions {
         let _ = writeln!(
