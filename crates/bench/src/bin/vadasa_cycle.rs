@@ -197,6 +197,11 @@ fn main() -> ExitCode {
         None
     };
 
+    config.journal = journal.map(|dir| JournalConfig {
+        sync,
+        snapshot_every,
+        ..JournalConfig::new(dir)
+    });
     let mut pipeline = Vadasa::new().k_anonymity(k).cycle_config(config);
     if let Some(c) = collector {
         pipeline = pipeline.collector(c);
@@ -204,15 +209,8 @@ fn main() -> ExitCode {
     if let Some(m) = &metrics {
         pipeline = pipeline.metrics(m.clone());
     }
-    if let Some(dir) = journal {
-        pipeline = pipeline.journal(JournalConfig {
-            sync,
-            snapshot_every,
-            ..JournalConfig::new(dir)
-        });
-        if resume {
-            pipeline = pipeline.resume();
-        }
+    if resume {
+        pipeline = pipeline.resume();
     }
 
     let release = match pipeline.run(&db) {

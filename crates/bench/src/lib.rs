@@ -96,23 +96,14 @@ pub fn run_cycle_with(
 
 /// Synthesize `count` ownership edges among the identifiers of `db`
 /// (Figure 7d: "increasing number of inferred control relationships").
-/// Edges carry majority fractions so each one induces a control link; the
-/// endpoints are drawn uniformly so chains and small groups emerge.
-pub fn synthetic_ownership(
-    db: &MicrodataDb,
-    id_attr: &str,
-    count: usize,
-    seed: u64,
-) -> OwnershipGraph {
-    synthetic_ownership_focused(db, id_attr, count, seed, &[], 0.0)
-}
-
-/// Like [`synthetic_ownership`], but a fraction `focus_prob` of edge
-/// endpoints is drawn from `focus_rows`. The paper's relationships are
-/// *inferred from the data* among real survey companies, and holding
-/// structures concentrate on the statistically unusual firms — exactly the
-/// risky tuples — which is what makes the propagation of Figure 7d bite
-/// ("relationships disclose many cases that deserve anonymization").
+/// Edges carry majority fractions so each one induces a control link; a
+/// fraction `focus_prob` of edge endpoints is drawn from `focus_rows` and
+/// the rest uniformly, so chains and small groups emerge. The paper's
+/// relationships are *inferred from the data* among real survey
+/// companies, and holding structures concentrate on the statistically
+/// unusual firms — exactly the risky tuples — which is what makes the
+/// propagation of Figure 7d bite ("relationships disclose many cases that
+/// deserve anonymization").
 pub fn synthetic_ownership_focused(
     db: &MicrodataDb,
     id_attr: &str,
@@ -262,15 +253,6 @@ mod tests {
         let out = run_paper_cycle(&db, &dict, &risk, paper_cycle_config());
         assert_eq!(out.final_risky, 0);
         assert!(out.nulls_injected >= 1);
-    }
-
-    #[test]
-    fn synthetic_ownership_has_requested_edges() {
-        let (db, _) = local_suppression_fig5a();
-        let g = synthetic_ownership(&db, "Id", 5, 1);
-        assert_eq!(g.edge_count(), 5);
-        // all edges are majority stakes → at least one control link
-        assert!(!g.control_closure().is_empty());
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! boundary choice.
 
 use super::AnonymizeError;
-use crate::dictionary::{Category, MetadataDictionary};
 use crate::model::MicrodataDb;
 use vadalog::Value;
 
@@ -72,23 +71,6 @@ pub fn microaggregate(
         groups: group_count,
         sse,
     })
-}
-
-/// Microaggregate every *numeric* quasi-identifier of the microdata DB.
-/// Columns holding non-numeric values are skipped.
-pub fn microaggregate_numeric_qis(
-    db: &mut MicrodataDb,
-    dict: &MetadataDictionary,
-    k: usize,
-) -> Result<Vec<MicroaggregationOutcome>, AnonymizeError> {
-    let qis = dict.attrs_with_category(&db.name, Category::QuasiIdentifier)?;
-    let mut out = Vec::new();
-    for attr in qis {
-        if db.numeric_column(&attr).is_ok() {
-            out.push(microaggregate(db, &attr, k)?);
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -169,27 +151,6 @@ mod tests {
         let mut db = MicrodataDb::new("m", ["area"]).unwrap();
         db.push_row(vec![Value::str("North")]).unwrap();
         assert!(microaggregate(&mut db, "area", 2).is_err());
-    }
-
-    #[test]
-    fn numeric_qis_are_swept_categoricals_skipped() {
-        use crate::dictionary::MetadataDictionary;
-        let mut db = MicrodataDb::new("m", ["area", "income", "age"]).unwrap();
-        for (a, i, g) in [("N", 10, 30), ("S", 20, 40), ("N", 30, 50), ("S", 40, 60)] {
-            db.push_row(vec![Value::str(a), Value::Int(i), Value::Int(g)])
-                .unwrap();
-        }
-        let mut dict = MetadataDictionary::new();
-        for a in ["area", "income", "age"] {
-            dict.register_attr("m", a, "");
-            dict.set_category("m", a, Category::QuasiIdentifier)
-                .unwrap();
-        }
-        let outcomes = microaggregate_numeric_qis(&mut db, &dict, 2).unwrap();
-        let names: Vec<&str> = outcomes.iter().map(|o| o.attr.as_str()).collect();
-        assert_eq!(names, vec!["income", "age"]);
-        // categorical column untouched
-        assert_eq!(db.value(0, "area").unwrap(), &Value::str("N"));
     }
 
     #[test]

@@ -18,8 +18,8 @@ mod recode;
 
 pub use hybrid::HybridAnonymizer;
 pub use local::LocalSuppression;
-pub use microagg::{microaggregate, microaggregate_numeric_qis, MicroaggregationOutcome};
-pub use recode::{band_hierarchy, italian_geography, DomainHierarchy, GlobalRecoding};
+pub use microagg::{microaggregate, MicroaggregationOutcome};
+pub use recode::{italian_geography, DomainHierarchy, GlobalRecoding};
 
 use crate::columnar::mismatch_bits;
 use crate::dictionary::{DictionaryError, MetadataDictionary};

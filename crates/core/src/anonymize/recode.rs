@@ -99,20 +99,6 @@ impl DomainHierarchy {
             .find(|p| self.inst_of.get(*p).map(|t| t == coarser).unwrap_or(false))
             .cloned()
     }
-
-    /// Height of `v` in the hierarchy: number of roll-ups until a root.
-    pub fn height(&self, v: &Value) -> usize {
-        let mut h = 0;
-        let mut cur = v.clone();
-        while let Some(p) = self.roll_up(&cur) {
-            h += 1;
-            cur = p;
-            if h > 64 {
-                break; // cyclic KB guard
-            }
-        }
-        h
-    }
 }
 
 /// Global recoding anonymizer (Algorithm 8).
@@ -176,80 +162,6 @@ impl Anonymizer for GlobalRecoding {
     }
 }
 
-/// Merge two band labels: `"0-30" + "30-60" → "0-60"`, `"60-90" + "90+"
-/// → "60+"`; anything unparsable joins with `∪`.
-fn merge_bands(a: &str, b: &str) -> String {
-    let lo = a.split('-').next().map(str::trim);
-    let hi_plus = b.ends_with('+');
-    let hi = if hi_plus {
-        None
-    } else {
-        b.rsplit('-').next().map(str::trim)
-    };
-    match (lo, hi, hi_plus) {
-        (Some(lo), _, true) if lo.parse::<f64>().is_ok() => format!("{lo}+"),
-        (Some(lo), Some(hi), false) if lo.parse::<f64>().is_ok() && hi.parse::<f64>().is_ok() => {
-            format!("{lo}-{hi}")
-        }
-        _ => format!("{a}∪{b}"),
-    }
-}
-
-/// Build a generalization hierarchy for an ordered sequence of band values
-/// (e.g. revenue shares `["0-30", "30-60", "60-90", "90+"]`): each level
-/// merges adjacent pairs until a single `*` root remains, so global
-/// recoding can coarsen banded numeric attributes step by step.
-pub fn band_hierarchy(attr: &str, bands: &[&str]) -> DomainHierarchy {
-    let mut h = DomainHierarchy::new();
-    let base_ty = format!("{attr}-L0");
-    h.set_attr_type(attr, base_ty.clone());
-    let mut level: Vec<String> = bands.iter().map(|b| b.to_string()).collect();
-    let mut level_no = 0usize;
-    for b in &level {
-        h.set_instance(Value::str(b), base_ty.clone());
-    }
-    while level.len() > 1 {
-        let child_ty = format!("{attr}-L{level_no}");
-        let parent_ty = format!("{attr}-L{}", level_no + 1);
-        h.set_super_type(child_ty, parent_ty.clone());
-        let mut next: Vec<String> = Vec::new();
-        let mut i = 0;
-        while i < level.len() {
-            let parent = if i + 1 < level.len() {
-                merge_bands(&level[i], &level[i + 1])
-            } else {
-                level[i].clone()
-            };
-            // a singleton tail still needs a *distinct* parent label so the
-            // hierarchy keeps making progress
-            let parent = if next.len() + 1 == 1 && level.len() <= 2 && i + 1 >= level.len() {
-                parent
-            } else if i + 1 >= level.len() && parent == level[i] {
-                format!("{parent}·")
-            } else {
-                parent
-            };
-            h.set_instance(Value::str(&parent), parent_ty.clone());
-            h.add_is_a(Value::str(&level[i]), Value::str(&parent));
-            if i + 1 < level.len() {
-                h.add_is_a(Value::str(&level[i + 1]), Value::str(&parent));
-            }
-            next.push(parent);
-            i += 2;
-        }
-        level = next;
-        level_no += 1;
-    }
-    // root rolls up to "*"
-    if let Some(root) = level.first() {
-        let root_ty = format!("{attr}-L{level_no}");
-        h.set_super_type(root_ty, format!("{attr}-top"));
-        h.set_instance(Value::str("*"), format!("{attr}-top"));
-        h.add_is_a(Value::str(root), Value::str("*"));
-    }
-    h
-}
-
 /// Build the paper's Italian-geography example hierarchy (Figure 5 /
 /// Algorithm 8 narrative): cities roll up to regions, regions to country.
 pub fn italian_geography() -> DomainHierarchy {
@@ -298,78 +210,12 @@ mod tests {
     }
 
     #[test]
-    fn band_hierarchy_rolls_up_pairwise() {
-        let h = band_hierarchy("ResRev", &["0-30", "30-60", "60-90", "90+"]);
-        assert_eq!(h.roll_up(&Value::str("0-30")), Some(Value::str("0-60")));
-        assert_eq!(h.roll_up(&Value::str("30-60")), Some(Value::str("0-60")));
-        assert_eq!(h.roll_up(&Value::str("60-90")), Some(Value::str("60+")));
-        assert_eq!(h.roll_up(&Value::str("90+")), Some(Value::str("60+")));
-        // next level merges to the full range, then the * root
-        assert_eq!(h.roll_up(&Value::str("0-60")), Some(Value::str("0+")));
-        assert_eq!(h.roll_up(&Value::str("0+")), Some(Value::str("*")));
-        assert_eq!(h.roll_up(&Value::str("*")), None);
-        assert_eq!(h.height(&Value::str("0-30")), 3);
-    }
-
-    #[test]
-    fn band_hierarchy_handles_odd_counts_and_unparsable_labels() {
-        let h = band_hierarchy("x", &["low", "mid", "high"]);
-        // low+mid merge with the ∪ join; high is carried up alone
-        assert_eq!(h.roll_up(&Value::str("low")), Some(Value::str("low∪mid")));
-        let carried = h.roll_up(&Value::str("high")).unwrap();
-        // every chain eventually reaches the root
-        let mut cur = Value::str("low");
-        let mut steps = 0;
-        while let Some(p) = h.roll_up(&cur) {
-            cur = p;
-            steps += 1;
-            assert!(steps < 10, "no runaway chains");
-        }
-        assert_eq!(cur, Value::str("*"));
-        drop(carried);
-    }
-
-    #[test]
-    fn band_hierarchy_drives_global_recoding() {
-        use crate::dictionary::Category;
-        let mut db = MicrodataDb::new("b", ["ResRev"]).unwrap();
-        for v in ["0-30", "30-60", "60-90", "90+"] {
-            db.push_row(vec![Value::str(v)]).unwrap();
-        }
-        let mut dict = MetadataDictionary::new();
-        dict.register_attr("b", "ResRev", "");
-        dict.set_category("b", "ResRev", Category::QuasiIdentifier)
-            .unwrap();
-        let anon =
-            GlobalRecoding::new(band_hierarchy("ResRev", &["0-30", "30-60", "60-90", "90+"]));
-        anon.anonymize_step(&mut db, &dict, 0).unwrap();
-        assert_eq!(db.value(0, "ResRev").unwrap(), &Value::str("0-60"));
-        // recoding is global per *value*: the sibling band keeps its label
-        // until its own step merges it into the same parent
-        assert_eq!(db.value(1, "ResRev").unwrap(), &Value::str("30-60"));
-        anon.anonymize_step(&mut db, &dict, 1).unwrap();
-        assert_eq!(db.value(1, "ResRev").unwrap(), &Value::str("0-60"));
-        assert_eq!(
-            db.value(0, "ResRev").unwrap(),
-            db.value(1, "ResRev").unwrap()
-        );
-    }
-
-    #[test]
     fn roll_up_follows_type_hierarchy() {
         let h = italian_geography();
         assert_eq!(h.roll_up(&Value::str("Milano")), Some(Value::str("North")));
         assert_eq!(h.roll_up(&Value::str("North")), Some(Value::str("Italy")));
         assert_eq!(h.roll_up(&Value::str("Italy")), None);
         assert_eq!(h.roll_up(&Value::str("unknown")), None);
-    }
-
-    #[test]
-    fn height_counts_roll_ups() {
-        let h = italian_geography();
-        assert_eq!(h.height(&Value::str("Milano")), 2);
-        assert_eq!(h.height(&Value::str("North")), 1);
-        assert_eq!(h.height(&Value::str("Italy")), 0);
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl OwnershipGraph {
         self.edges.push((owner, owned, fraction));
     }
 
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Compute the company-control closure: the set of `(X, Y)` pairs such
     /// that `X` controls `Y` per the recursive rules above. The fixpoint
     /// iterates because gaining control of a company adds its holdings to

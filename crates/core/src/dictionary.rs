@@ -20,8 +20,8 @@ pub enum Category {
     /// Not disclosive, alone or in combination.
     NonIdentifying,
     /// A sensitive attribute: not linkable itself, but the secret an
-    /// attacker is after (used by attribute-disclosure measures such as
-    /// l-diversity).
+    /// attacker is after. Dictionaries record it; no risk measure of this
+    /// crate reads it.
     Sensitive,
     /// The sampling weight column.
     Weight,
@@ -111,11 +111,6 @@ impl MetadataDictionary {
     /// Empty dictionary.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Register a microdata DB (idempotent).
-    pub fn register_db(&mut self, db: impl Into<String>) {
-        self.dbs.entry(db.into()).or_default();
     }
 
     /// Register an attribute with a description.
@@ -227,7 +222,6 @@ mod tests {
 
     fn sample() -> MetadataDictionary {
         let mut d = MetadataDictionary::new();
-        d.register_db("I&G");
         d.register_attr("I&G", "Id", "Company Identifier");
         d.register_attr("I&G", "Area", "Geographic Area");
         d.register_attr("I&G", "Weight", "Sampling Weight");

@@ -89,17 +89,6 @@ impl AuditLog {
             .count()
     }
 
-    /// Tuples the cycle gave up on.
-    pub fn exhausted_tuples(&self) -> Vec<usize> {
-        self.decisions
-            .iter()
-            .filter_map(|d| match d.action {
-                AnonymizationAction::Exhausted { row } => Some(row),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Render the full trail, one line per decision.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -159,7 +148,6 @@ mod tests {
         let log = sample_log();
         assert_eq!(log.suppressions(), 1);
         assert_eq!(log.recodings(), 1);
-        assert_eq!(log.exhausted_tuples(), vec![3]);
         assert_eq!(log.for_tuple(3).len(), 2);
     }
 

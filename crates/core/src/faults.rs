@@ -502,11 +502,6 @@ impl ServerFault {
         ServerFault::default()
     }
 
-    /// Is any fault armed?
-    pub fn is_armed(&self) -> bool {
-        *self != ServerFault::default()
-    }
-
     /// Panic in the worker at the start of `attempt` (1-based).
     pub fn panic_on_attempt(mut self, attempt: u32) -> Self {
         self.panic_on_attempt = Some(attempt);
@@ -615,9 +610,7 @@ mod tests {
             .panic_on_attempt(1)
             .transient_appends(3)
             .delay_start(std::time::Duration::from_millis(5));
-        assert!(f.is_armed());
         assert_eq!(f.panic_on_attempt, Some(1));
         assert_eq!(f.transient_appends, Some(3));
-        assert!(!ServerFault::none().is_armed());
     }
 }

@@ -113,7 +113,7 @@ pub mod prelude {
     pub use crate::model::MicrodataDb;
     pub use crate::progress::ProgressEstimate;
     pub use crate::risk::{
-        IndividualRisk, IrEstimator, KAnonymity, LDiversity, MicrodataView, PresenceRisk,
-        ReIdentification, RiskMeasure, RiskReport, Suda, TCloseness,
+        IndividualRisk, IrEstimator, KAnonymity, MicrodataView, PresenceRisk, ReIdentification,
+        RiskMeasure, RiskReport, Suda,
     };
 }

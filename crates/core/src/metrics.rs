@@ -6,7 +6,6 @@
 //! be removed — the quasi-identifier cells of the tuples that were risky
 //! w.r.t. the threshold before anonymization started.
 
-use crate::maybe_match::NullSemantics;
 use crate::risk::MicrodataView;
 
 /// Information loss per the paper's Figure 7b definition.
@@ -38,27 +37,6 @@ pub fn suppression_ratio(view: &MicrodataView) -> f64 {
     view.null_cell_count() as f64 / total as f64
 }
 
-/// Discernibility metric (Bayardo & Agrawal): sum over tuples of their
-/// equivalence-class size. Smaller is better for utility; suppression
-/// inflates it because maybe-matching enlarges classes.
-pub fn discernibility(view: &MicrodataView, sem: NullSemantics) -> u64 {
-    let stats = view.group_stats_with(None, sem);
-    stats.count.iter().map(|&c| c as u64).sum()
-}
-
-/// Average equivalence-class size `n / #classes` computed under the
-/// *standard* semantics (classes partition the table only there).
-pub fn average_class_size(view: &MicrodataView) -> f64 {
-    if view.is_empty() {
-        return 0.0;
-    }
-    use std::collections::HashSet;
-    // two rows are class-mates iff their code slices agree (interning maps
-    // equal values, including same-label nulls, to equal codes)
-    let classes: HashSet<&[u32]> = (0..view.len()).map(|r| view.row_codes(r)).collect();
-    view.len() as f64 / classes.len() as f64
-}
-
 /// Shannon entropy (bits) of the equivalence-class distribution under the
 /// standard semantics. Anonymization lowers it: coarser data, less spread.
 pub fn class_entropy(view: &MicrodataView) -> f64 {
@@ -83,6 +61,7 @@ pub fn class_entropy(view: &MicrodataView) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maybe_match::NullSemantics;
     use vadalog::Value;
 
     fn s(x: &str) -> Value {
@@ -112,23 +91,10 @@ mod tests {
     }
 
     #[test]
-    fn discernibility_grows_with_suppression() {
-        let before = view(vec![vec![s("a")], vec![s("b")]]);
-        let after = view(vec![vec![Value::Null(0)], vec![s("b")]]);
-        let d0 = discernibility(&before, NullSemantics::MaybeMatch);
-        let d1 = discernibility(&after, NullSemantics::MaybeMatch);
-        assert_eq!(d0, 2);
-        assert_eq!(d1, 4); // both rows now match each other
-        assert!(d1 > d0);
-    }
-
-    #[test]
-    fn average_class_size_and_entropy() {
+    fn class_entropy_counts_bits() {
         let v = view(vec![vec![s("a")], vec![s("a")], vec![s("b")], vec![s("c")]]);
-        assert!((average_class_size(&v) - 4.0 / 3.0).abs() < 1e-12);
         // entropy of {1/2, 1/4, 1/4} = 1.5 bits
         assert!((class_entropy(&v) - 1.5).abs() < 1e-12);
         assert_eq!(class_entropy(&view(vec![])), 0.0);
-        assert_eq!(average_class_size(&view(vec![])), 0.0);
     }
 }

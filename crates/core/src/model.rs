@@ -339,13 +339,6 @@ impl<'a> Projection<'a> {
     pub fn iter_rows(&self) -> impl Iterator<Item = Vec<&'a Value>> + '_ {
         (0..self.len()).map(|r| self.row(r))
     }
-
-    /// Owned escape hatch: materialize the projection (O(cells) clones).
-    pub fn to_rows(&self) -> Vec<Vec<Value>> {
-        self.iter_rows()
-            .map(|r| r.into_iter().cloned().collect())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -573,7 +566,6 @@ mod tests {
         assert_eq!(proj.width(), 2);
         assert_eq!(proj.row(1), vec![&Value::str("South"), &Value::Int(2)]);
         assert_eq!(proj.value(0, 0), &Value::str("North"));
-        assert_eq!(proj.to_rows()[1], vec![Value::str("South"), Value::Int(2)]);
         assert_eq!(db.positions(&["w".to_string()]).unwrap(), vec![2]);
         assert_eq!(db.numeric_column("w").unwrap(), vec![10.0, 20.0]);
         assert!(db.numeric_column("area").is_err());

@@ -24,19 +24,15 @@
 
 mod individual;
 mod kanon;
-mod ldiversity;
 mod presence;
 mod reident;
 mod suda;
-mod tcloseness;
 
 pub use individual::{bf_posterior_mean, IndividualRisk, IrEstimator};
 pub use kanon::KAnonymity;
-pub use ldiversity::LDiversity;
 pub use presence::PresenceRisk;
 pub use reident::ReIdentification;
-pub use suda::{dis_scores, minimal_sample_uniques, MsuSet, Suda};
-pub use tcloseness::TCloseness;
+pub use suda::{minimal_sample_uniques, MsuSet, Suda};
 
 use crate::columnar::{
     apply_cell_change_codes, codes_match, group_stats_codes, ColumnDict, IdentityMemo, PatternIndex,
@@ -1076,7 +1072,7 @@ mod tests {
     /// Every measure's note text on every row is what the measure formats
     /// for that row: one note per class size for k-anonymity, none for
     /// re-identification, one per `p̂` for individual risk, the MSU sizes
-    /// for SUDA, `ε` for presence, and the diversity and distance notes.
+    /// for SUDA, and `ε` for presence.
     #[test]
     fn every_measures_note_text_is_its_format() {
         let picks: Vec<(i64, i64, u32)> = (0..30)
@@ -1116,26 +1112,6 @@ mod tests {
         let r = PresenceRisk.evaluate(&view).unwrap();
         check(&r, &|i| {
             format!("ε={:.4}", PresenceRisk::epsilon(r.risks[i]))
-        });
-        let sensitive: Vec<Value> = (0..view.len()).map(|i| Value::Int(i as i64 % 3)).collect();
-        let r = LDiversity::from_column(2, "s", sensitive.clone())
-            .evaluate(&view)
-            .unwrap();
-        check(&r, &|i| {
-            let mut seen: Vec<&Value> = (0..view.len())
-                .filter(|&j| view.rows_match(i, j))
-                .map(|j| &sensitive[j])
-                .collect();
-            seen.sort_by_key(|v| v.to_string());
-            seen.dedup();
-            format!("{} distinct 's' values vs l=2", seen.len())
-        });
-        let r = TCloseness::from_column(0.2, "s", sensitive)
-            .evaluate(&view)
-            .unwrap();
-        check(&r, &|i| {
-            let distance = r.details[i].weight_sum;
-            format!("TV distance {distance:.4} vs t=0.20 on 's'")
         });
     }
 

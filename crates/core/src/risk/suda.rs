@@ -37,11 +37,6 @@ impl MsuSet {
     pub fn sizes(&self) -> Vec<u32> {
         self.masks.iter().map(|m| m.count_ones()).collect()
     }
-
-    /// Size of the smallest MSU, if any.
-    pub fn min_size(&self) -> Option<u32> {
-        self.sizes().into_iter().min()
-    }
 }
 
 /// SUDA risk measure (Algorithm 6).
@@ -115,20 +110,6 @@ pub fn minimal_sample_uniques(view: &MicrodataView, max_size: Option<usize>) -> 
 /// Factorial as f64 (inputs are small: at most the number of QI columns).
 fn fact(n: u32) -> f64 {
     (1..=n as u64).map(|x| x as f64).product()
-}
-
-/// Data Intrusion Simulation (DIS) scores from a SUDA report, following
-/// the sdcMicro convention: each record's SUDA score is scaled by the
-/// intrusion fraction (sdcMicro's `DisFraction`, default 0.1) and clamped
-/// to `[0, 1]`. The result estimates the probability that a match against
-/// this record made by an intruder is correct; records without sample
-/// uniques score 0.
-pub fn dis_scores(report: &super::RiskReport, dis_fraction: f64) -> Vec<f64> {
-    report
-        .details
-        .iter()
-        .map(|d| (d.weight_sum * dis_fraction).clamp(0.0, 1.0))
-        .collect()
 }
 
 impl RiskMeasure for Suda {
@@ -291,33 +272,12 @@ mod tests {
         // tuple 20 (MSU size 1) must out-score a tuple whose smallest MSU
         // is larger, e.g. tuple 1 (index 0).
         let msus = minimal_sample_uniques(&view, None);
-        if let (Some(a), Some(b)) = (msus[19].min_size(), msus[0].min_size()) {
+        let min_size = |row: usize| msus[row].sizes().into_iter().min();
+        if let (Some(a), Some(b)) = (min_size(19), min_size(0)) {
             if a < b {
                 assert!(report.details[19].weight_sum > report.details[0].weight_sum);
             }
         }
-    }
-
-    #[test]
-    fn dis_scores_scale_suda_scores() {
-        let view = figure1_view();
-        let report = Suda::default().evaluate(&view).unwrap();
-        let dis = dis_scores(&report, 0.1);
-        assert_eq!(dis.len(), report.risks.len());
-        for (d, detail) in dis.iter().zip(report.details.iter()) {
-            assert!((0.0..=1.0).contains(d));
-            if detail.weight_sum == 0.0 {
-                assert_eq!(*d, 0.0, "no sample uniques, no intrusion risk");
-            }
-        }
-        // tuple 20 (smallest MSU) has the highest DIS score
-        let max_at = dis
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .unwrap()
-            .0;
-        assert_eq!(max_at, 19);
     }
 
     #[test]

@@ -2,17 +2,11 @@
 //!
 //! The weight `W_t` of a tuple measures its representativeness w.r.t. the
 //! context `C`: the expected number of entities in the identity oracle
-//! with the same characteristics as `t` under a similarity `φ`. Two
-//! estimators are provided:
-//!
-//! - [`from_oracle`] — when (a simulation of) the identity oracle is
-//!   available, count its tuples matching `t` on the quasi-identifiers
-//!   (the simplest `φ`: equality);
-//! - [`from_sampling_fraction`] — when only the sample is available, scale
-//!   each tuple's sample frequency by the inverse sampling fraction
-//!   `N / n`, the textbook posterior expectation under uniform sampling.
+//! with the same characteristics as `t` under a similarity `φ`.
+//! [`from_oracle`] estimates it when (a simulation of) the identity oracle
+//! is available: it counts the oracle's tuples matching `t` on the
+//! quasi-identifiers (the simplest `φ`: equality).
 
-use crate::maybe_match::{group_stats, NullSemantics};
 use std::collections::HashMap;
 use vadalog::Value;
 
@@ -29,18 +23,6 @@ pub fn from_oracle(sample_qi: &[Vec<Value>], oracle_qi: &[Vec<Value>]) -> Vec<f6
         .iter()
         .map(|r| counts.get(r.as_slice()).copied().unwrap_or(0).max(1) as f64)
         .collect()
-}
-
-/// Estimate weights from the sample alone: each tuple's equivalence-class
-/// frequency scaled by `population_size / sample_size`.
-pub fn from_sampling_fraction(sample_qi: &[Vec<Value>], population_size: usize) -> Vec<f64> {
-    let n = sample_qi.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let scale = population_size.max(n) as f64 / n as f64;
-    let stats = group_stats(sample_qi, None, NullSemantics::Standard);
-    stats.count.iter().map(|&f| f as f64 * scale).collect()
 }
 
 #[cfg(test)]
@@ -72,23 +54,7 @@ mod tests {
     }
 
     #[test]
-    fn sampling_fraction_scales_frequencies() {
-        let sample = vec![r(&["a"]), r(&["a"]), r(&["b"]), r(&["c"])];
-        // population 40, sample 4 → scale 10
-        let w = from_sampling_fraction(&sample, 40);
-        assert_eq!(w, vec![20.0, 20.0, 10.0, 10.0]);
-    }
-
-    #[test]
-    fn population_smaller_than_sample_is_clamped() {
-        let sample = vec![r(&["a"]), r(&["b"])];
-        let w = from_sampling_fraction(&sample, 1);
-        assert_eq!(w, vec![1.0, 1.0]);
-    }
-
-    #[test]
     fn empty_sample() {
-        assert!(from_sampling_fraction(&[], 100).is_empty());
         assert!(from_oracle(&[], &[]).is_empty());
     }
 }

@@ -39,9 +39,6 @@ pub const AGE_BANDS: &[&str] = &["0-5", "6-15", "16-30", "31-60", "60+"];
 /// Balance-sheet size classes (extra quasi-identifier).
 pub const SIZE_BANDS: &[&str] = &["micro", "small", "medium", "large", "very-large"];
 
-/// Main export destination (extra quasi-identifier).
-pub const EXPORT_DEST: &[&str] = &["DE", "FR", "US", "CN", "UK", "ES", "none"];
-
 /// The quasi-identifier columns available to the generator, in the order
 /// they are enabled as the requested QI count grows (4 → 9).
 pub const QI_COLUMNS: &[(&str, &[&str])] = &[

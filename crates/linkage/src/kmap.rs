@@ -34,11 +34,6 @@ impl KMapReport {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Is the whole table k-map anonymous?
-    pub fn satisfies(&self, k: usize) -> bool {
-        self.population_frequencies.iter().all(|&f| f >= k)
-    }
 }
 
 /// Compute the k-map frequencies of `db` against the oracle.
@@ -85,8 +80,7 @@ mod tests {
             assert_eq!(*f as f64, *w);
         }
         // Figure 1's smallest weight is 30 → 30-map holds, 31-map fails
-        assert!(report.satisfies(30));
-        assert!(!report.satisfies(31));
+        assert!(report.violations(30).is_empty());
         assert_eq!(report.violations(31), vec![14]); // tuple 15
     }
 

@@ -340,29 +340,6 @@ impl<'c> Obs<'c> {
         }
     }
 
-    /// Record a pre-measured span (for profiles assembled outside the
-    /// collector, e.g. the engine's always-on `EngineProfile`). The span
-    /// gets a fresh id and nests under the innermost live span, but has
-    /// no explicit start; prefer [`Obs::span_in`] when replaying a whole
-    /// profile so the trace tree gets exact parent links and offsets.
-    pub fn span_at(
-        &self,
-        name: impl Into<Cow<'static, str>>,
-        dur_ns: u64,
-        fields: Vec<(Cow<'static, str>, FieldValue)>,
-    ) {
-        if let Some(c) = self.collector {
-            c.record(Event {
-                kind: EventKind::Span { dur_ns },
-                name: name.into(),
-                fields,
-                span_id: next_span_id(),
-                parent_id: current_parent_id(),
-                start_ns: None,
-            });
-        }
-    }
-
     /// Record a pre-measured span with explicit tree placement: its id,
     /// its parent's id (0 = root) and its start offset. This is the
     /// replay primitive profile emitters use to rebuild a full timeline
@@ -1107,7 +1084,7 @@ mod tests {
         let obs = Obs::new(Some(&rec));
         obs.counter("a", 1, vec![]);
         obs.observe("b", 2, vec![]);
-        obs.span_at("c", 3, vec![]);
+        obs.span_in("c", next_span_id(), 0, 0, 3, vec![]);
         let timeline = rec.timeline();
         assert_eq!(timeline.len(), 3);
         for (i, (seq, _, _)) in timeline.iter().enumerate() {

@@ -61,14 +61,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn never() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Is another retry allowed after `attempts` full attempts?
     pub fn allows(&self, attempts: u32) -> bool {
         attempts <= self.max_retries
@@ -180,6 +172,10 @@ mod tests {
         assert!(p.allows(1));
         assert!(p.allows(3));
         assert!(!p.allows(4));
-        assert!(!RetryPolicy::never().allows(1));
+        let never = RetryPolicy {
+            max_retries: 0,
+            ..p
+        };
+        assert!(!never.allows(1));
     }
 }

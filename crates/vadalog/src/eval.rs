@@ -517,7 +517,6 @@ impl Engine {
                 &mut profile,
                 stratum_idx,
                 &governor,
-                nulls_before,
                 &mut sets,
             )?;
 
@@ -666,7 +665,6 @@ impl Engine {
         profile: &mut EngineProfile,
         stratum_idx: usize,
         governor: &Governor,
-        nulls_base: u64,
         sets: &mut SetTable,
     ) -> Result<StratumEnd, EngineError> {
         let kind = |f: fn(&CHead) -> bool| -> Vec<RuleRef> {
@@ -701,7 +699,6 @@ impl Engine {
                 profile,
                 stratum_idx,
                 governor,
-                nulls_base,
                 sets,
             )?;
             if let StratumEnd::Stopped(t) = end {
@@ -766,9 +763,7 @@ impl Engine {
             // Between passes the governor gets a look too: aggregate/EGD
             // passes can loop without ever re-entering the round loop.
             if governor.active() {
-                let rounds = profile.strata[stratum_idx].rounds.len();
-                let nulls = db.nulls_minted().saturating_sub(nulls_base);
-                if let Some(stop) = governor.stop_reason(stats.facts_derived, nulls, rounds) {
+                if let Some(stop) = governor.stop_reason(stats.facts_derived) {
                     return Ok(StratumEnd::Stopped(stop_termination(
                         stop,
                         stratum_idx,
@@ -796,7 +791,6 @@ impl Engine {
         profile: &mut EngineProfile,
         stratum_idx: usize,
         governor: &Governor,
-        nulls_base: u64,
         sets: &mut SetTable,
     ) -> Result<StratumEnd, EngineError> {
         // Delta tracking: predicate → set of rows added in the previous round.
@@ -806,9 +800,7 @@ impl Engine {
             // Governed stop check, once per round. With no budget and no
             // cancel token this is a single boolean test.
             if governor.active() {
-                let rounds = profile.strata[stratum_idx].rounds.len();
-                let nulls = db.nulls_minted().saturating_sub(nulls_base);
-                if let Some(stop) = governor.stop_reason(stats.facts_derived, nulls, rounds) {
+                if let Some(stop) = governor.stop_reason(stats.facts_derived) {
                     return Ok(StratumEnd::Stopped(stop_termination(
                         stop,
                         stratum_idx,
@@ -2038,29 +2030,50 @@ mod tests {
                 assert!(a < b, "unsound path({a}, {b})");
             }
         }
-    }
 
-    #[test]
-    fn rounds_budget_stops_deep_recursion() {
-        let mut src = String::new();
-        for i in 0..30 {
-            src.push_str(&format!("edge({}, {}).\n", i, i + 1));
-        }
-        src.push_str("path(X, Y) :- edge(X, Y).\npath(X, Y) :- edge(X, Z), path(Z, Y).\n");
-        let p = parse_program(&src).unwrap();
+        // A chase that never ends: each q-fact mints a fresh null that
+        // feeds p again. The soft cap stops the merge at the cap itself.
+        let chase = parse_program(
+            "p(1).\n\
+             q(X, Y) :- p(X).\n\
+             p(Y) :- q(X, Y).",
+        )
+        .unwrap();
         let engine = Engine::with_config(EngineConfig {
-            budget: Budget::unlimited().with_max_rounds_per_stratum(3),
+            budget: Budget::unlimited().with_max_facts(40),
             ..Default::default()
         });
-        let r = engine.run(&p, Database::new()).unwrap();
+        let r = engine.run(&chase, Database::new()).unwrap();
         match &r.termination {
             Termination::BudgetExceeded {
-                which: BudgetKind::Rounds,
+                which: BudgetKind::Facts,
+                rule: Some(_),
                 ..
             } => {}
-            other => panic!("expected rounds budget trip, got {other:?}"),
+            other => panic!("expected a facts budget trip in a rule, got {other:?}"),
         }
-        assert!(!r.db.rows("path").is_empty());
+        assert_eq!(r.stats.facts_derived, 40, "the merge stops at the cap");
+        for row in r.db.rows("p") {
+            assert!(
+                row[0] == Value::Int(1) || row[0].is_null(),
+                "unsound p({})",
+                row[0]
+            );
+        }
+        // Without a budget, the hard backstop ends the chase with an error.
+        let engine = Engine::with_config(EngineConfig {
+            max_facts: 40,
+            ..Default::default()
+        });
+        match engine.run(&chase, Database::new()) {
+            Err(EngineError::ResourceLimit {
+                which: BudgetKind::Facts,
+                limit: 40,
+                ..
+            }) => {}
+            Ok(r) => panic!("expected the fact cap, got {}", r.termination),
+            Err(e) => panic!("unexpected error: {e}"),
+        }
     }
 
     #[test]
@@ -2109,30 +2122,6 @@ mod tests {
             } => {}
             other => panic!("expected deadline trip, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn nulls_budget_stops_null_minting() {
-        // each q-fact mints a fresh null and feeds p again: unbounded chase
-        let p = parse_program(
-            "p(1).\n\
-             q(X, Y) :- p(X).\n\
-             p(Y) :- q(X, Y).",
-        )
-        .unwrap();
-        let engine = Engine::with_config(EngineConfig {
-            budget: Budget::unlimited().with_max_nulls(10),
-            ..Default::default()
-        });
-        let r = engine.run(&p, Database::new()).unwrap();
-        match &r.termination {
-            Termination::BudgetExceeded {
-                which: BudgetKind::Nulls,
-                ..
-            } => {}
-            other => panic!("expected nulls budget trip, got {other:?}"),
-        }
-        assert!(r.stats.nulls_created >= 10);
     }
 
     #[test]

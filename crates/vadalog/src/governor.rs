@@ -6,10 +6,9 @@
 //! behind an error. This module provides the three pieces the engine
 //! checks in its semi-naive loop:
 //!
-//! - [`Budget`] — declarative soft limits (wall-clock deadline, derived-fact
-//!   cap, minted-null cap, per-stratum round cap). All default to
-//!   *unlimited*; the no-budget path costs one boolean test per fixpoint
-//!   round (see [`Governor::active`]).
+//! - [`Budget`] — declarative soft limits (wall-clock deadline and
+//!   derived-fact cap). Both default to *unlimited*; the no-budget path
+//!   costs one boolean test per fixpoint round (see [`Governor::active`]).
 //! - [`CancelToken`] — a cloneable cooperative cancellation flag (an
 //!   `AtomicBool`), checked between fixpoint rounds and handed to callers
 //!   that need to stop a long run from another thread.
@@ -33,10 +32,6 @@ pub enum BudgetKind {
     /// The derived-fact cap ([`Budget::max_facts`] or the hard
     /// `EngineConfig::max_facts` backstop).
     Facts,
-    /// The minted-labelled-null cap ([`Budget::max_nulls`]).
-    Nulls,
-    /// The per-stratum semi-naive round cap ([`Budget::max_rounds_per_stratum`]).
-    Rounds,
     /// The hard fixpoint-iteration backstop (`EngineConfig::max_iterations`).
     Iterations,
 }
@@ -46,8 +41,6 @@ impl fmt::Display for BudgetKind {
         let name = match self {
             BudgetKind::Deadline => "wall-clock deadline",
             BudgetKind::Facts => "derived-fact cap",
-            BudgetKind::Nulls => "minted-null cap",
-            BudgetKind::Rounds => "per-stratum round cap",
             BudgetKind::Iterations => "fixpoint-iteration cap",
         };
         f.write_str(name)
@@ -67,10 +60,6 @@ pub struct Budget {
     pub deadline: Option<Duration>,
     /// Soft cap on total derived facts.
     pub max_facts: Option<usize>,
-    /// Soft cap on labelled nulls minted by existential rules.
-    pub max_nulls: Option<u64>,
-    /// Soft cap on semi-naive rounds within one stratum (across passes).
-    pub max_rounds_per_stratum: Option<usize>,
 }
 
 impl Budget {
@@ -81,10 +70,7 @@ impl Budget {
 
     /// Does this budget constrain anything?
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.max_facts.is_none()
-            && self.max_nulls.is_none()
-            && self.max_rounds_per_stratum.is_none()
+        self.deadline.is_none() && self.max_facts.is_none()
     }
 
     /// Set the wall-clock deadline.
@@ -96,18 +82,6 @@ impl Budget {
     /// Set the derived-fact cap.
     pub fn with_max_facts(mut self, max_facts: usize) -> Self {
         self.max_facts = Some(max_facts);
-        self
-    }
-
-    /// Set the minted-null cap.
-    pub fn with_max_nulls(mut self, max_nulls: u64) -> Self {
-        self.max_nulls = Some(max_nulls);
-        self
-    }
-
-    /// Set the per-stratum round cap.
-    pub fn with_max_rounds_per_stratum(mut self, rounds: usize) -> Self {
-        self.max_rounds_per_stratum = Some(rounds);
         self
     }
 }
@@ -231,11 +205,10 @@ impl Governor {
         &self.budget
     }
 
-    /// Should the run stop? `facts` / `nulls` are run totals; `rounds` is
-    /// the round count of the current stratum. Returns `None` while every
-    /// limit holds. Cancellation wins over budgets so an explicit stop is
-    /// reported as such.
-    pub fn stop_reason(&self, facts: usize, nulls: u64, rounds: usize) -> Option<StopReason> {
+    /// Should the run stop? `facts` is the run's total of derived facts.
+    /// Returns `None` while every limit holds. Cancellation wins over
+    /// budgets so an explicit stop is reported as such.
+    pub fn stop_reason(&self, facts: usize) -> Option<StopReason> {
         if !self.active {
             return None;
         }
@@ -247,16 +220,6 @@ impl Governor {
         if let Some(cap) = self.budget.max_facts {
             if facts > cap {
                 return Some(StopReason::Budget(BudgetKind::Facts));
-            }
-        }
-        if let Some(cap) = self.budget.max_nulls {
-            if nulls > cap {
-                return Some(StopReason::Budget(BudgetKind::Nulls));
-            }
-        }
-        if let Some(cap) = self.budget.max_rounds_per_stratum {
-            if rounds > cap {
-                return Some(StopReason::Budget(BudgetKind::Rounds));
             }
         }
         if let Some(deadline) = self.budget.deadline {
@@ -277,7 +240,7 @@ mod tests {
         assert!(Budget::default().is_unlimited());
         let g = Governor::new(Budget::unlimited(), None);
         assert!(!g.active());
-        assert_eq!(g.stop_reason(usize::MAX, u64::MAX, usize::MAX), None);
+        assert_eq!(g.stop_reason(usize::MAX), None);
     }
 
     #[test]
@@ -288,33 +251,23 @@ mod tests {
         t.cancel();
         assert!(t2.is_cancelled());
         let g = Governor::new(Budget::unlimited(), Some(t2));
-        assert_eq!(g.stop_reason(0, 0, 0), Some(StopReason::Cancelled));
+        assert_eq!(g.stop_reason(0), Some(StopReason::Cancelled));
     }
 
     #[test]
     fn budgets_trip_individually() {
         let g = Governor::new(Budget::unlimited().with_max_facts(10), None);
-        assert_eq!(g.stop_reason(10, 0, 0), None);
+        assert_eq!(g.stop_reason(10), None);
         assert_eq!(
-            g.stop_reason(11, 0, 0),
+            g.stop_reason(11),
             Some(StopReason::Budget(BudgetKind::Facts))
-        );
-        let g = Governor::new(Budget::unlimited().with_max_nulls(3), None);
-        assert_eq!(
-            g.stop_reason(0, 4, 0),
-            Some(StopReason::Budget(BudgetKind::Nulls))
-        );
-        let g = Governor::new(Budget::unlimited().with_max_rounds_per_stratum(2), None);
-        assert_eq!(
-            g.stop_reason(0, 0, 3),
-            Some(StopReason::Budget(BudgetKind::Rounds))
         );
         let g = Governor::new(
             Budget::unlimited().with_deadline(Duration::from_nanos(0)),
             None,
         );
         assert_eq!(
-            g.stop_reason(0, 0, 0),
+            g.stop_reason(0),
             Some(StopReason::Budget(BudgetKind::Deadline))
         );
     }
@@ -324,18 +277,18 @@ mod tests {
         let t = CancelToken::new();
         t.cancel();
         let g = Governor::new(Budget::unlimited().with_max_facts(0), Some(t));
-        assert_eq!(g.stop_reason(100, 0, 0), Some(StopReason::Cancelled));
+        assert_eq!(g.stop_reason(100), Some(StopReason::Cancelled));
     }
 
     #[test]
     fn termination_renders_human_readable() {
         let t = Termination::BudgetExceeded {
-            which: BudgetKind::Rounds,
+            which: BudgetKind::Facts,
             stratum: 2,
             rule: Some("tc".into()),
         };
         let s = t.to_string();
-        assert!(s.contains("per-stratum round cap"));
+        assert!(s.contains("derived-fact cap"));
         assert!(s.contains("stratum 2"));
         assert!(s.contains("tc"));
         assert!(!t.is_fixpoint());

@@ -76,7 +76,7 @@ pub use magic::{
 };
 pub use module::{Module, ModuleError, ModuleRegistry};
 pub use parser::{parse_program, parse_rule, ParseError};
-pub use plan::{plan_rule, JoinPlan, PlanStep};
+pub use plan::{JoinPlan, PlanStep};
 pub use printer::{print_expr, print_program, print_rule};
 pub use profile::{EngineProfile, RoundProfile, RuleProfile, StratumProfile};
 pub use query::{answers, goal_slice, parse_goal, AnswerMode};

@@ -14,9 +14,9 @@
 //!    `#risk` slot is filled by exactly one plug-in at a time), and
 //! 3. the composed program still stratifies.
 //!
-//! Interfaces are validated against the module's own rules: a module must
-//! actually derive what it provides, and every body predicate that it does
-//! not derive itself must be listed as required.
+//! Interfaces are inferred from the module's own rules
+//! ([`Module::from_source`]): a module provides what it derives, and
+//! requires every body predicate that it does not derive itself.
 
 use crate::ast::{Head, Program};
 use crate::parser::{parse_program, ParseError};
@@ -43,13 +43,6 @@ pub struct Module {
 pub enum ModuleError {
     /// The module source failed to parse.
     Parse(ParseError),
-    /// The declared interface does not match the rules.
-    BadInterface {
-        /// Module at fault.
-        module: String,
-        /// Explanation.
-        message: String,
-    },
     /// Two modules provide the same predicate.
     Conflict {
         /// The predicate provided twice.
@@ -76,9 +69,6 @@ impl fmt::Display for ModuleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ModuleError::Parse(e) => write!(f, "{e}"),
-            ModuleError::BadInterface { module, message } => {
-                write!(f, "module '{module}': {message}")
-            }
             ModuleError::Conflict {
                 predicate,
                 first,
@@ -135,40 +125,6 @@ impl Module {
             provides,
             requires,
             program,
-        })
-    }
-
-    /// Build a module with an explicitly declared interface, validated
-    /// against the rules.
-    pub fn with_interface(
-        name: impl Into<String>,
-        source: &str,
-        provides: impl IntoIterator<Item = String>,
-        requires: impl IntoIterator<Item = String>,
-    ) -> Result<Self, ModuleError> {
-        let inferred = Module::from_source(name, source)?;
-        let provides: BTreeSet<String> = provides.into_iter().collect();
-        let requires: BTreeSet<String> = requires.into_iter().collect();
-        for p in &provides {
-            if !inferred.provides.contains(p) {
-                return Err(ModuleError::BadInterface {
-                    module: inferred.name,
-                    message: format!("declares providing '{p}' but never derives it"),
-                });
-            }
-        }
-        for r in &inferred.requires {
-            if !requires.contains(r) {
-                return Err(ModuleError::BadInterface {
-                    module: inferred.name,
-                    message: format!("uses '{r}' without declaring it required"),
-                });
-            }
-        }
-        Ok(Module {
-            provides,
-            requires,
-            ..inferred
         })
     }
 }
@@ -286,27 +242,6 @@ mod tests {
         assert!(m.requires.contains("val"));
         assert!(m.requires.contains("cat"));
         assert!(!m.requires.contains("tuple"));
-    }
-
-    #[test]
-    fn explicit_interface_is_validated() {
-        let bad = Module::with_interface(
-            "m",
-            "a(X) :- b(X).",
-            vec!["zz".to_string()],
-            vec!["b".to_string()],
-        );
-        assert!(matches!(bad, Err(ModuleError::BadInterface { .. })));
-        let undeclared =
-            Module::with_interface("m", "a(X) :- b(X).", vec!["a".to_string()], vec![]);
-        assert!(matches!(undeclared, Err(ModuleError::BadInterface { .. })));
-        let ok = Module::with_interface(
-            "m",
-            "a(X) :- b(X).",
-            vec!["a".to_string()],
-            vec!["b".to_string()],
-        );
-        assert!(ok.is_ok());
     }
 
     #[test]

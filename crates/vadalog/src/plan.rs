@@ -31,7 +31,6 @@
 //! either binds its slot or filters on it. A row that comes from an index
 //! probe only binds: the probe already matched the bound positions.
 
-use crate::ast::Rule;
 use crate::builtins::CExpr;
 use crate::compile::{CLit, CTerm, CompiledRule, Slot};
 use crate::storage::Database;
@@ -167,16 +166,9 @@ fn bound_positions(args: &[CTerm], bound: &[bool]) -> Vec<usize> {
     out
 }
 
-/// Plan a rule body. `focus` is the body index of the delta-focused
-/// positive literal for semi-naive passes (`None` on the full pass).
-/// `delta_size` estimates the focused literal's cardinality.
-pub fn plan_rule(rule: &Rule, db: &Database, focus: Option<usize>, delta_size: usize) -> JoinPlan {
-    let _ = delta_size; // reserved for finer selectivity estimates
-    let rule = CompiledRule::new(rule);
-    plan(&rule, rule.body.len(), db, focus)
-}
-
-/// [`plan_rule`] over the first `len` literals of a compiled body.
+/// Plan the first `len` literals of a compiled rule body. `focus` is the
+/// body index of the delta-focused positive literal for semi-naive passes
+/// (`None` on the full pass).
 pub(crate) fn plan(
     rule: &CompiledRule,
     len: usize,
@@ -360,8 +352,14 @@ fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Rule;
     use crate::parser::parse_rule;
     use crate::value::Value;
+
+    fn plan_body(rule: &Rule, db: &Database, focus: Option<usize>) -> JoinPlan {
+        let rule = CompiledRule::new(rule);
+        plan(&rule, rule.body.len(), db, focus)
+    }
 
     fn db_with(sizes: &[(&str, usize)]) -> Database {
         let mut db = Database::new();
@@ -377,7 +375,7 @@ mod tests {
     fn smaller_relation_drives_the_join() {
         let rule = parse_rule("h(X, Y) :- big(X, Z), small(Z, Y).").unwrap();
         let db = db_with(&[("big", 100), ("small", 2)]);
-        let plan = plan_rule(&rule, &db, None, 0);
+        let plan = plan_body(&rule, &db, None);
         assert_eq!(plan.steps[0].lit, 1, "small relation should go first");
         assert!(plan.reordered);
         // after small(Z, Y) binds Z, big probes on position 1
@@ -388,7 +386,7 @@ mod tests {
     fn constants_count_as_bound() {
         let rule = parse_rule("h(X) :- a(X, Y), b(1, X).").unwrap();
         let db = db_with(&[("a", 10), ("b", 10)]);
-        let plan = plan_rule(&rule, &db, None, 0);
+        let plan = plan_body(&rule, &db, None);
         // b(1, X) has one bound position (the constant) vs zero for a
         assert_eq!(plan.steps[0].lit, 1);
         assert_eq!(plan.steps[0].bound, vec![0]);
@@ -398,7 +396,7 @@ mod tests {
     fn negation_waits_for_its_variables() {
         let rule = parse_rule("h(X) :- not q(Y), p(X, Y).").unwrap();
         let db = db_with(&[("p", 5), ("q", 5)]);
-        let plan = plan_rule(&rule, &db, None, 0);
+        let plan = plan_body(&rule, &db, None);
         let neg_pos = plan.steps.iter().position(|s| s.lit == 0).unwrap();
         let pos_pos = plan.steps.iter().position(|s| s.lit == 1).unwrap();
         assert!(neg_pos > pos_pos, "negation must follow its binder");
@@ -408,7 +406,7 @@ mod tests {
     fn focus_literal_is_first() {
         let rule = parse_rule("p(X, Y) :- e(X, Z), p(Z, Y).").unwrap();
         let db = db_with(&[("e", 50), ("p", 50)]);
-        let plan = plan_rule(&rule, &db, Some(1), 3);
+        let plan = plan_body(&rule, &db, Some(1));
         assert_eq!(plan.steps[0].lit, 1);
         assert_eq!(plan.focus, Some(1));
         // e then probes on Z (position 1)
@@ -420,7 +418,7 @@ mod tests {
     fn let_chain_schedules_in_dependency_order() {
         let rule = parse_rule("h(B) :- t(X), A = X + 1, B = A * 2, B > 0.").unwrap();
         let db = db_with(&[("t", 3)]);
-        let plan = plan_rule(&rule, &db, None, 0);
+        let plan = plan_body(&rule, &db, None);
         let order: Vec<usize> = plan.steps.iter().map(|s| s.lit).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
         assert!(!plan.reordered);
@@ -430,11 +428,11 @@ mod tests {
     fn empty_relation_marks_plan_dead() {
         let rule = parse_rule("h(X, Y) :- big(X, Z), nothing(Z, Y).").unwrap();
         let db = db_with(&[("big", 100)]); // `nothing` has no relation
-        let plan = plan_rule(&rule, &db, None, 0);
+        let plan = plan_body(&rule, &db, None);
         assert!(plan.dead);
         // the focused literal's emptiness is handled by delta bookkeeping,
         // not by the dead flag
-        let plan = plan_rule(&rule, &db, Some(1), 0);
+        let plan = plan_body(&rule, &db, Some(1));
         assert!(!plan.dead);
     }
 
@@ -446,7 +444,7 @@ mod tests {
         // schedule the semi-join filter first regardless of bound counts.
         let rule = parse_rule("h(X, Y) :- big(X, Z), seen(X), wide(X, Z, Y).").unwrap();
         let db = db_with(&[("big", 2), ("seen", 50), ("wide", 5)]);
-        let plan = plan_rule(&rule, &db, None, 0);
+        let plan = plan_body(&rule, &db, None);
         let order: Vec<usize> = plan.steps.iter().map(|s| s.lit).collect();
         assert_eq!(order, vec![0, 1, 2], "existence check precedes the join");
         assert_eq!(plan.steps[1].bound, vec![0]);
@@ -456,7 +454,7 @@ mod tests {
     fn index_needs_reports_probe_masks() {
         let rule = parse_rule("h(X, Y) :- big(X, Z), small(Z, Y).").unwrap();
         let db = db_with(&[("big", 100), ("small", 2)]);
-        let plan = plan_rule(&rule, &db, None, 0);
+        let plan = plan_body(&rule, &db, None);
         let needs: Vec<(String, Vec<usize>)> = plan
             .index_needs()
             .map(|(p, b)| (p.to_string(), b.to_vec()))
